@@ -37,7 +37,7 @@ from .repetition import (
     repetition_direct,
     repetition_rows,
 )
-from .slope import Slope, continuants, convergent_value, interval_locate, parse_slope
+from .slope import Slope, convergent_value, interval_locate, parse_slope
 from .torsion import B_BLOCKS, b_factorize, even_family, self_complementary, torsion_search
 from .words import characteristic_prefix, complexity, mechanical_prefix, standard_word
 
@@ -80,7 +80,7 @@ def _seeded_slopes(
     while len(out) < count:
         qs = tuple(rng.choices(range(1, hi + 1), weights=weights, k=12))
         slope = Slope(qs, (0, len(qs)))
-        if continuants(slope, cap_level).q(cap_level) <= cap:
+        if slope.q(cap_level) <= cap:
             out.append(slope)
     return tuple(out)
 
@@ -111,14 +111,13 @@ def check_01_ostrowski_round_trip() -> CheckResult:
     slopes = _ten_slopes()
     total = 0
     for slope in slopes:
-        table = continuants(slope, 12)
-        top = min(table.q(12), 100_000)
+        top = min(slope.q(12), 100_000)
         for n in range(top):
             if decode(encode(n, slope, 12)) != n:
                 return CheckResult(1, "ostrowski-round-trip", False, f"n={n} on {slope}")
         total += top
         values = sorted(decode(d, slope) for d in all_digit_strings(slope, 7))
-        if values != list(range(continuants(slope, 7).q(7))):
+        if values != list(range(slope.q(7))):
             return CheckResult(1, "ostrowski-round-trip", False, f"uniqueness on {slope}")
     return CheckResult(
         1,
@@ -133,9 +132,7 @@ def check_02_prefix_product() -> CheckResult:
     slopes = _ten_slopes()
     checked = 0
     for slope in slopes:
-        depth = 1
-        while continuants(slope, depth).q(depth) < 502:
-            depth += 1
+        depth = slope.level(501)
         reference = standard_word(slope, depth)
         for m in range(1, 501):
             digits = encode(m, slope, depth).digits
@@ -163,7 +160,7 @@ def check_03_complexity() -> CheckResult:
     for slope in slopes:
         for n in range(1, 51):
             level = interval_locate(n, slope).n
-            window = n + continuants(slope, level + 1).q(level + 1) + 10
+            window = n + slope.q(level + 1) + 10
             prefix = characteristic_prefix(slope, window)
             if complexity(prefix, n) != n + 1:
                 return CheckResult(3, "sturmian-complexity", False, f"n={n} on {slope}")
@@ -175,10 +172,9 @@ def check_04_repetition_intervals() -> CheckResult:
     slopes = (GOLDEN, TWO_ONE) + _seeded_slopes(5, SEED + 4, cap_level=9, cap=100)
     pairs = 0
     for slope in slopes:
-        table = continuants(slope, 9)
-        prefix = characteristic_prefix(slope, 3 * table.q(9))
+        prefix = characteristic_prefix(slope, 3 * slope.q(9))
         for n in range(9):
-            q_n, q_n1 = table.q(n), table.q(n + 1)
+            q_n, q_n1 = slope.q(n), slope.q(n + 1)
             for m in range(max(1, q_n - 1), q_n1 - 1):
                 if repetition_direct(prefix, m) != q_n:
                     return CheckResult(
@@ -201,7 +197,7 @@ def check_05_closed_form_oracle() -> CheckResult:
     pairs = 0
     cases = set()
     for slope in slopes:
-        m_top = continuants(slope, 7).q(7) - 2
+        m_top = slope.q(7) - 2
         for digits in all_digit_strings(slope, 8):
             rho = AlphaNumber(digits, slope)
             deep = AlphaNumber(digits + (0,) * 4, slope)
@@ -231,8 +227,7 @@ def check_06_intercept_bijection() -> CheckResult:
     count = 0
     for slope in NAMED_FIVE:
         rng = random.Random(SEED + 6)
-        table = continuants(slope, 11)
-        need = table.q(11) + table.q(10)
+        need = slope.q(11) + slope.q(10)
         for _ in range(200):
             digits = _seeded_digits(rng, slope, 10)
             deep = AlphaNumber(digits + (0,) * 3, slope)
@@ -314,8 +309,7 @@ def check_09_rauzy() -> CheckResult:
         for m in range(1, 151):
             graph = build_graph(slope, m)
             pos = graph.level
-            table = continuants(slope, pos.n + 1)
-            q_n, q_n1 = table.q(pos.n), table.q(pos.n - 1)
+            q_n, q_n1 = slope.q(pos.n), slope.q(pos.n - 1)
             ref, other = len(graph.referent_cycle), len(graph.other_cycle)
             if ref != q_n or other != pos.l * q_n + q_n1:
                 return CheckResult(9, "rauzy-structure", False, f"m={m} on {slope}")
@@ -349,9 +343,8 @@ def check_10_torsion() -> CheckResult:
                 return CheckResult(
                     10, "torsion-identities", False, f"N={modulus} no identity at n={n}"
                 )
-            table = continuants(GOLDEN, n + again.k)
             value = decode(again.quotient_digits, GOLDEN)
-            if table.q(n + again.k) - table.q(n) != modulus * value:
+            if GOLDEN.q(n + again.k) - GOLDEN.q(n) != modulus * value:
                 return CheckResult(
                     10, "torsion-identities", False, f"N={modulus} arithmetic at n={n}"
                 )
@@ -472,9 +465,7 @@ def check_13_dio_estimate() -> CheckResult:
 def check_14_mechanical_oracle() -> CheckResult:
     """Convergent-slope mechanical words, then rational complexity bounds."""
     for slope in NAMED_FIVE:
-        depth = 1
-        while continuants(slope, depth).q(depth) <= 2 * 202:
-            depth += 1
+        depth = slope.level(2 * 202)
         alpha = convergent_value(slope, depth)
         if mechanical_prefix(alpha, alpha, 200, "lower") != characteristic_prefix(slope, 200):
             return CheckResult(14, "mechanical-oracle", False, f"{slope}")

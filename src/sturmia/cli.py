@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import acceptance
-from .errors import SturmiaError
+from .errors import RangeError, SturmiaError
 from .factorization import characteristic_factorizations, duality_check
 from .intercept import (
     AlphaNumber,
@@ -263,6 +263,8 @@ def cmd_rauzy(args) -> int:
 
 
 def cmd_repetition(args) -> int:
+    if args.m_max < 1:
+        raise RangeError(f"--m-max must be >= 1, got {args.m_max}")
     slope = parse_slope(args.slope)
     config = _config(args)
     rho = parse_intercept(args.intercept, slope, config.depth)

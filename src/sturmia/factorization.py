@@ -26,7 +26,7 @@ from .intercept import (
     sturmian_prefix,
 )
 from .ostrowski import encode
-from .slope import Slope, continuants, interval_locate
+from .slope import Slope, interval_locate
 from .words import characteristic_prefix, factor_set, standard_word
 
 
@@ -81,12 +81,10 @@ def integer_product(k: int, slope: Slope) -> str:
         raise RangeError(f"expected a non-negative integer, got {k}")
     if k == 0:
         return ""
-    depth = 1
-    while continuants(slope, depth).q(depth) <= k:
-        depth += 1
-    digits = encode(k, slope, depth).digits
+    digits = encode(k, slope, slope.level(k)).digits
     word = "".join(standard_word(slope, i)[::-1] * b for i, b in enumerate(digits))
-    assert len(word) == k
+    if len(word) != k:
+        raise AssertionError("reversed block product has the wrong length")
     return word
 
 
@@ -109,14 +107,9 @@ def central_split_check(m: int, p: int, slope: Slope) -> SplitReport:
     if m < 0 or p < 0:
         raise RangeError("both split sizes must be >= 0")
     total = m + p
-    level = 0
-    while True:
-        table = continuants(slope, level)
-        if table.q(level) - 2 == total:
-            break
-        if table.q(level) - 2 > total:
-            raise RangeError(f"m+p = {total} is not q_N - 2 for any subscript N")
-        level += 1
+    level = slope.level(total + 1)
+    if slope.q(level) - 2 != total:
+        raise RangeError(f"m+p = {total} is not q_N - 2 for any subscript N")
     expected = standard_word(slope, level)[:-2]
     left = characteristic_prefix(slope, m)
     right = integer_product(p, slope)
@@ -153,11 +146,9 @@ def duality_check(rho: AlphaNumber, length: int) -> DualityReport:
     window = min(16, max(4, length // 8))
     seam_len = min(length, 40)
     seam = sturmian_prefix(comp, seam_len)[::-1] + lhs[:seam_len]
-    pos = interval_locate(window, rho.slope)
-    table = continuants(rho.slope, pos.n + 1)
-    reference = characteristic_prefix(
-        rho.slope, window + table.q(pos.n + 1) + table.q(pos.n) + 2
-    )
+    slope = rho.slope
+    n = interval_locate(window, slope).n
+    reference = characteristic_prefix(slope, window + slope.q(n + 1) + slope.q(n) + 2)
     language = factor_set(reference, window)
     orbit_ok = all(
         seam[j : j + window] in language for j in range(len(seam) - window + 1)

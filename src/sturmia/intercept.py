@@ -10,7 +10,10 @@ relative to the window together with a witness level.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import (
     DepthError,
@@ -22,7 +25,7 @@ from .errors import (
     UnsupportedInterceptError,
 )
 from .ostrowski import encode, validate
-from .slope import Slope, continuants
+from .slope import Slope
 from .words import characteristic_prefix
 
 
@@ -50,14 +53,19 @@ class AlphaNumber:
             raise DepthError(f"digit b_{i} beyond window depth {self.depth}")
         return self.digits[i - 1]
 
+    @cached_property
+    def residues(self) -> tuple[int, ...]:
+        """The residue tower (rho_0, rho_1, ..., rho_depth), built once."""
+        q = self.slope.q
+        return tuple(accumulate((b * q(i) for i, b in enumerate(self.digits)), initial=0))
+
     def psi(self, n: int) -> int:
         """Level-n residue rho_n = sum_{i<n} b_{i+1} q_i; levels <= 0 give 0."""
         if n <= 0:
             return 0
         if n > self.depth:
             raise DepthError(f"residue at level {n} needs depth {n}, window has {self.depth}")
-        table = continuants(self.slope, n)
-        return sum(b * table.q(i) for i, b in enumerate(self.digits[:n]))
+        return self.residues[n]
 
     def support(self) -> frozenset[int]:
         """Indices i < depth whose coefficient of q_i is non-zero."""
@@ -96,10 +104,6 @@ def sigma1(slope: Slope, depth: int) -> AlphaNumber:
     return AlphaNumber(tuple(digits), slope)
 
 
-def psi(rho: AlphaNumber, n: int) -> int:
-    return rho.psi(n)
-
-
 def next_support(rho: AlphaNumber, n: int) -> int:
     """Smallest support index >= n within the window."""
     candidates = [i for i in rho.support() if i >= n]
@@ -118,8 +122,7 @@ def intercept_from_prefix(prefix: str, slope: Slope, depth: int) -> AlphaNumber:
     Raises NotSturmianError when no shift below q_n matches or when the
     residue tower is incompatible.
     """
-    deep = continuants(slope, depth + 1)
-    need = deep.q(depth + 1) + deep.q(depth)
+    need = slope.q(depth + 1) + slope.q(depth)
     if len(prefix) < need:
         raise PrefixTooShortError(
             f"need {need} letters to certify depth {depth}, got {len(prefix)}"
@@ -128,24 +131,24 @@ def intercept_from_prefix(prefix: str, slope: Slope, depth: int) -> AlphaNumber:
         raise NotSturmianError("prefix must be over the alphabet {0, 1}")
     check_levels = depth + 1
     try:
-        reference = characteristic_prefix(slope, 2 * deep.q(check_levels))
+        reference = characteristic_prefix(slope, 2 * slope.q(check_levels))
     except DepthError:
         # slope window too short to audit the extra level; verify to depth only
         check_levels = depth
-        reference = characteristic_prefix(slope, 2 * deep.q(check_levels))
+        reference = characteristic_prefix(slope, 2 * slope.q(check_levels))
     residues = [0]
     for n in range(1, check_levels + 1):
-        window = prefix[: deep.q(n) - 1]
+        window = prefix[: slope.q(n) - 1]
         k = reference.find(window)
-        if k < 0 or k >= deep.q(n):
+        if k < 0 or k >= slope.q(n):
             raise NotSturmianError(
-                f"prefix of length {deep.q(n) - 1} does not occur as an early factor"
+                f"prefix of length {slope.q(n) - 1} does not occur as an early factor"
             )
         residues.append(k)
     digits = []
     for n in range(check_levels):
         gap = residues[n + 1] - residues[n]
-        q_n = deep.q(n)
+        q_n = slope.q(n)
         if gap < 0 or gap % q_n:
             raise NotSturmianError(f"incompatible residues between levels {n} and {n + 1}")
         digits.append(gap // q_n)
@@ -165,19 +168,16 @@ def sturmian_prefix(rho: AlphaNumber, m: int) -> str:
         raise RangeError("prefix length must be >= 0")
     if m == 0:
         return ""
-    slope = rho.slope
-    for n in range(rho.depth + 1):
-        if continuants(slope, n).q(n) - 1 >= m:
-            shift = rho.psi(n)
-            return characteristic_prefix(slope, shift + m)[shift:]
-    raise DepthError(
-        f"window depth {rho.depth} certifies only {continuants(slope, rho.depth).q(rho.depth) - 1} letters"
-    )
+    certified = max_certified_length(rho)
+    if m > certified:
+        raise DepthError(f"window depth {rho.depth} certifies only {certified} letters")
+    shift = rho.psi(rho.slope.level(m))
+    return characteristic_prefix(rho.slope, shift + m)[shift:]
 
 
 def max_certified_length(rho: AlphaNumber) -> int:
     """Longest prefix of the word that this window determines."""
-    return continuants(rho.slope, rho.depth).q(rho.depth) - 1
+    return rho.slope.q(rho.depth) - 1
 
 
 def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
@@ -191,18 +191,17 @@ def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
     if k == 0:
         return rho
     slope = rho.slope
-    table = continuants(slope, rho.depth)
-    budget = table.q(rho.depth) - 1 - k
-    out_depth = 0
-    while (
-        out_depth + 1 < rho.depth
-        and table.q(out_depth + 2) + table.q(out_depth + 1) <= budget
-    ):
-        out_depth += 1
+    budget = max_certified_length(rho) - k
+
+    def need(d: int) -> int:
+        """Letters that certify depth d: q_{d+1} + q_d, increasing in d."""
+        return slope.q(d + 1) + slope.q(d)
+
+    # the deepest out_depth < depth whose need fits in the remaining letters
+    out_depth = bisect_right(range(1, rho.depth), budget, key=need)
     if out_depth < 1:
         raise DepthError(f"shift {k} leaves no certifiable level in a depth-{rho.depth} window")
-    need = table.q(out_depth + 1) + table.q(out_depth)
-    word = sturmian_prefix(rho, k + need)[k:]
+    word = sturmian_prefix(rho, k + need(out_depth))[k:]
     return intercept_from_prefix(word, slope, out_depth)
 
 
@@ -214,8 +213,8 @@ def agreement_length(rho: AlphaNumber, n: int) -> int:
     """
     if n + 1 > rho.depth:
         raise DepthError(f"level {n + 1} beyond window depth {rho.depth}")
-    table = continuants(rho.slope, n + 1)
-    return table.q(n + 1) + table.q(n) - rho.psi(n + 1) - 2
+    slope = rho.slope
+    return slope.q(n + 1) + slope.q(n) - rho.psi(n + 1) - 2
 
 
 @dataclass(frozen=True)
@@ -269,10 +268,6 @@ def classify(rho: AlphaNumber, min_tail: int | None = None) -> ClassReport:
     if best is None:
         return ClassReport("non-zero", None, 0)
     return ClassReport(best[1], best[0], rho.depth + 1 - best[0])
-
-
-def is_zero_class(rho: AlphaNumber, min_tail: int | None = None) -> bool:
-    return classify(rho, min_tail).verdict != "non-zero"
 
 
 @dataclass(frozen=True)
@@ -348,7 +343,7 @@ def complement_report(rho: AlphaNumber) -> ComplementReport:
 
     def subtracted(m: int) -> int:
         """The integer q_{m+1} - 2 - rho_{m+1} at support level m."""
-        return continuants(slope, m + 1).q(m + 1) - 2 - rho.psi(m + 1)
+        return slope.q(m + 1) - 2 - rho.psi(m + 1)
 
     # levels where rho_{m+1} = q_{m+1} - 1 carry no information and are skipped
     usable = [m for m in sup if subtracted(m) >= 0]
@@ -358,16 +353,16 @@ def complement_report(rho: AlphaNumber) -> ComplementReport:
         )
     top = usable[-1]
 
-    def residue_from(m: int, n: int) -> int:
-        digits = encode(subtracted(m), slope, m + 1).digits
-        t2 = continuants(slope, n)
-        return sum(b * t2.q(i) for i, b in enumerate(digits[:n]))
-
-    value = AlphaNumber(encode(residue_from(top, top), slope, top).digits, slope)
+    # each usable level is encoded once; towers[m][n] is its level-n residue
+    towers = {
+        m: AlphaNumber(encode(subtracted(m), slope, m + 1).digits, slope).residues
+        for m in usable
+    }
+    value = AlphaNumber(encode(towers[top][top], slope, top).digits, slope)
 
     stable_from = top
     for n in range(top, -1, -1):
-        if any(residue_from(m, n) != value.psi(n) for m in usable if m >= n):
+        if any(towers[m][n] != value.psi(n) for m in usable if m >= n):
             break
         stable_from = n
     return ComplementReport(value, stable_from, top)

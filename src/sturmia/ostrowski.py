@@ -106,8 +106,7 @@ def decode(digits: OstrowskiDigits | tuple[int, ...], slope: Slope | None = None
     report = validate(digits, slope)
     if not report.ok:
         raise InvalidDigitsError(report.message or "invalid digits")
-    table = continuants(slope, len(digits))
-    return sum(b * table.q(i) for i, b in enumerate(digits))
+    return slope.value(digits)
 
 
 def all_digit_strings(slope: Slope, depth: int) -> Iterator[tuple[int, ...]]:
@@ -198,8 +197,3 @@ def normalize(relaxed: RelaxedCoefficients, slope: Slope) -> OstrowskiDigits:
     if not report.ok:
         raise AssertionError(f"normalize produced invalid digits: {report}")
     return result
-
-
-def support(digits: OstrowskiDigits) -> frozenset[int]:
-    """Indices i whose coefficient of q_i is non-zero."""
-    return digits.support()

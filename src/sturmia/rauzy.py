@@ -19,7 +19,7 @@ from math import gcd
 from .errors import PrefixTooShortError, RangeError
 from .intercept import AlphaNumber, sturmian_prefix
 from .repetition import repetition_direct
-from .slope import IntervalPosition, Slope, continuants, interval_locate
+from .slope import IntervalPosition, Slope, interval_locate
 from .words import characteristic_prefix, factor_set, shifted_characteristic_prefix
 
 
@@ -74,8 +74,7 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
     pos = interval_locate(m, slope)
-    table = continuants(slope, pos.n + 1)
-    q_lo, q, q_hi = table.q(pos.n - 1), table.q(pos.n), table.q(pos.n + 1)
+    q_lo, q, q_hi = slope.q(pos.n - 1), slope.q(pos.n), slope.q(pos.n + 1)
     word = characteristic_prefix(slope, m + q_hi + q + 2)
 
     vertices = tuple(sorted(factor_set(word, m)))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import CaseDispatchError, DepthError, PrefixTooShortError, RangeError
 from .intercept import AlphaNumber
-from .slope import Slope, continuants, interval_locate
+from .slope import Slope, interval_locate
 
 
 def repetition_direct(x_prefix: str, m: int) -> int:
@@ -41,7 +41,7 @@ def repetition_direct(x_prefix: str, m: int) -> int:
 def repetition_characteristic(slope: Slope, m: int) -> int:
     """r(c, m) for the characteristic word: q_n on [q_n - 1, q_{n+1} - 2]."""
     pos = interval_locate(m, slope)
-    return continuants(slope, pos.n).q(pos.n)
+    return slope.q(pos.n)
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ def repetition_rows(rho: AlphaNumber, n: int) -> tuple[RepetitionRow, ...]:
             f"closed form at level {n} needs digits through {n + 2}, window has {rho.depth}"
         )
     slope = rho.slope
-    table = continuants(slope, n + 1)
-    q_lo, q, q_hi = table.q(n - 1), table.q(n), table.q(n + 1)
+    q_lo, q, q_hi = slope.q(n - 1), slope.q(n), slope.q(n + 1)
     a = slope.quotient(n + 1)
     b_cur = rho.digit(n + 1)
     b_below = rho.digit(n)
@@ -156,8 +155,7 @@ def repetition_level(rho_n1: int, slope: Slope, m: int) -> int:
     """
     pos = interval_locate(m, slope)
     n, l, r = pos.n, pos.l, pos.r
-    table = continuants(slope, n + 1)
-    q_lo, q, q_hi = table.q(n - 1), table.q(n), table.q(n + 1)
+    q_lo, q, q_hi = slope.q(n - 1), slope.q(n), slope.q(n + 1)
     a = slope.quotient(n + 1)
     if not 0 <= rho_n1 < q_hi:
         raise RangeError(f"shift must lie in [0, {q_hi}), got {rho_n1}")
@@ -230,7 +228,6 @@ def dio_estimate(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
     if d > rho.depth:
         raise DepthError(f"window has {rho.depth} digits, cannot inspect {d}")
     slope = rho.slope
-    table = continuants(slope, d)
     start = _tail_start(d)
 
     hypothesis = all(
@@ -239,7 +236,7 @@ def dio_estimate(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
     terms: list[DioTerm] = []
     if hypothesis:
         for n in range(start, d):
-            q, q_hi = table.q(n), table.q(n + 1)
+            q, q_hi = slope.q(n), slope.q(n + 1)
             b = rho.digit(n + 1)
             rho_n1 = rho.psi(n + 1)
             for family, ratio in enumerate(

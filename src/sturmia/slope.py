@@ -8,14 +8,20 @@ are Fractions.
 
 from __future__ import annotations
 
+import _thread
 import json
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DepthError, RangeError
+
+# Ladders only grow, under this lock; rungs already stored never change, so
+# reading them needs no lock.  The interpreter has `_thread` loaded at start,
+# while importing `threading` costs about a millisecond of every CLI call.
+_GROW_LOCK = _thread.allocate_lock()
 
 
 @dataclass(frozen=True)
@@ -25,10 +31,17 @@ class Slope:
     `quotients` stores the explicitly given quotients a_1..a_D.  If `period`
     is (start, length), the block quotients[start:start+length] repeats
     forever past depth D; the block must end the stored list.
+
+    Each slope owns one continuant ladder, the rows q_n and p_n of
+    x_{n+1} = a_{n+1} x_n + x_{n-1}, which grows on demand and takes no part
+    in equality or hashing.
     """
 
     quotients: tuple[int, ...]
     period: tuple[int, int] | None = None
+    _ladder: tuple[list[int], list[int]] = field(
+        default_factory=lambda: ([0, 1], [1, 0]), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.quotients:
@@ -61,6 +74,44 @@ class Slope:
             )
         start, length = self.period
         return self.quotients[start + (i - 1 - start) % length]
+
+    def _grow(self, n: int) -> tuple[list[int], list[int]]:
+        """The ladder, extended through level n; DepthError past a finite depth."""
+        q, p = self._ladder
+        # p is appended after q, so its length bounds both rows
+        if len(p) <= n + 1:
+            with _GROW_LOCK:
+                while len(p) <= n + 1:
+                    a = self.quotient(len(p) - 1)
+                    q.append(a * q[-1] + q[-2])
+                    p.append(a * p[-1] + p[-2])
+        return q, p
+
+    def q(self, n: int) -> int:
+        """The continuant q_n for n >= -1, from q_-1 = 0 and q_0 = 1."""
+        if n < -1:
+            raise DepthError(f"continuants are indexed from -1, got {n}")
+        q = self._ladder[0]
+        # the hot path reads a rung that already exists
+        return q[n + 1] if n + 1 < len(q) else self._grow(n)[0][n + 1]
+
+    def p(self, n: int) -> int:
+        """The numerator p_n for n >= -1, from p_-1 = 1 and p_0 = 0."""
+        if n < -1:
+            raise DepthError(f"continuants are indexed from -1, got {n}")
+        return self._grow(n)[1][n + 1]
+
+    def level(self, m: int) -> int:
+        """The smallest d >= 0 with q_d > m."""
+        q = self._ladder[0]
+        while q[-1] <= m:
+            self._grow(len(q) - 1)
+        return bisect_right(q, m, lo=1) - 1
+
+    def value(self, digits: tuple[int, ...] | list[int]) -> int:
+        """The sum of b_{i+1} q_i over little-endian digits (or coefficients)."""
+        q = self._grow(len(digits) - 1)[0]
+        return sum(b * q[i + 1] for i, b in enumerate(digits))
 
     def __str__(self) -> str:
         if self.period is None:
@@ -118,7 +169,7 @@ def parse_slope(text: str) -> Slope:
 
 
 class ContinuantTable:
-    """Continuant denominators q_n and numerators p_n for -1 <= n <= depth.
+    """A view of the slope's ladder: q_n and p_n for -1 <= n <= depth.
 
     q_-1 = 0, q_0 = 1, q_{n+1} = a_{n+1} q_n + q_{n-1}; p runs the same
     recurrence from p_-1 = 1, p_0 = 0, so p_n/q_n = [0; a_1..a_n].
@@ -126,11 +177,10 @@ class ContinuantTable:
 
     __slots__ = ("slope", "depth", "_q", "_p")
 
-    def __init__(self, slope: Slope, depth: int, q_row: tuple[int, ...], p_row: tuple[int, ...]):
+    def __init__(self, slope: Slope, depth: int):
         self.slope = slope
         self.depth = depth
-        self._q = q_row
-        self._p = p_row
+        self._q, self._p = slope._grow(depth)
 
     def q(self, n: int) -> int:
         if n < -1 or n > self.depth:
@@ -144,7 +194,7 @@ class ContinuantTable:
 
     def q_values(self) -> tuple[int, ...]:
         """The row (q_-1, q_0, ..., q_depth)."""
-        return self._q
+        return tuple(self._q[: self.depth + 2])
 
     def convergent(self, n: int) -> Fraction:
         if n < 1:
@@ -152,23 +202,11 @@ class ContinuantTable:
         return Fraction(self.p(n), self.q(n))
 
 
-@lru_cache(maxsize=8192)
-def _rows(slope: Slope, depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    q = [0, 1]
-    p = [1, 0]
-    for i in range(1, depth + 1):
-        a = slope.quotient(i)
-        q.append(a * q[-1] + q[-2])
-        p.append(a * p[-1] + p[-2])
-    return tuple(q), tuple(p)
-
-
 def continuants(slope: Slope, depth: int) -> ContinuantTable:
     """Continuants of `slope` up to q_depth; depth 0 gives the seed row (0, 1)."""
     if depth < 0:
         raise DepthError("depth must be >= 0")
-    q_row, p_row = _rows(slope, depth)
-    return ContinuantTable(slope, depth, q_row, p_row)
+    return ContinuantTable(slope, depth)
 
 
 def convergent_value(slope: Slope, n: int) -> Fraction:
@@ -195,25 +233,20 @@ def interval_locate(m: int, slope: Slope, max_level: int | None = None) -> Inter
     """
     if m < 1:
         raise RangeError(f"interval partition covers integers >= 1, got {m}")
-    n = 0
-    while True:
-        if max_level is not None and n > max_level:
-            raise DepthError(f"m={m} not located below level {max_level}")
-        try:
-            table = continuants(slope, n + 1)
-        except DepthError as exc:
-            raise DepthError(f"m={m} exceeds the representable range of the slope") from exc
-        q_n, q_n1 = table.q(n), table.q(n + 1)
-        if q_n - 1 <= m <= q_n1 - 2:
-            q_nm1 = table.q(n - 1)
-            if m <= q_n + q_nm1 - 2:
-                l = 0
-            else:
-                l = (m + 1 - q_nm1) // q_n
-            r = (l + 1) * q_n + q_nm1 - 2 - m
-            width = q_nm1 if l == 0 else q_n
-            a_next = slope.quotient(n + 1)
-            if not (0 <= r < width and 0 <= l <= a_next - 1):
-                raise RangeError(f"internal: bad interval location for m={m}: {(n, l, r)}")
-            return IntervalPosition(n, l, r)
-        n += 1
+    try:
+        n = slope.level(m + 1) - 1
+    except DepthError as exc:
+        raise DepthError(f"m={m} exceeds the representable range of the slope") from exc
+    if max_level is not None and n > max_level:
+        raise DepthError(f"m={m} not located below level {max_level}")
+    q_nm1, q_n = slope.q(n - 1), slope.q(n)
+    if m <= q_n + q_nm1 - 2:
+        l = 0
+    else:
+        l = (m + 1 - q_nm1) // q_n
+    r = (l + 1) * q_n + q_nm1 - 2 - m
+    width = q_nm1 if l == 0 else q_n
+    a_next = slope.quotient(n + 1)
+    if not (0 <= r < width and 0 <= l <= a_next - 1):
+        raise RangeError(f"internal: bad interval location for m={m}: {(n, l, r)}")
+    return IntervalPosition(n, l, r)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import DepthError, ParityError, RangeError
 from .intercept import AlphaNumber, complement, equivalent
 from .ostrowski import RelaxedCoefficients, encode, normalize
-from .slope import Slope, continuants
+from .slope import Slope
 from .words import characteristic_prefix, factor_set, is_palindrome
 
 
@@ -183,11 +183,12 @@ def _halved_window(slope: Slope, depth: int, indexed: IndexedFactorization) -> A
                 assert middle % 2 == 0
                 coeffs[d + 1 + l] += middle // 2
             coeffs[d + 2 + k] += (hi - 1) // 2
-    table = continuants(slope, depth)
-    total = sum(c * table.q(i) for i, c in enumerate(coeffs))
-    assert 2 * total == table.q(pairs[-1][1]) - table.q(pairs[0][0])
+    total = slope.value(coeffs)
+    if 2 * total != slope.q(pairs[-1][1]) - slope.q(pairs[0][0]):
+        raise AssertionError("halved block sums do not telescope to the ladder difference")
     digits = list(normalize(RelaxedCoefficients(0, tuple(coeffs)), slope).digits)
-    assert all(b == 0 for b in digits[depth:])
+    if any(b != 0 for b in digits[depth:]):
+        raise AssertionError("normalization carried past the window")
     digits = digits[:depth] + [0] * (depth - len(digits))
     return AlphaNumber(tuple(digits), slope)
 
@@ -261,7 +262,6 @@ def complement_family(M, slope: Slope, depth: int) -> ComplementFamilyReport:
     M = frozenset(M)
     if not M or min(M) < 2:
         raise RangeError("family indices start at 2")
-    table = continuants(slope, depth)
     results = []
     windows = []
     for parity in (0, 1):
@@ -276,8 +276,8 @@ def complement_family(M, slope: Slope, depth: int) -> ComplementFamilyReport:
             raise DepthError("window too small for both index families")
         rho = AlphaNumber(tuple(digits), slope)
         comp = complement(rho)
-        value = table.q(3 + parity) - 2 + sum(
-            slope.quotient(2 * i + parity + 1) * table.q(2 * i + parity)
+        value = slope.q(3 + parity) - 2 + sum(
+            slope.quotient(2 * i + parity + 1) * slope.q(2 * i + parity)
             for i in outside
             if 2 * i + parity <= comp.depth - 1
         )
@@ -418,9 +418,8 @@ def torsion_search(
         raise RangeError(f"n must be >= 0, got {n}")
     top = n + k_max + 2
     states, _ = _matrix_walk(slope, modulus, top)
-    table = continuants(slope, top)
     for k in range(2, k_max + 1):
-        difference = table.q(n + k) - table.q(n)
+        difference = slope.q(n + k) - slope.q(n)
         if difference % modulus:
             continue
         digits = encode(difference // modulus, slope, top)

@@ -19,7 +19,7 @@ from .errors import (
     UndeterminedError,
 )
 from .ostrowski import encode
-from .slope import Slope, continuants
+from .slope import Slope
 
 
 @lru_cache(maxsize=4096)
@@ -36,14 +36,6 @@ def standard_word(slope: Slope, n: int) -> str:
     return standard_word(slope, n - 1) * slope.quotient(n) + standard_word(slope, n - 2)
 
 
-def _prefix_level(slope: Slope, m: int) -> int:
-    """Smallest d with q_d > m."""
-    d = 0
-    while continuants(slope, d).q(d) <= m:
-        d += 1
-    return d
-
-
 @lru_cache(maxsize=64)
 def characteristic_prefix(slope: Slope, m: int) -> str:
     """First m letters of the characteristic word, assembled from digit blocks.
@@ -56,7 +48,7 @@ def characteristic_prefix(slope: Slope, m: int) -> str:
         raise RangeError("prefix length must be >= 0")
     if m == 0:
         return ""
-    depth = _prefix_level(slope, m)
+    depth = slope.level(m)
     digits = encode(m, slope, depth).digits
     parts = []
     for i in range(depth - 1, -1, -1):

@@ -156,6 +156,14 @@ def test_usage_errors_exit_two():
     assert bad_flag.returncode == 2
 
 
+def test_repetition_rejects_m_max_below_one():
+    for extra in ((), ("--no-check",)):
+        proc = run_cli("repetition", "--slope", "[0;1*]", "--m-max", "0", *extra)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --m-max must be >= 1, got 0\n"
+        assert proc.stdout == ""
+
+
 def test_depth_env_var_is_honoured():
     proc = run_cli(
         "ostrowski", "--slope", "[0;1*]", "--encode", "100", env={"STURMIA_DEPTH": "6"}

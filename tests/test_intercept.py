@@ -1,7 +1,7 @@
 """Tests for formal intercepts: projections, extraction, shifts, complement."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sturmia.errors import (
     DepthError,
@@ -424,3 +424,59 @@ def test_complement_mixed_slope_duality():
     legal = factor_set(characteristic_prefix(slope, 900), 20)
     for i in range(30, 50):
         assert seam[i : i + 20] in legal
+
+
+def reference_complement(rho: AlphaNumber) -> tuple[tuple[int, ...], int, int]:
+    """The complement re-derived per (m, n) pair: re-encode, then re-sum."""
+    slope = rho.slope
+    sup = sorted(i for i, b in enumerate(rho.digits) if b)
+
+    def subtracted(m):
+        table = continuants(slope, m + 1)
+        return table.q(m + 1) - 2 - sum(b * table.q(i) for i, b in enumerate(rho.digits[: m + 1]))
+
+    def residue_from(m, n):
+        digits = encode(subtracted(m), slope, m + 1).digits
+        table = continuants(slope, n)
+        return sum(b * table.q(i) for i, b in enumerate(digits[:n]))
+
+    def value_psi(n):
+        table = continuants(slope, n)
+        return sum(b * table.q(i) for i, b in enumerate(value[:n]))
+
+    usable = [m for m in sup if subtracted(m) >= 0]
+    top = usable[-1]
+    value = encode(residue_from(top, top), slope, top).digits
+    stable_from = top
+    for n in range(top, -1, -1):
+        if any(residue_from(m, n) != value_psi(n) for m in usable if m >= n):
+            break
+        stable_from = n
+    return value, stable_from, top
+
+
+def assert_complement_matches_reference(rho: AlphaNumber) -> None:
+    report = complement_report(rho)
+    assert (report.value.digits, report.stable_from, report.top_level) == reference_complement(rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha_numbers(min_depth=8, max_depth=20))
+def test_complement_report_matches_per_pair_reference(rho):
+    assume(classify(rho).verdict == "non-zero")
+    try:
+        complement_report(rho)
+    except UnsupportedInterceptError:
+        # every support level carries the maximal residue
+        assume(False)
+    assert_complement_matches_reference(rho)
+
+
+@pytest.mark.parametrize("depth", [48, 96])
+def test_complement_report_matches_reference_deep(depth):
+    assert_complement_matches_reference(fib_family(0, depth))
+    assert_complement_matches_reference(fib_family(1, depth, step=3))
+    digits = [0] * depth
+    for i in range(3, depth, 5):
+        digits[i] = MIXED.quotient(i + 1) - 1
+    assert_complement_matches_reference(AlphaNumber(tuple(digits), MIXED))

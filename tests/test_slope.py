@@ -1,5 +1,7 @@
 """Slope parsing, continuants, convergents and the interval partition."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -130,3 +132,105 @@ def test_interval_partition_is_a_bijection():
         key = interval_locate(m, slope)
         assert key not in seen
         seen[key] = m
+
+
+# ------------------------------------------------------------------ ladder
+
+
+def test_ladder_is_independent_of_access_order():
+    deep_first, shallow_first = parse_slope("[0;2,1,3,(2,1)*]"), parse_slope("[0;2,1,3,(2,1)*]")
+    deep_first.p(60)
+    downward = [(deep_first.q(n), deep_first.p(n)) for n in range(60, -2, -1)]
+    upward = [(shallow_first.q(n), shallow_first.p(n)) for n in range(-1, 61)]
+    assert downward[::-1] == upward
+    assert deep_first == shallow_first
+    assert hash(deep_first) == hash(Slope(deep_first.quotients, deep_first.period))
+
+
+def test_continuants_view_matches_the_ladder():
+    slope = parse_slope("[0;3,1,2,(1,4)*]")
+    for depth in (12, 3, 0, 25):
+        table = continuants(slope, depth)
+        assert table.q_values() == tuple(slope.q(n) for n in range(-1, depth + 1))
+        assert [table.p(n) for n in range(-1, depth + 1)] == [
+            slope.p(n) for n in range(-1, depth + 1)
+        ]
+        with pytest.raises(DepthError):
+            table.q(depth + 1)
+
+
+def test_level_is_the_smallest_index_past_m():
+    slope = parse_slope("[0;2,3,(1,2)*]")
+    for m in range(0, 3000):
+        d = slope.level(m)
+        assert slope.q(d) > m
+        assert d == 0 or slope.q(d - 1) <= m
+
+
+def test_value_sums_digits_against_the_ladder():
+    slope = parse_slope("[0;2,1,3,(2,1)*]")
+    digits = (1, 0, 3, 0, 2, 1)
+    assert slope.value(digits) == sum(b * slope.q(i) for i, b in enumerate(digits))
+    assert slope.value(()) == 0
+
+
+def test_finite_slope_raises_one_past_its_depth():
+    finite = Slope((2, 1, 3))
+    assert finite.q(3) == continuants(finite, 3).q(3)
+    with pytest.raises(DepthError):
+        finite.q(4)
+    with pytest.raises(DepthError):
+        finite.p(4)
+    with pytest.raises(DepthError):
+        continuants(finite, 4)
+    top = finite.q(3)
+    assert finite.level(top - 1) == 3
+    with pytest.raises(DepthError):
+        finite.level(top)
+    # the last interval [q_2 - 1, q_3 - 2] is located, the next is not
+    assert interval_locate(top - 2, finite).n == 2
+    with pytest.raises(DepthError):
+        interval_locate(top - 1, finite)
+
+
+def test_ladder_grows_consistently_under_threads():
+    reference = parse_slope("[0;2,1,3,(2,1)*]")
+    reference.q(400)
+    shared = [parse_slope("[0;2,1,3,(2,1)*]") for _ in range(8)]
+
+    def climb(offset):
+        for slope in shared:
+            for n in range(offset, 400, 6):
+                slope.level(reference.q(n))
+                slope.q(n)
+                slope.p(n + 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=climb, args=(k,)) for k in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for slope in shared:
+        assert continuants(slope, 400).q_values() == continuants(reference, 400).q_values()
+        assert [slope.p(n) for n in range(402)] == [reference.p(n) for n in range(402)]
+
+
+@pytest.mark.parametrize("slope", [GOLDEN, parse_slope("[0;2,3,(1,2)*]")], ids=str)
+@pytest.mark.parametrize("n", [200, 400, 799])
+def test_interval_partition_tiles_deep_levels(slope, n):
+    q_lo, q, q_hi = slope.q(n - 1), slope.q(n), slope.q(n + 1)
+    # both ends of the level, of its l = 0 sub-interval, and of the next one
+    samples = {q - 1, q, q + q_lo - 2, q + q_lo - 1, (q + q_hi) // 2, q_hi - 3, q_hi - 2}
+    for m in sorted(m for m in samples if m <= q_hi - 2):
+        pos = interval_locate(m, slope)
+        assert pos.n == n
+        assert m == (pos.l + 1) * q + q_lo - 2 - pos.r
+        assert 0 <= pos.l <= slope.quotient(n + 1) - 1
+        assert 0 <= pos.r < (q_lo if pos.l == 0 else q)
+    assert interval_locate(q_hi - 1, slope).n == n + 1

@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .errors import DepthError, SturmiaError
-from .factorization import characteristic_factorizations, duality_check, product_prefix
+from .errors import SturmiaError
+from .factorization import characteristic_factorizations, duality_check
 from .intercept import (
     AlphaNumber,
     classify,
@@ -32,7 +32,6 @@ from .ostrowski import all_digit_strings, decode, encode
 from .rauzy import build_graph, count_turns
 from .repetition import (
     dio_estimate,
-    repetition_characteristic,
     repetition_closed_form,
     repetition_direct,
     repetition_rows,

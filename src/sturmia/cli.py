@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 from . import acceptance
@@ -540,14 +541,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first dispatch and never mutated afterwards: parse_args
+# leaves the parser as it found it, and defaults that depend on the
+# environment (STURMIA_DEPTH) are resolved by the handlers at run time.
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse argv and run the selected subcommand.
 
     Returns 0 on success, 1 on a verification failure, 2 on usage errors;
     argparse exits with 2 on malformed flags before we get here.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (SturmiaError, ValueError) as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DepthError, InvalidDigitsError, RangeError
-from .slope import Slope, continuants
+from .slope import Slope
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,12 @@ def validate(digits: tuple[int, ...] | list[int], slope: Slope) -> ValidationRep
         verdict = ValidationReport(True)
 
     if all(b >= 0 for b in digits):
-        table = continuants(slope, len(digits))
+        q = slope._grow(len(digits))[0]  # q[i + 1] is q_i
         partial = 0
         sums_ok = True
         for l in range(1, len(digits) + 1):
-            partial += digits[l - 1] * table.q(l - 1)
-            if partial >= table.q(l):
+            partial += digits[l - 1] * q[l]
+            if partial >= q[l + 1]:
                 sums_ok = False
                 break
         if sums_ok != verdict.ok:
@@ -84,13 +84,15 @@ def encode(n: int, slope: Slope, depth: int) -> OstrowskiDigits:
     """Greedy expansion of 0 <= n < q_depth into `depth` digits."""
     if n < 0:
         raise RangeError(f"cannot encode negative integer {n}")
-    table = continuants(slope, depth)
-    if n >= table.q(depth):
-        raise RangeError(f"{n} >= q_{depth} = {table.q(depth)}; increase depth")
+    if depth < 0:
+        raise DepthError("depth must be >= 0")
+    q = slope._grow(depth)[0]  # q[i + 1] is q_i
+    if n >= q[depth + 1]:
+        raise RangeError(f"{n} >= q_{depth} = {q[depth + 1]}; increase depth")
     out = [0] * depth
     rest = n
     for i in range(depth - 1, -1, -1):
-        out[i], rest = divmod(rest, table.q(i))
+        out[i], rest = divmod(rest, q[i + 1])
     if rest != 0:
         raise AssertionError("greedy expansion left a remainder")
     return OstrowskiDigits(tuple(out), slope)

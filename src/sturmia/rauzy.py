@@ -79,7 +79,11 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
 
     vertices = tuple(sorted(factor_set(word, m)))
     assert len(vertices) == m + 1
-    edges = tuple(sorted({(w[:m], w[1:]) for w in factor_set(word, m + 1)}))
+    # edges share the vertex strings instead of holding 2(m + 2) copies
+    canonical = {v: v for v in vertices}
+    edges = tuple(
+        sorted({(canonical[w[:m]], canonical[w[1:]]) for w in factor_set(word, m + 1)})
+    )
     assert len(edges) == m + 2
 
     out: dict[str, list[str]] = {v: [] for v in vertices}

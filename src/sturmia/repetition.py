@@ -24,15 +24,23 @@ def repetition_direct(x_prefix: str, m: int) -> int:
 
     Certified: raises PrefixTooShortError when the prefix ends before any
     duplicate window is seen, rather than guessing.
+
+    Memory is O(len(x_prefix)): each window is kept only as its hash and
+    first index, and a hash hit is confirmed against the prefix in place.
+    Windows whose hash collides with a different, earlier window are the
+    only ones stored whole.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
-    seen: set[str] = set()
+    first: dict[int, int] = {}
+    collided: set[str] = set()
     for i in range(len(x_prefix) - m + 1):
         window = x_prefix[i : i + m]
-        if window in seen:
-            return i
-        seen.add(window)
+        j = first.setdefault(hash(window), i)
+        if j != i:
+            if x_prefix.startswith(window, j) or window in collided:
+                return i
+            collided.add(window)
     raise PrefixTooShortError(
         f"no repeated length-{m} window within {len(x_prefix)} letters"
     )

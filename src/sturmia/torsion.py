@@ -12,6 +12,7 @@ between the two ranks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import DepthError, ParityError, RangeError
@@ -19,6 +20,13 @@ from .intercept import AlphaNumber, complement, equivalent
 from .ostrowski import RelaxedCoefficients, encode, normalize
 from .slope import Slope
 from .words import characteristic_prefix, factor_set, is_palindrome
+
+
+# The block inventory as one pattern.  It is prefix-free, so the longest
+# run of blocks at the start of a word is what a block-by-block scan finds.
+_BLOCK = "0[01]|10*1[01]"
+_BLOCK_RE = re.compile(_BLOCK)
+_BLOCK_RUN_RE = re.compile(f"(?:{_BLOCK})*")
 
 
 class BWordSet:
@@ -29,21 +37,7 @@ class BWordSet:
     """
 
     def __contains__(self, word: str) -> bool:
-        if word in ("00", "01"):
-            return True
-        if len(word) < 3 or word[0] != "1" or word[-2] != "1":
-            return False
-        return word[-1] in "01" and set(word[1:-2]) <= {"0"}
-
-    def next_block(self, text: str, pos: int) -> int | None:
-        """End index of the block starting at pos; None if text runs out."""
-        if text[pos] == "0":
-            end = pos + 2
-            return end if end <= len(text) else None
-        one = text.find("1", pos + 1)
-        if one < 0 or one + 2 > len(text):
-            return None
-        return one + 2
+        return _BLOCK_RE.fullmatch(word) is not None
 
 
 B_BLOCKS = BWordSet()
@@ -74,15 +68,8 @@ def b_factorize(u: str) -> BFactorization:
     to a block, so on prefixes of infinite words the certified blocks
     are final.
     """
-    blocks: list[str] = []
-    pos = 0
-    while pos < len(u):
-        end = B_BLOCKS.next_block(u, pos)
-        if end is None:
-            break
-        blocks.append(u[pos:end])
-        pos = end
-    return BFactorization(tuple(blocks), u[pos:])
+    run = _BLOCK_RUN_RE.match(u).group()
+    return BFactorization(tuple(_BLOCK_RE.findall(run)), u[len(run):])
 
 
 @dataclass(frozen=True)

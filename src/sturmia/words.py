@@ -14,7 +14,6 @@ from functools import lru_cache
 from .errors import (
     DepthError,
     NotCentralError,
-    PrefixTooShortError,
     RangeError,
     UndeterminedError,
 )

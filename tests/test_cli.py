@@ -178,6 +178,29 @@ def test_dispatch_in_process(capsys):
     assert capsys.readouterr().out == "10110101\n"
 
 
+def test_dispatch_after_usage_error_matches_fresh_process(capsys):
+    bad = ["ostrowski", "--slope", "[0;1*]"]
+    fresh_bad = run_cli(*bad)
+    with pytest.raises(SystemExit) as exc:
+        dispatch(bad)
+    assert exc.value.code == fresh_bad.returncode == 2
+    assert capsys.readouterr().err == fresh_bad.stderr
+    good = ["repetition", "--slope", "[0;2,(1)*]", "--m-max", "6", "--format", "json"]
+    fresh_good = run_cli(*good)
+    assert dispatch(good) == fresh_good.returncode == 0
+    assert capsys.readouterr().out == fresh_good.stdout
+
+
+def test_dispatch_reads_depth_env_on_every_call(monkeypatch, capsys):
+    argv = ["ostrowski", "--slope", "[0;1*]", "--encode", "100", "--format", "json"]
+    monkeypatch.setenv("STURMIA_DEPTH", "12")
+    assert dispatch(argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["depth"] == 12
+    monkeypatch.setenv("STURMIA_DEPTH", "6")
+    assert dispatch(argv) == 2
+    assert "increase depth" in capsys.readouterr().err
+
+
 def test_run_config_round_trip():
     config = RunConfig("[0;1*]", 24, "sigma0", "json", False)
     assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config

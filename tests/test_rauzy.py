@@ -30,6 +30,13 @@ def test_golden_m2_structure():
     assert g.common_path == ("10", "01")
 
 
+def test_edges_reuse_vertex_objects():
+    for slope in SLOPES:
+        g = build_graph(slope, 30)
+        vertex_ids = {id(v) for v in g.vertices}
+        assert all(id(s) in vertex_ids and id(t) in vertex_ids for s, t in g.edges)
+
+
 def test_golden_m4_structure():
     g = build_graph(GOLDEN, 4)
     assert g.level.n == 4 and g.level.l == 0 and g.level.r == 2

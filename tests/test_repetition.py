@@ -2,10 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sturmia import repetition
 from sturmia.errors import DepthError, PrefixTooShortError, RangeError
 from sturmia.intercept import AlphaNumber, from_integer, sturmian_prefix, zero
 from sturmia.ostrowski import all_digit_strings
@@ -53,6 +55,75 @@ def test_direct_guards():
         repetition_direct("0101", 0)
     with pytest.raises(PrefixTooShortError):
         repetition_direct("01", 2)
+
+
+def reference_direct(x_prefix: str, m: int) -> int | None:
+    """The scan that keeps every window whole; None where it finds no repeat."""
+    seen = set()
+    for i in range(len(x_prefix) - m + 1):
+        window = x_prefix[i : i + m]
+        if window in seen:
+            return i
+        seen.add(window)
+    return None
+
+
+def direct_or_none(x_prefix: str, m: int) -> int | None:
+    try:
+        return repetition_direct(x_prefix, m)
+    except PrefixTooShortError:
+        return None
+
+
+def scan_words(alphabet: str):
+    """Random words, and words that repeat a block so repeats come late."""
+    return st.one_of(
+        st.text(alphabet=alphabet, max_size=80),
+        st.builds(
+            lambda block, times, tail: block * times + tail,
+            st.text(alphabet=alphabet, min_size=1, max_size=20),
+            st.integers(min_value=1, max_value=4),
+            st.text(alphabet=alphabet, max_size=10),
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(scan_words("01"), scan_words("012")))
+def test_direct_matches_window_set_scan(word):
+    for m in range(1, len(word) + 2):
+        assert direct_or_none(word, m) == reference_direct(word, m)
+
+
+def test_direct_exact_when_every_hash_collides(monkeypatch):
+    calls = []
+
+    def constant_hash(window):
+        calls.append(window)
+        return 0
+
+    monkeypatch.setattr(repetition, "hash", constant_hash, raising=False)
+    rng = random.Random(3)
+    words = [characteristic_prefix(slope, 150) for slope in SLOPES]
+    words += ["".join(rng.choice("012") for _ in range(60)) for _ in range(5)]
+    words += ["000000", "0120120", "01", "0110100110010110"]
+    for word in words:
+        for m in range(1, len(word) + 2):
+            assert direct_or_none(word, m) == reference_direct(word, m)
+    assert calls
+
+
+def test_direct_scan_memory_is_linear():
+    word = characteristic_prefix(GOLDEN, 24494)
+    tracemalloc.start()
+    try:
+        value = repetition_direct(word, 6781)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == repetition_characteristic(GOLDEN, 6781) == 6765
+    # keeping every window whole would hold 6765 windows of 6781 letters
+    assert peak < 5 * 2**20
 
 
 def test_characteristic_examples():

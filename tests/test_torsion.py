@@ -109,6 +109,32 @@ def test_factorization_count_matches_greedy():
         assert (ways[-1] == 1) == b_factorize(u).complete
 
 
+def greedy_factorize(u: str) -> tuple:
+    """The block-by-block scan b_factorize used before its regular expression."""
+    blocks = []
+    pos = 0
+    while pos < len(u):
+        if u[pos] == "0":
+            end = pos + 2
+            if end > len(u):
+                break
+        else:
+            one = u.find("1", pos + 1)
+            if one < 0 or one + 2 > len(u):
+                break
+            end = one + 2
+        blocks.append(u[pos:end])
+        pos = end
+    return tuple(blocks), u[pos:]
+
+
+def test_factorize_matches_greedy_scan():
+    for u in all_words(14):
+        fact = b_factorize(u)
+        assert (fact.blocks, fact.leftover) == greedy_factorize(u), u
+        assert all(block in B_BLOCKS for block in fact.blocks)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="01", max_size=60))
 def test_trichotomy_property(u):

@@ -20,7 +20,7 @@ from .errors import PrefixTooShortError, RangeError
 from .intercept import AlphaNumber, sturmian_prefix
 from .repetition import repetition_direct
 from .slope import IntervalPosition, Slope, interval_locate
-from .words import characteristic_prefix, factor_set, shifted_characteristic_prefix
+from .words import characteristic_prefix, shifted_characteristic_prefix, window_walk
 
 
 def _cycle_letter(level: int) -> str:
@@ -77,14 +77,16 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
     q_lo, q, q_hi = slope.q(pos.n - 1), slope.q(pos.n), slope.q(pos.n + 1)
     word = characteristic_prefix(slope, m + q_hi + q + 2)
 
-    vertices = tuple(sorted(factor_set(word, m)))
-    assert len(vertices) == m + 1
-    # edges share the vertex strings instead of holding 2(m + 2) copies
-    canonical = {v: v for v in vertices}
+    windows, step = window_walk(word, m)
+    if len(windows) != m + 1:
+        raise AssertionError(f"{len(windows)} length-{m} factors, expected {m + 1}")
+    vertices = tuple(sorted(windows))
+    # each step is one length-(m+1) factor; its arrow reuses the vertex strings
     edges = tuple(
-        sorted({(canonical[w[:m]], canonical[w[1:]]) for w in factor_set(word, m + 1)})
+        sorted((windows[i], windows[j]) for i, row in enumerate(step) for j in row.values())
     )
-    assert len(edges) == m + 2
+    if len(edges) != m + 2:
+        raise AssertionError(f"{len(edges)} length-{m + 1} factors, expected {m + 2}")
 
     out: dict[str, list[str]] = {v: [] for v in vertices}
     incoming: dict[str, list[str]] = {v: [] for v in vertices}
@@ -103,21 +105,26 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
             (cur,) = out[cur]
         cycles.append(tuple(path))
     by_len = {len(c): c for c in cycles}
-    assert set(by_len) == {q, pos.l * q + q_lo}, sorted(by_len)
+    if set(by_len) != {q, pos.l * q + q_lo}:
+        raise AssertionError(f"cycle lengths {sorted(by_len)}, expected {q} and {pos.l * q + q_lo}")
     referent, other = by_len[q], by_len[pos.l * q + q_lo]
-    assert gcd(len(referent), len(other)) == 1
+    if gcd(len(referent), len(other)) != 1:
+        raise AssertionError("cycle lengths are not coprime")
 
     def first_target(cycle: tuple[str, ...]) -> str:
         return cycle[1] if len(cycle) > 1 else cycle[0]
 
-    assert first_target(referent) == right[1:] + _cycle_letter(pos.n - 1)
-    assert first_target(other) == right[1:] + _cycle_letter(pos.n)
+    if first_target(referent) != right[1:] + _cycle_letter(pos.n - 1):
+        raise AssertionError("referent cycle leaves the right special vertex by the wrong letter")
+    if first_target(other) != right[1:] + _cycle_letter(pos.n):
+        raise AssertionError("other cycle leaves the right special vertex by the wrong letter")
 
     path = [left]
     while path[-1] != right:
         (nxt,) = out[path[-1]]
         path.append(nxt)
-    assert len(path) == pos.r + 1
+    if len(path) != pos.r + 1:
+        raise AssertionError(f"common path has {len(path)} vertices, expected {pos.r + 1}")
 
     return RauzyGraph(
         m=m,

@@ -137,8 +137,10 @@ def repetition_rows(rho: AlphaNumber, n: int) -> tuple[RepetitionRow, ...]:
         for (m_lo, m_hi, value, case) in raw
         if max(m_lo, lo) <= min(m_hi, hi)
     ]
-    assert rows and rows[0].m_lo == lo and rows[-1].m_hi == hi
-    assert all(rows[i + 1].m_lo == rows[i].m_hi + 1 for i in range(len(rows) - 1))
+    if not (rows and rows[0].m_lo == lo and rows[-1].m_hi == hi):
+        raise AssertionError(f"rows do not span [{lo}, {hi}]")
+    if any(rows[i + 1].m_lo != rows[i].m_hi + 1 for i in range(len(rows) - 1)):
+        raise AssertionError("rows leave a gap or overlap")
     return tuple(rows)
 
 

@@ -85,16 +85,48 @@ def mechanical_prefix(alpha: Fraction, rho: Fraction, n: int, kind: str = "lower
     return "".join(str(step(k)) for k in range(n))
 
 
-def factor_set(word: str, n: int) -> frozenset[str]:
-    """All length-n factors occurring in the word."""
+def window_walk(word: str, n: int) -> tuple[list[str], list[dict[str, int]]]:
+    """Distinct length-n windows of the word and the steps between them.
+
+    Returns `windows`, the distinct length-n factors in order of first
+    occurrence, and `step`, where `step[i][c] == j` means window i followed by
+    the letter c shifts to window j; each entry is one distinct length-(n+1)
+    factor `windows[i] + c`.  The window after window i depends only on it
+    and the next letter, so a (window, letter) pair is sliced and hashed
+    once, the first time it is seen, and looked up after that: the cost is
+    O(L + p(n)·σ·n) for p(n) distinct windows over σ letters instead of
+    O(L·n) (the window automaton of Blumer et al., TCS 40, 1985, at one
+    length).  Ids stand for real strings, so the result is exact.
+    """
     if n < 0 or n > len(word):
         raise RangeError(f"factor length {n} outside [0, {len(word)}]")
-    return frozenset(word[i : i + n] for i in range(len(word) - n + 1))
+    windows = [word[:n]]
+    ids = {windows[0]: 0}
+    step: list[dict[str, int]] = [{}]
+    cur = 0
+    for c in word[n:]:
+        row = step[cur]
+        nxt = row.get(c)
+        if nxt is None:
+            shifted = (windows[cur] + c)[1:]
+            nxt = ids.get(shifted)
+            if nxt is None:
+                nxt = ids[shifted] = len(windows)
+                windows.append(shifted)
+                step.append({})
+            row[c] = nxt
+        cur = nxt
+    return windows, step
+
+
+def factor_set(word: str, n: int) -> frozenset[str]:
+    """All length-n factors occurring in the word."""
+    return frozenset(window_walk(word, n)[0])
 
 
 def complexity(word: str, n: int) -> int:
     """Number of distinct length-n factors of the word."""
-    return len(factor_set(word, n))
+    return len(window_walk(word, n)[0])
 
 
 def special_factor(factors: frozenset[str], direction: str) -> str:

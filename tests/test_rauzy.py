@@ -1,5 +1,7 @@
 """Tests for factor graphs: structure, cycles, common path, turning counts."""
 
+import tracemalloc
+
 import pytest
 
 from sturmia.errors import PrefixTooShortError, RangeError
@@ -35,6 +37,37 @@ def test_edges_reuse_vertex_objects():
         g = build_graph(slope, 30)
         vertex_ids = {id(v) for v in g.vertices}
         assert all(id(s) in vertex_ids and id(t) in vertex_ids for s, t in g.edges)
+
+
+def reference_factors(word: str, n: int) -> set[str]:
+    """The scan that slices every window and keeps the distinct ones."""
+    return {word[i : i + n] for i in range(len(word) - n + 1)}
+
+
+@pytest.mark.parametrize("slope", SLOPES)
+def test_vertices_and_arrows_are_the_factor_sets(slope):
+    for m in [*range(1, 61), 2000]:
+        g = build_graph(slope, m)
+        pos = interval_locate(m, slope)
+        word = characteristic_prefix(slope, 2 * (m + slope.q(pos.n + 1) + slope.q(pos.n)))
+        vertices = reference_factors(word, m)
+        arrows = {(w[:m], w[1:]) for w in reference_factors(word, m + 1)}
+        assert len(vertices) == m + 1 and len(arrows) == m + 2
+        assert g.vertices == tuple(sorted(vertices))
+        assert g.edges == tuple(sorted(arrows))
+
+
+def test_build_graph_memory_at_m_2000():
+    tracemalloc.start()
+    try:
+        g = build_graph(GOLDEN, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.vertices) == 2001
+    # the 2001 vertex strings take 4.1 MB; a second set of 2002 arrow
+    # strings of 2001 letters would add as much again
+    assert peak < 6 * 2**20
 
 
 def test_golden_m4_structure():

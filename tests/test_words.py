@@ -1,5 +1,6 @@
 """Standard words, characteristic prefixes, mechanical words, factors."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from sturmia.words import (
     shifted_characteristic_prefix,
     special_factor,
     standard_word,
+    window_walk,
 )
 
 GOLDEN = Slope((1,), (0, 1))
@@ -107,6 +109,65 @@ def test_sturmian_complexity_is_n_plus_1():
     window = characteristic_prefix(GOLDEN, 200)
     for n in range(1, 12):
         assert complexity(window, n) == n + 1
+
+
+def reference_factor_set(word: str, n: int) -> frozenset[str]:
+    """The scan that slices every window and keeps the distinct ones."""
+    return frozenset(word[i : i + n] for i in range(len(word) - n + 1))
+
+
+def factor_words(alphabet: str):
+    """Random words, where nearly every window is new, and block repeats."""
+    return st.one_of(
+        st.text(alphabet=alphabet, max_size=60),
+        st.builds(
+            lambda block, times, tail: block * times + tail,
+            st.text(alphabet=alphabet, min_size=1, max_size=12),
+            st.integers(min_value=1, max_value=6),
+            st.text(alphabet=alphabet, max_size=8),
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(factor_words("01"), factor_words("012")))
+def test_factor_set_and_complexity_match_slice_scan(word):
+    for n in range(len(word) + 1):
+        expected = reference_factor_set(word, n)
+        factors = factor_set(word, n)
+        assert type(factors) is frozenset and factors == expected
+        assert complexity(word, n) == len(expected)
+    for n in (-1, len(word) + 1):
+        with pytest.raises(RangeError):
+            factor_set(word, n)
+        with pytest.raises(RangeError):
+            complexity(word, n)
+
+
+def test_complexity_of_long_random_words():
+    rng = random.Random(4)
+    for alphabet in ("01", "012"):
+        word = "".join(rng.choice(alphabet) for _ in range(3000))
+        for n in (0, 1, 2, 7, 12, 13, 40, 2999, 3000):
+            expected = reference_factor_set(word, n)
+            assert factor_set(word, n) == expected
+            assert complexity(word, n) == len(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(factor_words("01"), factor_words("012")))
+def test_window_walk_steps_are_the_next_length_factors(word):
+    for n in range(len(word) + 1):
+        windows, step = window_walk(word, n)
+        first_seen = dict.fromkeys(word[i : i + n] for i in range(len(word) - n + 1))
+        assert windows == list(first_seen)
+        assert len(step) == len(windows)
+        longer = {windows[i] + c for i, row in enumerate(step) for c in row}
+        assert len(longer) == sum(len(row) for row in step)
+        assert longer == (reference_factor_set(word, n + 1) if n < len(word) else set())
+        for i, row in enumerate(step):
+            for c, j in row.items():
+                assert windows[j] == (windows[i] + c)[1:]
 
 
 def test_special_factors_golden():

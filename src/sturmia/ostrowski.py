@@ -42,42 +42,56 @@ class ValidationReport:
     message: str | None = None
 
 
+_VALID = ValidationReport(True)
+
+
+def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int]:
+    """The validation report of the digits and, when they are valid, their
+    value; one pass over (b_i, a_i, q_i).
+
+    Alongside the digit rules it carries the partial sums of the equivalent
+    form (the sum through b_l stays under q_l) and insists the two verdicts
+    agree at every index up to the first violation; on valid digits the
+    last partial sum is the value.  Negative digits stop the sums.
+    """
+    depth = slope.known_depth
+    n = len(digits)
+    # grow no further than a finite slope goes: the rules decide first
+    q, _, a = slope._grow(n if depth is None or n <= depth else depth)
+    report = _VALID
+    partial = 0
+    prev = 0
+    for i, b in enumerate(digits if n < len(a) else digits[: len(a) - 1], start=1):
+        a_i = a[i]
+        if b < 0 or b > a_i or (i == 1 and b == a_i):
+            report = ValidationReport(False, "digit-range", i, f"b_{i}={b} out of range")
+        elif b == a_i and prev != 0:
+            report = ValidationReport(
+                False, "max-digit-adjacency", i, f"b_{i}=a_{i} requires b_{i-1}=0"
+            )
+        if b >= 0:
+            partial += b * q[i]  # q[i] is q_{i-1}
+            if (partial < q[i + 1]) != (report is _VALID):
+                raise AssertionError(
+                    f"digit rules and partial-sum form disagree on {digits} at "
+                    f"index {i}: {report} vs partial sum {partial}, q_{i}={q[i + 1]}"
+                )
+        if report is not _VALID:
+            break
+        prev = b
+    if n >= len(a) and (report.ok or min(digits) >= 0):
+        # a finite slope read past its depth: DepthError, as growing does
+        slope._grow(n)
+    return report, partial
+
+
 def validate(digits: tuple[int, ...] | list[int], slope: Slope) -> ValidationReport:
     """Check the digit conditions; reports the first violated rule.
 
     Also evaluates the equivalent partial-sum form (every prefix sum below
     level l stays under q_l) and insists the two verdicts agree.
     """
-    digits = tuple(digits)
-    verdict: ValidationReport | None = None
-    for i, b in enumerate(digits, start=1):
-        a = slope.quotient(i)
-        if b < 0 or (i == 1 and b > a - 1) or (i > 1 and b > a):
-            verdict = ValidationReport(False, "digit-range", i, f"b_{i}={b} out of range")
-            break
-        if i > 1 and b == a and digits[i - 2] != 0:
-            verdict = ValidationReport(
-                False, "max-digit-adjacency", i, f"b_{i}=a_{i} requires b_{i-1}=0"
-            )
-            break
-    if verdict is None:
-        verdict = ValidationReport(True)
-
-    if all(b >= 0 for b in digits):
-        q = slope._grow(len(digits))[0]  # q[i + 1] is q_i
-        partial = 0
-        sums_ok = True
-        for l in range(1, len(digits) + 1):
-            partial += digits[l - 1] * q[l]
-            if partial >= q[l + 1]:
-                sums_ok = False
-                break
-        if sums_ok != verdict.ok:
-            raise AssertionError(
-                f"digit rules and partial-sum form disagree on {digits}: "
-                f"{verdict} vs sums_ok={sums_ok}"
-            )
-    return verdict
+    return _check(tuple(digits), slope)[0]
 
 
 def encode(n: int, slope: Slope, depth: int) -> OstrowskiDigits:
@@ -99,16 +113,16 @@ def encode(n: int, slope: Slope, depth: int) -> OstrowskiDigits:
 
 
 def decode(digits: OstrowskiDigits | tuple[int, ...], slope: Slope | None = None) -> int:
-    """Value of a digit string; validates before decoding."""
+    """Value of a digit string, from the same pass that validates it."""
     if isinstance(digits, OstrowskiDigits):
         slope = digits.slope
         digits = digits.digits
     if slope is None:
         raise ValueError("decode needs a slope for raw digit tuples")
-    report = validate(digits, slope)
+    report, value = _check(tuple(digits), slope)
     if not report.ok:
         raise InvalidDigitsError(report.message or "invalid digits")
-    return slope.value(digits)
+    return value
 
 
 def all_digit_strings(slope: Slope, depth: int) -> Iterator[tuple[int, ...]]:

@@ -33,14 +33,15 @@ class Slope:
     forever past depth D; the block must end the stored list.
 
     Each slope owns one continuant ladder, the rows q_n and p_n of
-    x_{n+1} = a_{n+1} x_n + x_{n-1}, which grows on demand and takes no part
-    in equality or hashing.
+    x_{n+1} = a_{n+1} x_n + x_{n-1} and the row of quotients a_n they were
+    built from, which grows on demand and takes no part in equality or
+    hashing.
     """
 
     quotients: tuple[int, ...]
     period: tuple[int, int] | None = None
-    _ladder: tuple[list[int], list[int]] = field(
-        default_factory=lambda: ([0, 1], [1, 0]), init=False, repr=False, compare=False
+    _ladder: tuple[list[int], list[int], list[int]] = field(
+        default_factory=lambda: ([0, 1], [1, 0], [0]), init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -75,17 +76,20 @@ class Slope:
         start, length = self.period
         return self.quotients[start + (i - 1 - start) % length]
 
-    def _grow(self, n: int) -> tuple[list[int], list[int]]:
-        """The ladder, extended through level n; DepthError past a finite depth."""
-        q, p = self._ladder
-        # p is appended after q, so its length bounds both rows
+    def _grow(self, n: int) -> tuple[list[int], list[int], list[int]]:
+        """The rows (q, p, a), extended through level n; DepthError past a
+        finite depth.  q[i + 1] is q_i, p[i + 1] is p_i and a[i] is a_i
+        (a[0] is a placeholder)."""
+        q, p, quotients = self._ladder
+        # p is appended last, so its length bounds every row
         if len(p) <= n + 1:
             with _GROW_LOCK:
                 while len(p) <= n + 1:
                     a = self.quotient(len(p) - 1)
+                    quotients.append(a)
                     q.append(a * q[-1] + q[-2])
                     p.append(a * p[-1] + p[-2])
-        return q, p
+        return q, p, quotients
 
     def q(self, n: int) -> int:
         """The continuant q_n for n >= -1, from q_-1 = 0 and q_0 = 1."""
@@ -180,7 +184,7 @@ class ContinuantTable:
     def __init__(self, slope: Slope, depth: int):
         self.slope = slope
         self.depth = depth
-        self._q, self._p = slope._grow(depth)
+        self._q, self._p, _ = slope._grow(depth)
 
     def q(self, n: int) -> int:
         if n < -1 or n > self.depth:

@@ -43,21 +43,47 @@ class BWordSet:
 B_BLOCKS = BWordSet()
 
 
-@dataclass(frozen=True)
 class BFactorization:
-    blocks: tuple[str, ...]
-    leftover: str
+    """The block scan of `word`: blocks cover word[:cut], the rest is left over.
+
+    Only the cut is stored; the block list is split off when read.  Two
+    scans are equal when their (blocks, leftover) are, which is the same as
+    equal (word, cut) because a block stream is unique.
+    """
+
+    __slots__ = ("word", "cut")
+
+    def __init__(self, word: str, cut: int):
+        self.word = word
+        self.cut = cut
+
+    @property
+    def blocks(self) -> tuple[str, ...]:
+        return tuple(_BLOCK_RE.findall(self.word, 0, self.cut))
+
+    @property
+    def leftover(self) -> str:
+        return self.word[self.cut :]
 
     @property
     def complete(self) -> bool:
-        return not self.leftover
+        return self.cut == len(self.word)
 
     @property
     def failure_at(self) -> int | None:
         """Position where the unmatched tail starts, None when complete."""
-        if self.complete:
-            return None
-        return sum(len(b) for b in self.blocks)
+        return None if self.complete else self.cut
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.word, self.cut) == (other.word, other.cut)
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.leftover))
+
+    def __repr__(self) -> str:
+        return f"BFactorization(blocks={self.blocks!r}, leftover={self.leftover!r})"
 
 
 def b_factorize(u: str) -> BFactorization:
@@ -68,8 +94,7 @@ def b_factorize(u: str) -> BFactorization:
     to a block, so on prefixes of infinite words the certified blocks
     are final.
     """
-    run = _BLOCK_RUN_RE.match(u).group()
-    return BFactorization(tuple(_BLOCK_RE.findall(run)), u[len(run):])
+    return BFactorization(u, _BLOCK_RUN_RE.match(u).end())
 
 
 @dataclass(frozen=True)
@@ -127,15 +152,13 @@ def suffix_classes(
     """
     if y.count("1") < 2:
         raise ParityError("need at least two odd letters in the window")
-    base = b_factorize(y)
-    one = b_factorize("1" + y)
-    two = b_factorize("11" + y)
-    if min(len(base.blocks), len(one.blocks), len(two.blocks)) < 2:
+    base, one, two = (b_factorize(p + y).blocks for p in ("", "1", "11"))
+    if min(len(base), len(one), len(two)) < 2:
         raise ParityError("window too short to certify the three block streams")
     return (
-        IndexedFactorization(0, base.blocks),
-        IndexedFactorization(len(one.blocks[0]) - 1, one.blocks[1:]),
-        IndexedFactorization(len(two.blocks[0]) - 2, two.blocks[1:]),
+        IndexedFactorization(0, base),
+        IndexedFactorization(len(one[0]) - 1, one[1:]),
+        IndexedFactorization(len(two[0]) - 2, two[1:]),
     )
 
 
@@ -158,16 +181,19 @@ def _halved_window(slope: Slope, depth: int, indexed: IndexedFactorization) -> A
     for d, _, block in pairs:
         if block in ("00", "01"):
             a = slope.quotient(d + 2)
-            assert a % 2 == 0
+            if a % 2:
+                raise AssertionError(f"block {block!r} at {d} needs an even a_{d + 2}")
             coeffs[d + 1] += a // 2
         else:
             k = len(block) - 3
             lo, hi = slope.quotient(d + 2), slope.quotient(d + 3 + k)
-            assert lo % 2 == 1 and hi % 2 == 1
+            if lo % 2 == 0 or hi % 2 == 0:
+                raise AssertionError(f"block {block!r} at {d} needs odd end quotients")
             coeffs[d + 1] += (lo + 1) // 2
             for l in range(1, k + 1):
                 middle = slope.quotient(d + 2 + l)
-                assert middle % 2 == 0
+                if middle % 2:
+                    raise AssertionError(f"block {block!r} at {d} needs even inner quotients")
                 coeffs[d + 1 + l] += middle // 2
             coeffs[d + 2 + k] += (hi - 1) // 2
     total = slope.value(coeffs)
@@ -178,6 +204,17 @@ def _halved_window(slope: Slope, depth: int, indexed: IndexedFactorization) -> A
         raise AssertionError("normalization carried past the window")
     digits = digits[:depth] + [0] * (depth - len(digits))
     return AlphaNumber(tuple(digits), slope)
+
+
+def _check_self_dual_classes(classes: tuple[AlphaNumber, ...]) -> None:
+    """Each class is equivalent to its complement, and no two classes agree."""
+    for rho in classes:
+        if not equivalent(rho, complement(rho)).equivalent:
+            raise AssertionError(f"class {rho.digits} is not equivalent to its complement")
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if equivalent(classes[i], classes[j]).equivalent:
+                raise AssertionError(f"classes {i} and {j} are equivalent")
 
 
 def self_complementary(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
@@ -192,11 +229,7 @@ def self_complementary(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
     classes = tuple(
         _halved_window(slope, depth, indexed) for indexed in suffix_classes(y)
     )
-    for rho in classes:
-        assert equivalent(rho, complement(rho)).equivalent
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert not equivalent(classes[i], classes[j]).equivalent
+    _check_self_dual_classes(classes)
     return classes
 
 
@@ -222,11 +255,7 @@ def even_family(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
             s1[pos] = slope.quotient(pos + 1) // 2
         s2[pos] = slope.quotient(pos + 1) // 2
     classes = tuple(AlphaNumber(tuple(d), slope) for d in (s0, s1, s2))
-    for rho in classes:
-        assert equivalent(rho, complement(rho)).equivalent
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert not equivalent(classes[i], classes[j]).equivalent
+    _check_self_dual_classes(classes)
     return classes
 
 
@@ -455,8 +484,10 @@ def palindromic_center_word(slope: Slope, half_length: int) -> str:
                 break
             length *= 2
         palindromes = [f for f in factors if is_palindrome(f)]
-        assert len(palindromes) == 1, "even lengths carry a single palindrome"
+        if len(palindromes) != 1:
+            raise AssertionError("even lengths carry a single palindrome")
         right = palindromes[0][half:]
-        assert right.startswith(word), "palindrome halves nest as prefixes"
+        if not right.startswith(word):
+            raise AssertionError("palindrome halves nest as prefixes")
         word = right
     return word

@@ -21,15 +21,31 @@ from .ostrowski import encode
 from .slope import Slope
 
 
+# The longest standard word built.  q_n >= F_{n+1} on every slope, so from
+# the golden slope's first level above the cap on, every s_n is over it, and
+# the recursion below the cap is at most that many (39) levels deep.
+MAX_STANDARD_LETTERS = 10**8
+_CAP_LEVEL = Slope((1,), (0, 1)).level(MAX_STANDARD_LETTERS)
+
+
 @lru_cache(maxsize=4096)
 def standard_word(slope: Slope, n: int) -> str:
-    """The standard word s_n of the slope; defined for n >= -1."""
+    """The standard word s_n of the slope; defined for n >= -1.
+
+    Raises RangeError when s_n would have more than MAX_STANDARD_LETTERS
+    letters, before any letter is built.
+    """
     if n < -1:
         raise DepthError("standard words start at index -1")
     if n == -1:
         return "1"
     if n == 0:
         return "0"
+    # a finite slope reads q_n, so DepthError past its depth comes first
+    if (n >= _CAP_LEVEL and slope.known_depth is None) or slope.q(n) > MAX_STANDARD_LETTERS:
+        raise RangeError(
+            f"standard word s_{n} has more than {MAX_STANDARD_LETTERS} letters"
+        )
     if n == 1:
         return "0" * (slope.quotient(1) - 1) + "1"
     return standard_word(slope, n - 1) * slope.quotient(n) + standard_word(slope, n - 2)

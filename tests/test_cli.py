@@ -10,6 +10,7 @@ import pytest
 from sturmia.cli import JSON_SCHEMA, RunConfig, dispatch, parse_intercept
 from sturmia.repetition import repetition_characteristic
 from sturmia.slope import parse_slope
+from sturmia.words import standard_word
 
 GOLDEN = parse_slope("[0;1*]")
 
@@ -199,6 +200,20 @@ def test_dispatch_reads_depth_env_on_every_call(monkeypatch, capsys):
     monkeypatch.setenv("STURMIA_DEPTH", "6")
     assert dispatch(argv) == 2
     assert "increase depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["2000", str(10**9)])
+def test_standard_word_past_the_letter_cap_is_a_usage_error(capsys, level):
+    code = dispatch(["word", "standard", "--slope", "[0;1*]", "--level", level])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_standard_word_below_the_letter_cap(capsys):
+    assert dispatch(["word", "standard", "--slope", "[0;1*]", "--level", "30"]) == 0
+    assert capsys.readouterr().out.strip() == standard_word(GOLDEN, 30)
 
 
 def test_run_config_round_trip():

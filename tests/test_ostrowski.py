@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmia.errors import InvalidDigitsError, RangeError
+from sturmia.errors import DepthError, InvalidDigitsError, RangeError
 from sturmia.ostrowski import (
     OstrowskiDigits,
     RelaxedCoefficients,
+    ValidationReport,
     decode,
     encode,
     normalize,
@@ -151,3 +152,117 @@ def test_roundtrip_random_slopes(quotients, n):
     digits = encode(n, slope, depth)
     assert validate(digits.digits, slope).ok
     assert decode(digits) == n
+
+
+def reference_validate(digits, slope):
+    """validate as two loops, the digit rules and then the partial sums."""
+    digits = tuple(digits)
+    verdict = None
+    for i, b in enumerate(digits, start=1):
+        a = slope.quotient(i)
+        if b < 0 or (i == 1 and b > a - 1) or (i > 1 and b > a):
+            verdict = ValidationReport(False, "digit-range", i, f"b_{i}={b} out of range")
+            break
+        if i > 1 and b == a and digits[i - 2] != 0:
+            verdict = ValidationReport(
+                False, "max-digit-adjacency", i, f"b_{i}=a_{i} requires b_{i-1}=0"
+            )
+            break
+    if verdict is None:
+        verdict = ValidationReport(True)
+    if all(b >= 0 for b in digits):
+        q = continuants(slope, len(digits))
+        partial = 0
+        sums_ok = True
+        for l in range(1, len(digits) + 1):
+            partial += digits[l - 1] * q.q(l - 1)
+            if partial >= q.q(l):
+                sums_ok = False
+                break
+        if sums_ok != verdict.ok:
+            raise AssertionError("digit rules and partial-sum form disagree")
+    return verdict
+
+
+def reference_decode(digits, slope):
+    """decode as validate, then the value summed against the ladder."""
+    report = reference_validate(digits, slope)
+    if not report.ok:
+        raise InvalidDigitsError(report.message or "invalid digits")
+    return slope.value(digits)
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the exception's type and message are the outcome
+        return type(exc), str(exc)
+
+
+NAMED_SLOPES = [
+    GOLDEN,
+    parse_slope("[0;2*]"),
+    parse_slope("[0;(1,2)*]"),
+    parse_slope("[0;2,1,3,(2,1)*]"),
+    parse_slope("[0;3,1,2,4]"),
+    parse_slope("[0;1,2,3]"),
+]
+
+
+@st.composite
+def digit_case(draw):
+    if draw(st.booleans()):
+        slope = draw(st.sampled_from(NAMED_SLOPES))
+    else:
+        quotients = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=10)))
+        period = draw(st.one_of(st.none(), st.integers(1, len(quotients))))
+        slope = Slope(quotients, None if period is None else (len(quotients) - period, period))
+    depth = slope.known_depth
+    length = draw(st.integers(0, 30))
+    usable = length if depth is None else min(length, depth)
+    # mostly digits that follow the rules, so long strings stay valid
+    if usable and draw(st.booleans()):
+        digits = list(encode(draw(st.integers(0, slope.q(usable) - 1)), slope, usable).digits)
+    else:
+        digits = [
+            draw(st.integers(0, slope.quotient(i) - (i == 1))) for i in range(1, usable + 1)
+        ]
+    # past a finite slope's depth the quotients are unknown
+    digits += draw(st.lists(st.integers(0, 3), min_size=length - usable, max_size=length - usable))
+    for _ in range(draw(st.integers(0, 2))):
+        if digits:
+            digits[draw(st.integers(0, length - 1))] = draw(st.integers(-3, 6))
+    return slope, digits
+
+
+@settings(max_examples=600, deadline=None)
+@given(digit_case())
+def test_one_pass_matches_two_loop_reference(case):
+    slope, digits = case
+    assert outcome(validate, digits, slope) == outcome(reference_validate, digits, slope)
+    assert outcome(decode, tuple(digits), slope) == outcome(reference_decode, tuple(digits), slope)
+
+
+def test_finite_slope_read_past_its_depth():
+    finite = parse_slope("[0;1,2,3]")
+    for digits in [(0, 1, 0, 1), (0, 2, 0, 0, 1), (1, 0, 0, 0), (0, 1, 1, 5)]:
+        with pytest.raises(DepthError):
+            validate(digits, finite)
+        with pytest.raises(DepthError):
+            reference_validate(digits, finite)
+    # a negative digit before the overrun is reported, not a depth error
+    for digits in [(0, -1, 0, 1), (1, 0, 0, -1)]:
+        assert validate(digits, finite) == reference_validate(digits, finite)
+        assert validate(digits, finite).rule == "digit-range"
+
+
+def test_partial_sum_self_check_is_live():
+    slope = Slope((2, 1, 3), (1, 2))
+    digits = (1, 0, 3, 0, 2)
+    assert validate(digits, slope).ok
+    # q_1 now reads 0, so the rule-valid b_1 = 1 breaks the partial-sum form
+    slope._ladder[0][2] = 0
+    with pytest.raises(AssertionError):
+        validate(digits, slope)
+    with pytest.raises(AssertionError):
+        decode(digits, slope)

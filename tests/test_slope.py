@@ -234,3 +234,48 @@ def test_interval_partition_tiles_deep_levels(slope, n):
         assert 0 <= pos.l <= slope.quotient(n + 1) - 1
         assert 0 <= pos.r < (q_lo if pos.l == 0 else q)
     assert interval_locate(q_hi - 1, slope).n == n + 1
+
+
+def quotient_row(slope, n):
+    """The ladder's quotient row through level n, as a[1..n]."""
+    return slope._grow(n)[2][1 : n + 1]
+
+
+@pytest.mark.parametrize(
+    "text", ["[0;1*]", "[0;2,1,3,(2,1)*]", "[0;(1,2)*]", "[0;3,1,2,4]", "[0;5]"]
+)
+def test_quotient_row_matches_quotient(text):
+    slope = parse_slope(text)
+    depth = slope.known_depth or 300
+    # grown in steps, as the readers of the ladder grow it
+    for n in (0, 1, depth // 2, depth):
+        assert quotient_row(slope, n) == [slope.quotient(i) for i in range(1, n + 1)]
+    assert len(slope._ladder[2]) == len(slope._ladder[0]) - 1 == len(slope._ladder[1]) - 1
+
+
+def test_quotient_row_grows_consistently_under_threads():
+    reference = parse_slope("[0;2,1,3,(2,1)*]")
+    shared = [parse_slope("[0;2,1,3,(2,1)*]") for _ in range(8)]
+
+    def climb(offset):
+        for slope in shared:
+            for n in range(offset, 400, 6):
+                slope.level(reference.q(n))
+                slope.q(n)
+                slope.p(n + 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=climb, args=(k,)) for k in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    expected = [reference.quotient(i) for i in range(1, 401)]
+    for slope in shared:
+        assert quotient_row(slope, 400) == expected
+        assert len(slope._ladder[2]) == len(slope._ladder[0]) - 1

@@ -1,6 +1,8 @@
 """Block factorizations of parity words and continuant congruences."""
 
 import itertools
+import re
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -375,3 +377,44 @@ def test_palindromic_center_word_nests():
     long = palindromic_center_word(GOLDEN, 120)
     short = palindromic_center_word(GOLDEN, 40)
     assert long.startswith(short)
+
+
+@dataclass(frozen=True)
+class EagerFactorization:
+    """BFactorization as a frozen dataclass that splits its blocks at once."""
+
+    blocks: tuple
+    leftover: str
+
+    @property
+    def complete(self) -> bool:
+        return not self.leftover
+
+    @property
+    def failure_at(self):
+        if self.complete:
+            return None
+        return sum(len(b) for b in self.blocks)
+
+
+EAGER_BLOCK_RE = re.compile("0[01]|10*1[01]")
+EAGER_RUN_RE = re.compile("(?:0[01]|10*1[01])*")
+
+
+def eager_factorize(u: str) -> EagerFactorization:
+    run = EAGER_RUN_RE.match(u).group()
+    return EagerFactorization(tuple(EAGER_BLOCK_RE.findall(run)), u[len(run):])
+
+
+def test_lazy_blocks_match_eager_scan():
+    previous = previous_ref = None
+    for u in all_words(14):
+        for p in ("", "1", "11"):
+            fact, ref = b_factorize(p + u), eager_factorize(p + u)
+            assert fact.blocks == ref.blocks and fact.leftover == ref.leftover, p + u
+            assert fact.complete == ref.complete and fact.failure_at == ref.failure_at
+            assert fact == b_factorize(p + u) and hash(fact) == hash(ref)
+            if previous is not None:
+                assert (fact == previous) == (ref == previous_ref)
+            assert repr(fact) == repr(ref).replace("EagerFactorization", "BFactorization")
+            previous, previous_ref = fact, ref

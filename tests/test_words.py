@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmia.errors import NotCentralError, RangeError, UndeterminedError
+from sturmia.errors import DepthError, NotCentralError, RangeError, UndeterminedError
 from sturmia.slope import Slope, continuants, convergent_value, parse_slope
 from sturmia.words import (
+    MAX_STANDARD_LETTERS,
     balance_defect,
     central_decomposition,
     characteristic_prefix,
@@ -39,6 +40,28 @@ def test_standard_word_lengths_are_continuants():
     t = continuants(slope, 9)
     for n in range(10):
         assert len(standard_word(slope, n)) == t.q(n)
+
+
+def test_standard_word_letter_cap():
+    assert MAX_STANDARD_LETTERS == 10**8
+    top = Slope((1,), (0, 1)).level(MAX_STANDARD_LETTERS)  # 39: F_40 > 10**8
+    fresh = Slope((1,), (0, 1))
+    for n in (10**9, 2000, top):
+        with pytest.raises(RangeError):
+            standard_word(fresh, n)
+    # refused before the ladder grew past the cap
+    assert len(fresh._ladder[0]) <= top + 2
+    assert len(standard_word(fresh, 25)) == fresh.q(25)
+    wide = Slope((1000,), (0, 1))  # q_2 = 1000001, q_3 > 10**9
+    assert len(standard_word(wide, 2)) == 1000001
+    with pytest.raises(RangeError):
+        standard_word(wide, 3)
+    finite = Slope((1, 2, 3))
+    assert standard_word(finite, 3) == "1101101101"
+    with pytest.raises(DepthError):
+        standard_word(finite, 4)
+    with pytest.raises(DepthError):
+        standard_word(finite, 10**9)
 
 
 def test_standard_word_endings():

@@ -231,3 +231,436 @@ def test_parse_intercept_forms():
     assert numbered.psi(depth) == 4
     with pytest.raises(Exception):
         parse_intercept("b:0,banana", GOLDEN, depth)
+
+
+# Exact output of one small argv per (subcommand, format) cell, run in-process.
+# Argvs without --depth read the default of 24.
+GOLDEN_OUTPUT = [
+    (
+        ['word', 'prefix', '--slope', '[0;1*]', '--len', '8'],
+        0,
+        '10110101\n',
+    ),
+    (
+        ['word', 'standard', '--slope', '[0;2,(1)*]', '--level', '4', '--depth', '8', '--format', 'json'],
+        0,
+        (
+            '{\n'
+            '  "command": "word",\n'
+            '  "config": {\n'
+            '    "check": true,\n'
+            '    "depth": 8,\n'
+            '    "format": "json",\n'
+            '    "intercept": "zero",\n'
+            '    "slope": "[0;2,(1)*]"\n'
+            '  },\n'
+            '  "result": {\n'
+            '    "length": 8,\n'
+            '    "level": 4,\n'
+            '    "word": "01001010"\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['ostrowski', '--slope', '[0;1*]', '--encode', '10', '--depth', '8'],
+        0,
+        'value=10 digits=0,0,1,0,0,1,0,0 support=[2, 5]\n',
+    ),
+    (
+        ['ostrowski', '--slope', '[0;1*]', '--decode', '0,0,1,0,1', '--format', 'json'],
+        0,
+        (
+            '{\n'
+            '  "command": "ostrowski",\n'
+            '  "config": {\n'
+            '    "check": true,\n'
+            '    "depth": 24,\n'
+            '    "format": "json",\n'
+            '    "intercept": null,\n'
+            '    "slope": "[0;1*]"\n'
+            '  },\n'
+            '  "result": {\n'
+            '    "digits": [\n'
+            '      0,\n'
+            '      0,\n'
+            '      1,\n'
+            '      0,\n'
+            '      1\n'
+            '    ],\n'
+            '    "support": [\n'
+            '      2,\n'
+            '      4\n'
+            '    ],\n'
+            '    "value": 7\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['ostrowski', '--slope', '[0;1*]', '--encode', '10', '--depth', '6', '--format', 'csv'],
+        0,
+        (
+            'index,digit\n'
+            '0,0\n'
+            '1,0\n'
+            '2,1\n'
+            '3,0\n'
+            '4,0\n'
+            '5,1\n'
+        ),
+    ),
+    (
+        ['intercept', '--slope', '[0;2,(1)*]', '--intercept', 'b:0,1,0,0,1', '--depth', '5'],
+        0,
+        (
+            'digits=0,1,0,0,1\n'
+            'support=[1, 4] residue=10\n'
+            'class=non-zero witness=None\n'
+            'complement=1,0,0,0\n'
+        ),
+    ),
+    (
+        ['intercept', '--slope', '[0;1*]', '--intercept', 'sigma0', '--depth', '4', '--format', 'json'],
+        0,
+        (
+            '{\n'
+            '  "command": "intercept",\n'
+            '  "config": {\n'
+            '    "check": true,\n'
+            '    "depth": 4,\n'
+            '    "format": "json",\n'
+            '    "intercept": "sigma0",\n'
+            '    "slope": "[0;1*]"\n'
+            '  },\n'
+            '  "result": {\n'
+            '    "class": "sigma0-tail",\n'
+            '    "complement": {\n'
+            '      "error": "sigma intercepts are excluded from complementation"\n'
+            '    },\n'
+            '    "depth": 4,\n'
+            '    "digits": [\n'
+            '      0,\n'
+            '      1,\n'
+            '      0,\n'
+            '      1\n'
+            '    ],\n'
+            '    "residue": 4,\n'
+            '    "support": [\n'
+            '      1,\n'
+            '      3\n'
+            '    ],\n'
+            '    "witness": 1\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['rauzy', '--slope', '[0;1*]', '--m', '4'],
+        0,
+        'm=4 level=(n=4, l=0, r=2) cycles=(5, 3) common=3 turns=1\n',
+    ),
+    (
+        ['rauzy', '--slope', '[0;1*]', '--m', '4', '--depth', '8', '--format', 'json'],
+        0,
+        (
+            '{\n'
+            '  "command": "rauzy",\n'
+            '  "config": {\n'
+            '    "check": true,\n'
+            '    "depth": 8,\n'
+            '    "format": "json",\n'
+            '    "intercept": null,\n'
+            '    "slope": "[0;1*]"\n'
+            '  },\n'
+            '  "result": {\n'
+            '    "characteristic_turns": 1,\n'
+            '    "common_path_length": 3,\n'
+            '    "level": {\n'
+            '      "l": 0,\n'
+            '      "n": 4,\n'
+            '      "r": 2\n'
+            '    },\n'
+            '    "m": 4,\n'
+            '    "other_cycle_length": 3,\n'
+            '    "referent_cycle_length": 5\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['rauzy', '--slope', '[0;1*]', '--m', '2', '--format', 'dot'],
+        0,
+        (
+            'digraph rauzy {\n'
+            '  "01" [peripheries=2];\n'
+            '  "10" [shape=box];\n'
+            '  "11";\n'
+            '  "01" -> "10";\n'
+            '  "01" -> "11" [style=bold];\n'
+            '  "10" -> "01" [style=bold];\n'
+            '  "11" -> "10" [style=bold];\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['repetition', '--slope', '[0;1*]', '--intercept', '2', '--m-max', '4', '--depth', '8'],
+        0,
+        (
+            'm,r_closed,r_direct,case\n'
+            '1,1,1,8\n'
+            '2,3,3,4\n'
+            '3,3,3,4\n'
+            '4,5,5,2\n'
+        ),
+    ),
+    (
+        ['repetition', '--slope', '[0;1*]', '--m-max', '2', '--no-check', '--depth', '8', '--format', 'json'],
+        0,
+        (
+            '{\n'
+            '  "command": "repetition",\n'
+            '  "config": {\n'
+            '    "check": false,\n'
+            '    "depth": 8,\n'
+            '    "format": "json",\n'
+            '    "intercept": "zero",\n'
+            '    "slope": "[0;1*]"\n'
+            '  },\n'
+            '  "result": {\n'
+            '    "failures": 0,\n'
+            '    "rows": [\n'
+            '      {\n'
+            '        "case": "2",\n'
+            '        "m": 1,\n'
+            '        "r_closed": 2,\n'
+            '        "r_direct": null\n'
+            '      },\n'
+            '      {\n'
+            '        "case": "2",\n'
+            '        "m": 2,\n'
+            '        "r_closed": 3,\n'
+            '        "r_direct": null\n'
+            '      }\n'
+            '    ]\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['repetition', '--slope', '[0;2,(1)*]', '--m-max', '3', '--format', 'text'],
+        0,
+        (
+            'm=1 r=2 direct=2 case=2\n'
+            'm=2 r=3 direct=3 case=2\n'
+            'm=3 r=3 direct=3 case=2\n'
+        ),
+    ),
+    (
+        ['factorize', '--word', '0001'],
+        0,
+        '00 01\n',
+    ),
+    (
+        ['factorize', '--word', '10000'],
+        0,
+        "no factorization: leftover '10000' at 0\n",
+    ),
+    (
+        ['factorize', '--slope', '[0;1*]', '--intercept', 'b:0,0,1,0,1,0,0,1,0,0,0,1', '--len', '20'],
+        0,
+        'duality ok=True prefix_ok=True orbit_ok=True length=20\n',
+    ),
+    (
+        ['factorize', '--slope', '[0;2,3,(1,2)*]', '--len', '30'],
+        0,
+        'case=a1>=2 ok=True length=30\n',
+    ),
+    (
+        ['factorize', '--word', '0110', '--depth', '8', '--format', 'json'],
+        0,
+        (
+            '{\n'
+            '  "command": "factorize",\n'
+            '  "config": {\n'
+            '    "check": true,\n'
+            '    "depth": 8,\n'
+            '    "format": "json",\n'
+            '    "intercept": null,\n'
+            '    "slope": null\n'
+            '  },\n'
+            '  "result": {\n'
+            '    "blocks": [\n'
+            '      "01"\n'
+            '    ],\n'
+            '    "complete": false,\n'
+            '    "failure_at": 2,\n'
+            '    "leftover": "10",\n'
+            '    "word": "0110"\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['factorize', '--slope', '[0;1*]', '--len', '12', '--depth', '8', '--format', 'json'],
+        0,
+        (
+            '{\n'
+            '  "command": "factorize",\n'
+            '  "config": {\n'
+            '    "check": true,\n'
+            '    "depth": 8,\n'
+            '    "format": "json",\n'
+            '    "intercept": null,\n'
+            '    "slope": "[0;1*]"\n'
+            '  },\n'
+            '  "result": {\n'
+            '    "case": "a1=1,a2=1",\n'
+            '    "first": "101101011011",\n'
+            '    "ok": true,\n'
+            '    "second": "101101011011"\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['torsion', '--slope', '[0;1*]', '-N', '7', '--k-max', '3', '--depth', '8'],
+        1,
+        (
+            '{\n'
+            '  "command": "torsion",\n'
+            '  "config": {\n'
+            '    "check": true,\n'
+            '    "depth": 8,\n'
+            '    "format": "json",\n'
+            '    "intercept": null,\n'
+            '    "slope": "[0;1*]"\n'
+            '  },\n'
+            '  "result": {\n'
+            '    "found": false,\n'
+            '    "k": null,\n'
+            '    "modulus": 7,\n'
+            '    "n": 0,\n'
+            '    "quotient_digits": null,\n'
+            '    "reason": "no admissible k <= 3 from n = 0",\n'
+            '    "state_trace": [\n'
+            '      [\n'
+            '        1,\n'
+            '        0\n'
+            '      ],\n'
+            '      [\n'
+            '        1,\n'
+            '        1\n'
+            '      ],\n'
+            '      [\n'
+            '        2,\n'
+            '        1\n'
+            '      ],\n'
+            '      [\n'
+            '        3,\n'
+            '        2\n'
+            '      ]\n'
+            '    ],\n'
+            '    "support": null\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['torsion', '--slope', '[0;1*]', '-N', '2', '--format', 'text'],
+        0,
+        'N=2 n=0 k=3 support=[1] digits=[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n',
+    ),
+    (
+        ['torsion', '--slope', '[0;1*]', '-N', '7', '--k-max', '3', '--format', 'text'],
+        1,
+        'N=7 n=0: no admissible k <= 3 (no admissible k <= 3 from n = 0)\n',
+    ),
+    (
+        ['verify', '--only', '8', '--only', '13'],
+        0,
+        (
+            '# corpus seed 20260814\n'
+            '[PASS] criterion  8 characteristic-factorizations: three quotient cases verified to length 400\n'
+            '[PASS] criterion 13 dio-estimate: golden window value 2.617991 within 1e-3 of 1+phi; family/generic gap below one window term on two slopes\n'
+        ),
+    ),
+    (
+        ['verify', '--only', '8', '--depth', '8', '--format', 'json'],
+        0,
+        (
+            '{\n'
+            '  "command": "verify",\n'
+            '  "config": {\n'
+            '    "check": true,\n'
+            '    "depth": 8,\n'
+            '    "format": "json",\n'
+            '    "intercept": null,\n'
+            '    "slope": null\n'
+            '  },\n'
+            '  "result": {\n'
+            '    "passed": true,\n'
+            '    "results": [\n'
+            '      {\n'
+            '        "detail": "three quotient cases verified to length 400",\n'
+            '        "name": "characteristic-factorizations",\n'
+            '        "number": 8,\n'
+            '        "passed": true\n'
+            '      }\n'
+            '    ],\n'
+            '    "seed": 20260814\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['verify', '--only', '13', '--only', '8', '--format', 'csv'],
+        0,
+        (
+            '# seed=20260814\n'
+            'number,name,passed,detail\n'
+            '13,dio-estimate,1,"golden window value 2.617991 within 1e-3 of 1+phi; family/generic gap below one window term on two slopes"\n'
+            '8,characteristic-factorizations,1,"three quotient cases verified to length 400"\n'
+        ),
+    ),
+]
+
+USAGE_ERRORS = [
+    (['word', 'prefix', '--slope', 'bogus'], "error: not a slope literal: 'bogus'\n"),
+    (['word', 'standard', '--slope', '[0;1*]', '--level', '2000'], 'error: standard word s_2000 has more than 100000000 letters\n'),
+    (['ostrowski', '--slope', '[0;1*]', '--decode', ''], "error: bad digit list ''\n"),
+    (['ostrowski', '--slope', '[0;1*]', '--decode', '2,0'], 'error: b_1=2 out of range\n'),
+    (['ostrowski', '--slope', '[0;1*]', '--encode', '100', '--depth', '6'], 'error: 100 >= q_6 = 13; increase depth\n'),
+    (['intercept', '--slope', '[0;1*]', '--intercept', 'b:'], "error: bad digit list in intercept spec 'b:'\n"),
+    (['intercept', '--slope', '[0;1*]', '--intercept', 'nope'], "error: intercept spec 'nope' is not an integer, a b: digit list, or one of zero|sigma0|sigma1\n"),
+    (['rauzy', '--slope', '[0;1*]', '--m', '0'], 'error: window length must be >= 1, got 0\n'),
+    (['rauzy', '--slope', '[0;1', '--m', '3', '--format', 'dot'], "error: not a slope literal: '[0;1'\n"),
+    (['repetition', '--slope', '[0;1*]', '--m-max', '0'], 'error: --m-max must be >= 1, got 0\n'),
+    (['factorize', '--word', '0201'], "error: --word expects a binary word, got '0201'\n"),
+    (['factorize', '--len', '40'], 'error: --slope is required unless --word is given\n'),
+    (['factorize', '--slope', '[0;1*]', '--intercept', 'sigma0'], 'error: sigma intercepts are excluded from complementation\n'),
+    (['torsion', '--slope', '[0;1*]', '-N', '1'], 'error: modulus must be >= 2, got 1\n'),
+    (['verify', '--only', '99'], 'error: criteria are numbered 1..14, got 99\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out", GOLDEN_OUTPUT, ids=[" ".join(case[0]) for case in GOLDEN_OUTPUT]
+)
+def test_golden_output(monkeypatch, capsys, argv, code, out):
+    monkeypatch.delenv("STURMIA_DEPTH", raising=False)
+    assert dispatch(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv,err", USAGE_ERRORS, ids=[" ".join(case[0]) for case in USAGE_ERRORS]
+)
+def test_usage_error_lines(monkeypatch, capsys, argv, err):
+    monkeypatch.delenv("STURMIA_DEPTH", raising=False)
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err

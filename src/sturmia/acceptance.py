@@ -509,7 +509,3 @@ def run_check(number: int) -> CheckResult:
     if not 1 <= number <= len(CHECKS):
         raise ValueError(f"criteria are numbered 1..{len(CHECKS)}, got {number}")
     return CHECKS[number - 1]()
-
-
-def run_all() -> tuple[CheckResult, ...]:
-    return tuple(check() for check in CHECKS)

@@ -1,11 +1,16 @@
 """Command-line surface tying the library together for batch computation.
 
 Subcommands mirror the module layout: word, ostrowski, intercept, rauzy,
-repetition, factorize, torsion, verify.  Output formats are text, json,
-csv, or dot depending on the subcommand; json payloads follow JSON_SCHEMA
-and identical inputs produce byte-identical output (nothing here consults
-the clock or an unseeded generator).  The default digit depth comes from
-the STURMIA_DEPTH environment variable, 24 when unset.
+repetition, factorize, torsion, verify.  Each `cmd_*` handler computes a
+result dict and an exit code from the parsed arguments, the parsed slope
+(None when --slope is absent) and the resolved RunConfig; it prints
+nothing.  `dispatch` parses --slope once, builds the config once and
+renders the result in one place: json is the JSON_SCHEMA envelope for
+every command, and each other format (text, csv, dot) comes from one table
+keyed by (command, format).  Identical inputs produce byte-identical
+output (nothing here consults the clock or an unseeded generator).  The
+digit depth is --depth when given, else the STURMIA_DEPTH environment
+variable, else 24; either must be at least 2.
 
 Exit codes: 0 on success, 1 on a verification failure (a `verify`
 criterion, a duality or factorization check, or a torsion search that
@@ -67,15 +72,19 @@ JSON_SCHEMA = {
 }
 
 
+def _at_least_two(source: str, depth: int) -> int:
+    if depth < 2:
+        raise SturmiaError(f"{source} must be at least 2, got {depth}")
+    return depth
+
+
 def default_depth() -> int:
     raw = os.environ.get("STURMIA_DEPTH", "24")
     try:
         value = int(raw)
     except ValueError:
         raise SturmiaError(f"STURMIA_DEPTH must be an integer, got {raw!r}")
-    if value < 2:
-        raise SturmiaError(f"STURMIA_DEPTH must be at least 2, got {value}")
-    return value
+    return _at_least_two("STURMIA_DEPTH", value)
 
 
 @dataclass(frozen=True)
@@ -133,77 +142,46 @@ def parse_intercept(spec: str, slope: Slope, depth: int) -> AlphaNumber:
     return from_integer(value, slope, depth)
 
 
-def _emit_json(command: str, config: RunConfig, result: dict) -> None:
-    payload = {"command": command, "config": config.to_dict(), "result": result}
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _config(args, slope_needed: bool = True) -> RunConfig:
+def _config(args) -> RunConfig:
     return RunConfig(
-        slope=getattr(args, "slope", None) if slope_needed else None,
-        depth=args.depth if getattr(args, "depth", None) is not None else default_depth(),
+        slope=getattr(args, "slope", None),
+        depth=default_depth() if args.depth is None else _at_least_two("--depth", args.depth),
         intercept=getattr(args, "intercept", None),
         format=args.format,
         check=getattr(args, "check", True),
     )
 
 
-def cmd_word(args) -> int:
-    slope = parse_slope(args.slope)
-    config = _config(args)
+def cmd_word(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     if args.action == "standard":
         word = standard_word(slope, args.level)
-        result = {"word": word, "length": len(word), "level": args.level}
-    elif args.intercept == "zero":
+        return {"word": word, "length": len(word), "level": args.level}, 0
+    if args.intercept == "zero":
         # The characteristic word extends to any length without a depth cap.
         word = characteristic_prefix(slope, args.length)
-        result = {"word": word, "length": len(word)}
     else:
         rho = parse_intercept(args.intercept, slope, config.depth)
         word = sturmian_prefix(rho, args.length)
-        result = {"word": word, "length": len(word)}
-    if args.format == "json":
-        _emit_json("word", config, result)
-    else:
-        print(result["word"])
-    return 0
+    return {"word": word, "length": len(word)}, 0
 
 
-def cmd_ostrowski(args) -> int:
-    slope = parse_slope(args.slope)
-    config = _config(args)
+def cmd_ostrowski(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     if args.encode is not None:
         digits = encode(args.encode, slope, config.depth)
-        result = {
-            "value": args.encode,
-            "digits": list(digits.digits),
-            "support": sorted(digits.support()),
-        }
-    else:
-        try:
-            digit_list = tuple(int(part) for part in args.decode.split(","))
-        except ValueError:
-            raise SturmiaError(f"bad digit list {args.decode!r}")
-        result = {
-            "value": decode(digit_list, slope),
-            "digits": list(digit_list),
-            "support": sorted(i for i, b in enumerate(digit_list) if b),
-        }
-    if args.format == "json":
-        _emit_json("ostrowski", config, result)
-    elif args.format == "csv":
-        print("index,digit")
-        for i, b in enumerate(result["digits"]):
-            print(f"{i},{b}")
-    else:
-        digit_text = ",".join(str(b) for b in result["digits"])
-        print(f"value={result['value']} digits={digit_text} support={result['support']}")
-    return 0
+        support = sorted(digits.support())
+        return {"value": args.encode, "digits": list(digits.digits), "support": support}, 0
+    try:
+        digit_list = tuple(int(part) for part in args.decode.split(","))
+    except ValueError:
+        raise SturmiaError(f"bad digit list {args.decode!r}")
+    return {
+        "value": decode(digit_list, slope),
+        "digits": list(digit_list),
+        "support": sorted(i for i, b in enumerate(digit_list) if b),
+    }, 0
 
 
-def cmd_intercept(args) -> int:
-    slope = parse_slope(args.slope)
-    config = _config(args)
+def cmd_intercept(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     rho = parse_intercept(args.intercept, slope, config.depth)
     report = classify(rho)
     result = {
@@ -219,55 +197,26 @@ def cmd_intercept(args) -> int:
         result["complement"] = {"digits": list(comp.digits), "depth": comp.depth}
     except SturmiaError as exc:
         result["complement"] = {"error": str(exc)}
-    if args.format == "json":
-        _emit_json("intercept", config, result)
-    else:
-        digit_text = ",".join(str(b) for b in rho.digits)
-        print(f"digits={digit_text}")
-        print(f"support={result['support']} residue={result['residue']}")
-        print(f"class={result['class']} witness={result['witness']}")
-        comp_info = result["complement"]
-        if "digits" in comp_info:
-            comp_text = ",".join(str(b) for b in comp_info["digits"])
-            print(f"complement={comp_text}")
-        else:
-            print(f"complement unavailable: {comp_info['error']}")
-    return 0
+    return result, 0
 
 
-def cmd_rauzy(args) -> int:
-    slope = parse_slope(args.slope)
-    config = _config(args)
+def cmd_rauzy(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     graph = build_graph(slope, args.m)
-    if args.format == "dot":
-        print(graph.to_dot())
-        return 0
-    turns = count_turns(0, args.m, slope=slope)
-    result = {
+    if config.format == "dot":
+        return {"dot": graph.to_dot()}, 0
+    return {
         "m": args.m,
         "level": {"n": graph.level.n, "l": graph.level.l, "r": graph.level.r},
         "referent_cycle_length": len(graph.referent_cycle),
         "other_cycle_length": len(graph.other_cycle),
         "common_path_length": len(graph.common_path),
-        "characteristic_turns": turns,
-    }
-    if args.format == "json":
-        _emit_json("rauzy", config, result)
-    else:
-        level = result["level"]
-        print(
-            f"m={args.m} level=(n={level['n']}, l={level['l']}, r={level['r']}) "
-            f"cycles=({result['referent_cycle_length']}, {result['other_cycle_length']}) "
-            f"common={result['common_path_length']} turns={turns}"
-        )
-    return 0
+        "characteristic_turns": count_turns(0, args.m, slope=slope),
+    }, 0
 
 
-def cmd_repetition(args) -> int:
+def cmd_repetition(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     if args.m_max < 1:
         raise RangeError(f"--m-max must be >= 1, got {args.m_max}")
-    slope = parse_slope(args.slope)
-    config = _config(args)
     rho = parse_intercept(args.intercept, slope, config.depth)
     closed = [repetition_closed_form(rho, m) for m in range(1, args.m_max + 1)]
     prefix = ""
@@ -284,139 +233,138 @@ def cmd_repetition(args) -> int:
             if direct != value:
                 failures += 1
         rows.append({"m": m, "r_closed": value, "r_direct": direct, "case": case})
-    if args.format == "json":
-        _emit_json(
-            "repetition",
-            config,
-            {"rows": rows, "failures": failures},
-        )
-    elif args.format == "csv":
-        print("m,r_closed,r_direct,case")
-        for row in rows:
-            direct_text = "" if row["r_direct"] is None else str(row["r_direct"])
-            print(f"{row['m']},{row['r_closed']},{direct_text},{row['case']}")
-    else:
-        for row in rows:
-            print(
-                f"m={row['m']} r={row['r_closed']} direct={row['r_direct']} "
-                f"case={row['case']}"
-            )
-    return 1 if failures else 0
+    return {"rows": rows, "failures": failures}, 1 if failures else 0
 
 
-def cmd_factorize(args) -> int:
-    config_slope = args.slope is not None
+def cmd_factorize(args, slope: Slope | None, config: RunConfig) -> tuple[dict, int]:
     if args.word is not None:
         if set(args.word) - {"0", "1"}:
             raise SturmiaError(f"--word expects a binary word, got {args.word!r}")
-        config = _config(args, slope_needed=config_slope)
         fact = b_factorize(args.word)
-        result = {
+        return {
             "word": args.word,
             "blocks": list(fact.blocks),
             "complete": fact.complete,
             "leftover": fact.leftover,
             "failure_at": fact.failure_at if not fact.complete else None,
-        }
-        if args.format == "json":
-            _emit_json("factorize", config, result)
-        elif fact.complete:
-            print(" ".join(fact.blocks) if fact.blocks else "(empty)")
-        else:
-            print(f"no factorization: leftover {fact.leftover!r} at {fact.failure_at}")
-        return 0
-    if args.slope is None:
+        }, 0
+    if slope is None:
         raise SturmiaError("--slope is required unless --word is given")
-    slope = parse_slope(args.slope)
-    config = _config(args)
     if args.intercept is not None:
         rho = parse_intercept(args.intercept, slope, config.depth)
         report = duality_check(rho, args.length)
-        result = {
-            "ok": report.ok,
-            "prefix_ok": report.prefix_ok,
-            "orbit_ok": report.orbit_ok,
-            "checked_length": report.checked_length,
-            "window": report.window,
-        }
-        if args.format == "json":
-            _emit_json("factorize", config, result)
-        else:
-            print(
-                f"duality ok={report.ok} prefix_ok={report.prefix_ok} "
-                f"orbit_ok={report.orbit_ok} length={report.checked_length}"
-            )
-        return 0 if report.ok else 1
-    report = characteristic_factorizations(slope, args.length)
-    result = {
-        "case": report.case,
-        "ok": report.ok,
-        "first": report.first,
-        "second": report.second,
-    }
-    if args.format == "json":
-        _emit_json("factorize", config, result)
     else:
-        print(f"case={report.case} ok={report.ok} length={args.length}")
-    return 0 if report.ok else 1
+        report = characteristic_factorizations(slope, args.length)
+    return dict(vars(report)), 0 if report.ok else 1
 
 
-def cmd_torsion(args) -> int:
-    slope = parse_slope(args.slope)
-    config = _config(args)
+def cmd_torsion(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     hit = torsion_search(slope, args.modulus, n=args.n, k_max=args.k_max)
-    result = {
-        "found": hit.found,
-        "modulus": hit.modulus,
-        "n": hit.n,
-        "k": hit.k,
+    return {
+        **vars(hit),
         "quotient_digits": None if hit.quotient_digits is None else list(hit.quotient_digits),
         "support": None if hit.support is None else sorted(hit.support),
-        "state_trace": [list(state) for state in hit.state_trace],
-        "reason": hit.reason,
-    }
-    if args.format == "json":
-        _emit_json("torsion", config, result)
-    elif hit.found:
-        print(
-            f"N={hit.modulus} n={hit.n} k={hit.k} support={result['support']} "
-            f"digits={result['quotient_digits']}"
-        )
-    else:
-        print(f"N={hit.modulus} n={hit.n}: no admissible k <= {args.k_max} ({hit.reason})")
-    return 0 if hit.found else 1
+    }, 0 if hit.found else 1
 
 
-def cmd_verify(args) -> int:
-    numbers = args.only if args.only else list(range(1, len(acceptance.CHECKS) + 1))
+def cmd_verify(args, slope: None, config: RunConfig) -> tuple[dict, int]:
+    numbers = args.only if args.only else range(1, len(acceptance.CHECKS) + 1)
     results = [acceptance.run_check(number) for number in numbers]
-    config = _config(args, slope_needed=False)
-    if args.format == "json":
-        payload = {
-            "seed": acceptance.SEED,
-            "results": [
-                {
-                    "number": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            "passed": all(r.passed for r in results),
-        }
-        _emit_json("verify", config, payload)
-    elif args.format == "csv":
-        print(f"# seed={acceptance.SEED}")
-        print("number,name,passed,detail")
-        for r in results:
-            detail = r.detail.replace('"', "'")
-            print(f'{r.number},{r.name},{int(r.passed)},"{detail}"')
-    else:
-        print(f"# corpus seed {acceptance.SEED}")
-        for r in results:
-            print(r.line())
-    return 0 if all(r.passed for r in results) else 1
+    passed = all(r.passed for r in results)
+    return {
+        "seed": acceptance.SEED,
+        "results": [dict(vars(r)) for r in results],
+        "passed": passed,
+    }, 0 if passed else 1
+
+
+def _digit_text(digits: list[int]) -> str:
+    return ",".join(str(b) for b in digits)
+
+
+def _intercept_text(r: dict, args) -> str:
+    comp = r["complement"]
+    return "\n".join([
+        f"digits={_digit_text(r['digits'])}",
+        f"support={r['support']} residue={r['residue']}",
+        f"class={r['class']} witness={r['witness']}",
+        f"complement={_digit_text(comp['digits'])}" if "digits" in comp
+        else f"complement unavailable: {comp['error']}",
+    ])
+
+
+def _rauzy_text(r: dict, args) -> str:
+    level = r["level"]
+    return (
+        f"m={r['m']} level=(n={level['n']}, l={level['l']}, r={level['r']}) "
+        f"cycles=({r['referent_cycle_length']}, {r['other_cycle_length']}) "
+        f"common={r['common_path_length']} turns={r['characteristic_turns']}"
+    )
+
+
+def _factorize_text(r: dict, args) -> str:
+    if "blocks" in r:
+        if not r["complete"]:
+            return f"no factorization: leftover {r['leftover']!r} at {r['failure_at']}"
+        return " ".join(r["blocks"]) or "(empty)"
+    if "prefix_ok" in r:
+        return (
+            f"duality ok={r['ok']} prefix_ok={r['prefix_ok']} "
+            f"orbit_ok={r['orbit_ok']} length={r['checked_length']}"
+        )
+    return f"case={r['case']} ok={r['ok']} length={args.length}"
+
+
+def _torsion_text(r: dict, args) -> str:
+    if r["found"]:
+        return (
+            f"N={r['modulus']} n={r['n']} k={r['k']} support={r['support']} "
+            f"digits={r['quotient_digits']}"
+        )
+    return f"N={r['modulus']} n={r['n']}: no admissible k <= {args.k_max} ({r['reason']})"
+
+
+def _verify_csv(r: dict, args) -> str:
+    lines = [f"# seed={r['seed']}", "number,name,passed,detail"]
+    for row in r["results"]:
+        detail = row["detail"].replace('"', "'")
+        lines.append(f'{row["number"]},{row["name"]},{int(row["passed"])},"{detail}"')
+    return "\n".join(lines)
+
+
+# (command, format) -> the printed text of a result, for every format but
+# json, which is the JSON_SCHEMA envelope for every command.
+_RENDER: dict[tuple[str, str], Callable[[dict, argparse.Namespace], str]] = {
+    ("word", "text"): lambda r, args: r["word"],
+    ("ostrowski", "text"): lambda r, args: (
+        f"value={r['value']} digits={_digit_text(r['digits'])} support={r['support']}"
+    ),
+    ("ostrowski", "csv"): lambda r, args: "\n".join(
+        ["index,digit"] + [f"{i},{b}" for i, b in enumerate(r["digits"])]
+    ),
+    ("intercept", "text"): _intercept_text,
+    ("rauzy", "text"): _rauzy_text,
+    ("rauzy", "dot"): lambda r, args: r["dot"],
+    ("repetition", "csv"): lambda r, args: "\n".join(
+        ["m,r_closed,r_direct,case"]
+        + [
+            f"{row['m']},{row['r_closed']},"
+            f"{'' if row['r_direct'] is None else row['r_direct']},{row['case']}"
+            for row in r["rows"]
+        ]
+    ),
+    ("repetition", "text"): lambda r, args: "\n".join(
+        f"m={row['m']} r={row['r_closed']} direct={row['r_direct']} case={row['case']}"
+        for row in r["rows"]
+    ),
+    ("factorize", "text"): _factorize_text,
+    ("torsion", "text"): _torsion_text,
+    ("verify", "text"): lambda r, args: "\n".join(
+        [f"# corpus seed {r['seed']}"]
+        + [acceptance.CheckResult(**row).line() for row in r["results"]]
+    ),
+    ("verify", "csv"): _verify_csv,
+}
 
 
 def _add_slope(parser, required: bool = True) -> None:
@@ -543,25 +491,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Built on the first dispatch and never mutated afterwards: parse_args
 # leaves the parser as it found it, and defaults that depend on the
-# environment (STURMIA_DEPTH) are resolved by the handlers at run time.
+# environment (STURMIA_DEPTH) are resolved by dispatch at run time.
 @cache
 def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
-    """Parse argv and run the selected subcommand.
+    """Parse argv, run the selected subcommand and print its rendered result.
 
     Returns 0 on success, 1 on a verification failure, 2 on usage errors;
     argparse exits with 2 on malformed flags before we get here.
     """
     args = _shared_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        slope = None if getattr(args, "slope", None) is None else parse_slope(args.slope)
+        config = _config(args)
+        result, code = args.handler(args, slope, config)
+        if config.format == "json":
+            payload = {"command": args.command, "config": config.to_dict(), "result": result}
+            text = json.dumps(payload, sort_keys=True, indent=2)
+        else:
+            text = _RENDER[args.command, config.format](result, args)
     except (SturmiaError, ValueError) as exc:
         # parse_slope and the int conversions raise ValueError on bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return code
 
 
 def main() -> int:

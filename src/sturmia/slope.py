@@ -55,10 +55,6 @@ class Slope:
                 raise ValueError("period must describe the tail of the stored quotients")
 
     @property
-    def eventually_periodic(self) -> bool:
-        return self.period is not None
-
-    @property
     def known_depth(self) -> int | None:
         """Largest usable quotient index, or None when unbounded."""
         return None if self.period is not None else len(self.quotients)

@@ -641,6 +641,9 @@ USAGE_ERRORS = [
     (['factorize', '--slope', '[0;1*]', '--intercept', 'sigma0'], 'error: sigma intercepts are excluded from complementation\n'),
     (['torsion', '--slope', '[0;1*]', '-N', '1'], 'error: modulus must be >= 2, got 1\n'),
     (['verify', '--only', '99'], 'error: criteria are numbered 1..14, got 99\n'),
+    (['verify', '--depth', '-1', '--only', '8', '--format', 'json'], 'error: --depth must be at least 2, got -1\n'),
+    (['intercept', '--slope', '[0;1*]', '--intercept', 'zero', '--depth', '1'], 'error: --depth must be at least 2, got 1\n'),
+    (['factorize', '--word', '0001', '--slope', 'bogus', '--format', 'json'], "error: not a slope literal: 'bogus'\n"),
 ]
 
 
@@ -664,3 +667,20 @@ def test_usage_error_lines(monkeypatch, capsys, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+@pytest.mark.parametrize(
+    "value,err",
+    [
+        ("1", "error: STURMIA_DEPTH must be at least 2, got 1\n"),
+        ("x", "error: STURMIA_DEPTH must be an integer, got 'x'\n"),
+    ],
+)
+def test_depth_env_var_is_validated(monkeypatch, capsys, value, err):
+    monkeypatch.setenv("STURMIA_DEPTH", value)
+    argv = ["intercept", "--slope", "[0;1*]", "--intercept", "zero"]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr() == ("", err)
+    # The flag takes precedence over the environment, and 2 is accepted.
+    assert dispatch([*argv, "--depth", "2"]) == 0
+    assert capsys.readouterr().out.startswith("digits=0,0\n")

@@ -25,7 +25,9 @@ from .repetition import (
     dio_estimate,
     repetition_characteristic,
     repetition_closed_form,
+    repetition_closed_forms,
     repetition_direct,
+    repetition_profile,
     repetition_rows,
 )
 from .slope import Slope, continuants, convergent_value, interval_locate, parse_slope
@@ -79,7 +81,9 @@ __all__ = [
     "product_prefix",
     "repetition_characteristic",
     "repetition_closed_form",
+    "repetition_closed_forms",
     "repetition_direct",
+    "repetition_profile",
     "repetition_rows",
     "self_complementary",
     "sigma0",

@@ -29,11 +29,12 @@ from .intercept import (
     zero,
 )
 from .ostrowski import all_digit_strings, decode, encode
-from .rauzy import build_graph, count_turns
+from .rauzy import build_graph
 from .repetition import (
     dio_estimate,
-    repetition_closed_form,
-    repetition_direct,
+    profile_lookup,
+    repetition_closed_forms,
+    repetition_profile,
     repetition_rows,
 )
 from .slope import Slope, convergent_value, interval_locate, parse_slope
@@ -167,15 +168,16 @@ def check_03_complexity() -> CheckResult:
 
 
 def check_04_repetition_intervals() -> CheckResult:
-    """Direct scan returns q_n on the whole interval [q_n - 1, q_{n+1} - 2]."""
+    """The repetition profile reads q_n on the whole interval [q_n - 1, q_{n+1} - 2]."""
     slopes = (GOLDEN, TWO_ONE) + _seeded_slopes(5, SEED + 4, cap_level=9, cap=100)
     pairs = 0
     for slope in slopes:
         prefix = characteristic_prefix(slope, 3 * slope.q(9))
+        profile = repetition_profile(prefix, slope.q(9) - 2)
         for n in range(9):
             q_n, q_n1 = slope.q(n), slope.q(n + 1)
             for m in range(max(1, q_n - 1), q_n1 - 1):
-                if repetition_direct(prefix, m) != q_n:
+                if profile_lookup(profile, m, len(prefix)) != q_n:
                     return CheckResult(
                         4, "repetition-intervals", False, f"m={m}, n={n} on {slope}"
                     )
@@ -189,7 +191,7 @@ def check_04_repetition_intervals() -> CheckResult:
 
 
 def check_05_closed_form_oracle() -> CheckResult:
-    """Closed-form repetition versus the direct scan, exhaustive at depth 8."""
+    """Closed-form repetition versus the repetition profile, exhaustive at depth 8."""
     slopes = (GOLDEN, parse_slope("[0;3,1,2,(1)*]")) + _seeded_slopes(
         5, SEED + 5, cap_level=8, cap=120
     )
@@ -201,10 +203,11 @@ def check_05_closed_form_oracle() -> CheckResult:
             rho = AlphaNumber(digits, slope)
             deep = AlphaNumber(digits + (0,) * 4, slope)
             word = sturmian_prefix(deep, 2 * m_top + 4)
-            for m in range(1, m_top + 1):
-                value, case = repetition_closed_form(rho, m)
+            profile = repetition_profile(word, m_top)
+            closed = repetition_closed_forms(rho, m_top)
+            for m, (value, case) in enumerate(closed, start=1):
                 cases.add(case)
-                if value != repetition_direct(word, m):
+                if value != profile_lookup(profile, m, len(word)):
                     return CheckResult(
                         5,
                         "closed-form-oracle",
@@ -314,7 +317,7 @@ def check_09_rauzy() -> CheckResult:
                 return CheckResult(9, "rauzy-structure", False, f"m={m} on {slope}")
             if gcd(ref, other) != 1:
                 return CheckResult(9, "rauzy-structure", False, f"gcd at m={m} on {slope}")
-            turns = count_turns(0, m, slope=slope)
+            turns = graph.turns(0)
             if turns != slope.quotient(pos.n + 1) - pos.l:
                 return CheckResult(9, "rauzy-structure", False, f"turns at m={m} on {slope}")
     return CheckResult(9, "rauzy-structure", True, "all m <= 150 on 5 slopes")

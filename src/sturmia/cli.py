@@ -42,8 +42,8 @@ from .intercept import (
     zero,
 )
 from .ostrowski import decode, encode
-from .rauzy import build_graph, count_turns
-from .repetition import repetition_closed_form, repetition_direct
+from .rauzy import build_graph
+from .repetition import profile_lookup, repetition_closed_forms, repetition_profile
 from .slope import Slope, parse_slope
 from .torsion import b_factorize, torsion_search
 from .words import characteristic_prefix, standard_word
@@ -210,7 +210,7 @@ def cmd_rauzy(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
         "referent_cycle_length": len(graph.referent_cycle),
         "other_cycle_length": len(graph.other_cycle),
         "common_path_length": len(graph.common_path),
-        "characteristic_turns": count_turns(0, args.m, slope=slope),
+        "characteristic_turns": graph.turns(0),
     }, 0
 
 
@@ -218,18 +218,19 @@ def cmd_repetition(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     if args.m_max < 1:
         raise RangeError(f"--m-max must be >= 1, got {args.m_max}")
     rho = parse_intercept(args.intercept, slope, config.depth)
-    closed = [repetition_closed_form(rho, m) for m in range(1, args.m_max + 1)]
+    closed = repetition_closed_forms(rho, args.m_max)
     prefix = ""
     if config.check:
-        needed = max(value + m for (value, _), m in zip(closed, range(1, args.m_max + 1)))
+        needed = max(value + m for m, (value, _) in enumerate(closed, start=1))
         prefix_length = min(needed + 2, max_certified_length(rho))
         prefix = sturmian_prefix(rho, prefix_length)
+        profile = repetition_profile(prefix, args.m_max)
     failures = 0
     rows = []
     for m, (value, case) in enumerate(closed, start=1):
         direct: int | None = None
         if config.check and value + m <= len(prefix):
-            direct = repetition_direct(prefix, m)
+            direct = profile_lookup(profile, m, len(prefix))
             if direct != value:
                 failures += 1
         rows.append({"m": m, "r_closed": value, "r_direct": direct, "case": case})

@@ -255,10 +255,12 @@ def classify(rho: AlphaNumber, min_tail: int | None = None) -> ClassReport:
     An intercept is equivalent to zero exactly when its digits are eventually
     zero, eventually the sigma0 pattern (full even-subscript digits), or
     eventually the sigma1 pattern.  The verdict requires at least min_tail
-    digits of evidence (default max(3, depth // 3)), otherwise "non-zero".
+    digits of evidence (default max(3, depth // 3), capped at the depth so
+    that a window of one or two digits can still show its pattern),
+    otherwise "non-zero".
     """
     if min_tail is None:
-        min_tail = max(3, rho.depth // 3)
+        min_tail = max(1, min(max(3, rho.depth // 3), rho.depth))
     best: tuple[int, str] | None = None
     for kind, name in (("zero", "natural-integer"), ("sigma0", "sigma0-tail"), ("sigma1", "sigma1-tail")):
         start = _pattern_start(rho, kind)

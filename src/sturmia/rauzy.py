@@ -51,6 +51,32 @@ class RauzyGraph:
     def common_word(self) -> str:
         return self.common_path[0] + "".join(v[-1] for v in self.common_path[1:])
 
+    def turns(self, source: AlphaNumber | int, cycle: str = "referent") -> int:
+        """Number of consecutive laps the shifted word makes around a cycle.
+
+        `source` is a digit window over this graph's slope or a plain
+        integer shift of the characteristic word.  Counting consumes one
+        cycle length per lap; running out of certified letters raises
+        rather than undercounts.
+        """
+        if cycle not in ("referent", "other"):
+            raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
+        if isinstance(source, AlphaNumber) and source.slope != self.slope:
+            raise ValueError("digit window and graph live over different slopes")
+        ring = self.referent_cycle if cycle == "referent" else self.other_cycle
+        k = len(ring)
+        bound = self.slope.quotient(self.level.n + 1) - self.level.l if cycle == "referent" else 1
+        length = (bound + 2) * k + 3 * (self.m + 1)
+        if isinstance(source, AlphaNumber):
+            word = sturmian_prefix(source, length)
+        else:
+            word = shifted_characteristic_prefix(self.slope, source, length)
+        turns = 0
+        while _turns_once(word, self, ring):
+            turns += 1
+            word = word[k:]
+        return turns
+
     def to_dot(self) -> str:
         lines = ["digraph rauzy {"]
         for v in self.vertices:
@@ -169,8 +195,8 @@ def count_turns(
     """Number of consecutive laps the shifted word makes around a cycle.
 
     `source` is either a digit window or a plain integer shift of the
-    characteristic word.  Counting consumes one cycle length per lap; runs
-    out of certified letters raise rather than undercount.
+    characteristic word.  Builds the graph of length-m factors and counts
+    on it with RauzyGraph.turns.
     """
     if isinstance(source, AlphaNumber):
         slope = source.slope
@@ -178,17 +204,4 @@ def count_turns(
         raise ValueError("integer shifts need an explicit slope")
     if cycle not in ("referent", "other"):
         raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
-    graph = build_graph(slope, m)
-    ring = graph.referent_cycle if cycle == "referent" else graph.other_cycle
-    k = len(ring)
-    bound = slope.quotient(graph.level.n + 1) - graph.level.l if cycle == "referent" else 1
-    length = (bound + 2) * k + 3 * (m + 1)
-    if isinstance(source, AlphaNumber):
-        word = sturmian_prefix(source, length)
-    else:
-        word = shifted_characteristic_prefix(slope, source, length)
-    turns = 0
-    while _turns_once(word, graph, ring):
-        turns += 1
-        word = word[k:]
-    return turns
+    return build_graph(slope, m).turns(source, cycle)

@@ -46,6 +46,78 @@ def repetition_direct(x_prefix: str, m: int) -> int:
     )
 
 
+def repetition_profile(word: str, m_max: int | None = None) -> list[int]:
+    """r(x, m) for every m the word certifies, entry m - 1 for window length m.
+
+    One online suffix automaton (Blumer et al. 1985): after letter e the
+    suffix link of the last state has length B[e], the longest suffix of
+    word[:e] that also ends earlier (Crochemore & Ilie 2008).  The window
+    ending at e repeats an earlier one exactly when B[e] >= m, so
+    r(x, m) = min{e : B[e] >= m} - m, read off one running maximum of B.
+    The list ends at the largest m whose window repeats within the word; an
+    m past it is what repetition_direct reports as PrefixTooShortError.
+    With m_max the scan stops as soon as every m <= m_max is certified:
+    the entries are the same, the list may just end earlier.
+
+    O(len(word)) time, but every state keeps a dict of transitions (about
+    290 bytes per letter), so single-m scans of long words use
+    repetition_direct.
+    """
+    length = [0]
+    link = [-1]
+    trans: list[dict[str, int]] = [{}]
+    last = 0
+    profile: list[int] = []
+    top = 0  # max B so far, the number of certified m
+    stop = len(word) if m_max is None else m_max
+    for e, letter in enumerate(word, start=1):
+        cur = len(length)
+        length.append(length[last] + 1)
+        trans.append({})
+        p = last
+        while p != -1 and letter not in trans[p]:
+            trans[p][letter] = cur
+            p = link[p]
+        if p == -1:
+            link.append(0)
+        else:
+            q = trans[p][letter]
+            if length[p] + 1 == length[q]:
+                link.append(q)
+            else:
+                # split q: the clone takes index cur + 1 in every row
+                clone = cur + 1
+                link.append(clone)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                trans.append(trans[q].copy())
+                while p != -1 and trans[p].get(letter) == q:
+                    trans[p][letter] = clone
+                    p = link[p]
+                link[q] = clone
+        last = cur
+        b = length[link[cur]]
+        if b > top:
+            # m = top + 1 .. b first repeat at the window ending here
+            profile.extend(range(e - top - 1, e - b - 1, -1))
+            top = b
+            if top >= stop:
+                break
+    return profile
+
+
+def profile_lookup(profile: list[int], m: int, letters: int) -> int:
+    """r(x, m) from the profile of a `letters`-long prefix.
+
+    Raises exactly what repetition_direct raises on that prefix.
+    """
+    if m < 1:
+        raise RangeError(f"window length must be >= 1, got {m}")
+    if m > len(profile):
+        raise PrefixTooShortError(f"no repeated length-{m} window within {letters} letters")
+    return profile[m - 1]
+
+
 def repetition_characteristic(slope: Slope, m: int) -> int:
     """r(c, m) for the characteristic word: q_n on [q_n - 1, q_{n+1} - 2]."""
     pos = interval_locate(m, slope)
@@ -157,6 +229,21 @@ def repetition_closed_form(rho: AlphaNumber, m: int) -> tuple[int, str]:
     raise CaseDispatchError(f"m={m} escaped every row at level {pos.n}")
 
 
+def repetition_closed_forms(rho: AlphaNumber, m_hi: int) -> list[tuple[int, str]]:
+    """[repetition_closed_form(rho, m) for m in 1..m_hi], one level at a time.
+
+    Each level's rows are built once and expanded over its m range; raises
+    the same exception, at the same m, as the per-m closed form.
+    """
+    out: list[tuple[int, str]] = []
+    while len(out) < m_hi:
+        m = len(out) + 1
+        pos = interval_locate(m, rho.slope, max_level=rho.depth)
+        for row in repetition_rows(rho, pos.n):
+            out += [(row.value, row.case)] * (min(row.m_hi, m_hi) - max(row.m_lo, m) + 1)
+    return out
+
+
 def repetition_level(rho_n1: int, slope: Slope, m: int) -> int:
     """4-branch value of r(T^j(c), m) for an integer shift j = rho_{n+1}.
 
@@ -188,10 +275,13 @@ class JumpReport:
 
 
 def repetition_jump_check(x_prefix: str, m_lo: int, m_hi: int) -> JumpReport:
-    """Verify the jump law on m in [m_lo, m_hi] by direct scanning."""
+    """Verify the jump law on m in [m_lo, m_hi] against one repetition profile."""
     if m_lo < 2:
         raise RangeError("jump law compares m with m-1; need m_lo >= 2")
-    values = {m: repetition_direct(x_prefix, m) for m in range(m_lo - 1, m_hi + 1)}
+    profile = repetition_profile(x_prefix, m_hi)
+    values = {
+        m: profile_lookup(profile, m, len(x_prefix)) for m in range(m_lo - 1, m_hi + 1)
+    }
     failures = tuple(
         m
         for m in range(m_lo, m_hi + 1)

@@ -68,3 +68,37 @@ def test_criterion_13_dio_estimate():
 
 def test_criterion_14_mechanical_oracle():
     _run(14)
+
+
+# The repetition and Rauzy criteria read each corpus through one profile,
+# one closed-form table and one graph; their detail lines show that no
+# corpus shrank.
+PINNED_LINES = {
+    4: "[PASS] criterion  4 repetition-intervals: 476 (m, n) pairs, n <= 8, "
+    "on 7 slopes (seeded caps q_9 <= 100)",
+    5: "[PASS] criterion  5 closed-form-oracle: 37052 pairs, no discrepancies, "
+    "cases seen ['1', '2', '3', '4', '5', '6', '7', '8'] on 7 slopes (caps q_8 <= 120)",
+    9: "[PASS] criterion  9 rauzy-structure: all m <= 150 on 5 slopes",
+}
+
+
+def test_repetition_and_rauzy_detail_lines_are_pinned():
+    for number, line in PINNED_LINES.items():
+        assert acceptance.run_check(number).line() == line
+
+
+def test_criterion_09_builds_each_graph_once(monkeypatch):
+    from sturmia import rauzy
+
+    build = rauzy.build_graph
+    calls = []
+
+    def counting(slope, m):
+        calls.append(m)
+        return build(slope, m)
+
+    # count_turns builds through the rauzy module's own name
+    monkeypatch.setattr(acceptance, "build_graph", counting)
+    monkeypatch.setattr(rauzy, "build_graph", counting)
+    assert acceptance.run_check(9).passed
+    assert len(calls) == 5 * 150

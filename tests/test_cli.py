@@ -684,3 +684,32 @@ def test_depth_env_var_is_validated(monkeypatch, capsys, value, err):
     # The flag takes precedence over the environment, and 2 is accepted.
     assert dispatch([*argv, "--depth", "2"]) == 0
     assert capsys.readouterr().out.startswith("digits=0,0\n")
+
+
+# Shallow zero windows: the class verdict and the complement's refusal agree
+# at the smallest accepted depth as they do at depth 3.
+SHALLOW_INTERCEPT_OUTPUT = [
+    (
+        ['intercept', '--slope', '[0;1*]', '--intercept', 'zero', '--depth', '2'],
+        'digits=0,0\n'
+        'support=[] residue=0\n'
+        'class=natural-integer witness=1\n'
+        'complement unavailable: natural-integer windows have no complement\n',
+    ),
+    (
+        ['intercept', '--slope', '[0;1*]', '--intercept', 'zero', '--depth', '3'],
+        'digits=0,0,0\n'
+        'support=[] residue=0\n'
+        'class=natural-integer witness=1\n'
+        'complement unavailable: natural-integer windows have no complement\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,out", SHALLOW_INTERCEPT_OUTPUT, ids=[" ".join(case[0]) for case in SHALLOW_INTERCEPT_OUTPUT]
+)
+def test_shallow_intercept_verdicts(monkeypatch, capsys, argv, out):
+    monkeypatch.delenv("STURMIA_DEPTH", raising=False)
+    assert dispatch(argv) == 0
+    assert capsys.readouterr() == (out, "")

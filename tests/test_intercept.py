@@ -480,3 +480,16 @@ def test_complement_report_matches_reference_deep(depth):
     for i in range(3, depth, 5):
         digits[i] = MIXED.quotient(i + 1) - 1
     assert_complement_matches_reference(AlphaNumber(tuple(digits), MIXED))
+
+
+def test_classify_shallow_windows_agree_with_complement():
+    # golden slope: sigma1 of depth 2 is (a_1 - 1, 0) = (0, 0), the zero window
+    for rho in (zero(GOLDEN, 2), sigma1(GOLDEN, 2), zero(GOLDEN, 3)):
+        report = classify(rho)
+        assert (report.verdict, report.witness) == ("natural-integer", 1)
+        with pytest.raises(UnsupportedInterceptError, match="natural-integer"):
+            complement(rho)
+    assert classify(sigma0(GOLDEN, 2)).verdict == "sigma0-tail"
+    assert classify(AlphaNumber((1, 2), parse_slope("[0;3*]"))).verdict == "non-zero"
+    # an explicit min_tail is still honoured at any depth
+    assert classify(zero(GOLDEN, 2), min_tail=3).verdict == "non-zero"

@@ -224,3 +224,22 @@ def test_dot_output_is_deterministic():
     for v in g.vertices:
         assert f'"{v}"' in dot
     assert dot.count("->") == len(g.edges)
+
+
+def test_turns_on_a_built_graph_match_count_turns():
+    for slope in (GOLDEN, ONE_THREE, MIXED):
+        for m in (1, 2, 5, 9, 17):
+            graph = build_graph(slope, m)
+            for shift in range(6):
+                for cycle in ("referent", "other"):
+                    assert graph.turns(shift, cycle) == count_turns(shift, m, slope, cycle)
+            rho = from_integer(3, slope, 12)
+            assert graph.turns(rho) == count_turns(rho, m)
+
+
+def test_graph_turns_guards():
+    graph = build_graph(GOLDEN, 3)
+    with pytest.raises(ValueError, match="cycle must be"):
+        graph.turns(0, cycle="central")
+    with pytest.raises(ValueError, match="different slopes"):
+        graph.turns(zero(MIXED, 12))

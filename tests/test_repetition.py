@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sturmia import repetition
-from sturmia.errors import DepthError, PrefixTooShortError, RangeError
+from sturmia.errors import DepthError, PrefixTooShortError, RangeError, SturmiaError
 from sturmia.intercept import AlphaNumber, from_integer, sturmian_prefix, zero
 from sturmia.ostrowski import all_digit_strings
 from sturmia.repetition import (
     dio_estimate,
+    profile_lookup,
     repetition_characteristic,
     repetition_closed_form,
+    repetition_closed_forms,
     repetition_direct,
     repetition_jump_check,
     repetition_level,
+    repetition_profile,
     repetition_rows,
 )
 from sturmia.slope import Slope, continuants, interval_locate, parse_slope
@@ -361,3 +364,131 @@ def test_dio_depth_guards():
         dio_estimate(zero(GOLDEN, 4))
     with pytest.raises(DepthError):
         dio_estimate(zero(GOLDEN, 10), depth=12)
+
+
+# ------------------------------------------------------------ all-m profile
+
+
+def direct_outcome(word: str, m: int):
+    try:
+        return repetition_direct(word, m)
+    except PrefixTooShortError as exc:
+        return ("PrefixTooShortError", str(exc))
+
+
+def lookup_outcome(profile: list[int], m: int, letters: int):
+    try:
+        return profile_lookup(profile, m, letters)
+    except PrefixTooShortError as exc:
+        return ("PrefixTooShortError", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(scan_words("01"), scan_words("012")), st.integers(0, 90))
+def test_profile_matches_direct_scan(word, m_max):
+    profile = repetition_profile(word)
+    for m in range(1, len(word) + 2):
+        assert lookup_outcome(profile, m, len(word)) == direct_outcome(word, m)
+    # stopping early keeps every entry and still certifies each m <= m_max
+    early = repetition_profile(word, m_max)
+    assert early == profile[: len(early)]
+    for m in range(1, m_max + 1):
+        assert lookup_outcome(early, m, len(word)) == direct_outcome(word, m)
+
+
+def test_profile_lookup_guards():
+    profile = repetition_profile("0101")
+    with pytest.raises(RangeError, match="window length must be >= 1, got 0"):
+        profile_lookup(profile, 0, 4)
+    assert repetition_profile("") == []
+
+
+def test_profile_reaches_far_on_a_long_prefix():
+    word = characteristic_prefix(MIXED, 5000)
+    profile = repetition_profile(word)
+    for m in (1, 10, 100, 1000, len(profile)):
+        assert profile[m - 1] == repetition_direct(word, m) == repetition_characteristic(MIXED, m)
+
+
+def closed_form_outcomes(rho: AlphaNumber, m_top: int):
+    """Per-m closed forms up to m_top, stopping at the first error."""
+    values = []
+    for m in range(1, m_top + 1):
+        try:
+            values.append(repetition_closed_form(rho, m))
+        except SturmiaError as exc:
+            return values, (type(exc), str(exc))
+    return values, None
+
+
+def test_closed_forms_table_matches_per_m_closed_form():
+    rng = random.Random(20260815)
+    raised = 0
+    for trial in range(80):
+        qs = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+        slope = Slope(qs, (0, len(qs)))
+        depth = rng.randint(3, 9)
+        digits = []
+        prev = 0
+        for i in range(1, depth + 1):
+            hi = slope.quotient(i) - 1 if i == 1 else slope.quotient(i)
+            b = rng.randint(0, hi)
+            if i >= 2 and b == slope.quotient(i) and prev != 0:
+                b -= 1
+            digits.append(b)
+            prev = b
+        rho = AlphaNumber(tuple(digits), slope)
+        # m_top reaches past what the window covers in most trials
+        m_top = min(slope.q(depth) + 5, 400)
+        values, error = closed_form_outcomes(rho, m_top)
+        if error is None:
+            assert repetition_closed_forms(rho, m_top) == values
+            continue
+        raised += 1
+        assert repetition_closed_forms(rho, len(values)) == values
+        for top in (len(values) + 1, m_top):
+            with pytest.raises(error[0]) as info:
+                repetition_closed_forms(rho, top)
+            assert str(info.value) == error[1]
+    assert raised > 20
+    assert repetition_closed_forms(zero(GOLDEN, 8), 0) == []
+
+
+def test_closed_forms_depth_error_message():
+    rho = zero(GOLDEN, 6)
+    big = continuants(GOLDEN, 7).q(7) - 2
+    values, error = closed_form_outcomes(rho, big)
+    assert error is not None and error[0] is DepthError
+    with pytest.raises(DepthError) as table:
+        repetition_closed_forms(rho, big)
+    assert str(table.value) == error[1]
+    assert repetition_closed_forms(rho, len(values)) == values
+
+
+def reference_jump_failures(word: str, m_lo: int, m_hi: int) -> tuple[int, ...]:
+    values = {m: repetition_direct(word, m) for m in range(m_lo - 1, m_hi + 1)}
+    return tuple(
+        m
+        for m in range(m_lo, m_hi + 1)
+        if (values[m] != values[m - 1]) != (values[m] == m + 1)
+    )
+
+
+def test_jump_check_matches_direct_scans():
+    rng = random.Random(11)
+    words = [characteristic_prefix(GOLDEN, 40), shifted_characteristic_prefix(MIXED, 5, 90)]
+    words += ["".join(rng.choice("012") for _ in range(60)) for _ in range(5)]
+    for word in words:
+        # the first m whose repeat the word does not certify
+        short = next(
+            m for m in range(1, len(word) + 2) if isinstance(direct_outcome(word, m), tuple)
+        )
+        if short > 2:
+            report = repetition_jump_check(word, 2, short - 1)
+            assert report.failures == reference_jump_failures(word, 2, short - 1)
+            assert report.holds == (report.failures == ())
+        with pytest.raises(PrefixTooShortError) as direct:
+            repetition_direct(word, short)
+        with pytest.raises(PrefixTooShortError) as jump:
+            repetition_jump_check(word, 2, short + 3)
+        assert str(jump.value) == str(direct.value)

@@ -48,6 +48,10 @@ from .slope import Slope, parse_slope
 from .torsion import b_factorize, torsion_search
 from .words import characteristic_prefix, standard_word
 
+# The largest --m-max of `sturmia repetition`: its table and rows take about
+# 0.33 KB per m, all built before anything prints.
+MAX_M_MAX = 10_000
+
 # Envelope contract for every json emission below.
 JSON_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -217,6 +221,8 @@ def cmd_rauzy(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
 def cmd_repetition(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     if args.m_max < 1:
         raise RangeError(f"--m-max must be >= 1, got {args.m_max}")
+    if args.m_max > MAX_M_MAX:
+        raise RangeError(f"--m-max must be at most {MAX_M_MAX}, got {args.m_max}")
     rho = parse_intercept(args.intercept, slope, config.depth)
     closed = repetition_closed_forms(rho, args.m_max)
     prefix = ""
@@ -443,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     repetition = sub.add_parser("repetition", help="repetition function table")
     _add_slope(repetition)
     _add_intercept(repetition, default="zero")
-    repetition.add_argument("--m-max", dest="m_max", type=int, default=20)
+    repetition.add_argument(
+        "--m-max", dest="m_max", type=int, default=20, help=f"largest m, at most {MAX_M_MAX}"
+    )
     repetition.add_argument(
         "--no-check",
         dest="check",

@@ -249,18 +249,24 @@ def _pattern_start(rho: AlphaNumber, kind: str) -> int:
     return start
 
 
+def _default_tail(depth: int) -> int:
+    """Digits of evidence a verdict needs by default: max(3, depth // 3),
+    capped at the depth so that a window of one or two digits can still
+    show its pattern."""
+    return max(1, min(max(3, depth // 3), depth))
+
+
 def classify(rho: AlphaNumber, min_tail: int | None = None) -> ClassReport:
     """Zero-class trichotomy on the window.
 
     An intercept is equivalent to zero exactly when its digits are eventually
     zero, eventually the sigma0 pattern (full even-subscript digits), or
     eventually the sigma1 pattern.  The verdict requires at least min_tail
-    digits of evidence (default max(3, depth // 3), capped at the depth so
-    that a window of one or two digits can still show its pattern),
-    otherwise "non-zero".
+    digits of evidence (default `_default_tail` of the depth), otherwise
+    "non-zero".
     """
     if min_tail is None:
-        min_tail = max(1, min(max(3, rho.depth // 3), rho.depth))
+        min_tail = _default_tail(rho.depth)
     best: tuple[int, str] | None = None
     for kind, name in (("zero", "natural-integer"), ("sigma0", "sigma0-tail"), ("sigma1", "sigma1-tail")):
         start = _pattern_start(rho, kind)
@@ -285,11 +291,13 @@ def equivalent(rho: AlphaNumber, gamma: AlphaNumber, min_tail: int | None = None
     Two non-zero-class intercepts are equivalent exactly when their digits
     agree from some level on; zero-class windows are all equivalent to the
     zero intercept.  The witness is the first agreeing 0-based digit index.
+    A shared tail of min_tail digits (by default as in `classify`, over the
+    shallower depth) settles equivalence.
     """
     if rho.slope != gamma.slope:
         raise ValueError("intercepts live over different slopes")
     depth = min(rho.depth, gamma.depth)
-    tail = max(3, depth // 3) if min_tail is None else min_tail
+    tail = _default_tail(depth) if min_tail is None else min_tail
     # a shared digit tail settles it in every class, so test that first
     agree_from = depth
     for i in range(depth - 1, -1, -1):

@@ -6,9 +6,10 @@ One vertex is left special (two incoming arrows), one is right special (two
 outgoing); the graph is the union of two cycles through the right special
 vertex whose lengths q_n and l q_n + q_{n-1} are coprime, overlapping in a
 common path that carries the longest central factor of length below the
-next interval breakpoint.  Identification of the referent cycle is by
-length; the successor-letter rule for the two special arrows cross-checks
-it.
+next interval breakpoint.  The graph is worked on window ids and the
+step table of `words.window_walk`: each cycle is found by the letter by
+which it leaves the right special vertex, and the cycle lengths cross-check
+it.  Vertex strings are looked up only for the public fields.
 """
 
 from __future__ import annotations
@@ -18,9 +19,13 @@ from math import gcd
 
 from .errors import PrefixTooShortError, RangeError
 from .intercept import AlphaNumber, sturmian_prefix
-from .repetition import repetition_direct
 from .slope import IntervalPosition, Slope, interval_locate
-from .words import characteristic_prefix, shifted_characteristic_prefix, window_walk
+from .words import (
+    MAX_STANDARD_LETTERS,
+    characteristic_prefix,
+    shifted_characteristic_prefix,
+    window_walk,
+)
 
 
 def _cycle_letter(level: int) -> str:
@@ -71,11 +76,7 @@ class RauzyGraph:
             word = sturmian_prefix(source, length)
         else:
             word = shifted_characteristic_prefix(self.slope, source, length)
-        turns = 0
-        while _turns_once(word, self, ring):
-            turns += 1
-            word = word[k:]
-        return turns
+        return _laps(word, self.m, ring)
 
     def to_dot(self) -> str:
         lines = ["digraph rauzy {"]
@@ -96,94 +97,92 @@ class RauzyGraph:
 
 
 def build_graph(slope: Slope, m: int) -> RauzyGraph:
-    """Graph of the length-m factors, built from a certified prefix."""
+    """Graph of the length-m factors, built from a certified prefix.
+
+    Raises RangeError, before the prefix is built, when the m + 1 vertex
+    strings or the prefix would hold more than MAX_STANDARD_LETTERS letters.
+    """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
     pos = interval_locate(m, slope)
     q_lo, q, q_hi = slope.q(pos.n - 1), slope.q(pos.n), slope.q(pos.n + 1)
-    word = characteristic_prefix(slope, m + q_hi + q + 2)
-
-    windows, step = window_walk(word, m)
+    length = m + q_hi + q + 2
+    letters = max(m * (m + 1), length)  # the vertex strings, or the prefix they are read from
+    if letters > MAX_STANDARD_LETTERS:
+        raise RangeError(
+            f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
+        )
+    windows, step = window_walk(characteristic_prefix(slope, length), m)
     if len(windows) != m + 1:
         raise AssertionError(f"{len(windows)} length-{m} factors, expected {m + 1}")
-    vertices = tuple(sorted(windows))
-    # each step is one length-(m+1) factor; its arrow reuses the vertex strings
-    edges = tuple(
-        sorted((windows[i], windows[j]) for i, row in enumerate(step) for j in row.values())
-    )
-    if len(edges) != m + 2:
-        raise AssertionError(f"{len(edges)} length-{m + 1} factors, expected {m + 2}")
+    # each step is one length-(m+1) factor: the arrow from window i to j
+    arrows = [(i, j) for i, row in enumerate(step) for j in row.values()]
+    if len(arrows) != m + 2:
+        raise AssertionError(f"{len(arrows)} length-{m + 1} factors, expected {m + 2}")
+    in_degree = [0] * len(windows)
+    for _, j in arrows:
+        in_degree[j] += 1
+    (left,) = [i for i, d in enumerate(in_degree) if d == 2]
+    (right,) = [i for i, row in enumerate(step) if len(row) == 2]
 
-    out: dict[str, list[str]] = {v: [] for v in vertices}
-    incoming: dict[str, list[str]] = {v: [] for v in vertices}
-    for s, t in edges:
-        out[s].append(t)
-        incoming[t].append(s)
-    (left,) = [v for v in vertices if len(incoming[v]) == 2]
-    (right,) = [v for v in vertices if len(out[v]) == 2]
+    def walk(vertex: int) -> list[int]:
+        """The path from `vertex` up to, not including, the right special vertex."""
+        path = []
+        while vertex != right:
+            path.append(vertex)
+            (vertex,) = step[vertex].values()
+        return path
 
-    cycles = []
-    for first in out[right]:
-        path = [right]
-        cur = first
-        while cur != right:
-            path.append(cur)
-            (cur,) = out[cur]
-        cycles.append(tuple(path))
-    by_len = {len(c): c for c in cycles}
-    if set(by_len) != {q, pos.l * q + q_lo}:
-        raise AssertionError(f"cycle lengths {sorted(by_len)}, expected {q} and {pos.l * q + q_lo}")
-    referent, other = by_len[q], by_len[pos.l * q + q_lo]
-    if gcd(len(referent), len(other)) != 1:
+    # each cycle leaves the right special vertex by its own letter
+    referent, other = ([right, *walk(step[right][_cycle_letter(n)])] for n in (pos.n - 1, pos.n))
+    lengths, expected = (len(referent), len(other)), (q, pos.l * q + q_lo)
+    if lengths != expected:
+        raise AssertionError(f"cycle lengths {lengths}, expected {expected}")
+    if gcd(*lengths) != 1:
         raise AssertionError("cycle lengths are not coprime")
-
-    def first_target(cycle: tuple[str, ...]) -> str:
-        return cycle[1] if len(cycle) > 1 else cycle[0]
-
-    if first_target(referent) != right[1:] + _cycle_letter(pos.n - 1):
-        raise AssertionError("referent cycle leaves the right special vertex by the wrong letter")
-    if first_target(other) != right[1:] + _cycle_letter(pos.n):
-        raise AssertionError("other cycle leaves the right special vertex by the wrong letter")
-
-    path = [left]
-    while path[-1] != right:
-        (nxt,) = out[path[-1]]
-        path.append(nxt)
+    path = [*walk(left), right]
     if len(path) != pos.r + 1:
         raise AssertionError(f"common path has {len(path)} vertices, expected {pos.r + 1}")
-
+    referent, other, path = (tuple(windows[i] for i in ids) for ids in (referent, other, path))
     return RauzyGraph(
         m=m,
         slope=slope,
         level=pos,
-        vertices=vertices,
-        edges=edges,
-        left_special=left,
-        right_special=right,
+        vertices=tuple(sorted(windows)),
+        # the arrows reuse the vertex string objects
+        edges=tuple(sorted((windows[i], windows[j]) for i, j in arrows)),
+        left_special=windows[left],
+        right_special=windows[right],
         referent_cycle=referent,
         other_cycle=other,
-        common_path=tuple(path),
+        common_path=path,
     )
 
 
-def trace(word_prefix: str, m: int) -> tuple[str, ...]:
-    """Vertex path visited by the sliding length-m window of the word."""
-    if len(word_prefix) < m:
-        raise PrefixTooShortError(
-            f"need at least {m} letters to form one window, got {len(word_prefix)}"
-        )
-    return tuple(word_prefix[i : i + m] for i in range(len(word_prefix) - m + 1))
+def _laps(word: str, m: int, ring: tuple[str, ...]) -> int:
+    """Whole laps the word's window path makes around the ring from its start.
 
-
-def _turns_once(word: str, graph: RauzyGraph, cycle: tuple[str, ...]) -> bool:
-    """Does the word turn around the cycle: repetition equals the cycle
-    length and the first lap follows exactly the cycle's arrows."""
-    k = len(cycle)
-    if repetition_direct(word, graph.m) != k:
-        return False
-    lap = trace(word[: k + graph.m], graph.m)
-    walked = {(lap[i], lap[i + 1]) for i in range(k)}
-    return walked == set(graph.cycle_edges(cycle))
+    From ring[p] the path follows the ring for one lap exactly when the next
+    k letters are the last letters of ring[p+1], ..., ring[p+k], back at
+    ring[p]; so laps are counted by comparing letters.  Raises
+    PrefixTooShortError when the word ends inside a lap that still agrees.
+    """
+    if len(word) < m:
+        raise PrefixTooShortError(f"need at least {m} letters to form one window, got {len(word)}")
+    try:
+        p = ring.index(word[:m])
+    except ValueError:
+        return 0
+    k = len(ring)
+    tails = "".join(v[-1] for v in ring)
+    lap = tails[p + 1 :] + tails[: p + 1]
+    laps = 0
+    while word.startswith(lap, m + laps * k):
+        laps += 1
+    start = m + laps * k
+    if len(word) - start < k and lap.startswith(word[start:]):
+        raise PrefixTooShortError(f"{len(word)} letters end inside lap {laps + 1} of a {k}-cycle")
+    return laps
 
 
 def count_turns(

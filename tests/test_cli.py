@@ -635,7 +635,9 @@ USAGE_ERRORS = [
     (['intercept', '--slope', '[0;1*]', '--intercept', 'nope'], "error: intercept spec 'nope' is not an integer, a b: digit list, or one of zero|sigma0|sigma1\n"),
     (['rauzy', '--slope', '[0;1*]', '--m', '0'], 'error: window length must be >= 1, got 0\n'),
     (['rauzy', '--slope', '[0;1', '--m', '3', '--format', 'dot'], "error: not a slope literal: '[0;1'\n"),
+    (['rauzy', '--slope', '[0;1*]', '--m', '10000'], 'error: window length 10000 needs 100010000 letters, more than 100000000\n'),
     (['repetition', '--slope', '[0;1*]', '--m-max', '0'], 'error: --m-max must be >= 1, got 0\n'),
+    (['repetition', '--slope', '[0;1000*]', '--intercept', 'zero', '--depth', '4', '--no-check', '--m-max', '100000'], 'error: --m-max must be at most 10000, got 100000\n'),
     (['factorize', '--word', '0201'], "error: --word expects a binary word, got '0201'\n"),
     (['factorize', '--len', '40'], 'error: --slope is required unless --word is given\n'),
     (['factorize', '--slope', '[0;1*]', '--intercept', 'sigma0'], 'error: sigma intercepts are excluded from complementation\n'),

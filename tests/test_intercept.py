@@ -27,7 +27,7 @@ from sturmia.intercept import (
     sturmian_prefix,
     zero,
 )
-from sturmia.ostrowski import encode
+from sturmia.ostrowski import all_digit_strings, encode
 from sturmia.slope import Slope, continuants, parse_slope
 from sturmia.words import characteristic_prefix, factor_set
 
@@ -308,6 +308,16 @@ def test_equivalent_reflexive_with_witness_zero():
     rho = AlphaNumber((0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0), GOLDEN)
     report = equivalent(rho, rho)
     assert report.equivalent and report.witness == 0
+
+
+@pytest.mark.parametrize("slope", SLOPES)
+def test_every_shallow_window_is_equivalent_to_itself(slope):
+    # the default tail is capped at the depth, as in classify
+    for depth in range(1, 5):
+        for digits in all_digit_strings(slope, depth):
+            rho = AlphaNumber(digits, slope)
+            report = equivalent(rho, rho)
+            assert report.equivalent and report.witness == 0, (digits, report)
 
 
 def test_equivalent_after_increment():

@@ -4,11 +4,19 @@ import tracemalloc
 
 import pytest
 
+from sturmia import rauzy
 from sturmia.errors import PrefixTooShortError, RangeError
 from sturmia.intercept import from_integer, zero
-from sturmia.rauzy import build_graph, count_turns, trace
+from sturmia.rauzy import _laps, build_graph, count_turns
+from sturmia.repetition import repetition_direct
 from sturmia.slope import continuants, interval_locate, parse_slope
-from sturmia.words import characteristic_prefix, is_palindrome, standard_word
+from sturmia.words import (
+    MAX_STANDARD_LETTERS,
+    characteristic_prefix,
+    is_palindrome,
+    shifted_characteristic_prefix,
+    standard_word,
+)
 
 GOLDEN = parse_slope("[0;1*]")
 TWO_ONE = parse_slope("[0;2,(1)*]")
@@ -92,16 +100,55 @@ def test_build_graph_rejects_zero():
         build_graph(GOLDEN, 0)
 
 
-def test_trace_examples():
-    assert trace("1011", 2) == ("10", "01", "11")
-    with pytest.raises(PrefixTooShortError):
-        trace("1", 2)
+def test_build_graph_letter_budget(monkeypatch):
+    def no_prefix(*args):
+        raise AssertionError("prefix built for a refused window length")
+
+    monkeypatch.setattr(rauzy, "characteristic_prefix", no_prefix)
+    # 10^4 + 1 vertex strings of 10^4 letters
+    with pytest.raises(RangeError, match="needs 100010000 letters"):
+        build_graph(GOLDEN, 10**4)
+    # a short window whose prefix runs through the level of a huge quotient
+    huge = parse_slope(f"[0;1,({MAX_STANDARD_LETTERS})*]")
+    with pytest.raises(RangeError, match="needs 100000009 letters"):
+        build_graph(huge, 5)
 
 
-def test_trace_revisits_start_after_repetition():
-    c = characteristic_prefix(GOLDEN, 10)
-    walk = trace(c, 2)
-    assert walk[0] == walk[3] == "10"
+def reference_structure(g):
+    """Special vertices, cycles and common path from string-keyed
+    adjacency dicts over the public vertices and edges, cycles told apart
+    by length."""
+    out = {v: [] for v in g.vertices}
+    incoming = {v: [] for v in g.vertices}
+    for s, t in g.edges:
+        out[s].append(t)
+        incoming[t].append(s)
+    (left,) = [v for v in g.vertices if len(incoming[v]) == 2]
+    (right,) = [v for v in g.vertices if len(out[v]) == 2]
+    cycles = []
+    for first in out[right]:
+        path, cur = [right], first
+        while cur != right:
+            path.append(cur)
+            (cur,) = out[cur]
+        cycles.append(tuple(path))
+    by_len = {len(c): c for c in cycles}
+    q = g.slope.q(g.level.n)
+    referent, other = by_len[q], by_len[g.level.l * q + g.slope.q(g.level.n - 1)]
+    path = [left]
+    while path[-1] != right:
+        (nxt,) = out[path[-1]]
+        path.append(nxt)
+    return left, right, referent, other, tuple(path)
+
+
+@pytest.mark.parametrize("slope", SLOPES)
+def test_cycles_and_common_path_match_string_adjacency(slope):
+    for m in range(1, 61):
+        g = build_graph(slope, m)
+        assert (
+            g.left_special, g.right_special, g.referent_cycle, g.other_cycle, g.common_path
+        ) == reference_structure(g)
 
 
 @pytest.mark.parametrize("slope", SLOPES)
@@ -199,6 +246,62 @@ def test_no_word_turns_twice_around_other_cycle():
         for m in (1, 2, 3, 5, 8, 12):
             for shift in range(0, 14):
                 assert count_turns(shift, m, slope, cycle="other") <= 1
+
+
+def reference_laps(word, g, ring):
+    """Laps counted by scanning: the word's first repetition equals the
+    cycle length and its first k + 1 windows walk exactly the cycle's
+    arrows; then drop one lap's letters and look again."""
+    k, m = len(ring), g.m
+    turns = 0
+    while repetition_direct(word, m) == k:
+        lap = [word[i : i + m] for i in range(k + 1)]
+        if {(lap[i], lap[i + 1]) for i in range(k)} != g.cycle_edges(ring):
+            break
+        turns += 1
+        word = word[k:]
+    return turns
+
+
+def outcome(count, *args):
+    try:
+        return count(*args)
+    except PrefixTooShortError:
+        return "short"
+
+
+@pytest.mark.parametrize("slope", [GOLDEN, ONE_THREE, MIXED, THREES])
+def test_laps_match_the_scanning_count(slope):
+    for m in (1, 2, 3, 5, 9, 14):
+        g = build_graph(slope, m)
+        referent_bound = slope.quotient(g.level.n + 1) - g.level.l
+        for ring, bound in ((g.referent_cycle, referent_bound), (g.other_cycle, 1)):
+            k = len(ring)
+            full = (bound + 2) * k + 3 * (m + 1)  # the length RauzyGraph.turns reads
+            for shift in range(8):
+                word = shifted_characteristic_prefix(slope, shift, full)
+                # at the full length both count, and agree
+                assert _laps(word, m, ring) == reference_laps(word, g, ring)
+                for cut in range(full):
+                    new = outcome(_laps, word[:cut], m, ring)
+                    old = outcome(reference_laps, word[:cut], g, ring)
+                    if old != "short":
+                        assert new == old, (slope.quotients, m, k, shift, cut)
+                    if new == "short":
+                        assert old == "short", (slope.quotients, m, k, shift, cut)
+
+
+def test_count_turns_memory_at_m_2000():
+    tracemalloc.start()
+    try:
+        turns = count_turns(0, 2000, GOLDEN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert turns == 1
+    # the graph's 2001 vertex strings take 4.1 MB; counting laps by letters
+    # adds no window slices on top of them
+    assert peak < 6 * 2**20
 
 
 def test_turns_via_alpha_number_window():

@@ -253,7 +253,7 @@ def cmd_factorize(args, slope: Slope | None, config: RunConfig) -> tuple[dict, i
             "blocks": list(fact.blocks),
             "complete": fact.complete,
             "leftover": fact.leftover,
-            "failure_at": fact.failure_at if not fact.complete else None,
+            "failure_at": fact.failure_at,
         }, 0
     if slope is None:
         raise SturmiaError("--slope is required unless --word is given")

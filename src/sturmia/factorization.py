@@ -13,7 +13,8 @@ its window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import chain, count
+from typing import Iterable
 
 from .errors import DepthError, RangeError, UnsupportedInterceptError
 from .intercept import (
@@ -25,32 +26,27 @@ from .intercept import (
     sigma1,
     sturmian_prefix,
 )
-from .ostrowski import encode
-from .slope import Slope, interval_locate
-from .words import characteristic_prefix, factor_set, standard_word
+from .slope import Slope
+from .words import characteristic_prefix, factor_set, language_length, standard_word
 
 
-def _blocks(slope: Slope, pairs: Iterable[tuple[int, int]]) -> Callable[[int], str]:
-    """Join reversal(s_level)^count blocks until a requested length."""
-
-    def materialize(length: int) -> str:
-        parts: list[str] = []
-        built = 0
-        for level, count in pairs:
-            if count < 0:
-                raise RangeError(f"negative exponent at level {level}")
-            if count == 0:
-                continue
-            block = standard_word(slope, level)[::-1] * count
-            parts.append(block)
-            built += len(block)
-            if built >= length:
-                break
-        if built < length:
-            raise DepthError(f"product materializes {built} letters, need {length}")
-        return "".join(parts)[:length]
-
-    return materialize
+def _blocks(slope: Slope, pairs: Iterable[tuple[int, int]], length: int) -> str:
+    """Join reversal(s_level)^power blocks until `length` letters, and cut there."""
+    parts: list[str] = []
+    built = 0
+    for level, power in pairs:
+        if power < 0:
+            raise RangeError(f"negative exponent at level {level}")
+        if power == 0:
+            continue
+        block = standard_word(slope, level)[::-1] * power
+        parts.append(block)
+        built += len(block)
+        if built >= length:
+            break
+    if built < length:
+        raise DepthError(f"product materializes {built} letters, need {length}")
+    return "".join(parts)[:length]
 
 
 def product_prefix(rho: AlphaNumber, length: int) -> str:
@@ -72,20 +68,15 @@ def product_prefix(rho: AlphaNumber, length: int) -> str:
             f"window materializes only {total} product letters, need {length}"
         )
     pairs = ((i, rho.digits[i]) for i in range(rho.depth))
-    return _blocks(rho.slope, pairs)(length)
+    return _blocks(rho.slope, pairs, length)
 
 
 def integer_product(k: int, slope: Slope) -> str:
     """The finite product named by the digits of a non-negative integer."""
     if k < 0:
         raise RangeError(f"expected a non-negative integer, got {k}")
-    if k == 0:
-        return ""
-    digits = encode(k, slope, slope.level(k)).digits
-    word = "".join(standard_word(slope, i)[::-1] * b for i, b in enumerate(digits))
-    if len(word) != k:
-        raise AssertionError("reversed block product has the wrong length")
-    return word
+    # the descending product s_N^b ... s_0^b read backwards
+    return characteristic_prefix(slope, k)[::-1]
 
 
 @dataclass(frozen=True)
@@ -147,8 +138,7 @@ def duality_check(rho: AlphaNumber, length: int) -> DualityReport:
     seam_len = min(length, 40)
     seam = sturmian_prefix(comp, seam_len)[::-1] + lhs[:seam_len]
     slope = rho.slope
-    n = interval_locate(window, slope).n
-    reference = characteristic_prefix(slope, window + slope.q(n + 1) + slope.q(n) + 2)
+    reference = characteristic_prefix(slope, language_length(slope, window))
     language = factor_set(reference, window)
     orbit_ok = all(
         seam[j : j + window] in language for j in range(len(seam) - window + 1)
@@ -176,40 +166,25 @@ def characteristic_factorizations(slope: Slope, length: int) -> CharacteristicFa
     The applicable pair depends only on whether the first two quotients
     exceed 1; each product is compared letter-by-letter to the prefix.
     """
-
-    def odd_levels(start: int):
-        i = start
-        while True:
-            yield 2 * i + 1, slope.quotient(2 * i + 2)
-            i += 1
-
-    def even_levels(start: int):
-        i = start
-        while True:
-            yield 2 * i, slope.quotient(2 * i + 1)
-            i += 1
-
-    def chain(head, tail):
-        yield from head
-        yield from tail
-
     a1 = slope.quotient(1)
     a2 = slope.quotient(2)
     # the two digit windows are one less than the two one-letter extensions
     # of the characteristic word; the odd-level window reads the same in
     # every case, the even-level one needs a level-1/level-2 head when the
     # first quotient is 1
-    second = chain([(0, a1 - 1), (1, a2 - 1)], odd_levels(1))
+    odd = ((2 * i + 1, slope.quotient(2 * i + 2)) for i in count(1))
+    second = chain([(0, a1 - 1), (1, a2 - 1)], odd)
     if a1 >= 2:
         case = "a1>=2"
-        first = chain([(0, a1 - 2)], even_levels(1))
+        head, start = [(0, a1 - 2)], 1
     else:
         case = "a1=1,a2>=2" if a2 >= 2 else "a1=1,a2=1"
-        first = chain([(1, a2), (2, slope.quotient(3) - 1)], even_levels(2))
+        head, start = [(1, a2), (2, slope.quotient(3) - 1)], 2
+    first = chain(head, ((2 * i, slope.quotient(2 * i + 1)) for i in count(start)))
 
     target = characteristic_prefix(slope, length)
-    first_word = _blocks(slope, first)(length)
-    second_word = _blocks(slope, second)(length)
+    first_word = _blocks(slope, first, length)
+    second_word = _blocks(slope, second, length)
     return CharacteristicFactorizations(
         case=case,
         first=first_word,

@@ -112,6 +112,11 @@ def next_support(rho: AlphaNumber, n: int) -> int:
     return min(candidates)
 
 
+def _certifying_letters(slope: Slope, d: int) -> int:
+    """Letters that certify depth d: q_{d+1} + q_d, increasing in d."""
+    return slope.q(d + 1) + slope.q(d)
+
+
 def intercept_from_prefix(prefix: str, slope: Slope, depth: int) -> AlphaNumber:
     """Recover the intercept digits of a sturmian word from a finite prefix.
 
@@ -122,7 +127,7 @@ def intercept_from_prefix(prefix: str, slope: Slope, depth: int) -> AlphaNumber:
     Raises NotSturmianError when no shift below q_n matches or when the
     residue tower is incompatible.
     """
-    need = slope.q(depth + 1) + slope.q(depth)
+    need = _certifying_letters(slope, depth)
     if len(prefix) < need:
         raise PrefixTooShortError(
             f"need {need} letters to certify depth {depth}, got {len(prefix)}"
@@ -192,16 +197,13 @@ def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
         return rho
     slope = rho.slope
     budget = max_certified_length(rho) - k
-
-    def need(d: int) -> int:
-        """Letters that certify depth d: q_{d+1} + q_d, increasing in d."""
-        return slope.q(d + 1) + slope.q(d)
-
-    # the deepest out_depth < depth whose need fits in the remaining letters
-    out_depth = bisect_right(range(1, rho.depth), budget, key=need)
+    # the deepest out_depth < depth whose letters fit in the remaining ones
+    out_depth = bisect_right(
+        range(1, rho.depth), budget, key=lambda d: _certifying_letters(slope, d)
+    )
     if out_depth < 1:
         raise DepthError(f"shift {k} leaves no certifiable level in a depth-{rho.depth} window")
-    word = sturmian_prefix(rho, k + need(out_depth))[k:]
+    word = sturmian_prefix(rho, k + _certifying_letters(slope, out_depth))[k:]
     return intercept_from_prefix(word, slope, out_depth)
 
 

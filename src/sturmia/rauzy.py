@@ -23,6 +23,7 @@ from .slope import IntervalPosition, Slope, interval_locate
 from .words import (
     MAX_STANDARD_LETTERS,
     characteristic_prefix,
+    language_length,
     shifted_characteristic_prefix,
     window_walk,
 )
@@ -105,8 +106,8 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
     pos = interval_locate(m, slope)
-    q_lo, q, q_hi = slope.q(pos.n - 1), slope.q(pos.n), slope.q(pos.n + 1)
-    length = m + q_hi + q + 2
+    q_lo, q = slope.q(pos.n - 1), slope.q(pos.n)
+    length = language_length(slope, m)
     letters = max(m * (m + 1), length)  # the vertex strings, or the prefix they are read from
     if letters > MAX_STANDARD_LETTERS:
         raise RangeError(

@@ -69,8 +69,18 @@ class Slope:
             raise DepthError(
                 f"a_{i} requested but only {len(self.quotients)} quotients are known"
             )
+        return self.quotients[self._position(i)]
+
+    def _position(self, i: int) -> int:
+        """Index of a_i (i >= 1) in `quotients`, folding the period.
+
+        The quotients from a_i on depend only on this index, so two levels
+        with the same index read the same quotients from there on.
+        """
+        if self.period is None or i <= len(self.quotients):
+            return i - 1
         start, length = self.period
-        return self.quotients[start + (i - 1 - start) % length]
+        return start + (i - 1 - start) % length
 
     def _grow(self, n: int) -> tuple[list[int], list[int], list[int]]:
         """The rows (q, p, a), extended through level n; DepthError past a

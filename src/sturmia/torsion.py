@@ -19,7 +19,7 @@ from .errors import DepthError, ParityError, RangeError
 from .intercept import AlphaNumber, complement, equivalent
 from .ostrowski import RelaxedCoefficients, encode, normalize
 from .slope import Slope
-from .words import characteristic_prefix, factor_set, is_palindrome
+from .words import characteristic_prefix, factor_set, is_palindrome, language_length
 
 
 # The block inventory as one pattern.  It is prefix-free, so the longest
@@ -315,30 +315,13 @@ def complement_family(M, slope: Slope, depth: int) -> ComplementFamilyReport:
 # ------------------------------------------------------------- mod-N machine
 
 
-def _mul(x, y, modulus: int):
-    return (
-        (
-            (x[0][0] * y[0][0] + x[0][1] * y[1][0]) % modulus,
-            (x[0][0] * y[0][1] + x[0][1] * y[1][1]) % modulus,
-        ),
-        (
-            (x[1][0] * y[0][0] + x[1][1] * y[1][0]) % modulus,
-            (x[1][0] * y[0][1] + x[1][1] * y[1][1]) % modulus,
-        ),
-    )
-
-
-def generator_matrix(a: int, modulus: int):
-    """The ladder step [[a, 1], [1, 0]] reduced mod the modulus."""
-    return ((a % modulus, 1), (1, 0))
-
-
 @dataclass(frozen=True)
 class AutomatonLog:
-    """Left-to-right products of quotient generators applied to (1, 0).
+    """The continuant pairs (q_n, p_n) reduced mod the modulus.
 
-    states[n] is the column after n letters; every state from n0 on is
-    one that keeps recurring, which is what the congruence search needs.
+    states[n] is the pair at level n, the first column of the ladder matrix
+    [[q_n, q_{n-1}], [p_n, p_{n-1}]]; every state from n0 on is one that
+    keeps recurring, which is what the congruence search needs.
     """
 
     modulus: int
@@ -349,41 +332,39 @@ class AutomatonLog:
     period: int
 
 
-def _phase(slope: Slope, i: int) -> int:
-    """Position of letter i in the stored quotients, folding the period."""
-    if slope.period is None:
-        return i
-    start, length = slope.period
-    if i <= start:
-        return i
-    return start + (i - 1 - start) % length
+# The most levels the default rank of `torsion_search` may walk: its walk of
+# max(80, 8 N^2) levels stays within this up to N = 64.
+MAX_RANK_WALK = 2**15
 
 
-def _matrix_walk(slope: Slope, modulus: int, depth: int):
-    mats = [((1, 0), (0, 1))]
-    states = [(1, 0)]
-    for n in range(depth):
-        step = generator_matrix(slope.quotient(n + 1), modulus)
-        mats.append(_mul(mats[-1], step, modulus))
-        states.append((mats[-1][0][0], mats[-1][1][0]))
-    return states, mats
+def _walk(slope: Slope, modulus: int, depth: int) -> list[tuple[int, int]]:
+    """(q_n, p_n) mod the modulus for -1 <= n <= depth; level n is entry n + 1."""
+    walk = [(0, 1), (1, 0)]
+    for n in range(1, depth + 1):
+        a = slope.quotient(n)
+        (q0, p0), (q1, p1) = walk[-2], walk[-1]
+        walk.append(((a * q1 + q0) % modulus, (a * p1 + p0) % modulus))
+    return walk
 
 
 def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
-    """Walk the matrix product along the quotient word and log the states.
+    """Walk the continuant pairs mod the modulus and log the states.
 
-    The pair (matrix, quotient phase) is Markov, so its first repeat closes
-    the cycle; states seen inside the cycle are exactly the recurring ones.
+    Two consecutive states carry the ladder matrix, and with the position
+    of the next quotient they fix every later state, so the first repeat
+    of (state_n, state_{n-1}, position of a_{n+1}) closes the cycle; states
+    seen inside the cycle are exactly the recurring ones.
     """
     if modulus < 2:
         raise RangeError(f"modulus must be >= 2, got {modulus}")
     if depth < 1:
         raise RangeError(f"depth must be >= 1, got {depth}")
-    states, mats = _matrix_walk(slope, modulus, depth)
+    walk = _walk(slope, modulus, depth)
+    states = walk[1:]
     seen: dict = {}
     cycle = None
     for n in range(depth + 1):
-        key = (mats[n], _phase(slope, n + 1))
+        key = (walk[n + 1], walk[n], slope._position(n + 1))
         if key in seen:
             cycle = (seen[key], n)
             break
@@ -391,7 +372,7 @@ def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
     if cycle is None:
         raise DepthError("window too shallow to close the state cycle")
     first, again = cycle
-    recurring = frozenset(states[n] for n in range(first, again))
+    recurring = frozenset(states[first:again])
     n0 = first
     while n0 > 0 and states[n0 - 1] in recurring:
         n0 -= 1
@@ -423,17 +404,25 @@ def torsion_search(
     """Smallest k <= k_max with modulus | q_{n+k} - q_n, digits inside ]n, n+k[.
 
     When n is omitted, the first rank from which only recurring automaton
-    states appear is used.  The state walk guides; exact integer division
-    and digit encoding certify.  A miss is a window verdict, not a proof.
+    states appear is used; finding it walks max(80, 8 N^2) levels, and a
+    walk longer than MAX_RANK_WALK raises RangeError before it starts.
+    The state walk guides; exact integer division and digit encoding
+    certify.  A miss is a window verdict, not a proof.
     """
     if k_max < 2:
         raise RangeError(f"k_max must be >= 2, got {k_max}")
     if n is None:
-        n = automaton_states(slope, modulus, max(80, 8 * modulus * modulus)).n0
+        depth = max(80, 8 * modulus * modulus)
+        if depth > MAX_RANK_WALK:
+            raise RangeError(
+                f"the default rank mod {modulus} walks {depth} levels,"
+                f" more than {MAX_RANK_WALK}; give n"
+            )
+        n = automaton_states(slope, modulus, depth).n0
     if n < 0:
         raise RangeError(f"n must be >= 0, got {n}")
     top = n + k_max + 2
-    states, _ = _matrix_walk(slope, modulus, top)
+    states = _walk(slope, modulus, top)[1:]
     for k in range(2, k_max + 1):
         difference = slope.q(n + k) - slope.q(n)
         if difference % modulus:
@@ -472,17 +461,14 @@ def palindromic_center_word(slope: Slope, half_length: int) -> str:
     if half_length < 1:
         raise RangeError(f"half_length must be >= 1, got {half_length}")
     checkpoints = sorted({max(1, half_length // 4), half_length // 2, half_length})
-    length = 4 * half_length + 8
     word = ""
     for half in checkpoints:
         if half < 1:
             continue
-        while True:
-            prefix = characteristic_prefix(slope, length)
-            factors = factor_set(prefix, 2 * half)
-            if len(factors) >= 2 * half + 1:
-                break
-            length *= 2
+        prefix = characteristic_prefix(slope, language_length(slope, 2 * half))
+        factors = factor_set(prefix, 2 * half)
+        if len(factors) != 2 * half + 1:
+            raise AssertionError(f"{len(factors)} length-{2 * half} factors, expected {2 * half + 1}")
         palindromes = [f for f in factors if is_palindrome(f)]
         if len(palindromes) != 1:
             raise AssertionError("even lengths carry a single palindrome")

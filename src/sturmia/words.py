@@ -18,7 +18,7 @@ from .errors import (
     UndeterminedError,
 )
 from .ostrowski import encode
-from .slope import Slope
+from .slope import Slope, interval_locate
 
 
 # The longest standard word built.  q_n >= F_{n+1} on every slope, so from
@@ -73,6 +73,15 @@ def characteristic_prefix(slope: Slope, m: int) -> str:
     if len(word) != m:
         raise AssertionError("digit block product has the wrong length")
     return word
+
+
+def language_length(slope: Slope, m: int) -> int:
+    """Letters of the characteristic word that show every length-m factor.
+
+    For m >= 1 in [q_n - 1, q_{n+1} - 2] this is m + q_{n+1} + q_n + 2.
+    """
+    n = interval_locate(m, slope).n
+    return m + slope.q(n + 1) + slope.q(n) + 2
 
 
 def shifted_characteristic_prefix(slope: Slope, k: int, m: int) -> str:

@@ -642,6 +642,7 @@ USAGE_ERRORS = [
     (['factorize', '--len', '40'], 'error: --slope is required unless --word is given\n'),
     (['factorize', '--slope', '[0;1*]', '--intercept', 'sigma0'], 'error: sigma intercepts are excluded from complementation\n'),
     (['torsion', '--slope', '[0;1*]', '-N', '1'], 'error: modulus must be >= 2, got 1\n'),
+    (['torsion', '--slope', '[0;1*]', '-N', '65'], 'error: the default rank mod 65 walks 33800 levels, more than 32768; give n\n'),
     (['verify', '--only', '99'], 'error: criteria are numbered 1..14, got 99\n'),
     (['verify', '--depth', '-1', '--only', '8', '--format', 'json'], 'error: --depth must be at least 2, got -1\n'),
     (['intercept', '--slope', '[0;1*]', '--intercept', 'zero', '--depth', '1'], 'error: --depth must be at least 2, got 1\n'),

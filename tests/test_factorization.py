@@ -20,6 +20,7 @@ from sturmia.intercept import (
     sigma0,
     sigma1,
 )
+from sturmia.ostrowski import encode
 from sturmia.slope import continuants, parse_slope
 from sturmia.words import characteristic_prefix, complexity, factor_set, standard_word
 
@@ -91,6 +92,18 @@ def test_integer_product_lengths_and_zero():
     assert integer_product(0, GOLDEN) == ""
     for k in (1, 2, 7, 20):
         assert len(integer_product(k, GOLDEN)) == k
+
+
+def digit_block_product(k, slope):
+    """Reference: reversal(s_i)^{b_{i+1}} over the Ostrowski digits of k, ascending."""
+    digits = encode(k, slope, slope.level(k)).digits if k else ()
+    return "".join(standard_word(slope, i)[::-1] * b for i, b in enumerate(digits))
+
+
+@pytest.mark.parametrize("slope", [GOLDEN, TWO_ONE, MIXED, TWO_THREE, ONE_THREE])
+def test_integer_product_matches_digit_blocks(slope):
+    for k in range(3000):
+        assert integer_product(k, slope) == digit_block_product(k, slope), k
 
 
 # -------------------------------------------------------------- central split

@@ -1,5 +1,6 @@
 """Slope parsing, continuants, convergents and the interval partition."""
 
+import itertools
 import sys
 import threading
 from fractions import Fraction
@@ -69,6 +70,19 @@ def test_quotient_indexing_and_period():
     assert finite.quotient(2) == 4
     with pytest.raises(DepthError):
         finite.quotient(3)
+
+
+@pytest.mark.parametrize("text", ["[0;1*]", "[0;3,(2,3,4)*]", "[0;1,1,2,(3,1)*]", "[0;5,4]"])
+def test_position_folds_the_period(text):
+    slope = parse_slope(text)
+    depth = slope.known_depth or 40
+    positions = [slope._position(i) for i in range(1, depth + 1)]
+    assert positions[: len(slope.quotients)] == list(range(len(slope.quotients)))
+    assert [slope.quotients[p] for p in positions] == [slope.quotient(i) for i in range(1, depth + 1)]
+    # equal positions read equal quotients from there on
+    for i, j in itertools.combinations(range(1, depth - 8), 2):
+        if positions[i - 1] == positions[j - 1]:
+            assert [slope.quotient(i + t) for t in range(8)] == [slope.quotient(j + t) for t in range(8)]
 
 
 def test_parse_and_str_roundtrip():

@@ -1,6 +1,7 @@
 """Block factorizations of parity words and continuant congruences."""
 
 import itertools
+import random
 import re
 from dataclasses import dataclass
 
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from sturmia.errors import DepthError, ParityError, RangeError
 from sturmia.intercept import AlphaNumber, complement, equivalent, intercept_from_prefix
 from sturmia.ostrowski import decode
-from sturmia.slope import continuants, parse_slope
+from sturmia.slope import Slope, continuants, parse_slope
 from sturmia.torsion import (
     B_BLOCKS,
+    MAX_RANK_WALK,
     automaton_states,
     b_factorize,
     complement_family,
@@ -24,12 +26,13 @@ from sturmia.torsion import (
     suffix_classes,
     torsion_search,
 )
-from sturmia.words import characteristic_prefix
+from sturmia.words import characteristic_prefix, factor_set
 
 GOLDEN = parse_slope("[0;1*]")
 ONE_TWO = parse_slope("[0;(1,2)*]")
 TWO_TWO = parse_slope("[0;2*]")
 MIXED = parse_slope("[0;2,1,3,(2,1)*]")
+HEADED = parse_slope("[0;3,(2,3,4)*]")
 
 
 def all_words(max_len: int):
@@ -308,6 +311,54 @@ def test_automaton_state_bounds(slope, modulus):
         assert state[0] == table.q(n) % modulus
 
 
+def matrix_walk_states(slope, modulus, depth):
+    """Reference: first columns of the products [[a_1, 1], [1, 0]] ... [[a_n, 1], [1, 0]] mod N."""
+    mat = ((1, 0), (0, 1))
+    states = [(1, 0)]
+    for n in range(1, depth + 1):
+        a = slope.quotient(n) % modulus
+        (x, y), (z, w) = mat
+        mat = ((x * a + y) % modulus, x % modulus), ((z * a + w) % modulus, z % modulus)
+        states.append((mat[0][0], mat[1][0]))
+    return states
+
+
+def headed_slopes(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        head = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        period = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        yield Slope(tuple(head + period), (len(head), len(period)))
+
+
+@pytest.mark.parametrize("slope", [GOLDEN, TWO_TWO, ONE_TWO, MIXED, HEADED, *headed_slopes(6, 5)])
+@pytest.mark.parametrize("modulus", [2, 3, 5, 7])
+def test_automaton_states_match_matrix_walk(slope, modulus):
+    log = automaton_states(slope, modulus, 150)
+    assert list(log.states) == matrix_walk_states(slope, modulus, 150)
+
+
+def assert_cycle_repeats(slope, log):
+    """From the preperiod on, states and quotients read repeat with the period."""
+    first, period = log.preperiod, log.period
+    for n in range(first, len(log.states) - period):
+        assert log.states[n] == log.states[n + period], (str(slope), log.modulus, n)
+        assert slope.quotient(n + 1) == slope.quotient(n + 1 + period), (str(slope), n)
+    assert log.recurring == set(log.states[first : first + period])
+
+
+def test_automaton_cycle_after_a_head():
+    log = automaton_states(HEADED, 3, 60)
+    assert (log.preperiod, log.period) == (1, 6)
+    assert_cycle_repeats(HEADED, log)
+
+
+def test_automaton_cycles_repeat_on_headed_slopes():
+    for slope in headed_slopes(600, 11):
+        for modulus in (2, 3, 4):
+            assert_cycle_repeats(slope, automaton_states(slope, modulus, 200))
+
+
 @pytest.mark.parametrize(
     "modulus,k,support",
     [(2, 3, {5}), (4, 6, {7}), (3, 8, {7, 9}), (5, 20, {7, 10, 13, 15, 17, 20})],
@@ -349,6 +400,10 @@ def test_torsion_search_not_found():
 def test_torsion_search_guards():
     with pytest.raises(RangeError):
         torsion_search(GOLDEN, 1)
+    with pytest.raises(RangeError, match=f"walks 33800 levels, more than {MAX_RANK_WALK}"):
+        torsion_search(GOLDEN, 65)
+    # an explicit rank needs no walk to find it
+    assert torsion_search(GOLDEN, 65, n=4).n == 4
     with pytest.raises(RangeError):
         torsion_search(GOLDEN, 2, k_max=1)
     with pytest.raises(RangeError):
@@ -371,6 +426,26 @@ def test_palindromic_halves_land_in_one_class(slope, half, depth, class_depth):
         equivalent(rho, cls).equivalent for cls in self_complementary(slope, class_depth)
     ]
     assert verdicts.count(True) == 1
+
+
+def doubling_center_word(slope, half_length):
+    """Reference: double the prefix until it shows all 2h + 1 factors of length 2h."""
+    word = ""
+    length = 4 * half_length + 8
+    for half in sorted({max(1, half_length // 4), half_length // 2, half_length}):
+        if half < 1:
+            continue
+        while len(factors := factor_set(characteristic_prefix(slope, length), 2 * half)) < 2 * half + 1:
+            length *= 2
+        (palindrome,) = [f for f in factors if f == f[::-1]]
+        word = palindrome[half:]
+    return word
+
+
+@pytest.mark.parametrize("slope", [GOLDEN, TWO_TWO, MIXED, HEADED])
+def test_palindromic_center_word_matches_doubling_search(slope):
+    for half in (1, 2, 3, 7, 30, 101):
+        assert palindromic_center_word(slope, half) == doubling_center_word(slope, half)
 
 
 def test_palindromic_center_word_nests():

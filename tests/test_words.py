@@ -18,6 +18,7 @@ from sturmia.words import (
     factor_set,
     fractional_power,
     is_palindrome,
+    language_length,
     mechanical_prefix,
     shifted_characteristic_prefix,
     special_factor,
@@ -126,6 +127,18 @@ def test_factor_set_and_complexity():
     assert complexity("1011", 4) == 1
     with pytest.raises(RangeError):
         factor_set("1011", 5)
+
+
+@pytest.mark.parametrize("text", ["[0;1*]", "[0;2,(1)*]", "[0;3,(2,3,4)*]", "[0;1,4,(1,2)*]", "[0;7*]"])
+def test_language_length_shows_every_factor(text):
+    slope = parse_slope(text)
+    for m in range(1, 120):
+        length = language_length(slope, m)
+        factors = factor_set(characteristic_prefix(slope, length), m)
+        assert len(factors) == m + 1, (text, m)
+        assert factors == factor_set(characteristic_prefix(slope, 4 * length), m)
+    with pytest.raises(RangeError):
+        language_length(slope, 0)
 
 
 def test_sturmian_complexity_is_n_plus_1():

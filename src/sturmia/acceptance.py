@@ -38,7 +38,7 @@ from .repetition import (
     repetition_rows,
 )
 from .slope import Slope, convergent_value, interval_locate, parse_slope
-from .torsion import B_BLOCKS, b_factorize, even_family, self_complementary, torsion_search
+from .torsion import b_factorize, even_family, self_complementary, torsion_search
 from .words import characteristic_prefix, complexity, mechanical_prefix, standard_word
 
 SEED = 20260814
@@ -396,6 +396,9 @@ def check_12_b_factorization() -> CheckResult:
     inventory = ["00", "01"] + [
         "1" + "0" * k + "1" + x for k in range(16) for x in "01"
     ]
+    # the parse-count oracle reads this explicit list, not the block pattern
+    # b_factorize runs; it holds every block of up to 18 letters
+    blocks = frozenset(inventory)
     for a in inventory:
         for b in inventory:
             if a != b and b.startswith(a):
@@ -415,7 +418,7 @@ def check_12_b_factorization() -> CheckResult:
             ways[0] = 1
             for j in range(1, len(u) + 1):
                 for i in range(j):
-                    if ways[i] and u[i:j] in B_BLOCKS:
+                    if ways[i] and u[i:j] in blocks:
                         ways[j] += ways[i]
             if ways[-1] > 1 or (ways[-1] == 1) != b_factorize(u).complete:
                 return CheckResult(12, "b-factorization", False, f"uniqueness at {u!r}")

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count, islice
+from typing import Iterator
 
 from .errors import DepthError, ParityError, RangeError
 from .intercept import AlphaNumber, complement, equivalent
@@ -337,14 +339,13 @@ class AutomatonLog:
 MAX_RANK_WALK = 2**15
 
 
-def _walk(slope: Slope, modulus: int, depth: int) -> list[tuple[int, int]]:
-    """(q_n, p_n) mod the modulus for -1 <= n <= depth; level n is entry n + 1."""
-    walk = [(0, 1), (1, 0)]
-    for n in range(1, depth + 1):
+def _walk(slope: Slope, modulus: int) -> Iterator[tuple[int, int]]:
+    """(q_n, p_n) mod the modulus for n = 0, 1, 2, ..."""
+    (q0, p0), (q1, p1) = (0, 1), (1, 0)
+    for n in count(1):
+        yield q1, p1
         a = slope.quotient(n)
-        (q0, p0), (q1, p1) = walk[-2], walk[-1]
-        walk.append(((a * q1 + q0) % modulus, (a * p1 + p0) % modulus))
-    return walk
+        q0, p0, q1, p1 = q1, p1, (a * q1 + q0) % modulus, (a * p1 + p0) % modulus
 
 
 def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
@@ -353,26 +354,29 @@ def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
     Two consecutive states carry the ladder matrix, and with the position
     of the next quotient they fix every later state, so the first repeat
     of (state_n, state_{n-1}, position of a_{n+1}) closes the cycle; states
-    seen inside the cycle are exactly the recurring ones.
+    seen inside the cycle are exactly the recurring ones.  The walk stops
+    there and the states after it, through `depth`, repeat the cycle.
     """
     if modulus < 2:
         raise RangeError(f"modulus must be >= 2, got {modulus}")
     if depth < 1:
         raise RangeError(f"depth must be >= 1, got {depth}")
-    walk = _walk(slope, modulus, depth)
-    states = walk[1:]
+    states: list[tuple[int, int]] = []
+    previous = (0, 1)
     seen: dict = {}
-    cycle = None
-    for n in range(depth + 1):
-        key = (walk[n + 1], walk[n], slope._position(n + 1))
+    for n, state in zip(range(depth + 1), _walk(slope, modulus)):
+        key = (state, previous, slope._position(n + 1))
         if key in seen:
-            cycle = (seen[key], n)
+            first, period = seen[key], n - seen[key]
             break
         seen[key] = n
-    if cycle is None:
+        states.append(state)
+        previous = state
+    else:
         raise DepthError("window too shallow to close the state cycle")
-    first, again = cycle
-    recurring = frozenset(states[first:again])
+    for n in range(len(states), depth + 1):
+        states.append(states[n - period])
+    recurring = frozenset(states[first : first + period])
     n0 = first
     while n0 > 0 and states[n0 - 1] in recurring:
         n0 -= 1
@@ -382,7 +386,7 @@ def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
         recurring=recurring,
         n0=n0,
         preperiod=first,
-        period=again - first,
+        period=period,
     )
 
 
@@ -404,13 +408,17 @@ def torsion_search(
     """Smallest k <= k_max with modulus | q_{n+k} - q_n, digits inside ]n, n+k[.
 
     When n is omitted, the first rank from which only recurring automaton
-    states appear is used; finding it walks max(80, 8 N^2) levels, and a
-    walk longer than MAX_RANK_WALK raises RangeError before it starts.
+    states appear is used; finding it logs max(80, 8 N^2) levels (walking
+    only until the state cycle closes), and a log longer than MAX_RANK_WALK
+    raises RangeError before the walk starts.  A modulus below 2 raises
+    RangeError before anything is walked.
     The state walk guides; exact integer division and digit encoding
     certify.  A miss is a window verdict, not a proof.
     """
     if k_max < 2:
         raise RangeError(f"k_max must be >= 2, got {k_max}")
+    if modulus < 2:
+        raise RangeError(f"modulus must be >= 2, got {modulus}")
     if n is None:
         depth = max(80, 8 * modulus * modulus)
         if depth > MAX_RANK_WALK:
@@ -422,7 +430,7 @@ def torsion_search(
     if n < 0:
         raise RangeError(f"n must be >= 0, got {n}")
     top = n + k_max + 2
-    states = _walk(slope, modulus, top)[1:]
+    states = list(islice(_walk(slope, modulus), top + 1))
     for k in range(2, k_max + 1):
         difference = slope.q(n + k) - slope.q(n)
         if difference % modulus:

@@ -110,6 +110,31 @@ def mechanical_prefix(alpha: Fraction, rho: Fraction, n: int, kind: str = "lower
     return "".join(str(step(k)) for k in range(n))
 
 
+# The fewest letters a jump of `window_walk` skips: a try searches for the
+# window and the next _MIN_JUMP letters, which must occur earlier for the
+# jump to repay that search and the slicing and lookup it costs.
+_MIN_JUMP = 64
+
+
+def _extension(word: str, a: int, b: int, agree: int) -> int:
+    """Letters on which word[a:] and word[b:] agree, for a < b, given that
+    they agree on the first `agree` >= 1.
+
+    Compares chunks that double and then halve with str.startswith, so an
+    agreement of l letters costs O(log l) calls over O(l) letters.  A chunk
+    the end of the word cuts short never matches, because b > a.
+    """
+    size = agree
+    while word.startswith(word[a + agree : a + agree + size], b + agree):
+        agree += size
+        size *= 2
+    while size > 1:
+        size //= 2
+        if word.startswith(word[a + agree : a + agree + size], b + agree):
+            agree += size
+    return agree
+
+
 def window_walk(word: str, n: int) -> tuple[list[str], list[dict[str, int]]]:
     """Distinct length-n windows of the word and the steps between them.
 
@@ -118,30 +143,65 @@ def window_walk(word: str, n: int) -> tuple[list[str], list[dict[str, int]]]:
     the letter c shifts to window j; each entry is one distinct length-(n+1)
     factor `windows[i] + c`.  The window after window i depends only on it
     and the next letter, so a (window, letter) pair is sliced and hashed
-    once, the first time it is seen, and looked up after that: the cost is
-    O(L + p(n)·σ·n) for p(n) distinct windows over σ letters instead of
-    O(L·n) (the window automaton of Blumer et al., TCS 40, 1985, at one
-    length).  Ids stand for real strings, so the result is exact.
+    once, the first time it is seen, and looked up after that (the window
+    automaton of Blumer et al., TCS 40, 1985, at one length).
+
+    Repeated stretches are skipped instead of stepped through.  When the
+    window at position t also occurs at s < t and word[s+n:] and word[t+n:]
+    agree on l letters, the windows at t+1 .. t+l are those at s+1 .. s+l,
+    and each step among them repeats the step at s + i, which is recorded
+    already: either s + i < t, or it repeats the step at s + i - (t - s) in
+    turn (the self-reference of Ziv and Lempel's 1977 factoring).  So the
+    walk moves to t + l at once and finds the window there by its string,
+    and `windows` and `step` come out as a letter by letter walk makes
+    them, in the same order.  A try takes for s the first occurrence of the
+    window and the next _MIN_JUMP letters, so every try that finds one
+    jumps.  Tries come after stretches of steps that found no new window:
+    the first stretch is _MIN_JUMP steps, a jump resets it to one step and
+    a try that finds nothing doubles it, so a run of misses costs O(log L)
+    tries.  As without jumps, a stepped letter costs one dict lookup and
+    each of the p(n)·σ distinct (window, letter) pairs one slice of n
+    letters; a try adds a search of the prefix before it, and a jump over
+    l letters O(log l) C comparisons of O(l) letters in all.  Ids stand for
+    real strings, so the result is exact.
     """
     if n < 0 or n > len(word):
         raise RangeError(f"factor length {n} outside [0, {len(word)}]")
+    length = len(word)
     windows = [word[:n]]
     ids = {windows[0]: 0}
     step: list[dict[str, int]] = [{}]
     cur = 0
-    for c in word[n:]:
-        row = step[cur]
-        nxt = row.get(c)
-        if nxt is None:
-            shifted = (windows[cur] + c)[1:]
-            nxt = ids.get(shifted)
+    at = n  # the next letter to read; the current window ends before it
+    stretch = _MIN_JUMP
+    while True:
+        known = len(windows)
+        for c in word[at : at + stretch]:
+            row = step[cur]
+            nxt = row.get(c)
             if nxt is None:
-                nxt = ids[shifted] = len(windows)
-                windows.append(shifted)
-                step.append({})
-            row[c] = nxt
-        cur = nxt
-    return windows, step
+                shifted = (windows[cur] + c)[1:]
+                nxt = ids.get(shifted)
+                if nxt is None:
+                    nxt = ids[shifted] = len(windows)
+                    windows.append(shifted)
+                    step.append({})
+                row[c] = nxt
+            cur = nxt
+        at += stretch
+        if at >= length:
+            return windows, step
+        if len(windows) == known and at + _MIN_JUMP <= length:
+            # the first occurrence of the window and all _MIN_JUMP next
+            # letters; as it ends before `ahead`, it starts before the window
+            ahead = at + _MIN_JUMP
+            source = word.find(word[at - n : ahead], 0, ahead - 1)
+            if source >= 0:
+                at += _extension(word, source + n, at, _MIN_JUMP)
+                cur = ids[word[at - n : at]]
+                stretch = 1
+                continue
+        stretch *= 2
 
 
 def factor_set(word: str, n: int) -> frozenset[str]:

@@ -15,12 +15,14 @@ from sturmia.words import standard_word
 GOLDEN = parse_slope("[0;1*]")
 
 
-def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(
+    *argv: str, env: dict | None = None, module: str = "sturmia.cli"
+) -> subprocess.CompletedProcess:
     merged = dict(os.environ)
     if env:
         merged.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "sturmia.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=merged,
@@ -90,6 +92,15 @@ def test_torsion_not_found_exit_code():
     assert proc.returncode == 1
     assert payload["result"]["found"] is False
     assert payload["result"]["reason"]
+
+
+def test_python_m_sturmia_runs_the_cli():
+    proc = run_cli("--help", module="sturmia")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage:")
+    proc = run_cli("torsion", "--slope", "[0;1*]", "-N", "0", "--n", "4", module="sturmia")
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", "error: modulus must be >= 2, got 0\n")
 
 
 def test_json_envelope_schema():
@@ -642,6 +653,8 @@ USAGE_ERRORS = [
     (['factorize', '--len', '40'], 'error: --slope is required unless --word is given\n'),
     (['factorize', '--slope', '[0;1*]', '--intercept', 'sigma0'], 'error: sigma intercepts are excluded from complementation\n'),
     (['torsion', '--slope', '[0;1*]', '-N', '1'], 'error: modulus must be >= 2, got 1\n'),
+    (['torsion', '--slope', '[0;1*]', '-N', '0', '--n', '4'], 'error: modulus must be >= 2, got 0\n'),
+    (['torsion', '--slope', '[0;1*]', '-N', '1', '--n', '4'], 'error: modulus must be >= 2, got 1\n'),
     (['torsion', '--slope', '[0;1*]', '-N', '65'], 'error: the default rank mod 65 walks 33800 levels, more than 32768; give n\n'),
     (['verify', '--only', '99'], 'error: criteria are numbered 1..14, got 99\n'),
     (['verify', '--depth', '-1', '--only', '8', '--format', 'json'], 'error: --depth must be at least 2, got -1\n'),

@@ -16,6 +16,7 @@ from sturmia.slope import Slope, continuants, parse_slope
 from sturmia.torsion import (
     B_BLOCKS,
     MAX_RANK_WALK,
+    AutomatonLog,
     automaton_states,
     b_factorize,
     complement_family,
@@ -338,6 +339,63 @@ def test_automaton_states_match_matrix_walk(slope, modulus):
     assert list(log.states) == matrix_walk_states(slope, modulus, 150)
 
 
+def full_walk_automaton_states(slope, modulus, depth):
+    """Reference: walk all `depth` levels first, then look for the first repeat."""
+    walk = [(0, 1), (1, 0)]
+    for n in range(1, depth + 1):
+        a = slope.quotient(n)
+        (q0, p0), (q1, p1) = walk[-2], walk[-1]
+        walk.append(((a * q1 + q0) % modulus, (a * p1 + p0) % modulus))
+    states = walk[1:]
+    seen = {}
+    cycle = None
+    for n in range(depth + 1):
+        key = (walk[n + 1], walk[n], slope._position(n + 1))
+        if key in seen:
+            cycle = (seen[key], n)
+            break
+        seen[key] = n
+    if cycle is None:
+        raise DepthError("window too shallow to close the state cycle")
+    first, again = cycle
+    recurring = frozenset(states[first:again])
+    n0 = first
+    while n0 > 0 and states[n0 - 1] in recurring:
+        n0 -= 1
+    return AutomatonLog(modulus, tuple(states), recurring, n0, first, again - first)
+
+
+def automaton_outcome(walk, slope, modulus, depth):
+    """The log a walk returns, or the type and text of the error it raises."""
+    try:
+        return walk(slope, modulus, depth)
+    except DepthError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("slope", [GOLDEN, TWO_TWO, ONE_TWO, MIXED, HEADED, *headed_slopes(6, 5)])
+@pytest.mark.parametrize("modulus", [2, 3, 5, 7])
+def test_automaton_log_matches_the_full_walk(slope, modulus):
+    for depth in (1, 4, 9, 150):
+        assert automaton_outcome(automaton_states, slope, modulus, depth) == automaton_outcome(
+            full_walk_automaton_states, slope, modulus, depth
+        )
+
+
+def test_automaton_log_matches_the_full_walk_on_headed_and_finite_slopes():
+    finite = [Slope((1, 2, 3)), Slope((2, 1, 1, 4, 1))]
+    for slope in [*headed_slopes(600, 11), *finite]:
+        for modulus in (2, 3, 4):
+            for depth in (3, 200):
+                assert automaton_outcome(
+                    automaton_states, slope, modulus, depth
+                ) == automaton_outcome(full_walk_automaton_states, slope, modulus, depth)
+    # the default rank's log mod 64: the cycle closes at level 96
+    log = automaton_states(GOLDEN, 64, 8 * 64 * 64)
+    assert (log.preperiod, log.period) == (0, 96)
+    assert log == full_walk_automaton_states(GOLDEN, 64, 8 * 64 * 64)
+
+
 def assert_cycle_repeats(slope, log):
     """From the preperiod on, states and quotients read repeat with the period."""
     first, period = log.preperiod, log.period
@@ -400,6 +458,10 @@ def test_torsion_search_not_found():
 def test_torsion_search_guards():
     with pytest.raises(RangeError):
         torsion_search(GOLDEN, 1)
+    # the modulus is checked before the explicit-rank path divides by it
+    for modulus in (-3, 0, 1):
+        with pytest.raises(RangeError, match=f"modulus must be >= 2, got {modulus}"):
+            torsion_search(GOLDEN, modulus, n=4)
     with pytest.raises(RangeError, match=f"walks 33800 levels, more than {MAX_RANK_WALK}"):
         torsion_search(GOLDEN, 65)
     # an explicit rank needs no walk to find it

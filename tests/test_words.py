@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmia import words
 from sturmia.errors import DepthError, NotCentralError, RangeError, UndeterminedError
+from sturmia.intercept import from_integer, sturmian_prefix
 from sturmia.slope import Slope, continuants, convergent_value, parse_slope
 from sturmia.words import (
     MAX_STANDARD_LETTERS,
@@ -204,6 +206,112 @@ def test_window_walk_steps_are_the_next_length_factors(word):
         for i, row in enumerate(step):
             for c, j in row.items():
                 assert windows[j] == (windows[i] + c)[1:]
+
+
+def reference_walk(word: str, n: int) -> tuple[list[str], list[dict[str, int]]]:
+    """The window walk that steps through every letter and never jumps."""
+    windows = [word[:n]]
+    ids = {windows[0]: 0}
+    step: list[dict[str, int]] = [{}]
+    cur = 0
+    for c in word[n:]:
+        row = step[cur]
+        nxt = row.get(c)
+        if nxt is None:
+            shifted = (windows[cur] + c)[1:]
+            nxt = ids.get(shifted)
+            if nxt is None:
+                nxt = ids[shifted] = len(windows)
+                windows.append(shifted)
+                step.append({})
+            row[c] = nxt
+        cur = nxt
+    return windows, step
+
+
+def assert_walks_agree(word: str, lengths) -> None:
+    """window_walk returns the reference's windows and step rows, in order."""
+    for n in lengths:
+        windows, step = window_walk(word, n)
+        ref_windows, ref_step = reference_walk(word, n)
+        assert windows == ref_windows, n
+        assert [list(row.items()) for row in step] == [
+            list(row.items()) for row in ref_step
+        ], n
+
+
+@st.composite
+def sturmian_words(draw, max_letters: int, min_letters: int = 1) -> str:
+    """A prefix of the sturmian word of a random slope and integer intercept."""
+    head = draw(st.lists(st.integers(1, 5), max_size=2))
+    period = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    slope = Slope(tuple(head + period), (len(head), len(period)))
+    m = draw(st.integers(min_letters, max_letters))
+    depth = slope.level(m)
+    rho = from_integer(draw(st.integers(0, slope.q(depth) - 1)), slope, depth)
+    return sturmian_prefix(rho, m)
+
+
+@st.composite
+def defect_words(draw, alphabet: str, max_letters: int) -> str:
+    """A block repeated to length, with up to three letters overwritten."""
+    block = draw(st.text(alphabet=alphabet, min_size=1, max_size=30))
+    length = draw(st.integers(1, max_letters))
+    letters = list((block * (length // len(block) + 1))[:length])
+    for _ in range(draw(st.integers(0, 3))):
+        letters[draw(st.integers(0, length - 1))] = draw(st.sampled_from(alphabet))
+    return "".join(letters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        sturmian_words(400),
+        defect_words("01", 400),
+        defect_words("012", 400),
+        st.text(alphabet="012", max_size=200),
+    )
+)
+def test_window_walk_matches_the_stepping_walk(word):
+    assert_walks_agree(word, range(len(word) + 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(sturmian_words(5000, min_letters=1000), st.data())
+def test_window_walk_matches_the_stepping_walk_on_long_prefixes(word, data):
+    # every length of a 5000-letter word would take some 25 s, so the short
+    # lengths, the last ones and a sample in between
+    drawn = data.draw(st.lists(st.integers(0, len(word)), max_size=6))
+    lengths = {*range(min(40, len(word) + 1)), *drawn, *range(max(0, len(word) - 3), len(word) + 1)}
+    assert_walks_agree(word, sorted(lengths))
+
+
+def test_window_walk_jumps_to_the_end_and_from_overlapping_sources(monkeypatch):
+    jumps = []  # (source letter, jump letter, letters skipped, word length)
+    extension = words._extension
+
+    def recorded(word, a, b, agree):
+        agree = extension(word, a, b, agree)
+        jumps.append((a, b, agree, len(word)))
+        return agree
+
+    monkeypatch.setattr(words, "_extension", recorded)
+    corpus = [
+        "0" * 300,
+        "01" * 150 + "1",
+        ("0" * 17 + "1") * 20,
+        ("0" * 40 + "2") * 8 + "0" * 39,
+        characteristic_prefix(parse_slope("[0;2,3,(1,2)*]"), 500),
+        mechanical_prefix(Fraction(89, 233), Fraction(0), 240),
+    ]
+    for word in corpus:
+        assert_walks_agree(word, range(len(word) + 1))
+    assert any(b + agree == length for a, b, agree, length in jumps)
+    assert any(a + agree > b for a, b, agree, length in jumps)
+    assert any(b + agree < length for a, b, agree, length in jumps)
+    for length in (10**5, 3 * 10**5):
+        word = characteristic_prefix(GOLDEN, length)
+        assert_walks_agree(word, (1, 2, 10, 89, 440))
 
 
 def test_special_factors_golden():

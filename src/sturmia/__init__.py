@@ -9,6 +9,7 @@ from .factorization import (
 )
 from .intercept import (
     AlphaNumber,
+    add_integer,
     classify,
     complement,
     equivalent,
@@ -32,6 +33,7 @@ from .repetition import (
 )
 from .slope import Slope, continuants, convergent_value, interval_locate, parse_slope
 from .torsion import (
+    automaton_states,
     b_factorize,
     even_family,
     parity_word,
@@ -39,6 +41,7 @@ from .torsion import (
     torsion_search,
 )
 from .words import (
+    central_decomposition,
     characteristic_prefix,
     complexity,
     factor_set,
@@ -52,9 +55,12 @@ __all__ = [
     "RauzyGraph",
     "Slope",
     "SturmiaError",
+    "add_integer",
     "all_digit_strings",
+    "automaton_states",
     "b_factorize",
     "build_graph",
+    "central_decomposition",
     "characteristic_factorizations",
     "characteristic_prefix",
     "classify",

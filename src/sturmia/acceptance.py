@@ -18,7 +18,7 @@ from math import gcd
 from typing import Callable
 
 from .errors import SturmiaError
-from .factorization import characteristic_factorizations, duality_check
+from .factorization import central_split_check, characteristic_factorizations, duality_check
 from .intercept import (
     AlphaNumber,
     classify,
@@ -34,11 +34,19 @@ from .repetition import (
     dio_estimate,
     profile_lookup,
     repetition_closed_forms,
+    repetition_level,
     repetition_profile,
     repetition_rows,
 )
 from .slope import Slope, convergent_value, interval_locate, parse_slope
-from .torsion import b_factorize, even_family, self_complementary, torsion_search
+from .torsion import (
+    b_factorize,
+    complement_family,
+    even_family,
+    palindromic_center_word,
+    self_complementary,
+    torsion_search,
+)
 from .words import characteristic_prefix, complexity, mechanical_prefix, standard_word
 
 SEED = 20260814
@@ -191,11 +199,15 @@ def check_04_repetition_intervals() -> CheckResult:
 
 
 def check_05_closed_form_oracle() -> CheckResult:
-    """Closed-form repetition versus the repetition profile, exhaustive at depth 8."""
+    """Closed-form repetition versus the repetition profile, exhaustive at depth 8.
+
+    Outside case 1 the closed form also matches the 4-branch level formula
+    for the integer shift rho_{n+1}, at four m per window.
+    """
     slopes = (GOLDEN, parse_slope("[0;3,1,2,(1)*]")) + _seeded_slopes(
         5, SEED + 5, cap_level=8, cap=120
     )
-    pairs = 0
+    pairs = levels = 0
     cases = set()
     for slope in slopes:
         m_top = slope.q(7) - 2
@@ -215,12 +227,26 @@ def check_05_closed_form_oracle() -> CheckResult:
                         f"digits={digits}, m={m}, case={case} on {slope}",
                     )
                 pairs += 1
+            for m in (1, 2, m_top // 2 + 1, m_top):
+                value, case = closed[m - 1]
+                if case == "1":
+                    continue
+                n = interval_locate(m, slope).n
+                if repetition_level(rho.psi(n + 1), slope, m) != value:
+                    return CheckResult(
+                        5,
+                        "closed-form-oracle",
+                        False,
+                        f"4-branch level formula: digits={digits}, m={m} on {slope}",
+                    )
+                levels += 1
     return CheckResult(
         5,
         "closed-form-oracle",
         True,
         f"{pairs} pairs, no discrepancies, cases seen {sorted(cases)} "
-        f"on {len(slopes)} slopes (caps q_8 <= 120)",
+        f"on {len(slopes)} slopes (caps q_8 <= 120); "
+        f"4-branch level formula agrees at {levels} (window, m) outside case 1",
     )
 
 
@@ -246,7 +272,8 @@ def check_06_intercept_bijection() -> CheckResult:
 
 
 def check_07_duality() -> CheckResult:
-    """Shift word equals the complement's product word; complement involutes."""
+    """Shift word equals the complement's product word; complement involutes;
+    the dual formulas of two gap-indexed full-digit families hold."""
     checked = 0
     for slope in NAMED_FIVE:
         rng = random.Random(SEED + 7)
@@ -280,19 +307,42 @@ def check_07_duality() -> CheckResult:
             return CheckResult(
                 7, "duality", False, f"only {accepted} usable corpus windows on {slope}"
             )
+        for indices in ({2, 4, 6, 8, 10}, {2, 5, 8, 11}):
+            if not complement_family(indices, slope, 24).ok:
+                return CheckResult(
+                    7, "duality", False, f"dual family of {sorted(indices)} on {slope}"
+                )
     return CheckResult(
-        7, "duality", True, f"{checked} non-zero-class intercepts, prefix length 300"
+        7,
+        "duality",
+        True,
+        f"{checked} non-zero-class intercepts, prefix length 300; dual formulas "
+        "of families {2,4,6,8,10} and {2,5,8,11} at depth 24 on 5 slopes",
     )
 
 
 def check_08_characteristic_factorizations() -> CheckResult:
-    """Both product factorizations of the characteristic word, three cases."""
+    """Both product factorizations of the characteristic word, three cases,
+    and the central split of every clipped standard word s_N, N >= 2, up to
+    q_N = 150."""
     seen = {}
-    for slope in (GOLDEN, TWO_ONE, MIXED, TWO_THREE, ONE_THREE):
+    splits = 0
+    for slope in NAMED_FIVE:
         report = characteristic_factorizations(slope, 400)
         if not report.ok:
             return CheckResult(8, "characteristic-factorizations", False, f"{slope}")
         seen[report.case] = seen.get(report.case, 0) + 1
+        for n in range(2, slope.level(150)):
+            total = slope.q(n) - 2
+            for m in range(total + 1):
+                if not central_split_check(m, total - m, slope).ok:
+                    return CheckResult(
+                        8,
+                        "characteristic-factorizations",
+                        False,
+                        f"central split m={m}, p={total - m} on {slope}",
+                    )
+                splits += 1
     if set(seen) != {"a1=1,a2=1", "a1=1,a2>=2", "a1>=2"}:
         return CheckResult(
             8, "characteristic-factorizations", False, f"cases covered: {sorted(seen)}"
@@ -301,7 +351,8 @@ def check_08_characteristic_factorizations() -> CheckResult:
         8,
         "characteristic-factorizations",
         True,
-        "three quotient cases verified to length 400",
+        f"three quotient cases verified to length 400; central split holds "
+        f"for all {splits} m + p = q_N - 2 with N >= 2, q_N <= 150 on 5 slopes",
     )
 
 
@@ -364,11 +415,21 @@ def check_10_torsion() -> CheckResult:
 
 
 def check_11_self_complementary() -> CheckResult:
-    """Three reversal-fixed classes per slope, plus the all-even family."""
+    """Three reversal-fixed classes per slope, plus the all-even family.
+
+    The palindromic center word, read at depth 6, lands in exactly one class.
+    """
     for slope in NAMED_FIVE:
         classes = self_complementary(slope, 20)
         if len(classes) != 3:
             return CheckResult(11, "self-complementary", False, f"{slope}")
+        center = palindromic_center_word(slope, slope.q(7) + slope.q(6))
+        rho = intercept_from_prefix(center, slope, 6)
+        hits = sum(equivalent(rho, cls).equivalent for cls in classes)
+        if hits != 1:
+            return CheckResult(
+                11, "self-complementary", False, f"center word meets {hits} classes on {slope}"
+            )
         for rho in classes:
             if not equivalent(rho, complement(rho)).equivalent:
                 return CheckResult(
@@ -387,7 +448,8 @@ def check_11_self_complementary() -> CheckResult:
         11,
         "self-complementary",
         True,
-        "3 classes at depth 20 on 5 slopes; S0/S1/S2 family on the all-even slope",
+        "3 classes at depth 20 on 5 slopes; S0/S1/S2 family on the all-even slope; "
+        "palindromic center word in exactly one class on 5 slopes",
     )
 
 

@@ -110,16 +110,6 @@ class RunConfig:
             "check": self.check,
         }
 
-    @staticmethod
-    def from_dict(payload: dict) -> "RunConfig":
-        return RunConfig(
-            payload["slope"],
-            payload["depth"],
-            payload["intercept"],
-            payload["format"],
-            payload["check"],
-        )
-
 
 def parse_intercept(spec: str, slope: Slope, depth: int) -> AlphaNumber:
     """Resolve an intercept spec: integer, "b:0,1,0,1" digit list, or a name."""

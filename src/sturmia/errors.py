@@ -29,14 +29,6 @@ class NotCentralError(SturmiaError):
     """A word fails the structural checks required of central words."""
 
 
-class UndeterminedError(SturmiaError):
-    """A window is too short to decide the requested property."""
-
-
-class NoSupportError(SturmiaError):
-    """No non-zero digit exists at or above the requested level."""
-
-
 class UnsupportedInterceptError(SturmiaError):
     """The operation excludes this intercept class (zero class, sigma-type, ...)."""
 

@@ -7,7 +7,7 @@ well defined.  The shift of the characteristic word by a window equals the
 product named by the complement window; characteristic words themselves
 carry one explicit product pair per leading-quotient case.  Whether a word
 admits zero, one, or two such products is decided entirely by the class of
-its window.
+its window, as `intercept.classify` states.
 """
 
 from __future__ import annotations
@@ -17,15 +17,7 @@ from itertools import chain, count
 from typing import Iterable
 
 from .errors import DepthError, RangeError, UnsupportedInterceptError
-from .intercept import (
-    AlphaNumber,
-    ClassReport,
-    classify,
-    complement,
-    sigma0,
-    sigma1,
-    sturmian_prefix,
-)
+from .intercept import AlphaNumber, classify, complement, sturmian_prefix
 from .slope import Slope
 from .words import characteristic_prefix, factor_set, language_length, standard_word
 
@@ -190,46 +182,4 @@ def characteristic_factorizations(slope: Slope, length: int) -> CharacteristicFa
         first=first_word,
         second=second_word,
         ok=first_word == target == second_word,
-    )
-
-
-@dataclass(frozen=True)
-class FactorizationVerdict:
-    kind: str
-    reason: str
-    classified: ClassReport
-
-
-def classify_factorization(rho: AlphaNumber, min_tail: int | None = None) -> FactorizationVerdict:
-    """How many product factorizations the shifted word admits.
-
-    Defers entirely to the window's class: non-zero class means exactly one
-    product, integers mean the word is a suffix of the characteristic word
-    with exactly two, other zero-class windows trail a one-letter extension
-    of the characteristic word and admit none.  The two exact one-letter
-    extensions themselves sit outside the trichotomy and are reported as
-    boundary words.
-    """
-    report = classify(rho, min_tail)
-    if report.verdict == "non-zero":
-        return FactorizationVerdict(
-            "unique-product", "no common suffix with the characteristic word", report
-        )
-    if report.verdict == "natural-integer":
-        return FactorizationVerdict(
-            "two-products", "the word is a suffix of the characteristic word", report
-        )
-    exact = (
-        sigma0(rho.slope, rho.depth)
-        if report.verdict == "sigma0-tail"
-        else sigma1(rho.slope, rho.depth)
-    )
-    if rho.digits == exact.digits:
-        return FactorizationVerdict(
-            "boundary", "one-letter extension of the characteristic word", report
-        )
-    return FactorizationVerdict(
-        "no-product",
-        "the word ends in a one-letter extension of the characteristic word",
-        report,
     )

@@ -18,7 +18,6 @@ from itertools import accumulate
 from .errors import (
     DepthError,
     InvalidDigitsError,
-    NoSupportError,
     NotSturmianError,
     PrefixTooShortError,
     RangeError,
@@ -102,14 +101,6 @@ def sigma1(slope: Slope, depth: int) -> AlphaNumber:
     for i in range(2, depth, 2):
         digits[i] = slope.quotient(i + 1)
     return AlphaNumber(tuple(digits), slope)
-
-
-def next_support(rho: AlphaNumber, n: int) -> int:
-    """Smallest support index >= n within the window."""
-    candidates = [i for i in rho.support() if i >= n]
-    if not candidates:
-        raise NoSupportError(f"no non-zero digit at level >= {n} within depth {rho.depth}")
-    return min(candidates)
 
 
 def _certifying_letters(slope: Slope, d: int) -> int:
@@ -207,18 +198,6 @@ def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
     return intercept_from_prefix(word, slope, out_depth)
 
 
-def agreement_length(rho: AlphaNumber, n: int) -> int:
-    """lambda_n = q_{n+1} + q_n - rho_{n+1} - 2.
-
-    The words shifted by rho_n and rho_{n+1} agree on at least this many
-    letters, exactly this many when b_{n+1} != 0.
-    """
-    if n + 1 > rho.depth:
-        raise DepthError(f"level {n + 1} beyond window depth {rho.depth}")
-    slope = rho.slope
-    return slope.q(n + 1) + slope.q(n) - rho.psi(n + 1) - 2
-
-
 @dataclass(frozen=True)
 class ClassReport:
     """Window verdict on the equivalence class of an intercept.
@@ -266,6 +245,13 @@ def classify(rho: AlphaNumber, min_tail: int | None = None) -> ClassReport:
     eventually the sigma1 pattern.  The verdict requires at least min_tail
     digits of evidence (default `_default_tail` of the depth), otherwise
     "non-zero".
+
+    The verdict also counts the reversed-standard-word products the shifted
+    word admits (see `factorization`): a "non-zero" word has exactly one, a
+    "natural-integer" word is a suffix of the characteristic word and has
+    exactly two, and a sigma-tail word ends in a one-letter extension of the
+    characteristic word and has none.  The two exact sigma windows, the
+    one-letter extensions themselves, sit outside this trichotomy.
     """
     if min_tail is None:
         min_tail = _default_tail(rho.depth)

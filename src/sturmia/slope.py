@@ -9,7 +9,6 @@ are Fractions.
 from __future__ import annotations
 
 import _thread
-import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -22,6 +21,14 @@ from .errors import DepthError, RangeError
 # reading them needs no lock.  The interpreter has `_thread` loaded at start,
 # while importing `threading` costs about a millisecond of every CLI call.
 _GROW_LOCK = _thread.allocate_lock()
+
+# The most bits a slope's continuant rows may hold, counted as
+# 2 (n + 2) bits(q_n) for rows through q_n: golden-slope ladders stop near
+# level 6950, and the deepest ones the benchmark builds (level 800,
+# quotients up to 3) use about 2% of it.  Without a cap a ladder's size is
+# quadratic in a depth that comes from user input, and grows with
+# quotients that come from it too.
+MAX_LADDER_BITS = 2**26
 
 
 @dataclass(frozen=True)
@@ -84,16 +91,28 @@ class Slope:
 
     def _grow(self, n: int) -> tuple[list[int], list[int], list[int]]:
         """The rows (q, p, a), extended through level n; DepthError past a
-        finite depth.  q[i + 1] is q_i, p[i + 1] is p_i and a[i] is a_i
-        (a[0] is a placeholder)."""
+        finite depth, RangeError before the rows would hold more than
+        MAX_LADDER_BITS bits.  q[i + 1] is q_i, p[i + 1] is p_i and a[i] is
+        a_i (a[0] is a placeholder)."""
         q, p, quotients = self._ladder
         # p is appended last, so its length bounds every row
         if len(p) <= n + 1:
+            # a finite slope stops at its depth, with DepthError, first
+            top = n if self.known_depth is None else min(n, self.known_depth)
+            # the rows through q_top hold at most 2 (top + 2) bits(q_top)
+            # bits, and no rung has more bits than q_top
+            rung_bits = MAX_LADDER_BITS // (2 * (top + 2))
             with _GROW_LOCK:
                 while len(p) <= n + 1:
                     a = self.quotient(len(p) - 1)
+                    q_next = a * q[-1] + q[-2]
+                    if q_next.bit_length() > rung_bits:
+                        raise RangeError(
+                            f"continuants through q_{top} would hold more"
+                            f" than {MAX_LADDER_BITS} bits"
+                        )
                     quotients.append(a)
-                    q.append(a * q[-1] + q[-2])
+                    q.append(q_next)
                     p.append(a * p[-1] + p[-2])
         return q, p, quotients
 
@@ -114,8 +133,14 @@ class Slope:
     def level(self, m: int) -> int:
         """The smallest d >= 0 with q_d > m."""
         q = self._ladder[0]
-        while q[-1] <= m:
-            self._grow(len(q) - 1)
+        if q[-1] <= m:
+            # q_{k+1} <= (a_{k+1} + 1) q_k, so a rung adds at most `step`
+            # bits and the next `skip` rungs stay below m: all are needed,
+            # and one call grows them
+            step = (max(self.quotients) + 1).bit_length()
+            while q[-1] <= m:
+                skip = (m.bit_length() - q[-1].bit_length() - 1) // step
+                self._grow(len(q) - 2 + max(1, skip))
         return bisect_right(q, m, lo=1) - 1
 
     def value(self, digits: tuple[int, ...] | list[int]) -> int:
@@ -131,24 +156,6 @@ class Slope:
         block = ",".join(str(a) for a in self.quotients[start:])
         period = f"({block})*" if length > 1 else f"{self.quotients[start]}*"
         return "[0;" + (head + "," if head else "") + period + "]"
-
-    def to_json(self) -> str:
-        payload = {
-            "quotients": list(self.quotients),
-            "period": None
-            if self.period is None
-            else {"start": self.period[0], "len": self.period[1]},
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "Slope":
-        payload = json.loads(text)
-        period = payload.get("period")
-        return Slope(
-            tuple(payload["quotients"]),
-            None if period is None else (period["start"], period["len"]),
-        )
 
 
 _SLOPE_RE = re.compile(r"\[\s*0\s*;\s*(.*?)\s*\]\Z")

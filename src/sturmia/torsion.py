@@ -13,7 +13,7 @@ between the two ranks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count, islice
 from typing import Iterator
 
@@ -334,8 +334,9 @@ class AutomatonLog:
     period: int
 
 
-# The most levels the default rank of `torsion_search` may walk: its walk of
-# max(80, 8 N^2) levels stays within this up to N = 64.
+# The most levels `torsion_search` walks: its default rank's walk to the
+# state cycle, and an explicit rank plus k_max.  The golden slope's cycle
+# mod N closes within 6 N levels.
 MAX_RANK_WALK = 2**15
 
 
@@ -348,35 +349,29 @@ def _walk(slope: Slope, modulus: int) -> Iterator[tuple[int, int]]:
         q0, p0, q1, p1 = q1, p1, (a * q1 + q0) % modulus, (a * p1 + p0) % modulus
 
 
-def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
-    """Walk the continuant pairs mod the modulus and log the states.
+def _cycle(slope: Slope, modulus: int, limit: int) -> AutomatonLog | None:
+    """The log of the states before the cycle closes, or None when it does
+    not close by level `limit`.
 
     Two consecutive states carry the ladder matrix, and with the position
     of the next quotient they fix every later state, so the first repeat
     of (state_n, state_{n-1}, position of a_{n+1}) closes the cycle; states
-    seen inside the cycle are exactly the recurring ones.  The walk stops
-    there and the states after it, through `depth`, repeat the cycle.
+    seen inside the cycle are exactly the recurring ones.
     """
-    if modulus < 2:
-        raise RangeError(f"modulus must be >= 2, got {modulus}")
-    if depth < 1:
-        raise RangeError(f"depth must be >= 1, got {depth}")
     states: list[tuple[int, int]] = []
     previous = (0, 1)
     seen: dict = {}
-    for n, state in zip(range(depth + 1), _walk(slope, modulus)):
+    for n, state in zip(range(limit + 1), _walk(slope, modulus)):
         key = (state, previous, slope._position(n + 1))
         if key in seen:
-            first, period = seen[key], n - seen[key]
             break
         seen[key] = n
         states.append(state)
         previous = state
     else:
-        raise DepthError("window too shallow to close the state cycle")
-    for n in range(len(states), depth + 1):
-        states.append(states[n - period])
-    recurring = frozenset(states[first : first + period])
+        return None
+    first = seen[key]
+    recurring = frozenset(states[first:])
     n0 = first
     while n0 > 0 and states[n0 - 1] in recurring:
         n0 -= 1
@@ -386,8 +381,27 @@ def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
         recurring=recurring,
         n0=n0,
         preperiod=first,
-        period=period,
+        period=n - first,
     )
+
+
+def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
+    """Walk the continuant pairs mod the modulus and log the states.
+
+    The walk stops where the state cycle closes, and the states after it,
+    through `depth`, repeat the cycle.
+    """
+    if modulus < 2:
+        raise RangeError(f"modulus must be >= 2, got {modulus}")
+    if depth < 1:
+        raise RangeError(f"depth must be >= 1, got {depth}")
+    log = _cycle(slope, modulus, depth)
+    if log is None:
+        raise DepthError("window too shallow to close the state cycle")
+    states = list(log.states)
+    for n in range(len(states), depth + 1):
+        states.append(states[n - log.period])
+    return replace(log, states=tuple(states))
 
 
 @dataclass(frozen=True)
@@ -408,10 +422,11 @@ def torsion_search(
     """Smallest k <= k_max with modulus | q_{n+k} - q_n, digits inside ]n, n+k[.
 
     When n is omitted, the first rank from which only recurring automaton
-    states appear is used; finding it logs max(80, 8 N^2) levels (walking
-    only until the state cycle closes), and a log longer than MAX_RANK_WALK
-    raises RangeError before the walk starts.  A modulus below 2 raises
-    RangeError before anything is walked.
+    states appear is used, read from a walk that stops where the state
+    cycle closes; a cycle that does not close within MAX_RANK_WALK levels
+    raises RangeError.  So does an n + k_max above MAX_RANK_WALK, before
+    the states from n on are walked, and a modulus below 2, before
+    anything is walked.
     The state walk guides; exact integer division and digit encoding
     certify.  A miss is a window verdict, not a proof.
     """
@@ -420,15 +435,19 @@ def torsion_search(
     if modulus < 2:
         raise RangeError(f"modulus must be >= 2, got {modulus}")
     if n is None:
-        depth = max(80, 8 * modulus * modulus)
-        if depth > MAX_RANK_WALK:
+        log = _cycle(slope, modulus, MAX_RANK_WALK)
+        if log is None:
             raise RangeError(
-                f"the default rank mod {modulus} walks {depth} levels,"
-                f" more than {MAX_RANK_WALK}; give n"
+                f"the state cycle mod {modulus} does not close within"
+                f" {MAX_RANK_WALK} levels; give n"
             )
-        n = automaton_states(slope, modulus, depth).n0
+        n = log.n0
     if n < 0:
         raise RangeError(f"n must be >= 0, got {n}")
+    if n + k_max > MAX_RANK_WALK:
+        raise RangeError(
+            f"n + k_max = {n + k_max} walks more than {MAX_RANK_WALK} levels"
+        )
     top = n + k_max + 2
     states = list(islice(_walk(slope, modulus), top + 1))
     for k in range(2, k_max + 1):

@@ -11,12 +11,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    DepthError,
-    NotCentralError,
-    RangeError,
-    UndeterminedError,
-)
+from .errors import DepthError, NotCentralError, RangeError
 from .ostrowski import encode
 from .slope import Slope, interval_locate
 
@@ -214,28 +209,6 @@ def complexity(word: str, n: int) -> int:
     return len(window_walk(word, n)[0])
 
 
-def special_factor(factors: frozenset[str], direction: str) -> str:
-    """The unique left (right) special factor one letter shorter than `factors`.
-
-    `factors` must be the complete set of length-(n+1) factors of a sturmian
-    window; w is left special when 0w and 1w both occur, right special when
-    w0 and w1 do.  Raises UndeterminedError when the window shows no witness.
-    """
-    if not factors:
-        raise UndeterminedError("empty factor set")
-    if direction == "left":
-        candidates = {w[1:] for w in factors if ("0" + w[1:]) in factors and ("1" + w[1:]) in factors}
-    elif direction == "right":
-        candidates = {w[:-1] for w in factors if (w[:-1] + "0") in factors and (w[:-1] + "1") in factors}
-    else:
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    if len(candidates) > 1:
-        raise UndeterminedError(f"multiple {direction} special candidates: window not sturmian")
-    if not candidates:
-        raise UndeterminedError(f"no {direction} special factor visible in this window")
-    return candidates.pop()
-
-
 def is_palindrome(word: str) -> bool:
     return word == word[::-1]
 
@@ -263,22 +236,3 @@ def central_decomposition(word: str) -> tuple[str, str] | str:
             f"palindrome admits {len(splits)} valid splits around '01'; central words have exactly 1"
         )
     return splits[0]
-
-
-def fractional_power(word: str, exponent: Fraction | int) -> str:
-    """word^exponent for rational exponent >= 0 with denominator scaling |word|."""
-    if not word:
-        raise RangeError("cannot take powers of the empty word")
-    exponent = Fraction(exponent)
-    if exponent < 0:
-        raise RangeError("exponent must be >= 0")
-    whole = int(exponent)
-    rest = exponent - whole
-    cut = math.floor(rest * len(word))
-    return word * whole + word[:cut]
-
-
-def balance_defect(word: str, n: int) -> int:
-    """Largest difference of '1' counts over all pairs of length-n factors."""
-    counts = {f.count("1") for f in factor_set(word, n)}
-    return max(counts) - min(counts) if counts else 0

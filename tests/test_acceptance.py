@@ -5,7 +5,12 @@ verdict so `pytest -v` doubles as the release report.  The checks seed
 their own corpora; nothing here depends on test ordering.
 """
 
+from dataclasses import replace
+
+import pytest
+
 from sturmia import acceptance
+from sturmia.words import characteristic_prefix
 
 
 def _run(number: int) -> None:
@@ -77,7 +82,8 @@ PINNED_LINES = {
     4: "[PASS] criterion  4 repetition-intervals: 476 (m, n) pairs, n <= 8, "
     "on 7 slopes (seeded caps q_9 <= 100)",
     5: "[PASS] criterion  5 closed-form-oracle: 37052 pairs, no discrepancies, "
-    "cases seen ['1', '2', '3', '4', '5', '6', '7', '8'] on 7 slopes (caps q_8 <= 120)",
+    "cases seen ['1', '2', '3', '4', '5', '6', '7', '8'] on 7 slopes (caps q_8 <= 120); "
+    "4-branch level formula agrees at 1934 (window, m) outside case 1",
     9: "[PASS] criterion  9 rauzy-structure: all m <= 150 on 5 slopes",
 }
 
@@ -102,3 +108,19 @@ def test_criterion_09_builds_each_graph_once(monkeypatch):
     monkeypatch.setattr(rauzy, "build_graph", counting)
     assert acceptance.run_check(9).passed
     assert len(calls) == 5 * 150
+
+
+@pytest.mark.parametrize(
+    "number,name,wrong",
+    [
+        (5, "repetition_level", lambda f: lambda *args: f(*args) + 1),
+        (7, "complement_family", lambda f: lambda *args: replace(f(*args), ok=False)),
+        (8, "central_split_check", lambda f: lambda *args: replace(f(*args), ok=False)),
+        # the characteristic word is in the zero class, so in none of the three
+        (11, "palindromic_center_word", lambda f: characteristic_prefix),
+    ],
+)
+def test_promoted_paper_checks_are_live(monkeypatch, number, name, wrong):
+    monkeypatch.setattr(acceptance, name, wrong(getattr(acceptance, name)))
+    result = acceptance.run_check(number)
+    assert not result.passed, result.line()

@@ -229,7 +229,7 @@ def test_standard_word_below_the_letter_cap(capsys):
 
 def test_run_config_round_trip():
     config = RunConfig("[0;1*]", 24, "sigma0", "json", False)
-    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+    assert RunConfig(**json.loads(json.dumps(config.to_dict()))) == config
 
 
 def test_parse_intercept_forms():
@@ -588,11 +588,16 @@ GOLDEN_OUTPUT = [
         'N=7 n=0: no admissible k <= 3 (no admissible k <= 3 from n = 0)\n',
     ),
     (
+        ['torsion', '--slope', '[0;1*]', '-N', '65', '--format', 'text'],
+        1,
+        'N=65 n=0: no admissible k <= 40 (no admissible k <= 40 from n = 0)\n',
+    ),
+    (
         ['verify', '--only', '8', '--only', '13'],
         0,
         (
             '# corpus seed 20260814\n'
-            '[PASS] criterion  8 characteristic-factorizations: three quotient cases verified to length 400\n'
+            '[PASS] criterion  8 characteristic-factorizations: three quotient cases verified to length 400; central split holds for all 1549 m + p = q_N - 2 with N >= 2, q_N <= 150 on 5 slopes\n'
             '[PASS] criterion 13 dio-estimate: golden window value 2.617991 within 1e-3 of 1+phi; family/generic gap below one window term on two slopes\n'
         ),
     ),
@@ -613,7 +618,7 @@ GOLDEN_OUTPUT = [
             '    "passed": true,\n'
             '    "results": [\n'
             '      {\n'
-            '        "detail": "three quotient cases verified to length 400",\n'
+            '        "detail": "three quotient cases verified to length 400; central split holds for all 1549 m + p = q_N - 2 with N >= 2, q_N <= 150 on 5 slopes",\n'
             '        "name": "characteristic-factorizations",\n'
             '        "number": 8,\n'
             '        "passed": true\n'
@@ -631,7 +636,7 @@ GOLDEN_OUTPUT = [
             '# seed=20260814\n'
             'number,name,passed,detail\n'
             '13,dio-estimate,1,"golden window value 2.617991 within 1e-3 of 1+phi; family/generic gap below one window term on two slopes"\n'
-            '8,characteristic-factorizations,1,"three quotient cases verified to length 400"\n'
+            '8,characteristic-factorizations,1,"three quotient cases verified to length 400; central split holds for all 1549 m + p = q_N - 2 with N >= 2, q_N <= 150 on 5 slopes"\n'
         ),
     ),
 ]
@@ -655,7 +660,9 @@ USAGE_ERRORS = [
     (['torsion', '--slope', '[0;1*]', '-N', '1'], 'error: modulus must be >= 2, got 1\n'),
     (['torsion', '--slope', '[0;1*]', '-N', '0', '--n', '4'], 'error: modulus must be >= 2, got 0\n'),
     (['torsion', '--slope', '[0;1*]', '-N', '1', '--n', '4'], 'error: modulus must be >= 2, got 1\n'),
-    (['torsion', '--slope', '[0;1*]', '-N', '65'], 'error: the default rank mod 65 walks 33800 levels, more than 32768; give n\n'),
+    (['torsion', '--slope', '[0;1*]', '-N', '6250'], 'error: the state cycle mod 6250 does not close within 32768 levels; give n\n'),
+    (['torsion', '--slope', '[0;1*]', '-N', '3', '--n', '100000000'], 'error: n + k_max = 100000040 walks more than 32768 levels\n'),
+    (['ostrowski', '--slope', '[0;1*]', '--encode', '5', '--depth', '100000'], 'error: continuants through q_100000 would hold more than 67108864 bits\n'),
     (['verify', '--only', '99'], 'error: criteria are numbered 1..14, got 99\n'),
     (['verify', '--depth', '-1', '--only', '8', '--format', 'json'], 'error: --depth must be at least 2, got -1\n'),
     (['intercept', '--slope', '[0;1*]', '--intercept', 'zero', '--depth', '1'], 'error: --depth must be at least 2, got 1\n'),
@@ -690,6 +697,7 @@ def test_usage_error_lines(monkeypatch, capsys, argv, err):
     [
         ("1", "error: STURMIA_DEPTH must be at least 2, got 1\n"),
         ("x", "error: STURMIA_DEPTH must be an integer, got 'x'\n"),
+        ("100000", "error: continuants through q_100000 would hold more than 67108864 bits\n"),
     ],
 )
 def test_depth_env_var_is_validated(monkeypatch, capsys, value, err):

@@ -6,7 +6,6 @@ from sturmia.errors import DepthError, RangeError, UnsupportedInterceptError
 from sturmia.factorization import (
     central_split_check,
     characteristic_factorizations,
-    classify_factorization,
     duality_check,
     integer_product,
     product_prefix,
@@ -188,31 +187,3 @@ def test_characteristic_factorizations(slope, case):
     assert report.case == case
     assert report.ok
     assert report.first == report.second == characteristic_prefix(slope, 400)
-
-
-# ----------------------------------------------------------------- trichotomy
-
-
-def test_classify_factorization_integer_window():
-    verdict = classify_factorization(from_integer(7, GOLDEN, 14))
-    assert verdict.kind == "two-products"
-
-
-def test_classify_factorization_nonzero_window():
-    verdict = classify_factorization(with_support({2, 5, 8, 11, 14}, 16, GOLDEN))
-    assert verdict.kind == "unique-product"
-
-
-def test_classify_factorization_boundaries():
-    assert classify_factorization(sigma0(GOLDEN, 14)).kind == "boundary"
-    assert classify_factorization(sigma1(GOLDEN, 14)).kind == "boundary"
-
-
-def test_classify_factorization_shifted_sigmas():
-    # sigma patterns with low digits knocked out name words that end in a
-    # one-letter extension of the characteristic word, shifted further back
-    minus0 = AlphaNumber((0, 0, 0) + tuple(i % 2 for i in range(3, 14)), GOLDEN)
-    assert minus0.digits[3] == 1
-    assert classify_factorization(minus0).kind == "no-product"
-    minus1 = AlphaNumber((0, 0, 0, 0) + tuple((i + 1) % 2 for i in range(4, 14)), GOLDEN)
-    assert classify_factorization(minus1).kind == "no-product"

@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sturmia.errors import (
     DepthError,
-    NoSupportError,
     NotSturmianError,
     PrefixTooShortError,
     UnsupportedInterceptError,
@@ -13,7 +12,6 @@ from sturmia.errors import (
 from sturmia.intercept import (
     AlphaNumber,
     add_integer,
-    agreement_length,
     classify,
     complement,
     complement_report,
@@ -21,7 +19,6 @@ from sturmia.intercept import (
     from_integer,
     intercept_from_prefix,
     max_certified_length,
-    next_support,
     sigma0,
     sigma1,
     sturmian_prefix,
@@ -109,17 +106,6 @@ def test_projective_compatibility(rho):
 
 
 # ------------------------------------------------------------------- support
-
-
-def test_next_support_examples():
-    rho = AlphaNumber((0, 1, 0, 1), GOLDEN)
-    assert next_support(rho, 2) == 3
-    assert next_support(rho, 0) == 1
-    assert next_support(sigma0(GOLDEN, 8), 2) == 3
-    with pytest.raises(NoSupportError):
-        next_support(zero(GOLDEN, 6), 0)
-    with pytest.raises(NoSupportError):
-        next_support(rho, 4)
 
 
 @given(alpha_numbers())
@@ -257,25 +243,6 @@ def test_add_integer_digit_shortcut_on_tail_levels():
                 assert out.psi(n) == rho.psi(n) + k
 
 
-# ---------------------------------------------------------------- agreement
-
-
-def test_agreement_length_semantic():
-    # shifted words agree on lambda_n letters, exactly when the digit is non-zero
-    slope = TWO_ONE
-    rho = AlphaNumber((1, 0, 1, 0, 0, 1, 0, 0), slope)
-    table = continuants(slope, 8)
-    horizon = 2 * table.q(8)
-    ref = characteristic_prefix(slope, 2 * horizon)
-    for n in range(1, 7):
-        lam = agreement_length(rho, n)
-        a = ref[rho.psi(n) : rho.psi(n) + horizon]
-        b = ref[rho.psi(n + 1) : rho.psi(n + 1) + horizon]
-        common = next((i for i in range(horizon) if a[i] != b[i]), horizon)
-        if rho.digit(n + 1) != 0:
-            assert common == lam
-        else:
-            assert common >= lam
 
 
 # ------------------------------------------------------------------ classify

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sturmia.errors import DepthError, RangeError
 from sturmia.slope import (
+    MAX_LADDER_BITS,
     Slope,
     continuants,
     convergent_value,
@@ -89,7 +90,6 @@ def test_parse_and_str_roundtrip():
     for text in ["[0;1*]", "[0;2,1,(3,1)*]", "[0;4,4,4]", "[0;1,1,2,(3,1)*]"]:
         slope = parse_slope(text)
         assert parse_slope(str(slope)) == slope
-        assert Slope.from_json(slope.to_json()) == slope
 
 
 def test_parse_rejects_garbage():
@@ -181,6 +181,20 @@ def test_level_is_the_smallest_index_past_m():
         assert d == 0 or slope.q(d - 1) <= m
 
 
+@pytest.mark.parametrize("text", ["[0;1*]", "[0;3,1,2,(1,4)*]", "[0;1,(100,1)*]", "[0;7,2,9]"])
+def test_level_grows_the_ladder_only_to_the_level(text):
+    # level() grows many rungs per call, never one past the answer
+    for m in (0, 1, 2, 17, 10**6, 10**40, 3**90 - 1):
+        slope = parse_slope(text)
+        try:
+            d = slope.level(m)
+        except DepthError:
+            assert slope.q(len(slope.quotients)) <= m
+            continue
+        assert slope.q(d) > m and (d == 0 or slope.q(d - 1) <= m)
+        assert len(slope._ladder[0]) == d + 2
+
+
 def test_value_sums_digits_against_the_ladder():
     slope = parse_slope("[0;2,1,3,(2,1)*]")
     digits = (1, 0, 3, 0, 2, 1)
@@ -205,6 +219,24 @@ def test_finite_slope_raises_one_past_its_depth():
     assert interval_locate(top - 2, finite).n == 2
     with pytest.raises(DepthError):
         interval_locate(top - 1, finite)
+
+
+def test_ladder_refuses_rows_past_the_bit_budget():
+    golden = parse_slope("[0;1*]")
+    with pytest.raises(RangeError, match="continuants through q_100000 would hold more"):
+        golden.q(100_000)
+    # refused before the rows grew past their share of the budget
+    assert len(golden._ladder[0]) < 1000
+    assert golden.q(6950) == golden.q(6949) + golden.q(6948)
+    with pytest.raises(RangeError, match="through q_6951 "):
+        golden.q(6951)
+    assert len(golden._ladder[0]) == 6952
+    # a quotient is input too: one rung past the budget is refused alone
+    wide = Slope((2 ** (MAX_LADDER_BITS // 4),), (0, 1))
+    with pytest.raises(RangeError, match="through q_1 "):
+        wide.q(1)
+    with pytest.raises(RangeError):
+        interval_locate(2 ** (MAX_LADDER_BITS // 2), golden)
 
 
 def test_ladder_grows_consistently_under_threads():

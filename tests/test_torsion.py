@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmia.acceptance import NAMED_FIVE
 from sturmia.errors import DepthError, ParityError, RangeError
 from sturmia.intercept import AlphaNumber, complement, equivalent, intercept_from_prefix
 from sturmia.ostrowski import decode
@@ -436,6 +437,14 @@ def test_torsion_search_default_rank():
     assert (hit.n, hit.k, hit.support) == (0, 2, {1})
 
 
+@pytest.mark.parametrize("slope", NAMED_FIVE, ids=str)
+def test_default_rank_is_the_long_walk_n0(slope):
+    # the rank a walk to the cycle reads is the n0 of a log far past it
+    for modulus in range(2, 71):
+        log = automaton_states(slope, modulus, max(80, 8 * modulus * modulus))
+        assert torsion_search(slope, modulus, k_max=2).n == log.n0, modulus
+
+
 @pytest.mark.parametrize("slope", [GOLDEN, TWO_TWO, ONE_TWO, MIXED])
 @pytest.mark.parametrize("modulus", [2, 3, 4, 5])
 def test_torsion_search_certifies_identity(slope, modulus):
@@ -462,10 +471,15 @@ def test_torsion_search_guards():
     for modulus in (-3, 0, 1):
         with pytest.raises(RangeError, match=f"modulus must be >= 2, got {modulus}"):
             torsion_search(GOLDEN, modulus, n=4)
-    with pytest.raises(RangeError, match=f"walks 33800 levels, more than {MAX_RANK_WALK}"):
-        torsion_search(GOLDEN, 65)
-    # an explicit rank needs no walk to find it
-    assert torsion_search(GOLDEN, 65, n=4).n == 4
+    # the golden cycle mod 65 closes at level 140; mod 6250 it takes 37,500
+    assert torsion_search(GOLDEN, 65).n == 0
+    with pytest.raises(RangeError, match=f"does not close within {MAX_RANK_WALK} levels"):
+        torsion_search(GOLDEN, 6250)
+    # an explicit rank needs no walk to find it, but its walk is capped too
+    assert torsion_search(GOLDEN, 6250, n=4).n == 4
+    for n, k_max in ((MAX_RANK_WALK - 39, 40), (4, MAX_RANK_WALK), (10**8, 40)):
+        with pytest.raises(RangeError, match=f"walks more than {MAX_RANK_WALK} levels"):
+            torsion_search(GOLDEN, 3, n=n, k_max=k_max)
     with pytest.raises(RangeError):
         torsion_search(GOLDEN, 2, k_max=1)
     with pytest.raises(RangeError):

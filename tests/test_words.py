@@ -8,22 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmia import words
-from sturmia.errors import DepthError, NotCentralError, RangeError, UndeterminedError
+from sturmia.errors import DepthError, NotCentralError, RangeError
 from sturmia.intercept import from_integer, sturmian_prefix
 from sturmia.slope import Slope, continuants, convergent_value, parse_slope
 from sturmia.words import (
     MAX_STANDARD_LETTERS,
-    balance_defect,
     central_decomposition,
     characteristic_prefix,
     complexity,
     factor_set,
-    fractional_power,
     is_palindrome,
     language_length,
     mechanical_prefix,
     shifted_characteristic_prefix,
-    special_factor,
     standard_word,
     window_walk,
 )
@@ -314,29 +311,6 @@ def test_window_walk_jumps_to_the_end_and_from_overlapping_sources(monkeypatch):
         assert_walks_agree(word, (1, 2, 10, 89, 440))
 
 
-def test_special_factors_golden():
-    window = characteristic_prefix(GOLDEN, 20)
-    f3 = factor_set(window, 3)
-    assert special_factor(f3, "left") == "10"
-    assert special_factor(f3, "right") == "01"
-    f2 = factor_set(window, 2)
-    assert special_factor(f2, "left") == "1"
-    assert special_factor(f2, "right") == "1"
-
-
-def test_special_factor_reversal_identity():
-    slope = parse_slope("[0;2,1,(3)*]")
-    window = characteristic_prefix(slope, 400)
-    for n in range(1, 10):
-        f = factor_set(window, n + 1)
-        assert special_factor(f, "right") == special_factor(f, "left")[::-1]
-
-
-def test_special_factor_undetermined_on_short_window():
-    with pytest.raises(UndeterminedError):
-        special_factor(factor_set("10", 2), "left")
-
-
 def test_central_decomposition():
     assert central_decomposition("101") == ("1", "")
     assert central_decomposition("000") == "0"
@@ -362,18 +336,11 @@ def test_central_words_from_standard_words():
                 assert z == p + "01" + q
 
 
-def test_fractional_power():
-    assert fractional_power("10", Fraction(5, 2)) == "10101"
-    assert fractional_power("011", 1) == "011"
-    assert fractional_power("101", Fraction(2, 3)) == "10"
-    with pytest.raises(RangeError):
-        fractional_power("", 2)
-
-
 def test_balance_defect_of_sturmian_windows():
     window = characteristic_prefix(parse_slope("[0;2,(3)*]"), 300)
     for n in range(1, 15):
-        assert balance_defect(window, n) <= 1
+        ones = {f.count("1") for f in factor_set(window, n)}
+        assert max(ones) - min(ones) <= 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,13 @@
 """Runnable acceptance checks, one per numbered release criterion.
 
-Every check returns a CheckResult instead of raising, so the registry can
-print a one-line verdict per criterion; the pytest wrapper and the `verify`
-CLI subcommand both drive this module.  Randomized corpora are seeded and
-capped so the whole battery stays fast and reproducible; caps are reported
-in the result details.
+`CHECKS` is the registry: a table of (name, check) pairs, and a
+criterion's number is its position there, so the table alone numbers and
+names the criteria.  A check returns its pass detail, or raises `_Failed`
+with the first counterexample it meets; `run_check` turns either into a
+CheckResult, so the registry can print a one-line verdict per criterion.
+The pytest suite and the `verify` CLI subcommand both drive this module.
+Randomized corpora are seeded and capped so the whole battery stays fast
+and reproducible; caps are reported in the result details.
 """
 
 from __future__ import annotations
@@ -73,6 +76,10 @@ class CheckResult:
         return f"[{verdict}] criterion {self.number:2d} {self.name}: {self.detail}"
 
 
+class _Failed(Exception):
+    """A criterion's counterexample; its one argument is the failure detail."""
+
+
 def _seeded_slopes(
     count: int, seed: int, hi: int = 5, cap_level: int = 12, cap: int = 100_000
 ) -> tuple[Slope, ...]:
@@ -114,7 +121,7 @@ def _ten_slopes() -> tuple[Slope, ...]:
 # --------------------------------------------------------------- criteria
 
 
-def check_01_ostrowski_round_trip() -> CheckResult:
+def check_01_ostrowski_round_trip() -> str:
     """decode(encode(n)) identity below q_12 and depth-7 uniqueness."""
     slopes = _ten_slopes()
     total = 0
@@ -122,20 +129,15 @@ def check_01_ostrowski_round_trip() -> CheckResult:
         top = min(slope.q(12), 100_000)
         for n in range(top):
             if decode(encode(n, slope, 12)) != n:
-                return CheckResult(1, "ostrowski-round-trip", False, f"n={n} on {slope}")
+                raise _Failed(f"n={n} on {slope}")
         total += top
         values = sorted(decode(d, slope) for d in all_digit_strings(slope, 7))
         if values != list(range(slope.q(7))):
-            return CheckResult(1, "ostrowski-round-trip", False, f"uniqueness on {slope}")
-    return CheckResult(
-        1,
-        "ostrowski-round-trip",
-        True,
-        f"{total} integers round-tripped on {len(slopes)} slopes; depth-7 bijection exhaustive",
-    )
+            raise _Failed(f"uniqueness on {slope}")
+    return f"{total} integers round-tripped on {len(slopes)} slopes; depth-7 bijection exhaustive"
 
 
-def check_02_prefix_product() -> CheckResult:
+def check_02_prefix_product() -> str:
     """Descending product of standard words equals the plain truncation."""
     slopes = _ten_slopes()
     checked = 0
@@ -150,14 +152,12 @@ def check_02_prefix_product() -> CheckResult:
                 if digits[i]
             )
             if product != reference[:m] or characteristic_prefix(slope, m) != product:
-                return CheckResult(2, "prefix-product", False, f"m={m} on {slope}")
+                raise _Failed(f"m={m} on {slope}")
             checked += 1
-    return CheckResult(
-        2, "prefix-product", True, f"m <= 500 on {len(slopes)} slopes ({checked} prefixes)"
-    )
+    return f"m <= 500 on {len(slopes)} slopes ({checked} prefixes)"
 
 
-def check_03_complexity() -> CheckResult:
+def check_03_complexity() -> str:
     """Window complexity n+1 once the prefix passes one recurrence span.
 
     The certified span is n plus the continuant above the repetition level:
@@ -171,11 +171,11 @@ def check_03_complexity() -> CheckResult:
             window = n + slope.q(level + 1) + 10
             prefix = characteristic_prefix(slope, window)
             if complexity(prefix, n) != n + 1:
-                return CheckResult(3, "sturmian-complexity", False, f"n={n} on {slope}")
-    return CheckResult(3, "sturmian-complexity", True, f"n <= 50 on {len(slopes)} slopes")
+                raise _Failed(f"n={n} on {slope}")
+    return f"n <= 50 on {len(slopes)} slopes"
 
 
-def check_04_repetition_intervals() -> CheckResult:
+def check_04_repetition_intervals() -> str:
     """The repetition profile reads q_n on the whole interval [q_n - 1, q_{n+1} - 2]."""
     slopes = (GOLDEN, TWO_ONE) + _seeded_slopes(5, SEED + 4, cap_level=9, cap=100)
     pairs = 0
@@ -186,19 +186,12 @@ def check_04_repetition_intervals() -> CheckResult:
             q_n, q_n1 = slope.q(n), slope.q(n + 1)
             for m in range(max(1, q_n - 1), q_n1 - 1):
                 if profile_lookup(profile, m, len(prefix)) != q_n:
-                    return CheckResult(
-                        4, "repetition-intervals", False, f"m={m}, n={n} on {slope}"
-                    )
+                    raise _Failed(f"m={m}, n={n} on {slope}")
                 pairs += 1
-    return CheckResult(
-        4,
-        "repetition-intervals",
-        True,
-        f"{pairs} (m, n) pairs, n <= 8, on {len(slopes)} slopes (seeded caps q_9 <= 100)",
-    )
+    return f"{pairs} (m, n) pairs, n <= 8, on {len(slopes)} slopes (seeded caps q_9 <= 100)"
 
 
-def check_05_closed_form_oracle() -> CheckResult:
+def check_05_closed_form_oracle() -> str:
     """Closed-form repetition versus the repetition profile, exhaustive at depth 8.
 
     Outside case 1 the closed form also matches the 4-branch level formula
@@ -220,12 +213,7 @@ def check_05_closed_form_oracle() -> CheckResult:
             for m, (value, case) in enumerate(closed, start=1):
                 cases.add(case)
                 if value != profile_lookup(profile, m, len(word)):
-                    return CheckResult(
-                        5,
-                        "closed-form-oracle",
-                        False,
-                        f"digits={digits}, m={m}, case={case} on {slope}",
-                    )
+                    raise _Failed(f"digits={digits}, m={m}, case={case} on {slope}")
                 pairs += 1
             for m in (1, 2, m_top // 2 + 1, m_top):
                 value, case = closed[m - 1]
@@ -233,24 +221,16 @@ def check_05_closed_form_oracle() -> CheckResult:
                     continue
                 n = interval_locate(m, slope).n
                 if repetition_level(rho.psi(n + 1), slope, m) != value:
-                    return CheckResult(
-                        5,
-                        "closed-form-oracle",
-                        False,
-                        f"4-branch level formula: digits={digits}, m={m} on {slope}",
-                    )
+                    raise _Failed(f"4-branch level formula: digits={digits}, m={m} on {slope}")
                 levels += 1
-    return CheckResult(
-        5,
-        "closed-form-oracle",
-        True,
+    return (
         f"{pairs} pairs, no discrepancies, cases seen {sorted(cases)} "
         f"on {len(slopes)} slopes (caps q_8 <= 120); "
-        f"4-branch level formula agrees at {levels} (window, m) outside case 1",
+        f"4-branch level formula agrees at {levels} (window, m) outside case 1"
     )
 
 
-def check_06_intercept_bijection() -> CheckResult:
+def check_06_intercept_bijection() -> str:
     """Digit recovery from the word the digits generate, depth 10."""
     count = 0
     for slope in NAMED_FIVE:
@@ -262,16 +242,12 @@ def check_06_intercept_bijection() -> CheckResult:
             prefix = sturmian_prefix(deep, need)
             back = intercept_from_prefix(prefix, slope, 10)
             if back.digits != digits:
-                return CheckResult(
-                    6, "intercept-bijection", False, f"digits={digits} on {slope}"
-                )
+                raise _Failed(f"digits={digits} on {slope}")
             count += 1
-    return CheckResult(
-        6, "intercept-bijection", True, f"{count} seeded windows across 5 slopes"
-    )
+    return f"{count} seeded windows across 5 slopes"
 
 
-def check_07_duality() -> CheckResult:
+def check_07_duality() -> str:
     """Shift word equals the complement's product word; complement involutes;
     the dual formulas of two gap-indexed full-digit families hold."""
     checked = 0
@@ -294,34 +270,23 @@ def check_07_duality() -> CheckResult:
                 continue
             report = duality_check(rho, 300)
             if not report.ok:
-                return CheckResult(
-                    7, "duality", False, f"digits={rho.digits} on {slope}"
-                )
+                raise _Failed(f"digits={rho.digits} on {slope}")
             if not equivalent(back, rho).equivalent:
-                return CheckResult(
-                    7, "duality", False, f"involution failed for {rho.digits} on {slope}"
-                )
+                raise _Failed(f"involution failed for {rho.digits} on {slope}")
             accepted += 1
             checked += 1
         if accepted < 25:
-            return CheckResult(
-                7, "duality", False, f"only {accepted} usable corpus windows on {slope}"
-            )
+            raise _Failed(f"only {accepted} usable corpus windows on {slope}")
         for indices in ({2, 4, 6, 8, 10}, {2, 5, 8, 11}):
             if not complement_family(indices, slope, 24).ok:
-                return CheckResult(
-                    7, "duality", False, f"dual family of {sorted(indices)} on {slope}"
-                )
-    return CheckResult(
-        7,
-        "duality",
-        True,
+                raise _Failed(f"dual family of {sorted(indices)} on {slope}")
+    return (
         f"{checked} non-zero-class intercepts, prefix length 300; dual formulas "
-        "of families {2,4,6,8,10} and {2,5,8,11} at depth 24 on 5 slopes",
+        "of families {2,4,6,8,10} and {2,5,8,11} at depth 24 on 5 slopes"
     )
 
 
-def check_08_characteristic_factorizations() -> CheckResult:
+def check_08_characteristic_factorizations() -> str:
     """Both product factorizations of the characteristic word, three cases,
     and the central split of every clipped standard word s_N, N >= 2, up to
     q_N = 150."""
@@ -330,33 +295,23 @@ def check_08_characteristic_factorizations() -> CheckResult:
     for slope in NAMED_FIVE:
         report = characteristic_factorizations(slope, 400)
         if not report.ok:
-            return CheckResult(8, "characteristic-factorizations", False, f"{slope}")
+            raise _Failed(f"{slope}")
         seen[report.case] = seen.get(report.case, 0) + 1
         for n in range(2, slope.level(150)):
             total = slope.q(n) - 2
             for m in range(total + 1):
                 if not central_split_check(m, total - m, slope).ok:
-                    return CheckResult(
-                        8,
-                        "characteristic-factorizations",
-                        False,
-                        f"central split m={m}, p={total - m} on {slope}",
-                    )
+                    raise _Failed(f"central split m={m}, p={total - m} on {slope}")
                 splits += 1
     if set(seen) != {"a1=1,a2=1", "a1=1,a2>=2", "a1>=2"}:
-        return CheckResult(
-            8, "characteristic-factorizations", False, f"cases covered: {sorted(seen)}"
-        )
-    return CheckResult(
-        8,
-        "characteristic-factorizations",
-        True,
+        raise _Failed(f"cases covered: {sorted(seen)}")
+    return (
         f"three quotient cases verified to length 400; central split holds "
-        f"for all {splits} m + p = q_N - 2 with N >= 2, q_N <= 150 on 5 slopes",
+        f"for all {splits} m + p = q_N - 2 with N >= 2, q_N <= 150 on 5 slopes"
     )
 
 
-def check_09_rauzy() -> CheckResult:
+def check_09_rauzy() -> str:
     """Cycle lengths, coprimality and turn counts on every graph up to m=150."""
     for slope in NAMED_FIVE:
         for m in range(1, 151):
@@ -365,56 +320,41 @@ def check_09_rauzy() -> CheckResult:
             q_n, q_n1 = slope.q(pos.n), slope.q(pos.n - 1)
             ref, other = len(graph.referent_cycle), len(graph.other_cycle)
             if ref != q_n or other != pos.l * q_n + q_n1:
-                return CheckResult(9, "rauzy-structure", False, f"m={m} on {slope}")
+                raise _Failed(f"m={m} on {slope}")
             if gcd(ref, other) != 1:
-                return CheckResult(9, "rauzy-structure", False, f"gcd at m={m} on {slope}")
+                raise _Failed(f"gcd at m={m} on {slope}")
             turns = graph.turns(0)
             if turns != slope.quotient(pos.n + 1) - pos.l:
-                return CheckResult(9, "rauzy-structure", False, f"turns at m={m} on {slope}")
-    return CheckResult(9, "rauzy-structure", True, "all m <= 150 on 5 slopes")
+                raise _Failed(f"turns at m={m} on {slope}")
+    return "all m <= 150 on 5 slopes"
 
 
-def check_10_torsion() -> CheckResult:
+def check_10_torsion() -> str:
     """Continuant congruences certified by digit supports, golden slope."""
     canonical = {2: 3, 4: 6, 3: 8, 5: 20}
     details = []
     for modulus, k_ref in canonical.items():
         anchored = torsion_search(GOLDEN, modulus, n=4)
         if not anchored.found or anchored.k != k_ref:
-            return CheckResult(
-                10, "torsion-identities", False, f"N={modulus} at n=4 gave k={anchored.k}"
-            )
+            raise _Failed(f"N={modulus} at n=4 gave k={anchored.k}")
         hit = torsion_search(GOLDEN, modulus)
         if not hit.found or hit.k > k_ref:
-            return CheckResult(
-                10, "torsion-identities", False, f"N={modulus} default search k={hit.k}"
-            )
+            raise _Failed(f"N={modulus} default search k={hit.k}")
         sweep_top = hit.n + 30
         for n in range(hit.n, sweep_top + 1):
             again = torsion_search(GOLDEN, modulus, n=n)
             if not again.found:
-                return CheckResult(
-                    10, "torsion-identities", False, f"N={modulus} no identity at n={n}"
-                )
+                raise _Failed(f"N={modulus} no identity at n={n}")
             value = decode(again.quotient_digits, GOLDEN)
             if GOLDEN.q(n + again.k) - GOLDEN.q(n) != modulus * value:
-                return CheckResult(
-                    10, "torsion-identities", False, f"N={modulus} arithmetic at n={n}"
-                )
+                raise _Failed(f"N={modulus} arithmetic at n={n}")
             if not all(n < s < n + again.k for s in again.support):
-                return CheckResult(
-                    10, "torsion-identities", False, f"N={modulus} support at n={n}"
-                )
+                raise _Failed(f"N={modulus} support at n={n}")
         details.append(f"N={modulus}: k={k_ref} at n=4, k={hit.k} from n={hit.n}")
-    return CheckResult(
-        10,
-        "torsion-identities",
-        True,
-        "; ".join(details) + "; identities re-verified for 31 ranks each",
-    )
+    return "; ".join(details) + "; identities re-verified for 31 ranks each"
 
 
-def check_11_self_complementary() -> CheckResult:
+def check_11_self_complementary() -> str:
     """Three reversal-fixed classes per slope, plus the all-even family.
 
     The palindromic center word, read at depth 6, lands in exactly one class.
@@ -422,38 +362,29 @@ def check_11_self_complementary() -> CheckResult:
     for slope in NAMED_FIVE:
         classes = self_complementary(slope, 20)
         if len(classes) != 3:
-            return CheckResult(11, "self-complementary", False, f"{slope}")
+            raise _Failed(f"{slope}")
         center = palindromic_center_word(slope, slope.q(7) + slope.q(6))
         rho = intercept_from_prefix(center, slope, 6)
         hits = sum(equivalent(rho, cls).equivalent for cls in classes)
         if hits != 1:
-            return CheckResult(
-                11, "self-complementary", False, f"center word meets {hits} classes on {slope}"
-            )
+            raise _Failed(f"center word meets {hits} classes on {slope}")
         for rho in classes:
             if not equivalent(rho, complement(rho)).equivalent:
-                return CheckResult(
-                    11, "self-complementary", False, f"fixed-point fails on {slope}"
-                )
+                raise _Failed(f"fixed-point fails on {slope}")
         for a, b in itertools.combinations(classes, 2):
             if equivalent(a, b).equivalent:
-                return CheckResult(
-                    11, "self-complementary", False, f"classes collide on {slope}"
-                )
+                raise _Failed(f"classes collide on {slope}")
     family = even_family(TWO_TWO, 20)
     for rho in family:
         if not equivalent(rho, complement(rho)).equivalent:
-            return CheckResult(11, "self-complementary", False, "even family fails")
-    return CheckResult(
-        11,
-        "self-complementary",
-        True,
+            raise _Failed("even family fails")
+    return (
         "3 classes at depth 20 on 5 slopes; S0/S1/S2 family on the all-even slope; "
-        "palindromic center word in exactly one class on 5 slopes",
+        "palindromic center word in exactly one class on 5 slopes"
     )
 
 
-def check_12_b_factorization() -> CheckResult:
+def check_12_b_factorization() -> str:
     """Prefix-free inventory, at-most-one parsing, and the finite trichotomy."""
     inventory = ["00", "01"] + [
         "1" + "0" * k + "1" + x for k in range(16) for x in "01"
@@ -464,14 +395,14 @@ def check_12_b_factorization() -> CheckResult:
     for a in inventory:
         for b in inventory:
             if a != b and b.startswith(a):
-                return CheckResult(12, "b-factorization", False, f"{a} prefixes {b}")
+                raise _Failed(f"{a} prefixes {b}")
     words = 0
     for length in range(17):
         for bits in itertools.product("01", repeat=length):
             u = "".join(bits)
             done = sum(b_factorize(p + u).complete for p in ("", "1", "11"))
             if done != 1:
-                return CheckResult(12, "b-factorization", False, f"trichotomy at {u!r}")
+                raise _Failed(f"trichotomy at {u!r}")
             words += 1
     for length in range(13):
         for bits in itertools.product("01", repeat=length):
@@ -483,28 +414,25 @@ def check_12_b_factorization() -> CheckResult:
                     if ways[i] and u[i:j] in blocks:
                         ways[j] += ways[i]
             if ways[-1] > 1 or (ways[-1] == 1) != b_factorize(u).complete:
-                return CheckResult(12, "b-factorization", False, f"uniqueness at {u!r}")
-    return CheckResult(
-        12,
-        "b-factorization",
-        True,
+                raise _Failed(f"uniqueness at {u!r}")
+    return (
         f"inventory prefix-free; trichotomy on {words} words (<= 16); "
-        "parse count <= 1 cross-checked to length 12",
+        "parse count <= 1 cross-checked to length 12"
     )
 
 
-def check_13_dio_estimate() -> CheckResult:
+def check_13_dio_estimate() -> str:
     """Golden window value against 1 + phi; family formula against generic."""
     phi = (1 + math.sqrt(5)) / 2
     est = dio_estimate(zero(GOLDEN, 25))
     if abs(float(est.value) - (1 + phi)) >= 1e-3:
-        return CheckResult(13, "dio-estimate", False, f"golden value {float(est.value)}")
+        raise _Failed(f"golden value {float(est.value)}")
     for text, digit in (("[0;4*]", 2), ("[0;5*]", 3)):
         slope = parse_slope(text)
         rho = AlphaNumber((digit,) * 14, slope)
         family = dio_estimate(rho)
         if family.mode != "four-family":
-            return CheckResult(13, "dio-estimate", False, f"{text} missed the hypothesis")
+            raise _Failed(f"{text} missed the hypothesis")
         generic = 1 + max(
             Fraction(row.m_hi, row.value)
             for n in range(1, rho.depth - 1)
@@ -517,25 +445,20 @@ def check_13_dio_estimate() -> CheckResult:
         step = max(abs(v14 - v13), abs(v13 - v12))
         gap = abs(float(family.value - generic))
         if gap > step:
-            return CheckResult(
-                13, "dio-estimate", False, f"{text}: gap {gap} above window term {step}"
-            )
-    return CheckResult(
-        13,
-        "dio-estimate",
-        True,
+            raise _Failed(f"{text}: gap {gap} above window term {step}")
+    return (
         f"golden window value {float(est.value):.6f} within 1e-3 of 1+phi; "
-        "family/generic gap below one window term on two slopes",
+        "family/generic gap below one window term on two slopes"
     )
 
 
-def check_14_mechanical_oracle() -> CheckResult:
+def check_14_mechanical_oracle() -> str:
     """Convergent-slope mechanical words, then rational complexity bounds."""
     for slope in NAMED_FIVE:
         depth = slope.level(2 * 202)
         alpha = convergent_value(slope, depth)
         if mechanical_prefix(alpha, alpha, 200, "lower") != characteristic_prefix(slope, 200):
-            return CheckResult(14, "mechanical-oracle", False, f"{slope}")
+            raise _Failed(f"{slope}")
     rng = random.Random(SEED + 14)
     for _ in range(50):
         den = rng.randint(2, 40)
@@ -544,36 +467,34 @@ def check_14_mechanical_oracle() -> CheckResult:
         word = mechanical_prefix(alpha, rho, 240, rng.choice(("lower", "upper")))
         for n in range(1, 31):
             if complexity(word, n) > n + 1:
-                return CheckResult(
-                    14, "mechanical-oracle", False, f"alpha={alpha}, rho={rho}, n={n}"
-                )
-    return CheckResult(
-        14,
-        "mechanical-oracle",
-        True,
-        "5 convergent slopes exact to 200; 50 rational pairs stay below n+1",
-    )
+                raise _Failed(f"alpha={alpha}, rho={rho}, n={n}")
+    return "5 convergent slopes exact to 200; 50 rational pairs stay below n+1"
 
 
-CHECKS: tuple[Callable[[], CheckResult], ...] = (
-    check_01_ostrowski_round_trip,
-    check_02_prefix_product,
-    check_03_complexity,
-    check_04_repetition_intervals,
-    check_05_closed_form_oracle,
-    check_06_intercept_bijection,
-    check_07_duality,
-    check_08_characteristic_factorizations,
-    check_09_rauzy,
-    check_10_torsion,
-    check_11_self_complementary,
-    check_12_b_factorization,
-    check_13_dio_estimate,
-    check_14_mechanical_oracle,
+CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
+    ("ostrowski-round-trip", check_01_ostrowski_round_trip),
+    ("prefix-product", check_02_prefix_product),
+    ("sturmian-complexity", check_03_complexity),
+    ("repetition-intervals", check_04_repetition_intervals),
+    ("closed-form-oracle", check_05_closed_form_oracle),
+    ("intercept-bijection", check_06_intercept_bijection),
+    ("duality", check_07_duality),
+    ("characteristic-factorizations", check_08_characteristic_factorizations),
+    ("rauzy-structure", check_09_rauzy),
+    ("torsion-identities", check_10_torsion),
+    ("self-complementary", check_11_self_complementary),
+    ("b-factorization", check_12_b_factorization),
+    ("dio-estimate", check_13_dio_estimate),
+    ("mechanical-oracle", check_14_mechanical_oracle),
 )
 
 
 def run_check(number: int) -> CheckResult:
     if not 1 <= number <= len(CHECKS):
         raise ValueError(f"criteria are numbered 1..{len(CHECKS)}, got {number}")
-    return CHECKS[number - 1]()
+    name, check = CHECKS[number - 1]
+    try:
+        detail = check()
+    except _Failed as failed:
+        return CheckResult(number, name, False, str(failed))
+    return CheckResult(number, name, True, detail)

@@ -94,15 +94,12 @@ def central_split_check(m: int, p: int, slope: Slope) -> SplitReport:
     if slope.q(level) - 2 != total:
         raise RangeError(f"m+p = {total} is not q_N - 2 for any subscript N")
     expected = standard_word(slope, level)[:-2]
-    left = characteristic_prefix(slope, m)
-    right = integer_product(p, slope)
-    return SplitReport(
-        ok=expected == left + right,
-        level=level,
-        left=left,
-        right=right,
-        expected=expected,
-    )
+    # one prefix per length m + p; integer_product(p) is its first p letters
+    # read backwards
+    prefix = characteristic_prefix(slope, total)
+    left = prefix[:m]
+    right = prefix[:p][::-1]
+    return SplitReport(expected == left + right, level, left, right, expected)
 
 
 @dataclass(frozen=True)

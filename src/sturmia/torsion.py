@@ -24,25 +24,13 @@ from .slope import Slope
 from .words import characteristic_prefix, factor_set, is_palindrome, language_length
 
 
-# The block inventory as one pattern.  It is prefix-free, so the longest
-# run of blocks at the start of a word is what a block-by-block scan finds.
+# The block inventory {00, 01} and {1 0^k 1 x : k >= 0, x a letter} as one
+# pattern.  It is prefix-free, so a scanner can commit to a block as soon
+# as it has seen one, and the longest run of blocks at the start of a word
+# is what a block-by-block scan finds.
 _BLOCK = "0[01]|10*1[01]"
 _BLOCK_RE = re.compile(_BLOCK)
 _BLOCK_RUN_RE = re.compile(f"(?:{_BLOCK})*")
-
-
-class BWordSet:
-    """The block inventory {00, 01} and {1 0^k 1 x : k >= 0, x a letter}.
-
-    No block is a prefix of another, so a scanner can commit to a block
-    as soon as it has seen one.
-    """
-
-    def __contains__(self, word: str) -> bool:
-        return _BLOCK_RE.fullmatch(word) is not None
-
-
-B_BLOCKS = BWordSet()
 
 
 class BFactorization:
@@ -334,9 +322,8 @@ class AutomatonLog:
     period: int
 
 
-# The most levels `torsion_search` walks: its default rank's walk to the
-# state cycle, and an explicit rank plus k_max.  The golden slope's cycle
-# mod N closes within 6 N levels.
+# The most levels `torsion_search` walks to the state cycle to find its
+# default rank.  The golden slope's cycle mod N closes within 6 N levels.
 MAX_RANK_WALK = 2**15
 
 
@@ -424,9 +411,9 @@ def torsion_search(
     When n is omitted, the first rank from which only recurring automaton
     states appear is used, read from a walk that stops where the state
     cycle closes; a cycle that does not close within MAX_RANK_WALK levels
-    raises RangeError.  So does an n + k_max above MAX_RANK_WALK, before
-    the states from n on are walked, and a modulus below 2, before
-    anything is walked.
+    raises RangeError.  So does a rank n + k_max whose continuants would
+    pass the slope's ladder budget, before the states from n on are walked,
+    and a modulus below 2, before anything is walked.
     The state walk guides; exact integer division and digit encoding
     certify.  A miss is a window verdict, not a proof.
     """
@@ -444,11 +431,11 @@ def torsion_search(
         n = log.n0
     if n < 0:
         raise RangeError(f"n must be >= 0, got {n}")
-    if n + k_max > MAX_RANK_WALK:
-        raise RangeError(
-            f"n + k_max = {n + k_max} walks more than {MAX_RANK_WALK} levels"
-        )
     top = n + k_max + 2
+    try:
+        slope.q(top)
+    except RangeError as exc:
+        raise RangeError(f"rank n + k_max = {n + k_max} is out of reach: {exc}") from exc
     states = list(islice(_walk(slope, modulus), top + 1))
     for k in range(2, k_max + 1):
         difference = slope.q(n + k) - slope.q(n)

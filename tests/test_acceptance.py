@@ -1,11 +1,12 @@
 """Release criteria, one pytest line per numbered check.
 
-Each test delegates to the acceptance registry and prints the one-line
-verdict so `pytest -v` doubles as the release report.  The checks seed
-their own corpora; nothing here depends on test ordering.
+`test_criterion` runs each entry of the acceptance registry and prints
+its one-line verdict, so `pytest -v` doubles as the release report.  The
+checks seed their own corpora; nothing here depends on test ordering.
 """
 
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
@@ -13,66 +14,46 @@ from sturmia import acceptance
 from sturmia.words import characteristic_prefix
 
 
-def _run(number: int) -> None:
-    result = acceptance.run_check(number)
+# Criterion numbers and names as `verify` prints them; the position is the
+# number.
+CRITERIA = (
+    "ostrowski-round-trip",
+    "prefix-product",
+    "sturmian-complexity",
+    "repetition-intervals",
+    "closed-form-oracle",
+    "intercept-bijection",
+    "duality",
+    "characteristic-factorizations",
+    "rauzy-structure",
+    "torsion-identities",
+    "self-complementary",
+    "b-factorization",
+    "dio-estimate",
+    "mechanical-oracle",
+)
+
+
+@cache
+def _verdict(number: int) -> acceptance.CheckResult:
+    """One unpatched run per criterion, shared by the tests that read it."""
+    return acceptance.run_check(number)
+
+
+@pytest.mark.parametrize(
+    "number",
+    range(1, len(acceptance.CHECKS) + 1),
+    ids=[name for name, _ in acceptance.CHECKS],
+)
+def test_criterion(number):
+    result = _verdict(number)
     print(result.line())
     assert result.passed, result.line()
 
 
-def test_criterion_01_ostrowski_round_trip():
-    _run(1)
-
-
-def test_criterion_02_prefix_product():
-    _run(2)
-
-
-def test_criterion_03_sturmian_complexity():
-    _run(3)
-
-
-def test_criterion_04_repetition_intervals():
-    _run(4)
-
-
-def test_criterion_05_closed_form_oracle():
-    _run(5)
-
-
-def test_criterion_06_intercept_bijection():
-    _run(6)
-
-
-def test_criterion_07_duality():
-    _run(7)
-
-
-def test_criterion_08_characteristic_factorizations():
-    _run(8)
-
-
-def test_criterion_09_rauzy_structure():
-    _run(9)
-
-
-def test_criterion_10_torsion_identities():
-    _run(10)
-
-
-def test_criterion_11_self_complementary():
-    _run(11)
-
-
-def test_criterion_12_b_factorization():
-    _run(12)
-
-
-def test_criterion_13_dio_estimate():
-    _run(13)
-
-
-def test_criterion_14_mechanical_oracle():
-    _run(14)
+def test_criterion_numbers_and_names_are_pinned():
+    pairs = [(r.number, r.name) for r in map(_verdict, range(1, len(CRITERIA) + 1))]
+    assert pairs == list(enumerate(CRITERIA, start=1))
 
 
 # The repetition and Rauzy criteria read each corpus through one profile,
@@ -110,6 +91,16 @@ def test_criterion_09_builds_each_graph_once(monkeypatch):
     assert len(calls) == 5 * 150
 
 
+# The first counterexample each mutation below meets, as `verify` prints it.
+FAILED_LINES = {
+    5: "[FAIL] criterion  5 closed-form-oracle: 4-branch level formula: "
+    "digits=(0, 0, 0, 0, 0, 0, 0, 0), m=1 on [0;1*]",
+    7: "[FAIL] criterion  7 duality: dual family of [2, 4, 6, 8, 10] on [0;1*]",
+    8: "[FAIL] criterion  8 characteristic-factorizations: central split m=0, p=0 on [0;1*]",
+    11: "[FAIL] criterion 11 self-complementary: center word meets 0 classes on [0;1*]",
+}
+
+
 @pytest.mark.parametrize(
     "number,name,wrong",
     [
@@ -124,3 +115,4 @@ def test_promoted_paper_checks_are_live(monkeypatch, number, name, wrong):
     monkeypatch.setattr(acceptance, name, wrong(getattr(acceptance, name)))
     result = acceptance.run_check(number)
     assert not result.passed, result.line()
+    assert result.line() == FAILED_LINES[number]

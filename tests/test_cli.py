@@ -661,7 +661,8 @@ USAGE_ERRORS = [
     (['torsion', '--slope', '[0;1*]', '-N', '0', '--n', '4'], 'error: modulus must be >= 2, got 0\n'),
     (['torsion', '--slope', '[0;1*]', '-N', '1', '--n', '4'], 'error: modulus must be >= 2, got 1\n'),
     (['torsion', '--slope', '[0;1*]', '-N', '6250'], 'error: the state cycle mod 6250 does not close within 32768 levels; give n\n'),
-    (['torsion', '--slope', '[0;1*]', '-N', '3', '--n', '100000000'], 'error: n + k_max = 100000040 walks more than 32768 levels\n'),
+    (['torsion', '--slope', '[0;1*]', '-N', '3', '--n', '100000000'], 'error: rank n + k_max = 100000040 is out of reach: continuants through q_100000042 would hold more than 67108864 bits\n'),
+    (['torsion', '--slope', '[0;1*]', '-N', '3', '--n', '30000'], 'error: rank n + k_max = 30040 is out of reach: continuants through q_30042 would hold more than 67108864 bits\n'),
     (['ostrowski', '--slope', '[0;1*]', '--encode', '5', '--depth', '100000'], 'error: continuants through q_100000 would hold more than 67108864 bits\n'),
     (['verify', '--only', '99'], 'error: criteria are numbered 1..14, got 99\n'),
     (['verify', '--depth', '-1', '--only', '8', '--format', 'json'], 'error: --depth must be at least 2, got -1\n'),

@@ -15,7 +15,6 @@ from sturmia.intercept import AlphaNumber, complement, equivalent, intercept_fro
 from sturmia.ostrowski import decode
 from sturmia.slope import Slope, continuants, parse_slope
 from sturmia.torsion import (
-    B_BLOCKS,
     MAX_RANK_WALK,
     AutomatonLog,
     automaton_states,
@@ -54,15 +53,19 @@ def inventory(max_len: int) -> list:
 # ----------------------------------------------------------- block inventory
 
 
+def is_one_block(word: str) -> bool:
+    return b_factorize(word).blocks == (word,)
+
+
 def test_block_membership():
-    assert "00" in B_BLOCKS
-    assert "01" in B_BLOCKS
-    assert "110" in B_BLOCKS
-    assert "111" in B_BLOCKS
-    assert "10010" in B_BLOCKS
-    assert "1000011" in B_BLOCKS
+    for block in ("00", "01", "110", "111", "10010", "1000011"):
+        assert is_one_block(block)
     for bad in ("", "0", "1", "10", "11", "010", "100", "1010 ", "10110", "0000"):
-        assert bad not in B_BLOCKS
+        assert not is_one_block(bad)
+    # the scan reads a word as one block exactly when the explicit list has it
+    blocks = frozenset(inventory(12))
+    for u in all_words(12):
+        assert is_one_block(u) == (u in blocks), u
 
 
 def test_block_inventory_is_prefix_free():
@@ -103,14 +106,16 @@ def test_exactly_one_of_three_scans_completes():
 
 
 def test_factorization_count_matches_greedy():
-    # count every block factorization by dynamic programming; the inventory
-    # being prefix-free, there is at most one and greedy finds it
+    # count every block factorization by dynamic programming over the
+    # explicit inventory; it being prefix-free, there is at most one and
+    # greedy finds it
+    blocks = frozenset(inventory(12))
     for u in all_words(12):
         ways = [0] * (len(u) + 1)
         ways[0] = 1
         for j in range(1, len(u) + 1):
             for i in range(j):
-                if ways[i] and u[i:j] in B_BLOCKS:
+                if ways[i] and u[i:j] in blocks:
                     ways[j] += ways[i]
         assert ways[-1] <= 1
         assert (ways[-1] == 1) == b_factorize(u).complete
@@ -136,10 +141,11 @@ def greedy_factorize(u: str) -> tuple:
 
 
 def test_factorize_matches_greedy_scan():
+    blocks = frozenset(inventory(14))
     for u in all_words(14):
         fact = b_factorize(u)
         assert (fact.blocks, fact.leftover) == greedy_factorize(u), u
-        assert all(block in B_BLOCKS for block in fact.blocks)
+        assert blocks.issuperset(fact.blocks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -475,10 +481,11 @@ def test_torsion_search_guards():
     assert torsion_search(GOLDEN, 65).n == 0
     with pytest.raises(RangeError, match=f"does not close within {MAX_RANK_WALK} levels"):
         torsion_search(GOLDEN, 6250)
-    # an explicit rank needs no walk to find it, but its walk is capped too
+    # an explicit rank needs no walk to find it; one whose continuants pass
+    # the ladder budget is refused, and the error names it
     assert torsion_search(GOLDEN, 6250, n=4).n == 4
-    for n, k_max in ((MAX_RANK_WALK - 39, 40), (4, MAX_RANK_WALK), (10**8, 40)):
-        with pytest.raises(RangeError, match=f"walks more than {MAX_RANK_WALK} levels"):
+    for n, k_max in ((30000, 40), (4, 30000), (10**8, 40)):
+        with pytest.raises(RangeError, match=f"rank n \\+ k_max = {n + k_max} is out of reach"):
             torsion_search(GOLDEN, 3, n=n, k_max=k_max)
     with pytest.raises(RangeError):
         torsion_search(GOLDEN, 2, k_max=1)

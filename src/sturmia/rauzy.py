@@ -70,14 +70,7 @@ class RauzyGraph:
         if isinstance(source, AlphaNumber) and source.slope != self.slope:
             raise ValueError("digit window and graph live over different slopes")
         ring = self.referent_cycle if cycle == "referent" else self.other_cycle
-        k = len(ring)
-        bound = self.slope.quotient(self.level.n + 1) - self.level.l if cycle == "referent" else 1
-        length = (bound + 2) * k + 3 * (self.m + 1)
-        if isinstance(source, AlphaNumber):
-            word = sturmian_prefix(source, length)
-        else:
-            word = shifted_characteristic_prefix(self.slope, source, length)
-        return _laps(word, self.m, ring)
+        return _turns(source, self.slope, self.level, self.m, ring, cycle)
 
     def to_dot(self) -> str:
         lines = ["digraph rauzy {"]
@@ -97,11 +90,17 @@ class RauzyGraph:
         return "\n".join(lines)
 
 
-def build_graph(slope: Slope, m: int) -> RauzyGraph:
-    """Graph of the length-m factors, built from a certified prefix.
+def _cycles(
+    slope: Slope, m: int
+) -> tuple[IntervalPosition, list[str], list[tuple[int, int]], list[int], list[int], list[int]]:
+    """The checked walk behind build_graph, on window ids.
 
-    Raises RangeError, before the prefix is built, when the m + 1 vertex
-    strings or the prefix would hold more than MAX_STANDARD_LETTERS letters.
+    Returns the level of m, the distinct length-m windows, the arrows as
+    (window id, window id) pairs, and the ids along the referent cycle, the
+    other cycle (both starting at the right special vertex) and the common
+    path (from the left special vertex to the right special one).  Raises
+    RangeError, before the prefix is built, when the m + 1 vertex strings or
+    the prefix would hold more than MAX_STANDARD_LETTERS letters.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
@@ -144,7 +143,17 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
     path = [*walk(left), right]
     if len(path) != pos.r + 1:
         raise AssertionError(f"common path has {len(path)} vertices, expected {pos.r + 1}")
-    referent, other, path = (tuple(windows[i] for i in ids) for ids in (referent, other, path))
+    return pos, windows, arrows, referent, other, path
+
+
+def build_graph(slope: Slope, m: int) -> RauzyGraph:
+    """Graph of the length-m factors, built from a certified prefix.
+
+    Raises RangeError, before the prefix is built, when the m + 1 vertex
+    strings or the prefix would hold more than MAX_STANDARD_LETTERS letters.
+    """
+    pos, windows, arrows, *ids = _cycles(slope, m)
+    referent, other, path = (tuple(windows[i] for i in ring) for ring in ids)
     return RauzyGraph(
         m=m,
         slope=slope,
@@ -152,12 +161,35 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
         vertices=tuple(sorted(windows)),
         # the arrows reuse the vertex string objects
         edges=tuple(sorted((windows[i], windows[j]) for i, j in arrows)),
-        left_special=windows[left],
-        right_special=windows[right],
+        left_special=path[0],
+        right_special=path[-1],
         referent_cycle=referent,
         other_cycle=other,
         common_path=path,
     )
+
+
+def _turns(
+    source: AlphaNumber | int,
+    slope: Slope,
+    pos: IntervalPosition,
+    m: int,
+    ring: tuple[str, ...],
+    cycle: str,
+) -> int:
+    """Laps around `ring`, the named cycle at level `pos`.
+
+    Reads a prefix of the shifted word long enough to certify the most laps
+    that cycle allows.
+    """
+    k = len(ring)
+    bound = slope.quotient(pos.n + 1) - pos.l if cycle == "referent" else 1
+    length = (bound + 2) * k + 3 * (m + 1)
+    if isinstance(source, AlphaNumber):
+        word = sturmian_prefix(source, length)
+    else:
+        word = shifted_characteristic_prefix(slope, source, length)
+    return _laps(word, m, ring)
 
 
 def _laps(word: str, m: int, ring: tuple[str, ...]) -> int:
@@ -195,8 +227,8 @@ def count_turns(
     """Number of consecutive laps the shifted word makes around a cycle.
 
     `source` is either a digit window or a plain integer shift of the
-    characteristic word.  Builds the graph of length-m factors and counts
-    on it with RauzyGraph.turns.
+    characteristic word.  Counts as RauzyGraph.turns does, but walks only
+    the graph's cycles: no sorted vertex or edge tuples are built.
     """
     if isinstance(source, AlphaNumber):
         slope = source.slope
@@ -204,4 +236,6 @@ def count_turns(
         raise ValueError("integer shifts need an explicit slope")
     if cycle not in ("referent", "other"):
         raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
-    return build_graph(slope, m).turns(source, cycle)
+    pos, windows, _, referent, other, _ = _cycles(slope, m)
+    ring = tuple(windows[i] for i in (referent if cycle == "referent" else other))
+    return _turns(source, slope, pos, m, ring, cycle)

@@ -11,12 +11,23 @@ against the direct scan in the test suite.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CaseDispatchError, DepthError, PrefixTooShortError, RangeError
 from .intercept import AlphaNumber
 from .slope import Slope, interval_locate
+
+# Fingerprint modulus of repetition_direct: the prime 2**64 - 59.  The base
+# 2**32 has order above 2e5 modulo it (tests/test_repetition.py checks
+# both), unlike a Mersenne modulus 2**61 - 1, where 2**32 has order 61 and
+# windows of structured words would collide.
+_MODULUS = 2**64 - 59
+# Code points in machine order, read four bytes at a time by memoryview
+_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+if memoryview(bytes(4)).cast("I").itemsize != 4:
+    raise ImportError("repetition_direct reads code points as 4-byte unsigned ints")
 
 
 def repetition_direct(x_prefix: str, m: int) -> int:
@@ -25,19 +36,29 @@ def repetition_direct(x_prefix: str, m: int) -> int:
     Certified: raises PrefixTooShortError when the prefix ends before any
     duplicate window is seen, rather than guessing.
 
-    Memory is O(len(x_prefix)): each window is kept only as its hash and
-    first index, and a hash hit is confirmed against the prefix in place.
-    Windows whose hash collides with a different, earlier window are the
-    only ones stored whole.
+    A Karp-Rabin rolling fingerprint (Karp & Rabin 1987): window i is read
+    as the base-2**32 number of its code points mod the prime _MODULUS, and
+    each next fingerprint comes from the last one in one step.  Each window
+    is kept only as its fingerprint and first index; a fingerprint hit is
+    confirmed against the prefix in place, and windows whose fingerprint
+    collides with a different, earlier window are the only ones stored
+    whole, so the answer is exact whatever the modulus.  O(len(x_prefix))
+    memory, and O(len(x_prefix) + m) time while distinct windows keep
+    distinct fingerprints.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
-    first: dict[int, int] = {}
+    modulus = _MODULUS
+    codes = memoryview(x_prefix.encode(_UTF32, "surrogatepass")).cast("I")
+    fingerprint = int.from_bytes(x_prefix[:m].encode("utf-32-be", "surrogatepass"), "big") % modulus
+    top = pow(1 << 32, m, modulus)  # weight of the letter leaving, once shifted
+    first = {fingerprint: 0}
     collided: set[str] = set()
-    for i in range(len(x_prefix) - m + 1):
-        window = x_prefix[i : i + m]
-        j = first.setdefault(hash(window), i)
+    for i, (out, new) in enumerate(zip(codes, codes[m:]), start=1):
+        fingerprint = ((fingerprint << 32 | new) - out * top) % modulus
+        j = first.setdefault(fingerprint, i)
         if j != i:
+            window = x_prefix[i : i + m]
             if x_prefix.startswith(window, j) or window in collided:
                 return i
             collided.add(window)
@@ -60,8 +81,9 @@ def repetition_profile(word: str, m_max: int | None = None) -> list[int]:
     the entries are the same, the list may just end earlier.
 
     O(len(word)) time, but every state keeps a dict of transitions (about
-    290 bytes per letter), so single-m scans of long words use
-    repetition_direct.
+    290 bytes per letter), so a single m on a long word is read by
+    repetition_direct, which is O(len(word) + m) as well and keeps one
+    fingerprint per window.
     """
     length = [0]
     link = [-1]

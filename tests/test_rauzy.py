@@ -299,8 +299,9 @@ def test_count_turns_memory_at_m_2000():
     finally:
         tracemalloc.stop()
     assert turns == 1
-    # the graph's 2001 vertex strings take 4.1 MB; counting laps by letters
-    # adds no window slices on top of them
+    # the walk's 2001 window strings take 4.1 MB (count_turns builds no
+    # sorted vertex or edge tuples); counting laps by letters adds no window
+    # slices on top of them
     assert peak < 6 * 2**20
 
 

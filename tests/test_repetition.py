@@ -92,28 +92,69 @@ def scan_words(alphabet: str):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(scan_words("01"), scan_words("012")))
+@given(st.one_of(scan_words("01"), scan_words("012"), scan_words("0\U0001F600\ud800")))
 def test_direct_matches_window_set_scan(word):
+    # an astral letter takes two UTF-16 units and a lone surrogate has no
+    # plain UTF-32 encoding: each must still read as one letter
     for m in range(1, len(word) + 2):
         assert direct_or_none(word, m) == reference_direct(word, m)
 
 
 def test_direct_exact_when_every_hash_collides(monkeypatch):
-    calls = []
+    misses = []
 
-    def constant_hash(window):
-        calls.append(window)
-        return 0
+    class Prefix(str):
+        """A word that records each in-place confirmation that fails."""
 
-    monkeypatch.setattr(repetition, "hash", constant_hash, raising=False)
+        def startswith(self, window, start):
+            agrees = super().startswith(window, start)
+            if not agrees:
+                misses.append((window, start))
+            return agrees
+
+    # modulus 1: every window has the fingerprint 0
+    monkeypatch.setattr(repetition, "_MODULUS", 1)
     rng = random.Random(3)
     words = [characteristic_prefix(slope, 150) for slope in SLOPES]
     words += ["".join(rng.choice("012") for _ in range(60)) for _ in range(5)]
     words += ["000000", "0120120", "01", "0110100110010110"]
     for word in words:
         for m in range(1, len(word) + 2):
-            assert direct_or_none(word, m) == reference_direct(word, m)
-    assert calls
+            assert direct_or_none(Prefix(word), m) == reference_direct(word, m)
+    # distinct windows met under one fingerprint and were kept whole
+    assert misses
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 13 prime bases, exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_fingerprint_modulus_is_a_prime_where_the_base_has_large_order():
+    p = repetition._MODULUS
+    assert p < 3 * 10**24 and is_prime(p)
+    assert is_prime(2**61 - 1) and not is_prime(2**64 - 1)
+    # windows at distance d share a weight when (2**32)**d = 1: no d up to 2e5
+    base, power = 2**32 % p, 1
+    for d in range(1, 200_001):
+        power = power * base % p
+        assert power != 1, d
 
 
 def test_direct_scan_memory_is_linear():
@@ -127,6 +168,16 @@ def test_direct_scan_memory_is_linear():
     assert value == repetition_characteristic(GOLDEN, 6781) == 6765
     # keeping every window whole would hold 6765 windows of 6781 letters
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("slope", [GOLDEN, parse_slope("[0;2,3,(1,2)*]")], ids=str)
+def test_direct_at_m_50000_matches_the_characteristic_form(slope):
+    pos = interval_locate(50_000, slope)
+    word = characteristic_prefix(slope, 50_000 + slope.q(pos.n + 1) + slope.q(pos.n) + 2)
+    expected = repetition_characteristic(slope, 50_000)
+    assert repetition_direct(word, 50_000) == expected
+    if slope == GOLDEN:
+        assert expected == 46368
 
 
 def test_characteristic_examples():

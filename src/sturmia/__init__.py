@@ -31,7 +31,7 @@ from .repetition import (
     repetition_profile,
     repetition_rows,
 )
-from .slope import Slope, continuants, convergent_value, interval_locate, parse_slope
+from .slope import Slope, convergent_value, interval_locate, parse_slope
 from .torsion import (
     automaton_states,
     b_factorize,
@@ -66,7 +66,6 @@ __all__ = [
     "classify",
     "complement",
     "complexity",
-    "continuants",
     "convergent_value",
     "count_turns",
     "decode",

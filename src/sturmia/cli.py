@@ -101,15 +101,6 @@ class RunConfig:
     format: str
     check: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "depth": self.depth,
-            "intercept": self.intercept,
-            "format": self.format,
-            "check": self.check,
-        }
-
 
 def parse_intercept(spec: str, slope: Slope, depth: int) -> AlphaNumber:
     """Resolve an intercept spec: integer, "b:0,1,0,1" digit list, or a name."""
@@ -508,7 +499,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         config = _config(args)
         result, code = args.handler(args, slope, config)
         if config.format == "json":
-            payload = {"command": args.command, "config": config.to_dict(), "result": result}
+            payload = {"command": args.command, "config": dict(vars(config)), "result": result}
             text = json.dumps(payload, sort_keys=True, indent=2)
         else:
             text = _RENDER[args.command, config.format](result, args)

@@ -70,11 +70,6 @@ class AlphaNumber:
         """Indices i < depth whose coefficient of q_i is non-zero."""
         return frozenset(i for i, b in enumerate(self.digits) if b != 0)
 
-    def truncate(self, depth: int) -> "AlphaNumber":
-        if depth > self.depth:
-            raise DepthError("cannot extend a window by truncation")
-        return AlphaNumber(self.digits[:depth], self.slope)
-
 
 def zero(slope: Slope, depth: int) -> AlphaNumber:
     return AlphaNumber((0,) * depth, slope)
@@ -237,14 +232,13 @@ def _default_tail(depth: int) -> int:
     return max(1, min(max(3, depth // 3), depth))
 
 
-def classify(rho: AlphaNumber, min_tail: int | None = None) -> ClassReport:
+def classify(rho: AlphaNumber) -> ClassReport:
     """Zero-class trichotomy on the window.
 
     An intercept is equivalent to zero exactly when its digits are eventually
     zero, eventually the sigma0 pattern (full even-subscript digits), or
-    eventually the sigma1 pattern.  The verdict requires at least min_tail
-    digits of evidence (default `_default_tail` of the depth), otherwise
-    "non-zero".
+    eventually the sigma1 pattern.  The verdict requires at least
+    `_default_tail(depth)` digits of evidence, otherwise "non-zero".
 
     The verdict also counts the reversed-standard-word products the shifted
     word admits (see `factorization`): a "non-zero" word has exactly one, a
@@ -253,13 +247,12 @@ def classify(rho: AlphaNumber, min_tail: int | None = None) -> ClassReport:
     characteristic word and has none.  The two exact sigma windows, the
     one-letter extensions themselves, sit outside this trichotomy.
     """
-    if min_tail is None:
-        min_tail = _default_tail(rho.depth)
+    tail = _default_tail(rho.depth)
     best: tuple[int, str] | None = None
     for kind, name in (("zero", "natural-integer"), ("sigma0", "sigma0-tail"), ("sigma1", "sigma1-tail")):
         start = _pattern_start(rho, kind)
         evidence = rho.depth + 1 - start
-        if evidence >= min_tail and (best is None or start < best[0]):
+        if evidence >= tail and (best is None or start < best[0]):
             best = (start, name)
     if best is None:
         return ClassReport("non-zero", None, 0)
@@ -273,19 +266,19 @@ class EquivalenceReport:
     reason: str
 
 
-def equivalent(rho: AlphaNumber, gamma: AlphaNumber, min_tail: int | None = None) -> EquivalenceReport:
+def equivalent(rho: AlphaNumber, gamma: AlphaNumber) -> EquivalenceReport:
     """Window test for "the two words are shifts of each other".
 
     Two non-zero-class intercepts are equivalent exactly when their digits
     agree from some level on; zero-class windows are all equivalent to the
     zero intercept.  The witness is the first agreeing 0-based digit index.
-    A shared tail of min_tail digits (by default as in `classify`, over the
-    shallower depth) settles equivalence.
+    A shared tail of `_default_tail(depth)` digits (as in `classify`, over
+    the shallower depth) settles equivalence.
     """
     if rho.slope != gamma.slope:
         raise ValueError("intercepts live over different slopes")
     depth = min(rho.depth, gamma.depth)
-    tail = _default_tail(depth) if min_tail is None else min_tail
+    tail = _default_tail(depth)
     # a shared digit tail settles it in every class, so test that first
     agree_from = depth
     for i in range(depth - 1, -1, -1):
@@ -295,7 +288,7 @@ def equivalent(rho: AlphaNumber, gamma: AlphaNumber, min_tail: int | None = None
     evidence = depth - agree_from
     if evidence >= tail:
         return EquivalenceReport(True, agree_from, f"digits agree from index {agree_from}")
-    a, b = classify(rho, min_tail), classify(gamma, min_tail)
+    a, b = classify(rho), classify(gamma)
     zero_a, zero_b = a.verdict != "non-zero", b.verdict != "non-zero"
     if zero_a and zero_b:
         return EquivalenceReport(True, None, f"both zero class ({a.verdict}, {b.verdict})")

@@ -26,9 +26,6 @@ class OstrowskiDigits:
     def depth(self) -> int:
         return len(self.digits)
 
-    def value(self) -> int:
-        return decode(self)
-
     def support(self) -> frozenset[int]:
         """Indices i with a non-zero coefficient of q_i."""
         return frozenset(i for i, b in enumerate(self.digits) if b != 0)

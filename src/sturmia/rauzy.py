@@ -47,15 +47,9 @@ class RauzyGraph:
     other_cycle: tuple[str, ...]
     common_path: tuple[str, ...]
 
-    def successors(self, vertex: str) -> tuple[str, ...]:
-        return tuple(t for s, t in self.edges if s == vertex)
-
     def cycle_edges(self, cycle: tuple[str, ...]) -> frozenset[tuple[str, str]]:
         k = len(cycle)
         return frozenset((cycle[i], cycle[(i + 1) % k]) for i in range(k))
-
-    def common_word(self) -> str:
-        return self.common_path[0] + "".join(v[-1] for v in self.common_path[1:])
 
     def turns(self, source: AlphaNumber | int, cycle: str = "referent") -> int:
         """Number of consecutive laps the shifted word makes around a cycle.

@@ -185,50 +185,11 @@ def parse_slope(text: str) -> Slope:
     return Slope(tuple(head + period_items), (len(head), len(period_items)))
 
 
-class ContinuantTable:
-    """A view of the slope's ladder: q_n and p_n for -1 <= n <= depth.
-
-    q_-1 = 0, q_0 = 1, q_{n+1} = a_{n+1} q_n + q_{n-1}; p runs the same
-    recurrence from p_-1 = 1, p_0 = 0, so p_n/q_n = [0; a_1..a_n].
-    """
-
-    __slots__ = ("slope", "depth", "_q", "_p")
-
-    def __init__(self, slope: Slope, depth: int):
-        self.slope = slope
-        self.depth = depth
-        self._q, self._p, _ = slope._grow(depth)
-
-    def q(self, n: int) -> int:
-        if n < -1 or n > self.depth:
-            raise DepthError(f"q_{n} outside computed range [-1, {self.depth}]")
-        return self._q[n + 1]
-
-    def p(self, n: int) -> int:
-        if n < -1 or n > self.depth:
-            raise DepthError(f"p_{n} outside computed range [-1, {self.depth}]")
-        return self._p[n + 1]
-
-    def q_values(self) -> tuple[int, ...]:
-        """The row (q_-1, q_0, ..., q_depth)."""
-        return tuple(self._q[: self.depth + 2])
-
-    def convergent(self, n: int) -> Fraction:
-        if n < 1:
-            raise DepthError("convergents are defined for n >= 1")
-        return Fraction(self.p(n), self.q(n))
-
-
-def continuants(slope: Slope, depth: int) -> ContinuantTable:
-    """Continuants of `slope` up to q_depth; depth 0 gives the seed row (0, 1)."""
-    if depth < 0:
-        raise DepthError("depth must be >= 0")
-    return ContinuantTable(slope, depth)
-
-
 def convergent_value(slope: Slope, n: int) -> Fraction:
     """The convergent p_n/q_n as an exact reduced fraction."""
-    return continuants(slope, n).convergent(n)
+    if n < 1:
+        raise DepthError("convergents are defined for n >= 1")
+    return Fraction(slope.p(n), slope.q(n))
 
 
 class IntervalPosition(NamedTuple):

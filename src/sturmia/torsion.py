@@ -87,30 +87,11 @@ def b_factorize(u: str) -> BFactorization:
     return BFactorization(u, _BLOCK_RUN_RE.match(u).end())
 
 
-@dataclass(frozen=True)
-class ParityWord:
-    """Partial quotients reduced mod a fixed modulus, one letter each."""
-
-    letters: tuple[int, ...]
-    modulus: int
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def text(self) -> str:
-        if self.modulus > 10:
-            raise ValueError("single-character rendering needs modulus <= 10")
-        return "".join(str(letter) for letter in self.letters)
-
-
-def parity_word(slope: Slope, depth: int, modulus: int = 2) -> ParityWord:
-    if modulus < 2:
-        raise RangeError(f"modulus must be >= 2, got {modulus}")
+def parity_word(slope: Slope, depth: int) -> str:
+    """The partial quotients a_1..a_depth mod 2, one letter each."""
     if depth < 1:
         raise RangeError(f"depth must be >= 1, got {depth}")
-    return ParityWord(
-        tuple(slope.quotient(i) % modulus for i in range(1, depth + 1)), modulus
-    )
+    return "".join(str(slope.quotient(i) % 2) for i in range(1, depth + 1))
 
 
 @dataclass(frozen=True)
@@ -213,7 +194,7 @@ def self_complementary(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
     Requires quotient parities that are not eventually even on the window;
     the eventually-even regime is covered by even_family instead.
     """
-    y = parity_word(slope, depth).text()
+    y = parity_word(slope, depth)
     if y.count("1") < 4:
         raise ParityError("parities look eventually even here; use even_family")
     classes = tuple(

@@ -52,10 +52,13 @@ def characteristic_prefix(slope: Slope, m: int) -> str:
 
     With m = sum b_{i+1} q_i the prefix is the downward product
     s_N^{b_{N+1}} ... s_0^{b_1}.  Agrees with truncating any s_d of length
-    >= m, which the tests cross-check.
+    >= m, which the tests cross-check.  Raises RangeError past
+    MAX_STANDARD_LETTERS letters, before any block is built.
     """
     if m < 0:
         raise RangeError("prefix length must be >= 0")
+    if m > MAX_STANDARD_LETTERS:
+        raise RangeError(f"prefix of length {m} has more than {MAX_STANDARD_LETTERS} letters")
     if m == 0:
         return ""
     depth = slope.level(m)

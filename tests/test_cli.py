@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -229,7 +230,7 @@ def test_standard_word_below_the_letter_cap(capsys):
 
 def test_run_config_round_trip():
     config = RunConfig("[0;1*]", 24, "sigma0", "json", False)
-    assert RunConfig(**json.loads(json.dumps(config.to_dict()))) == config
+    assert RunConfig(**json.loads(json.dumps(vars(config)))) == config
 
 
 def test_parse_intercept_forms():
@@ -644,6 +645,8 @@ GOLDEN_OUTPUT = [
 USAGE_ERRORS = [
     (['word', 'prefix', '--slope', 'bogus'], "error: not a slope literal: 'bogus'\n"),
     (['word', 'standard', '--slope', '[0;1*]', '--level', '2000'], 'error: standard word s_2000 has more than 100000000 letters\n'),
+    (['word', 'prefix', '--slope', '[0;1000*]', '--len', '100000001'], 'error: prefix of length 100000001 has more than 100000000 letters\n'),
+    (['factorize', '--slope', '[0;1000*]', '--len', '100000001'], 'error: prefix of length 100000001 has more than 100000000 letters\n'),
     (['ostrowski', '--slope', '[0;1*]', '--decode', ''], "error: bad digit list ''\n"),
     (['ostrowski', '--slope', '[0;1*]', '--decode', '2,0'], 'error: b_1=2 out of range\n'),
     (['ostrowski', '--slope', '[0;1*]', '--encode', '100', '--depth', '6'], 'error: 100 >= q_6 = 13; increase depth\n'),
@@ -738,3 +741,92 @@ def test_shallow_intercept_verdicts(monkeypatch, capsys, argv, out):
     monkeypatch.delenv("STURMIA_DEPTH", raising=False)
     assert dispatch(argv) == 0
     assert capsys.readouterr() == (out, "")
+
+
+# Seeded argv fuzz over every subcommand, with small sizes only: whatever the
+# input, dispatch returns 0, 1 or 2, and argparse's SystemExit(2) is the one
+# exception that may leave it.
+def fuzz_slope(rng) -> str:
+    quotients = [str(rng.randint(1, rng.choice((3, 9, 60)))) for _ in range(rng.randint(1, 5))]
+    head = quotients[:-2]
+    tail = rng.choice((None, quotients[-1:], quotients[-2:]))
+    if tail is None:
+        return "[0;" + ",".join(quotients) + "]"
+    period = f"{tail[0]}*" if len(tail) == 1 else "(" + ",".join(tail) + ")*"
+    return "[0;" + ",".join(head + [period]) + "]"
+
+
+def fuzz_intercept(rng) -> str:
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice(("zero", "sigma0", "sigma1"))
+    if kind == 1:
+        return str(rng.randint(-5, 10**rng.randint(1, 6)))
+    return "b:" + ",".join(str(rng.randint(-2, 4)) for _ in range(rng.randint(0, 14)))
+
+
+def fuzz_argv(rng) -> list[str]:
+    # verify runs fixed corpora whatever its input, so it is drawn less often
+    command = rng.choices(
+        ("word", "ostrowski", "intercept", "rauzy", "repetition", "factorize", "torsion", "verify"),
+        weights=(4, 4, 4, 4, 4, 4, 4, 1),
+    )[0]
+    slope = ["--slope", fuzz_slope(rng)]
+    intercept = ["--intercept", fuzz_intercept(rng)]
+    length = ["--len", str(rng.randint(-2, 300))]
+    if command == "word":
+        argv = [command, rng.choice(("prefix", "standard")), *slope, *length]
+        argv += ["--level", str(rng.randint(-1, 6)), *intercept]
+        formats = ("text", "json")
+    elif command == "ostrowski":
+        argv = [command, *slope]
+        if rng.random() < 0.5:
+            argv += ["--encode", str(rng.randint(-3, 10**rng.randint(1, 5)))]
+        else:
+            argv += ["--decode", ",".join(str(rng.randint(-1, 4)) for _ in range(rng.randint(0, 9)))]
+        formats = ("text", "json", "csv")
+    elif command == "intercept":
+        argv, formats = [command, *slope, *intercept], ("text", "json")
+    elif command == "rauzy":
+        argv, formats = [command, *slope, "--m", str(rng.randint(-2, 60))], ("text", "json", "dot")
+    elif command == "repetition":
+        argv = [command, *slope, *intercept, "--m-max", str(rng.randint(-2, 40))]
+        argv += ["--no-check"] if rng.random() < 0.3 else []
+        formats = ("csv", "json", "text")
+    elif command == "factorize":
+        argv = [command, *length]
+        argv += slope if rng.random() < 0.7 else []
+        argv += intercept if rng.random() < 0.3 else []
+        if rng.random() < 0.3:
+            argv += ["--word", "".join(rng.choice("01") for _ in range(rng.randint(0, 40)))]
+        formats = ("text", "json")
+    elif command == "torsion":
+        argv = [command, *slope, "-N", str(rng.randint(-1, 12))]
+        argv += ["--n", str(rng.randint(-2, 30))] if rng.random() < 0.5 else []
+        argv += ["--k-max", str(rng.randint(-1, 40))]
+        formats = ("json", "text")
+    else:
+        argv, formats = [command, "--only", str(rng.randint(-1, 16))], ("text", "json", "csv")
+    if rng.random() < 0.7:
+        argv += ["--depth", str(rng.randint(-1, 14))]
+    argv += ["--format", rng.choice(formats + ("bogus",) if rng.random() < 0.05 else formats)]
+    return argv
+
+
+def test_dispatch_fuzz_exit_codes(monkeypatch, capsys):
+    monkeypatch.delenv("STURMIA_DEPTH", raising=False)
+    rng = random.Random(20261018)
+    codes = set()
+    for _ in range(400):
+        argv = fuzz_argv(rng)
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:
+            code = exc.code
+            if code != 2:
+                raise AssertionError(f"{argv}: argparse exited with {code}")
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or "Traceback" in err:
+            raise AssertionError(f"{argv}: exit {code}, stderr {err!r}")
+        codes.add(code)
+    assert {0, 2} <= codes

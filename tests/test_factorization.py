@@ -20,7 +20,7 @@ from sturmia.intercept import (
     sigma1,
 )
 from sturmia.ostrowski import encode
-from sturmia.slope import continuants, parse_slope
+from sturmia.slope import parse_slope
 from sturmia.words import characteristic_prefix, complexity, factor_set, standard_word
 
 GOLDEN = parse_slope("[0;1*]")
@@ -63,7 +63,7 @@ def test_product_monotone_in_window_depth():
     rho = with_support({1, 4, 7, 10}, 12, GOLDEN)
     full = product_prefix(rho, rho.psi(12))
     for depth in range(6, 12):
-        part = rho.truncate(depth)
+        part = AlphaNumber(rho.digits[:depth], rho.slope)
         word = product_prefix(part, part.psi(depth))
         assert full.startswith(word)
 
@@ -118,7 +118,7 @@ def test_central_split_golden_example():
 def test_central_split_sweep_all_positions():
     for slope in (GOLDEN, MIXED):
         for level in range(3, 9):
-            total = continuants(slope, level).q(level) - 2
+            total = slope.q(level) - 2
             for m in range(total + 1):
                 assert central_split_check(m, total - m, slope).ok
 

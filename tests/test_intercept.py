@@ -25,7 +25,7 @@ from sturmia.intercept import (
     zero,
 )
 from sturmia.ostrowski import all_digit_strings, encode
-from sturmia.slope import Slope, continuants, parse_slope
+from sturmia.slope import Slope, parse_slope
 from sturmia.words import characteristic_prefix, factor_set
 
 GOLDEN = parse_slope("[0;1*]")
@@ -68,20 +68,18 @@ def alpha_numbers(draw, min_depth=6, max_depth=10):
 
 def test_psi_sigma0_golden():
     rho = sigma0(GOLDEN, 8)
-    table = continuants(GOLDEN, 8)
     assert rho.psi(4) == 4
     for n in range(1, 9):
-        assert rho.psi(n) == table.q(2 * (n // 2)) - 1
+        assert rho.psi(n) == GOLDEN.q(2 * (n // 2)) - 1
 
 
 def test_psi_sigma1_pattern():
     # largest odd level <= n governs the residue
     for slope in SLOPES:
         rho = sigma1(slope, 9)
-        table = continuants(slope, 9)
         for n in range(1, 10):
             odd = n if n % 2 == 1 else n - 1
-            assert rho.psi(n) == table.q(odd) - 1
+            assert rho.psi(n) == slope.q(odd) - 1
 
 
 def test_psi_zero_and_partial_sum():
@@ -99,10 +97,9 @@ def test_psi_depth_guard():
 @given(alpha_numbers())
 @settings(max_examples=60, deadline=None)
 def test_projective_compatibility(rho):
-    table = continuants(rho.slope, rho.depth)
     for n in range(rho.depth):
-        assert 0 <= rho.psi(n + 1) < table.q(n + 1)
-        assert rho.psi(n + 1) % table.q(n) == rho.psi(n) % table.q(n)
+        assert 0 <= rho.psi(n + 1) < rho.slope.q(n + 1)
+        assert rho.psi(n + 1) % rho.slope.q(n) == rho.psi(n) % rho.slope.q(n)
 
 
 # ------------------------------------------------------------------- support
@@ -112,9 +109,8 @@ def test_projective_compatibility(rho):
 @settings(max_examples=60, deadline=None)
 def test_support_inequalities(rho):
     # membership <-> residue at least q_n; successor digit below its maximum
-    table = continuants(rho.slope, rho.depth)
     for n in range(rho.depth):
-        assert (n in rho.support()) == (rho.psi(n + 1) >= table.q(n))
+        assert (n in rho.support()) == (rho.psi(n + 1) >= rho.slope.q(n))
     for n in sorted(rho.support()):
         if n + 2 <= rho.depth:
             assert rho.digit(n + 2) != rho.slope.quotient(n + 2)
@@ -125,16 +121,14 @@ def test_support_inequalities(rho):
 
 def test_extract_characteristic_is_zero():
     for slope in SLOPES:
-        table = continuants(slope, 8)
-        prefix = characteristic_prefix(slope, table.q(8) + table.q(7))
+        prefix = characteristic_prefix(slope, slope.q(8) + slope.q(7))
         rho = intercept_from_prefix(prefix, slope, 7)
         assert rho.digits == (0,) * 7
 
 
 def test_extract_integer_shift_matches_encode():
     for slope in SLOPES:
-        table = continuants(slope, 7)
-        need = table.q(7) + table.q(6)
+        need = slope.q(7) + slope.q(6)
         for k in (1, 3, 7):
             word = characteristic_prefix(slope, k + need)[k:]
             rho = intercept_from_prefix(word, slope, 6)
@@ -143,8 +137,7 @@ def test_extract_integer_shift_matches_encode():
 
 def test_extract_prepended_letter_gives_sigmas():
     for slope in SLOPES:
-        table = continuants(slope, 7)
-        need = table.q(7) + table.q(6)
+        need = slope.q(7) + slope.q(6)
         body = characteristic_prefix(slope, need)
         assert intercept_from_prefix("0" + body, slope, 6).digits == sigma0(slope, 6).digits
         assert intercept_from_prefix("1" + body, slope, 6).digits == sigma1(slope, 6).digits
@@ -154,17 +147,16 @@ def test_extract_brute_force_minimal_shift_oracle():
     # independent oracle: scan shifts k < q_n directly instead of str.find
     slope = MIXED
     depth = 5
-    table = continuants(slope, depth + 1)
     shift = 9
-    word = characteristic_prefix(slope, shift + table.q(6) + table.q(5))[shift:]
-    reference = characteristic_prefix(slope, 3 * table.q(depth))
+    word = characteristic_prefix(slope, shift + slope.q(6) + slope.q(5))[shift:]
+    reference = characteristic_prefix(slope, 3 * slope.q(depth))
     residues = []
     for n in range(1, depth + 1):
-        window = word[: table.q(n) - 1]
+        window = word[: slope.q(n) - 1]
         k = min(
             j
-            for j in range(table.q(n))
-            if reference[j : j + table.q(n) - 1] == window
+            for j in range(slope.q(n))
+            if reference[j : j + slope.q(n) - 1] == window
         )
         residues.append(k)
     rho = intercept_from_prefix(word, slope, depth)
@@ -172,8 +164,7 @@ def test_extract_brute_force_minimal_shift_oracle():
 
 
 def test_extract_rejects_short_and_foreign_prefixes():
-    table = continuants(GOLDEN, 7)
-    need = table.q(7) + table.q(6)
+    need = GOLDEN.q(7) + GOLDEN.q(6)
     with pytest.raises(PrefixTooShortError):
         intercept_from_prefix("10" * 5, GOLDEN, 6)
     with pytest.raises(NotSturmianError):
@@ -204,9 +195,8 @@ def test_sturmian_prefix_depth_guard():
 @settings(max_examples=40, deadline=None)
 def test_extraction_inverts_prefix_generation(rho):
     # depth loss of 3 keeps q_{d+1}+q_d within the certified q_depth-1 letters
-    table = continuants(rho.slope, rho.depth)
     out_depth = rho.depth - 3
-    need = table.q(out_depth + 1) + table.q(out_depth)
+    need = rho.slope.q(out_depth + 1) + rho.slope.q(out_depth)
     back = intercept_from_prefix(sturmian_prefix(rho, need), rho.slope, out_depth)
     assert back.digits == rho.digits[:out_depth]
 
@@ -232,10 +222,9 @@ def test_add_integer_digit_shortcut_on_tail_levels():
         rho = AlphaNumber(tuple(digits), slope)
         for k in (1, 2, 5):
             out = add_integer(rho, k)
-            table = continuants(slope, rho.depth)
             start = out.depth + 1
             for n in range(out.depth, 0, -1):
-                if table.q(n) <= rho.psi(n) + k:
+                if slope.q(n) <= rho.psi(n) + k:
                     break
                 start = n
             assert start <= out.depth, "window too small to exercise the shortcut"
@@ -409,17 +398,14 @@ def reference_complement(rho: AlphaNumber) -> tuple[tuple[int, ...], int, int]:
     sup = sorted(i for i, b in enumerate(rho.digits) if b)
 
     def subtracted(m):
-        table = continuants(slope, m + 1)
-        return table.q(m + 1) - 2 - sum(b * table.q(i) for i, b in enumerate(rho.digits[: m + 1]))
+        return slope.q(m + 1) - 2 - sum(b * slope.q(i) for i, b in enumerate(rho.digits[: m + 1]))
 
     def residue_from(m, n):
         digits = encode(subtracted(m), slope, m + 1).digits
-        table = continuants(slope, n)
-        return sum(b * table.q(i) for i, b in enumerate(digits[:n]))
+        return sum(b * slope.q(i) for i, b in enumerate(digits[:n]))
 
     def value_psi(n):
-        table = continuants(slope, n)
-        return sum(b * table.q(i) for i, b in enumerate(value[:n]))
+        return sum(b * slope.q(i) for i, b in enumerate(value[:n]))
 
     usable = [m for m in sup if subtracted(m) >= 0]
     top = usable[-1]
@@ -468,5 +454,3 @@ def test_classify_shallow_windows_agree_with_complement():
             complement(rho)
     assert classify(sigma0(GOLDEN, 2)).verdict == "sigma0-tail"
     assert classify(AlphaNumber((1, 2), parse_slope("[0;3*]"))).verdict == "non-zero"
-    # an explicit min_tail is still honoured at any depth
-    assert classify(zero(GOLDEN, 2), min_tail=3).verdict == "non-zero"

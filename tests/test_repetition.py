@@ -23,7 +23,7 @@ from sturmia.repetition import (
     repetition_profile,
     repetition_rows,
 )
-from sturmia.slope import Slope, continuants, interval_locate, parse_slope
+from sturmia.slope import Slope, interval_locate, parse_slope
 from sturmia.words import (
     central_decomposition,
     characteristic_prefix,
@@ -199,23 +199,21 @@ def test_characteristic_matches_direct():
 def test_level_examples():
     # shift 0 is branch 1; the largest shift lands in branch 4 at the last m
     assert repetition_level(0, GOLDEN, 4) == 5
-    table = continuants(GOLDEN, 5)
-    m = table.q(5) - 2
-    assert repetition_level(table.q(5) - 1, GOLDEN, m) == table.q(4) + 1
+    m = GOLDEN.q(5) - 2
+    assert repetition_level(GOLDEN.q(5) - 1, GOLDEN, m) == GOLDEN.q(4) + 1
 
 
 def test_level_shift_range_guard():
     with pytest.raises(RangeError):
         repetition_level(-1, GOLDEN, 4)
     with pytest.raises(RangeError):
-        repetition_level(continuants(GOLDEN, 5).q(5), GOLDEN, 4)
+        repetition_level(GOLDEN.q(5), GOLDEN, 4)
 
 
 @pytest.mark.parametrize("slope", SLOPES)
 def test_level_sweep_matches_direct(slope):
     for n in range(2, 6):
-        table = continuants(slope, n + 1)
-        q_n, q_n1 = table.q(n), table.q(n + 1)
+        q_n, q_n1 = slope.q(n), slope.q(n + 1)
         for m in range(q_n - 1, q_n1 - 1):
             if m < 1:
                 continue
@@ -229,7 +227,7 @@ def test_level_sweep_matches_direct(slope):
 
 def test_closed_form_zero_intercept_is_characteristic():
     rho = zero(GOLDEN, 10)
-    top = continuants(GOLDEN, 8).q(8) - 2
+    top = GOLDEN.q(8) - 2
     for m in range(1, top + 1):
         value, case = repetition_closed_form(rho, m)
         assert value == repetition_characteristic(GOLDEN, m)
@@ -238,7 +236,7 @@ def test_closed_form_zero_intercept_is_characteristic():
 
 def test_closed_form_depth_guard():
     rho = zero(GOLDEN, 6)
-    big = continuants(GOLDEN, 7).q(7) - 2
+    big = GOLDEN.q(7) - 2
     with pytest.raises(DepthError):
         repetition_closed_form(rho, big)
 
@@ -252,7 +250,7 @@ def test_closed_form_depth_guard():
 )
 def test_closed_form_exhaustive_digit_strings(slope, depth, m_top_level, expected_cases):
     """Every valid digit window against the direct oracle, every m."""
-    m_top = continuants(slope, m_top_level).q(m_top_level) - 2
+    m_top = slope.q(m_top_level) - 2
     seen_cases = set()
     for digits in all_digit_strings(slope, depth):
         rho = AlphaNumber(digits, slope)
@@ -279,7 +277,7 @@ def test_closed_form_seeded_random_slopes():
             digits.append(b)
             prev = b
         rho = AlphaNumber(tuple(digits), slope)
-        m_top = min(continuants(slope, 6).q(6) - 2, 40)
+        m_top = min(slope.q(6) - 2, 40)
         word = oracle_word(rho, 2 * m_top + 4)
         m = rng.randint(1, m_top)
         value, _ = repetition_closed_form(rho, m)
@@ -291,7 +289,7 @@ def test_closed_form_agrees_with_level_formula():
     for slope, depth in [(GOLDEN, 8), (MIXED, 7)]:
         for digits in all_digit_strings(slope, depth):
             rho = AlphaNumber(digits, slope)
-            m_top = continuants(slope, depth - 2).q(depth - 2) - 2
+            m_top = slope.q(depth - 2) - 2
             for m in (1, 2, m_top // 2 + 1, m_top):
                 if m < 1:
                     continue
@@ -319,12 +317,11 @@ def test_rows_tile_and_respect_bounds(data):
         prev = b
     rho = AlphaNumber(tuple(digits), slope)
     for n in range(depth - 2):
-        table = continuants(slope, n + 1)
-        if table.q(n) - 1 > table.q(n + 1) - 2:
+        if slope.q(n) - 1 > slope.q(n + 1) - 2:
             continue
         rows = repetition_rows(rho, n)
-        assert rows[0].m_lo == table.q(n) - 1
-        assert rows[-1].m_hi == table.q(n + 1) - 2
+        assert rows[0].m_lo == slope.q(n) - 1
+        assert rows[-1].m_hi == slope.q(n + 1) - 2
         for left, right in zip(rows, rows[1:]):
             assert right.m_lo == left.m_hi + 1
             assert right.value >= left.value
@@ -507,7 +504,7 @@ def test_closed_forms_table_matches_per_m_closed_form():
 
 def test_closed_forms_depth_error_message():
     rho = zero(GOLDEN, 6)
-    big = continuants(GOLDEN, 7).q(7) - 2
+    big = GOLDEN.q(7) - 2
     values, error = closed_form_outcomes(rho, big)
     assert error is not None and error[0] is DepthError
     with pytest.raises(DepthError) as table:

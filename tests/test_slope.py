@@ -13,7 +13,6 @@ from sturmia.errors import DepthError, RangeError
 from sturmia.slope import (
     MAX_LADDER_BITS,
     Slope,
-    continuants,
     convergent_value,
     interval_locate,
     parse_slope,
@@ -23,31 +22,29 @@ GOLDEN = Slope((1,), (0, 1))
 
 
 def test_golden_continuants_depth6():
-    table = continuants(GOLDEN, 6)
-    assert table.q_values() == (0, 1, 1, 2, 3, 5, 8, 13)
+    assert tuple(GOLDEN.q(n) for n in range(-1, 7)) == (0, 1, 1, 2, 3, 5, 8, 13)
 
 
 def test_two_one_one_continuants_depth4():
     slope = Slope((2,), (0, 1))
-    assert continuants(slope, 4).q_values() == (0, 1, 2, 5, 12, 29)
+    assert tuple(slope.q(n) for n in range(-1, 5)) == (0, 1, 2, 5, 12, 29)
 
 
 def test_pinned_slope_2_1_1_depth4():
     slope = Slope((2, 1, 1, 1), None)
-    assert continuants(slope, 4).q_values() == (0, 1, 2, 3, 5, 8)
+    assert tuple(slope.q(n) for n in range(-1, 5)) == (0, 1, 2, 3, 5, 8)
 
 
 def test_depth0_seed_row():
-    assert continuants(GOLDEN, 0).q_values() == (0, 1)
-    assert continuants(Slope((4, 2, 7)), 0).q_values() == (0, 1)
+    assert tuple(GOLDEN.q(n) for n in range(-1, 1)) == (0, 1)
+    assert tuple(Slope((4, 2, 7)).q(n) for n in range(-1, 1)) == (0, 1)
 
 
 def test_continuant_recurrence_generic():
     slope = parse_slope("[0;3,1,2,(1,4)*]")
-    t = continuants(slope, 12)
     for n in range(1, 12):
-        assert t.q(n + 1) == slope.quotient(n + 1) * t.q(n) + t.q(n - 1)
-        assert t.p(n + 1) == slope.quotient(n + 1) * t.p(n) + t.p(n - 1)
+        assert slope.q(n + 1) == slope.quotient(n + 1) * slope.q(n) + slope.q(n - 1)
+        assert slope.p(n + 1) == slope.quotient(n + 1) * slope.p(n) + slope.p(n - 1)
 
 
 def test_golden_convergents():
@@ -132,11 +129,10 @@ def test_interval_empty_head_intervals():
 def test_interval_partition_tiles(quotients, m):
     slope = Slope(tuple(quotients), (7, 1))
     n, l, r = interval_locate(m, slope)
-    t = continuants(slope, n + 1)
-    assert m == (l + 1) * t.q(n) + t.q(n - 1) - 2 - r
+    assert m == (l + 1) * slope.q(n) + slope.q(n - 1) - 2 - r
     assert 0 <= l <= slope.quotient(n + 1) - 1
-    assert 0 <= r < (t.q(n - 1) if l == 0 else t.q(n))
-    assert t.q(n) - 1 <= m <= t.q(n + 1) - 2
+    assert 0 <= r < (slope.q(n - 1) if l == 0 else slope.q(n))
+    assert slope.q(n) - 1 <= m <= slope.q(n + 1) - 2
 
 
 def test_interval_partition_is_a_bijection():
@@ -159,18 +155,6 @@ def test_ladder_is_independent_of_access_order():
     assert downward[::-1] == upward
     assert deep_first == shallow_first
     assert hash(deep_first) == hash(Slope(deep_first.quotients, deep_first.period))
-
-
-def test_continuants_view_matches_the_ladder():
-    slope = parse_slope("[0;3,1,2,(1,4)*]")
-    for depth in (12, 3, 0, 25):
-        table = continuants(slope, depth)
-        assert table.q_values() == tuple(slope.q(n) for n in range(-1, depth + 1))
-        assert [table.p(n) for n in range(-1, depth + 1)] == [
-            slope.p(n) for n in range(-1, depth + 1)
-        ]
-        with pytest.raises(DepthError):
-            table.q(depth + 1)
 
 
 def test_level_is_the_smallest_index_past_m():
@@ -204,13 +188,11 @@ def test_value_sums_digits_against_the_ladder():
 
 def test_finite_slope_raises_one_past_its_depth():
     finite = Slope((2, 1, 3))
-    assert finite.q(3) == continuants(finite, 3).q(3)
+    assert finite.q(3) == 11
     with pytest.raises(DepthError):
         finite.q(4)
     with pytest.raises(DepthError):
         finite.p(4)
-    with pytest.raises(DepthError):
-        continuants(finite, 4)
     top = finite.q(3)
     assert finite.level(top - 1) == 3
     with pytest.raises(DepthError):
@@ -263,7 +245,7 @@ def test_ladder_grows_consistently_under_threads():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     for slope in shared:
-        assert continuants(slope, 400).q_values() == continuants(reference, 400).q_values()
+        assert tuple(slope.q(n) for n in range(-1, 401)) == tuple(reference.q(n) for n in range(-1, 401))
         assert [slope.p(n) for n in range(402)] == [reference.p(n) for n in range(402)]
 
 

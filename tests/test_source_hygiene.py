@@ -2,9 +2,15 @@
 
 No bare `assert` (checks must still run under python -O), no name imported
 but unused (the package's re-exports in __init__.py excepted), no
-module-level private function that nothing in the package references, and
-no module-level public function that is neither in `sturmia.__all__` nor
-referenced in the package or in perfbench.
+module-level private function that nothing in the package references, no
+module-level public function that is neither in `sturmia.__all__` nor
+referenced in the package or in perfbench, and no public method or property
+whose name no attribute access in the package or in perfbench carries.
+
+The method rule matches names only: a method is taken as called when any
+`.name` attribute of that name appears, whatever object it is read from.  It
+cannot flag a method whose name is also a field or another class's method,
+such as a `value()` method beside the many `.value` fields.
 """
 
 import ast
@@ -15,24 +21,29 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _attributes(nodes) -> set[str]:
+    return {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
 def _references(nodes) -> set[str]:
-    return {node.id for node in nodes if isinstance(node, ast.Name)} | {
-        node.attr for node in nodes if isinstance(node, ast.Attribute)
-    }
+    return {node.id for node in nodes if isinstance(node, ast.Name)} | _attributes(nodes)
 
 
 def scan(root: Path) -> dict[str, list[str]]:
     """Violations found in root/src/sturmia, by rule; root/perfbench counts
-    as a caller of public functions."""
+    as a caller of public functions and methods."""
     src = root / "src" / "sturmia"
     found: dict[str, list[str]] = {
         "bare assert": [],
         "unused import": [],
         "private function": [],
         "public function": [],
+        "public method": [],
     }
     defs = []  # (path, node) of each module-level def
+    methods = []  # (path, class name, node) of each def in a class body
     referenced = set()
+    attributes = set()
     exported = set()
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -42,8 +53,16 @@ def scan(root: Path) -> dict[str, list[str]]:
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
+        methods += [
+            (path, cls.name, node)
+            for cls in nodes
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
         used = {node.id for node in nodes if isinstance(node, ast.Name)}
         referenced |= _references(nodes)
+        attributes |= _attributes(nodes)
         found["bare assert"] += [
             f"{path}:{node.lineno}: bare assert; raise AssertionError instead"
             for node in nodes
@@ -69,7 +88,9 @@ def scan(root: Path) -> dict[str, list[str]]:
         ]
     callers = set(referenced)
     for path in sorted((root / "perfbench").glob("*.py")):
-        callers |= _references(list(ast.walk(ast.parse(path.read_text(), str(path)))))
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        callers |= _references(nodes)
+        attributes |= _attributes(nodes)
     for path, node in defs:
         if node.name.startswith("__"):
             continue
@@ -84,6 +105,12 @@ def scan(root: Path) -> dict[str, list[str]]:
                 f"{path}:{node.lineno}: public function {node.name} is neither in"
                 " sturmia.__all__ nor referenced in src/sturmia or perfbench"
             )
+    found["public method"] += [
+        f"{path}:{node.lineno}: public method {cls}.{node.name} is read as an"
+        " attribute nowhere in src/sturmia or perfbench"
+        for path, cls, node in methods
+        if not node.name.startswith("_") and node.name not in attributes
+    ]
     return found
 
 
@@ -93,7 +120,8 @@ def violations() -> dict[str, list[str]]:
 
 
 @pytest.mark.parametrize(
-    "rule", ["bare assert", "unused import", "private function", "public function"]
+    "rule",
+    ["bare assert", "unused import", "private function", "public function", "public method"],
 )
 def test_source_hygiene(violations, rule):
     if violations[rule]:

@@ -13,7 +13,7 @@ from sturmia.acceptance import NAMED_FIVE
 from sturmia.errors import DepthError, ParityError, RangeError
 from sturmia.intercept import AlphaNumber, complement, equivalent, intercept_from_prefix
 from sturmia.ostrowski import decode
-from sturmia.slope import Slope, continuants, parse_slope
+from sturmia.slope import Slope, parse_slope
 from sturmia.torsion import (
     MAX_RANK_WALK,
     AutomatonLog,
@@ -159,13 +159,9 @@ def test_trichotomy_property(u):
 
 
 def test_parity_word_text():
-    assert parity_word(GOLDEN, 8).text() == "11111111"
-    assert parity_word(MIXED, 7).text() == "0110101"
-    assert parity_word(TWO_TWO, 5).text() == "00000"
-    word = parity_word(MIXED, 6, modulus=3)
-    assert word.letters == (2, 1, 0, 2, 1, 2)
-    with pytest.raises(RangeError):
-        parity_word(GOLDEN, 8, modulus=1)
+    assert parity_word(GOLDEN, 8) == "11111111"
+    assert parity_word(MIXED, 7) == "0110101"
+    assert parity_word(TWO_TWO, 5) == "00000"
     with pytest.raises(RangeError):
         parity_word(GOLDEN, 0)
 
@@ -199,8 +195,7 @@ def test_suffix_classes_guards():
 @pytest.mark.parametrize("slope", [GOLDEN, ONE_TWO, MIXED])
 def test_block_ladder_identities(slope):
     # doubled forms of the per-block glue identities, pure ladder algebra
-    table = continuants(slope, 26)
-    q = table.q
+    q = slope.q
     for i in range(13):
         a = slope.quotient(i + 2)
         assert q(i + 2) - q(i) == a * q(i + 1)
@@ -215,7 +210,7 @@ def test_block_ladder_identities(slope):
 
 
 def test_fibonacci_closing_identities():
-    q = continuants(GOLDEN, 32).q
+    q = GOLDEN.q
     for n in range(11):
         assert q(n + 3) - q(n) == 2 * q(n + 1)
         assert q(n + 6) - q(n) == 4 * q(n + 3)
@@ -314,9 +309,8 @@ def test_automaton_state_bounds(slope, modulus):
     log = automaton_states(slope, modulus, 120)
     assert len(set(log.states)) <= modulus * modulus
     assert (0, 0) not in log.states
-    table = continuants(slope, 120)
     for n, state in enumerate(log.states):
-        assert state[0] == table.q(n) % modulus
+        assert state[0] == slope.q(n) % modulus
 
 
 def matrix_walk_states(slope, modulus, depth):
@@ -457,9 +451,8 @@ def test_torsion_search_certifies_identity(slope, modulus):
     for n in (4, 7):
         hit = torsion_search(slope, modulus, n=n)
         assert hit.found
-        table = continuants(slope, n + hit.k)
         value = decode(hit.quotient_digits, slope)
-        assert table.q(n + hit.k) - table.q(n) == modulus * value
+        assert slope.q(n + hit.k) - slope.q(n) == modulus * value
         assert all(n < s < n + hit.k for s in hit.support)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sturmia import words
 from sturmia.errors import DepthError, NotCentralError, RangeError
 from sturmia.intercept import from_integer, sturmian_prefix
-from sturmia.slope import Slope, continuants, convergent_value, parse_slope
+from sturmia.slope import Slope, convergent_value, parse_slope
 from sturmia.words import (
     MAX_STANDARD_LETTERS,
     central_decomposition,
@@ -37,9 +37,21 @@ def test_standard_words_golden():
 
 def test_standard_word_lengths_are_continuants():
     slope = parse_slope("[0;3,1,2,(2)*]")
-    t = continuants(slope, 9)
     for n in range(10):
-        assert len(standard_word(slope, n)) == t.q(n)
+        assert len(standard_word(slope, n)) == slope.q(n)
+
+
+def test_characteristic_prefix_letter_budget():
+    # 10**8 + 1 = 99 q_2 + 999 q_1 + 902 q_0 over [0;1000*]: every block is
+    # under the standard-word cap, so only the prefix's own length refuses it
+    wide = Slope((1000,), (0, 1))
+    for m in (MAX_STANDARD_LETTERS + 1, 9 * 10**8):
+        with pytest.raises(RangeError, match=f"prefix of length {m} has more than"):
+            characteristic_prefix(wide, m)
+    with pytest.raises(RangeError):
+        words.shifted_characteristic_prefix(wide, 1, MAX_STANDARD_LETTERS)
+    # refused before the ladder grew for it
+    assert len(wide._ladder[0]) == 2
 
 
 def test_standard_word_letter_cap():
@@ -81,7 +93,7 @@ def test_characteristic_prefix_matches_truncation():
     for text in ["[0;1*]", "[0;2,(1)*]", "[0;3,1,2,(1,4)*]", "[0;1,3,(2)*]"]:
         slope = parse_slope(text)
         d = 2
-        while continuants(slope, d).q(d) <= 400:
+        while slope.q(d) <= 400:
             d += 1
         s = standard_word(slope, d)
         for m in (1, 2, 3, 5, 17, 100, 399, 400):
@@ -106,7 +118,7 @@ def test_mechanical_matches_characteristic():
         slope = parse_slope(text)
         m = 80
         d = 1
-        while continuants(slope, d).q(d) <= 2 * (m + 2):
+        while slope.q(d) <= 2 * (m + 2):
             d += 1
         alpha = convergent_value(slope, d)
         assert mechanical_prefix(alpha, alpha, m, "lower") == characteristic_prefix(slope, m)

@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 
 from .errors import (
     DepthError,
@@ -54,9 +55,10 @@ class AlphaNumber:
 
     @cached_property
     def residues(self) -> tuple[int, ...]:
-        """The residue tower (rho_0, rho_1, ..., rho_depth), built once."""
-        q = self.slope.q
-        return tuple(accumulate((b * q(i) for i, b in enumerate(self.digits)), initial=0))
+        """The residue tower (rho_0, rho_1, ..., rho_depth), built once in one
+        pass over the digits and the ladder row q_0, q_1, ..."""
+        q_row = self.slope._grow(self.depth - 1)[0]  # q_row[i + 1] is q_i
+        return tuple(accumulate(map(mul, self.digits, q_row[1 : self.depth + 1]), initial=0))
 
     def psi(self, n: int) -> int:
         """Level-n residue rho_n = sum_{i<n} b_{i+1} q_i; levels <= 0 give 0."""
@@ -80,22 +82,24 @@ def from_integer(k: int, slope: Slope, depth: int) -> AlphaNumber:
     return AlphaNumber(encode(k, slope, depth).digits, slope)
 
 
+def _sigma_digits(slope: Slope, depth: int, parity: int) -> tuple[int, ...]:
+    """Digits of sigma0 (parity 0) or sigma1 (parity 1) at this depth, unvalidated."""
+    a = slope._grow(depth)[2]  # a[i] is a_i
+    digits = [0] * depth
+    digits[1 + parity :: 2] = a[2 + parity : depth + 1 : 2]
+    if parity and depth > 0:
+        digits[0] = a[1] - 1
+    return tuple(digits)
+
+
 def sigma0(slope: Slope, depth: int) -> AlphaNumber:
     """Intercept of the characteristic word prefixed by 0: digits a_{2i+2} at odd indices."""
-    digits = [0] * depth
-    for i in range(1, depth, 2):
-        digits[i] = slope.quotient(i + 1)
-    return AlphaNumber(tuple(digits), slope)
+    return AlphaNumber(_sigma_digits(slope, depth, 0), slope)
 
 
 def sigma1(slope: Slope, depth: int) -> AlphaNumber:
     """Intercept of the characteristic word prefixed by 1: a_1 - 1 then a_{2i+1} at even indices."""
-    digits = [0] * depth
-    if depth > 0:
-        digits[0] = slope.quotient(1) - 1
-    for i in range(2, depth, 2):
-        digits[i] = slope.quotient(i + 1)
-    return AlphaNumber(tuple(digits), slope)
+    return AlphaNumber(_sigma_digits(slope, depth, 1), slope)
 
 
 def _certifying_letters(slope: Slope, d: int) -> int:
@@ -318,42 +322,45 @@ def complement(rho: AlphaNumber) -> AlphaNumber:
 def complement_report(rho: AlphaNumber) -> ComplementReport:
     """The intercept whose word is the reversed other half of the orbit.
 
-    At each level n the residue is Psi_n(q_{M+1} - 2 - rho_{M+1}) for the
-    next support level M = Lambda(n); the map is an involution away from the
-    zero class and excludes natural integers and the two sigma intercepts.
+    At each level n the residue is Psi_n(N_M), N_M = q_{M+1} - 2 - rho_{M+1},
+    for the next support level M = Lambda(n); the map is an involution away
+    from the zero class and excludes natural integers, the empty window and
+    the two sigma intercepts.  Levels with N_M < 0 (rho_{M+1} = q_{M+1} - 1)
+    carry no information and are skipped; the rest are the usable levels.
+
+    Each usable level costs O(1) big-integer operations and the report one
+    `encode` and one validation, by two facts:
+
+    1. N_M < q_{M+1}, so its greedy expansion starts with divmod(N_M, q_M)
+       and the level-M residue of its tower is N_M mod q_M; `value` is the
+       encoding of N_top mod q_top at depth top.
+    2. A valid digit string of length n is the only one of its value below
+       q_n (Ostrowski uniqueness, criterion 01), so two towers agree at level
+       n exactly when their digits agree below n.  A tower that disagrees
+       with `value` at any level n <= M therefore also disagrees at its own
+       level M, and stable_from is 1 + the highest usable M < top with
+       N_M mod q_M != value.psi(M), or 0 when there is none.
     """
-    cls = classify(rho)
-    if cls.verdict == "natural-integer":
+    if classify(rho).verdict == "natural-integer":
         raise UnsupportedInterceptError("natural-integer windows have no complement")
-    slope = rho.slope
-    if rho.digits == sigma0(slope, rho.depth).digits or rho.digits == sigma1(slope, rho.depth).digits:
-        raise UnsupportedInterceptError("sigma intercepts are excluded from complementation")
-    sup = sorted(rho.support())
+    sup = [i for i, b in enumerate(rho.digits) if b]
     if not sup:
         raise UnsupportedInterceptError("zero window has no complement")
-
-    def subtracted(m: int) -> int:
-        """The integer q_{m+1} - 2 - rho_{m+1} at support level m."""
-        return slope.q(m + 1) - 2 - rho.psi(m + 1)
-
-    # levels where rho_{m+1} = q_{m+1} - 1 carry no information and are skipped
-    usable = [m for m in sup if subtracted(m) >= 0]
+    slope = rho.slope
+    if rho.digits in (_sigma_digits(slope, rho.depth, 0), _sigma_digits(slope, rho.depth, 1)):
+        raise UnsupportedInterceptError("sigma intercepts are excluded from complementation")
+    q = slope._grow(rho.depth)[0]  # q[i + 1] is q_i
+    residues = rho.residues
+    # (M, N_M) for each usable support level M, lowest first
+    usable = [(m, n_m) for m in sup if (n_m := q[m + 2] - 2 - residues[m + 1]) >= 0]
     if not usable:
         raise UnsupportedInterceptError(
             "every support level has the maximal residue; window looks sigma-like"
         )
-    top = usable[-1]
-
-    # each usable level is encoded once; towers[m][n] is its level-n residue
-    towers = {
-        m: AlphaNumber(encode(subtracted(m), slope, m + 1).digits, slope).residues
-        for m in usable
-    }
-    value = AlphaNumber(encode(towers[top][top], slope, top).digits, slope)
-
-    stable_from = top
-    for n in range(top, -1, -1):
-        if any(towers[m][n] != value.psi(n) for m in usable if m >= n):
-            break
-        stable_from = n
+    top, n_top = usable[-1]
+    value = AlphaNumber(encode(n_top % q[top + 1], slope, top).digits, slope)
+    psi = value.residues
+    stable_from = next(
+        (m + 1 for m, n_m in reversed(usable[:-1]) if n_m % q[m + 1] != psi[m]), 0
+    )
     return ComplementReport(value, stable_from, top)

@@ -1,8 +1,12 @@
 """Tests for formal intercepts: projections, extraction, shifts, complement."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import sturmia.intercept as intercept_module
+from sturmia.acceptance import NAMED_FIVE
 from sturmia.errors import (
     DepthError,
     NotSturmianError,
@@ -92,6 +96,23 @@ def test_psi_zero_and_partial_sum():
 def test_psi_depth_guard():
     with pytest.raises(DepthError):
         zero(GOLDEN, 4).psi(5)
+
+
+def finite_slope_strategy():
+    return st.lists(st.integers(1, 9), min_size=1, max_size=12).map(lambda qs: Slope(tuple(qs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(slope_strategy(), finite_slope_strategy()), st.data())
+def test_residues_equal_the_per_digit_sums(slope, data):
+    depth = data.draw(st.integers(0, slope.known_depth or 40))
+    digits = digits_for(slope, depth, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    if slope.known_depth is None and data.draw(st.booleans()):
+        slope.q(depth + 5)  # a ladder already grown past the window
+    rho = AlphaNumber(digits, slope)
+    assert rho.residues == tuple(
+        sum(b * slope.q(i) for i, b in enumerate(digits[:n])) for n in range(depth + 1)
+    )
 
 
 @given(alpha_numbers())
@@ -375,6 +396,13 @@ def test_complement_exclusions():
         complement(sigma1(GOLDEN, 12))
 
 
+def test_complement_empty_window_is_the_zero_window():
+    # the empty window also equals both sigma windows of depth 0
+    for slope in (GOLDEN, MIXED, Slope((2, 3))):
+        with pytest.raises(UnsupportedInterceptError, match="^zero window has no complement$"):
+            complement_report(AlphaNumber((), slope))
+
+
 def test_complement_mixed_slope_duality():
     # non-golden slope: the complement's word must prolong the original's
     # reversed word to a sturmian seam as well
@@ -443,6 +471,116 @@ def test_complement_report_matches_reference_deep(depth):
     for i in range(3, depth, 5):
         digits[i] = MIXED.quotient(i + 1) - 1
     assert_complement_matches_reference(AlphaNumber(tuple(digits), MIXED))
+
+
+FINITE = Slope((2, 1, 3, 1, 1, 4, 2, 1, 1, 3, 1, 2, 2, 1, 5, 1, 1, 2, 3, 1, 1, 2, 1, 4))
+
+
+def tail_window(rng: random.Random, slope: Slope, depth: int, kind: str) -> AlphaNumber:
+    """A random digit head, then a zero, sigma0, sigma1 or random tail.
+
+    A sigma tail has its top digits cleared at random, which leaves a
+    maximal residue at every support level when the head is empty.
+    """
+    head = rng.randint(0, depth)
+    digits = []
+    for i in range(1, depth + 1):
+        a = slope.quotient(i)
+        if i <= head or kind == "random":
+            b = rng.randint(0, a)
+        elif kind == "zero":
+            b = 0
+        else:
+            b = a if i % 2 == (0 if kind == "sigma0" else 1) else 0
+        digits.append(min(b, a - 1) if i == 1 else b)
+    if kind != "random" and rng.random() < 0.25:
+        cut = rng.randint(1, 2)
+        digits[max(0, depth - cut) :] = [0] * min(cut, depth)
+    # b_i = a_i needs b_{i-1} = 0
+    for i in range(2, depth + 1):
+        if digits[i - 1] == slope.quotient(i):
+            digits[i - 2] = 0
+    return AlphaNumber(tuple(digits), slope)
+
+
+def reference_outcome(rho: AlphaNumber):
+    """The refusals in their documented order, then the per-pair reference."""
+    slope, digits = rho.slope, rho.digits
+    if classify(rho).verdict == "natural-integer":
+        return UnsupportedInterceptError, "natural-integer windows have no complement"
+    if not any(digits):
+        return UnsupportedInterceptError, "zero window has no complement"
+    if digits in (sigma0(slope, rho.depth).digits, sigma1(slope, rho.depth).digits):
+        return UnsupportedInterceptError, "sigma intercepts are excluded from complementation"
+    maximal = [
+        slope.q(m + 1) - 1 == sum(b * slope.q(i) for i, b in enumerate(digits[: m + 1]))
+        for m, b in enumerate(digits)
+        if b
+    ]
+    if all(maximal):
+        return (
+            UnsupportedInterceptError,
+            "every support level has the maximal residue; window looks sigma-like",
+        )
+    return reference_complement(rho)
+
+
+def complement_outcome(rho: AlphaNumber):
+    try:
+        report = complement_report(rho)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return report.value.digits, report.stable_from, report.top_level
+
+
+def test_complement_report_matches_reference_on_a_seeded_corpus():
+    rng = random.Random(20250)
+    seen = set()
+    for slope in NAMED_FIVE + (FINITE,):
+        for depth in range(1, 25):
+            for kind in ("zero", "sigma0", "sigma1", "random"):
+                for _ in range(2):
+                    rho = tail_window(rng, slope, depth, kind)
+                    outcome = complement_outcome(rho)
+                    assert outcome == reference_outcome(rho), (slope, rho.digits)
+                    seen.add(outcome[1] if outcome[0] is UnsupportedInterceptError else "value")
+    assert seen == {
+        "value",
+        "natural-integer windows have no complement",
+        "sigma intercepts are excluded from complementation",
+        "every support level has the maximal residue; window looks sigma-like",
+    }
+
+
+def test_complement_report_encodes_once(monkeypatch):
+    calls = []
+
+    def counting_encode(*args):
+        calls.append(args)
+        return encode(*args)
+
+    monkeypatch.setattr(intercept_module, "encode", counting_encode)
+    rho = fib_family(0, 96)
+    report = complement_report(rho)
+    assert len(rho.support()) == 23
+    assert len(calls) == 1
+    assert report.top_level == 92
+
+
+def test_complement_stable_from_scan_is_live():
+    rho = fib_family(0, 24)  # support {4, 8, 12, 16, 20}
+    report = complement_report(rho)
+    assert report.stable_from == 0
+    # rho_13 read one lower raises N_12 = q_13 - 2 - rho_13 by one, so its
+    # level-12 residue N_12 mod q_12 no longer matches the value's
+    tower = list(rho.residues)
+    tower[13] -= 1
+    patched = AlphaNumber(rho.digits, GOLDEN)
+    patched.__dict__["residues"] = tuple(tower)
+    patched_report = complement_report(patched)
+    assert patched_report.stable_from == 13
+    assert patched_report.value == report.value
+    assert patched_report.top_level == report.top_level == 20
 
 
 def test_classify_shallow_windows_agree_with_complement():

@@ -15,10 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import SturmiaError
 from .factorization import central_split_check, characteristic_factorizations, duality_check
@@ -64,8 +63,7 @@ TWO_TWO = parse_slope("[0;2*]")
 NAMED_FIVE = (GOLDEN, TWO_ONE, MIXED, TWO_THREE, ONE_THREE)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     name: str
     passed: bool
@@ -396,16 +394,29 @@ def check_12_b_factorization() -> str:
         for b in inventory:
             if a != b and b.startswith(a):
                 raise _Failed(f"{a} prefixes {b}")
+    # the words p + u (p in "", "1", "11"; |u| <= 16) are every word of up
+    # to 16 letters and "1" + u, "11" + u for |u| = 16, each scanned once
+    # into one flag byte per word, one bytes per length in product order.
+    # There "1" + u sits 2^k and "11" + u 3 * 2^k places after u, one and
+    # two lengths up; lengths 17 and 18 keep only the words from those
+    # places on, and `first` is the place each length starts at.
+    def complete(length: int, head: str = "") -> bytes:
+        tails = map("".join, itertools.product("01", repeat=length - len(head)))
+        return bytes(b_factorize(head + tail).complete for tail in tails)
+
+    flags = [complete(length) for length in range(17)] + [complete(17, "1"), complete(18, "11")]
+    first = [0] * 17 + [2**16, 3 * 2**16]
     words = 0
-    for length in range(17):
-        for bits in itertools.product("01", repeat=length):
-            u = "".join(bits)
-            done = sum(b_factorize(p + u).complete for p in ("", "1", "11"))
+    for k in range(17):
+        n = 2**k
+        one = flags[k + 1][n - first[k + 1] :]
+        two = flags[k + 2][3 * n - first[k + 2] :]
+        for i, done in enumerate(map(sum, zip(flags[k], one, two))):
             if done != 1:
-                raise _Failed(f"trichotomy at {u!r}")
-            words += 1
+                raise _Failed(f"trichotomy at {format(i, f'0{k}b') if k else ''!r}")
+        words += n
     for length in range(13):
-        for bits in itertools.product("01", repeat=length):
+        for bits, scanned in zip(itertools.product("01", repeat=length), flags[length]):
             u = "".join(bits)
             ways = [0] * (len(u) + 1)
             ways[0] = 1
@@ -413,7 +424,7 @@ def check_12_b_factorization() -> str:
                 for i in range(j):
                     if ways[i] and u[i:j] in blocks:
                         ways[j] += ways[i]
-            if ways[-1] > 1 or (ways[-1] == 1) != b_factorize(u).complete:
+            if ways[-1] > 1 or (ways[-1] == 1) != scanned:
                 raise _Failed(f"uniqueness at {u!r}")
     return (
         f"inventory prefix-free; trichotomy on {words} words (<= 16); "

@@ -14,7 +14,9 @@ variable, else 24; either must be at least 2.
 
 Exit codes: 0 on success, 1 on a verification failure (a `verify`
 criterion, a duality or factorization check, or a torsion search that
-finds nothing), 2 on a usage error.
+finds nothing), 2 on a usage error, 3 on an internal error (any other
+exception: a fault in sturmia, reported on one stderr line without a
+traceback).
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import acceptance
 from .errors import RangeError, SturmiaError
@@ -91,8 +92,7 @@ def default_depth() -> int:
     return _at_least_two("STURMIA_DEPTH", value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved invocation parameters, embedded in every json payload."""
 
     slope: str | None
@@ -243,13 +243,13 @@ def cmd_factorize(args, slope: Slope | None, config: RunConfig) -> tuple[dict, i
         report = duality_check(rho, args.length)
     else:
         report = characteristic_factorizations(slope, args.length)
-    return dict(vars(report)), 0 if report.ok else 1
+    return report._asdict(), 0 if report.ok else 1
 
 
 def cmd_torsion(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     hit = torsion_search(slope, args.modulus, n=args.n, k_max=args.k_max)
     return {
-        **vars(hit),
+        **hit._asdict(),
         "quotient_digits": None if hit.quotient_digits is None else list(hit.quotient_digits),
         "support": None if hit.support is None else sorted(hit.support),
     }, 0 if hit.found else 1
@@ -261,7 +261,7 @@ def cmd_verify(args, slope: None, config: RunConfig) -> tuple[dict, int]:
     passed = all(r.passed for r in results)
     return {
         "seed": acceptance.SEED,
-        "results": [dict(vars(r)) for r in results],
+        "results": [r._asdict() for r in results],
         "passed": passed,
     }, 0 if passed else 1
 
@@ -490,8 +490,9 @@ def _shared_parser() -> argparse.ArgumentParser:
 def dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse argv, run the selected subcommand and print its rendered result.
 
-    Returns 0 on success, 1 on a verification failure, 2 on usage errors;
-    argparse exits with 2 on malformed flags before we get here.
+    Returns 0 on success, 1 on a verification failure, 2 on usage errors
+    and 3 on internal errors; argparse exits with 2 on malformed flags
+    before we get here.
     """
     args = _shared_parser().parse_args(argv)
     try:
@@ -499,7 +500,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         config = _config(args)
         result, code = args.handler(args, slope, config)
         if config.format == "json":
-            payload = {"command": args.command, "config": dict(vars(config)), "result": result}
+            payload = {"command": args.command, "config": config._asdict(), "result": result}
             text = json.dumps(payload, sort_keys=True, indent=2)
         else:
             text = _RENDER[args.command, config.format](result, args)
@@ -507,6 +508,11 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         # parse_slope and the int conversions raise ValueError on bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # not the input's fault, so neither a usage error nor a verdict;
+        # the repr keeps it to one line
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     print(text)
     return code
 

@@ -12,9 +12,8 @@ its window, as `intercept.classify` states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DepthError, RangeError, UnsupportedInterceptError
 from .intercept import AlphaNumber, classify, complement, sturmian_prefix
@@ -71,8 +70,7 @@ def integer_product(k: int, slope: Slope) -> str:
     return characteristic_prefix(slope, k)[::-1]
 
 
-@dataclass(frozen=True)
-class SplitReport:
+class SplitReport(NamedTuple):
     ok: bool
     level: int
     left: str
@@ -102,8 +100,7 @@ def central_split_check(m: int, p: int, slope: Slope) -> SplitReport:
     return SplitReport(expected == left + right, level, left, right, expected)
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     ok: bool
     prefix_ok: bool
     orbit_ok: bool
@@ -141,8 +138,7 @@ def duality_check(rho: AlphaNumber, length: int) -> DualityReport:
     )
 
 
-@dataclass(frozen=True)
-class CharacteristicFactorizations:
+class CharacteristicFactorizations(NamedTuple):
     case: str
     first: str
     second: str

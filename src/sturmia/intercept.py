@@ -11,10 +11,10 @@ relative to the window together with a witness level.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     DepthError,
@@ -29,17 +29,36 @@ from .slope import Slope
 from .words import characteristic_prefix
 
 
-@dataclass(frozen=True)
 class AlphaNumber:
-    """A depth-truncated formal intercept over a slope, little-endian digits."""
+    """A depth-truncated formal intercept over a slope, little-endian digits.
 
-    digits: tuple[int, ...]
-    slope: Slope
+    An immutable value: equality and hashing read `digits` and `slope`; the
+    residue tower is cached in the instance dict and takes no part in them.
+    """
 
-    def __post_init__(self) -> None:
-        report = validate(self.digits, self.slope)
+    def __init__(self, digits: tuple[int, ...], slope: Slope) -> None:
+        report = validate(digits, slope)
         if not report.ok:
             raise InvalidDigitsError(f"bad intercept digits: {report.message}")
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "slope", slope)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable AlphaNumber")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable AlphaNumber")
+
+    def __repr__(self) -> str:
+        return f"AlphaNumber(digits={self.digits!r}, slope={self.slope!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AlphaNumber:
+            return NotImplemented
+        return self.digits == other.digits and self.slope == other.slope
+
+    def __hash__(self) -> int:
+        return hash((self.digits, self.slope))
 
     @property
     def depth(self) -> int:
@@ -197,8 +216,7 @@ def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
     return intercept_from_prefix(word, slope, out_depth)
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Window verdict on the equivalence class of an intercept.
 
     verdict is one of "natural-integer", "sigma0-tail", "sigma1-tail",
@@ -263,8 +281,7 @@ def classify(rho: AlphaNumber) -> ClassReport:
     return ClassReport(best[1], best[0], rho.depth + 1 - best[0])
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     equivalent: bool
     witness: int | None
     reason: str
@@ -301,8 +318,7 @@ def equivalent(rho: AlphaNumber, gamma: AlphaNumber) -> EquivalenceReport:
     return EquivalenceReport(False, None, f"tail agreement only {evidence} < {tail} digits")
 
 
-@dataclass(frozen=True)
-class ComplementReport:
+class ComplementReport(NamedTuple):
     """Digits of the reversal-dual intercept plus the stability diagnostics.
 
     value holds the digits computed from the deepest usable support level;

@@ -8,15 +8,13 @@ digits[i] is the coefficient b_{i+1} of q_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DepthError, InvalidDigitsError, RangeError
 from .slope import Slope
 
 
-@dataclass(frozen=True)
-class OstrowskiDigits:
+class OstrowskiDigits(NamedTuple):
     """A valid digit string (b_1, ..., b_N) over a slope, little-endian."""
 
     digits: tuple[int, ...]
@@ -31,8 +29,7 @@ class OstrowskiDigits:
         return frozenset(i for i, b in enumerate(self.digits) if b != 0)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     rule: str | None = None
     index: int | None = None
@@ -144,8 +141,7 @@ def all_digit_strings(slope: Slope, depth: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, [])
 
 
-@dataclass(frozen=True)
-class RelaxedCoefficients:
+class RelaxedCoefficients(NamedTuple):
     """Coefficients on a window [start, start + len - 1], each within [0, a_{i+1}].
 
     coefficients[j] multiplies q_{start + j}.  Such sums are not unique; they

@@ -14,8 +14,8 @@ it.  Vertex strings are looked up only for the public fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import PrefixTooShortError, RangeError
 from .intercept import AlphaNumber, sturmian_prefix
@@ -34,8 +34,7 @@ def _cycle_letter(level: int) -> str:
     return "1" if level % 2 == 0 else "0"
 
 
-@dataclass(frozen=True)
-class RauzyGraph:
+class RauzyGraph(NamedTuple):
     m: int
     slope: Slope
     level: IntervalPosition

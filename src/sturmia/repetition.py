@@ -12,8 +12,8 @@ against the direct scan in the test suite.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CaseDispatchError, DepthError, PrefixTooShortError, RangeError
 from .intercept import AlphaNumber
@@ -146,8 +146,7 @@ def repetition_characteristic(slope: Slope, m: int) -> int:
     return slope.q(pos.n)
 
 
-@dataclass(frozen=True)
-class RepetitionRow:
+class RepetitionRow(NamedTuple):
     """One constant segment of the repetition function inside an interval."""
 
     m_lo: int
@@ -287,8 +286,7 @@ def repetition_level(rho_n1: int, slope: Slope, m: int) -> int:
     return q_hi - rho_n1 + q
 
 
-@dataclass(frozen=True)
-class JumpReport:
+class JumpReport(NamedTuple):
     """Verdict of the jump law r(x,m) != r(x,m-1) <=> r(x,m) = m+1."""
 
     holds: bool
@@ -312,8 +310,7 @@ def repetition_jump_check(x_prefix: str, m_lo: int, m_hi: int) -> JumpReport:
     return JumpReport(holds=not failures, checked=(m_lo, m_hi), failures=failures)
 
 
-@dataclass(frozen=True)
-class DioTerm:
+class DioTerm(NamedTuple):
     """One ratio feeding the exponent estimate; family -1 marks generic rows."""
 
     level: int
@@ -321,8 +318,7 @@ class DioTerm:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class DioEstimate:
+class DioEstimate(NamedTuple):
     value: Fraction
     mode: str
     witness: DioTerm

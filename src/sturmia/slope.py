@@ -11,7 +11,6 @@ from __future__ import annotations
 import _thread
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,7 +30,6 @@ _GROW_LOCK = _thread.allocate_lock()
 MAX_LADDER_BITS = 2**26
 
 
-@dataclass(frozen=True)
 class Slope:
     """Partial quotients of [0; a_1, a_2, ...], with an optional periodic tail.
 
@@ -41,25 +39,46 @@ class Slope:
 
     Each slope owns one continuant ladder, the rows q_n and p_n of
     x_{n+1} = a_{n+1} x_n + x_{n-1} and the row of quotients a_n they were
-    built from, which grows on demand and takes no part in equality or
-    hashing.
+    built from, which grows on demand and takes no part in equality,
+    hashing, repr or pickling.  Slopes are immutable values.
     """
 
-    quotients: tuple[int, ...]
-    period: tuple[int, int] | None = None
-    _ladder: tuple[list[int], list[int], list[int]] = field(
-        default_factory=lambda: ([0, 1], [1, 0], [0]), init=False, repr=False, compare=False
-    )
+    __slots__ = ("quotients", "period", "_ladder")
 
-    def __post_init__(self) -> None:
-        if not self.quotients:
+    def __init__(self, quotients: tuple[int, ...], period: tuple[int, int] | None = None) -> None:
+        if not quotients:
             raise ValueError("at least one partial quotient is required")
-        if any(not isinstance(a, int) or a < 1 for a in self.quotients):
+        if any(not isinstance(a, int) or a < 1 for a in quotients):
             raise ValueError("partial quotients must be integers >= 1")
-        if self.period is not None:
-            start, length = self.period
-            if length < 1 or start < 0 or start + length != len(self.quotients):
+        if period is not None:
+            start, length = period
+            if length < 1 or start < 0 or start + length != len(quotients):
                 raise ValueError("period must describe the tail of the stored quotients")
+        object.__setattr__(self, "quotients", quotients)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "_ladder", ([0, 1], [1, 0], [0]))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Slope")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Slope")
+
+    def __repr__(self) -> str:
+        return f"Slope(quotients={self.quotients!r}, period={self.period!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Slope:
+            return NotImplemented
+        return self.quotients == other.quotients and self.period == other.period
+
+    def __hash__(self) -> int:
+        return hash((self.quotients, self.period))
+
+    def __reduce__(self):
+        # a fresh ladder on the other side; slot state would be restored
+        # through the refusing __setattr__
+        return Slope, (self.quotients, self.period)
 
     @property
     def known_depth(self) -> int | None:

@@ -13,9 +13,8 @@ between the two ranks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from itertools import count, islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DepthError, ParityError, RangeError
 from .intercept import AlphaNumber, complement, equivalent
@@ -94,8 +93,7 @@ def parity_word(slope: Slope, depth: int) -> str:
     return "".join(str(slope.quotient(i) % 2) for i in range(1, depth + 1))
 
 
-@dataclass(frozen=True)
-class IndexedFactorization:
+class IndexedFactorization(NamedTuple):
     """A block stream covering the word after `offset` skipped letters."""
 
     offset: int
@@ -230,8 +228,7 @@ def even_family(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
     return classes
 
 
-@dataclass(frozen=True)
-class ComplementFamilyReport:
+class ComplementFamilyReport(NamedTuple):
     ok: bool
     even_ok: bool
     odd_ok: bool
@@ -286,8 +283,7 @@ def complement_family(M, slope: Slope, depth: int) -> ComplementFamilyReport:
 # ------------------------------------------------------------- mod-N machine
 
 
-@dataclass(frozen=True)
-class AutomatonLog:
+class AutomatonLog(NamedTuple):
     """The continuant pairs (q_n, p_n) reduced mod the modulus.
 
     states[n] is the pair at level n, the first column of the ladder matrix
@@ -369,11 +365,10 @@ def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
     states = list(log.states)
     for n in range(len(states), depth + 1):
         states.append(states[n - log.period])
-    return replace(log, states=tuple(states))
+    return log._replace(states=tuple(states))
 
 
-@dataclass(frozen=True)
-class TorsionHit:
+class TorsionHit(NamedTuple):
     found: bool
     modulus: int
     n: int

@@ -5,12 +5,12 @@ its one-line verdict, so `pytest -v` doubles as the release report.  The
 checks seed their own corpora; nothing here depends on test ordering.
 """
 
-from dataclasses import replace
 from functools import cache
 
 import pytest
 
 from sturmia import acceptance
+from sturmia.torsion import BFactorization
 from sturmia.words import characteristic_prefix
 
 
@@ -105,8 +105,8 @@ FAILED_LINES = {
     "number,name,wrong",
     [
         (5, "repetition_level", lambda f: lambda *args: f(*args) + 1),
-        (7, "complement_family", lambda f: lambda *args: replace(f(*args), ok=False)),
-        (8, "central_split_check", lambda f: lambda *args: replace(f(*args), ok=False)),
+        (7, "complement_family", lambda f: lambda *args: f(*args)._replace(ok=False)),
+        (8, "central_split_check", lambda f: lambda *args: f(*args)._replace(ok=False)),
         # the characteristic word is in the zero class, so in none of the three
         (11, "palindromic_center_word", lambda f: characteristic_prefix),
     ],
@@ -116,3 +116,43 @@ def test_promoted_paper_checks_are_live(monkeypatch, number, name, wrong):
     result = acceptance.run_check(number)
     assert not result.passed, result.line()
     assert result.line() == FAILED_LINES[number]
+
+
+def test_criterion_12_scans_each_distinct_word_once(monkeypatch):
+    scanned = []
+    real = acceptance.b_factorize
+
+    def counted(u):
+        scanned.append(u)
+        return real(u)
+
+    monkeypatch.setattr(acceptance, "b_factorize", counted)
+    assert acceptance.run_check(12).passed
+    # every word of up to 16 letters, then "1" + u and "11" + u for |u| = 16
+    assert len(scanned) == len(set(scanned)) == 2**17 - 1 + 2 * 2**16
+
+
+@pytest.mark.parametrize(
+    "word,u",
+    [
+        ("", ""),
+        ("0110", "0110"),
+        ("101", "01"),
+        ("1" + "0" * 16, "0" * 16),
+        ("11" + "10" * 8, "10" * 8),
+        ("1" * 17, "1" * 15),
+    ],
+)
+def test_criterion_12_names_the_first_broken_triple(monkeypatch, word, u):
+    real = acceptance.b_factorize
+
+    def wrong(v):
+        scan = real(v)
+        if v != word:
+            return scan
+        # the empty word cannot be cut short, so a one-letter leftover stands in
+        return BFactorization(v or "x", 0 if scan.complete else len(v))
+
+    monkeypatch.setattr(acceptance, "b_factorize", wrong)
+    result = acceptance.run_check(12)
+    assert result.line() == f"[FAIL] criterion 12 b-factorization: trichotomy at {u!r}"

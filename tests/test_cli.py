@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from sturmia import cli
 from sturmia.cli import JSON_SCHEMA, RunConfig, dispatch, parse_intercept
 from sturmia.repetition import repetition_characteristic
 from sturmia.slope import parse_slope
@@ -230,7 +231,7 @@ def test_standard_word_below_the_letter_cap(capsys):
 
 def test_run_config_round_trip():
     config = RunConfig("[0;1*]", 24, "sigma0", "json", False)
-    assert RunConfig(**json.loads(json.dumps(vars(config)))) == config
+    assert RunConfig(**json.loads(json.dumps(config._asdict()))) == config
 
 
 def test_parse_intercept_forms():
@@ -830,3 +831,35 @@ def test_dispatch_fuzz_exit_codes(monkeypatch, capsys):
             raise AssertionError(f"{argv}: exit {code}, stderr {err!r}")
         codes.add(code)
     assert {0, 2} <= codes
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [TypeError("vars() argument must have __dict__ attribute"), AssertionError("bad cycle")],
+    ids=["TypeError", "AssertionError"],
+)
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, exc):
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "standard_word", broken)
+    assert dispatch(["word", "standard", "--slope", "[0;1*]"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"internal error: {exc!r}\n"
+
+
+def test_system_exit_passes_through_dispatch(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as info:
+        dispatch(["word", "standard", "--slope", "[0;1*]", "--bogus"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def leave(*args):
+        raise SystemExit(5)
+
+    monkeypatch.setattr(cli, "standard_word", leave)
+    with pytest.raises(SystemExit) as info:
+        dispatch(["word", "standard", "--slope", "[0;1*]"])
+    assert info.value.code == 5
+    assert capsys.readouterr() == ("", "")

@@ -1,5 +1,7 @@
 """Tests for formal intercepts: projections, extraction, shifts, complement."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ import sturmia.intercept as intercept_module
 from sturmia.acceptance import NAMED_FIVE
 from sturmia.errors import (
     DepthError,
+    InvalidDigitsError,
     NotSturmianError,
     PrefixTooShortError,
     UnsupportedInterceptError,
@@ -28,7 +31,7 @@ from sturmia.intercept import (
     sturmian_prefix,
     zero,
 )
-from sturmia.ostrowski import all_digit_strings, encode
+from sturmia.ostrowski import OstrowskiDigits, all_digit_strings, encode
 from sturmia.slope import Slope, parse_slope
 from sturmia.words import characteristic_prefix, factor_set
 
@@ -592,3 +595,62 @@ def test_classify_shallow_windows_agree_with_complement():
             complement(rho)
     assert classify(sigma0(GOLDEN, 2)).verdict == "sigma0-tail"
     assert classify(AlphaNumber((1, 2), parse_slope("[0;3*]"))).verdict == "non-zero"
+
+
+# ---------------------------------------------------------------- value semantics
+
+COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)), "deepcopy": copy.deepcopy}
+
+
+def test_alpha_number_repr_equality_and_hash():
+    slope = parse_slope("[0;2*]")
+    rho = AlphaNumber((0, 1, 0), slope)
+    assert repr(rho) == (
+        "AlphaNumber(digits=(0, 1, 0), slope=Slope(quotients=(2,), period=(0, 1)))"
+    )
+    twin = AlphaNumber((0, 1, 0), parse_slope("[0;2*]"))
+    twin.residues  # the cached tower takes no part in equality or hashing
+    assert rho == twin and hash(rho) == hash(twin)
+    assert rho != AlphaNumber((1, 0, 0), slope)
+    assert rho != AlphaNumber((0, 1, 0), parse_slope("[0;3*]"))
+    assert rho != ((0, 1, 0), slope)
+    assert rho.__eq__(((0, 1, 0), slope)) is NotImplemented
+    assert rho != OstrowskiDigits((0, 1, 0), slope)
+    assert len({rho, twin, zero(slope, 3)}) == 2
+
+
+def test_alpha_number_checks_its_digits():
+    with pytest.raises(InvalidDigitsError, match="bad intercept digits"):
+        AlphaNumber((2, 0), parse_slope("[0;2*]"))
+    with pytest.raises(InvalidDigitsError, match="bad intercept digits"):
+        AlphaNumber((1, 2), parse_slope("[0;2*]"))
+
+
+def test_alpha_number_fields_cannot_be_assigned():
+    rho = from_integer(100, GOLDEN, 12)
+    for name, value in (("digits", (0,) * 12), ("slope", TWO_ONE), ("residues", ()), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(rho, name, value)
+    for name in ("digits", "slope"):
+        with pytest.raises(AttributeError):
+            delattr(rho, name)
+    assert rho == from_integer(100, GOLDEN, 12) and rho.psi(12) == 100
+
+
+def test_alpha_number_residues_are_computed_once():
+    rho = from_integer(1000, GOLDEN, 20)
+    first = rho.residues
+    assert rho.residues is first
+    assert rho.psi(20) == 1000 and rho.residues is first
+
+
+@pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES)
+def test_alpha_number_copies_are_equal(copy_of):
+    rho = from_integer(1000, MIXED, 16)
+    for cached in (False, True):
+        if cached:
+            rho.residues
+        other = copy_of(rho)
+        assert other is not rho
+        assert other == rho and hash(other) == hash(rho) and repr(other) == repr(rho)
+        assert other.residues == rho.residues and other.psi(16) == 1000

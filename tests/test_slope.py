@@ -1,6 +1,8 @@
 """Slope parsing, continuants, convergents and the interval partition."""
 
+import copy
 import itertools
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -307,3 +309,56 @@ def test_quotient_row_grows_consistently_under_threads():
     for slope in shared:
         assert quotient_row(slope, 400) == expected
         assert len(slope._ladder[2]) == len(slope._ladder[0]) - 1
+
+
+# ---------------------------------------------------------------- value semantics
+
+COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)), "deepcopy": copy.deepcopy}
+
+
+def test_slope_constructor_checks():
+    with pytest.raises(ValueError, match="at least one partial quotient is required"):
+        Slope(())
+    for quotients in ((1, 0), (2, -1), (1, 2.0)):
+        with pytest.raises(ValueError, match="partial quotients must be integers >= 1"):
+            Slope(quotients)
+    for period in ((0, 1), (0, 2), (-1, 4), (3, 0)):
+        with pytest.raises(ValueError, match="period must describe the tail"):
+            Slope((1, 2, 3), period)
+    assert Slope((1, 2, 3), (1, 2)).period == (1, 2)
+
+
+def test_slope_repr_equality_and_hash():
+    slope = parse_slope("[0;2,3,(1,2)*]")
+    assert repr(slope) == "Slope(quotients=(2, 3, 1, 2), period=(2, 2))"
+    assert repr(Slope((4, 2, 7))) == "Slope(quotients=(4, 2, 7), period=None)"
+    twin = Slope((2, 3, 1, 2), (2, 2))
+    twin.q(40)  # the ladder takes no part in equality or hashing
+    assert slope == twin and hash(slope) == hash(twin)
+    assert slope != Slope((2, 3, 1, 2)) and slope != Slope((2, 3, 1, 2), (3, 1))
+    assert slope != ((2, 3, 1, 2), (2, 2))
+    assert slope.__eq__(((2, 3, 1, 2), (2, 2))) is NotImplemented
+    assert slope != interval_locate(5, slope)
+    assert len({slope, twin, GOLDEN}) == 2
+
+
+def test_slope_fields_cannot_be_assigned():
+    slope = parse_slope("[0;1*]")
+    for name, value in (("quotients", (2,)), ("period", None), ("_ladder", None), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(slope, name, value)
+    for name in ("quotients", "period", "_ladder"):
+        with pytest.raises(AttributeError):
+            delattr(slope, name)
+    assert slope.quotients == (1,) and slope.period == (0, 1) and slope.q(5) == 8
+
+
+@pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES)
+def test_slope_copies_are_equal_with_their_own_ladder(copy_of):
+    slope = parse_slope("[0;2,1,3,(2,1)*]")
+    slope.q(30)
+    other = copy_of(slope)
+    assert other is not slope
+    assert other == slope and hash(other) == hash(slope) and repr(other) == repr(slope)
+    assert [other.q(n) for n in range(-1, 41)] == [slope.q(n) for n in range(-1, 41)]
+    assert other._ladder[0] is not slope._ladder[0]

@@ -11,9 +11,16 @@ The method rule matches names only: a method is taken as called when any
 `.name` attribute of that name appears, whatever object it is read from.  It
 cannot flag a method whose name is also a field or another class's method,
 such as a `value()` method beside the many `.value` fields.
+
+Importing the package must not load `dataclasses` or `inspect`: together
+they cost about half of what importing sturmia did, which every CLI call
+pays.  No module imports `dataclasses`, and a fresh interpreter shows
+neither module loaded after the import.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +133,31 @@ def violations() -> dict[str, list[str]]:
 def test_source_hygiene(violations, rule):
     if violations[rule]:
         raise AssertionError("\n".join(violations[rule]))
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted((ROOT / "src" / "sturmia").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path}:{node.lineno}: imports {name}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    if found:
+        raise AssertionError("\n".join(found))
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import sturmia, sturmia.cli, sturmia.acceptance; "
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == ""

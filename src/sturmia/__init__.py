@@ -20,7 +20,7 @@ from .intercept import (
     sturmian_prefix,
     zero,
 )
-from .ostrowski import OstrowskiDigits, all_digit_strings, decode, encode, normalize, validate
+from .ostrowski import OstrowskiDigits, all_digit_strings, decode, encode, validate
 from .rauzy import RauzyGraph, build_graph, count_turns
 from .repetition import (
     dio_estimate,
@@ -80,7 +80,6 @@ __all__ = [
     "intercept_from_prefix",
     "interval_locate",
     "mechanical_prefix",
-    "normalize",
     "parity_word",
     "parse_slope",
     "product_prefix",

@@ -79,19 +79,18 @@ class _Failed(Exception):
 
 
 def _seeded_slopes(
-    count: int, seed: int, hi: int = 5, cap_level: int = 12, cap: int = 100_000
+    count: int, seed: int, cap_level: int = 12, cap: int = 100_000
 ) -> tuple[Slope, ...]:
-    """Random periodic slopes with quotients in [1, hi], continuant-capped.
+    """Random periodic slopes with quotients in [1, 5], continuant-capped.
 
     Draws favour small quotients so the rejection loop terminates quickly;
     the cap keeps exhaustive sweeps within budget and is part of the
     reported corpus description.
     """
     rng = random.Random(seed)
-    weights = [16, 8, 4, 2, 1][:hi]
     out = []
     while len(out) < count:
-        qs = tuple(rng.choices(range(1, hi + 1), weights=weights, k=12))
+        qs = tuple(rng.choices(range(1, 6), weights=[16, 8, 4, 2, 1], k=12))
         slope = Slope(qs, (0, len(qs)))
         if slope.q(cap_level) <= cap:
             out.append(slope)

@@ -93,6 +93,7 @@ class AlphaNumber:
 
 
 def zero(slope: Slope, depth: int) -> AlphaNumber:
+    slope._grow(depth)  # the ladder refuses a depth past its budget first
     return AlphaNumber((0,) * depth, slope)
 
 

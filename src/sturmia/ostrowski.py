@@ -140,69 +140,3 @@ def all_digit_strings(slope: Slope, depth: int) -> Iterator[tuple[int, ...]]:
 
     yield from rec(1, [])
 
-
-class RelaxedCoefficients(NamedTuple):
-    """Coefficients on a window [start, start + len - 1], each within [0, a_{i+1}].
-
-    coefficients[j] multiplies q_{start + j}.  Such sums are not unique; they
-    normalize to proper digits with support inside [start, top + 1] where top
-    is the last window index, and a top carry of at most 1.
-    """
-
-    start: int
-    coefficients: tuple[int, ...]
-
-    @property
-    def stop(self) -> int:
-        """Exclusive end of the window."""
-        return self.start + len(self.coefficients)
-
-
-def normalize(relaxed: RelaxedCoefficients, slope: Slope) -> OstrowskiDigits:
-    """Rewrite relaxed coefficients into valid digits via cascading cancellation.
-
-    Repeatedly picks the largest index violating a digit rule and applies
-    q_{i+1} = a_{i+1} q_i + q_{i-1} there.  The value is conserved at every
-    step; the loop cannot push a carry past one slot above the window.
-    """
-    if relaxed.start < 0:
-        raise RangeError("window start must be >= 0")
-    top = relaxed.stop  # highest index the carry can reach
-    c = [0] * (top + 1)
-    for j, coeff in enumerate(relaxed.coefficients):
-        c[relaxed.start + j] = coeff
-    bounds = [slope.quotient(i + 1) for i in range(top + 1)]
-    for i in range(relaxed.start, top):
-        if not 0 <= c[i] <= bounds[i]:
-            raise InvalidDigitsError(
-                f"coefficient {c[i]} at index {i} outside [0, a_{i+1}={bounds[i]}]"
-            )
-
-    while True:
-        i0 = -1
-        for i in range(top - 1, -1, -1):
-            if i == 0:
-                if c[0] >= bounds[0]:
-                    i0 = 0
-            elif c[i] >= bounds[i] and c[i - 1] != 0:
-                i0 = i
-            if i0 >= 0:
-                break
-        if i0 < 0:
-            break
-        c[i0 + 1] += 1
-        c[i0] -= bounds[i0]
-        if i0 >= 1:
-            c[i0 - 1] -= 1
-        if c[i0] < 0 or (i0 >= 1 and c[i0 - 1] < 0):
-            raise AssertionError("cancellation drove a coefficient negative")
-        if i0 + 1 < top and c[i0 + 1] > bounds[i0 + 1]:
-            raise AssertionError("cancellation overflowed the coefficient above")
-
-    if c[top] > 1:
-        raise AssertionError("top carry exceeded 1")
-    result = OstrowskiDigits(tuple(c), slope)
-    report = validate(result.digits, slope)
-    if not report.ok:
-        raise AssertionError(f"normalize produced invalid digits: {report}")
-    return result

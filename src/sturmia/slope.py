@@ -162,11 +162,6 @@ class Slope:
                 self._grow(len(q) - 2 + max(1, skip))
         return bisect_right(q, m, lo=1) - 1
 
-    def value(self, digits: tuple[int, ...] | list[int]) -> int:
-        """The sum of b_{i+1} q_i over little-endian digits (or coefficients)."""
-        q = self._grow(len(digits) - 1)[0]
-        return sum(b * q[i + 1] for i, b in enumerate(digits))
-
     def __str__(self) -> str:
         if self.period is None:
             return "[0;" + ",".join(str(a) for a in self.quotients) + "]"

@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import DepthError, ParityError, RangeError
 from .intercept import AlphaNumber, complement, equivalent
-from .ostrowski import RelaxedCoefficients, encode, normalize
+from .ostrowski import encode
 from .slope import Slope
 from .words import characteristic_prefix, factor_set, is_palindrome, language_length
 
@@ -132,47 +132,21 @@ def suffix_classes(
 
 
 def _halved_window(slope: Slope, depth: int, indexed: IndexedFactorization) -> AlphaNumber:
-    """Glue the halved ladder differences of one block stream into digits.
+    """The digits of half the ladder difference across one block stream.
 
-    Block at boundary pair (d, d') contributes relaxed coefficients on
-    positions [d+1, d'-1]; the windows are disjoint, one global normalize
-    settles everything, and the telescoped value pins the construction.
+    Every block between consecutive boundaries d < d' has an even difference
+    q_{d'} - q_d, and the halves telescope: the window's value is half of
+    q_{d'} - q_d for the first and last boundaries d, d' in [0, depth - 1].
+    That value is below q_depth and has one Ostrowski expansion, so one
+    encode gives the window.
     """
-    bounds = indexed.boundaries()
-    pairs = [
-        (bounds[j], bounds[j + 1], block)
-        for j, block in enumerate(indexed.blocks)
-        if bounds[j] >= 0 and bounds[j + 1] <= depth - 1
-    ]
-    if len(pairs) < 2:
+    inside = [d for d in indexed.boundaries() if 0 <= d <= depth - 1]
+    if len(inside) < 3:
         raise DepthError("window too shallow to glue at least two blocks")
-    coeffs = [0] * depth
-    for d, _, block in pairs:
-        if block in ("00", "01"):
-            a = slope.quotient(d + 2)
-            if a % 2:
-                raise AssertionError(f"block {block!r} at {d} needs an even a_{d + 2}")
-            coeffs[d + 1] += a // 2
-        else:
-            k = len(block) - 3
-            lo, hi = slope.quotient(d + 2), slope.quotient(d + 3 + k)
-            if lo % 2 == 0 or hi % 2 == 0:
-                raise AssertionError(f"block {block!r} at {d} needs odd end quotients")
-            coeffs[d + 1] += (lo + 1) // 2
-            for l in range(1, k + 1):
-                middle = slope.quotient(d + 2 + l)
-                if middle % 2:
-                    raise AssertionError(f"block {block!r} at {d} needs even inner quotients")
-                coeffs[d + 1 + l] += middle // 2
-            coeffs[d + 2 + k] += (hi - 1) // 2
-    total = slope.value(coeffs)
-    if 2 * total != slope.q(pairs[-1][1]) - slope.q(pairs[0][0]):
-        raise AssertionError("halved block sums do not telescope to the ladder difference")
-    digits = list(normalize(RelaxedCoefficients(0, tuple(coeffs)), slope).digits)
-    if any(b != 0 for b in digits[depth:]):
-        raise AssertionError("normalization carried past the window")
-    digits = digits[:depth] + [0] * (depth - len(digits))
-    return AlphaNumber(tuple(digits), slope)
+    difference = slope.q(inside[-1]) - slope.q(inside[0])
+    if difference % 2:
+        raise AssertionError(f"ladder difference q_{inside[-1]} - q_{inside[0]} is odd")
+    return AlphaNumber(encode(difference // 2, slope, depth).digits, slope)
 
 
 def _check_self_dual_classes(classes: tuple[AlphaNumber, ...]) -> None:

@@ -671,6 +671,8 @@ USAGE_ERRORS = [
     (['verify', '--only', '99'], 'error: criteria are numbered 1..14, got 99\n'),
     (['verify', '--depth', '-1', '--only', '8', '--format', 'json'], 'error: --depth must be at least 2, got -1\n'),
     (['intercept', '--slope', '[0;1*]', '--intercept', 'zero', '--depth', '1'], 'error: --depth must be at least 2, got 1\n'),
+    (['intercept', '--slope', '[0;1*]', '--intercept', 'zero', '--depth', '1000000000000'], 'error: continuants through q_1000000000000 would hold more than 67108864 bits\n'),
+    (['repetition', '--slope', '[0;1*]', '--depth', '1000000000000'], 'error: continuants through q_1000000000000 would hold more than 67108864 bits\n'),
     (['factorize', '--word', '0001', '--slope', 'bogus', '--format', 'json'], "error: not a slope literal: 'bogus'\n"),
 ]
 

@@ -14,6 +14,7 @@ from sturmia.errors import (
     InvalidDigitsError,
     NotSturmianError,
     PrefixTooShortError,
+    RangeError,
     UnsupportedInterceptError,
 )
 from sturmia.intercept import (
@@ -99,6 +100,15 @@ def test_psi_zero_and_partial_sum():
 def test_psi_depth_guard():
     with pytest.raises(DepthError):
         zero(GOLDEN, 4).psi(5)
+
+
+def test_zero_refuses_a_depth_past_the_ladder_budget():
+    # the ladder refuses before a depth-sized window is built
+    with pytest.raises(RangeError, match="^continuants through q_1000000000000 would hold"):
+        zero(GOLDEN, 10**12)
+    # a finite slope read past its depth keeps its DepthError
+    with pytest.raises(DepthError, match="^a_4 requested but only 3 quotients are known$"):
+        zero(parse_slope("[0;1,2,3]"), 10**12)
 
 
 def finite_slope_strategy():

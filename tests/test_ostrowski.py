@@ -1,4 +1,4 @@
-"""Ostrowski encode/decode/validate/normalize against brute-force oracles."""
+"""Ostrowski encode/decode/validate against brute-force oracles."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from sturmia.errors import DepthError, InvalidDigitsError, RangeError
 from sturmia.ostrowski import (
     OstrowskiDigits,
-    RelaxedCoefficients,
     ValidationReport,
     decode,
     encode,
-    normalize,
     validate,
 )
 from sturmia.slope import Slope, parse_slope
@@ -77,35 +75,30 @@ def test_uniqueness_exhaustive_small():
     assert values == list(range(slope.q(depth)))
 
 
-def test_normalize_pinned_example():
-    # value q_2 + q_1 = 3 presented as coefficients (1, 1) on window [1, 2]
-    out = normalize(RelaxedCoefficients(1, (1, 1)), GOLDEN)
+def test_encode_relaxed_pinned_example():
+    # value q_2 + q_1 = 3, given as coefficients (1, 1) on window [1, 2]
+    out = encode(GOLDEN.q(2) + GOLDEN.q(1), GOLDEN, 4)
     assert out.digits == (0, 0, 0, 1)
     assert decode(out) == 3
 
 
-def test_normalize_fibonacci_identity_window():
-    # 3(q_{n+5} + q_{n+3}) rewritten with unit coefficients at n+1, n+3, n+5, n+7
+def test_encode_fibonacci_identity_window():
+    # q_{n+8} - q_n = 3(q_{n+5} + q_{n+3}) is the sum of q_{n+1}, q_{n+3}, q_{n+5},
+    # q_{n+7}, which are already its digits
     n = 3
-    coeffs = [0] * 7
-    for k in (n + 1, n + 3, n + 5, n + 7):
-        coeffs[k - (n + 1)] = 1
-    out = normalize(RelaxedCoefficients(n + 1, tuple(coeffs)), GOLDEN)
-    assert decode(out) == 3 * (GOLDEN.q(n + 5) + GOLDEN.q(n + 3)) == GOLDEN.q(n + 8) - GOLDEN.q(n)
-    assert out.digits == encode(GOLDEN.q(n + 8) - GOLDEN.q(n), GOLDEN, out.depth).digits
+    value = sum(GOLDEN.q(k) for k in (n + 1, n + 3, n + 5, n + 7))
+    assert value == 3 * (GOLDEN.q(n + 5) + GOLDEN.q(n + 3)) == GOLDEN.q(n + 8) - GOLDEN.q(n)
+    out = encode(value, GOLDEN, n + 8)
+    assert out.support() == {n + 1, n + 3, n + 5, n + 7}
+    assert decode(out) == value
 
 
-def test_normalize_bottom_rule():
-    # coefficient a_1 at index 0 cancels against q_1 = a_1 q_0
+def test_encode_bottom_rule():
+    # coefficient a_1 at index 0 is q_1 = a_1 q_0, a single digit one level up
     slope = parse_slope("[0;3,(1)*]")
-    out = normalize(RelaxedCoefficients(0, (3,)), slope)
+    out = encode(3 * slope.q(0), slope, 2)
+    assert out.digits == (0, 1)
     assert decode(out) == 3
-    assert out.digits == encode(3, slope, out.depth).digits
-
-
-def test_normalize_rejects_out_of_bounds():
-    with pytest.raises(InvalidDigitsError):
-        normalize(RelaxedCoefficients(1, (2,)), GOLDEN)  # b = 2 > a = 1
 
 
 @st.composite
@@ -117,23 +110,21 @@ def relaxed_case(draw):
     coeffs = tuple(
         draw(st.integers(0, slope.quotient(start + j + 1))) for j in range(width)
     )
-    return slope, RelaxedCoefficients(start, coeffs)
+    return slope, start, coeffs
 
 
 @settings(max_examples=300, deadline=None)
 @given(relaxed_case())
-def test_normalize_preserves_value_and_support(case):
-    slope, relaxed = case
-    value = sum(c * slope.q(relaxed.start + j) for j, c in enumerate(relaxed.coefficients))
-    out = normalize(relaxed, slope)
+def test_encode_relaxed_coefficients_support(case):
+    # coefficients in [0, a_{i+1}] on [start, stop) sum to a value whose
+    # digits lie in [start, stop], with at most 1 at stop
+    slope, start, coeffs = case
+    stop = start + len(coeffs)
+    value = sum(c * slope.q(start + j) for j, c in enumerate(coeffs))
+    out = encode(value, slope, stop + 1)
     assert decode(out) == value
-    assert validate(out.digits, slope).ok
-    sup = out.support()
-    assert all(relaxed.start <= i <= relaxed.stop for i in sup)
-    if value:
-        # agreement with the independent greedy expansion
-        ref = encode(value, slope, out.depth)
-        assert ref.digits == out.digits
+    assert all(start <= i <= stop for i in out.support())
+    assert out.digits[stop] <= 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,7 +178,7 @@ def reference_decode(digits, slope):
     report = reference_validate(digits, slope)
     if not report.ok:
         raise InvalidDigitsError(report.message or "invalid digits")
-    return slope.value(digits)
+    return sum(b * slope.q(i) for i, b in enumerate(digits))
 
 
 def outcome(fn, *args):

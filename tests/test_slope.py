@@ -181,13 +181,6 @@ def test_level_grows_the_ladder_only_to_the_level(text):
         assert len(slope._ladder[0]) == d + 2
 
 
-def test_value_sums_digits_against_the_ladder():
-    slope = parse_slope("[0;2,1,3,(2,1)*]")
-    digits = (1, 0, 3, 0, 2, 1)
-    assert slope.value(digits) == sum(b * slope.q(i) for i, b in enumerate(digits))
-    assert slope.value(()) == 0
-
-
 def test_finite_slope_raises_one_past_its_depth():
     finite = Slope((2, 1, 3))
     assert finite.q(3) == 11

@@ -12,6 +12,9 @@ The method rule matches names only: a method is taken as called when any
 cannot flag a method whose name is also a field or another class's method,
 such as a `value()` method beside the many `.value` fields.
 
+Every name in `sturmia.__all__` resolves on the package and is listed
+once, so `from sturmia import *` finds no stale or doubled name.
+
 Importing the package must not load `dataclasses` or `inspect`: together
 they cost about half of what importing sturmia did, which every CLI call
 pays.  No module imports `dataclasses`, and a fresh interpreter shows
@@ -133,6 +136,18 @@ def violations() -> dict[str, list[str]]:
 def test_source_hygiene(violations, rule):
     if violations[rule]:
         raise AssertionError("\n".join(violations[rule]))
+
+
+def test_all_names_resolve_once():
+    import sturmia
+
+    names = sturmia.__all__
+    problems = [f"{name} is listed {names.count(name)} times" for name in sorted(set(names))
+                if names.count(name) > 1]
+    problems += [f"{name} is not an attribute of sturmia" for name in names
+                 if not hasattr(sturmia, name)]
+    if problems:
+        raise AssertionError("\n".join(problems))
 
 
 def test_no_module_imports_dataclasses():

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmia.acceptance import NAMED_FIVE
-from sturmia.errors import DepthError, ParityError, RangeError
+from sturmia.errors import DepthError, ParityError, RangeError, SturmiaError
 from sturmia.intercept import AlphaNumber, complement, equivalent, intercept_from_prefix
-from sturmia.ostrowski import decode
+from sturmia.ostrowski import decode, encode
 from sturmia.slope import Slope, parse_slope
 from sturmia.torsion import (
     MAX_RANK_WALK,
@@ -48,6 +48,14 @@ def inventory(max_len: int) -> list:
         for x in "01":
             words.append("1" + "0" * k + "1" + x)
     return [w for w in words if len(w) <= max_len]
+
+
+def headed_slopes(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        head = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        period = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        yield Slope(tuple(head + period), (len(head), len(period)))
 
 
 # ----------------------------------------------------------- block inventory
@@ -251,6 +259,62 @@ def test_self_complementary_needs_odd_quotients():
         self_complementary(TWO_TWO, 20)
 
 
+def halved_blocks(slope, depth, indexed):
+    """Reference: half the ladder difference of a block stream, block by block.
+
+    Each block between boundaries d < d' inside [0, depth - 1] halves
+    q_{d'} - q_d into coefficients of q_{d+1}..q_{d'-1}, under the parity
+    its letters promise; the halves sum to the window's value.
+    """
+    bounds = indexed.boundaries()
+    pairs = [
+        (bounds[j], block)
+        for j, block in enumerate(indexed.blocks)
+        if bounds[j] >= 0 and bounds[j + 1] <= depth - 1
+    ]
+    assert len(pairs) >= 2
+    coeffs = [0] * depth
+    for d, block in pairs:
+        if block in ("00", "01"):
+            a = slope.quotient(d + 2)
+            assert a % 2 == 0
+            coeffs[d + 1] += a // 2
+        else:
+            k = len(block) - 3
+            lo, hi = slope.quotient(d + 2), slope.quotient(d + 3 + k)
+            assert lo % 2 == 1 and hi % 2 == 1
+            coeffs[d + 1] += (lo + 1) // 2
+            for l in range(1, k + 1):
+                middle = slope.quotient(d + 2 + l)
+                assert middle % 2 == 0
+                coeffs[d + 1 + l] += middle // 2
+            coeffs[d + 2 + k] += (hi - 1) // 2
+    assert all(0 <= c <= slope.quotient(i + 1) for i, c in enumerate(coeffs))
+    value = sum(c * slope.q(i) for i, c in enumerate(coeffs))
+    first, last = pairs[0][0], pairs[-1][0] + len(pairs[-1][1])
+    assert 2 * value == slope.q(last) - slope.q(first)
+    return value
+
+
+# seeded slopes with an odd quotient in the period, so their parity words
+# are not eventually even
+ODD_TAILED = [s for s in headed_slopes(16, 17) if any(a % 2 for a in s.quotients[s.period[0] :])]
+
+
+@pytest.mark.parametrize("slope", [*NAMED_FIVE, *ODD_TAILED], ids=str)
+def test_self_complementary_matches_block_halving(slope):
+    checked = 0
+    for depth in range(16, 45):
+        try:
+            classes = self_complementary(slope, depth)
+        except SturmiaError:
+            continue  # too few odd quotients, or a zero-class window
+        for rho, indexed in zip(classes, suffix_classes(parity_word(slope, depth))):
+            assert rho.digits == encode(halved_blocks(slope, depth, indexed), slope, depth).digits
+            checked += 1
+    assert checked >= 3 * 25
+
+
 def test_even_family_two_two():
     s0, s1, s2 = even_family(TWO_TWO, 20)
     assert sorted(s0.support()) == list(range(2, 20, 2))
@@ -323,14 +387,6 @@ def matrix_walk_states(slope, modulus, depth):
         mat = ((x * a + y) % modulus, x % modulus), ((z * a + w) % modulus, z % modulus)
         states.append((mat[0][0], mat[1][0]))
     return states
-
-
-def headed_slopes(count, seed):
-    rng = random.Random(seed)
-    for _ in range(count):
-        head = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
-        period = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
-        yield Slope(tuple(head + period), (len(head), len(period)))
 
 
 @pytest.mark.parametrize("slope", [GOLDEN, TWO_TWO, ONE_TWO, MIXED, HEADED, *headed_slopes(6, 5)])

@@ -13,14 +13,13 @@ from .intercept import (
     classify,
     complement,
     equivalent,
-    from_integer,
     intercept_from_prefix,
     sigma0,
     sigma1,
     sturmian_prefix,
     zero,
 )
-from .ostrowski import OstrowskiDigits, all_digit_strings, decode, encode, validate
+from .ostrowski import all_digit_strings, decode, encode, validate
 from .rauzy import RauzyGraph, build_graph, count_turns
 from .repetition import (
     dio_estimate,
@@ -51,7 +50,6 @@ from .words import (
 
 __all__ = [
     "AlphaNumber",
-    "OstrowskiDigits",
     "RauzyGraph",
     "Slope",
     "SturmiaError",
@@ -75,7 +73,6 @@ __all__ = [
     "equivalent",
     "even_family",
     "factor_set",
-    "from_integer",
     "integer_product",
     "intercept_from_prefix",
     "interval_locate",

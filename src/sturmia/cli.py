@@ -35,7 +35,6 @@ from .intercept import (
     AlphaNumber,
     classify,
     complement,
-    from_integer,
     max_certified_length,
     sigma0,
     sigma1,
@@ -124,7 +123,7 @@ def parse_intercept(spec: str, slope: Slope, depth: int) -> AlphaNumber:
             f"intercept spec {spec!r} is not an integer, a b: digit list, "
             "or one of zero|sigma0|sigma1"
         )
-    return from_integer(value, slope, depth)
+    return encode(value, slope, depth)
 
 
 def _config(args) -> RunConfig:
@@ -152,9 +151,9 @@ def cmd_word(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
 
 def cmd_ostrowski(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     if args.encode is not None:
-        digits = encode(args.encode, slope, config.depth)
-        support = sorted(digits.support())
-        return {"value": args.encode, "digits": list(digits.digits), "support": support}, 0
+        window = encode(args.encode, slope, config.depth)
+        support = sorted(window.support())
+        return {"value": args.encode, "digits": list(window.digits), "support": support}, 0
     try:
         digit_list = tuple(int(part) for part in args.decode.split(","))
     except ValueError:

@@ -11,95 +11,23 @@ relative to the window together with a witness level.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
-from itertools import accumulate
-from operator import mul
 from typing import NamedTuple
 
 from .errors import (
     DepthError,
-    InvalidDigitsError,
     NotSturmianError,
     PrefixTooShortError,
     RangeError,
     UnsupportedInterceptError,
 )
-from .ostrowski import encode, validate
+from .ostrowski import AlphaNumber, encode, validate
 from .slope import Slope
 from .words import characteristic_prefix
-
-
-class AlphaNumber:
-    """A depth-truncated formal intercept over a slope, little-endian digits.
-
-    An immutable value: equality and hashing read `digits` and `slope`; the
-    residue tower is cached in the instance dict and takes no part in them.
-    """
-
-    def __init__(self, digits: tuple[int, ...], slope: Slope) -> None:
-        report = validate(digits, slope)
-        if not report.ok:
-            raise InvalidDigitsError(f"bad intercept digits: {report.message}")
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "slope", slope)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable AlphaNumber")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable AlphaNumber")
-
-    def __repr__(self) -> str:
-        return f"AlphaNumber(digits={self.digits!r}, slope={self.slope!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not AlphaNumber:
-            return NotImplemented
-        return self.digits == other.digits and self.slope == other.slope
-
-    def __hash__(self) -> int:
-        return hash((self.digits, self.slope))
-
-    @property
-    def depth(self) -> int:
-        return len(self.digits)
-
-    def digit(self, i: int) -> int:
-        """The digit b_i, indexed from 1; indices <= 0 read as 0."""
-        if i <= 0:
-            return 0
-        if i > self.depth:
-            raise DepthError(f"digit b_{i} beyond window depth {self.depth}")
-        return self.digits[i - 1]
-
-    @cached_property
-    def residues(self) -> tuple[int, ...]:
-        """The residue tower (rho_0, rho_1, ..., rho_depth), built once in one
-        pass over the digits and the ladder row q_0, q_1, ..."""
-        q_row = self.slope._grow(self.depth - 1)[0]  # q_row[i + 1] is q_i
-        return tuple(accumulate(map(mul, self.digits, q_row[1 : self.depth + 1]), initial=0))
-
-    def psi(self, n: int) -> int:
-        """Level-n residue rho_n = sum_{i<n} b_{i+1} q_i; levels <= 0 give 0."""
-        if n <= 0:
-            return 0
-        if n > self.depth:
-            raise DepthError(f"residue at level {n} needs depth {n}, window has {self.depth}")
-        return self.residues[n]
-
-    def support(self) -> frozenset[int]:
-        """Indices i < depth whose coefficient of q_i is non-zero."""
-        return frozenset(i for i, b in enumerate(self.digits) if b != 0)
 
 
 def zero(slope: Slope, depth: int) -> AlphaNumber:
     slope._grow(depth)  # the ladder refuses a depth past its budget first
     return AlphaNumber((0,) * depth, slope)
-
-
-def from_integer(k: int, slope: Slope, depth: int) -> AlphaNumber:
-    """The intercept of the k-fold shifted characteristic word."""
-    return AlphaNumber(encode(k, slope, depth).digits, slope)
 
 
 def _sigma_digits(slope: Slope, depth: int, parity: int) -> tuple[int, ...]:
@@ -346,7 +274,7 @@ def complement_report(rho: AlphaNumber) -> ComplementReport:
     carry no information and are skipped; the rest are the usable levels.
 
     Each usable level costs O(1) big-integer operations and the report one
-    `encode` and one validation, by two facts:
+    `encode`, by two facts:
 
     1. N_M < q_{M+1}, so its greedy expansion starts with divmod(N_M, q_M)
        and the level-M residue of its tower is N_M mod q_M; `value` is the
@@ -375,7 +303,7 @@ def complement_report(rho: AlphaNumber) -> ComplementReport:
             "every support level has the maximal residue; window looks sigma-like"
         )
     top, n_top = usable[-1]
-    value = AlphaNumber(encode(n_top % q[top + 1], slope, top).digits, slope)
+    value = encode(n_top % q[top + 1], slope, top)
     psi = value.residues
     stable_from = next(
         (m + 1 for m, n_m in reversed(usable[:-1]) if n_m % q[m + 1] != psi[m]), 0

@@ -3,30 +3,19 @@
 A non-negative integer n < q_N is written n = sum b_{i+1} q_i over 0 <= i < N,
 with digits constrained by: 0 <= b_1 <= a_1 - 1, 0 <= b_i <= a_i for i >= 2,
 and b_{i+1} = a_{i+1} forces b_i = 0.  Digits are stored little-endian:
-digits[i] is the coefficient b_{i+1} of q_i.
+digits[i] is the coefficient b_{i+1} of q_i.  `AlphaNumber` is the one type
+of a validated digit window; `encode` returns one.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .errors import DepthError, InvalidDigitsError, RangeError
 from .slope import Slope
-
-
-class OstrowskiDigits(NamedTuple):
-    """A valid digit string (b_1, ..., b_N) over a slope, little-endian."""
-
-    digits: tuple[int, ...]
-    slope: Slope
-
-    @property
-    def depth(self) -> int:
-        return len(self.digits)
-
-    def support(self) -> frozenset[int]:
-        """Indices i with a non-zero coefficient of q_i."""
-        return frozenset(i for i, b in enumerate(self.digits) if b != 0)
 
 
 class ValidationReport(NamedTuple):
@@ -88,8 +77,76 @@ def validate(digits: tuple[int, ...] | list[int], slope: Slope) -> ValidationRep
     return _check(tuple(digits), slope)[0]
 
 
-def encode(n: int, slope: Slope, depth: int) -> OstrowskiDigits:
-    """Greedy expansion of 0 <= n < q_depth into `depth` digits."""
+class AlphaNumber:
+    """A depth-truncated formal intercept over a slope, little-endian digits.
+
+    An immutable value: equality and hashing read `digits` and `slope`; the
+    residue tower is cached in the instance dict and takes no part in them.
+    """
+
+    def __init__(self, digits: tuple[int, ...], slope: Slope) -> None:
+        report = validate(digits, slope)
+        if not report.ok:
+            raise InvalidDigitsError(f"bad intercept digits: {report.message}")
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "slope", slope)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable AlphaNumber")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable AlphaNumber")
+
+    def __repr__(self) -> str:
+        return f"AlphaNumber(digits={self.digits!r}, slope={self.slope!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AlphaNumber:
+            return NotImplemented
+        return self.digits == other.digits and self.slope == other.slope
+
+    def __hash__(self) -> int:
+        return hash((self.digits, self.slope))
+
+    @property
+    def depth(self) -> int:
+        return len(self.digits)
+
+    def digit(self, i: int) -> int:
+        """The digit b_i, indexed from 1; indices <= 0 read as 0."""
+        if i <= 0:
+            return 0
+        if i > self.depth:
+            raise DepthError(f"digit b_{i} beyond window depth {self.depth}")
+        return self.digits[i - 1]
+
+    @cached_property
+    def residues(self) -> tuple[int, ...]:
+        """The residue tower (rho_0, rho_1, ..., rho_depth), built once in one
+        pass over the digits and the ladder row q_0, q_1, ..."""
+        q_row = self.slope._grow(self.depth - 1)[0]  # q_row[i + 1] is q_i
+        return tuple(accumulate(map(mul, self.digits, q_row[1 : self.depth + 1]), initial=0))
+
+    def psi(self, n: int) -> int:
+        """Level-n residue rho_n = sum_{i<n} b_{i+1} q_i; levels <= 0 give 0."""
+        if n <= 0:
+            return 0
+        if n > self.depth:
+            raise DepthError(f"residue at level {n} needs depth {n}, window has {self.depth}")
+        return self.residues[n]
+
+    def support(self) -> frozenset[int]:
+        """Indices i < depth whose coefficient of q_i is non-zero."""
+        return frozenset(i for i, b in enumerate(self.digits) if b != 0)
+
+
+def encode(n: int, slope: Slope, depth: int) -> AlphaNumber:
+    """Greedy expansion of 0 <= n < q_depth into `depth` digits.
+
+    The window of the k-fold shifted characteristic word is encode(k, ...).
+    The greedy digits of n < q_depth are its one valid expansion, so the
+    window is built without a second validation pass.
+    """
     if n < 0:
         raise RangeError(f"cannot encode negative integer {n}")
     if depth < 0:
@@ -103,12 +160,15 @@ def encode(n: int, slope: Slope, depth: int) -> OstrowskiDigits:
         out[i], rest = divmod(rest, q[i + 1])
     if rest != 0:
         raise AssertionError("greedy expansion left a remainder")
-    return OstrowskiDigits(tuple(out), slope)
+    window = object.__new__(AlphaNumber)
+    fields = window.__dict__  # the fields __init__ sets, without its validation
+    fields["digits"], fields["slope"] = tuple(out), slope
+    return window
 
 
-def decode(digits: OstrowskiDigits | tuple[int, ...], slope: Slope | None = None) -> int:
+def decode(digits: AlphaNumber | tuple[int, ...], slope: Slope | None = None) -> int:
     """Value of a digit string, from the same pass that validates it."""
-    if isinstance(digits, OstrowskiDigits):
+    if isinstance(digits, AlphaNumber):
         slope = digits.slope
         digits = digits.digits
     if slope is None:

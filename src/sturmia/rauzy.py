@@ -58,12 +58,8 @@ class RauzyGraph(NamedTuple):
         cycle length per lap; running out of certified letters raises
         rather than undercounts.
         """
-        if cycle not in ("referent", "other"):
-            raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
-        if isinstance(source, AlphaNumber) and source.slope != self.slope:
-            raise ValueError("digit window and graph live over different slopes")
-        ring = self.referent_cycle if cycle == "referent" else self.other_cycle
-        return _turns(source, self.slope, self.level, self.m, ring, cycle)
+        rings = (self.referent_cycle, self.other_cycle)
+        return _turns(source, self.slope, self.level, self.m, rings, cycle)
 
     def to_dot(self) -> str:
         lines = ["digraph rauzy {"]
@@ -167,14 +163,20 @@ def _turns(
     slope: Slope,
     pos: IntervalPosition,
     m: int,
-    ring: tuple[str, ...],
+    rings: tuple[tuple[str, ...], tuple[str, ...]],
     cycle: str,
 ) -> int:
-    """Laps around `ring`, the named cycle at level `pos`.
+    """Laps around the named cycle of `rings` (referent, other) at level
+    `pos`.  Both entry points come here, so they refuse inputs alike.
 
     Reads a prefix of the shifted word long enough to certify the most laps
     that cycle allows.
     """
+    if cycle not in ("referent", "other"):
+        raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
+    if isinstance(source, AlphaNumber) and source.slope != slope:
+        raise ValueError("digit window and graph live over different slopes")
+    ring = rings[cycle == "other"]
     k = len(ring)
     bound = slope.quotient(pos.n + 1) - pos.l if cycle == "referent" else 1
     length = (bound + 2) * k + 3 * (m + 1)
@@ -220,15 +222,14 @@ def count_turns(
     """Number of consecutive laps the shifted word makes around a cycle.
 
     `source` is either a digit window or a plain integer shift of the
-    characteristic word.  Counts as RauzyGraph.turns does, but walks only
-    the graph's cycles: no sorted vertex or edge tuples are built.
+    characteristic word; `slope` defaults to the window's own.  Counts and
+    refuses as RauzyGraph.turns does, but walks only the graph's cycles: no
+    sorted vertex or edge tuples are built.
     """
-    if isinstance(source, AlphaNumber):
+    if slope is None and isinstance(source, AlphaNumber):
         slope = source.slope
     if slope is None:
         raise ValueError("integer shifts need an explicit slope")
-    if cycle not in ("referent", "other"):
-        raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
-    pos, windows, _, referent, other, _ = _cycles(slope, m)
-    ring = tuple(windows[i] for i in (referent if cycle == "referent" else other))
-    return _turns(source, slope, pos, m, ring, cycle)
+    pos, windows, _, *ids = _cycles(slope, m)
+    rings = tuple(tuple(windows[i] for i in cycle_ids) for cycle_ids in ids[:2])
+    return _turns(source, slope, pos, m, rings, cycle)

@@ -16,7 +16,7 @@ import re
 from itertools import count, islice
 from typing import Iterator, NamedTuple
 
-from .errors import DepthError, ParityError, RangeError
+from .errors import DepthError, ParityError, RangeError, UnsupportedInterceptError
 from .intercept import AlphaNumber, complement, equivalent
 from .ostrowski import encode
 from .slope import Slope
@@ -146,25 +146,35 @@ def _halved_window(slope: Slope, depth: int, indexed: IndexedFactorization) -> A
     difference = slope.q(inside[-1]) - slope.q(inside[0])
     if difference % 2:
         raise AssertionError(f"ladder difference q_{inside[-1]} - q_{inside[0]} is odd")
-    return AlphaNumber(encode(difference // 2, slope, depth).digits, slope)
+    return encode(difference // 2, slope, depth)
 
 
 def _check_self_dual_classes(classes: tuple[AlphaNumber, ...]) -> None:
-    """Each class is equivalent to its complement, and no two classes agree."""
+    """Each class is equivalent to its complement, and no two classes agree.
+
+    A window that cannot show this, or whose class the complement refuses
+    (a natural-integer window, say), is too shallow: DepthError.
+    """
+    shallow = f"depth {classes[0].depth} is too shallow to certify the three self-dual classes"
     for rho in classes:
-        if not equivalent(rho, complement(rho)).equivalent:
-            raise AssertionError(f"class {rho.digits} is not equivalent to its complement")
+        try:
+            dual = complement(rho)
+        except UnsupportedInterceptError as exc:
+            raise DepthError(f"{shallow}: class {rho.digits} has no complement ({exc})") from exc
+        if not equivalent(rho, dual).equivalent:
+            raise DepthError(f"{shallow}: class {rho.digits} is not equivalent to its complement")
     for i in range(3):
         for j in range(i + 1, 3):
             if equivalent(classes[i], classes[j]).equivalent:
-                raise AssertionError(f"classes {i} and {j} are equivalent")
+                raise DepthError(f"{shallow}: classes {i} and {j} are equivalent")
 
 
 def self_complementary(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
     """The three classes of windows equivalent to their reversal dual.
 
     Requires quotient parities that are not eventually even on the window;
-    the eventually-even regime is covered by even_family instead.
+    the eventually-even regime is covered by even_family instead.  Raises
+    DepthError when the window is too shallow to certify the classes.
     """
     y = parity_word(slope, depth)
     if y.count("1") < 4:
@@ -181,6 +191,7 @@ def even_family(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
 
     Built from an even start index 2*k0 through the window; every digit is
     half the quotient above it, on even positions, odd positions, or all.
+    Raises DepthError when the window is too shallow to certify the classes.
     """
     start = depth + 1
     i = depth

@@ -14,7 +14,6 @@ from sturmia.intercept import (
     AlphaNumber,
     add_integer,
     complement,
-    from_integer,
     max_certified_length,
     sigma0,
     sigma1,
@@ -80,7 +79,7 @@ def test_product_stays_in_language():
 
 def test_product_guards():
     with pytest.raises(UnsupportedInterceptError):
-        product_prefix(from_integer(7, GOLDEN, 12), 5)
+        product_prefix(encode(7, GOLDEN, 12), 5)
     with pytest.raises(DepthError):
         product_prefix(sigma0(GOLDEN, 6), 50)
     with pytest.raises(RangeError):
@@ -159,7 +158,7 @@ def test_duality_random_nonzero_window():
 
 def test_duality_rejects_zero_class():
     with pytest.raises(UnsupportedInterceptError):
-        duality_check(from_integer(3, GOLDEN, 14), 40)
+        duality_check(encode(3, GOLDEN, 14), 40)
 
 
 def test_shift_by_one_drops_one_product_letter():

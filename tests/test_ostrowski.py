@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sturmia.errors import DepthError, InvalidDigitsError, RangeError
 from sturmia.ostrowski import (
-    OstrowskiDigits,
+    AlphaNumber,
     ValidationReport,
     decode,
     encode,
@@ -71,7 +71,7 @@ def test_uniqueness_exhaustive_small():
             for rest in gen(i + 1, b):
                 yield (b,) + rest
 
-    values = sorted(decode(OstrowskiDigits(d, slope)) for d in gen(0, 0))
+    values = sorted(decode(d, slope) for d in gen(0, 0))
     assert values == list(range(slope.q(depth)))
 
 
@@ -199,13 +199,17 @@ NAMED_SLOPES = [
 
 
 @st.composite
-def digit_case(draw):
+def finite_or_periodic_slope(draw):
     if draw(st.booleans()):
-        slope = draw(st.sampled_from(NAMED_SLOPES))
-    else:
-        quotients = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=10)))
-        period = draw(st.one_of(st.none(), st.integers(1, len(quotients))))
-        slope = Slope(quotients, None if period is None else (len(quotients) - period, period))
+        return draw(st.sampled_from(NAMED_SLOPES))
+    quotients = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=10)))
+    period = draw(st.one_of(st.none(), st.integers(1, len(quotients))))
+    return Slope(quotients, None if period is None else (len(quotients) - period, period))
+
+
+@st.composite
+def digit_case(draw):
+    slope = draw(finite_or_periodic_slope())
     depth = slope.known_depth
     length = draw(st.integers(0, 30))
     usable = length if depth is None else min(length, depth)
@@ -222,6 +226,24 @@ def digit_case(draw):
         if digits:
             digits[draw(st.integers(0, length - 1))] = draw(st.integers(-3, 6))
     return slope, digits
+
+
+@st.composite
+def encode_case(draw):
+    slope = draw(finite_or_periodic_slope())
+    depth = draw(st.integers(0, 30 if slope.known_depth is None else slope.known_depth))
+    return slope, depth, draw(st.integers(0, slope.q(depth) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(encode_case())
+def test_encode_returns_a_valid_alpha_number(case):
+    slope, depth, n = case
+    window = encode(n, slope, depth)
+    assert type(window) is AlphaNumber and window.slope is slope
+    assert window == AlphaNumber(window.digits, slope)
+    assert validate(window.digits, slope).ok
+    assert window.residues[-1] == n
 
 
 @settings(max_examples=600, deadline=None)

@@ -6,7 +6,8 @@ import pytest
 
 from sturmia import rauzy
 from sturmia.errors import PrefixTooShortError, RangeError
-from sturmia.intercept import from_integer, zero
+from sturmia.intercept import zero
+from sturmia.ostrowski import encode
 from sturmia.rauzy import _laps, build_graph, count_turns
 from sturmia.repetition import repetition_direct
 from sturmia.slope import interval_locate, parse_slope
@@ -305,7 +306,7 @@ def test_count_turns_memory_at_m_2000():
 
 
 def test_turns_via_alpha_number_window():
-    rho = from_integer(3, GOLDEN, 12)
+    rho = encode(3, GOLDEN, 12)
     assert count_turns(rho, 4) == count_turns(3, 4, GOLDEN)
 
 
@@ -314,6 +315,24 @@ def test_count_turns_guards():
         count_turns(0, 2, GOLDEN, cycle="central")
     with pytest.raises(ValueError):
         count_turns(0, 2)
+
+
+@pytest.mark.parametrize(
+    "source, slope, cycle",
+    [
+        (zero(GOLDEN, 30), TWO_ONE, "referent"),
+        (zero(MIXED, 12), GOLDEN, "other"),
+        (0, GOLDEN, "central"),
+    ],
+)
+def test_count_turns_refuses_as_graph_turns_does(source, slope, cycle):
+    # a window over another slope than the one given is refused, not
+    # counted over its own slope
+    with pytest.raises(ValueError) as graph_refusal:
+        build_graph(slope, 5).turns(source, cycle)
+    with pytest.raises(ValueError) as count_refusal:
+        count_turns(source, 5, slope, cycle)
+    assert str(count_refusal.value) == str(graph_refusal.value)
 
 
 # ------------------------------------------------------------------------ dot
@@ -336,7 +355,7 @@ def test_turns_on_a_built_graph_match_count_turns():
             for shift in range(6):
                 for cycle in ("referent", "other"):
                     assert graph.turns(shift, cycle) == count_turns(shift, m, slope, cycle)
-            rho = from_integer(3, slope, 12)
+            rho = encode(3, slope, 12)
             assert graph.turns(rho) == count_turns(rho, m)
 
 

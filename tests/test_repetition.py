@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from sturmia import repetition
 from sturmia.errors import DepthError, PrefixTooShortError, RangeError, SturmiaError
-from sturmia.intercept import AlphaNumber, from_integer, sturmian_prefix, zero
-from sturmia.ostrowski import all_digit_strings
+from sturmia.intercept import AlphaNumber, sturmian_prefix, zero
+from sturmia.ostrowski import all_digit_strings, encode
 from sturmia.repetition import (
     dio_estimate,
     profile_lookup,
@@ -389,7 +389,7 @@ def test_dio_golden_approaches_one_plus_phi():
 
 def test_dio_sparse_support_stays_close():
     phi = (1 + math.sqrt(5)) / 2
-    est = dio_estimate(from_integer(1, GOLDEN, 25))
+    est = dio_estimate(encode(1, GOLDEN, 25))
     assert abs(float(est.value) - (1 + phi)) < 1e-2
 
 

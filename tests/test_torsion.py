@@ -259,6 +259,24 @@ def test_self_complementary_needs_odd_quotients():
         self_complementary(TWO_TWO, 20)
 
 
+@pytest.mark.parametrize(
+    "build, literal, depth, reason",
+    [
+        # the window cannot tell two classes apart
+        (self_complementary, "[0;(3,1,2,1,1,1,2,2,1,1,2,1)*]", 14, "classes 1 and 2 are equivalent"),
+        # the even tail is too short for a class to match its complement
+        (even_family, "[0;(2,4,6,4,3,6,4)*]", 59, "is not equivalent to its complement"),
+        # a class window is a natural integer, which the complement refuses
+        (self_complementary, "[0;1*]", 9, "natural-integer windows have no complement"),
+        (self_complementary, "[0;2,1,3,(2,1)*]", 17, "natural-integer windows have no complement"),
+    ],
+)
+def test_self_dual_classes_too_shallow_to_certify(build, literal, depth, reason):
+    with pytest.raises(DepthError, match=f"depth {depth} is too shallow to certify") as info:
+        build(parse_slope(literal), depth)
+    assert reason in str(info.value)
+
+
 def halved_blocks(slope, depth, indexed):
     """Reference: half the ladder difference of a block stream, block by block.
 

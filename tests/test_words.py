@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from sturmia import words
 from sturmia.errors import DepthError, NotCentralError, RangeError
-from sturmia.intercept import from_integer, sturmian_prefix
+from sturmia.intercept import sturmian_prefix
+from sturmia.ostrowski import encode
 from sturmia.slope import Slope, convergent_value, parse_slope
 from sturmia.words import (
     MAX_STANDARD_LETTERS,
@@ -257,7 +258,7 @@ def sturmian_words(draw, max_letters: int, min_letters: int = 1) -> str:
     slope = Slope(tuple(head + period), (len(head), len(period)))
     m = draw(st.integers(min_letters, max_letters))
     depth = slope.level(m)
-    rho = from_integer(draw(st.integers(0, slope.q(depth) - 1)), slope, depth)
+    rho = encode(draw(st.integers(0, slope.q(depth) - 1)), slope, depth)
     return sturmian_prefix(rho, m)
 
 

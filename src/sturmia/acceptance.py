@@ -15,9 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from math import gcd
-from typing import Callable, NamedTuple
 
 from .errors import SturmiaError
 from .factorization import central_split_check, characteristic_factorizations, duality_check
@@ -63,11 +64,8 @@ TWO_TWO = parse_slope("[0;2*]")
 NAMED_FIVE = (GOLDEN, TWO_ONE, MIXED, TWO_THREE, ONE_THREE)
 
 
-class CheckResult(NamedTuple):
-    number: int
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "number name passed detail")):
+    __slots__ = ()
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

@@ -25,8 +25,9 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
 
 from . import acceptance
 from .errors import RangeError, SturmiaError
@@ -91,14 +92,12 @@ def default_depth() -> int:
     return _at_least_two("STURMIA_DEPTH", value)
 
 
-class RunConfig(NamedTuple):
+class RunConfig(
+    namedtuple("RunConfig", "slope depth intercept format check", defaults=(True,))
+):
     """Resolved invocation parameters, embedded in every json payload."""
 
-    slope: str | None
-    depth: int
-    intercept: str | None
-    format: str
-    check: bool = True
+    __slots__ = ()
 
 
 def parse_intercept(spec: str, slope: Slope, depth: int) -> AlphaNumber:

@@ -12,8 +12,9 @@ its window, as `intercept.classify` states.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import chain, count
-from typing import Iterable, NamedTuple
 
 from .errors import DepthError, RangeError, UnsupportedInterceptError
 from .intercept import AlphaNumber, classify, complement, sturmian_prefix
@@ -70,12 +71,8 @@ def integer_product(k: int, slope: Slope) -> str:
     return characteristic_prefix(slope, k)[::-1]
 
 
-class SplitReport(NamedTuple):
-    ok: bool
-    level: int
-    left: str
-    right: str
-    expected: str
+class SplitReport(namedtuple("SplitReport", "ok level left right expected")):
+    __slots__ = ()
 
 
 def central_split_check(m: int, p: int, slope: Slope) -> SplitReport:
@@ -100,12 +97,8 @@ def central_split_check(m: int, p: int, slope: Slope) -> SplitReport:
     return SplitReport(expected == left + right, level, left, right, expected)
 
 
-class DualityReport(NamedTuple):
-    ok: bool
-    prefix_ok: bool
-    orbit_ok: bool
-    checked_length: int
-    window: int
+class DualityReport(namedtuple("DualityReport", "ok prefix_ok orbit_ok checked_length window")):
+    __slots__ = ()
 
 
 def duality_check(rho: AlphaNumber, length: int) -> DualityReport:
@@ -138,11 +131,10 @@ def duality_check(rho: AlphaNumber, length: int) -> DualityReport:
     )
 
 
-class CharacteristicFactorizations(NamedTuple):
-    case: str
-    first: str
-    second: str
-    ok: bool
+class CharacteristicFactorizations(
+    namedtuple("CharacteristicFactorizations", "case first second ok")
+):
+    __slots__ = ()
 
 
 def characteristic_factorizations(slope: Slope, length: int) -> CharacteristicFactorizations:

@@ -11,7 +11,7 @@ relative to the window together with a witness level.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     DepthError,
@@ -145,7 +145,7 @@ def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
     return intercept_from_prefix(word, slope, out_depth)
 
 
-class ClassReport(NamedTuple):
+class ClassReport(namedtuple("ClassReport", "verdict witness evidence")):
     """Window verdict on the equivalence class of an intercept.
 
     verdict is one of "natural-integer", "sigma0-tail", "sigma1-tail",
@@ -153,9 +153,7 @@ class ClassReport(NamedTuple):
     pattern holds through the window end (None for "non-zero").
     """
 
-    verdict: str
-    witness: int | None
-    evidence: int
+    __slots__ = ()
 
 
 def _pattern_start(rho: AlphaNumber, kind: str) -> int:
@@ -210,10 +208,8 @@ def classify(rho: AlphaNumber) -> ClassReport:
     return ClassReport(best[1], best[0], rho.depth + 1 - best[0])
 
 
-class EquivalenceReport(NamedTuple):
-    equivalent: bool
-    witness: int | None
-    reason: str
+class EquivalenceReport(namedtuple("EquivalenceReport", "equivalent witness reason")):
+    __slots__ = ()
 
 
 def equivalent(rho: AlphaNumber, gamma: AlphaNumber) -> EquivalenceReport:
@@ -247,7 +243,7 @@ def equivalent(rho: AlphaNumber, gamma: AlphaNumber) -> EquivalenceReport:
     return EquivalenceReport(False, None, f"tail agreement only {evidence} < {tail} digits")
 
 
-class ComplementReport(NamedTuple):
+class ComplementReport(namedtuple("ComplementReport", "value stable_from top_level")):
     """Digits of the reversal-dual intercept plus the stability diagnostics.
 
     value holds the digits computed from the deepest usable support level;
@@ -255,9 +251,7 @@ class ComplementReport(NamedTuple):
     M >= n yields the same residue, so digits above it are trustworthy.
     """
 
-    value: AlphaNumber
-    stable_from: int
-    top_level: int
+    __slots__ = ()
 
 
 def complement(rho: AlphaNumber) -> AlphaNumber:

@@ -9,20 +9,20 @@ of a validated digit window; `encode` returns one.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
-from typing import Iterator, NamedTuple
 
 from .errors import DepthError, InvalidDigitsError, RangeError
 from .slope import Slope
 
 
-class ValidationReport(NamedTuple):
-    ok: bool
-    rule: str | None = None
-    index: int | None = None
-    message: str | None = None
+class ValidationReport(
+    namedtuple("ValidationReport", "ok rule index message", defaults=(None, None, None))
+):
+    __slots__ = ()
 
 
 _VALID = ValidationReport(True)
@@ -85,6 +85,7 @@ class AlphaNumber:
     """
 
     def __init__(self, digits: tuple[int, ...], slope: Slope) -> None:
+        digits = tuple(digits)  # a copy: the caller's list stays theirs
         report = validate(digits, slope)
         if not report.ok:
             raise InvalidDigitsError(f"bad intercept digits: {report.message}")

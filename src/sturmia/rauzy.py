@@ -14,8 +14,8 @@ it.  Vertex strings are looked up only for the public fields.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .errors import PrefixTooShortError, RangeError
 from .intercept import AlphaNumber, sturmian_prefix
@@ -34,17 +34,14 @@ def _cycle_letter(level: int) -> str:
     return "1" if level % 2 == 0 else "0"
 
 
-class RauzyGraph(NamedTuple):
-    m: int
-    slope: Slope
-    level: IntervalPosition
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    left_special: str
-    right_special: str
-    referent_cycle: tuple[str, ...]
-    other_cycle: tuple[str, ...]
-    common_path: tuple[str, ...]
+class RauzyGraph(
+    namedtuple(
+        "RauzyGraph",
+        "m slope level vertices edges left_special right_special"
+        " referent_cycle other_cycle common_path",
+    )
+):
+    __slots__ = ()
 
     def cycle_edges(self, cycle: tuple[str, ...]) -> frozenset[tuple[str, str]]:
         k = len(cycle)

@@ -12,8 +12,8 @@ against the direct scan in the test suite.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import CaseDispatchError, DepthError, PrefixTooShortError, RangeError
 from .intercept import AlphaNumber
@@ -146,13 +146,10 @@ def repetition_characteristic(slope: Slope, m: int) -> int:
     return slope.q(pos.n)
 
 
-class RepetitionRow(NamedTuple):
+class RepetitionRow(namedtuple("RepetitionRow", "m_lo m_hi value case")):
     """One constant segment of the repetition function inside an interval."""
 
-    m_lo: int
-    m_hi: int
-    value: int
-    case: str
+    __slots__ = ()
 
 
 def repetition_rows(rho: AlphaNumber, n: int) -> tuple[RepetitionRow, ...]:
@@ -286,12 +283,10 @@ def repetition_level(rho_n1: int, slope: Slope, m: int) -> int:
     return q_hi - rho_n1 + q
 
 
-class JumpReport(NamedTuple):
+class JumpReport(namedtuple("JumpReport", "holds checked failures")):
     """Verdict of the jump law r(x,m) != r(x,m-1) <=> r(x,m) = m+1."""
 
-    holds: bool
-    checked: tuple[int, int]
-    failures: tuple[int, ...]
+    __slots__ = ()
 
 
 def repetition_jump_check(x_prefix: str, m_lo: int, m_hi: int) -> JumpReport:
@@ -310,19 +305,14 @@ def repetition_jump_check(x_prefix: str, m_lo: int, m_hi: int) -> JumpReport:
     return JumpReport(holds=not failures, checked=(m_lo, m_hi), failures=failures)
 
 
-class DioTerm(NamedTuple):
+class DioTerm(namedtuple("DioTerm", "level family ratio")):
     """One ratio feeding the exponent estimate; family -1 marks generic rows."""
 
-    level: int
-    family: int
-    ratio: Fraction
+    __slots__ = ()
 
 
-class DioEstimate(NamedTuple):
-    value: Fraction
-    mode: str
-    witness: DioTerm
-    terms: tuple[DioTerm, ...]
+class DioEstimate(namedtuple("DioEstimate", "value mode witness terms")):
+    __slots__ = ()
 
 
 # Number of top digit levels whose hypothesis 0 < b_i < a_i - 1 selects the

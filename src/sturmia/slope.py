@@ -11,8 +11,8 @@ from __future__ import annotations
 import _thread
 import re
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DepthError, RangeError
 
@@ -46,6 +46,11 @@ class Slope:
     __slots__ = ("quotients", "period", "_ladder")
 
     def __init__(self, quotients: tuple[int, ...], period: tuple[int, int] | None = None) -> None:
+        # copies, so a caller's list can neither unhash the slope nor change
+        # quotients the ladder has already read
+        quotients = tuple(quotients)
+        if period is not None:
+            period = tuple(period)
         if not quotients:
             raise ValueError("at least one partial quotient is required")
         if any(not isinstance(a, int) or a < 1 for a in quotients):
@@ -206,12 +211,10 @@ def convergent_value(slope: Slope, n: int) -> Fraction:
     return Fraction(slope.p(n), slope.q(n))
 
 
-class IntervalPosition(NamedTuple):
+class IntervalPosition(namedtuple("IntervalPosition", "n l r")):
     """Unique writing m = (l+1) q_n + q_{n-1} - 2 - r for an integer m >= 1."""
 
-    n: int
-    l: int
-    r: int
+    __slots__ = ()
 
 
 def interval_locate(m: int, slope: Slope, max_level: int | None = None) -> IntervalPosition:

@@ -13,8 +13,9 @@ between the two ranks.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import count, islice
-from typing import Iterator, NamedTuple
 
 from .errors import DepthError, ParityError, RangeError, UnsupportedInterceptError
 from .intercept import AlphaNumber, complement, equivalent
@@ -93,11 +94,10 @@ def parity_word(slope: Slope, depth: int) -> str:
     return "".join(str(slope.quotient(i) % 2) for i in range(1, depth + 1))
 
 
-class IndexedFactorization(NamedTuple):
+class IndexedFactorization(namedtuple("IndexedFactorization", "offset blocks")):
     """A block stream covering the word after `offset` skipped letters."""
 
-    offset: int
-    blocks: tuple[str, ...]
+    __slots__ = ()
 
     def boundaries(self) -> tuple[int, ...]:
         # a block starting at 1-based letter position p cuts the continuant
@@ -213,12 +213,10 @@ def even_family(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
     return classes
 
 
-class ComplementFamilyReport(NamedTuple):
-    ok: bool
-    even_ok: bool
-    odd_ok: bool
-    even_window: tuple[int, int]
-    odd_window: tuple[int, int]
+class ComplementFamilyReport(
+    namedtuple("ComplementFamilyReport", "ok even_ok odd_ok even_window odd_window")
+):
+    __slots__ = ()
 
 
 def complement_family(M, slope: Slope, depth: int) -> ComplementFamilyReport:
@@ -268,7 +266,7 @@ def complement_family(M, slope: Slope, depth: int) -> ComplementFamilyReport:
 # ------------------------------------------------------------- mod-N machine
 
 
-class AutomatonLog(NamedTuple):
+class AutomatonLog(namedtuple("AutomatonLog", "modulus states recurring n0 preperiod period")):
     """The continuant pairs (q_n, p_n) reduced mod the modulus.
 
     states[n] is the pair at level n, the first column of the ladder matrix
@@ -276,12 +274,7 @@ class AutomatonLog(NamedTuple):
     keeps recurring, which is what the congruence search needs.
     """
 
-    modulus: int
-    states: tuple[tuple[int, int], ...]
-    recurring: frozenset[tuple[int, int]]
-    n0: int
-    preperiod: int
-    period: int
+    __slots__ = ()
 
 
 # The most levels `torsion_search` walks to the state cycle to find its
@@ -353,15 +346,14 @@ def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
     return log._replace(states=tuple(states))
 
 
-class TorsionHit(NamedTuple):
-    found: bool
-    modulus: int
-    n: int
-    k: int | None
-    quotient_digits: tuple[int, ...] | None
-    support: frozenset[int] | None
-    state_trace: tuple[tuple[int, int], ...]
-    reason: str = ""
+class TorsionHit(
+    namedtuple(
+        "TorsionHit",
+        "found modulus n k quotient_digits support state_trace reason",
+        defaults=("",),
+    )
+):
+    __slots__ = ()
 
 
 def torsion_search(

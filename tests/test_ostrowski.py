@@ -254,6 +254,16 @@ def test_one_pass_matches_two_loop_reference(case):
     assert outcome(decode, tuple(digits), slope) == outcome(reference_decode, tuple(digits), slope)
 
 
+def test_alpha_number_copies_list_digits():
+    digits = [0, 1, 0, 1, 0, 0]
+    window = AlphaNumber(digits, GOLDEN)
+    twin = AlphaNumber(tuple(digits), GOLDEN)
+    assert window == twin and hash(window) == hash(twin) and repr(window) == repr(twin)
+    digits.append(1)
+    digits[1] = 0
+    assert window.digits == (0, 1, 0, 1, 0, 0) and window.depth == 6 and window == twin
+
+
 def test_finite_slope_read_past_its_depth():
     finite = parse_slope("[0;1,2,3]")
     for digits in [(0, 1, 0, 1), (0, 2, 0, 0, 1), (1, 0, 0, 0), (0, 1, 1, 5)]:

@@ -335,6 +335,19 @@ def test_slope_repr_equality_and_hash():
     assert len({slope, twin, GOLDEN}) == 2
 
 
+def test_slope_copies_list_inputs():
+    quotients, period = [1, 2], [1, 1]
+    slope = Slope(quotients, period)
+    assert slope == Slope((1, 2), (1, 1)) and hash(slope) == hash(Slope((1, 2), (1, 1)))
+    assert slope.quotients == (1, 2) and slope.period == (1, 1)
+    ladder = [slope.q(n) for n in range(7)]
+    quotients[1] = 5
+    period[0] = 0
+    assert slope == Slope((1, 2), (1, 1)) and slope.quotient(2) == 2
+    assert [slope.q(n) for n in range(7)] == ladder
+    assert [slope.q(n) for n in range(7)] == [Slope((1, 2), (1, 1)).q(n) for n in range(7)]
+
+
 def test_slope_fields_cannot_be_assigned():
     slope = parse_slope("[0;1*]")
     for name, value in (("quotients", (2,)), ("period", None), ("_ladder", None), ("extra", 1)):

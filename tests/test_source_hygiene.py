@@ -15,10 +15,11 @@ such as a `value()` method beside the many `.value` fields.
 Every name in `sturmia.__all__` resolves on the package and is listed
 once, so `from sturmia import *` finds no stale or doubled name.
 
-Importing the package must not load `dataclasses` or `inspect`: together
-they cost about half of what importing sturmia did, which every CLI call
-pays.  No module imports `dataclasses`, and a fresh interpreter shows
-neither module loaded after the import.
+Importing the package must not load `dataclasses`, `inspect` or `typing`:
+each cost a large share of what importing sturmia did, which every CLI call
+pays.  Records are `collections.namedtuple` classes and annotations name
+`collections.abc` types, so no module imports `dataclasses` or `typing`, and
+a fresh interpreter shows none of the three loaded after the import.
 """
 
 import ast
@@ -150,7 +151,7 @@ def test_all_names_resolve_once():
         raise AssertionError("\n".join(problems))
 
 
-def test_no_module_imports_dataclasses():
+def test_no_module_imports_typing_or_dataclasses():
     found = []
     for path in sorted((ROOT / "src" / "sturmia").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -161,16 +162,16 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             found += [f"{path}:{node.lineno}: imports {name}" for name in names
-                      if name.split(".")[0] == "dataclasses"]
+                      if name.split(".")[0] in {"dataclasses", "typing"}]
     if found:
         raise AssertionError("\n".join(found))
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_no_dataclasses_inspect_or_typing():
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
         "import sturmia, sturmia.cli, sturmia.acceptance; "
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True

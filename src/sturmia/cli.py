@@ -1,16 +1,19 @@
 """Command-line surface tying the library together for batch computation.
 
 Subcommands mirror the module layout: word, ostrowski, intercept, rauzy,
-repetition, factorize, torsion, verify.  Each `cmd_*` handler computes a
-result dict and an exit code from the parsed arguments, the parsed slope
-(None when --slope is absent) and the resolved RunConfig; it prints
-nothing.  `dispatch` parses --slope once, builds the config once and
-renders the result in one place: json is the JSON_SCHEMA envelope for
-every command, and each other format (text, csv, dot) comes from one table
-keyed by (command, format).  Identical inputs produce byte-identical
+repetition, factorize, torsion, verify.  One table, `_COMMANDS`, gives each
+its handler and its --format choices; --depth and --format are declared
+once for all of them.  Each `cmd_*` handler computes a result dict and an
+exit code from the parsed arguments and the parsed slope (None when
+--slope is absent); it prints nothing.  `dispatch` parses --slope once,
+resolves the depth into the parsed namespace, the one carrier of a run,
+and renders the result in one place: json is the JSON_SCHEMA envelope for
+every command, and each other format (text, csv, dot) comes from one
+table keyed by (command, format).  Identical inputs produce byte-identical
 output (nothing here consults the clock or an unseeded generator).  The
 digit depth is --depth when given, else the STURMIA_DEPTH environment
-variable, else 24; either must be at least 2.
+variable, else 24; either must be at least 2.  Only `verify` loads the
+acceptance suite.
 
 Exit codes: 0 on success, 1 on a verification failure (a `verify`
 criterion, a duality or factorization check, or a torsion search that
@@ -25,11 +28,9 @@ import argparse
 import json
 import os
 import sys
-from collections import namedtuple
 from collections.abc import Callable, Sequence
 from functools import cache
 
-from . import acceptance
 from .errors import RangeError, SturmiaError
 from .factorization import characteristic_factorizations, duality_check
 from .intercept import (
@@ -92,14 +93,6 @@ def default_depth() -> int:
     return _at_least_two("STURMIA_DEPTH", value)
 
 
-class RunConfig(
-    namedtuple("RunConfig", "slope depth intercept format check", defaults=(True,))
-):
-    """Resolved invocation parameters, embedded in every json payload."""
-
-    __slots__ = ()
-
-
 def parse_intercept(spec: str, slope: Slope, depth: int) -> AlphaNumber:
     """Resolve an intercept spec: integer, "b:0,1,0,1" digit list, or a name."""
     named: dict[str, Callable[[Slope, int], AlphaNumber]] = {
@@ -125,17 +118,7 @@ def parse_intercept(spec: str, slope: Slope, depth: int) -> AlphaNumber:
     return encode(value, slope, depth)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        slope=getattr(args, "slope", None),
-        depth=default_depth() if args.depth is None else _at_least_two("--depth", args.depth),
-        intercept=getattr(args, "intercept", None),
-        format=args.format,
-        check=getattr(args, "check", True),
-    )
-
-
-def cmd_word(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
+def cmd_word(args, slope: Slope) -> tuple[dict, int]:
     if args.action == "standard":
         word = standard_word(slope, args.level)
         return {"word": word, "length": len(word), "level": args.level}, 0
@@ -143,14 +126,14 @@ def cmd_word(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
         # The characteristic word extends to any length without a depth cap.
         word = characteristic_prefix(slope, args.length)
     else:
-        rho = parse_intercept(args.intercept, slope, config.depth)
+        rho = parse_intercept(args.intercept, slope, args.depth)
         word = sturmian_prefix(rho, args.length)
     return {"word": word, "length": len(word)}, 0
 
 
-def cmd_ostrowski(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
+def cmd_ostrowski(args, slope: Slope) -> tuple[dict, int]:
     if args.encode is not None:
-        window = encode(args.encode, slope, config.depth)
+        window = encode(args.encode, slope, args.depth)
         support = sorted(window.support())
         return {"value": args.encode, "digits": list(window.digits), "support": support}, 0
     try:
@@ -164,8 +147,8 @@ def cmd_ostrowski(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     }, 0
 
 
-def cmd_intercept(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
-    rho = parse_intercept(args.intercept, slope, config.depth)
+def cmd_intercept(args, slope: Slope) -> tuple[dict, int]:
+    rho = parse_intercept(args.intercept, slope, args.depth)
     report = classify(rho)
     result = {
         "digits": list(rho.digits),
@@ -183,9 +166,9 @@ def cmd_intercept(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     return result, 0
 
 
-def cmd_rauzy(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
+def cmd_rauzy(args, slope: Slope) -> tuple[dict, int]:
     graph = build_graph(slope, args.m)
-    if config.format == "dot":
+    if args.format == "dot":
         return {"dot": graph.to_dot()}, 0
     return {
         "m": args.m,
@@ -197,15 +180,15 @@ def cmd_rauzy(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     }, 0
 
 
-def cmd_repetition(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
+def cmd_repetition(args, slope: Slope) -> tuple[dict, int]:
     if args.m_max < 1:
         raise RangeError(f"--m-max must be >= 1, got {args.m_max}")
     if args.m_max > MAX_M_MAX:
         raise RangeError(f"--m-max must be at most {MAX_M_MAX}, got {args.m_max}")
-    rho = parse_intercept(args.intercept, slope, config.depth)
+    rho = parse_intercept(args.intercept, slope, args.depth)
     closed = repetition_closed_forms(rho, args.m_max)
     prefix = ""
-    if config.check:
+    if args.check:
         needed = max(value + m for m, (value, _) in enumerate(closed, start=1))
         prefix_length = min(needed + 2, max_certified_length(rho))
         prefix = sturmian_prefix(rho, prefix_length)
@@ -214,7 +197,7 @@ def cmd_repetition(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     rows = []
     for m, (value, case) in enumerate(closed, start=1):
         direct: int | None = None
-        if config.check and value + m <= len(prefix):
+        if args.check and value + m <= len(prefix):
             direct = profile_lookup(profile, m, len(prefix))
             if direct != value:
                 failures += 1
@@ -222,7 +205,7 @@ def cmd_repetition(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     return {"rows": rows, "failures": failures}, 1 if failures else 0
 
 
-def cmd_factorize(args, slope: Slope | None, config: RunConfig) -> tuple[dict, int]:
+def cmd_factorize(args, slope: Slope | None) -> tuple[dict, int]:
     if args.word is not None:
         if set(args.word) - {"0", "1"}:
             raise SturmiaError(f"--word expects a binary word, got {args.word!r}")
@@ -237,14 +220,14 @@ def cmd_factorize(args, slope: Slope | None, config: RunConfig) -> tuple[dict, i
     if slope is None:
         raise SturmiaError("--slope is required unless --word is given")
     if args.intercept is not None:
-        rho = parse_intercept(args.intercept, slope, config.depth)
+        rho = parse_intercept(args.intercept, slope, args.depth)
         report = duality_check(rho, args.length)
     else:
         report = characteristic_factorizations(slope, args.length)
     return report._asdict(), 0 if report.ok else 1
 
 
-def cmd_torsion(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
+def cmd_torsion(args, slope: Slope) -> tuple[dict, int]:
     hit = torsion_search(slope, args.modulus, n=args.n, k_max=args.k_max)
     return {
         **hit._asdict(),
@@ -253,7 +236,9 @@ def cmd_torsion(args, slope: Slope, config: RunConfig) -> tuple[dict, int]:
     }, 0 if hit.found else 1
 
 
-def cmd_verify(args, slope: None, config: RunConfig) -> tuple[dict, int]:
+def cmd_verify(args, slope: None) -> tuple[dict, int]:
+    from . import acceptance
+
     numbers = args.only if args.only else range(1, len(acceptance.CHECKS) + 1)
     results = [acceptance.run_check(number) for number in numbers]
     passed = all(r.passed for r in results)
@@ -310,6 +295,14 @@ def _torsion_text(r: dict, args) -> str:
     return f"N={r['modulus']} n={r['n']}: no admissible k <= {args.k_max} ({r['reason']})"
 
 
+def _verify_text(r: dict, args) -> str:
+    from .acceptance import CheckResult
+
+    return "\n".join(
+        [f"# corpus seed {r['seed']}"] + [CheckResult(**row).line() for row in r["results"]]
+    )
+
+
 def _verify_csv(r: dict, args) -> str:
     lines = [f"# seed={r['seed']}", "number,name,passed,detail"]
     for row in r["results"]:
@@ -345,11 +338,20 @@ _RENDER: dict[tuple[str, str], Callable[[dict, argparse.Namespace], str]] = {
     ),
     ("factorize", "text"): _factorize_text,
     ("torsion", "text"): _torsion_text,
-    ("verify", "text"): lambda r, args: "\n".join(
-        [f"# corpus seed {r['seed']}"]
-        + [acceptance.CheckResult(**row).line() for row in r["results"]]
-    ),
+    ("verify", "text"): _verify_text,
     ("verify", "csv"): _verify_csv,
+}
+
+# command -> (its handler, its --format choices with the default first)
+_COMMANDS: dict[str, tuple[Callable[..., tuple[dict, int]], tuple[str, ...]]] = {
+    "word": (cmd_word, ("text", "json")),
+    "ostrowski": (cmd_ostrowski, ("text", "json", "csv")),
+    "intercept": (cmd_intercept, ("text", "json")),
+    "rauzy": (cmd_rauzy, ("text", "json", "dot")),
+    "repetition": (cmd_repetition, ("csv", "json", "text")),
+    "factorize": (cmd_factorize, ("text", "json")),
+    "torsion": (cmd_torsion, ("json", "text")),
+    "verify": (cmd_verify, ("text", "json", "csv")),
 }
 
 
@@ -360,19 +362,6 @@ def _add_slope(parser, required: bool = True) -> None:
         default=None,
         help='slope literal, e.g. "[0;1*]" or "[0;2,1,(3,1)*]"',
     )
-
-
-def _add_depth(parser) -> None:
-    parser.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        help="digit depth (default: STURMIA_DEPTH env var, else 24)",
-    )
-
-
-def _add_format(parser, choices: tuple[str, ...], default: str) -> None:
-    parser.add_argument("--format", choices=choices, default=default)
 
 
 def _add_intercept(parser, default=None, required=False) -> None:
@@ -398,32 +387,20 @@ def build_parser() -> argparse.ArgumentParser:
     word.add_argument("--len", dest="length", type=int, default=40)
     word.add_argument("--level", type=int, default=8, help="standard word index")
     _add_intercept(word, default="zero")
-    _add_depth(word)
-    _add_format(word, ("text", "json"), "text")
-    word.set_defaults(handler=cmd_word)
 
     ostrowski = sub.add_parser("ostrowski", help="encode or decode digit strings")
     _add_slope(ostrowski)
     group = ostrowski.add_mutually_exclusive_group(required=True)
     group.add_argument("--encode", type=int, default=None, metavar="N")
     group.add_argument("--decode", default=None, metavar="DIGITS")
-    _add_depth(ostrowski)
-    _add_format(ostrowski, ("text", "json", "csv"), "text")
-    ostrowski.set_defaults(handler=cmd_ostrowski)
 
     intercept = sub.add_parser("intercept", help="inspect a formal intercept")
     _add_slope(intercept)
     _add_intercept(intercept, required=True)
-    _add_depth(intercept)
-    _add_format(intercept, ("text", "json"), "text")
-    intercept.set_defaults(handler=cmd_intercept)
 
     rauzy = sub.add_parser("rauzy", help="factor graph structure at one length")
     _add_slope(rauzy)
     rauzy.add_argument("--m", type=int, required=True, help="factor length")
-    _add_depth(rauzy)
-    _add_format(rauzy, ("text", "json", "dot"), "text")
-    rauzy.set_defaults(handler=cmd_rauzy)
 
     repetition = sub.add_parser("repetition", help="repetition function table")
     _add_slope(repetition)
@@ -437,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="skip the direct sliding-window cross-check",
     )
-    _add_depth(repetition)
-    _add_format(repetition, ("csv", "json", "text"), "csv")
-    repetition.set_defaults(handler=cmd_repetition)
 
     factorize = sub.add_parser(
         "factorize", help="block factorizations and the prefix/suffix duality"
@@ -448,18 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     factorize.add_argument("--word", default=None, help="binary word to block-factorize")
     _add_intercept(factorize)
     factorize.add_argument("--len", dest="length", type=int, default=400)
-    _add_depth(factorize)
-    _add_format(factorize, ("text", "json"), "text")
-    factorize.set_defaults(handler=cmd_factorize)
 
     torsion = sub.add_parser("torsion", help="congruence identities on continuants")
     _add_slope(torsion)
     torsion.add_argument("-N", "--modulus", dest="modulus", type=int, required=True)
     torsion.add_argument("--n", type=int, default=None, help="anchor rank")
     torsion.add_argument("--k-max", dest="k_max", type=int, default=40)
-    _add_depth(torsion)
-    _add_format(torsion, ("json", "text"), "json")
-    torsion.set_defaults(handler=cmd_torsion)
 
     verify = sub.add_parser("verify", help="run the acceptance criteria")
     verify.add_argument(
@@ -470,10 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run a single criterion (repeatable)",
     )
-    _add_depth(verify)
-    _add_format(verify, ("text", "json", "csv"), "text")
-    verify.set_defaults(handler=cmd_verify)
 
+    # the last two flags of every command
+    for name, (handler, formats) in _COMMANDS.items():
+        command = sub.choices[name]
+        command.add_argument(
+            "--depth",
+            type=int,
+            default=None,
+            help="digit depth (default: STURMIA_DEPTH env var, else 24)",
+        )
+        command.add_argument("--format", choices=formats, default=formats[0])
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -495,13 +471,20 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         slope = None if getattr(args, "slope", None) is None else parse_slope(args.slope)
-        config = _config(args)
-        result, code = args.handler(args, slope, config)
-        if config.format == "json":
-            payload = {"command": args.command, "config": config._asdict(), "result": result}
+        args.depth = default_depth() if args.depth is None else _at_least_two("--depth", args.depth)
+        result, code = args.handler(args, slope)
+        if args.format == "json":
+            config = {
+                "slope": getattr(args, "slope", None),
+                "depth": args.depth,
+                "intercept": getattr(args, "intercept", None),
+                "format": args.format,
+                "check": getattr(args, "check", True),
+            }
+            payload = {"command": args.command, "config": config, "result": result}
             text = json.dumps(payload, sort_keys=True, indent=2)
         else:
-            text = _RENDER[args.command, config.format](result, args)
+            text = _RENDER[args.command, args.format](result, args)
     except (SturmiaError, ValueError) as exc:
         # parse_slope and the int conversions raise ValueError on bad input
         print(f"error: {exc}", file=sys.stderr)

@@ -156,22 +156,12 @@ class ClassReport(namedtuple("ClassReport", "verdict witness evidence")):
     __slots__ = ()
 
 
-def _pattern_start(rho: AlphaNumber, kind: str) -> int:
-    """Smallest subscript N such that the pattern holds for all i in [N, depth]."""
-    slope = rho.slope
-    start = rho.depth + 1
-    for i in range(rho.depth, 0, -1):
-        b = rho.digit(i)
-        if kind == "zero":
-            ok = b == 0
-        elif kind == "sigma0":
-            ok = b == (slope.quotient(i) if i % 2 == 0 else 0)
-        else:
-            ok = b == (slope.quotient(i) if i % 2 == 1 else 0)
-        if not ok:
-            break
-        start = i
-    return start
+def _agree_from(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """Smallest index k with x[k:] == y[k:], for tuples of one length."""
+    k = len(x)
+    while k and x[k - 1] == y[k - 1]:
+        k -= 1
+    return k
 
 
 def _default_tail(depth: int) -> int:
@@ -196,16 +186,20 @@ def classify(rho: AlphaNumber) -> ClassReport:
     characteristic word and has none.  The two exact sigma windows, the
     one-letter extensions themselves, sit outside this trichotomy.
     """
-    tail = _default_tail(rho.depth)
-    best: tuple[int, str] | None = None
-    for kind, name in (("zero", "natural-integer"), ("sigma0", "sigma0-tail"), ("sigma1", "sigma1-tail")):
-        start = _pattern_start(rho, kind)
-        evidence = rho.depth + 1 - start
-        if evidence >= tail and (best is None or start < best[0]):
-            best = (start, name)
-    if best is None:
+    digits, slope, depth = rho.digits, rho.slope, rho.depth
+    # the first digit subscript from which each pattern holds; b_1 <= a_1 - 1
+    # in every window, so the sigma1 pattern (b_i = a_i at odd i) never
+    # holds at subscript 1 and its witness is at least 2
+    starts = (
+        (1 + _agree_from(digits, (0,) * depth), "natural-integer"),
+        (1 + _agree_from(digits, _sigma_digits(slope, depth, 0)), "sigma0-tail"),
+        (1 + max(1, _agree_from(digits, _sigma_digits(slope, depth, 1))), "sigma1-tail"),
+    )
+    start, verdict = min(starts, key=lambda pair: pair[0])  # the earlier kind on ties
+    evidence = depth + 1 - start
+    if evidence < _default_tail(depth):
         return ClassReport("non-zero", None, 0)
-    return ClassReport(best[1], best[0], rho.depth + 1 - best[0])
+    return ClassReport(verdict, start, evidence)
 
 
 class EquivalenceReport(namedtuple("EquivalenceReport", "equivalent witness reason")):
@@ -226,11 +220,7 @@ def equivalent(rho: AlphaNumber, gamma: AlphaNumber) -> EquivalenceReport:
     depth = min(rho.depth, gamma.depth)
     tail = _default_tail(depth)
     # a shared digit tail settles it in every class, so test that first
-    agree_from = depth
-    for i in range(depth - 1, -1, -1):
-        if rho.digits[i] != gamma.digits[i]:
-            break
-        agree_from = i
+    agree_from = _agree_from(rho.digits[:depth], gamma.digits[:depth])
     evidence = depth - agree_from
     if evidence >= tail:
         return EquivalenceReport(True, agree_from, f"digits agree from index {agree_from}")

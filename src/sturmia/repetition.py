@@ -240,7 +240,7 @@ def repetition_closed_form(rho: AlphaNumber, m: int) -> tuple[int, str]:
     Returns (value, case tag).  Needs digits through level n+2 where m sits
     in [q_n - 1, q_{n+1} - 2].
     """
-    pos = interval_locate(m, rho.slope, max_level=rho.depth)
+    pos = interval_locate(m, rho.slope)
     for row in repetition_rows(rho, pos.n):
         if row.m_lo <= m <= row.m_hi:
             return row.value, row.case
@@ -256,7 +256,7 @@ def repetition_closed_forms(rho: AlphaNumber, m_hi: int) -> list[tuple[int, str]
     out: list[tuple[int, str]] = []
     while len(out) < m_hi:
         m = len(out) + 1
-        pos = interval_locate(m, rho.slope, max_level=rho.depth)
+        pos = interval_locate(m, rho.slope)
         for row in repetition_rows(rho, pos.n):
             out += [(row.value, row.case)] * (min(row.m_hi, m_hi) - max(row.m_lo, m) + 1)
     return out

@@ -217,7 +217,7 @@ class IntervalPosition(namedtuple("IntervalPosition", "n l r")):
     __slots__ = ()
 
 
-def interval_locate(m: int, slope: Slope, max_level: int | None = None) -> IntervalPosition:
+def interval_locate(m: int, slope: Slope) -> IntervalPosition:
     """Locate m >= 1 in the partition by intervals [q_n - 1, q_{n+1} - 2].
 
     Within level n, sub-intervals are indexed by l: l = 0 covers
@@ -232,8 +232,6 @@ def interval_locate(m: int, slope: Slope, max_level: int | None = None) -> Inter
         n = slope.level(m + 1) - 1
     except DepthError as exc:
         raise DepthError(f"m={m} exceeds the representable range of the slope") from exc
-    if max_level is not None and n > max_level:
-        raise DepthError(f"m={m} not located below level {max_level}")
     q_nm1, q_n = slope.q(n - 1), slope.q(n)
     if m <= q_n + q_nm1 - 2:
         l = 0

@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from itertools import count, islice
 
 from .errors import DepthError, ParityError, RangeError, UnsupportedInterceptError
-from .intercept import AlphaNumber, complement, equivalent
+from .intercept import AlphaNumber, _default_tail, complement, equivalent
 from .ostrowski import encode
 from .slope import Slope
 from .words import characteristic_prefix, factor_set, is_palindrome, language_length
@@ -149,13 +149,17 @@ def _halved_window(slope: Slope, depth: int, indexed: IndexedFactorization) -> A
     return encode(difference // 2, slope, depth)
 
 
+def _too_shallow(depth: int) -> str:
+    return f"depth {depth} is too shallow to certify the three self-dual classes"
+
+
 def _check_self_dual_classes(classes: tuple[AlphaNumber, ...]) -> None:
     """Each class is equivalent to its complement, and no two classes agree.
 
     A window that cannot show this, or whose class the complement refuses
     (a natural-integer window, say), is too shallow: DepthError.
     """
-    shallow = f"depth {classes[0].depth} is too shallow to certify the three self-dual classes"
+    shallow = _too_shallow(classes[0].depth)
     for rho in classes:
         try:
             dual = complement(rho)
@@ -191,15 +195,24 @@ def even_family(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
 
     Built from an even start index 2*k0 through the window; every digit is
     half the quotient above it, on even positions, odd positions, or all.
-    Raises DepthError when the window is too shallow to certify the classes.
+    Raises DepthError when the window is too shallow to certify the classes,
+    before building them when the even tail is shorter than the shared tail
+    `equivalent` asks of a class and its complement.
     """
     start = depth + 1
     i = depth
     while i >= 1 and slope.quotient(i) % 2 == 0:
         start = i
         i -= 1
-    if depth - start < 4:
+    even = depth - start
+    if even < 4:
         raise ParityError("quotients are not eventually even on this window")
+    tail = _default_tail(depth)
+    if even < tail:
+        raise DepthError(
+            f"{_too_shallow(depth)}: with an even tail of {even} < {tail} levels,"
+            " a class is not equivalent to its complement"
+        )
     k0 = (start + 1) // 2
     s0, s1, s2 = [0] * depth, [0] * depth, [0] * depth
     for pos in range(2 * k0, depth):

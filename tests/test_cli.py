@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from sturmia import cli
-from sturmia.cli import JSON_SCHEMA, RunConfig, dispatch, parse_intercept
+from sturmia.cli import JSON_SCHEMA, dispatch, parse_intercept
 from sturmia.repetition import repetition_characteristic
 from sturmia.slope import parse_slope
 from sturmia.words import standard_word
@@ -229,9 +229,10 @@ def test_standard_word_below_the_letter_cap(capsys):
     assert capsys.readouterr().out.strip() == standard_word(GOLDEN, 30)
 
 
-def test_run_config_round_trip():
-    config = RunConfig("[0;1*]", 24, "sigma0", "json", False)
-    assert RunConfig(**json.loads(json.dumps(config._asdict()))) == config
+def test_every_declared_format_but_json_has_a_renderer():
+    for command, (_, formats) in cli._COMMANDS.items():
+        rendered = {fmt for name, fmt in cli._RENDER if name == command}
+        assert set(formats) - {"json"} == rendered, command
 
 
 def test_parse_intercept_forms():

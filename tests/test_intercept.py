@@ -606,6 +606,82 @@ def test_classify_shallow_windows_agree_with_complement():
     assert classify(AlphaNumber((1, 2), parse_slope("[0;3*]"))).verdict == "non-zero"
 
 
+def reference_pattern_start(rho: AlphaNumber, kind: str) -> int:
+    """Digit-by-digit scan, one quotient at a time: the smallest subscript N
+    such that the zero, sigma0 or sigma1 pattern holds for all i in [N, depth]."""
+    start = rho.depth + 1
+    for i in range(rho.depth, 0, -1):
+        b = rho.digit(i)
+        if kind == "zero":
+            ok = b == 0
+        elif kind == "sigma0":
+            ok = b == (rho.slope.quotient(i) if i % 2 == 0 else 0)
+        else:
+            ok = b == (rho.slope.quotient(i) if i % 2 == 1 else 0)
+        if not ok:
+            break
+        start = i
+    return start
+
+
+def reference_classify(rho: AlphaNumber) -> tuple:
+    tail = max(1, min(max(3, rho.depth // 3), rho.depth))
+    best = None
+    for kind, name in (("zero", "natural-integer"), ("sigma0", "sigma0-tail"),
+                       ("sigma1", "sigma1-tail")):
+        start = reference_pattern_start(rho, kind)
+        if rho.depth + 1 - start >= tail and (best is None or start < best[0]):
+            best = (start, name)
+    if best is None:
+        return ("non-zero", None, 0)
+    return (best[1], best[0], rho.depth + 1 - best[0])
+
+
+def reference_equivalent(rho: AlphaNumber, gamma: AlphaNumber) -> tuple:
+    depth = min(rho.depth, gamma.depth)
+    tail = max(1, min(max(3, depth // 3), depth))
+    agree_from = depth
+    for i in range(depth - 1, -1, -1):
+        if rho.digits[i] != gamma.digits[i]:
+            break
+        agree_from = i
+    if depth - agree_from >= tail:
+        return (True, agree_from, f"digits agree from index {agree_from}")
+    a, b = reference_classify(rho)[0], reference_classify(gamma)[0]
+    if a != "non-zero" and b != "non-zero":
+        return (True, None, f"both zero class ({a}, {b})")
+    if (a != "non-zero") != (b != "non-zero"):
+        return (False, None, f"classes differ ({a} vs {b})")
+    return (False, None, f"tail agreement only {depth - agree_from} < {tail} digits")
+
+
+def test_classify_and_equivalent_match_a_digit_by_digit_scan():
+    rng = random.Random(20261018)
+    verdicts, sigma1_witnesses = set(), set()
+    for slope in NAMED_FIVE + (FINITE,):
+        for depth in range(1, 25 if slope is FINITE else 41):
+            windows = [zero(slope, depth), sigma0(slope, depth), sigma1(slope, depth)]
+            windows += [
+                tail_window(rng, slope, depth, kind)
+                for kind in ("zero", "sigma0", "sigma1", "random")
+                for _ in range(3)
+            ]
+            for rho in windows:
+                report = classify(rho)
+                assert report == reference_classify(rho), (slope, rho.digits)
+                verdicts.add(report.verdict)
+                if report.verdict == "sigma1-tail":
+                    sigma1_witnesses.add(report.witness)
+            for _ in range(len(windows)):
+                rho, gamma = rng.choice(windows), rng.choice(windows)
+                # a shallower window over the same slope: a digit prefix
+                gamma = AlphaNumber(gamma.digits[: rng.randint(0, depth)], slope)
+                for x, y in ((rho, gamma), (gamma, rho), (rho, rho)):
+                    assert equivalent(x, y) == reference_equivalent(x, y), (x, y)
+    assert verdicts == {"natural-integer", "sigma0-tail", "sigma1-tail", "non-zero"}
+    assert sigma1_witnesses and 1 not in sigma1_witnesses
+
+
 # ---------------------------------------------------------------- value semantics
 
 COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)), "deepcopy": copy.deepcopy}

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from sturmia.acceptance import CheckResult
-from sturmia.cli import RunConfig
 from sturmia.factorization import CharacteristicFactorizations, DualityReport, SplitReport
 from sturmia.intercept import ClassReport, ComplementReport, EquivalenceReport
 from sturmia.ostrowski import ValidationReport, encode
@@ -37,9 +36,6 @@ TERM = DioTerm(5, -1, Fraction(3, 2))
 RECORDS = [
     (CheckResult, "number name passed detail", {}, (1, "oracle", True, "ok"),
      "CheckResult(number=1, name='oracle', passed=True, detail='ok')"),
-    (RunConfig, "slope depth intercept format check", {"check": True},
-     ("[0;1*]", 24, None, "json", True),
-     "RunConfig(slope='[0;1*]', depth=24, intercept=None, format='json', check=True)"),
     (SplitReport, "ok level left right expected", {}, (True, 3, "01", "0", "010"),
      "SplitReport(ok=True, level=3, left='01', right='0', expected='010')"),
     (DualityReport, "ok prefix_ok orbit_ok checked_length window", {},

@@ -241,6 +241,19 @@ def test_closed_form_depth_guard():
         repetition_closed_form(rho, big)
 
 
+def test_closed_form_past_the_window_is_the_row_builders_depth_error():
+    rho = zero(GOLDEN, 6)
+    for m in (GOLDEN.q(7) - 1, GOLDEN.q(12)):
+        n = interval_locate(m, GOLDEN).n
+        assert n > rho.depth
+        with pytest.raises(DepthError) as single:
+            repetition_closed_form(rho, m)
+        with pytest.raises(DepthError) as rows:
+            repetition_rows(rho, n)
+        assert str(single.value) == str(rows.value)
+        assert str(single.value).startswith(f"closed form at level {n} needs digits")
+
+
 @pytest.mark.parametrize(
     "slope,depth,m_top_level,expected_cases",
     [

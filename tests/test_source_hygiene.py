@@ -19,7 +19,8 @@ Importing the package must not load `dataclasses`, `inspect` or `typing`:
 each cost a large share of what importing sturmia did, which every CLI call
 pays.  Records are `collections.namedtuple` classes and annotations name
 `collections.abc` types, so no module imports `dataclasses` or `typing`, and
-a fresh interpreter shows none of the three loaded after the import.
+a fresh interpreter shows none of the three loaded after the import.  Nor
+does importing the CLI load the acceptance suite, which only `verify` runs.
 """
 
 import ast
@@ -177,3 +178,14 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
         [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == ""
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import sturmia.cli; print('sturmia.acceptance' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -17,6 +17,7 @@ from sturmia.slope import Slope, parse_slope
 from sturmia.torsion import (
     MAX_RANK_WALK,
     AutomatonLog,
+    _check_self_dual_classes,
     automaton_states,
     b_factorize,
     complement_family,
@@ -346,6 +347,44 @@ def test_even_family_two_two():
         assert equivalent(rho, complement(rho)).equivalent
     with pytest.raises(ParityError):
         even_family(GOLDEN, 20)
+
+
+def built_even_classes(slope, depth):
+    """The three even-family windows, built without the early tail check."""
+    start = depth + 1
+    while start > 1 and slope.quotient(start - 1) % 2 == 0:
+        start -= 1
+    digits = [[0] * depth for _ in range(3)]
+    for pos in range(2 * ((start + 1) // 2), depth):
+        half = slope.quotient(pos + 1) // 2
+        digits[pos % 2][pos] = digits[2][pos] = half
+    return tuple(AlphaNumber(tuple(d), slope) for d in digits)
+
+
+def test_even_family_refuses_short_even_tails_early():
+    rng = random.Random(20261018)
+    refused = built = 0
+    for _ in range(40):
+        head = [rng.randint(1, 5) for _ in range(rng.randint(0, 3))]
+        period = [rng.choice((2, 4, 6)) for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.7:
+            period[rng.randrange(len(period))] = rng.choice((1, 3, 5))
+        slope = Slope(tuple(head + period), (len(head), len(period)))
+        for depth in range(6, 60):
+            try:
+                classes = even_family(slope, depth)
+            except ParityError:
+                continue
+            except DepthError as exc:
+                if "even tail" not in str(exc):
+                    continue
+                refused += 1
+                with pytest.raises(DepthError, match="is not equivalent to its complement"):
+                    _check_self_dual_classes(built_even_classes(slope, depth))
+            else:
+                built += 1
+                assert classes == built_even_classes(slope, depth)
+    assert refused > 50 and built > 500
 
 
 def test_complement_family_golden():

@@ -50,7 +50,7 @@ from .torsion import (
     self_complementary,
     torsion_search,
 )
-from .words import characteristic_prefix, complexity, mechanical_prefix, standard_word
+from .words import characteristic_prefix, complexity, mechanical_prefix
 
 SEED = 20260814
 
@@ -132,19 +132,28 @@ def check_01_ostrowski_round_trip() -> str:
     return f"{total} integers round-tripped on {len(slopes)} slopes; depth-7 bijection exhaustive"
 
 
+def _standard_words(slope: Slope, depth: int) -> list[str]:
+    """[s_-1, s_0, ..., s_depth] by the recursion s_1 = s_0^{a_1 - 1} s_-1
+    and s_n = s_{n-1}^{a_n} s_{n-2}, independent of the grown word that
+    `words` slices."""
+    words = ["1", "0"]
+    for n in range(1, depth + 1):
+        words.append(words[-1] * (slope.quotient(n) - (n == 1)) + words[-2])
+    return words
+
+
 def check_02_prefix_product() -> str:
     """Descending product of standard words equals the plain truncation."""
     slopes = _ten_slopes()
     checked = 0
     for slope in slopes:
         depth = slope.level(501)
-        reference = standard_word(slope, depth)
+        blocks = _standard_words(slope, depth)
+        reference = blocks[depth + 1]
         for m in range(1, 501):
             digits = encode(m, slope, depth).digits
             product = "".join(
-                standard_word(slope, i) * digits[i]
-                for i in range(depth - 1, -1, -1)
-                if digits[i]
+                blocks[i + 1] * digits[i] for i in range(depth - 1, -1, -1) if digits[i]
             )
             if product != reference[:m] or characteristic_prefix(slope, m) != product:
                 raise _Failed(f"m={m} on {slope}")

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .ostrowski import AlphaNumber, encode, validate
 from .slope import Slope
-from .words import characteristic_prefix
+from .words import characteristic_prefix, shifted_characteristic_prefix
 
 
 def zero(slope: Slope, depth: int) -> AlphaNumber:
@@ -114,8 +114,7 @@ def sturmian_prefix(rho: AlphaNumber, m: int) -> str:
     certified = max_certified_length(rho)
     if m > certified:
         raise DepthError(f"window depth {rho.depth} certifies only {certified} letters")
-    shift = rho.psi(rho.slope.level(m))
-    return characteristic_prefix(rho.slope, shift + m)[shift:]
+    return shifted_characteristic_prefix(rho.slope, rho.psi(rho.slope.level(m)), m)
 
 
 def max_certified_length(rho: AlphaNumber) -> int:
@@ -126,8 +125,12 @@ def max_certified_length(rho: AlphaNumber) -> int:
 def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
     """Intercept of the k-fold shift of the word of rho, at reduced depth.
 
-    Computed semantically: generate a prefix, drop k letters, re-extract the
-    intercept at the deepest level the remaining letters certify.
+    The result keeps the deepest level d < depth whose certifying letters
+    q_{d+1} + q_d fit in the q_depth - 1 - k letters the window still
+    determines after k are dropped, as re-extracting the intercept from
+    those letters would; its digits are the first d of the greedy
+    expansion of rho_L + k, where L is the level whose residue
+    `sturmian_prefix` shifts by to read those letters.
     """
     if k < 0:
         raise RangeError("only non-negative shifts are defined")
@@ -141,8 +144,10 @@ def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
     )
     if out_depth < 1:
         raise DepthError(f"shift {k} leaves no certifiable level in a depth-{rho.depth} window")
-    word = sturmian_prefix(rho, k + _certifying_letters(slope, out_depth))[k:]
-    return intercept_from_prefix(word, slope, out_depth)
+    need = k + _certifying_letters(slope, out_depth)
+    value = rho.psi(slope.level(need)) + k
+    digits = encode(value, slope, max(out_depth, slope.level(value))).digits
+    return AlphaNumber(digits[:out_depth], slope)
 
 
 class ClassReport(namedtuple("ClassReport", "verdict witness evidence")):

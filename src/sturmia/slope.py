@@ -39,11 +39,12 @@ class Slope:
 
     Each slope owns one continuant ladder, the rows q_n and p_n of
     x_{n+1} = a_{n+1} x_n + x_{n-1} and the row of quotients a_n they were
-    built from, which grows on demand and takes no part in equality,
-    hashing, repr or pickling.  Slopes are immutable values.
+    built from, and beside it one prefix of its characteristic word, kept
+    and grown by `words`.  Both grow on demand and take no part in
+    equality, hashing, repr or pickling.  Slopes are immutable values.
     """
 
-    __slots__ = ("quotients", "period", "_ladder")
+    __slots__ = ("quotients", "period", "_ladder", "_word")
 
     def __init__(self, quotients: tuple[int, ...], period: tuple[int, int] | None = None) -> None:
         # copies, so a caller's list can neither unhash the slope nor change
@@ -62,6 +63,7 @@ class Slope:
         object.__setattr__(self, "quotients", quotients)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "_ladder", ([0, 1], [1, 0], [0]))
+        object.__setattr__(self, "_word", [""])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Slope")
@@ -81,7 +83,7 @@ class Slope:
         return hash((self.quotients, self.period))
 
     def __reduce__(self):
-        # a fresh ladder on the other side; slot state would be restored
+        # a fresh ladder and word on the other side; slot state would be restored
         # through the refusing __setattr__
         return Slope, (self.quotients, self.period)
 

@@ -1,34 +1,97 @@
 """Finite sturmian word machinery over {0, 1} alphabets.
 
 Standard words follow s_-1 = "1", s_0 = "0", s_1 = s_0^{a_1 - 1} s_-1 and
-s_{n+1} = s_n^{a_{n+1}} s_{n-1}, so |s_n| is the continuant q_n.  The
-characteristic word of the slope is the limit of the s_n.
+s_{n+1} = s_n^{a_{n+1}} s_{n-1}, so |s_n| is the continuant q_n.  Each s_n
+with n >= 1 is a prefix of the next, and the characteristic word c of the
+slope is their limit, so s_n = c[:q_n].  Each slope keeps one prefix of c
+beside its continuant ladder, grown on demand by `_grown`, the one place
+that builds letters; standard words and characteristic prefixes are slices
+of it.
 """
 
 from __future__ import annotations
 
+import _thread
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DepthError, NotCentralError, RangeError
-from .ostrowski import encode
 from .slope import Slope, interval_locate
 
 
-# The longest standard word built.  q_n >= F_{n+1} on every slope, so from
-# the golden slope's first level above the cap on, every s_n is over it, and
-# the recursion below the cap is at most that many (39) levels deep.
+# The longest word built.  q_n >= F_{n+1} on every slope, so from the
+# golden slope's first level above the cap on, every s_n is over it:
+# standard_word refuses those levels of an infinite slope before its ladder
+# grows that deep.
 MAX_STANDARD_LETTERS = 10**8
 _CAP_LEVEL = Slope((1,), (0, 1)).level(MAX_STANDARD_LETTERS)
 
+# Words only grow, under this lock; a stored word is never changed, only
+# replaced by a longer one, so reading it needs no lock.  The ladder grows
+# under its own lock, which the growth below takes in turn.
+_GROW_LOCK = _thread.allocate_lock()
 
-@lru_cache(maxsize=4096)
+
+def _grown(slope: Slope, m: int) -> str:
+    """The slope's prefix of c, grown to at least m letters.
+
+    The caller has checked that m is at most MAX_STANDARD_LETTERS and, on a
+    finite slope [0; a_1, ..., a_D], at most q_D.  The word grows to
+    max(m, 2 |word|) letters, within both bounds, so a run of longer
+    requests grows it O(log m) times and it holds at most 2m letters for
+    the longest m asked.  A step from |word| >= q_n reads only slices of
+    the word: c[:q_{n+1}] = c[:q_n]^{a_{n+1}} c[:q_{n-1}] for n >= 2, with
+    s_0 = "0" in place of c[:q_0] for n = 1, and repeats c[:q_n] no more
+    often than the letters it keeps need.
+    """
+    cell = slope._word
+    word = cell[0]
+    if len(word) >= m:
+        return word
+    with _GROW_LOCK:
+        word = cell[0]
+        if len(word) >= m:
+            return word  # another thread grew it meanwhile
+        target = min(max(m, 2 * len(word)), MAX_STANDARD_LETTERS)
+        depth = slope.known_depth
+        while len(word) < target:
+            # q_n <= |word| < q_{n+1}, or n = 0 below q_1
+            n = max(slope.level(len(word)) - 1, 0)
+            size = min(target, slope.q(n + 1))
+            if n == 0:
+                # s_1 = 0^{a_1 - 1} 1
+                word = "0" * min(size, slope.q(1) - 1) + "1" * (size == slope.q(1))
+            else:
+                a, q_n = slope.quotient(n + 1), slope.q(n)
+                head = word[:q_n]
+                if size <= a * q_n:
+                    word = (head * -(-size // q_n))[:size]
+                else:
+                    word = (head * a + (word[: slope.q(n - 1)] if n > 1 else "0"))[:size]
+            if n + 1 == depth:
+                break  # s_D, the whole word of a finite slope
+        cell[0] = word
+    return word
+
+
+def _prefix_word(slope: Slope, m: int) -> str:
+    """The slope's word grown to at least m letters, with the refusals of a
+    prefix of length m: RangeError when m is negative or over
+    MAX_STANDARD_LETTERS, and DepthError when a finite slope's ladder does
+    not reach a continuant above m."""
+    if m < 0:
+        raise RangeError("prefix length must be >= 0")
+    if m > MAX_STANDARD_LETTERS:
+        raise RangeError(f"prefix of length {m} has more than {MAX_STANDARD_LETTERS} letters")
+    slope.level(m)
+    return _grown(slope, m)
+
+
 def standard_word(slope: Slope, n: int) -> str:
     """The standard word s_n of the slope; defined for n >= -1.
 
     Raises RangeError when s_n would have more than MAX_STANDARD_LETTERS
-    letters, before any letter is built.
+    letters, before the word grows.
     """
     if n < -1:
         raise DepthError("standard words start at index -1")
@@ -41,36 +104,17 @@ def standard_word(slope: Slope, n: int) -> str:
         raise RangeError(
             f"standard word s_{n} has more than {MAX_STANDARD_LETTERS} letters"
         )
-    if n == 1:
-        return "0" * (slope.quotient(1) - 1) + "1"
-    return standard_word(slope, n - 1) * slope.quotient(n) + standard_word(slope, n - 2)
+    q_n = slope.q(n)
+    return _grown(slope, q_n)[:q_n]
 
 
-@lru_cache(maxsize=64)
 def characteristic_prefix(slope: Slope, m: int) -> str:
-    """First m letters of the characteristic word, assembled from digit blocks.
+    """First m letters of the characteristic word.
 
-    With m = sum b_{i+1} q_i the prefix is the downward product
-    s_N^{b_{N+1}} ... s_0^{b_1}.  Agrees with truncating any s_d of length
-    >= m, which the tests cross-check.  Raises RangeError past
-    MAX_STANDARD_LETTERS letters, before any block is built.
+    Raises RangeError past MAX_STANDARD_LETTERS letters, before the word
+    grows.
     """
-    if m < 0:
-        raise RangeError("prefix length must be >= 0")
-    if m > MAX_STANDARD_LETTERS:
-        raise RangeError(f"prefix of length {m} has more than {MAX_STANDARD_LETTERS} letters")
-    if m == 0:
-        return ""
-    depth = slope.level(m)
-    digits = encode(m, slope, depth).digits
-    parts = []
-    for i in range(depth - 1, -1, -1):
-        if digits[i]:
-            parts.append(standard_word(slope, i) * digits[i])
-    word = "".join(parts)
-    if len(word) != m:
-        raise AssertionError("digit block product has the wrong length")
-    return word
+    return _prefix_word(slope, m)[:m]
 
 
 def language_length(slope: Slope, m: int) -> int:
@@ -86,7 +130,7 @@ def shifted_characteristic_prefix(slope: Slope, k: int, m: int) -> str:
     """First m letters of the characteristic word shifted k places."""
     if k < 0:
         raise RangeError("shift must be >= 0")
-    return characteristic_prefix(slope, k + m)[k:]
+    return _prefix_word(slope, k + m)[k : k + m]
 
 
 def mechanical_prefix(alpha: Fraction, rho: Fraction, n: int, kind: str = "lower") -> str:

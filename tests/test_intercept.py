@@ -265,6 +265,110 @@ def test_add_integer_digit_shortcut_on_tail_levels():
                 assert out.psi(n) == rho.psi(n) + k
 
 
+def reference_add_integer(rho: AlphaNumber, k: int) -> AlphaNumber | None:
+    """The shift computed on letters: generate the prefix the window
+    certifies, drop k letters and re-extract the intercept at the deepest
+    level the rest certifies; None when no level is left."""
+    slope = rho.slope
+    budget = max_certified_length(rho) - k
+    out_depth = 0
+    while out_depth + 1 < rho.depth and slope.q(out_depth + 2) + slope.q(out_depth + 1) <= budget:
+        out_depth += 1
+    if out_depth < 1:
+        return None
+    need = slope.q(out_depth + 1) + slope.q(out_depth)
+    return intercept_from_prefix(sturmian_prefix(rho, k + need)[k:], slope, out_depth)
+
+
+def test_add_integer_matches_the_letter_shift():
+    rng = random.Random(20261018)
+    seeded = []
+    while len(seeded) < 10:
+        quotients = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+        seeded.append(Slope(quotients, (0, len(quotients))))
+    checked = refused = 0
+    for slope in NAMED_FIVE + tuple(seeded):
+        for depth in range(8, 23):
+            if slope.q(depth) > 2 * 10**5:
+                break
+            for kind in ("zero", "sigma0", "sigma1", "random", "random"):
+                rho = tail_window(rng, slope, depth, kind)
+                top = max_certified_length(rho)  # shifts near it leave no level
+                shifts = {1, 2, rng.randint(1, 40), rng.randint(1, top), top - rng.randint(0, 9)}
+                for k in shifts:
+                    expected = reference_add_integer(rho, k)
+                    if expected is None:
+                        with pytest.raises(DepthError, match="leaves no certifiable level"):
+                            add_integer(rho, k)
+                        refused += 1
+                    else:
+                        assert add_integer(rho, k) == expected, (slope, rho.digits, k)
+                        checked += 1
+    assert checked > 3000 and refused > 300
+
+
+def test_add_integer_on_finite_slopes_matches_the_letter_shift():
+    # where the letter shift reads past c = s_D it refused; the answer then
+    # is the letter shift over an infinite extension of the quotients,
+    # whose word starts with s_D
+    rng = random.Random(20261019)
+    finite = [Slope((1, 1, 5, 1)), Slope((1, 2, 3))]
+    while len(finite) < 12:
+        finite.append(Slope(tuple(rng.randint(1, 5) for _ in range(rng.randint(3, 7)))))
+    # q = 1, 1, 2, 11, 13: rho_4 + 1 = q_4 is past the window, but the
+    # letters left after the shift are read at rho_3 + 1 = 2
+    rho = encode(12, finite[0], 4)
+    assert add_integer(rho, 1) == reference_add_integer(rho, 1) == AlphaNumber((0,), finite[0])
+    agreed = gained = refused = 0
+    for slope in finite:
+        top = slope.known_depth
+        extension = Slope(slope.quotients + (1,), (top, 1))
+        for depth in range(2, top + 1):
+            for _ in range(12):
+                rho = encode(rng.randrange(slope.q(depth)), slope, depth)
+                last = max_certified_length(rho)
+                for k in {1, 2, rng.randint(1, last), max(1, last - rng.randint(0, 3))}:
+                    try:
+                        expected = reference_add_integer(rho, k)
+                    except DepthError as exc:
+                        expected = exc
+                    if expected is None:
+                        with pytest.raises(DepthError, match="leaves no certifiable level"):
+                            add_integer(rho, k)
+                    elif isinstance(expected, AlphaNumber):
+                        assert add_integer(rho, k) == expected, (slope, rho.digits, k)
+                        agreed += 1
+                    else:
+                        try:
+                            got = add_integer(rho, k)
+                        except DepthError as exc:
+                            assert str(exc) == str(expected)
+                            refused += 1
+                            continue
+                        wider = reference_add_integer(AlphaNumber(rho.digits, extension), k)
+                        assert got.digits == wider.digits, (slope, rho.digits, k)
+                        gained += 1
+    assert agreed > 1000 and gained > 100 and refused > 50
+
+
+def test_add_integer_reaches_depths_past_the_letter_cap():
+    # a depth-800 window certifies far more than MAX_STANDARD_LETTERS letters
+    golden = parse_slope("[0;1*]")
+    out = add_integer(sigma0(golden, 800), 1)
+    assert out == zero(golden, out.depth) and out.depth == 797
+    assert add_integer(encode(5, golden, 800), 3) == encode(8, golden, 797)
+    assert golden._word == [""]  # and no letter was built
+
+
+@pytest.mark.parametrize("slope", NAMED_FIVE, ids=str)
+def test_sigma_windows_shift_onto_zero(slope):
+    # c = 0^{-1} (0c) = 1^{-1} (1c): both sigma words shifted once are c
+    for depth in range(4, 40):
+        for sigma in (sigma0, sigma1):
+            out = add_integer(sigma(slope, depth), 1)
+            assert out == zero(slope, out.depth), (depth, sigma.__name__)
+
+
 
 
 # ------------------------------------------------------------------ classify
@@ -388,13 +492,25 @@ def test_complement_orbit_seam_is_sturmian():
 
 
 def test_complement_shift_rule():
-    # complement(rho + k) + k recovers complement(rho) on the shared window
-    rho = fib_family(0, 20)
-    base = complement(rho)
-    for k in (1, 2, 3):
-        other = add_integer(complement(add_integer(rho, k)), k)
-        overlap = min(base.depth, other.depth)
-        assert base.digits[4:overlap] == other.digits[4:overlap]
+    # complement(rho + k) + k recovers complement(rho) on every common level
+    rng = random.Random(20261018)
+    windows = [fib_family(0, 20)]
+    windows += [
+        tail_window(rng, slope, depth, "random") for slope in NAMED_FIVE for depth in range(8, 40)
+    ]
+    checked = 0
+    for rho in windows:
+        for k in (1, 2, 3, 5, 13):
+            try:
+                base = complement(rho)
+                other = add_integer(complement(add_integer(rho, k)), k)
+            except (UnsupportedInterceptError, DepthError):
+                assert rho is not windows[0]
+                continue
+            overlap = min(base.depth, other.depth)
+            assert base.digits[:overlap] == other.digits[:overlap], (rho, k)
+            checked += 1
+    assert checked > 500
 
 
 def test_complement_exclusions():

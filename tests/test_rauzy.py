@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from sturmia import rauzy
+from sturmia.acceptance import _standard_words as recursive_standard_words
 from sturmia.errors import PrefixTooShortError, RangeError
 from sturmia.intercept import zero
 from sturmia.ostrowski import encode
@@ -16,7 +17,6 @@ from sturmia.words import (
     characteristic_prefix,
     is_palindrome,
     shifted_characteristic_prefix,
-    standard_word,
 )
 
 GOLDEN = parse_slope("[0;1*]")
@@ -175,8 +175,8 @@ def test_common_path_spells_central_word(slope):
         assert word == characteristic_prefix(slope, m + r)
         assert is_palindrome(word)
         if n >= 1:
-            product = standard_word(slope, n) * (l + 1) + standard_word(slope, n - 1)
-            assert word == product[:-2]
+            s = recursive_standard_words(slope, n)
+            assert word == (s[n + 1] * (l + 1) + s[n])[:-2]
 
 
 @pytest.mark.parametrize("slope", [GOLDEN, MIXED])

@@ -350,10 +350,12 @@ def test_slope_copies_list_inputs():
 
 def test_slope_fields_cannot_be_assigned():
     slope = parse_slope("[0;1*]")
-    for name, value in (("quotients", (2,)), ("period", None), ("_ladder", None), ("extra", 1)):
+    for name, value in (
+        ("quotients", (2,)), ("period", None), ("_ladder", None), ("_word", None), ("extra", 1)
+    ):
         with pytest.raises(AttributeError):
             setattr(slope, name, value)
-    for name in ("quotients", "period", "_ladder"):
+    for name in ("quotients", "period", "_ladder", "_word"):
         with pytest.raises(AttributeError):
             delattr(slope, name)
     assert slope.quotients == (1,) and slope.period == (0, 1) and slope.q(5) == 8

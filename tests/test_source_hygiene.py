@@ -21,6 +21,12 @@ pays.  Records are `collections.namedtuple` classes and annotations name
 `collections.abc` types, so no module imports `dataclasses` or `typing`, and
 a fresh interpreter shows none of the three loaded after the import.  Nor
 does importing the CLI load the acceptance suite, which only `verify` runs.
+
+No function that takes arguments is wrapped in `functools.lru_cache` or
+`functools.cache`: a module-level cache keyed by value holds its arguments,
+slopes among them, and their results for the life of the process.  What a
+slope computes once is kept on the slope, and dies with it.  A cached
+function of no arguments (the CLI's shared parser) holds one value.
 """
 
 import ast
@@ -164,6 +170,31 @@ def test_no_module_imports_typing_or_dataclasses():
                 continue
             found += [f"{path}:{node.lineno}: imports {name}" for name in names
                       if name.split(".")[0] in {"dataclasses", "typing"}]
+    if found:
+        raise AssertionError("\n".join(found))
+
+
+def _functools_cache(node: ast.expr) -> str | None:
+    """"cache" or "lru_cache" when node names one, called or not."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name if name in {"cache", "lru_cache"} else None
+
+
+def test_no_function_of_arguments_is_functools_cached():
+    found = []
+    for path in sorted((ROOT / "src" / "sturmia").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                    continue
+                found += [
+                    f"{path}:{d.lineno}: {node.name} is cached by functools.{_functools_cache(d)}"
+                    for d in node.decorator_list
+                    if _functools_cache(d)
+                ]
     if found:
         raise AssertionError("\n".join(found))
 

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from sturmia.acceptance import NAMED_FIVE
 from sturmia.errors import DepthError, ParityError, RangeError, SturmiaError
-from sturmia.intercept import AlphaNumber, complement, equivalent, intercept_from_prefix
+from sturmia.intercept import (
+    AlphaNumber,
+    _default_tail,
+    complement,
+    equivalent,
+    intercept_from_prefix,
+)
 from sturmia.ostrowski import decode, encode
 from sturmia.slope import Slope, parse_slope
 from sturmia.torsion import (
@@ -364,11 +370,15 @@ def built_even_classes(slope, depth):
 def test_even_family_refuses_short_even_tails_early():
     rng = random.Random(20261018)
     refused = built = 0
-    for _ in range(40):
-        head = [rng.randint(1, 5) for _ in range(rng.randint(0, 3))]
-        period = [rng.choice((2, 4, 6)) for _ in range(rng.randint(1, 7))]
+    margins = set()  # even tail less the shared tail `equivalent` asks, per refusal
+    # odd and even heads, periods up to 12 long, large even quotients and
+    # up to two odd quotients per period
+    for _ in range(60):
+        head = [rng.randint(1, 9) for _ in range(rng.randint(0, 6))]
+        period = [rng.choice((2, 4, 6, 8, 10, 20, 50)) for _ in range(rng.randint(1, 12))]
         if rng.random() < 0.7:
-            period[rng.randrange(len(period))] = rng.choice((1, 3, 5))
+            for _ in range(rng.randint(1, 2)):
+                period[rng.randrange(len(period))] = rng.choice((1, 3, 5, 7, 9, 21))
         slope = Slope(tuple(head + period), (len(head), len(period)))
         for depth in range(6, 60):
             try:
@@ -376,15 +386,19 @@ def test_even_family_refuses_short_even_tails_early():
             except ParityError:
                 continue
             except DepthError as exc:
-                if "even tail" not in str(exc):
+                tail = re.search(r"even tail of (\d+) < (\d+) levels", str(exc))
+                if tail is None:
                     continue
                 refused += 1
+                margins.add(int(tail[1]) - _default_tail(depth))
                 with pytest.raises(DepthError, match="is not equivalent to its complement"):
                     _check_self_dual_classes(built_even_classes(slope, depth))
             else:
                 built += 1
                 assert classes == built_even_classes(slope, depth)
     assert refused > 50 and built > 500
+    # margins 0 and 1 are refused too, and no longer tail is
+    assert {0, 1} <= margins and max(margins) == 1
 
 
 def test_complement_family_golden():

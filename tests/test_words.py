@@ -1,6 +1,18 @@
-"""Standard words, characteristic prefixes, mechanical words, factors."""
+"""Standard words, characteristic prefixes, mechanical words, factors.
 
+Standard words and characteristic prefixes are slices of one prefix of the
+characteristic word that each slope grows; they are checked against the
+recursion s_n = s_{n-1}^{a_n} s_{n-2} and the digit-block product
+s_N^{b_{N+1}} ... s_0^{b_1}, built here from the quotients alone.
+"""
+
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmia import words
+from sturmia.acceptance import _standard_words as recursive_standard_words
 from sturmia.errors import DepthError, NotCentralError, RangeError
 from sturmia.intercept import sturmian_prefix
 from sturmia.ostrowski import encode
@@ -29,6 +42,18 @@ from sturmia.words import (
 GOLDEN = Slope((1,), (0, 1))
 
 
+def recursive_standard_word(slope: Slope, n: int) -> str:
+    return recursive_standard_words(slope, n)[n + 1]
+
+
+def block_product(slope: Slope, m: int) -> str:
+    """c[:m] as s_N^{b_{N+1}} ... s_0^{b_1}, for the Ostrowski digits of m."""
+    depth = slope.level(m)
+    blocks = recursive_standard_words(slope, depth - 1)
+    digits = encode(m, slope, depth).digits
+    return "".join(blocks[i + 1] * digits[i] for i in range(depth - 1, -1, -1))
+
+
 def test_standard_words_golden():
     assert standard_word(GOLDEN, -1) == "1"
     assert standard_word(GOLDEN, 0) == "0"
@@ -40,6 +65,22 @@ def test_standard_word_lengths_are_continuants():
     slope = parse_slope("[0;3,1,2,(2)*]")
     for n in range(10):
         assert len(standard_word(slope, n)) == slope.q(n)
+
+
+@pytest.mark.parametrize(
+    "text", ["[0;1*]", "[0;2,(1)*]", "[0;3,1,2,(1,4)*]", "[0;1,3,(2)*]", "[0;5]", "[0;1,2,3]", "[0;1]"]
+)
+def test_standard_words_match_the_recursion(text):
+    slope = parse_slope(text)
+    top = slope.known_depth or 14
+    expected = recursive_standard_words(slope, top)
+    # ascending, descending and shuffled requests, each on a fresh word
+    orders = [list(range(-1, top + 1))]
+    orders += [orders[0][::-1], random.Random(top).sample(orders[0], len(orders[0]))]
+    for order in orders:
+        fresh = parse_slope(text)
+        for n in order:
+            assert standard_word(fresh, n) == expected[n + 1], (text, n)
 
 
 def test_characteristic_prefix_letter_budget():
@@ -91,14 +132,15 @@ def test_characteristic_prefix_pinned_values():
 
 
 def test_characteristic_prefix_matches_truncation():
-    for text in ["[0;1*]", "[0;2,(1)*]", "[0;3,1,2,(1,4)*]", "[0;1,3,(2)*]"]:
+    for text in ["[0;1*]", "[0;2,(1)*]", "[0;3,1,2,(1,4)*]", "[0;1,3,(2)*]", "[0;1000*]"]:
         slope = parse_slope(text)
         d = 2
         while slope.q(d) <= 400:
             d += 1
-        s = standard_word(slope, d)
+        s = recursive_standard_word(slope, d)
         for m in (1, 2, 3, 5, 17, 100, 399, 400):
             assert characteristic_prefix(slope, m) == s[:m]
+            assert block_product(slope, m) == s[:m]
 
 
 def test_shifted_prefix_pinned_values():
@@ -364,6 +406,89 @@ def test_balance_defect_of_sturmian_windows():
 )
 def test_prefix_product_consistency(quotients, m, k):
     slope = Slope(tuple(quotients), (5, 1))
-    full = characteristic_prefix(slope, k + m)
+    full = block_product(slope, k + m)
     assert shifted_characteristic_prefix(slope, k, m) == full[k : k + m]
     assert characteristic_prefix(slope, m) == full[:m]
+
+
+# ------------------------------------------------------------ the grown word
+
+COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)), "deepcopy": copy.deepcopy}
+
+
+def test_the_word_holds_at_most_twice_the_longest_prefix_and_dies_with_its_slope():
+    lengths = random.Random(11).sample(range(10**6 - 10**4, 10**6), 64)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        slope = parse_slope("[0;1*]")
+        for m in lengths:
+            assert len(characteristic_prefix(slope, m)) == m
+        held = tracemalloc.get_traced_memory()[0]
+        del slope
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * max(lengths) + 10**5
+    assert left <= 10**5
+
+
+def test_a_long_prefix_repeats_no_more_blocks_than_it_keeps():
+    # q_3 = 1000002000 on [0;1000*], so a full step would build 10**9 letters
+    gc.collect()
+    tracemalloc.start()
+    try:
+        word = characteristic_prefix(parse_slope("[0;1000*]"), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word == block_product(parse_slope("[0;1000*]"), 10**7)
+    assert peak <= 3 * 10**7
+
+
+def test_word_grows_consistently_under_threads():
+    text = "[0;2,1,3,(2,1)*]"
+    reference = recursive_standard_word(parse_slope(text), 15)  # 25781 letters
+    shared = [parse_slope(text) for _ in range(8)]
+    wrong = []
+
+    def grow(offset):
+        for slope in shared:
+            for m in range(offset + 1, len(reference), 6 * 211):
+                if characteristic_prefix(slope, m) != reference[:m]:
+                    wrong.append((offset, m))
+            for n in range(offset, 16, 6):
+                if standard_word(slope, n) != reference[: slope.q(n)]:
+                    wrong.append((offset, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=grow, args=(k,)) for k in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert wrong == []
+    # the grown word doubles past the longest prefix asked, but holds at most twice it
+    longer = recursive_standard_word(parse_slope(text), 18)
+    for slope in shared:
+        word = slope._word[0]
+        assert longer.startswith(word) and len(reference) - 6 * 211 < len(word) < 2 * len(reference)
+
+
+@pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES)
+def test_a_grown_slope_copies_and_hashes_as_a_fresh_one(copy_of):
+    text = "[0;2,1,3,(2,1)*]"
+    slope, fresh = parse_slope(text), parse_slope(text)
+    prefix = characteristic_prefix(slope, 5000)
+    other = copy_of(slope)
+    assert other == slope == fresh and hash(other) == hash(slope) == hash(fresh)
+    assert repr(other) == repr(slope) == repr(fresh)
+    assert pickle.dumps(slope) == pickle.dumps(fresh)
+    assert other._word == [""]
+    assert characteristic_prefix(other, 5000) == prefix

@@ -13,7 +13,10 @@ table keyed by (command, format).  Identical inputs produce byte-identical
 output (nothing here consults the clock or an unseeded generator).  The
 digit depth is --depth when given, else the STURMIA_DEPTH environment
 variable, else 24; either must be at least 2.  Only `verify` loads the
-acceptance suite.
+acceptance suite.  An argv that starts with a command name is parsed by
+that command's own parser alone, the one the full parser would hand the
+rest to; any other argv, or one that parser leaves arguments over from,
+goes through the full parser, so usage errors and help are argparse's own.
 
 Exit codes: 0 on success, 1 on a verification failure (a `verify`
 criterion, a duality or factorization check, or a torsion search that
@@ -373,7 +376,8 @@ def _add_intercept(parser, default=None, required=False) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser by command name."""
     parser = argparse.ArgumentParser(
         prog="sturmia",
         description="Exact computations on sturmian words, their numeration "
@@ -450,15 +454,32 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument("--format", choices=formats, default=formats[0])
         command.set_defaults(handler=handler)
-    return parser
+    return parser, sub.choices
 
 
-# Built on the first dispatch and never mutated afterwards: parse_args
-# leaves the parser as it found it, and defaults that depend on the
-# environment (STURMIA_DEPTH) are resolved by dispatch at run time.
-@cache
-def _shared_parser() -> argparse.ArgumentParser:
-    return build_parser()
+# Built on the first dispatch and never mutated afterwards: parsing leaves
+# a parser as it found it, and defaults that depend on the environment
+# (STURMIA_DEPTH) are resolved by dispatch at run time.
+_shared_parsers = cache(build_parsers)
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """What the full parser's parse_args(argv) returns, or the exit it makes.
+
+    When argv starts with a command name, the full parser hands every later
+    argument to that command's parser, so that parser alone gives the same
+    namespace unless it leaves arguments over.  Anything else, leftovers
+    included, goes through the full parser, whose errors and help text are
+    then argparse's own.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _shared_parsers()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
@@ -468,7 +489,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     and 3 on internal errors; argparse exits with 2 on malformed flags
     before we get here.
     """
-    args = _shared_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         slope = None if getattr(args, "slope", None) is None else parse_slope(args.slope)
         args.depth = default_depth() if args.depth is None else _at_least_two("--depth", args.depth)

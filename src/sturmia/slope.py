@@ -12,7 +12,9 @@ import _thread
 import re
 from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain, cycle
 
 from .errors import DepthError, RangeError
 
@@ -42,6 +44,11 @@ class Slope:
     built from, and beside it one prefix of its characteristic word, kept
     and grown by `words`.  Both grow on demand and take no part in
     equality, hashing, repr or pickling.  Slopes are immutable values.
+
+    The ladder grows from one run of quotient indices (`_run`): the
+    positions in `quotients` of a_i, a_{i+1}, ..., endless on a periodic
+    slope and ending after a_D on a finite one.  The state walks of
+    `torsion` read the same run.
     """
 
     __slots__ = ("quotients", "period", "_ladder", "_word")
@@ -102,18 +109,22 @@ class Slope:
             raise DepthError(
                 f"a_{i} requested but only {len(self.quotients)} quotients are known"
             )
-        return self.quotients[self._position(i)]
-
-    def _position(self, i: int) -> int:
-        """Index of a_i (i >= 1) in `quotients`, folding the period.
-
-        The quotients from a_i on depend only on this index, so two levels
-        with the same index read the same quotients from there on.
-        """
-        if self.period is None or i <= len(self.quotients):
-            return i - 1
         start, length = self.period
-        return start + (i - 1 - start) % length
+        return self.quotients[start + (i - 1 - start) % length]
+
+    def _run(self, i: int) -> Iterator[int]:
+        """The indices in `quotients` of a_i, a_{i+1}, ... (i >= 1): endless
+        on a periodic slope, through a_D on a finite one of depth D.
+
+        The quotients from a_i on depend only on the first index, so two
+        levels with the same index read the same quotients from there on.
+        """
+        depth = len(self.quotients)
+        if self.period is None:
+            return iter(range(i - 1, depth))
+        start, length = self.period
+        first = i - 1 if i <= depth else start + (i - 1 - start) % length
+        return chain(range(first, depth), cycle(range(start, depth)))
 
     def _grow(self, n: int) -> tuple[list[int], list[int], list[int]]:
         """The rows (q, p, a), extended through level n; DepthError past a
@@ -128,9 +139,13 @@ class Slope:
             # the rows through q_top hold at most 2 (top + 2) bits(q_top)
             # bits, and no rung has more bits than q_top
             rung_bits = MAX_LADDER_BITS // (2 * (top + 2))
+            stored = self.quotients
             with _GROW_LOCK:
-                while len(p) <= n + 1:
-                    a = self.quotient(len(p) - 1)
+                # the next level, read under the lock: another thread may
+                # have grown the rows since the check above
+                level = len(p) - 1
+                for _, i in zip(range(level, top + 1), self._run(level)):
+                    a = stored[i]
                     q_next = a * q[-1] + q[-2]
                     if q_next.bit_length() > rung_bits:
                         raise RangeError(
@@ -140,6 +155,9 @@ class Slope:
                     quotients.append(a)
                     q.append(q_next)
                     p.append(a * p[-1] + p[-2])
+            if top < n:
+                # the run stopped after a_D, and a_{D+1} is refused
+                self.quotient(top + 1)
         return q, p, quotients
 
     def q(self, n: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import count, islice
+from itertools import islice
 
 from .errors import DepthError, ParityError, RangeError, UnsupportedInterceptError
 from .intercept import AlphaNumber, _default_tail, complement, equivalent
@@ -301,29 +301,38 @@ class AutomatonLog(namedtuple("AutomatonLog", "modulus states recurring n0 prepe
 MAX_RANK_WALK = 2**15
 
 
-def _walk(slope: Slope, modulus: int) -> Iterator[tuple[int, int]]:
-    """(q_n, p_n) mod the modulus for n = 0, 1, 2, ..."""
+def _walk(slope: Slope, modulus: int) -> Iterator[tuple[tuple[int, int], int | None]]:
+    """(q_n, p_n) mod the modulus for n = 0, 1, 2, ..., each with the index
+    of a_{n+1} in the slope's quotients.
+
+    On a finite slope of depth D, state D comes with None, and the walk
+    raises DepthError past it.
+    """
+    quotients = slope.quotients
     (q0, p0), (q1, p1) = (0, 1), (1, 0)
-    for n in count(1):
-        yield q1, p1
-        a = slope.quotient(n)
+    for i in slope._run(1):
+        yield (q1, p1), i
+        a = quotients[i]
         q0, p0, q1, p1 = q1, p1, (a * q1 + q0) % modulus, (a * p1 + p0) % modulus
+    yield (q1, p1), None
+    # the run stopped after a_D, and a_{D+1} is refused
+    slope.quotient(len(quotients) + 1)
 
 
 def _cycle(slope: Slope, modulus: int, limit: int) -> AutomatonLog | None:
     """The log of the states before the cycle closes, or None when it does
     not close by level `limit`.
 
-    Two consecutive states carry the ladder matrix, and with the position
-    of the next quotient they fix every later state, so the first repeat
-    of (state_n, state_{n-1}, position of a_{n+1}) closes the cycle; states
-    seen inside the cycle are exactly the recurring ones.
+    Two consecutive states carry the ladder matrix, and with the index of
+    the next quotient they fix every later state, so the first repeat of
+    (state_n, state_{n-1}, index of a_{n+1}) closes the cycle; states seen
+    inside the cycle are exactly the recurring ones.
     """
     states: list[tuple[int, int]] = []
     previous = (0, 1)
     seen: dict = {}
-    for n, state in zip(range(limit + 1), _walk(slope, modulus)):
-        key = (state, previous, slope._position(n + 1))
+    for n, (state, i) in zip(range(limit + 1), _walk(slope, modulus)):
+        key = (state, previous, i)
         if key in seen:
             break
         seen[key] = n
@@ -408,7 +417,7 @@ def torsion_search(
         slope.q(top)
     except RangeError as exc:
         raise RangeError(f"rank n + k_max = {n + k_max} is out of reach: {exc}") from exc
-    states = list(islice(_walk(slope, modulus), top + 1))
+    states = [state for state, _ in islice(_walk(slope, modulus), top + 1)]
     for k in range(2, k_max + 1):
         difference = slope.q(n + k) - slope.q(n)
         if difference % modulus:

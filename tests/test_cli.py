@@ -1,5 +1,7 @@
 """Command-line surface: subcommand output, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmia import cli
 from sturmia.cli import JSON_SCHEMA, dispatch, parse_intercept
@@ -834,6 +838,78 @@ def test_dispatch_fuzz_exit_codes(monkeypatch, capsys):
             raise AssertionError(f"{argv}: exit {code}, stderr {err!r}")
         codes.add(code)
     assert {0, 2} <= codes
+
+
+# dispatch parses argv that start with a command with that command's own
+# parser, and everything else with the full one; either way the namespace,
+# the exit and every byte argparse prints are those of the full parser.
+def parse_outcome(parse, argv):
+    """The parsed namespace or the SystemExit code, with what parsing printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_parses_as_the_full_parser(argv):
+    expected = parse_outcome(lambda argv: cli.build_parsers()[0].parse_args(argv), argv)
+    assert parse_outcome(cli._parse, argv) == expected, argv
+
+
+MALFORMED_ARGV = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["--depth", "3", "word", "prefix", "--slope", "[0;1*]"],
+    ["word", "prefix", "--sl", "[0;1*]"],
+    ["word", "prefix", "--slope", "[0;1*]", "--bogus"],
+    ["word", "-h"],
+    ["torsion", "--slope", "[0;1*]", "-N"],
+    ["ostrowski", "--slope", "[0;1*]", "--encode", "3", "--decode", "1,0"],
+    ["word", "prefix", "--slope", "[0;1*]", "--", "extra"],
+    ["--", "word", "prefix", "--slope", "[0;1*]"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_malformed_argv_parse_as_the_full_parser(argv):
+    assert_parses_as_the_full_parser(argv)
+
+
+def test_fuzzed_argv_parse_as_the_full_parser(monkeypatch):
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        assert_parses_as_the_full_parser(fuzz_argv(rng))
+    # argv=None reads the process's own arguments
+    monkeypatch.setattr(sys, "argv", ["sturmia", "word", "prefix", "--slope", "[0;1*]"])
+    assert parse_outcome(cli._parse, None) == parse_outcome(cli._parse, sys.argv[1:])
+
+
+ARGV_TOKENS = (
+    *cli._COMMANDS, "prefix", "standard", "--slope", "[0;1*]", "--slope=[0;2,(1,3)*]", "--len", "7",
+    "--level", "-N", "-N3", "--n", "--k-max", "--m", "--encode", "--decode", "1,0,1", "--intercept",
+    "sigma0", "--word", "0110", "--only", "--depth", "--format", "json", "dot", "--no-check",
+    "-h", "--help", "--", "-", "--sl", "--bogus", "extra",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.builds(fuzz_argv, st.randoms(use_true_random=False)),
+        st.lists(st.sampled_from(ARGV_TOKENS), max_size=8),
+        st.tuples(
+            st.builds(fuzz_argv, st.randoms(use_true_random=False)),
+            st.integers(0, 20),
+            st.sampled_from(ARGV_TOKENS),
+        ).map(lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] :]),
+    )
+)
+def test_any_argv_parses_as_the_full_parser(argv):
+    assert_parses_as_the_full_parser(argv)
 
 
 @pytest.mark.parametrize(

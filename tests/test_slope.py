@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -76,9 +77,15 @@ def test_quotient_indexing_and_period():
 def test_position_folds_the_period(text):
     slope = parse_slope(text)
     depth = slope.known_depth or 40
-    positions = [slope._position(i) for i in range(1, depth + 1)]
+    positions = list(itertools.islice(slope._run(1), depth))
     assert positions[: len(slope.quotients)] == list(range(len(slope.quotients)))
     assert [slope.quotients[p] for p in positions] == [slope.quotient(i) for i in range(1, depth + 1)]
+    # a run from a_i goes on as the run from a_1 does, and stops after a_D on a finite slope
+    for i in range(1, depth + 2):
+        assert list(itertools.islice(slope._run(i), depth + 1 - i)) == positions[i - 1 :]
+    if slope.period is None:
+        assert list(slope._run(1)) == positions
+        assert list(slope._run(depth + 1)) == list(slope._run(10**30)) == []
     # equal positions read equal quotients from there on
     for i, j in itertools.combinations(range(1, depth - 8), 2):
         if positions[i - 1] == positions[j - 1]:
@@ -216,17 +223,19 @@ def test_ladder_refuses_rows_past_the_bit_budget():
         interval_locate(2 ** (MAX_LADDER_BITS // 2), golden)
 
 
-def test_ladder_grows_consistently_under_threads():
-    reference = parse_slope("[0;2,1,3,(2,1)*]")
-    reference.q(400)
-    shared = [parse_slope("[0;2,1,3,(2,1)*]") for _ in range(8)]
+def climb_under_threads(reference, shared):
+    """Grow every shared slope's ladder from 6 threads at once; the workers' exceptions."""
+    errors = []
 
     def climb(offset):
-        for slope in shared:
-            for n in range(offset, 400, 6):
-                slope.level(reference.q(n))
-                slope.q(n)
-                slope.p(n + 1)
+        try:
+            for slope in shared:
+                for n in range(offset, 400, 6):
+                    slope.level(reference.q(n))
+                    slope.q(n)
+                    slope.p(n + 1)
+        except BaseException as exc:
+            errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -239,6 +248,14 @@ def test_ladder_grows_consistently_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
+    return errors
+
+
+def test_ladder_grows_consistently_under_threads():
+    reference = parse_slope("[0;2,1,3,(2,1)*]")
+    reference.q(400)
+    shared = [parse_slope("[0;2,1,3,(2,1)*]") for _ in range(8)]
+    assert climb_under_threads(reference, shared) == []
     for slope in shared:
         assert tuple(slope.q(n) for n in range(-1, 401)) == tuple(reference.q(n) for n in range(-1, 401))
         assert [slope.p(n) for n in range(402)] == [reference.p(n) for n in range(402)]
@@ -279,29 +296,62 @@ def test_quotient_row_matches_quotient(text):
 def test_quotient_row_grows_consistently_under_threads():
     reference = parse_slope("[0;2,1,3,(2,1)*]")
     shared = [parse_slope("[0;2,1,3,(2,1)*]") for _ in range(8)]
-
-    def climb(offset):
-        for slope in shared:
-            for n in range(offset, 400, 6):
-                slope.level(reference.q(n))
-                slope.q(n)
-                slope.p(n + 1)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=climb, args=(k,)) for k in range(6)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
+    assert climb_under_threads(reference, shared) == []
     expected = [reference.quotient(i) for i in range(1, 401)]
     for slope in shared:
         assert quotient_row(slope, 400) == expected
         assert len(slope._ladder[2]) == len(slope._ladder[0]) - 1
+
+
+def reference_rows(slope, n):
+    """The rows q_{-1..n}, p_{-1..n} and a_{1..n}, from one `quotient(i)` per level."""
+    q, p, a = [0, 1], [1, 0], []
+    for i in range(1, n + 1):
+        a.append(slope.quotient(i))
+        q.append(a[-1] * q[-1] + q[-2])
+        p.append(a[-1] * p[-1] + p[-2])
+    return q, p, a
+
+
+RUN_SLOPES = ["[0;1,1,5,1]", "[0;7]", "[0;2,3,(1,2)*]", "[0;1*]", "[0;(1,2)*]", "[0;3,(2,3,4)*]", "[0;2,1,3,4,1,1]"]
+
+
+@pytest.mark.parametrize("text", RUN_SLOPES)
+@pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
+def test_ladder_rows_match_one_quotient_per_level(text, order):
+    depth = parse_slope(text).known_depth or 60
+    q, p, a = reference_rows(parse_slope(text), depth)
+    levels = list(range(-1, depth + 1))
+    if order == "falling":
+        levels.reverse()
+    elif order == "shuffled":
+        random.Random(depth).shuffle(levels)
+    slope = parse_slope(text)
+    for n in levels:
+        assert slope.q(n) == q[n + 1] and slope.p(n) == p[n + 1]
+    assert slope._ladder == (q, p, [0, *a])
+    samples = sorted({0, *(q[d + 1] + step for d in range(depth) for step in (-1, 0))})
+    assert [slope.level(m) for m in samples] == [
+        next(d for d in range(depth + 1) if q[d + 1] > m) for m in samples
+    ]
+
+
+def test_ladder_refusals_past_the_run():
+    finite = parse_slope("[0;1,1,5,1]")
+    for grow in (finite.q, finite.p, finite._grow):
+        with pytest.raises(DepthError, match=r"^a_5 requested but only 4 quotients are known$"):
+            grow(5)
+    with pytest.raises(DepthError, match=r"^a_5 requested but only 4 quotients are known$"):
+        finite.q(10**30)
+    # the rows through a_D were grown before the refusal
+    assert finite._ladder == reference_rows(finite, 4)[:2] + ([0, 1, 1, 5, 1],)
+    for text in ("[0;1*]", "[0;2,3,(1,2)*]"):
+        slope = parse_slope(text)
+        with pytest.raises(RangeError, match=f"^continuants through q_{10**30} would hold more"):
+            slope.q(10**30)
+        with pytest.raises(RangeError, match=f"^continuants through q_{10**30 + 1} would hold more"):
+            slope.p(10**30 + 1)
+        assert slope._ladder == ([0, 1], [1, 0], [0])
 
 
 # ---------------------------------------------------------------- value semantics

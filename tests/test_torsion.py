@@ -23,6 +23,7 @@ from sturmia.slope import Slope, parse_slope
 from sturmia.torsion import (
     MAX_RANK_WALK,
     AutomatonLog,
+    TorsionHit,
     _check_self_dual_classes,
     automaton_states,
     b_factorize,
@@ -467,6 +468,14 @@ def test_automaton_states_match_matrix_walk(slope, modulus):
     assert list(log.states) == matrix_walk_states(slope, modulus, 150)
 
 
+def quotient_position(slope, i):
+    """Reference: the index of a_i in slope.quotients, folding the period."""
+    if slope.period is None or i <= len(slope.quotients):
+        return i - 1
+    start, length = slope.period
+    return start + (i - 1 - start) % length
+
+
 def full_walk_automaton_states(slope, modulus, depth):
     """Reference: walk all `depth` levels first, then look for the first repeat."""
     walk = [(0, 1), (1, 0)]
@@ -478,7 +487,7 @@ def full_walk_automaton_states(slope, modulus, depth):
     seen = {}
     cycle = None
     for n in range(depth + 1):
-        key = (walk[n + 1], walk[n], slope._position(n + 1))
+        key = (walk[n + 1], walk[n], quotient_position(slope, n + 1))
         if key in seen:
             cycle = (seen[key], n)
             break
@@ -493,10 +502,10 @@ def full_walk_automaton_states(slope, modulus, depth):
     return AutomatonLog(modulus, tuple(states), recurring, n0, first, again - first)
 
 
-def automaton_outcome(walk, slope, modulus, depth):
-    """The log a walk returns, or the type and text of the error it raises."""
+def outcome(call, *args):
+    """What a call returns, or the type and text of the DepthError it raises."""
     try:
-        return walk(slope, modulus, depth)
+        return call(*args)
     except DepthError as exc:
         return type(exc), str(exc)
 
@@ -505,7 +514,7 @@ def automaton_outcome(walk, slope, modulus, depth):
 @pytest.mark.parametrize("modulus", [2, 3, 5, 7])
 def test_automaton_log_matches_the_full_walk(slope, modulus):
     for depth in (1, 4, 9, 150):
-        assert automaton_outcome(automaton_states, slope, modulus, depth) == automaton_outcome(
+        assert outcome(automaton_states, slope, modulus, depth) == outcome(
             full_walk_automaton_states, slope, modulus, depth
         )
 
@@ -515,13 +524,52 @@ def test_automaton_log_matches_the_full_walk_on_headed_and_finite_slopes():
     for slope in [*headed_slopes(600, 11), *finite]:
         for modulus in (2, 3, 4):
             for depth in (3, 200):
-                assert automaton_outcome(
+                assert outcome(
                     automaton_states, slope, modulus, depth
-                ) == automaton_outcome(full_walk_automaton_states, slope, modulus, depth)
+                ) == outcome(full_walk_automaton_states, slope, modulus, depth)
     # the default rank's log mod 64: the cycle closes at level 96
     log = automaton_states(GOLDEN, 64, 8 * 64 * 64)
     assert (log.preperiod, log.period) == (0, 96)
     assert log == full_walk_automaton_states(GOLDEN, 64, 8 * 64 * 64)
+
+
+def reference_torsion_search(slope, modulus, n, k_max):
+    """Reference: `torsion_search` on continuants from one `quotient(i)` per level."""
+    if n is None:
+        n = full_walk_automaton_states(slope, modulus, 400).n0
+    top = n + k_max + 2
+    q = [0, 1]
+    for i in range(1, top + 1):
+        q.append(slope.quotient(i) * q[-1] + q[-2])
+    states = matrix_walk_states(slope, modulus, top)
+    for k in range(2, k_max + 1):
+        difference = q[n + k + 1] - q[n + 1]
+        if difference % modulus:
+            continue
+        digits = encode(difference // modulus, slope, top)
+        if all(n < s < n + k for s in digits.support()):
+            return TorsionHit(True, modulus, n, k, digits.digits, digits.support(), tuple(states[n : n + k + 1]))
+    reason = f"no admissible k <= {k_max} from n = {n}"
+    return TorsionHit(False, modulus, n, None, None, None, tuple(states[n : n + k_max + 1]), reason)
+
+
+@pytest.mark.parametrize("text", ["[0;1,1,5,1]", "[0;7]", "[0;2,3,(1,2)*]", "[0;2,1,3,4,1,1]", "[0;3,(2,3,4)*]"])
+@pytest.mark.parametrize("grown", [None, 3, 30])
+def test_walks_read_the_quotient_run_as_one_quotient_per_level(text, grown):
+    # the ladder, grown or not, does not change what the walks read
+    slope = parse_slope(text)
+    if grown is not None:
+        outcome(slope.q, grown)
+    for modulus in (2, 3, 4, 5):
+        for depth in (1, 2, 4, 5, 6, 7, 40):
+            assert outcome(automaton_states, slope, modulus, depth) == outcome(
+                full_walk_automaton_states, slope, modulus, depth
+            ), (modulus, depth)
+        for n in (None, 0, 1, 3):
+            for k_max in (2, 3, 8):
+                assert outcome(torsion_search, slope, modulus, n, k_max) == outcome(
+                    reference_torsion_search, slope, modulus, n, k_max
+                ), (modulus, n, k_max)
 
 
 def assert_cycle_repeats(slope, log):

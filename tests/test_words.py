@@ -451,16 +451,19 @@ def test_word_grows_consistently_under_threads():
     text = "[0;2,1,3,(2,1)*]"
     reference = recursive_standard_word(parse_slope(text), 15)  # 25781 letters
     shared = [parse_slope(text) for _ in range(8)]
-    wrong = []
+    wrong, errors = [], []
 
     def grow(offset):
-        for slope in shared:
-            for m in range(offset + 1, len(reference), 6 * 211):
-                if characteristic_prefix(slope, m) != reference[:m]:
-                    wrong.append((offset, m))
-            for n in range(offset, 16, 6):
-                if standard_word(slope, n) != reference[: slope.q(n)]:
-                    wrong.append((offset, n))
+        try:
+            for slope in shared:
+                for m in range(offset + 1, len(reference), 6 * 211):
+                    if characteristic_prefix(slope, m) != reference[:m]:
+                        wrong.append((offset, m))
+                for n in range(offset, 16, 6):
+                    if standard_word(slope, n) != reference[: slope.q(n)]:
+                        wrong.append((offset, n))
+        except BaseException as exc:
+            errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -473,7 +476,7 @@ def test_word_grows_consistently_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
-    assert wrong == []
+    assert errors == [] and wrong == []
     # the grown word doubles past the longest prefix asked, but holds at most twice it
     longer = recursive_standard_word(parse_slope(text), 18)
     for slope in shared:

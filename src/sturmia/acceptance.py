@@ -417,21 +417,32 @@ def check_12_b_factorization() -> str:
         n = 2**k
         one = flags[k + 1][n - first[k + 1] :]
         two = flags[k + 2][3 * n - first[k + 2] :]
-        for i, done in enumerate(map(sum, zip(flags[k], one, two))):
-            if done != 1:
-                raise _Failed(f"trichotomy at {format(i, f'0{k}b') if k else ''!r}")
+        # each flag is one byte, 0 or 1, so the three slices add as integers
+        # without carries, and the sum is 0x0101...01 exactly when every
+        # word has one complete form; only a failing sum is scanned
+        total = sum(int.from_bytes(flag, "big") for flag in (flags[k], one, two))
+        if total != int.from_bytes(b"\x01" * n, "big"):
+            for i, done in enumerate(map(sum, zip(flags[k], one, two))):
+                if done != 1:
+                    raise _Failed(f"trichotomy at {format(i, f'0{k}b') if k else ''!r}")
         words += n
-    for length in range(13):
-        for bits, scanned in zip(itertools.product("01", repeat=length), flags[length]):
-            u = "".join(bits)
-            ways = [0] * (len(u) + 1)
-            ways[0] = 1
-            for j in range(1, len(u) + 1):
-                for i in range(j):
-                    if ways[i] and u[i:j] in blocks:
-                        ways[j] += ways[i]
-            if ways[-1] > 1 or (ways[-1] == 1) != scanned:
-                raise _Failed(f"uniqueness at {u!r}")
+    # parse counts of every word up to length 12, grown one letter at a time
+    # depth first: ways[j] counts the parses of u[:j], so u + x keeps the
+    # counts of u and adds one, over the blocks that end at its last letter.
+    # `index` is the place of u in its length's product order, and the
+    # failure reported is the first by length, then product order.
+    failures = []
+    stack = [("", 0, (1,))]
+    while stack:
+        u, index, ways = stack.pop()
+        if ways[-1] > 1 or (ways[-1] == 1) != flags[len(u)][index]:
+            failures.append(u)
+        if len(u) < 12:
+            for bit, ux in enumerate((u + "0", u + "1")):
+                count = sum(w for i, w in enumerate(ways) if w and ux[i:] in blocks)
+                stack.append((ux, 2 * index + bit, ways + (count,)))
+    if failures:
+        raise _Failed(f"uniqueness at {min(failures, key=lambda u: (len(u), u))!r}")
     return (
         f"inventory prefix-free; trichotomy on {words} words (<= 16); "
         "parse count <= 1 cross-checked to length 12"

@@ -113,14 +113,6 @@ class AlphaNumber:
     def depth(self) -> int:
         return len(self.digits)
 
-    def digit(self, i: int) -> int:
-        """The digit b_i, indexed from 1; indices <= 0 read as 0."""
-        if i <= 0:
-            return 0
-        if i > self.depth:
-            raise DepthError(f"digit b_{i} beyond window depth {self.depth}")
-        return self.digits[i - 1]
-
     @cached_property
     def residues(self) -> tuple[int, ...]:
         """The residue tower (rho_0, rho_1, ..., rho_depth), built once in one

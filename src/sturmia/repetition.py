@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import CaseDispatchError, DepthError, PrefixTooShortError, RangeError
@@ -152,86 +153,109 @@ class RepetitionRow(namedtuple("RepetitionRow", "m_lo m_hi value case")):
     __slots__ = ()
 
 
+def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[RepetitionRow, ...]]:
+    """The rows of repetition_rows at levels n, n + 1, ..., one level a step.
+
+    Reads the ladder rows and the window's digits and residues once and
+    carries (q_{n-1}, q_n, q_{n+1}), (b_n, b_{n+1}, b_{n+2}), (a_{n+1},
+    a_{n+2}) and (rho_n, rho_{n+1}) from one level to the next.  Raises
+    what repetition_rows raises at the first level it cannot build, so a
+    walk over a window ends in DepthError at level depth - 1.
+    """
+    if n < 0:
+        raise RangeError(f"interval level must be >= 0, got {n}")
+    depth = rho.depth
+    if n + 2 > depth:
+        raise DepthError(
+            f"closed form at level {n} needs digits through {n + 2}, window has {depth}"
+        )
+    q_row, _, a_row = rho.slope._grow(depth)  # q_row[i + 1] is q_i, a_row[i] is a_i
+    digits, residues = rho.digits, rho.residues  # digits[i - 1] is b_i
+    q_lo, q = q_row[n], q_row[n + 1]
+    b_below, b_cur = digits[n - 1] if n else 0, digits[n]
+    a, rho_n = a_row[n + 1], residues[n]
+    while True:
+        q_hi, b_above, a_above, rho_n1 = q_row[n + 2], digits[n + 1], a_row[n + 2], residues[n + 1]
+        lo, hi = q - 1, q_hi - 2
+        if lo > hi:
+            # only level 0 with first quotient 1 degenerates this way
+            raise RangeError(f"interval at level {n} is empty for this slope")
+
+        if b_cur == 0 and b_above == a_above:
+            raw = [(lo, hi, q, "1")]
+        elif b_cur == 0 and b_below == 0:
+            raw = [
+                (lo, q_hi - rho_n - 2, q, "2"),
+                (q_hi - rho_n - 1, hi, q_hi - rho_n, "2"),
+            ]
+        elif b_cur == 0 and a != 1:
+            raw = [
+                (lo, q_hi - rho_n - 2, q, "3"),
+                (q_hi - rho_n - 1, hi, q_hi - rho_n, "3"),
+            ]
+        elif b_cur == 0:
+            raw = [(lo, hi, q + q_lo - rho_n, "4")]
+        elif 0 < b_cur < a - 1:
+            raw = [
+                (lo, q_hi - rho_n1 - 2, q, "5"),
+                (q_hi - rho_n1 - 1, q_hi - b_cur * q - 2, q_hi - rho_n1, "5"),
+                (q_hi - b_cur * q - 1, q_hi + q - rho_n1 - 2, q_hi - b_cur * q, "5"),
+                (q_hi + q - rho_n1 - 1, hi, q_hi + q - rho_n1, "5"),
+            ]
+        elif b_cur == a - 1 and b_below == 0:
+            raw = [
+                (lo, q + q_lo - rho_n - 2, q, "6"),
+                (q + q_lo - rho_n - 1, q + q_lo - 2, q + q_lo - rho_n, "6"),
+                (q + q_lo - 1, 2 * q + q_lo - rho_n - 2, q + q_lo, "6"),
+                (2 * q + q_lo - rho_n - 1, hi, 2 * q + q_lo - rho_n, "6"),
+            ]
+        elif b_cur == a - 1:
+            raw = [
+                (lo, q + q_lo - 2, q + q_lo - rho_n, "7"),
+                (q + q_lo - 1, 2 * q + q_lo - rho_n - 2, q + q_lo, "7"),
+                (2 * q + q_lo - rho_n - 1, hi, 2 * q + q_lo - rho_n, "7"),
+            ]
+        elif b_cur == a:
+            raw = [
+                (lo, q + q_lo - rho_n - 2, q_lo, "8"),
+                (q + q_lo - rho_n - 1, hi, q + q_lo - rho_n, "8"),
+            ]
+        else:
+            raise CaseDispatchError(
+                f"digits b_{n + 1}={b_cur}, a_{n + 1}={a} match no case"
+            )
+
+        # clip each row to [lo, hi] and drop the empty ones
+        rows = []
+        for m_lo, m_hi, value, case in raw:
+            if m_lo < lo:
+                m_lo = lo
+            if m_hi > hi:
+                m_hi = hi
+            if m_lo <= m_hi:
+                rows.append(RepetitionRow(m_lo, m_hi, value, case))
+        if not (rows and rows[0].m_lo == lo and rows[-1].m_hi == hi):
+            raise AssertionError(f"rows do not span [{lo}, {hi}]")
+        for left, right in zip(rows, rows[1:]):
+            if right.m_lo != left.m_hi + 1:
+                raise AssertionError("rows leave a gap or overlap")
+        yield tuple(rows)
+
+        n += 1
+        if n + 2 > depth:
+            raise DepthError(
+                f"closed form at level {n} needs digits through {n + 2}, window has {depth}"
+            )
+        q_lo, q, b_below, b_cur, a, rho_n = q, q_hi, b_cur, b_above, a_above, rho_n1
+
+
 def repetition_rows(rho: AlphaNumber, n: int) -> tuple[RepetitionRow, ...]:
     """Closed-form repetition segments covering [q_n - 1, q_{n+1} - 2].
 
     Dispatches on (b_{n+1}, b_{n+2}, b_n, a_{n+1}); every row carries its
     case tag.  Rows always tile the interval exactly.
     """
-    if n < 0:
-        raise RangeError(f"interval level must be >= 0, got {n}")
-    if n + 2 > rho.depth:
-        raise DepthError(
-            f"closed form at level {n} needs digits through {n + 2}, window has {rho.depth}"
-        )
-    slope = rho.slope
-    q_lo, q, q_hi = slope.q(n - 1), slope.q(n), slope.q(n + 1)
-    a = slope.quotient(n + 1)
-    b_cur = rho.digit(n + 1)
-    b_below = rho.digit(n)
-    b_above = rho.digit(n + 2)
-    a_above = slope.quotient(n + 2)
-    rho_n = rho.psi(n)
-    rho_n1 = rho.psi(n + 1)
-    lo, hi = q - 1, q_hi - 2
-    if lo > hi:
-        # only level 0 with first quotient 1 degenerates this way
-        raise RangeError(f"interval at level {n} is empty for this slope")
-
-    if b_cur == 0 and b_above == a_above:
-        raw = [(lo, hi, q, "1")]
-    elif b_cur == 0 and b_below == 0:
-        raw = [
-            (lo, q_hi - rho_n - 2, q, "2"),
-            (q_hi - rho_n - 1, hi, q_hi - rho_n, "2"),
-        ]
-    elif b_cur == 0 and a != 1:
-        raw = [
-            (lo, q_hi - rho_n - 2, q, "3"),
-            (q_hi - rho_n - 1, hi, q_hi - rho_n, "3"),
-        ]
-    elif b_cur == 0:
-        raw = [(lo, hi, q + q_lo - rho_n, "4")]
-    elif 0 < b_cur < a - 1:
-        raw = [
-            (lo, q_hi - rho_n1 - 2, q, "5"),
-            (q_hi - rho_n1 - 1, q_hi - b_cur * q - 2, q_hi - rho_n1, "5"),
-            (q_hi - b_cur * q - 1, q_hi + q - rho_n1 - 2, q_hi - b_cur * q, "5"),
-            (q_hi + q - rho_n1 - 1, hi, q_hi + q - rho_n1, "5"),
-        ]
-    elif b_cur == a - 1 and b_below == 0:
-        raw = [
-            (lo, q + q_lo - rho_n - 2, q, "6"),
-            (q + q_lo - rho_n - 1, q + q_lo - 2, q + q_lo - rho_n, "6"),
-            (q + q_lo - 1, 2 * q + q_lo - rho_n - 2, q + q_lo, "6"),
-            (2 * q + q_lo - rho_n - 1, hi, 2 * q + q_lo - rho_n, "6"),
-        ]
-    elif b_cur == a - 1:
-        raw = [
-            (lo, q + q_lo - 2, q + q_lo - rho_n, "7"),
-            (q + q_lo - 1, 2 * q + q_lo - rho_n - 2, q + q_lo, "7"),
-            (2 * q + q_lo - rho_n - 1, hi, 2 * q + q_lo - rho_n, "7"),
-        ]
-    elif b_cur == a:
-        raw = [
-            (lo, q + q_lo - rho_n - 2, q_lo, "8"),
-            (q + q_lo - rho_n - 1, hi, q + q_lo - rho_n, "8"),
-        ]
-    else:
-        raise CaseDispatchError(
-            f"digits b_{n + 1}={b_cur}, a_{n + 1}={a} match no case"
-        )
-
-    rows = [
-        RepetitionRow(max(m_lo, lo), min(m_hi, hi), value, case)
-        for (m_lo, m_hi, value, case) in raw
-        if max(m_lo, lo) <= min(m_hi, hi)
-    ]
-    if not (rows and rows[0].m_lo == lo and rows[-1].m_hi == hi):
-        raise AssertionError(f"rows do not span [{lo}, {hi}]")
-    if any(rows[i + 1].m_lo != rows[i].m_hi + 1 for i in range(len(rows) - 1)):
-        raise AssertionError("rows leave a gap or overlap")
-    return tuple(rows)
+    return next(_level_rows(rho, n))
 
 
 def repetition_closed_form(rho: AlphaNumber, m: int) -> tuple[int, str]:
@@ -250,14 +274,17 @@ def repetition_closed_form(rho: AlphaNumber, m: int) -> tuple[int, str]:
 def repetition_closed_forms(rho: AlphaNumber, m_hi: int) -> list[tuple[int, str]]:
     """[repetition_closed_form(rho, m) for m in 1..m_hi], one level at a time.
 
-    Each level's rows are built once and expanded over its m range; raises
-    the same exception, at the same m, as the per-m closed form.
+    Walks the levels from the one holding m = 1, expanding each level's
+    rows over its m range; raises the same exception, at the same m, as
+    the per-m closed form.
     """
     out: list[tuple[int, str]] = []
+    if m_hi < 1:
+        return out
+    levels = _level_rows(rho, interval_locate(1, rho.slope).n)
     while len(out) < m_hi:
         m = len(out) + 1
-        pos = interval_locate(m, rho.slope)
-        for row in repetition_rows(rho, pos.n):
+        for row in next(levels):
             out += [(row.value, row.case)] * (min(row.m_hi, m_hi) - max(row.m_lo, m) + 1)
     return out
 
@@ -335,33 +362,37 @@ def dio_estimate(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
         raise DepthError(f"need at least 5 digit levels, got {d}")
     if d > rho.depth:
         raise DepthError(f"window has {rho.depth} digits, cannot inspect {d}")
-    slope = rho.slope
     start = _tail_start(d)
+    q_row, _, a_row = rho.slope._grow(d)  # q_row[i + 1] is q_i, a_row[i] is a_i
+    digits, residues = rho.digits, rho.residues  # digits[i - 1] is b_i
 
-    hypothesis = all(
-        0 < rho.digit(i) < slope.quotient(i) - 1 for i in range(start, d + 1)
-    )
-    terms: list[DioTerm] = []
+    hypothesis = all(0 < digits[i - 1] < a_row[i] - 1 for i in range(start, d + 1))
+    # (level, family, numerator, denominator) of each ratio
+    ratios: list[tuple[int, int, int, int]] = []
     if hypothesis:
         for n in range(start, d):
-            q, q_hi = slope.q(n), slope.q(n + 1)
-            b = rho.digit(n + 1)
-            rho_n1 = rho.psi(n + 1)
-            for family, ratio in enumerate(
-                (
-                    Fraction(q_hi - rho_n1, q),
-                    Fraction(q_hi - b * q, q_hi - rho_n1),
-                    Fraction(q_hi - rho_n1 + q, q_hi - b * q),
-                    Fraction(q_hi, q_hi - rho_n1 + q),
-                )
-            ):
-                terms.append(DioTerm(n, family, ratio))
+            q, q_hi = q_row[n + 1], q_row[n + 2]
+            b = digits[n]
+            rho_n1 = residues[n + 1]
+            ratios += [
+                (n, 0, q_hi - rho_n1, q),
+                (n, 1, q_hi - b * q, q_hi - rho_n1),
+                (n, 2, q_hi - rho_n1 + q, q_hi - b * q),
+                (n, 3, q_hi, q_hi - rho_n1 + q),
+            ]
         mode = "four-family"
     else:
-        for n in range(1, d - 1):
-            for row in repetition_rows(rho, n):
-                terms.append(DioTerm(n, -1, Fraction(row.m_hi, row.value)))
+        # levels 1 .. d - 2; the range ends the walk before its DepthError
+        for n, rows in zip(range(1, d - 1), _level_rows(rho, 1)):
+            ratios += [(n, -1, row.m_hi, row.value) for row in rows]
         mode = "generic"
 
-    witness = max(terms, key=lambda t: t.ratio)
-    return DioEstimate(1 + witness.ratio, mode, witness, tuple(terms))
+    # the first maximal ratio: every denominator is positive, so comparing
+    # cross products orders the ratios as comparing Fractions would
+    top, top_num, top_den = 0, ratios[0][2], ratios[0][3]
+    for i, (_, _, num, den) in enumerate(ratios):
+        if num * top_den > top_num * den:
+            top, top_num, top_den = i, num, den
+    terms = tuple(DioTerm(n, family, Fraction(num, den)) for n, family, num, den in ratios)
+    witness = terms[top]
+    return DioEstimate(1 + witness.ratio, mode, witness, terms)

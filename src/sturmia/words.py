@@ -12,8 +12,8 @@ of it.
 from __future__ import annotations
 
 import _thread
-import math
 from fractions import Fraction
+from itertools import pairwise
 
 from .errors import DepthError, NotCentralError, RangeError
 from .slope import Slope, interval_locate
@@ -136,20 +136,24 @@ def shifted_characteristic_prefix(slope: Slope, k: int, m: int) -> str:
 def mechanical_prefix(alpha: Fraction, rho: Fraction, n: int, kind: str = "lower") -> str:
     """First n letters of the mechanical word of slope alpha and intercept rho.
 
-    Upper words take floor differences, lower words ceiling differences; both
-    are evaluated in exact rational arithmetic.
+    Upper words take floor differences, lower words ceiling differences;
+    for alpha = a/b and rho = c/d, k alpha + rho is (k a d + c b) / (b d),
+    so each floor or ceiling is one integer division.
     """
     alpha = Fraction(alpha)
     rho = Fraction(rho)
     if not 0 <= alpha <= 1:
         raise RangeError("mechanical slope must lie in [0, 1]")
+    step = alpha.numerator * rho.denominator
+    start = rho.numerator * alpha.denominator
+    den = alpha.denominator * rho.denominator
     if kind == "upper":
-        step = lambda k: math.floor((k + 1) * alpha + rho) - math.floor(k * alpha + rho)
+        values = ((k * step + start) // den for k in range(n + 1))
     elif kind == "lower":
-        step = lambda k: math.ceil((k + 1) * alpha + rho) - math.ceil(k * alpha + rho)
+        values = (-((-k * step - start) // den) for k in range(n + 1))
     else:
         raise ValueError(f"kind must be 'upper' or 'lower', got {kind!r}")
-    return "".join(str(step(k)) for k in range(n))
+    return "".join(str(y - x) for x, y in pairwise(values))
 
 
 # The fewest letters a jump of `window_walk` skips: a try searches for the

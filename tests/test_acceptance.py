@@ -156,3 +156,51 @@ def test_criterion_12_names_the_first_broken_triple(monkeypatch, word, u):
     monkeypatch.setattr(acceptance, "b_factorize", wrong)
     result = acceptance.run_check(12)
     assert result.line() == f"[FAIL] criterion 12 b-factorization: trichotomy at {u!r}"
+
+
+def triple_keeping_flips(w: str) -> set[str]:
+    """w, which starts with 0, and words 1^i w whose flipped `complete`
+    mends every triple (v, 1v, 11v) the flip of w broke."""
+    real = acceptance.b_factorize
+    for first in ((), ("1" + w,)):
+        flips = {w, *first}
+        flag = lambda x: real(x).complete != (x in flips)
+        v = w
+        while len(v) <= 16:
+            need = 1 - flag(v) - flag("1" + v)
+            if need not in (0, 1):
+                break
+            if flag("11" + v) != need:
+                flips.add("11" + v)
+            v = "1" + v
+        else:
+            return flips
+    raise ValueError(f"no flips of 1^i {w} keep the trichotomy")
+
+
+@pytest.mark.parametrize(
+    "flipped,detail",
+    [
+        (("011010010110",), "trichotomy at '011010010110'"),
+        (("1011001110001011",), "trichotomy at '011001110001011'"),
+        # the trichotomy holds, so only the parse-count oracle sees these;
+        # it names the first word by length, then product order
+        (triple_keeping_flips("011010010110"), "uniqueness at '011010010110'"),
+        (
+            triple_keeping_flips("01101001") | triple_keeping_flips("000100"),
+            "uniqueness at '000100'",
+        ),
+    ],
+)
+def test_criterion_12_pins_its_failure_lines(monkeypatch, flipped, detail):
+    real = acceptance.b_factorize
+
+    def wrong(v):
+        scan = real(v)
+        if v not in flipped:
+            return scan
+        return BFactorization(v, 0 if scan.complete else len(v))
+
+    monkeypatch.setattr(acceptance, "b_factorize", wrong)
+    result = acceptance.run_check(12)
+    assert result.line() == f"[FAIL] criterion 12 b-factorization: {detail}"

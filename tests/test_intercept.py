@@ -146,7 +146,7 @@ def test_support_inequalities(rho):
         assert (n in rho.support()) == (rho.psi(n + 1) >= rho.slope.q(n))
     for n in sorted(rho.support()):
         if n + 2 <= rho.depth:
-            assert rho.digit(n + 2) != rho.slope.quotient(n + 2)
+            assert rho.digits[n + 1] != rho.slope.quotient(n + 2)
 
 
 # ---------------------------------------------------------------- extraction
@@ -727,7 +727,7 @@ def reference_pattern_start(rho: AlphaNumber, kind: str) -> int:
     such that the zero, sigma0 or sigma1 pattern holds for all i in [N, depth]."""
     start = rho.depth + 1
     for i in range(rho.depth, 0, -1):
-        b = rho.digit(i)
+        b = rho.digits[i - 1]
         if kind == "zero":
             ok = b == 0
         elif kind == "sigma0":

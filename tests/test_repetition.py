@@ -3,15 +3,27 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sturmia import repetition
-from sturmia.errors import DepthError, PrefixTooShortError, RangeError, SturmiaError
-from sturmia.intercept import AlphaNumber, sturmian_prefix, zero
+from sturmia.acceptance import NAMED_FIVE
+from sturmia.errors import (
+    CaseDispatchError,
+    DepthError,
+    PrefixTooShortError,
+    RangeError,
+    SturmiaError,
+)
+from sturmia.intercept import AlphaNumber, sigma0, sigma1, sturmian_prefix, zero
 from sturmia.ostrowski import all_digit_strings, encode
 from sturmia.repetition import (
+    DioEstimate,
+    DioTerm,
+    RepetitionRow,
     dio_estimate,
     profile_lookup,
     repetition_characteristic,
@@ -553,3 +565,225 @@ def test_jump_check_matches_direct_scans():
         with pytest.raises(PrefixTooShortError) as jump:
             repetition_jump_check(word, 2, short + 3)
         assert str(jump.value) == str(direct.value)
+
+
+# ---------------------------------------------------- walk over the levels
+
+
+def reference_rows(rho: AlphaNumber, n: int) -> tuple[RepetitionRow, ...]:
+    """The rows of one level, each value read through the public accessors."""
+    if n < 0:
+        raise RangeError(f"interval level must be >= 0, got {n}")
+    if n + 2 > rho.depth:
+        raise DepthError(
+            f"closed form at level {n} needs digits through {n + 2}, window has {rho.depth}"
+        )
+    slope = rho.slope
+    q_lo, q, q_hi = slope.q(n - 1), slope.q(n), slope.q(n + 1)
+    a = slope.quotient(n + 1)
+    b_cur = rho.digits[n]
+    b_below = rho.digits[n - 1] if n else 0
+    b_above = rho.digits[n + 1]
+    a_above = slope.quotient(n + 2)
+    rho_n = rho.psi(n)
+    rho_n1 = rho.psi(n + 1)
+    lo, hi = q - 1, q_hi - 2
+    if lo > hi:
+        raise RangeError(f"interval at level {n} is empty for this slope")
+
+    if b_cur == 0 and b_above == a_above:
+        raw = [(lo, hi, q, "1")]
+    elif b_cur == 0 and b_below == 0:
+        raw = [
+            (lo, q_hi - rho_n - 2, q, "2"),
+            (q_hi - rho_n - 1, hi, q_hi - rho_n, "2"),
+        ]
+    elif b_cur == 0 and a != 1:
+        raw = [
+            (lo, q_hi - rho_n - 2, q, "3"),
+            (q_hi - rho_n - 1, hi, q_hi - rho_n, "3"),
+        ]
+    elif b_cur == 0:
+        raw = [(lo, hi, q + q_lo - rho_n, "4")]
+    elif 0 < b_cur < a - 1:
+        raw = [
+            (lo, q_hi - rho_n1 - 2, q, "5"),
+            (q_hi - rho_n1 - 1, q_hi - b_cur * q - 2, q_hi - rho_n1, "5"),
+            (q_hi - b_cur * q - 1, q_hi + q - rho_n1 - 2, q_hi - b_cur * q, "5"),
+            (q_hi + q - rho_n1 - 1, hi, q_hi + q - rho_n1, "5"),
+        ]
+    elif b_cur == a - 1 and b_below == 0:
+        raw = [
+            (lo, q + q_lo - rho_n - 2, q, "6"),
+            (q + q_lo - rho_n - 1, q + q_lo - 2, q + q_lo - rho_n, "6"),
+            (q + q_lo - 1, 2 * q + q_lo - rho_n - 2, q + q_lo, "6"),
+            (2 * q + q_lo - rho_n - 1, hi, 2 * q + q_lo - rho_n, "6"),
+        ]
+    elif b_cur == a - 1:
+        raw = [
+            (lo, q + q_lo - 2, q + q_lo - rho_n, "7"),
+            (q + q_lo - 1, 2 * q + q_lo - rho_n - 2, q + q_lo, "7"),
+            (2 * q + q_lo - rho_n - 1, hi, 2 * q + q_lo - rho_n, "7"),
+        ]
+    elif b_cur == a:
+        raw = [
+            (lo, q + q_lo - rho_n - 2, q_lo, "8"),
+            (q + q_lo - rho_n - 1, hi, q + q_lo - rho_n, "8"),
+        ]
+    else:
+        raise CaseDispatchError(f"digits b_{n + 1}={b_cur}, a_{n + 1}={a} match no case")
+
+    rows = [
+        RepetitionRow(max(m_lo, lo), min(m_hi, hi), value, case)
+        for (m_lo, m_hi, value, case) in raw
+        if max(m_lo, lo) <= min(m_hi, hi)
+    ]
+    assert rows and rows[0].m_lo == lo and rows[-1].m_hi == hi
+    assert all(right.m_lo == left.m_hi + 1 for left, right in zip(rows, rows[1:]))
+    return tuple(rows)
+
+
+def reference_closed_form(rho: AlphaNumber, m: int) -> tuple[int, str]:
+    pos = interval_locate(m, rho.slope)
+    row = next(row for row in reference_rows(rho, pos.n) if row.m_lo <= m <= row.m_hi)
+    return row.value, row.case
+
+
+def reference_dio(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
+    """The exponent estimate from per-level reads and the reference rows."""
+    d = rho.depth if depth is None else depth
+    slope = rho.slope
+    start = max(1, d // 2)
+    terms = []
+    if all(0 < rho.digits[i - 1] < slope.quotient(i) - 1 for i in range(start, d + 1)):
+        for n in range(start, d):
+            q, q_hi = slope.q(n), slope.q(n + 1)
+            b = rho.digits[n]
+            rho_n1 = rho.psi(n + 1)
+            for family, ratio in enumerate(
+                (
+                    Fraction(q_hi - rho_n1, q),
+                    Fraction(q_hi - b * q, q_hi - rho_n1),
+                    Fraction(q_hi - rho_n1 + q, q_hi - b * q),
+                    Fraction(q_hi, q_hi - rho_n1 + q),
+                )
+            ):
+                terms.append(DioTerm(n, family, ratio))
+        mode = "four-family"
+    else:
+        for n in range(1, d - 1):
+            for row in reference_rows(rho, n):
+                terms.append(DioTerm(n, -1, Fraction(row.m_hi, row.value)))
+        mode = "generic"
+    witness = max(terms, key=lambda t: t.ratio)
+    return DioEstimate(1 + witness.ratio, mode, witness, tuple(terms))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except SturmiaError as exc:
+        return type(exc), str(exc)
+
+
+def walk_windows(slope: Slope, depth: int, rng: random.Random) -> list[AlphaNumber]:
+    """The zero and sigma windows and three uniform draws of one depth."""
+    windows = [zero(slope, depth), sigma0(slope, depth), sigma1(slope, depth)]
+    return windows + [encode(rng.randrange(slope.q(depth)), slope, depth) for _ in range(3)]
+
+
+def walk_corpus() -> list[AlphaNumber]:
+    """Windows over NAMED_FIVE, seeded periodic slopes, a finite slope at its
+    full depth and a slice with quotients up to 50."""
+    rng = random.Random(20261019)
+    slopes = list(NAMED_FIVE)
+    for _ in range(12):
+        qs = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        slopes.append(Slope(qs, (0, len(qs))))
+    for _ in range(6):
+        qs = tuple(rng.randint(1, 50) for _ in range(rng.randint(1, 3)))
+        slopes.append(Slope((rng.randint(1, 50),) + qs, (1, len(qs))))
+    windows = []
+    for slope in slopes:
+        windows += walk_windows(slope, rng.randint(6, 12), rng)
+    finite = Slope((1, 3, 2, 1, 4, 1, 2, 5))
+    windows += walk_windows(finite, 8, rng) + walk_windows(finite, 5, rng)
+    return windows
+
+
+WALK_CORPUS = walk_corpus()
+
+
+def test_walk_corpus_reaches_every_case():
+    cases = set()
+    for rho in WALK_CORPUS:
+        for n in range(rho.depth - 1):
+            rows = outcome(reference_rows, rho, n)
+            if isinstance(rows[0], RepetitionRow):
+                cases.update(row.case for row in rows)
+    assert cases == set("12345678")
+    assert any(rho.slope.quotient(1) == 1 for rho in WALK_CORPUS)
+    assert max(max(rho.slope.quotients) for rho in WALK_CORPUS) > 40
+
+
+@pytest.mark.parametrize("rho", WALK_CORPUS, ids=lambda rho: f"{rho.slope}:{rho.digits}")
+def test_walk_matches_the_reference_rows_at_every_level(rho):
+    depth = rho.depth
+    for n in (-3, -1, depth - 1, depth, depth + 4):
+        assert outcome(repetition_rows, rho, n) == outcome(reference_rows, rho, n)
+    expected = [outcome(reference_rows, rho, n) for n in range(depth - 1)]
+    for n in range(depth - 1):
+        assert outcome(repetition_rows, rho, n) == expected[n]
+    # a walk from each level it can start at gives every later level's rows,
+    # then the reference's DepthError one level past the window
+    for start in range(depth - 1):
+        walk = repetition._level_rows(rho, start)
+        if not isinstance(expected[start][0], RepetitionRow):
+            assert outcome(next, walk) == expected[start]
+            continue
+        assert list(islice(walk, depth - 1 - start)) == expected[start:]
+        assert outcome(next, walk) == outcome(reference_rows, rho, depth - 1)
+
+
+def test_closed_forms_walk_matches_the_per_m_closed_form():
+    raised = 0
+    for rho in WALK_CORPUS:
+        # past the last level the window covers, when that is at most 300
+        values, error = closed_form_outcomes(rho, min(rho.slope.q(rho.depth - 1) + 5, 300))
+        assert repetition_closed_forms(rho, len(values)) == values
+        if error is not None:
+            raised += 1
+            for top in (len(values) + 1, len(values) + 5):
+                assert outcome(repetition_closed_forms, rho, top) == error
+    assert raised >= 40
+
+
+def four_family_windows() -> list[AlphaNumber]:
+    """Windows whose digits satisfy 0 < b_i < a_i - 1 from level 1 on."""
+    rng = random.Random(20261020)
+    windows = [
+        AlphaNumber((2,) * 14, parse_slope("[0;4*]")),
+        AlphaNumber((3,) * 14, parse_slope("[0;5*]")),
+    ]
+    for _ in range(10):
+        qs = tuple(rng.randint(3, 50) for _ in range(rng.randint(1, 3)))
+        slope = Slope(qs, (0, len(qs)))
+        depth = rng.randint(5, 14)
+        digits = tuple(rng.randint(1, slope.quotient(i) - 2) for i in range(1, depth + 1))
+        windows.append(AlphaNumber(digits, slope))
+    return windows
+
+
+def test_dio_estimate_matches_the_reference():
+    modes = set()
+    for rho in WALK_CORPUS + four_family_windows():
+        for depth in range(5, rho.depth + 1):
+            est = dio_estimate(rho, depth)
+            expected = reference_dio(rho, depth)
+            assert est.value == expected.value
+            assert est.mode == expected.mode
+            assert est.witness == expected.witness
+            assert est.terms == expected.terms
+            modes.add(est.mode)
+        assert dio_estimate(rho) == reference_dio(rho)
+    assert modes == {"generic", "four-family"}

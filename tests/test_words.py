@@ -8,6 +8,7 @@ s_N^{b_{N+1}} ... s_0^{b_1}, built here from the quotients alone.
 
 import copy
 import gc
+import math
 import pickle
 import random
 import sys
@@ -174,6 +175,44 @@ def test_mechanical_upper_vs_lower_intercept_zero():
     # they differ exactly in the first letter: 1c for lower, 0c for upper
     assert lower[0] == "1" and upper[0] == "0"
     assert lower[1:] == upper[1:]
+
+
+def reference_mechanical(alpha: Fraction, rho: Fraction, n: int, kind: str) -> str:
+    """The mechanical word letter by letter, in Fraction arithmetic."""
+    if kind == "upper":
+        step = lambda k: math.floor((k + 1) * alpha + rho) - math.floor(k * alpha + rho)
+    else:
+        step = lambda k: math.ceil((k + 1) * alpha + rho) - math.ceil(k * alpha + rho)
+    return "".join(str(step(k)) for k in range(n))
+
+
+def test_mechanical_matches_the_fraction_reference():
+    rng = random.Random(20261019)
+    intercepts = set()
+    for _ in range(400):
+        den = rng.randint(1, 60)
+        alpha = Fraction(rng.randint(0, den), den)
+        # intercepts from -3 to 3, so some lie below 0 and some above 1
+        rho_den = rng.randint(1, 60)
+        rho = Fraction(rng.randint(-3 * rho_den, 3 * rho_den), rho_den)
+        n = rng.randint(0, 300)
+        kind = rng.choice(("lower", "upper"))
+        assert mechanical_prefix(alpha, rho, n, kind) == reference_mechanical(alpha, rho, n, kind)
+        intercepts.add((rho < 0, rho > 1))
+    assert intercepts == {(True, False), (False, False), (False, True)}
+    for kind in ("lower", "upper"):
+        alpha, rho = Fraction(233, 377), Fraction(-5, 3)
+        assert mechanical_prefix(alpha, rho, 300, kind) == reference_mechanical(alpha, rho, 300, kind)
+        assert mechanical_prefix(alpha, rho, -2, kind) == ""
+
+
+def test_mechanical_guards_in_order():
+    with pytest.raises(RangeError, match=r"mechanical slope must lie in \[0, 1\]"):
+        mechanical_prefix(Fraction(3, 2), Fraction(0), 5, "sideways")
+    with pytest.raises(RangeError):
+        mechanical_prefix(Fraction(-1, 2), Fraction(0), 5)
+    with pytest.raises(ValueError, match="kind must be 'upper' or 'lower', got 'sideways'"):
+        mechanical_prefix(Fraction(1, 2), Fraction(0), 5, "sideways")
 
 
 def test_factor_set_and_complexity():

@@ -6,10 +6,15 @@ One vertex is left special (two incoming arrows), one is right special (two
 outgoing); the graph is the union of two cycles through the right special
 vertex whose lengths q_n and l q_n + q_{n-1} are coprime, overlapping in a
 common path that carries the longest central factor of length below the
-next interval breakpoint.  The graph is worked on window ids and the
-step table of `words.window_walk`: each cycle is found by the letter by
-which it leaves the right special vertex, and the cycle lengths cross-check
-it.  Vertex strings are looked up only for the public fields.
+next interval breakpoint.  The graph is read off the characteristic prefix
+c that shows every length-m factor.  The left special vertex is c[:m] and
+the right special vertex R its reversal, first seen r letters in, so the
+common path is the windows at 0 .. r.  Each cycle is a return word of R
+(Vuillon, European J. Combin. 22, 2001): from R's first arrow by the
+cycle's letter to R's next occurrence, its last r vertices the common path.
+The searches are str.find on c, the vertex strings are slices of it, and
+cycle lengths, coprimality, the common path and the m + 1 distinct
+vertices cross-check the reading.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .words import (
     characteristic_prefix,
     language_length,
     shifted_characteristic_prefix,
-    window_walk,
 )
 
 
@@ -78,15 +82,15 @@ class RauzyGraph(
 
 def _cycles(
     slope: Slope, m: int
-) -> tuple[IntervalPosition, list[str], list[tuple[int, int]], list[int], list[int], list[int]]:
-    """The checked walk behind build_graph, on window ids.
+) -> tuple[IntervalPosition, list[str], list[int], list[int], list[int]]:
+    """The checked graph behind build_graph, read off the characteristic prefix.
 
-    Returns the level of m, the distinct length-m windows, the arrows as
-    (window id, window id) pairs, and the ids along the referent cycle, the
-    other cycle (both starting at the right special vertex) and the common
-    path (from the left special vertex to the right special one).  Raises
-    RangeError, before the prefix is built, when the m + 1 vertex strings or
-    the prefix would hold more than MAX_STANDARD_LETTERS letters.
+    Returns the level of m, the m + 1 vertex strings, their ids in sorted
+    order, and the ids along the referent cycle and the other cycle, both
+    starting at the right special vertex.  The common path is ids 0 .. r,
+    from the left special vertex to the right special one.
+    Raises RangeError, before the prefix is built, when the m + 1 vertex
+    strings or the prefix would hold more than MAX_STANDARD_LETTERS letters.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
@@ -98,38 +102,44 @@ def _cycles(
         raise RangeError(
             f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
         )
-    windows, step = window_walk(characteristic_prefix(slope, length), m)
-    if len(windows) != m + 1:
-        raise AssertionError(f"{len(windows)} length-{m} factors, expected {m + 1}")
-    # each step is one length-(m+1) factor: the arrow from window i to j
-    arrows = [(i, j) for i, row in enumerate(step) for j in row.values()]
-    if len(arrows) != m + 2:
-        raise AssertionError(f"{len(arrows)} length-{m + 1} factors, expected {m + 2}")
-    in_degree = [0] * len(windows)
-    for _, j in arrows:
-        in_degree[j] += 1
-    (left,) = [i for i, d in enumerate(in_degree) if d == 2]
-    (right,) = [i for i, row in enumerate(step) if len(row) == 2]
-
-    def walk(vertex: int) -> list[int]:
-        """The path from `vertex` up to, not including, the right special vertex."""
-        path = []
-        while vertex != right:
-            path.append(vertex)
-            (vertex,) = step[vertex].values()
-        return path
-
-    # each cycle leaves the right special vertex by its own letter
-    referent, other = ([right, *walk(step[right][_cycle_letter(n)])] for n in (pos.n - 1, pos.n))
+    c = characteristic_prefix(slope, length)
+    left = c[:m]
+    right = left[::-1]
+    r = c.find(right)
+    if r != pos.r:
+        raise AssertionError(f"common path has {r + 1} vertices, expected {pos.r + 1}")
+    windows = [c[i : i + m] for i in range(r + 1)]
+    rings = []
+    for level in (pos.n - 1, pos.n):
+        # the cycle leaves the right special vertex at its first arrow by its
+        # own letter and returns at the vertex's next occurrence, the last r
+        # of its vertices the common path from the left special one
+        t = c.find(right + _cycle_letter(level))
+        k = c.find(right, t + 1) - t
+        if t < 0 or k <= r or not c.startswith(left, t + k - r):
+            raise AssertionError(
+                f"the cycle by {_cycle_letter(level)} does not return to the right special vertex"
+                " through the left special one"
+            )
+        first = len(windows)
+        windows += [c[i : i + m] for i in range(t + 1, t + k - r)]
+        rings.append([r, *range(first, len(windows)), *range(r)])
+    referent, other = rings
     lengths, expected = (len(referent), len(other)), (q, pos.l * q + q_lo)
     if lengths != expected:
         raise AssertionError(f"cycle lengths {lengths}, expected {expected}")
     if gcd(*lengths) != 1:
         raise AssertionError("cycle lengths are not coprime")
-    path = [*walk(left), right]
-    if len(path) != pos.r + 1:
-        raise AssertionError(f"common path has {len(path)} vertices, expected {pos.r + 1}")
-    return pos, windows, arrows, referent, other, path
+    order = sorted(range(len(windows)), key=windows.__getitem__)
+    ranked = list(map(windows.__getitem__, order))
+    # a repeated window sits next to its copy in sorted order
+    distinct = len(ranked) - sum(map(str.__eq__, ranked, ranked[1:]))
+    if distinct != m + 1:
+        raise AssertionError(f"{distinct} length-{m} factors, expected {m + 1}")
+    arrows = len(windows) + 1  # one out of each vertex, and a second out of the right special one
+    if arrows != m + 2:
+        raise AssertionError(f"{arrows} length-{m + 1} factors, expected {m + 2}")
+    return pos, windows, order, referent, other
 
 
 def build_graph(slope: Slope, m: int) -> RauzyGraph:
@@ -138,20 +148,29 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
     Raises RangeError, before the prefix is built, when the m + 1 vertex
     strings or the prefix would hold more than MAX_STANDARD_LETTERS letters.
     """
-    pos, windows, arrows, *ids = _cycles(slope, m)
-    referent, other, path = (tuple(windows[i] for i in ring) for ring in ids)
+    pos, windows, order, *ids = _cycles(slope, m)
+    referent, other = (tuple(map(windows.__getitem__, ring)) for ring in ids)
+    after = [0] * len(windows)
+    for ring in ids:
+        for i, j in zip(ring, ring[1:] + ring[:1]):
+            after[i] = j
+    edges = [(windows[i], windows[after[i]]) for i in order]
+    # the right special vertex has two arrows, whose targets differ in their
+    # last letter
+    at = order.index(pos.r)
+    edges[at : at + 1] = sorted((windows[pos.r], windows[ring[1 % len(ring)]]) for ring in ids)
     return RauzyGraph(
         m=m,
         slope=slope,
         level=pos,
-        vertices=tuple(sorted(windows)),
+        vertices=tuple(map(windows.__getitem__, order)),
         # the arrows reuse the vertex string objects
-        edges=tuple(sorted((windows[i], windows[j]) for i, j in arrows)),
-        left_special=path[0],
-        right_special=path[-1],
+        edges=tuple(edges),
+        left_special=windows[0],
+        right_special=referent[0],
         referent_cycle=referent,
         other_cycle=other,
-        common_path=path,
+        common_path=tuple(windows[: pos.r + 1]),
     )
 
 
@@ -220,13 +239,13 @@ def count_turns(
 
     `source` is either a digit window or a plain integer shift of the
     characteristic word; `slope` defaults to the window's own.  Counts and
-    refuses as RauzyGraph.turns does, but walks only the graph's cycles: no
-    sorted vertex or edge tuples are built.
+    refuses as RauzyGraph.turns does, but keeps only the graph's cycles: no
+    vertex or edge tuples are built.
     """
     if slope is None and isinstance(source, AlphaNumber):
         slope = source.slope
     if slope is None:
         raise ValueError("integer shifts need an explicit slope")
     pos, windows, _, *ids = _cycles(slope, m)
-    rings = tuple(tuple(windows[i] for i in cycle_ids) for cycle_ids in ids[:2])
+    rings = tuple(tuple(map(windows.__getitem__, ring)) for ring in ids)
     return _turns(source, slope, pos, m, rings, cycle)

@@ -1,22 +1,27 @@
 """Tests for factor graphs: structure, cycles, common path, turning counts."""
 
+import random
 import tracemalloc
+from math import gcd
 
 import pytest
 
 from sturmia import rauzy
+from sturmia.acceptance import NAMED_FIVE
 from sturmia.acceptance import _standard_words as recursive_standard_words
 from sturmia.errors import PrefixTooShortError, RangeError
 from sturmia.intercept import zero
 from sturmia.ostrowski import encode
-from sturmia.rauzy import _laps, build_graph, count_turns
+from sturmia.rauzy import RauzyGraph, _laps, build_graph, count_turns
 from sturmia.repetition import repetition_direct
-from sturmia.slope import interval_locate, parse_slope
+from sturmia.slope import Slope, interval_locate, parse_slope
 from sturmia.words import (
     MAX_STANDARD_LETTERS,
     characteristic_prefix,
     is_palindrome,
+    language_length,
     shifted_characteristic_prefix,
+    window_walk,
 )
 
 GOLDEN = parse_slope("[0;1*]")
@@ -113,6 +118,198 @@ def test_build_graph_letter_budget(monkeypatch):
     huge = parse_slope(f"[0;1,({MAX_STANDARD_LETTERS})*]")
     with pytest.raises(RangeError, match="needs 100000009 letters"):
         build_graph(huge, 5)
+
+
+# --------------------------------------------------------------------- oracle
+
+
+def reference_cycles(slope, m):
+    """The graph by a checked walk, on the window ids and step table of
+    `window_walk` over the whole language prefix: in-degrees find the left
+    special vertex, and each cycle is walked from the letter by which it
+    leaves the right special vertex.  It searches for no return word, so it
+    is an independent build for build_graph to be checked against.
+
+    Returns the level of m, the distinct length-m windows, the arrows as
+    (window id, window id) pairs, and the ids along the referent cycle, the
+    other cycle and the common path.
+    """
+    if m < 1:
+        raise RangeError(f"window length must be >= 1, got {m}")
+    pos = interval_locate(m, slope)
+    q_lo, q = slope.q(pos.n - 1), slope.q(pos.n)
+    length = language_length(slope, m)
+    letters = max(m * (m + 1), length)
+    if letters > MAX_STANDARD_LETTERS:
+        raise RangeError(
+            f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
+        )
+    windows, step = window_walk(characteristic_prefix(slope, length), m)
+    if len(windows) != m + 1:
+        raise AssertionError(f"{len(windows)} length-{m} factors, expected {m + 1}")
+    arrows = [(i, j) for i, row in enumerate(step) for j in row.values()]
+    if len(arrows) != m + 2:
+        raise AssertionError(f"{len(arrows)} length-{m + 1} factors, expected {m + 2}")
+    in_degree = [0] * len(windows)
+    for _, j in arrows:
+        in_degree[j] += 1
+    (left,) = [i for i, d in enumerate(in_degree) if d == 2]
+    (right,) = [i for i, row in enumerate(step) if len(row) == 2]
+
+    def walk(vertex):
+        path = []
+        while vertex != right:
+            path.append(vertex)
+            (vertex,) = step[vertex].values()
+        return path
+
+    referent, other = (
+        [right, *walk(step[right][rauzy._cycle_letter(n)])] for n in (pos.n - 1, pos.n)
+    )
+    lengths, expected = (len(referent), len(other)), (q, pos.l * q + q_lo)
+    if lengths != expected:
+        raise AssertionError(f"cycle lengths {lengths}, expected {expected}")
+    if gcd(*lengths) != 1:
+        raise AssertionError("cycle lengths are not coprime")
+    path = [*walk(left), right]
+    if len(path) != pos.r + 1:
+        raise AssertionError(f"common path has {len(path)} vertices, expected {pos.r + 1}")
+    return pos, windows, arrows, referent, other, path
+
+
+def reference_graph(slope, m):
+    pos, windows, arrows, *ids = reference_cycles(slope, m)
+    referent, other, path = (tuple(windows[i] for i in ring) for ring in ids)
+    return RauzyGraph(
+        m=m,
+        slope=slope,
+        level=pos,
+        vertices=tuple(sorted(windows)),
+        edges=tuple(sorted((windows[i], windows[j]) for i, j in arrows)),
+        left_special=path[0],
+        right_special=path[-1],
+        referent_cycle=referent,
+        other_cycle=other,
+        common_path=path,
+    )
+
+
+def reference_rings(slope, m):
+    pos, windows, _, *ids = reference_cycles(slope, m)
+    return pos, tuple(tuple(windows[i] for i in ring) for ring in ids[:2])
+
+
+def answer(call, *args):
+    """The call's result, or its refusal as (type, message)."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def periodic_slopes_up_to_50(count, seed):
+    """Periodic slopes, some with a head, with quotients drawn from 1..50."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        head = [rng.randint(1, 50) for _ in range(rng.randint(0, 2))]
+        block = [rng.randint(1, 50) for _ in range(rng.randint(1, 3))]
+        out.append(Slope((*head, *block), (len(head), len(block))))
+    return out
+
+
+FINITE = [parse_slope(s) for s in ("[0;3,2,2]", "[0;1,1,5,1]", "[0;7]")]
+THOUSANDS = parse_slope("[0;1000*]")
+ORACLE_SLOPES = list(
+    dict.fromkeys([*SLOPES, *NAMED_FIVE, *periodic_slopes_up_to_50(12, 24), *FINITE, THOUSANDS])
+)
+
+
+def oracle_lengths(slope, seed):
+    """Every m up to 150 and four seeded ones up to 3000."""
+    rng = random.Random(f"{seed} {slope}")
+    return [*range(1, 151), *sorted(rng.sample(range(151, 3001), 4))]
+
+
+def assert_strings_are_vertices(g):
+    vertex_ids = {id(v) for v in g.vertices}
+    rest = [*(v for edge in g.edges for v in edge), *g.referent_cycle, *g.other_cycle]
+    rest += [*g.common_path, g.left_special, g.right_special]
+    assert {id(v) for v in rest} <= vertex_ids
+
+
+@pytest.mark.parametrize("slope", ORACLE_SLOPES, ids=str)
+def test_build_graph_matches_the_window_walk(slope):
+    for m in oracle_lengths(slope, 1):
+        g = answer(build_graph, slope, m)
+        assert g == answer(reference_graph, slope, m), (slope, m)
+        if isinstance(g, RauzyGraph):
+            assert_strings_are_vertices(g)
+
+
+@pytest.mark.parametrize("slope", ORACLE_SLOPES, ids=str)
+def test_count_turns_matches_the_window_walk(slope):
+    depth = slope.known_depth or 12
+    windows = (zero(slope, depth), encode(3, slope, depth))
+    for m in oracle_lengths(slope, 2)[::3]:
+        rings = answer(reference_rings, slope, m)
+        for source in (0, 3, 17, *windows):
+            for cycle in ("referent", "other"):
+                got = answer(count_turns, source, m, slope, cycle)
+                if isinstance(rings[0], type):  # the graph itself is refused
+                    assert got == rings
+                else:
+                    pos, cycles = rings
+                    args = (source, slope, pos, m, cycles, cycle)
+                    assert got == answer(rauzy._turns, *args), (slope, m, source, cycle)
+
+
+def test_a_finite_slope_answers_within_its_prefix():
+    # each cycle's return to the right special vertex lies inside the
+    # m + q_{n+1} + q_n + 2 letters the graph reads, even where the word of
+    # the finite slope [0;3,2,2] ends 17 letters in
+    slope = FINITE[0]
+    for m in (2, 3, 4):
+        assert build_graph(slope, m) == reference_graph(slope, m)
+
+
+def flipped(prefix, at):
+    """The prefix function with the letter at `at` of each prefix flipped."""
+
+    def read(slope, n):
+        word = prefix(slope, n)
+        return word[:at] + "10"[int(word[at])] + word[at + 1 :]
+
+    return read
+
+
+def test_a_flipped_prefix_letter_is_refused_or_changes_nothing(monkeypatch):
+    # one wrong letter anywhere in the prefix either trips a check or leaves
+    # the graph and turn counts as they are; never a wrong answer
+    rng = random.Random(2024)
+    true_prefix = rauzy.characteristic_prefix
+    tally = {"refused": 0, "unchanged": 0}
+    for slope in (GOLDEN, MIXED, THREES, parse_slope("[0;(7,2,30)*]")):
+        for _ in range(160):
+            m = rng.randint(1, 80)
+            calls = [
+                (build_graph, slope, m),
+                (count_turns, 0, m, slope),
+                (count_turns, 1, m, slope, "other"),
+            ]
+            want = [call(*args) for call, *args in calls]
+            at = rng.randrange(language_length(slope, m))
+            monkeypatch.setattr(rauzy, "characteristic_prefix", flipped(true_prefix, at))
+            for (call, *args), expected in zip(calls, want):
+                try:
+                    got = call(*args)
+                except AssertionError:
+                    tally["refused"] += 1
+                    continue
+                assert got == expected, (slope, m, at, call.__name__)
+                tally["unchanged"] += 1
+            monkeypatch.setattr(rauzy, "characteristic_prefix", true_prefix)
+    assert tally["refused"] > 0 and tally["unchanged"] > 0, tally
 
 
 def reference_structure(g):

@@ -15,6 +15,11 @@ such as a `value()` method beside the many `.value` fields.
 Every name in `sturmia.__all__` resolves on the package and is listed
 once, so `from sturmia import *` finds no stale or doubled name.
 
+Rauzy graphs are read off the characteristic prefix by string searches, so
+`sturmia.rauzy` does not bind `window_walk`: the window walk stays the
+factor-set scan and the oracle the graphs are checked against, not a second
+way to build them.
+
 Importing the package must not load `dataclasses`, `inspect` or `typing`:
 each cost a large share of what importing sturmia did, which every CLI call
 pays.  Records are `collections.namedtuple` classes and annotations name
@@ -156,6 +161,12 @@ def test_all_names_resolve_once():
                  if not hasattr(sturmia, name)]
     if problems:
         raise AssertionError("\n".join(problems))
+
+
+def test_rauzy_does_not_bind_the_window_walk():
+    from sturmia import rauzy
+
+    assert not hasattr(rauzy, "window_walk")
 
 
 def test_no_module_imports_typing_or_dataclasses():

@@ -17,6 +17,16 @@ acceptance suite.  An argv that starts with a command name is parsed by
 that command's own parser alone, the one the full parser would hand the
 rest to; any other argv, or one that parser leaves arguments over from,
 goes through the full parser, so usage errors and help are argparse's own.
+In front of that route, a well-formed argv skips argparse's parsing: one
+made only of the command's exact option strings (plain `store` and
+`store_false` flags), values that do not start with "-", and its
+positional, each flag at most once, every value passing its flag's type
+and choices, and the required flags and groups all given.  `_table` reads
+those flags off the command parser's own argparse objects when the parsers
+are built, and `_read` builds the namespace argparse would.  JSON is
+rendered by `_json`, one str.join per container, with json.dumps as the
+fallback for a value of any type but str, int, bool, None, dict, list and
+tuple, or a key that is not a str.
 
 Exit codes: 0 on success, 1 on a verification failure (a `verify`
 criterion, a duality or factorization check, or a torsion search that
@@ -33,6 +43,7 @@ import os
 import sys
 from collections.abc import Callable, Sequence
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .errors import RangeError, SturmiaError
 from .factorization import characteristic_factorizations, duality_check
@@ -460,7 +471,11 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 # Built on the first dispatch and never mutated afterwards: parsing leaves
 # a parser as it found it, and defaults that depend on the environment
 # (STURMIA_DEPTH) are resolved by dispatch at run time.
-_shared_parsers = cache(build_parsers)
+@cache
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The full parser, and each command's parser with its `_table`, by name."""
+    parser, commands = build_parsers()
+    return parser, {name: (command, _table(command)) for name, command in commands.items()}
 
 
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
@@ -468,18 +483,182 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
 
     When argv starts with a command name, the full parser hands every later
     argument to that command's parser, so that parser alone gives the same
-    namespace unless it leaves arguments over.  Anything else, leftovers
-    included, goes through the full parser, whose errors and help text are
-    then argparse's own.
+    namespace unless it leaves arguments over; and when `_read` takes those
+    arguments, it gives that namespace without argparse's parsing.  Anything
+    else, leftovers included, goes through the full parser, whose errors and
+    help text are then argparse's own.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _shared_parsers()
     if argv and argv[0] in commands:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
+        command, table = commands[argv[0]]
+        args = None if table is None else _read(table, argv[1:])
+        if args is None:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                return parser.parse_args(argv)
+        args.command = argv[0]
+        return args
     return parser.parse_args(argv)
+
+
+def _plain(action: argparse.Action) -> bool:
+    """Whether the table path takes this action: a one-value store or a store_false."""
+    kind = type(action)
+    return (kind is argparse._StoreAction and action.nargs is None) or (
+        kind is argparse._StoreFalseAction
+    )
+
+
+def _table(parser: argparse.ArgumentParser) -> tuple | None:
+    """What `_read` needs of a command's parser, read off its argparse objects.
+
+    Returns (plain flags by exact option string, positionals, required
+    actions, mutually exclusive groups with their `required`, the namespace
+    of defaults), or None when the parser declares something the table
+    cannot mirror: a positional that is not a plain store, or a str default
+    that argparse would convert with a type when the flag is absent.
+    """
+    actions = parser._actions
+    positionals = [action for action in actions if not action.option_strings]
+    if not all(map(_plain, positionals)) or any(
+        isinstance(action.default, str) and action.type is not None for action in actions
+    ):
+        return None
+    # argparse's order: action defaults, then the parser's own (the handler)
+    defaults = {
+        action.dest: action.default
+        for action in actions
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+    }
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    options = {
+        text: action for text, action in parser._option_string_actions.items() if _plain(action)
+    }
+    required = [action for action in actions if action.required]
+    groups = [(group._group_actions, group.required) for group in parser._mutually_exclusive_groups]
+    return options, positionals, required, groups, defaults
+
+
+def _read(table: tuple, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the command's parser returns for argv, or None to ask it.
+
+    Takes exact option strings, values that do not start with "-", and the
+    positionals in order, and returns None on anything else: an unknown or
+    abbreviated flag, a flag given twice, a missing value, a value that
+    fails its type or choices, a missing required flag or positional, or a
+    mutually exclusive group given none (when required) or more than one.
+    Like argparse, a group member counts as given only when its value is
+    not its default object.
+    """
+    options, positionals, required, groups, defaults = table
+    values: dict[argparse.Action, object] = {}
+    given = set()  # actions whose value is not their default
+    position = 0
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] == "-":
+            action = options.get(token)
+            if action is None or action in values:
+                return None
+            if action.nargs == 0:  # store_false
+                values[action] = action.const
+                given.add(action)
+                continue
+            token = next(tokens, "-")  # a missing value reads as a flag
+            if token[:1] == "-":
+                return None
+        elif position < len(positionals):
+            action = positionals[position]
+            position += 1
+        else:
+            return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action] = value
+        if value is not action.default:
+            given.add(action)
+    if position < len(positionals) or not all(action in values for action in required):
+        return None
+    for members, needed in groups:
+        count = sum(action in given for action in members)
+        if count > 1 or (needed and not count):
+            return None
+    args = argparse.Namespace()
+    namespace = vars(args)
+    namespace.update(defaults)
+    for action, value in values.items():
+        namespace[action.dest] = value
+    return args
+
+
+def _joined(value, line: str) -> str:
+    """The json.dumps(value, sort_keys=True, indent=2) text of value, where
+    `line` is the newline and indent before its closing bracket.
+
+    Raises TypeError on a value of any type but str, int, bool, None, dict,
+    list and tuple, and on a key that is not a str (encode_basestring_ascii
+    refuses it, or sorting mixed keys does).  A str or int item is written
+    in place, without a call.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = line + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        texts = []
+        for key in sorted(value):
+            item = value[key]
+            kind = type(item)
+            texts.append(
+                encode_basestring_ascii(key)
+                + ": "
+                + (
+                    encode_basestring_ascii(item) if kind is str
+                    else int.__repr__(item) if kind is int
+                    else _joined(item, inner)
+                )
+            )
+        return "{" + inner + ("," + inner).join(texts) + line + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        texts = [
+            encode_basestring_ascii(item) if type(item) is str
+            else int.__repr__(item) if type(item) is int
+            else _joined(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(texts) + line + "]"
+    raise TypeError(f"{kind.__name__} values are left to json.dumps")
+
+
+def _json(payload) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2), one str.join per container.
+
+    Whatever `_joined` refuses (a float, a key that is not a str, any other
+    type) or nests past the recursion limit goes whole to json.dumps, so
+    its bytes and its errors are the stdlib's own.
+    """
+    try:
+        return _joined(payload, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
@@ -503,7 +682,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
                 "check": getattr(args, "check", True),
             }
             payload = {"command": args.command, "config": config, "result": result}
-            text = json.dumps(payload, sort_keys=True, indent=2)
+            text = _json(payload)
         else:
             text = _RENDER[args.command, args.format](result, args)
     except (SturmiaError, ValueError) as exc:

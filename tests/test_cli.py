@@ -1,5 +1,6 @@
 """Command-line surface: subcommand output, formats, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -7,9 +8,10 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sturmia import cli
@@ -379,6 +381,11 @@ GOLDEN_OUTPUT = [
         'm=4 level=(n=4, l=0, r=2) cycles=(5, 3) common=3 turns=1\n',
     ),
     (
+        ['rauzy', '--slope', '[0;3,2,2]', '--m', '3'],
+        0,
+        'm=3 level=(n=1, l=1, r=2) cycles=(3, 4) common=3 turns=1\n',
+    ),
+    (
         ['rauzy', '--slope', '[0;1*]', '--m', '4', '--depth', '8', '--format', 'json'],
         0,
         (
@@ -661,6 +668,7 @@ USAGE_ERRORS = [
     (['rauzy', '--slope', '[0;1*]', '--m', '0'], 'error: window length must be >= 1, got 0\n'),
     (['rauzy', '--slope', '[0;1', '--m', '3', '--format', 'dot'], "error: not a slope literal: '[0;1'\n"),
     (['rauzy', '--slope', '[0;1*]', '--m', '10000'], 'error: window length 10000 needs 100010000 letters, more than 100000000\n'),
+    (['rauzy', '--slope', '[0;3,2,2]', '--m', '30'], 'error: m=30 exceeds the representable range of the slope\n'),
     (['repetition', '--slope', '[0;1*]', '--m-max', '0'], 'error: --m-max must be >= 1, got 0\n'),
     (['repetition', '--slope', '[0;1000*]', '--intercept', 'zero', '--depth', '4', '--no-check', '--m-max', '100000'], 'error: --m-max must be at most 10000, got 100000\n'),
     (['factorize', '--word', '0201'], "error: --word expects a binary word, got '0201'\n"),
@@ -873,10 +881,74 @@ MALFORMED_ARGV = [
     ["--", "word", "prefix", "--slope", "[0;1*]"],
 ]
 
+# Argv that start with a command but leave the table path for the command's
+# parser: with those of MALFORMED_ARGV (help, an abbreviation, two members
+# of a group, ...), one for each way out of cli._read.
+FALLBACK_ARGV = [
+    ["repetition", "--slope", "[0;1*]", "--m-max=5"],
+    ["torsion", "--slope", "[0;1*]", "-N3"],
+    ["word", "prefix", "--", "--slope", "[0;1*]"],
+    ["word", "prefix", "--slope", "[0;1*]", "--len", "-1"],
+    ["rauzy", "--slope", "[0;1*]", "--m", "-1"],
+    ["repetition", "--slope", "[0;1*]", "--no-check", "--no-check"],
+    ["torsion", "--slope", "[0;1*]", "-N", "3", "--modulus", "4"],
+    ["verify", "--only", "3"],
+    ["word", "prefix", "--slope", "[0;1*]", "--len", "x"],
+    ["word", "prefix", "--slope", "[0;1*]", "--format", "dot"],
+    ["word", "", "--slope", "[0;1*]"],
+    ["word", "prefix", "prefix", "--slope", "[0;1*]"],
+    ["word", "--slope", "[0;1*]"],
+    ["word", "prefix", "--slope", "[0;1*]", "--len"],
+    ["rauzy", "--slope", "[0;1*]"],
+    ["ostrowski", "--slope", "[0;1*]"],
+    ["ostrowski", "extra", "--slope", "[0;1*]", "--encode", "3"],
+]
 
-@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+
+@pytest.mark.parametrize(
+    "argv", MALFORMED_ARGV + FALLBACK_ARGV, ids=lambda argv: " ".join(argv) or "(none)"
+)
 def test_malformed_argv_parse_as_the_full_parser(argv):
     assert_parses_as_the_full_parser(argv)
+
+
+def table_path(argv):
+    """What cli._read makes of the argv after its command: a namespace, or None."""
+    return cli._read(cli._shared_parsers()[1][argv[0]][1], argv[1:])
+
+
+def test_the_table_path_counts_a_default_object_as_absent():
+    # argparse counts a group member as given only when its value is not its
+    # default object, and int("0") is the cached 0
+    parser = argparse.ArgumentParser(prog="t")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--a", type=int, default=0)
+    group.add_argument("--b")
+    table = cli._table(parser)
+    assert cli._read(table, ["--a", "0"]) is None
+    assert parse_outcome(parser.parse_args, ["--a", "0"])[0] == ("exit", 2)
+    both = ["--a", "0", "--b", "x"]
+    assert vars(cli._read(table, both)) == vars(parser.parse_args(both)) == {"a": 0, "b": "x"}
+
+
+def test_no_table_for_a_parser_it_cannot_mirror():
+    # argparse converts an absent flag's str default with the flag's type,
+    # and a positional may take other than one value
+    converted = argparse.ArgumentParser(prog="t")
+    converted.add_argument("--n", type=int, default="3")
+    optional = argparse.ArgumentParser(prog="t")
+    optional.add_argument("name", nargs="?")
+    assert cli._table(converted) is cli._table(optional) is None
+
+
+def test_the_table_path_takes_well_formed_argv_only():
+    commanded = [argv for argv in MALFORMED_ARGV if argv[:1] and argv[0] in cli._COMMANDS]
+    for argv in FALLBACK_ARGV + commanded:
+        assert table_path(argv) is None, argv
+    # every argv of the golden cells is well formed; verify's --only appends
+    for argv, _, _ in GOLDEN_OUTPUT:
+        taken = table_path(argv) is not None
+        assert taken == (argv[0] != "verify"), argv
 
 
 def test_fuzzed_argv_parse_as_the_full_parser(monkeypatch):
@@ -892,24 +964,121 @@ ARGV_TOKENS = (
     *cli._COMMANDS, "prefix", "standard", "--slope", "[0;1*]", "--slope=[0;2,(1,3)*]", "--len", "7",
     "--level", "-N", "-N3", "--n", "--k-max", "--m", "--encode", "--decode", "1,0,1", "--intercept",
     "sigma0", "--word", "0110", "--only", "--depth", "--format", "json", "dot", "--no-check",
-    "-h", "--help", "--", "-", "--sl", "--bogus", "extra",
+    "-h", "--help", "--", "-", "--sl", "--bogus", "extra", "-1", "--m-max=5", "", "x",
+)
+
+# fuzzed argv, token lists, and fuzzed argv with one token inserted (a second
+# --no-check or prefix, x after --len, ...)
+ARGV = st.one_of(
+    st.builds(fuzz_argv, st.randoms(use_true_random=False)),
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=8),
+    st.tuples(
+        st.builds(fuzz_argv, st.randoms(use_true_random=False)),
+        st.integers(0, 20),
+        st.sampled_from(ARGV_TOKENS),
+    ).map(lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] :]),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.builds(fuzz_argv, st.randoms(use_true_random=False)),
-        st.lists(st.sampled_from(ARGV_TOKENS), max_size=8),
-        st.tuples(
-            st.builds(fuzz_argv, st.randoms(use_true_random=False)),
-            st.integers(0, 20),
-            st.sampled_from(ARGV_TOKENS),
-        ).map(lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] :]),
-    )
-)
+@given(ARGV)
 def test_any_argv_parses_as_the_full_parser(argv):
     assert_parses_as_the_full_parser(argv)
+
+
+def dispatch_outcome(argv):
+    """dispatch's exit code (its return or SystemExit), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGV)
+def test_any_argv_exits_0_1_or_2(argv):
+    # a bare verify runs all 14 criteria; the seeded fuzz passes --only
+    assume(argv[:1] != ["verify"] or "--only" in argv)
+    with mock.patch.dict(os.environ):
+        os.environ.pop("STURMIA_DEPTH", None)
+        code, out, err = dispatch_outcome(argv)
+    assert "Traceback" not in err, (argv, err)
+    if isinstance(code, tuple):
+        # argparse exits with 2, or with 0 once it has printed help
+        assert code[1] == 2 or (code[1] == 0 and out.startswith("usage: ")), (argv, code)
+    else:
+        assert code in (0, 1, 2), (argv, code, err)
+
+
+def test_dispatch_matches_the_full_parser_and_json_dumps(monkeypatch):
+    # the same bytes, exits included, as a dispatch that parses with the
+    # full parser and renders JSON with json.dumps
+    monkeypatch.delenv("STURMIA_DEPTH", raising=False)
+    rng = random.Random(20261020)
+    argvs = [fuzz_argv(rng) for _ in range(300)]
+    argvs += [["repetition", "--slope", "[0;2,3,(1,2)*]", "--intercept", "123", "--m-max", "30", "--format", "json"]]
+    ours = [dispatch_outcome(argv) for argv in argvs]
+    full = cli.build_parsers()[0]
+    monkeypatch.setattr(cli, "_parse", full.parse_args)
+    monkeypatch.setattr(cli, "_json", lambda payload: json.dumps(payload, sort_keys=True, indent=2))
+    for argv, outcome in zip(argvs, ours):
+        assert dispatch_outcome(argv) == outcome, argv
+    assert sum(outcome[0] == 0 and argv[-1] == "json" for argv, outcome in zip(argvs, ours)) > 50
+
+
+# JSON-like trees: str with control, non-ASCII and astral characters (lone
+# surrogates included), ints of any sign and size, bool, None, and nested
+# lists, tuples and str-keyed dicts.
+JSON_TEXT = st.text(st.characters(exclude_categories=()))
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_json_joins_the_bytes_of_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def json_outcome(render, value):
+    try:
+        return render(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Trees that reach the fallback: floats (NaN and -0.0 among them), keys that
+# are not str, and objects json cannot serialise.
+OTHER_TREES = st.recursive(
+    st.none() | st.integers() | JSON_TEXT | st.floats() | st.sampled_from([-0.0, float("nan")])
+    | st.builds(object),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_TEXT | st.integers() | st.booleans() | st.floats(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(OTHER_TREES)
+def test_json_falls_back_to_the_bytes_and_errors_of_json_dumps(value):
+    expected = json_outcome(lambda v: json.dumps(v, sort_keys=True, indent=2), value)
+    assert json_outcome(cli._json, value) == expected
+
+
+def test_json_fallback_cases():
+    circular = []
+    circular.append(circular)
+    for value in (1.5, -0.0, {1: 2}, {1: 2, "a": 3}, {"a": object()}, circular, [[1, 2.0]]):
+        expected = json_outcome(lambda v: json.dumps(v, sort_keys=True, indent=2), value)
+        assert json_outcome(cli._json, value) == expected, value
 
 
 @pytest.mark.parametrize(

@@ -246,6 +246,16 @@ def test_add_integer_examples():
     assert bumped.digits == (0,) * bumped.depth
 
 
+def test_add_integer_builds_no_letters():
+    # the shift is one encode: at depth 800 it answers, where the letter
+    # shift would need about q_800 letters, and the slope's word stays empty
+    slope = parse_slope("[0;1*]")
+    out = add_integer(encode(10**6, slope, 800), 12345)
+    assert out.depth == 797
+    assert out.digits == encode(10**6 + 12345, slope, 797).digits
+    assert slope._word == [""]
+
+
 def test_add_integer_digit_shortcut_on_tail_levels():
     # residues shift by k from the first level whose whole tail has room
     for slope in SLOPES:

@@ -21,6 +21,7 @@ from sturmia.words import (
     is_palindrome,
     language_length,
     shifted_characteristic_prefix,
+    standard_word,
     window_walk,
 )
 
@@ -271,6 +272,26 @@ def test_a_finite_slope_answers_within_its_prefix():
     slope = FINITE[0]
     for m in (2, 3, 4):
         assert build_graph(slope, m) == reference_graph(slope, m)
+
+
+def test_a_finite_slope_counts_turns_within_its_word():
+    # the lap count reads at most the letters the finite word certifies, and
+    # there its laps agree with those over the whole 17-letter word s_3 of
+    # [0;3,2,2]: a_{n+1} - l around the referent cycle
+    slope = FINITE[0]
+    whole = standard_word(slope, slope.known_depth)
+    assert len(whole) == 17
+    for m, counts in ((1, (1, 0)), (2, (2, 0)), (3, (1, 0)), (4, (1, 0))):
+        graph = build_graph(slope, m)
+        rings = (graph.referent_cycle, graph.other_cycle)
+        assert tuple(_laps(whole, m, ring) for ring in rings) == counts, m
+        pos = graph.level
+        assert counts[0] == slope.quotient(pos.n + 1) - pos.l
+        for cycle, count in zip(("referent", "other"), counts):
+            assert count_turns(0, m, slope, cycle) == graph.turns(0, cycle) == count, (m, cycle)
+    # a shift that leaves less than one window is refused by its letters
+    with pytest.raises(PrefixTooShortError, match="got 1"):
+        count_turns(15, 2, slope)
 
 
 def flipped(prefix, at):

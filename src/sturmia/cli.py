@@ -13,17 +13,15 @@ table keyed by (command, format).  Identical inputs produce byte-identical
 output (nothing here consults the clock or an unseeded generator).  The
 digit depth is --depth when given, else the STURMIA_DEPTH environment
 variable, else 24; either must be at least 2.  Only `verify` loads the
-acceptance suite.  An argv that starts with a command name is parsed by
-that command's own parser alone, the one the full parser would hand the
-rest to; any other argv, or one that parser leaves arguments over from,
-goes through the full parser, so usage errors and help are argparse's own.
-In front of that route, a well-formed argv skips argparse's parsing: one
-made only of the command's exact option strings (plain `store` and
-`store_false` flags), values that do not start with "-", and its
-positional, each flag at most once, every value passing its flag's type
-and choices, and the required flags and groups all given.  `_table` reads
-those flags off the command parser's own argparse objects when the parsers
-are built, and `_read` builds the namespace argparse would.  JSON is
+acceptance suite.  A well-formed argv skips argparse's parsing: a
+command name, then only that command's exact option strings (plain
+`store` and `store_false` flags), values that do not start with "-", and
+its positional, each flag at most once, every value passing its flag's
+type and choices, and the required flags and groups all given.  `_table`
+reads those flags off the command parser's own argparse objects when the
+parsers are built, and `_read` builds the namespace argparse would.  Any
+other argv goes through the full parser, so usage errors and help are
+argparse's own.  JSON is
 rendered by `_json`, one str.join per container, with json.dumps as the
 fallback for a value of any type but str, int, bool, None, dict, list and
 tuple, or a key that is not a str.
@@ -472,34 +470,29 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 # a parser as it found it, and defaults that depend on the environment
 # (STURMIA_DEPTH) are resolved by dispatch at run time.
 @cache
-def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    """The full parser, and each command's parser with its `_table`, by name."""
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple | None]]:
+    """The full parser, and each command parser's `_table` by command name."""
     parser, commands = build_parsers()
-    return parser, {name: (command, _table(command)) for name, command in commands.items()}
+    return parser, {name: _table(command) for name, command in commands.items()}
 
 
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     """What the full parser's parse_args(argv) returns, or the exit it makes.
 
     When argv starts with a command name, the full parser hands every later
-    argument to that command's parser, so that parser alone gives the same
-    namespace unless it leaves arguments over; and when `_read` takes those
-    arguments, it gives that namespace without argparse's parsing.  Anything
-    else, leftovers included, goes through the full parser, whose errors and
-    help text are then argparse's own.
+    argument to that command's parser; when `_read` takes those arguments,
+    it gives that parser's namespace without argparse's parsing.  Anything
+    else goes through the full parser, whose errors and help text are then
+    argparse's own.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _shared_parsers()
-    if argv and argv[0] in commands:
-        command, table = commands[argv[0]]
-        args = None if table is None else _read(table, argv[1:])
-        if args is None:
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                return parser.parse_args(argv)
-        args.command = argv[0]
-        return args
-    return parser.parse_args(argv)
+    parser, tables = _shared_parsers()
+    table = tables.get(argv[0]) if argv else None
+    args = None if table is None else _read(table, argv[1:])
+    if args is None:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def _plain(action: argparse.Action) -> bool:
@@ -603,8 +596,7 @@ def _joined(value, line: str) -> str:
 
     Raises TypeError on a value of any type but str, int, bool, None, dict,
     list and tuple, and on a key that is not a str (encode_basestring_ascii
-    refuses it, or sorting mixed keys does).  A str or int item is written
-    in place, without a call.
+    refuses it, or sorting mixed keys does).
     """
     kind = type(value)
     if kind is str:
@@ -621,29 +613,14 @@ def _joined(value, line: str) -> str:
     if kind is dict:
         if not value:
             return "{}"
-        texts = []
-        for key in sorted(value):
-            item = value[key]
-            kind = type(item)
-            texts.append(
-                encode_basestring_ascii(key)
-                + ": "
-                + (
-                    encode_basestring_ascii(item) if kind is str
-                    else int.__repr__(item) if kind is int
-                    else _joined(item, inner)
-                )
-            )
+        texts = [
+            encode_basestring_ascii(key) + ": " + _joined(value[key], inner) for key in sorted(value)
+        ]
         return "{" + inner + ("," + inner).join(texts) + line + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        texts = [
-            encode_basestring_ascii(item) if type(item) is str
-            else int.__repr__(item) if type(item) is int
-            else _joined(item, inner)
-            for item in value
-        ]
+        texts = [_joined(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(texts) + line + "]"
     raise TypeError(f"{kind.__name__} values are left to json.dumps")
 

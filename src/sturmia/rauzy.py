@@ -23,7 +23,7 @@ from collections import namedtuple
 from math import gcd
 
 from .errors import PrefixTooShortError, RangeError
-from .intercept import AlphaNumber, max_certified_length, sturmian_prefix
+from .intercept import AlphaNumber, sturmian_prefix
 from .slope import IntervalPosition, Slope, interval_locate
 from .words import (
     MAX_STANDARD_LETTERS,
@@ -186,10 +186,11 @@ def _turns(
     `pos`.  Both entry points come here, so they refuse inputs alike.
 
     Reads a prefix of the shifted word long enough to certify the most laps
-    that cycle allows.  The word of a finite slope [0; a_1, ..., a_D] may
-    end sooner: then it reads the letters that word certifies (q_D - 1 of
-    the characteristic word, less the shift), and `_laps` certifies the
-    count or raises PrefixTooShortError.
+    that cycle allows.  The characteristic word of a finite slope
+    [0; a_1, ..., a_D] may end sooner: an integer shift then reads the
+    q_D - 1 letters that word certifies, less the shift (none once the
+    shift passes them), and `_laps` certifies the count or raises
+    PrefixTooShortError.
     """
     if cycle not in ("referent", "other"):
         raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
@@ -199,15 +200,12 @@ def _turns(
     k = len(ring)
     bound = slope.quotient(pos.n + 1) - pos.l if cycle == "referent" else 1
     length = (bound + 2) * k + 3 * (m + 1)
-    depth = slope.known_depth
     if isinstance(source, AlphaNumber):
-        if depth is not None:
-            length = min(length, max_certified_length(source))
         word = sturmian_prefix(source, length)
     else:
-        if depth is not None:
-            length = min(length, max(slope.q(depth) - 1 - source, 0))
-        word = shifted_characteristic_prefix(slope, source, length)
+        if slope.known_depth is not None:
+            length = min(length, max(slope.q(slope.known_depth) - 1 - source, 0))
+        word = shifted_characteristic_prefix(slope, source, length) if length else ""
     return _laps(word, m, ring)
 
 

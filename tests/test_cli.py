@@ -848,9 +848,9 @@ def test_dispatch_fuzz_exit_codes(monkeypatch, capsys):
     assert {0, 2} <= codes
 
 
-# dispatch parses argv that start with a command with that command's own
-# parser, and everything else with the full one; either way the namespace,
-# the exit and every byte argparse prints are those of the full parser.
+# dispatch reads well-formed argv off a table of the command's parser, and
+# parses everything else with the full one; either way the namespace, the
+# exit and every byte argparse prints are those of the full parser.
 def parse_outcome(parse, argv):
     """The parsed namespace or the SystemExit code, with what parsing printed."""
     out, err = io.StringIO(), io.StringIO()
@@ -881,7 +881,7 @@ MALFORMED_ARGV = [
     ["--", "word", "prefix", "--slope", "[0;1*]"],
 ]
 
-# Argv that start with a command but leave the table path for the command's
+# Argv that start with a command but leave the table path for the full
 # parser: with those of MALFORMED_ARGV (help, an abbreviation, two members
 # of a group, ...), one for each way out of cli._read.
 FALLBACK_ARGV = [
@@ -914,7 +914,7 @@ def test_malformed_argv_parse_as_the_full_parser(argv):
 
 def table_path(argv):
     """What cli._read makes of the argv after its command: a namespace, or None."""
-    return cli._read(cli._shared_parsers()[1][argv[0]][1], argv[1:])
+    return cli._read(cli._shared_parsers()[1][argv[0]], argv[1:])
 
 
 def test_the_table_path_counts_a_default_object_as_absent():

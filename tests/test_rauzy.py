@@ -289,9 +289,11 @@ def test_a_finite_slope_counts_turns_within_its_word():
         assert counts[0] == slope.quotient(pos.n + 1) - pos.l
         for cycle, count in zip(("referent", "other"), counts):
             assert count_turns(0, m, slope, cycle) == graph.turns(0, cycle) == count, (m, cycle)
-    # a shift that leaves less than one window is refused by its letters
-    with pytest.raises(PrefixTooShortError, match="got 1"):
-        count_turns(15, 2, slope)
+    # a shift that leaves less than one window is refused by its letters,
+    # also once it passes the q_3 - 1 = 16 letters the word certifies
+    for shift, letters in ((15, 1), (16, 0), (17, 0)):
+        with pytest.raises(PrefixTooShortError, match=f"to form one window, got {letters}$"):
+            count_turns(shift, 2, slope)
 
 
 def flipped(prefix, at):

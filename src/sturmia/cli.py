@@ -56,9 +56,9 @@ from .intercept import (
     zero,
 )
 from .ostrowski import decode, encode
-from .rauzy import build_graph
+from .rauzy import build_graph, count_turns
 from .repetition import profile_lookup, repetition_closed_forms, repetition_profile
-from .slope import Slope, parse_slope
+from .slope import Slope, interval_locate, parse_slope
 from .torsion import b_factorize, torsion_search
 from .words import characteristic_prefix, standard_word
 
@@ -179,16 +179,19 @@ def cmd_intercept(args, slope: Slope) -> tuple[dict, int]:
 
 
 def cmd_rauzy(args, slope: Slope) -> tuple[dict, int]:
-    graph = build_graph(slope, args.m)
     if args.format == "dot":
-        return {"dot": graph.to_dot()}, 0
+        return {"dot": build_graph(slope, args.m).to_dot()}, 0
+    # count_turns reads the cycles first, and refuses unless their lengths
+    # are the ones printed here
+    turns = count_turns(0, args.m, slope)
+    n, l, r = interval_locate(args.m, slope)
     return {
         "m": args.m,
-        "level": {"n": graph.level.n, "l": graph.level.l, "r": graph.level.r},
-        "referent_cycle_length": len(graph.referent_cycle),
-        "other_cycle_length": len(graph.other_cycle),
-        "common_path_length": len(graph.common_path),
-        "characteristic_turns": graph.turns(0),
+        "level": {"n": n, "l": l, "r": r},
+        "referent_cycle_length": slope.q(n),
+        "other_cycle_length": l * slope.q(n) + slope.q(n - 1),
+        "common_path_length": r + 1,
+        "characteristic_turns": turns,
     }, 0
 
 

@@ -12,9 +12,10 @@ the right special vertex R its reversal, first seen r letters in, so the
 common path is the windows at 0 .. r.  Each cycle is a return word of R
 (Vuillon, European J. Combin. 22, 2001): from R's first arrow by the
 cycle's letter to R's next occurrence, its last r vertices the common path.
-The searches are str.find on c, the vertex strings are slices of it, and
-cycle lengths, coprimality, the common path and the m + 1 distinct
-vertices cross-check the reading.
+The searches are str.find on c, and a vertex is the start of its window in
+c; cycle lengths, coprimality and the common path cross-check the reading.
+Only build_graph slices the vertex strings, and it checks that the m + 1 of
+them are distinct.
 """
 
 from __future__ import annotations
@@ -54,13 +55,11 @@ class RauzyGraph(
     def turns(self, source: AlphaNumber | int, cycle: str = "referent") -> int:
         """Number of consecutive laps the shifted word makes around a cycle.
 
-        `source` is a digit window over this graph's slope or a plain
-        integer shift of the characteristic word.  Counting consumes one
-        cycle length per lap; running out of certified letters raises
-        rather than undercounts.
+        The same count as count_turns(source, self.m, self.slope, cycle),
+        which reads the cycles afresh as start positions rather than from
+        this graph's vertex strings.
         """
-        rings = (self.referent_cycle, self.other_cycle)
-        return _turns(source, self.slope, self.level, self.m, rings, cycle)
+        return count_turns(source, self.m, self.slope, cycle)
 
     def to_dot(self) -> str:
         lines = ["digraph rauzy {"]
@@ -81,23 +80,26 @@ class RauzyGraph(
 
 
 def _cycles(
-    slope: Slope, m: int
-) -> tuple[IntervalPosition, list[str], list[int], list[int], list[int]]:
-    """The checked graph behind build_graph, read off the characteristic prefix.
+    slope: Slope, m: int, vertex_letters: int
+) -> tuple[IntervalPosition, str, range, range]:
+    """The checked cycles of the length-m graph, read off the characteristic
+    prefix c, with each vertex given as the start of its window in c.
 
-    Returns the level of m, the m + 1 vertex strings, their ids in sorted
-    order, and the ids along the referent cycle and the other cycle, both
-    starting at the right special vertex.  The common path is ids 0 .. r,
-    from the left special vertex to the right special one.
-    Raises RangeError, before the prefix is built, when the m + 1 vertex
-    strings or the prefix would hold more than MAX_STANDARD_LETTERS letters.
+    Returns the level of m, c, and the starts of the referent cycle's own
+    vertices and then the other cycle's: a cycle runs from the right
+    special vertex at r through its own vertices, then along the common
+    path from the left special vertex at 0 to r - 1.  Builds no vertex
+    string and no list of vertices.
+    Raises RangeError, before the prefix is built, when the prefix or the
+    caller's `vertex_letters` would hold more than MAX_STANDARD_LETTERS
+    letters.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
     pos = interval_locate(m, slope)
     q_lo, q = slope.q(pos.n - 1), slope.q(pos.n)
     length = language_length(slope, m)
-    letters = max(m * (m + 1), length)  # the vertex strings, or the prefix they are read from
+    letters = max(vertex_letters, length)
     if letters > MAX_STANDARD_LETTERS:
         raise RangeError(
             f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
@@ -108,8 +110,7 @@ def _cycles(
     r = c.find(right)
     if r != pos.r:
         raise AssertionError(f"common path has {r + 1} vertices, expected {pos.r + 1}")
-    windows = [c[i : i + m] for i in range(r + 1)]
-    rings = []
+    owns = []
     for level in (pos.n - 1, pos.n):
         # the cycle leaves the right special vertex at its first arrow by its
         # own letter and returns at the vertex's next occurrence, the last r
@@ -121,25 +122,14 @@ def _cycles(
                 f"the cycle by {_cycle_letter(level)} does not return to the right special vertex"
                 " through the left special one"
             )
-        first = len(windows)
-        windows += [c[i : i + m] for i in range(t + 1, t + k - r)]
-        rings.append([r, *range(first, len(windows)), *range(r)])
-    referent, other = rings
-    lengths, expected = (len(referent), len(other)), (q, pos.l * q + q_lo)
+        owns.append(range(t + 1, t + k - r))
+    lengths = tuple(r + 1 + len(own) for own in owns)
+    expected = (q, pos.l * q + q_lo)
     if lengths != expected:
         raise AssertionError(f"cycle lengths {lengths}, expected {expected}")
     if gcd(*lengths) != 1:
         raise AssertionError("cycle lengths are not coprime")
-    order = sorted(range(len(windows)), key=windows.__getitem__)
-    ranked = list(map(windows.__getitem__, order))
-    # a repeated window sits next to its copy in sorted order
-    distinct = len(ranked) - sum(map(str.__eq__, ranked, ranked[1:]))
-    if distinct != m + 1:
-        raise AssertionError(f"{distinct} length-{m} factors, expected {m + 1}")
-    arrows = len(windows) + 1  # one out of each vertex, and a second out of the right special one
-    if arrows != m + 2:
-        raise AssertionError(f"{arrows} length-{m + 1} factors, expected {m + 2}")
-    return pos, windows, order, referent, other
+    return pos, c, *owns
 
 
 def build_graph(slope: Slope, m: int) -> RauzyGraph:
@@ -148,7 +138,18 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
     Raises RangeError, before the prefix is built, when the m + 1 vertex
     strings or the prefix would hold more than MAX_STANDARD_LETTERS letters.
     """
-    pos, windows, order, *ids = _cycles(slope, m)
+    pos, c, *owns = _cycles(slope, m, m * (m + 1))
+    r = pos.r
+    # vertex ids: the common path 0 .. r, then each cycle's own vertices
+    windows = [c[s : s + m] for run in (range(r + 1), *owns) for s in run]
+    order = sorted(range(len(windows)), key=windows.__getitem__)
+    vertices = tuple(map(windows.__getitem__, order))
+    # a repeated window sits next to its copy in sorted order
+    distinct = len(vertices) - sum(map(str.__eq__, vertices, vertices[1:]))
+    if distinct != m + 1:
+        raise AssertionError(f"{distinct} length-{m} factors, expected {m + 1}")
+    first = r + 1 + len(owns[0])
+    ids = ([r, *range(r + 1, first), *range(r)], [r, *range(first, len(windows)), *range(r)])
     referent, other = (tuple(map(windows.__getitem__, ring)) for ring in ids)
     after = [0] * len(windows)
     for ring in ids:
@@ -157,74 +158,48 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
     edges = [(windows[i], windows[after[i]]) for i in order]
     # the right special vertex has two arrows, whose targets differ in their
     # last letter
-    at = order.index(pos.r)
-    edges[at : at + 1] = sorted((windows[pos.r], windows[ring[1 % len(ring)]]) for ring in ids)
+    at = order.index(r)
+    edges[at : at + 1] = sorted((windows[r], windows[ring[1 % len(ring)]]) for ring in ids)
     return RauzyGraph(
         m=m,
         slope=slope,
         level=pos,
-        vertices=tuple(map(windows.__getitem__, order)),
+        vertices=vertices,
         # the arrows reuse the vertex string objects
         edges=tuple(edges),
         left_special=windows[0],
         right_special=referent[0],
         referent_cycle=referent,
         other_cycle=other,
-        common_path=tuple(windows[: pos.r + 1]),
+        common_path=tuple(windows[: r + 1]),
     )
 
 
-def _turns(
-    source: AlphaNumber | int,
-    slope: Slope,
-    pos: IntervalPosition,
-    m: int,
-    rings: tuple[tuple[str, ...], tuple[str, ...]],
-    cycle: str,
-) -> int:
-    """Laps around the named cycle of `rings` (referent, other) at level
-    `pos`.  Both entry points come here, so they refuse inputs alike.
-
-    Reads a prefix of the shifted word long enough to certify the most laps
-    that cycle allows.  The characteristic word of a finite slope
-    [0; a_1, ..., a_D] may end sooner: an integer shift then reads the
-    q_D - 1 letters that word certifies, less the shift (none once the
-    shift passes them), and `_laps` certifies the count or raises
-    PrefixTooShortError.
-    """
-    if cycle not in ("referent", "other"):
-        raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
-    if isinstance(source, AlphaNumber) and source.slope != slope:
-        raise ValueError("digit window and graph live over different slopes")
-    ring = rings[cycle == "other"]
-    k = len(ring)
-    bound = slope.quotient(pos.n + 1) - pos.l if cycle == "referent" else 1
-    length = (bound + 2) * k + 3 * (m + 1)
-    if isinstance(source, AlphaNumber):
-        word = sturmian_prefix(source, length)
-    else:
-        if slope.known_depth is not None:
-            length = min(length, max(slope.q(slope.known_depth) - 1 - source, 0))
-        word = shifted_characteristic_prefix(slope, source, length) if length else ""
-    return _laps(word, m, ring)
-
-
-def _laps(word: str, m: int, ring: tuple[str, ...]) -> int:
+def _laps(word: str, m: int, c: str, ring: tuple[range, ...]) -> int:
     """Whole laps the word's window path makes around the ring from its start.
 
-    From ring[p] the path follows the ring for one lap exactly when the next
-    k letters are the last letters of ring[p+1], ..., ring[p+k], back at
-    ring[p]; so laps are counted by comparing letters.  Raises
+    The ring is runs of consecutive window starts in c, in ring order.  From
+    its p-th vertex the path follows the ring for one lap exactly when the
+    next k letters are the last letters of the vertices p+1, ..., p+k, back
+    at vertex p; so laps are counted by comparing letters.  Raises
     PrefixTooShortError when the word ends inside a lap that still agrees.
     """
     if len(word) < m:
         raise PrefixTooShortError(f"need at least {m} letters to form one window, got {len(word)}")
-    try:
-        p = ring.index(word[:m])
-    except ValueError:
+    head = word[:m]
+    p = 0
+    for run in ring:
+        # the windows starting in the run end by run.stop - 1 + m
+        at = c.find(head, run.start, run.stop + m - 1)
+        if at >= 0:
+            p += at - run.start
+            break
+        p += len(run)
+    else:
         return 0
-    k = len(ring)
-    tails = "".join(v[-1] for v in ring)
+    # the window at s ends in the letter c[s + m - 1]
+    tails = "".join(c[run.start + m - 1 : run.stop + m - 1] for run in ring)
+    k = len(tails)
     lap = tails[p + 1 :] + tails[: p + 1]
     laps = 0
     while word.startswith(lap, m + laps * k):
@@ -244,14 +219,35 @@ def count_turns(
     """Number of consecutive laps the shifted word makes around a cycle.
 
     `source` is either a digit window or a plain integer shift of the
-    characteristic word; `slope` defaults to the window's own.  Counts and
-    refuses as RauzyGraph.turns does, but keeps only the graph's cycles: no
-    vertex or edge tuples are built.
+    characteristic word; `slope` defaults to the window's own.  The cycles
+    are read as window starts in the characteristic prefix, so no vertex
+    string is built and memory grows linearly in m.
+
+    Reads a prefix of the shifted word long enough to certify the most laps
+    that cycle allows.  The characteristic word of a finite slope
+    [0; a_1, ..., a_D] may end sooner: an integer shift then reads the
+    q_D - 1 letters that word certifies, less the shift (none once the
+    shift passes them), and `_laps` certifies the count or raises
+    PrefixTooShortError.
     """
     if slope is None and isinstance(source, AlphaNumber):
         slope = source.slope
     if slope is None:
         raise ValueError("integer shifts need an explicit slope")
-    pos, windows, _, *ids = _cycles(slope, m)
-    rings = tuple(tuple(map(windows.__getitem__, ring)) for ring in ids)
-    return _turns(source, slope, pos, m, rings, cycle)
+    pos, c, *owns = _cycles(slope, m, 0)
+    if cycle not in ("referent", "other"):
+        raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
+    if isinstance(source, AlphaNumber) and source.slope != slope:
+        raise ValueError("digit window and graph live over different slopes")
+    own = owns[cycle == "other"]
+    ring = (range(pos.r, pos.r + 1), own, range(pos.r))
+    k = pos.r + 1 + len(own)
+    bound = slope.quotient(pos.n + 1) - pos.l if cycle == "referent" else 1
+    length = (bound + 2) * k + 3 * (m + 1)
+    if isinstance(source, AlphaNumber):
+        word = sturmian_prefix(source, length)
+    else:
+        if slope.known_depth is not None:
+            length = min(length, max(slope.q(slope.known_depth) - 1 - source, 0))
+        word = shifted_characteristic_prefix(slope, source, length) if length else ""
+    return _laps(word, m, c, ring)

@@ -386,6 +386,11 @@ GOLDEN_OUTPUT = [
         'm=3 level=(n=1, l=1, r=2) cycles=(3, 4) common=3 turns=1\n',
     ),
     (
+        ['rauzy', '--slope', '[0;1*]', '--m', '10000'],
+        0,
+        'm=10000 level=(n=19, l=0, r=944) cycles=(6765, 4181) common=945 turns=1\n',
+    ),
+    (
         ['rauzy', '--slope', '[0;1*]', '--m', '4', '--depth', '8', '--format', 'json'],
         0,
         (
@@ -667,7 +672,7 @@ USAGE_ERRORS = [
     (['intercept', '--slope', '[0;1*]', '--intercept', 'nope'], "error: intercept spec 'nope' is not an integer, a b: digit list, or one of zero|sigma0|sigma1\n"),
     (['rauzy', '--slope', '[0;1*]', '--m', '0'], 'error: window length must be >= 1, got 0\n'),
     (['rauzy', '--slope', '[0;1', '--m', '3', '--format', 'dot'], "error: not a slope literal: '[0;1'\n"),
-    (['rauzy', '--slope', '[0;1*]', '--m', '10000'], 'error: window length 10000 needs 100010000 letters, more than 100000000\n'),
+    (['rauzy', '--slope', '[0;1*]', '--m', '10000', '--format', 'dot'], 'error: window length 10000 needs 100010000 letters, more than 100000000\n'),
     (['rauzy', '--slope', '[0;3,2,2]', '--m', '30'], 'error: m=30 exceeds the representable range of the slope\n'),
     (['repetition', '--slope', '[0;1*]', '--m-max', '0'], 'error: --m-max must be >= 1, got 0\n'),
     (['repetition', '--slope', '[0;1000*]', '--intercept', 'zero', '--depth', '4', '--no-check', '--m-max', '100000'], 'error: --m-max must be at most 10000, got 100000\n'),

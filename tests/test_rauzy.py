@@ -10,11 +10,11 @@ from sturmia import rauzy
 from sturmia.acceptance import NAMED_FIVE
 from sturmia.acceptance import _standard_words as recursive_standard_words
 from sturmia.errors import PrefixTooShortError, RangeError
-from sturmia.intercept import zero
+from sturmia.intercept import AlphaNumber, sturmian_prefix, zero
 from sturmia.ostrowski import encode
 from sturmia.rauzy import RauzyGraph, _laps, build_graph, count_turns
 from sturmia.repetition import repetition_direct
-from sturmia.slope import Slope, interval_locate, parse_slope
+from sturmia.slope import IntervalPosition, Slope, interval_locate, parse_slope
 from sturmia.words import (
     MAX_STANDARD_LETTERS,
     characteristic_prefix,
@@ -200,6 +200,76 @@ def reference_rings(slope, m):
     return pos, tuple(tuple(windows[i] for i in ring) for ring in ids[:2])
 
 
+def reference_turns(
+    source: AlphaNumber | int,
+    slope: Slope,
+    pos: IntervalPosition,
+    m: int,
+    rings: tuple[tuple[str, ...], tuple[str, ...]],
+    cycle: str,
+) -> int:
+    """Laps around the named cycle of `rings` (referent, other) at level
+    `pos`, the rings given as vertex strings.
+
+    Reads a prefix of the shifted word long enough to certify the most laps
+    that cycle allows.  The characteristic word of a finite slope
+    [0; a_1, ..., a_D] may end sooner: an integer shift then reads the
+    q_D - 1 letters that word certifies, less the shift (none once the
+    shift passes them), and `reference_string_laps` certifies the count or
+    raises PrefixTooShortError.
+    """
+    if cycle not in ("referent", "other"):
+        raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
+    if isinstance(source, AlphaNumber) and source.slope != slope:
+        raise ValueError("digit window and graph live over different slopes")
+    ring = rings[cycle == "other"]
+    k = len(ring)
+    bound = slope.quotient(pos.n + 1) - pos.l if cycle == "referent" else 1
+    length = (bound + 2) * k + 3 * (m + 1)
+    if isinstance(source, AlphaNumber):
+        word = sturmian_prefix(source, length)
+    else:
+        if slope.known_depth is not None:
+            length = min(length, max(slope.q(slope.known_depth) - 1 - source, 0))
+        word = shifted_characteristic_prefix(slope, source, length) if length else ""
+    return reference_string_laps(word, m, ring)
+
+
+def reference_string_laps(word: str, m: int, ring: tuple[str, ...]) -> int:
+    """Whole laps the word's window path makes around the ring from its start.
+
+    From ring[p] the path follows the ring for one lap exactly when the next
+    k letters are the last letters of ring[p+1], ..., ring[p+k], back at
+    ring[p]; so laps are counted by comparing letters.  Raises
+    PrefixTooShortError when the word ends inside a lap that still agrees.
+    """
+    if len(word) < m:
+        raise PrefixTooShortError(f"need at least {m} letters to form one window, got {len(word)}")
+    try:
+        p = ring.index(word[:m])
+    except ValueError:
+        return 0
+    k = len(ring)
+    tails = "".join(v[-1] for v in ring)
+    lap = tails[p + 1 :] + tails[: p + 1]
+    laps = 0
+    while word.startswith(lap, m + laps * k):
+        laps += 1
+    start = m + laps * k
+    if len(word) - start < k and lap.startswith(word[start:]):
+        raise PrefixTooShortError(f"{len(word)} letters end inside lap {laps + 1} of a {k}-cycle")
+    return laps
+
+
+def start_rings(slope, m):
+    """The characteristic prefix the cycles are read from, and the referent
+    and other rings as runs of window starts in it, as count_turns hands
+    them to `_laps`."""
+    pos, c, *owns = rauzy._cycles(slope, m, 0)
+    r = pos.r
+    return c, tuple((range(r, r + 1), own, range(r)) for own in owns)
+
+
 def answer(call, *args):
     """The call's result, or its refusal as (type, message)."""
     try:
@@ -262,7 +332,7 @@ def test_count_turns_matches_the_window_walk(slope):
                 else:
                     pos, cycles = rings
                     args = (source, slope, pos, m, cycles, cycle)
-                    assert got == answer(rauzy._turns, *args), (slope, m, source, cycle)
+                    assert got == answer(reference_turns, *args), (slope, m, source, cycle)
 
 
 def test_a_finite_slope_answers_within_its_prefix():
@@ -284,7 +354,9 @@ def test_a_finite_slope_counts_turns_within_its_word():
     for m, counts in ((1, (1, 0)), (2, (2, 0)), (3, (1, 0)), (4, (1, 0))):
         graph = build_graph(slope, m)
         rings = (graph.referent_cycle, graph.other_cycle)
-        assert tuple(_laps(whole, m, ring) for ring in rings) == counts, m
+        assert tuple(reference_string_laps(whole, m, ring) for ring in rings) == counts, m
+        c, starts = start_rings(slope, m)
+        assert tuple(_laps(whole, m, c, ring) for ring in starts) == counts, m
         pos = graph.level
         assert counts[0] == slope.quotient(pos.n + 1) - pos.l
         for cycle, count in zip(("referent", "other"), counts):
@@ -309,10 +381,24 @@ def flipped(prefix, at):
 def test_a_flipped_prefix_letter_is_refused_or_changes_nothing(monkeypatch):
     # one wrong letter anywhere in the prefix either trips a check or leaves
     # the graph and turn counts as they are; never a wrong answer
-    rng = random.Random(2024)
     true_prefix = rauzy.characteristic_prefix
     tally = {"refused": 0, "unchanged": 0}
-    for slope in (GOLDEN, MIXED, THREES, parse_slope("[0;(7,2,30)*]")):
+
+    def refused_or_unchanged(calls, want, at, context):
+        monkeypatch.setattr(rauzy, "characteristic_prefix", flipped(true_prefix, at))
+        for (call, *args), expected in zip(calls, want):
+            try:
+                got = call(*args)
+            except AssertionError:
+                tally["refused"] += 1
+                continue
+            assert got == expected, (*context, at, call.__name__)
+            tally["unchanged"] += 1
+        monkeypatch.setattr(rauzy, "characteristic_prefix", true_prefix)
+
+    rng = random.Random(2024)
+    slopes = (GOLDEN, MIXED, THREES, parse_slope("[0;(7,2,30)*]"))
+    for slope in slopes:
         for _ in range(160):
             m = rng.randint(1, 80)
             calls = [
@@ -322,16 +408,15 @@ def test_a_flipped_prefix_letter_is_refused_or_changes_nothing(monkeypatch):
             ]
             want = [call(*args) for call, *args in calls]
             at = rng.randrange(language_length(slope, m))
-            monkeypatch.setattr(rauzy, "characteristic_prefix", flipped(true_prefix, at))
-            for (call, *args), expected in zip(calls, want):
-                try:
-                    got = call(*args)
-                except AssertionError:
-                    tally["refused"] += 1
-                    continue
-                assert got == expected, (slope, m, at, call.__name__)
-                tally["unchanged"] += 1
-            monkeypatch.setattr(rauzy, "characteristic_prefix", true_prefix)
+            refused_or_unchanged(calls, want, at, (slope, m))
+    # the turn counts read no vertex string, so no check that the vertices
+    # are distinct guards them: every flip at every short length
+    for slope in slopes:
+        for m in range(1, 31):
+            calls = [(count_turns, 0, m, slope), (count_turns, 1, m, slope, "other")]
+            want = [call(*args) for call, *args in calls]
+            for at in range(language_length(slope, m)):
+                refused_or_unchanged(calls, want, at, (slope, m))
     assert tally["refused"] > 0 and tally["unchanged"] > 0, tally
 
 
@@ -494,35 +579,46 @@ def outcome(count, *args):
 def test_laps_match_the_scanning_count(slope):
     for m in (1, 2, 3, 5, 9, 14):
         g = build_graph(slope, m)
+        c, starts = start_rings(slope, m)
         referent_bound = slope.quotient(g.level.n + 1) - g.level.l
-        for ring, bound in ((g.referent_cycle, referent_bound), (g.other_cycle, 1)):
+        for ring, at, bound in zip((g.referent_cycle, g.other_cycle), starts, (referent_bound, 1)):
             k = len(ring)
-            full = (bound + 2) * k + 3 * (m + 1)  # the length RauzyGraph.turns reads
+            full = (bound + 2) * k + 3 * (m + 1)  # the length count_turns reads
             for shift in range(8):
                 word = shifted_characteristic_prefix(slope, shift, full)
-                # at the full length both count, and agree
-                assert _laps(word, m, ring) == reference_laps(word, g, ring)
+                # at the full length all three count, and agree
+                assert reference_string_laps(word, m, ring) == reference_laps(word, g, ring)
+                assert _laps(word, m, c, at) == reference_laps(word, g, ring)
                 for cut in range(full):
-                    new = outcome(_laps, word[:cut], m, ring)
+                    strings = outcome(reference_string_laps, word[:cut], m, ring)
+                    new = outcome(_laps, word[:cut], m, c, at)
                     old = outcome(reference_laps, word[:cut], g, ring)
+                    assert new == strings, (slope.quotients, m, k, shift, cut)
                     if old != "short":
                         assert new == old, (slope.quotients, m, k, shift, cut)
                     if new == "short":
                         assert old == "short", (slope.quotients, m, k, shift, cut)
 
 
-def test_count_turns_memory_at_m_2000():
+def test_count_turns_memory_at_m_8000():
     tracemalloc.start()
     try:
-        turns = count_turns(0, 2000, GOLDEN)
+        turns = count_turns(0, 8000, GOLDEN)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert turns == 1
-    # the walk's 2001 window strings take 4.1 MB (count_turns builds no
-    # sorted vertex or edge tuples); counting laps by letters adds no window
-    # slices on top of them
-    assert peak < 6 * 2**20
+    # the 8001 vertices are window starts, not strings: those would take
+    # 62 MB, where the starts, the prefix and the word read take about 1 MB
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("m", [10**4, 3 * 10**4])
+def test_count_turns_reaches_past_the_vertex_string_budget(m):
+    # m(m + 1) vertex letters would pass MAX_STANDARD_LETTERS; the prefix
+    # the cycles are read from does not
+    assert m * (m + 1) > MAX_STANDARD_LETTERS >= language_length(GOLDEN, m)
+    assert count_turns(0, m, GOLDEN) == 1
 
 
 def test_turns_via_alpha_number_window():

@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
     UnsupportedInterceptError,
 )
-from .ostrowski import AlphaNumber, encode, validate
+from .ostrowski import AlphaNumber, _window, encode, validate
 from .slope import Slope
 from .words import characteristic_prefix, shifted_characteristic_prefix
 
@@ -98,7 +98,8 @@ def intercept_from_prefix(prefix: str, slope: Slope, depth: int) -> AlphaNumber:
     report = validate(tuple(digits), slope)
     if not report.ok:
         raise NotSturmianError(f"extracted digits violate {report.rule} at b_{report.index}")
-    return AlphaNumber(tuple(digits[:depth]), slope)
+    # a prefix of a valid window is valid
+    return _window(tuple(digits[:depth]), slope)
 
 
 def sturmian_prefix(rho: AlphaNumber, m: int) -> str:
@@ -147,7 +148,8 @@ def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
     need = k + _certifying_letters(slope, out_depth)
     value = rho.psi(slope.level(need)) + k
     digits = encode(value, slope, max(out_depth, slope.level(value))).digits
-    return AlphaNumber(digits[:out_depth], slope)
+    # a prefix of a valid window is valid
+    return _window(digits[:out_depth], slope)
 
 
 class ClassReport(namedtuple("ClassReport", "verdict witness evidence")):

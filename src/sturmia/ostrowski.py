@@ -30,12 +30,52 @@ _VALID = ValidationReport(True)
 
 def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int]:
     """The validation report of the digits and, when they are valid, their
-    value; one pass over (b_i, a_i, q_i).
+    value.
+
+    A first pass checks, at each index i, the digit rules as one comparison
+    0 <= b_i <= a_i - (b_{i-1} != 0), with b_0 counted as non-zero so that
+    b_1 <= a_1 - 1, and the partial-sum form (the sum through b_i stays
+    under q_i); when both hold at every index the last partial sum is the
+    value.  Any other window, and a finite slope read past its depth, goes
+    to `_report`, which finds the first violation and raises AssertionError
+    where the two verdicts disagree.
+    """
+    n = len(digits)
+    q, _, a = slope._ladder
+    # a is extended before q, so q_n present means a_n is too
+    if len(q) <= n + 1:
+        # grow no further than a finite slope goes: the rules decide first
+        depth = slope.known_depth
+        q, _, a = slope._grow(n if depth is None or n <= depth else depth)
+    if n < len(a):
+        partial = 0
+        cut = True  # b_0 counts as non-zero
+        i = 0
+        try:
+            for b in digits:
+                i += 1
+                if not 0 <= b <= a[i] - cut:
+                    break
+                if b:
+                    partial += b * q[i]  # q[i] is q_{i-1}
+                if partial >= q[i + 1]:
+                    break
+                cut = b != 0
+            else:
+                return _VALID, partial
+        except TypeError:
+            pass  # digits that do not compare with integers: the walk says how
+    return _report(digits, slope)
+
+
+def _report(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int]:
+    """The walk behind `_check` for windows its first pass does not accept;
+    one pass over (b_i, a_i, q_i).
 
     Alongside the digit rules it carries the partial sums of the equivalent
-    form (the sum through b_l stays under q_l) and insists the two verdicts
-    agree at every index up to the first violation; on valid digits the
-    last partial sum is the value.  Negative digits stop the sums.
+    form and insists the two verdicts agree at every index up to the first
+    violation; on valid digits the last partial sum is the value.  Negative
+    digits stop the sums.
     """
     depth = slope.known_depth
     n = len(digits)
@@ -147,15 +187,27 @@ def encode(n: int, slope: Slope, depth: int) -> AlphaNumber:
     q = slope._grow(depth)[0]  # q[i + 1] is q_i
     if n >= q[depth + 1]:
         raise RangeError(f"{n} >= q_{depth} = {q[depth + 1]}; increase depth")
-    out = [0] * depth
+    out = []  # b_depth, ..., b_1
     rest = n
-    for i in range(depth - 1, -1, -1):
-        out[i], rest = divmod(rest, q[i + 1])
+    for q_i in q[depth:0:-1]:  # q_{depth-1}, ..., q_0
+        if rest >= q_i:
+            b, rest = divmod(rest, q_i)
+        else:
+            b = 0  # the rest stays as it is
+        out.append(b)
     if rest != 0:
         raise AssertionError("greedy expansion left a remainder")
+    out.reverse()
+    return _window(tuple(out), slope)
+
+
+def _window(digits: tuple[int, ...], slope: Slope) -> AlphaNumber:
+    """The AlphaNumber of digits already known to be valid, such as a greedy
+    expansion or a prefix of a validated window, built without validating
+    them again."""
     window = object.__new__(AlphaNumber)
-    fields = window.__dict__  # the fields __init__ sets, without its validation
-    fields["digits"], fields["slope"] = tuple(out), slope
+    fields = window.__dict__  # the fields __init__ sets
+    fields["digits"], fields["slope"] = digits, slope
     return window
 
 
@@ -167,7 +219,7 @@ def decode(digits: AlphaNumber | tuple[int, ...], slope: Slope | None = None) ->
     if slope is None:
         raise ValueError("decode needs a slope for raw digit tuples")
     report, value = _check(tuple(digits), slope)
-    if not report.ok:
+    if report is not _VALID:
         raise InvalidDigitsError(report.message or "invalid digits")
     return value
 

@@ -29,7 +29,6 @@ from .slope import IntervalPosition, Slope, interval_locate
 from .words import (
     MAX_STANDARD_LETTERS,
     characteristic_prefix,
-    language_length,
     shifted_characteristic_prefix,
 )
 
@@ -92,17 +91,25 @@ def _cycles(
     string and no list of vertices.
     Raises RangeError, before the prefix is built, when the prefix or the
     caller's `vertex_letters` would hold more than MAX_STANDARD_LETTERS
-    letters.
+    letters, and then when the word of a finite slope [0; a_1, ..., a_D]
+    ends before the prefix does: it certifies q_D - 1 letters.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
     pos = interval_locate(m, slope)
     q_lo, q = slope.q(pos.n - 1), slope.q(pos.n)
-    length = language_length(slope, m)
+    # the letters that show every length-m factor, as `language_length` counts
+    length = m + slope.q(pos.n + 1) + q + 2
     letters = max(vertex_letters, length)
     if letters > MAX_STANDARD_LETTERS:
         raise RangeError(
             f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
+        )
+    depth = slope.known_depth
+    if depth is not None and length > slope.q(depth) - 1:
+        raise RangeError(
+            f"window length {m} needs {length} letters, but the word of {slope}"
+            f" certifies only {slope.q(depth) - 1}"
         )
     c = characteristic_prefix(slope, length)
     left = c[:m]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sturmia.intercept as intercept_module
-from sturmia.acceptance import NAMED_FIVE
+from sturmia.acceptance import NAMED_FIVE, SEED, _seeded_digits
 from sturmia.errors import (
     DepthError,
     InvalidDigitsError,
@@ -31,7 +31,7 @@ from sturmia.intercept import (
     sturmian_prefix,
     zero,
 )
-from sturmia.ostrowski import all_digit_strings, encode
+from sturmia.ostrowski import all_digit_strings, encode, validate
 from sturmia.slope import Slope, parse_slope
 from sturmia.words import characteristic_prefix, factor_set
 
@@ -273,6 +273,33 @@ def test_add_integer_digit_shortcut_on_tail_levels():
             assert start <= out.depth, "window too small to exercise the shortcut"
             for n in range(start, out.depth + 1):
                 assert out.psi(n) == rho.psi(n) + k
+
+
+def test_windows_of_valid_digits_equal_validated_ones():
+    # intercept_from_prefix and add_integer take a prefix of digits already
+    # validated and do not validate it again: on criterion 06's corpus and
+    # on seeded shifts of it, each window is the one AlphaNumber validates
+    def assert_validated(window, slope):
+        assert type(window) is AlphaNumber and type(window.digits) is tuple
+        assert window.slope is slope and validate(window.digits, slope).ok
+        assert window == AlphaNumber(window.digits, slope)
+
+    shifts = random.Random(SEED + 60)
+    checked = 0
+    for slope in NAMED_FIVE:
+        rng = random.Random(SEED + 6)
+        need = slope.q(11) + slope.q(10)
+        for _ in range(200):
+            digits = _seeded_digits(rng, slope, 10)
+            deep = AlphaNumber(digits + (0,) * 3, slope)
+            back = intercept_from_prefix(sturmian_prefix(deep, need), slope, 10)
+            assert back.digits == digits
+            assert_validated(back, slope)
+            top = max_certified_length(deep)
+            for k in (1, shifts.randint(2, 40), shifts.randint(1, top // 2)):
+                assert_validated(add_integer(deep, k), slope)
+                checked += 1
+    assert checked == 3000
 
 
 def reference_add_integer(rho: AlphaNumber, k: int) -> AlphaNumber | None:

@@ -1,5 +1,7 @@
 """Ostrowski encode/decode/validate against brute-force oracles."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from sturmia.errors import DepthError, InvalidDigitsError, RangeError
 from sturmia.ostrowski import (
     AlphaNumber,
     ValidationReport,
+    _check,
+    _report,
     decode,
     encode,
     validate,
@@ -277,6 +281,38 @@ def test_finite_slope_read_past_its_depth():
         assert validate(digits, finite).rule == "digit-range"
 
 
+BOX_SLOPES = [
+    GOLDEN,
+    parse_slope("[0;2,1,3,(2,1)*]"),
+    parse_slope("[0;3,1,2,4]"),
+    parse_slope("[0;1,2,3]"),
+]
+
+
+@pytest.mark.parametrize("slope", BOX_SLOPES, ids=str)
+def test_early_exit_pass_matches_the_reference_on_a_box(slope):
+    # every digit tuple of length 0..6 with b_i in -1..a_i + 1 (-1..2 past a
+    # finite slope's depth): the early-exit pass and the reporting walk
+    # agree, and validate and decode give the reference's outcome, exception
+    # type and message included
+    depth = slope.known_depth or 6
+    valid = 0
+    for length in range(7):
+        tops = [slope.quotient(i) if i <= depth else 1 for i in range(1, length + 1)]
+        boxes = [range(-1, top + 2) for top in tops]
+        for digits in product(*boxes):
+            assert outcome(_check, digits, slope) == outcome(_report, digits, slope), digits
+            verdict = outcome(validate, digits, slope)
+            assert verdict == outcome(reference_validate, digits, slope), digits
+            value = outcome(decode, digits, slope)
+            assert value == outcome(reference_decode, digits, slope), digits
+            if value[0] == "value":
+                assert encode(value[1], slope, length).digits == digits
+                valid += 1
+    # one valid window per integer below q_l at each length l
+    assert valid == sum(slope.q(l) for l in range(min(depth, 6) + 1))
+
+
 def test_partial_sum_self_check_is_live():
     slope = Slope((2, 1, 3), (1, 2))
     digits = (1, 0, 3, 0, 2)
@@ -287,3 +323,29 @@ def test_partial_sum_self_check_is_live():
         validate(digits, slope)
     with pytest.raises(AssertionError):
         decode(digits, slope)
+    # the rules pass and the sums fail: q_3 reads q_2 = 3, under b_3 q_2 = 9
+    slope = Slope((2, 1, 3), (1, 2))
+    digits = (0, 0, 3)
+    assert validate(digits, slope).ok
+    slope._ladder[0][4] = 3
+    for check in (validate, decode):
+        with pytest.raises(AssertionError):
+            check(digits, slope)
+    # the rules fail and the sums pass: a_3 reads 1, under b_3 = 2, while
+    # 2 q_2 = 6 stays under q_3 = 11
+    slope = Slope((2, 1, 3), (1, 2))
+    digits = (0, 0, 2)
+    assert validate(digits, slope).ok
+    slope._ladder[2][3] = 1
+    for check in (validate, decode):
+        with pytest.raises(AssertionError):
+            check(digits, slope)
+
+
+def test_encode_remainder_check_is_live():
+    slope = Slope((2, 1, 3), (1, 2))
+    assert encode(1, slope, 3).digits == (1, 0, 0)
+    # q_0 now reads 2, so the greedy expansion of 1 leaves it over
+    slope._ladder[0][1] = 2
+    with pytest.raises(AssertionError, match="greedy expansion left a remainder"):
+        encode(1, slope, 3)

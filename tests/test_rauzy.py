@@ -1,6 +1,7 @@
 """Tests for factor graphs: structure, cycles, common path, turning counts."""
 
 import random
+import sys
 import tracemalloc
 from math import gcd
 
@@ -121,6 +122,53 @@ def test_build_graph_letter_budget(monkeypatch):
         build_graph(huge, 5)
 
 
+def test_a_finite_slope_refuses_by_the_letters_of_its_word(monkeypatch):
+    def no_prefix(*args):
+        raise AssertionError("prefix built for a refused window length")
+
+    monkeypatch.setattr(rauzy, "characteristic_prefix", no_prefix)
+    # m + q_3 + q_2 + 2 = 59193 letters, and the word certifies q_3 - 1 = 52385
+    finite = parse_slope("[0;41,44,29]")
+    message = (
+        "window length 5000 needs 59193 letters, but the word of [0;41,44,29]"
+        " certifies only 52385"
+    )
+    for call in (build_graph, lambda slope, m: count_turns(0, m, slope)):
+        with pytest.raises(RangeError) as refusal:
+            call(finite, 5000)
+        assert str(refusal.value) == message
+    # [0;3,2,2] certifies 16 letters: m = 4 reads all of them, m = 5 one more
+    slope = FINITE[0]
+    for m in range(5, 16):
+        length = language_length(slope, m)
+        assert length > 16
+        refusal = f"^window length {m} needs {length} letters, .* only 16$"
+        for call in (build_graph, lambda slope, m: count_turns(0, m, slope)):
+            with pytest.raises(RangeError, match=refusal):
+                call(slope, m)
+
+
+def test_one_interval_locate_per_reading_of_the_cycles(monkeypatch):
+    calls = []
+
+    def counted(m, slope):
+        calls.append(m)
+        return interval_locate(m, slope)
+
+    # every module of the package that binds it, so calls through a helper count
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sturmia") and getattr(module, "interval_locate", 0) is interval_locate:
+            monkeypatch.setattr(module, "interval_locate", counted)
+    for slope in (*SLOPES, FINITE[0]):
+        for m in (1, 2, 4, 30):
+            if slope.known_depth is not None and m > 4:
+                continue
+            for call in (build_graph, lambda slope, m: count_turns(0, m, slope)):
+                calls.clear()
+                call(slope, m)
+                assert calls == [m], (slope, m, call)
+
+
 # --------------------------------------------------------------------- oracle
 
 
@@ -144,6 +192,12 @@ def reference_cycles(slope, m):
     if letters > MAX_STANDARD_LETTERS:
         raise RangeError(
             f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
+        )
+    depth = slope.known_depth
+    if depth is not None and length > slope.q(depth) - 1:
+        raise RangeError(
+            f"window length {m} needs {length} letters, but the word of {slope}"
+            f" certifies only {slope.q(depth) - 1}"
         )
     windows, step = window_walk(characteristic_prefix(slope, length), m)
     if len(windows) != m + 1:

@@ -32,7 +32,7 @@ def zero(slope: Slope, depth: int) -> AlphaNumber:
 
 def _sigma_digits(slope: Slope, depth: int, parity: int) -> tuple[int, ...]:
     """Digits of sigma0 (parity 0) or sigma1 (parity 1) at this depth, unvalidated."""
-    a = slope._grow(depth)[2]  # a[i] is a_i
+    a = slope._grow(depth)[1]  # a[i] is a_i
     digits = [0] * depth
     digits[1 + parity :: 2] = a[2 + parity : depth + 1 : 2]
     if parity and depth > 0:

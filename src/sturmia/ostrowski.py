@@ -41,12 +41,10 @@ def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int
     where the two verdicts disagree.
     """
     n = len(digits)
-    q, _, a = slope._ladder
-    # a is extended before q, so q_n present means a_n is too
+    q, a = slope._ladder  # grown in place, a before q: q_n present means a_n is too
     if len(q) <= n + 1:
         # grow no further than a finite slope goes: the rules decide first
-        depth = slope.known_depth
-        q, _, a = slope._grow(n if depth is None or n <= depth else depth)
+        slope._grow(n if slope.known_depth is None else min(n, slope.known_depth))
     if n < len(a):
         partial = 0
         cut = True  # b_0 counts as non-zero
@@ -75,16 +73,14 @@ def _report(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, in
     Alongside the digit rules it carries the partial sums of the equivalent
     form and insists the two verdicts agree at every index up to the first
     violation; on valid digits the last partial sum is the value.  Negative
-    digits stop the sums.
+    digits stop the sums.  `_check` has grown the rows it reads.
     """
-    depth = slope.known_depth
     n = len(digits)
-    # grow no further than a finite slope goes: the rules decide first
-    q, _, a = slope._grow(n if depth is None or n <= depth else depth)
+    q, a = slope._ladder
     report = _VALID
     partial = 0
     prev = 0
-    for i, b in enumerate(digits if n < len(a) else digits[: len(a) - 1], start=1):
+    for i, b in enumerate(digits[: len(a) - 1], start=1):
         a_i = a[i]
         if b < 0 or b > a_i or (i == 1 and b == a_i):
             report = ValidationReport(False, "digit-range", i, f"b_{i}={b} out of range")

@@ -169,7 +169,7 @@ def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[RepetitionRow, ...]]
         raise DepthError(
             f"closed form at level {n} needs digits through {n + 2}, window has {depth}"
         )
-    q_row, _, a_row = rho.slope._grow(depth)  # q_row[i + 1] is q_i, a_row[i] is a_i
+    q_row, a_row = rho.slope._grow(depth)  # q_row[i + 1] is q_i, a_row[i] is a_i
     digits, residues = rho.digits, rho.residues  # digits[i - 1] is b_i
     q_lo, q = q_row[n], q_row[n + 1]
     b_below, b_cur = digits[n - 1] if n else 0, digits[n]
@@ -363,7 +363,7 @@ def dio_estimate(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
     if d > rho.depth:
         raise DepthError(f"window has {rho.depth} digits, cannot inspect {d}")
     start = _tail_start(d)
-    q_row, _, a_row = rho.slope._grow(d)  # q_row[i + 1] is q_i, a_row[i] is a_i
+    q_row, a_row = rho.slope._grow(d)  # q_row[i + 1] is q_i, a_row[i] is a_i
     digits, residues = rho.digits, rho.residues  # digits[i - 1] is b_i
 
     hypothesis = all(0 < digits[i - 1] < a_row[i] - 1 for i in range(start, d + 1))

@@ -23,13 +23,13 @@ from .errors import DepthError, RangeError
 # while importing `threading` costs about a millisecond of every CLI call.
 _GROW_LOCK = _thread.allocate_lock()
 
-# The most bits a slope's continuant rows may hold, counted as
-# 2 (n + 2) bits(q_n) for rows through q_n: golden-slope ladders stop near
+# The most bits a slope's continuant row may hold, counted as
+# (n + 2) bits(q_n) for the row through q_n: golden-slope ladders stop near
 # level 6950, and the deepest ones the benchmark builds (level 800,
 # quotients up to 3) use about 2% of it.  Without a cap a ladder's size is
 # quadratic in a depth that comes from user input, and grows with
 # quotients that come from it too.
-MAX_LADDER_BITS = 2**26
+MAX_LADDER_BITS = 2**25
 
 
 class Slope:
@@ -39,8 +39,8 @@ class Slope:
     is (start, length), the block quotients[start:start+length] repeats
     forever past depth D; the block must end the stored list.
 
-    Each slope owns one continuant ladder, the rows q_n and p_n of
-    x_{n+1} = a_{n+1} x_n + x_{n-1} and the row of quotients a_n they were
+    Each slope owns one continuant ladder, the row q_n of
+    q_{n+1} = a_{n+1} q_n + q_{n-1} and the row of quotients a_n it was
     built from, and beside it one prefix of its characteristic word, kept
     and grown by `words`.  Both grow on demand and take no part in
     equality, hashing, repr or pickling.  Slopes are immutable values.
@@ -69,7 +69,7 @@ class Slope:
                 raise ValueError("period must describe the tail of the stored quotients")
         object.__setattr__(self, "quotients", quotients)
         object.__setattr__(self, "period", period)
-        object.__setattr__(self, "_ladder", ([0, 1], [1, 0], [0]))
+        object.__setattr__(self, "_ladder", ([0, 1], [0]))
         object.__setattr__(self, "_word", [""])
 
     def __setattr__(self, name: str, value) -> None:
@@ -126,24 +126,24 @@ class Slope:
         first = i - 1 if i <= depth else start + (i - 1 - start) % length
         return chain(range(first, depth), cycle(range(start, depth)))
 
-    def _grow(self, n: int) -> tuple[list[int], list[int], list[int]]:
-        """The rows (q, p, a), extended through level n; DepthError past a
-        finite depth, RangeError before the rows would hold more than
-        MAX_LADDER_BITS bits.  q[i + 1] is q_i, p[i + 1] is p_i and a[i] is
-        a_i (a[0] is a placeholder)."""
-        q, p, quotients = self._ladder
-        # p is appended last, so its length bounds every row
-        if len(p) <= n + 1:
+    def _grow(self, n: int) -> tuple[list[int], list[int]]:
+        """The rows (q, a), extended through level n; DepthError past a
+        finite depth, RangeError before the q row would hold more than
+        MAX_LADDER_BITS bits.  q[i + 1] is q_i and a[i] is a_i (a[0] = 0 is
+        the integer part a_0)."""
+        q, quotients = self._ladder
+        # q is appended last, so its length bounds both rows
+        if len(q) <= n + 1:
             # a finite slope stops at its depth, with DepthError, first
             top = n if self.known_depth is None else min(n, self.known_depth)
-            # the rows through q_top hold at most 2 (top + 2) bits(q_top)
+            # the row through q_top holds at most (top + 2) bits(q_top)
             # bits, and no rung has more bits than q_top
-            rung_bits = MAX_LADDER_BITS // (2 * (top + 2))
+            rung_bits = MAX_LADDER_BITS // (top + 2)
             stored = self.quotients
             with _GROW_LOCK:
                 # the next level, read under the lock: another thread may
                 # have grown the rows since the check above
-                level = len(p) - 1
+                level = len(q) - 1
                 for _, i in zip(range(level, top + 1), self._run(level)):
                     a = stored[i]
                     q_next = a * q[-1] + q[-2]
@@ -154,11 +154,10 @@ class Slope:
                         )
                     quotients.append(a)
                     q.append(q_next)
-                    p.append(a * p[-1] + p[-2])
             if top < n:
                 # the run stopped after a_D, and a_{D+1} is refused
                 self.quotient(top + 1)
-        return q, p, quotients
+        return q, quotients
 
     def q(self, n: int) -> int:
         """The continuant q_n for n >= -1, from q_-1 = 0 and q_0 = 1."""
@@ -169,10 +168,12 @@ class Slope:
         return q[n + 1] if n + 1 < len(q) else self._grow(n)[0][n + 1]
 
     def p(self, n: int) -> int:
-        """The numerator p_n for n >= -1, from p_-1 = 1 and p_0 = 0."""
-        if n < -1:
-            raise DepthError(f"continuants are indexed from -1, got {n}")
-        return self._grow(n)[1][n + 1]
+        """The numerator p_n for n >= -1, walked in O(n) over a_1 .. a_n."""
+        self.q(n)  # the ladder's refusals, and its rows grown through level n
+        p_prev, p = 0, 1  # p_-2 and p_-1, so the step by a[0] = 0 gives p_0 = 0
+        for a in self._ladder[1][: n + 1]:
+            p_prev, p = p, a * p + p_prev
+        return p
 
     def level(self, m: int) -> int:
         """The smallest d >= 0 with q_d > m."""
@@ -253,13 +254,9 @@ def interval_locate(m: int, slope: Slope) -> IntervalPosition:
     except DepthError as exc:
         raise DepthError(f"m={m} exceeds the representable range of the slope") from exc
     q_nm1, q_n = slope.q(n - 1), slope.q(n)
-    if m <= q_n + q_nm1 - 2:
-        l = 0
-    else:
-        l = (m + 1 - q_nm1) // q_n
+    l = 0 if m <= q_n + q_nm1 - 2 else (m + 1 - q_nm1) // q_n
     r = (l + 1) * q_n + q_nm1 - 2 - m
     width = q_nm1 if l == 0 else q_n
-    a_next = slope.quotient(n + 1)
-    if not (0 <= r < width and 0 <= l <= a_next - 1):
-        raise RangeError(f"internal: bad interval location for m={m}: {(n, l, r)}")
+    if not (0 <= r < width and 0 <= l <= slope.quotient(n + 1) - 1):
+        raise AssertionError(f"bad interval location for m={m}: {(n, l, r)}")
     return IntervalPosition(n, l, r)

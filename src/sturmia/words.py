@@ -77,13 +77,19 @@ def _grown(slope: Slope, m: int) -> str:
 def _prefix_word(slope: Slope, m: int) -> str:
     """The slope's word grown to at least m letters, with the refusals of a
     prefix of length m: RangeError when m is negative or over
-    MAX_STANDARD_LETTERS, and DepthError when a finite slope's ladder does
-    not reach a continuant above m."""
+    MAX_STANDARD_LETTERS, and DepthError when m passes the q_D - 1 letters
+    the word of a finite slope [0; a_1, ..., a_D] certifies."""
     if m < 0:
         raise RangeError("prefix length must be >= 0")
     if m > MAX_STANDARD_LETTERS:
         raise RangeError(f"prefix of length {m} has more than {MAX_STANDARD_LETTERS} letters")
-    slope.level(m)
+    try:
+        slope.level(m)
+    except DepthError:  # only a finite slope's ladder ends, grown through q_D
+        raise DepthError(
+            f"prefix of length {m} passes the {slope.q(slope.known_depth) - 1} letters"
+            f" the word of {slope} certifies"
+        ) from None
     return _grown(slope, m)
 
 

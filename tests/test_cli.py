@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from sturmia import cli
 from sturmia.cli import JSON_SCHEMA, dispatch, parse_intercept
 from sturmia.repetition import repetition_characteristic
-from sturmia.slope import parse_slope
+from sturmia.slope import Slope, interval_locate, parse_slope
 from sturmia.words import standard_word
 
 GOLDEN = parse_slope("[0;1*]")
@@ -675,6 +675,7 @@ USAGE_ERRORS = [
     (['rauzy', '--slope', '[0;1*]', '--m', '10000', '--format', 'dot'], 'error: window length 10000 needs 100010000 letters, more than 100000000\n'),
     (['rauzy', '--slope', '[0;3,2,2]', '--m', '30'], 'error: m=30 exceeds the representable range of the slope\n'),
     (['rauzy', '--slope', '[0;41,44,29]', '--m', '5000'], 'error: window length 5000 needs 59193 letters, but the word of [0;41,44,29] certifies only 52385\n'),
+    (['word', 'prefix', '--slope', '[0;3,2,2]', '--len', '20'], 'error: prefix of length 20 passes the 16 letters the word of [0;3,2,2] certifies\n'),
     (['repetition', '--slope', '[0;1*]', '--m-max', '0'], 'error: --m-max must be >= 1, got 0\n'),
     (['repetition', '--slope', '[0;1000*]', '--intercept', 'zero', '--depth', '4', '--no-check', '--m-max', '100000'], 'error: --m-max must be at most 10000, got 100000\n'),
     (['factorize', '--word', '0201'], "error: --word expects a binary word, got '0201'\n"),
@@ -684,14 +685,14 @@ USAGE_ERRORS = [
     (['torsion', '--slope', '[0;1*]', '-N', '0', '--n', '4'], 'error: modulus must be >= 2, got 0\n'),
     (['torsion', '--slope', '[0;1*]', '-N', '1', '--n', '4'], 'error: modulus must be >= 2, got 1\n'),
     (['torsion', '--slope', '[0;1*]', '-N', '6250'], 'error: the state cycle mod 6250 does not close within 32768 levels; give n\n'),
-    (['torsion', '--slope', '[0;1*]', '-N', '3', '--n', '100000000'], 'error: rank n + k_max = 100000040 is out of reach: continuants through q_100000042 would hold more than 67108864 bits\n'),
-    (['torsion', '--slope', '[0;1*]', '-N', '3', '--n', '30000'], 'error: rank n + k_max = 30040 is out of reach: continuants through q_30042 would hold more than 67108864 bits\n'),
-    (['ostrowski', '--slope', '[0;1*]', '--encode', '5', '--depth', '100000'], 'error: continuants through q_100000 would hold more than 67108864 bits\n'),
+    (['torsion', '--slope', '[0;1*]', '-N', '3', '--n', '100000000'], 'error: rank n + k_max = 100000040 is out of reach: continuants through q_100000042 would hold more than 33554432 bits\n'),
+    (['torsion', '--slope', '[0;1*]', '-N', '3', '--n', '30000'], 'error: rank n + k_max = 30040 is out of reach: continuants through q_30042 would hold more than 33554432 bits\n'),
+    (['ostrowski', '--slope', '[0;1*]', '--encode', '5', '--depth', '100000'], 'error: continuants through q_100000 would hold more than 33554432 bits\n'),
     (['verify', '--only', '99'], 'error: criteria are numbered 1..14, got 99\n'),
     (['verify', '--depth', '-1', '--only', '8', '--format', 'json'], 'error: --depth must be at least 2, got -1\n'),
     (['intercept', '--slope', '[0;1*]', '--intercept', 'zero', '--depth', '1'], 'error: --depth must be at least 2, got 1\n'),
-    (['intercept', '--slope', '[0;1*]', '--intercept', 'zero', '--depth', '1000000000000'], 'error: continuants through q_1000000000000 would hold more than 67108864 bits\n'),
-    (['repetition', '--slope', '[0;1*]', '--depth', '1000000000000'], 'error: continuants through q_1000000000000 would hold more than 67108864 bits\n'),
+    (['intercept', '--slope', '[0;1*]', '--intercept', 'zero', '--depth', '1000000000000'], 'error: continuants through q_1000000000000 would hold more than 33554432 bits\n'),
+    (['repetition', '--slope', '[0;1*]', '--depth', '1000000000000'], 'error: continuants through q_1000000000000 would hold more than 33554432 bits\n'),
     (['factorize', '--word', '0001', '--slope', 'bogus', '--format', 'json'], "error: not a slope literal: 'bogus'\n"),
 ]
 
@@ -723,7 +724,7 @@ def test_usage_error_lines(monkeypatch, capsys, argv, err):
     [
         ("1", "error: STURMIA_DEPTH must be at least 2, got 1\n"),
         ("x", "error: STURMIA_DEPTH must be an integer, got 'x'\n"),
-        ("100000", "error: continuants through q_100000 would hold more than 67108864 bits\n"),
+        ("100000", "error: continuants through q_100000 would hold more than 33554432 bits\n"),
     ],
 )
 def test_depth_env_var_is_validated(monkeypatch, capsys, value, err):
@@ -1101,6 +1102,21 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, exc):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"internal error: {exc!r}\n"
+
+
+def test_interval_contract_check_is_an_internal_error(monkeypatch, capsys):
+    # on [0;3*], m = 7 sits at level 1 with l = 2 = a_2 - 1, and m = 4 with l = 1
+    slope = parse_slope("[0;3*]")
+    assert interval_locate(7, slope) == (1, 2, 1)
+    quotient = Slope.quotient
+    monkeypatch.setattr(Slope, "quotient", lambda self, i: quotient(self, i) - 1)
+    assert interval_locate(4, slope) == (1, 1, 1)
+    with pytest.raises(AssertionError, match=r"^bad interval location for m=7: \(1, 2, 1\)$"):
+        interval_locate(7, slope)
+    assert dispatch(["rauzy", "--slope", "[0;3*]", "--m", "7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: AssertionError('bad interval location for m=7: (1, 2, 1)')\n"
 
 
 def test_system_exit_passes_through_dispatch(monkeypatch, capsys):

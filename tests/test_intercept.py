@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -379,7 +380,14 @@ def test_add_integer_on_finite_slopes_matches_the_letter_shift():
                         try:
                             got = add_integer(rho, k)
                         except DepthError as exc:
-                            assert str(exc) == str(expected)
+                            # the letter shift names the letters its prefix
+                            # passes, the closed form the quotient past a_D
+                            assert re.fullmatch(
+                                rf"prefix of length \d+ passes the {slope.q(top) - 1} letters"
+                                rf" the word of {re.escape(str(slope))} certifies",
+                                str(expected),
+                            ), expected
+                            assert str(exc) == f"a_{top + 1} requested but only {top} quotients are known"
                             refused += 1
                             continue
                         wider = reference_add_integer(AlphaNumber(rho.digits, extension), k)

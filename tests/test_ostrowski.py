@@ -336,7 +336,7 @@ def test_partial_sum_self_check_is_live():
     slope = Slope((2, 1, 3), (1, 2))
     digits = (0, 0, 2)
     assert validate(digits, slope).ok
-    slope._ladder[2][3] = 1
+    slope._ladder[1][3] = 1
     for check in (validate, decode):
         with pytest.raises(AssertionError):
             check(digits, slope)

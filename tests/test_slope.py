@@ -188,6 +188,16 @@ def test_level_grows_the_ladder_only_to_the_level(text):
         assert len(slope._ladder[0]) == d + 2
 
 
+@pytest.mark.parametrize("text", ["[0;1*]", "[0;3,1,2,(1,4)*]", "[0;7,2,9]"])
+def test_p_grows_the_ladder_only_to_its_level(text):
+    depth = parse_slope(text).known_depth or 40
+    p = reference_rows(parse_slope(text), depth)[1]
+    for n in range(-1, depth + 1):
+        slope = parse_slope(text)
+        assert slope.p(n) == p[n + 1]
+        assert len(slope._ladder[0]) == max(n, 0) + 2
+
+
 def test_finite_slope_raises_one_past_its_depth():
     finite = Slope((2, 1, 3))
     assert finite.q(3) == 11
@@ -216,7 +226,7 @@ def test_ladder_refuses_rows_past_the_bit_budget():
         golden.q(6951)
     assert len(golden._ladder[0]) == 6952
     # a quotient is input too: one rung past the budget is refused alone
-    wide = Slope((2 ** (MAX_LADDER_BITS // 4),), (0, 1))
+    wide = Slope((2 ** (MAX_LADDER_BITS // 2),), (0, 1))
     with pytest.raises(RangeError, match="through q_1 "):
         wide.q(1)
     with pytest.raises(RangeError):
@@ -278,7 +288,7 @@ def test_interval_partition_tiles_deep_levels(slope, n):
 
 def quotient_row(slope, n):
     """The ladder's quotient row through level n, as a[1..n]."""
-    return slope._grow(n)[2][1 : n + 1]
+    return slope._grow(n)[1][1 : n + 1]
 
 
 @pytest.mark.parametrize(
@@ -290,7 +300,7 @@ def test_quotient_row_matches_quotient(text):
     # grown in steps, as the readers of the ladder grow it
     for n in (0, 1, depth // 2, depth):
         assert quotient_row(slope, n) == [slope.quotient(i) for i in range(1, n + 1)]
-    assert len(slope._ladder[2]) == len(slope._ladder[0]) - 1 == len(slope._ladder[1]) - 1
+    assert len(slope._ladder[1]) == len(slope._ladder[0]) - 1
 
 
 def test_quotient_row_grows_consistently_under_threads():
@@ -300,7 +310,7 @@ def test_quotient_row_grows_consistently_under_threads():
     expected = [reference.quotient(i) for i in range(1, 401)]
     for slope in shared:
         assert quotient_row(slope, 400) == expected
-        assert len(slope._ladder[2]) == len(slope._ladder[0]) - 1
+        assert len(slope._ladder[1]) == len(slope._ladder[0]) - 1
 
 
 def reference_rows(slope, n):
@@ -329,7 +339,7 @@ def test_ladder_rows_match_one_quotient_per_level(text, order):
     slope = parse_slope(text)
     for n in levels:
         assert slope.q(n) == q[n + 1] and slope.p(n) == p[n + 1]
-    assert slope._ladder == (q, p, [0, *a])
+    assert slope._ladder == (q, [0, *a])
     samples = sorted({0, *(q[d + 1] + step for d in range(depth) for step in (-1, 0))})
     assert [slope.level(m) for m in samples] == [
         next(d for d in range(depth + 1) if q[d + 1] > m) for m in samples
@@ -344,14 +354,14 @@ def test_ladder_refusals_past_the_run():
     with pytest.raises(DepthError, match=r"^a_5 requested but only 4 quotients are known$"):
         finite.q(10**30)
     # the rows through a_D were grown before the refusal
-    assert finite._ladder == reference_rows(finite, 4)[:2] + ([0, 1, 1, 5, 1],)
+    assert finite._ladder == (reference_rows(finite, 4)[0], [0, 1, 1, 5, 1])
     for text in ("[0;1*]", "[0;2,3,(1,2)*]"):
         slope = parse_slope(text)
         with pytest.raises(RangeError, match=f"^continuants through q_{10**30} would hold more"):
             slope.q(10**30)
         with pytest.raises(RangeError, match=f"^continuants through q_{10**30 + 1} would hold more"):
             slope.p(10**30 + 1)
-        assert slope._ladder == ([0, 1], [1, 0], [0])
+        assert slope._ladder == ([0, 1], [0])
 
 
 # ---------------------------------------------------------------- value semantics

@@ -97,6 +97,20 @@ def test_characteristic_prefix_letter_budget():
     assert len(wide._ladder[0]) == 2
 
 
+def test_finite_prefix_refusal_names_the_letters():
+    # the word of [0;3,2,2] is s_3, and it certifies its first q_3 - 1 = 16 letters
+    finite = Slope((3, 2, 2))
+    assert characteristic_prefix(finite, 16) == standard_word(finite, 3)[:16]
+    message = r"^prefix of length 17 passes the 16 letters the word of \[0;3,2,2\] certifies$"
+    with pytest.raises(DepthError, match=message):
+        characteristic_prefix(finite, 17)
+    with pytest.raises(DepthError, match=message):
+        words.shifted_characteristic_prefix(finite, 5, 12)
+    # a window certifies 16 letters, and a shifted prefix still reads past them
+    with pytest.raises(DepthError, match=message):
+        sturmian_prefix(encode(1, finite, 3), 16)
+
+
 def test_standard_word_letter_cap():
     assert MAX_STANDARD_LETTERS == 10**8
     top = Slope((1,), (0, 1)).level(MAX_STANDARD_LETTERS)  # 39: F_40 > 10**8

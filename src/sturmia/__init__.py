@@ -23,6 +23,7 @@ from .ostrowski import all_digit_strings, decode, encode, validate
 from .rauzy import RauzyGraph, build_graph, count_turns
 from .repetition import (
     dio_estimate,
+    dio_terms,
     repetition_characteristic,
     repetition_closed_form,
     repetition_closed_forms,
@@ -68,6 +69,7 @@ __all__ = [
     "count_turns",
     "decode",
     "dio_estimate",
+    "dio_terms",
     "duality_check",
     "encode",
     "equivalent",

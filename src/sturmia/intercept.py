@@ -147,7 +147,14 @@ def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
         raise DepthError(f"shift {k} leaves no certifiable level in a depth-{rho.depth} window")
     need = k + _certifying_letters(slope, out_depth)
     value = rho.psi(slope.level(need)) + k
-    digits = encode(value, slope, max(out_depth, slope.level(value))).digits
+    try:
+        top = slope.level(value)
+    except DepthError:  # only a finite slope's ladder ends, grown through q_D
+        raise DepthError(
+            f"shift {k} needs {value} letters, but the word of {slope}"
+            f" certifies only {slope.q(slope.known_depth) - 1}"
+        ) from None
+    digits = encode(value, slope, max(out_depth, top)).digits
     # a prefix of a valid window is valid
     return _window(digits[:out_depth], slope)
 

@@ -153,8 +153,9 @@ class RepetitionRow(namedtuple("RepetitionRow", "m_lo m_hi value case")):
     __slots__ = ()
 
 
-def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[RepetitionRow, ...]]:
-    """The rows of repetition_rows at levels n, n + 1, ..., one level a step.
+def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[tuple[int, int, int, str], ...]]:
+    """The rows of repetition_rows at levels n, n + 1, ..., one level a step,
+    each a plain (m_lo, m_hi, value, case) tuple.
 
     Reads the ladder rows and the window's digits and residues once and
     carries (q_{n-1}, q_n, q_{n+1}), (b_n, b_{n+1}, b_{n+2}), (a_{n+1},
@@ -233,11 +234,11 @@ def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[RepetitionRow, ...]]
             if m_hi > hi:
                 m_hi = hi
             if m_lo <= m_hi:
-                rows.append(RepetitionRow(m_lo, m_hi, value, case))
-        if not (rows and rows[0].m_lo == lo and rows[-1].m_hi == hi):
+                rows.append((m_lo, m_hi, value, case))
+        if not (rows and rows[0][0] == lo and rows[-1][1] == hi):
             raise AssertionError(f"rows do not span [{lo}, {hi}]")
         for left, right in zip(rows, rows[1:]):
-            if right.m_lo != left.m_hi + 1:
+            if right[0] != left[1] + 1:
                 raise AssertionError("rows leave a gap or overlap")
         yield tuple(rows)
 
@@ -255,7 +256,7 @@ def repetition_rows(rho: AlphaNumber, n: int) -> tuple[RepetitionRow, ...]:
     Dispatches on (b_{n+1}, b_{n+2}, b_n, a_{n+1}); every row carries its
     case tag.  Rows always tile the interval exactly.
     """
-    return next(_level_rows(rho, n))
+    return tuple(map(RepetitionRow._make, next(_level_rows(rho, n))))
 
 
 def repetition_closed_form(rho: AlphaNumber, m: int) -> tuple[int, str]:
@@ -265,9 +266,9 @@ def repetition_closed_form(rho: AlphaNumber, m: int) -> tuple[int, str]:
     in [q_n - 1, q_{n+1} - 2].
     """
     pos = interval_locate(m, rho.slope)
-    for row in repetition_rows(rho, pos.n):
-        if row.m_lo <= m <= row.m_hi:
-            return row.value, row.case
+    for m_lo, m_hi, value, case in next(_level_rows(rho, pos.n)):
+        if m_lo <= m <= m_hi:
+            return value, case
     raise CaseDispatchError(f"m={m} escaped every row at level {pos.n}")
 
 
@@ -284,8 +285,8 @@ def repetition_closed_forms(rho: AlphaNumber, m_hi: int) -> list[tuple[int, str]
     levels = _level_rows(rho, interval_locate(1, rho.slope).n)
     while len(out) < m_hi:
         m = len(out) + 1
-        for row in next(levels):
-            out += [(row.value, row.case)] * (min(row.m_hi, m_hi) - max(row.m_lo, m) + 1)
+        for lo, hi, value, case in next(levels):
+            out += [(value, case)] * (min(hi, m_hi) - max(lo, m) + 1)
     return out
 
 
@@ -338,7 +339,7 @@ class DioTerm(namedtuple("DioTerm", "level family ratio")):
     __slots__ = ()
 
 
-class DioEstimate(namedtuple("DioEstimate", "value mode witness terms")):
+class DioEstimate(namedtuple("DioEstimate", "value mode witness")):
     __slots__ = ()
 
 
@@ -348,15 +349,9 @@ def _tail_start(depth: int) -> int:
     return max(1, depth // 2)
 
 
-def dio_estimate(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
-    """Window estimate of the diophantine exponent of the shifted word.
-
-    When the digits satisfy 0 < b_i < a_i - 1 on the inspected tail, uses the
-    four ratio families in the exponent formula; otherwise the generic bound
-    1 + max m / r(x, m), with the maximum taken at closed-form segment ends.
-    Either way this estimates a limsup from a finite window: it is reported
-    as an estimate, never as the limit.
-    """
+def _dio_ratios(rho: AlphaNumber, depth: int | None) -> tuple[str, list[tuple[int, int, int, int]]]:
+    """The mode and the (level, family, numerator, denominator) of every
+    ratio feeding the exponent estimate, in the order of dio_terms."""
     d = rho.depth if depth is None else depth
     if d < 5:
         raise DepthError(f"need at least 5 digit levels, got {d}")
@@ -366,10 +361,8 @@ def dio_estimate(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
     q_row, a_row = rho.slope._grow(d)  # q_row[i + 1] is q_i, a_row[i] is a_i
     digits, residues = rho.digits, rho.residues  # digits[i - 1] is b_i
 
-    hypothesis = all(0 < digits[i - 1] < a_row[i] - 1 for i in range(start, d + 1))
-    # (level, family, numerator, denominator) of each ratio
     ratios: list[tuple[int, int, int, int]] = []
-    if hypothesis:
+    if all(0 < digits[i - 1] < a_row[i] - 1 for i in range(start, d + 1)):
         for n in range(start, d):
             q, q_hi = q_row[n + 1], q_row[n + 2]
             b = digits[n]
@@ -380,19 +373,39 @@ def dio_estimate(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
                 (n, 2, q_hi - rho_n1 + q, q_hi - b * q),
                 (n, 3, q_hi, q_hi - rho_n1 + q),
             ]
-        mode = "four-family"
-    else:
-        # levels 1 .. d - 2; the range ends the walk before its DepthError
-        for n, rows in zip(range(1, d - 1), _level_rows(rho, 1)):
-            ratios += [(n, -1, row.m_hi, row.value) for row in rows]
-        mode = "generic"
+        return "four-family", ratios
+    # levels 1 .. d - 2; the range ends the walk before its DepthError
+    for n, rows in zip(range(1, d - 1), _level_rows(rho, 1)):
+        ratios += [(n, -1, m_hi, value) for _, m_hi, value, _ in rows]
+    return "generic", ratios
 
+
+def dio_terms(rho: AlphaNumber, depth: int | None = None) -> tuple[DioTerm, ...]:
+    """Every ratio dio_estimate takes its maximum over, as exact Fractions:
+    the four families per tail level, or one generic term per closed-form
+    row at levels 1 .. depth - 2."""
+    return tuple(
+        DioTerm(n, family, Fraction(num, den)) for n, family, num, den in _dio_ratios(rho, depth)[1]
+    )
+
+
+def dio_estimate(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
+    """Window estimate of the diophantine exponent of the shifted word.
+
+    When the digits satisfy 0 < b_i < a_i - 1 on the inspected tail, uses the
+    four ratio families in the exponent formula; otherwise the generic bound
+    1 + max m / r(x, m), with the maximum taken at closed-form segment ends.
+    Either way this estimates a limsup from a finite window: it is reported
+    as an estimate, never as the limit.  The witness is the first maximal
+    term of dio_terms, and the only one built as a Fraction.
+    """
+    mode, ratios = _dio_ratios(rho, depth)
     # the first maximal ratio: every denominator is positive, so comparing
     # cross products orders the ratios as comparing Fractions would
-    top, top_num, top_den = 0, ratios[0][2], ratios[0][3]
-    for i, (_, _, num, den) in enumerate(ratios):
-        if num * top_den > top_num * den:
-            top, top_num, top_den = i, num, den
-    terms = tuple(DioTerm(n, family, Fraction(num, den)) for n, family, num, den in ratios)
-    witness = terms[top]
-    return DioEstimate(1 + witness.ratio, mode, witness, terms)
+    top = ratios[0]
+    for ratio in ratios:
+        if ratio[2] * top[3] > top[2] * ratio[3]:
+            top = ratio
+    n, family, num, den = top
+    witness = DioTerm(n, family, Fraction(num, den))
+    return DioEstimate(1 + witness.ratio, mode, witness)

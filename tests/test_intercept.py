@@ -357,6 +357,10 @@ def test_add_integer_on_finite_slopes_matches_the_letter_shift():
     # letters left after the shift are read at rho_3 + 1 = 2
     rho = encode(12, finite[0], 4)
     assert add_integer(rho, 1) == reference_add_integer(rho, 1) == AlphaNumber((0,), finite[0])
+    # rho_3 + 7 = 13 is past q_4 - 1 = 12, the letters the word certifies
+    with pytest.raises(DepthError) as refusal:
+        add_integer(encode(6, finite[0], 3), 7)
+    assert str(refusal.value) == "shift 7 needs 13 letters, but the word of [0;1,1,5,1] certifies only 12"
     agreed = gained = refused = 0
     for slope in finite:
         top = slope.known_depth
@@ -380,14 +384,24 @@ def test_add_integer_on_finite_slopes_matches_the_letter_shift():
                         try:
                             got = add_integer(rho, k)
                         except DepthError as exc:
-                            # the letter shift names the letters its prefix
-                            # passes, the closed form the quotient past a_D
-                            assert re.fullmatch(
-                                rf"prefix of length \d+ passes the {slope.q(top) - 1} letters"
+                            # the letter shift names the prefix it reads, the
+                            # closed form the letters it skips: that prefix
+                            # less the certifying letters it keeps
+                            passed = re.fullmatch(
+                                rf"prefix of length (\d+) passes the {slope.q(top) - 1} letters"
                                 rf" the word of {re.escape(str(slope))} certifies",
                                 str(expected),
-                            ), expected
-                            assert str(exc) == f"a_{top + 1} requested but only {top} quotients are known"
+                            )
+                            assert passed, expected
+                            kept = max(
+                                slope.q(d + 1) + slope.q(d)
+                                for d in range(1, rho.depth)
+                                if slope.q(d + 1) + slope.q(d) <= last - k
+                            )
+                            assert str(exc) == (
+                                f"shift {k} needs {int(passed[1]) - kept} letters, but the word"
+                                f" of {slope} certifies only {slope.q(top) - 1}"
+                            )
                             refused += 1
                             continue
                         wider = reference_add_integer(AlphaNumber(rho.digits, extension), k)

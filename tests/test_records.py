@@ -69,10 +69,9 @@ RECORDS = [
      "JumpReport(holds=True, checked=(1, 20), failures=())"),
     (DioTerm, "level family ratio", {}, (5, -1, Fraction(3, 2)),
      "DioTerm(level=5, family=-1, ratio=Fraction(3, 2))"),
-    (DioEstimate, "value mode witness terms", {}, (Fraction(3, 2), "generic", TERM, (TERM,)),
+    (DioEstimate, "value mode witness", {}, (Fraction(3, 2), "generic", TERM),
      "DioEstimate(value=Fraction(3, 2), mode='generic',"
-     " witness=DioTerm(level=5, family=-1, ratio=Fraction(3, 2)),"
-     " terms=(DioTerm(level=5, family=-1, ratio=Fraction(3, 2)),))"),
+     " witness=DioTerm(level=5, family=-1, ratio=Fraction(3, 2)))"),
     (IntervalPosition, "n l r", {}, (4, 0, 1), "IntervalPosition(n=4, l=0, r=1)"),
     (IndexedFactorization, "offset blocks", {}, (2, ("01", "001")),
      "IndexedFactorization(offset=2, blocks=('01', '001'))"),

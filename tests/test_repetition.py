@@ -19,12 +19,13 @@ from sturmia.errors import (
     SturmiaError,
 )
 from sturmia.intercept import AlphaNumber, sigma0, sigma1, sturmian_prefix, zero
-from sturmia.ostrowski import all_digit_strings, encode
+from sturmia.ostrowski import _window, all_digit_strings, encode
 from sturmia.repetition import (
     DioEstimate,
     DioTerm,
     RepetitionRow,
     dio_estimate,
+    dio_terms,
     profile_lookup,
     repetition_characteristic,
     repetition_closed_form,
@@ -649,8 +650,11 @@ def reference_closed_form(rho: AlphaNumber, m: int) -> tuple[int, str]:
     return row.value, row.case
 
 
-def reference_dio(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
-    """The exponent estimate from per-level reads and the reference rows."""
+def reference_dio(
+    rho: AlphaNumber, depth: int | None = None
+) -> tuple[DioEstimate, tuple[DioTerm, ...]]:
+    """The exponent estimate and its terms from per-level reads and the
+    reference rows."""
     d = rho.depth if depth is None else depth
     slope = rho.slope
     start = max(1, d // 2)
@@ -676,7 +680,7 @@ def reference_dio(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
                 terms.append(DioTerm(n, -1, Fraction(row.m_hi, row.value)))
         mode = "generic"
     witness = max(terms, key=lambda t: t.ratio)
-    return DioEstimate(1 + witness.ratio, mode, witness, tuple(terms))
+    return DioEstimate(1 + witness.ratio, mode, witness), tuple(terms)
 
 
 def outcome(f, *args):
@@ -712,6 +716,44 @@ def walk_corpus() -> list[AlphaNumber]:
 
 
 WALK_CORPUS = walk_corpus()
+
+
+def test_rows_are_records():
+    for rho in WALK_CORPUS[:12]:
+        for n in range(rho.depth - 1):
+            rows = outcome(repetition_rows, rho, n)
+            if isinstance(rows[0], type):
+                continue
+            assert rows and all(type(row) is RepetitionRow for row in rows)
+
+
+# Windows built without validation whose level-1 rows break the tiling, on
+# a slope whose m = 1 sits at level 1: a first digit past a_1 - 1 moves a
+# breakpoint past the next one, and a half-integer residue starts the first
+# row that survives the clip inside the interval (integer rows chain, so no
+# integer window leaves the interval's ends).
+TILING_BREAKS = [
+    (_window((3, 1, 0, 0), parse_slope("[0;2*]")), "rows leave a gap or overlap"),
+    (_window((Fraction(1, 2), 0, 0, 0), parse_slope("[0;2*]")), r"rows do not span \[1, 3\]"),
+]
+
+
+@pytest.mark.parametrize("rho, message", TILING_BREAKS, ids=["gap", "span"])
+def test_row_tiling_checks_fire(rho, message):
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        repetition_rows(rho, 1)
+    # the walk starts at level 1, and level 1 starts at m = 1
+    for m_hi in (1, 3, 20):
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            repetition_closed_forms(rho, m_hi)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        repetition_closed_form(rho, 2)
+
+
+def test_row_tiling_check_fires_past_the_first_levels():
+    rho = _window((-1, -1, 1, -1, -1), parse_slope("[0;3*]"))
+    with pytest.raises(AssertionError, match="^rows leave a gap or overlap$"):
+        repetition_rows(rho, 2)
 
 
 def test_walk_corpus_reaches_every_case():
@@ -779,11 +821,46 @@ def test_dio_estimate_matches_the_reference():
     for rho in WALK_CORPUS + four_family_windows():
         for depth in range(5, rho.depth + 1):
             est = dio_estimate(rho, depth)
-            expected = reference_dio(rho, depth)
+            expected, terms = reference_dio(rho, depth)
             assert est.value == expected.value
             assert est.mode == expected.mode
             assert est.witness == expected.witness
-            assert est.terms == expected.terms
+            assert dio_terms(rho, depth) == terms
             modes.add(est.mode)
-        assert dio_estimate(rho) == reference_dio(rho)
+        assert (dio_estimate(rho), dio_terms(rho)) == reference_dio(rho)
     assert modes == {"generic", "four-family"}
+
+
+def test_dio_witness_is_the_first_maximal_term():
+    for rho in WALK_CORPUS + four_family_windows():
+        for depth in range(5, rho.depth + 1):
+            terms = dio_terms(rho, depth)
+            top = max(term.ratio for term in terms)
+            witness = next(term for term in terms if term.ratio == top)
+            est = dio_estimate(rho, depth)
+            assert est.witness == witness and est.value == 1 + top
+
+
+def test_dio_estimate_builds_one_fraction(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(repetition, "Fraction", counting)
+    windows = {"generic": zero(GOLDEN, 40), "four-family": AlphaNumber((2,) * 14, parse_slope("[0;4*]"))}
+    for mode, rho in windows.items():
+        for depth in (None, 5, rho.depth - 1):
+            built.clear()
+            est = dio_estimate(rho, depth)
+            assert est.mode == mode and len(built) == 1
+            assert Fraction(*built[0]) == est.witness.ratio
+            assert len(dio_terms(rho, depth)) == len(built) - 1 > 1
+
+
+def test_dio_terms_depth_guards():
+    with pytest.raises(DepthError, match="need at least 5 digit levels, got 4"):
+        dio_terms(zero(GOLDEN, 4))
+    with pytest.raises(DepthError, match="window has 10 digits, cannot inspect 12"):
+        dio_terms(zero(GOLDEN, 10), depth=12)

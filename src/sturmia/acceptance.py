@@ -7,14 +7,19 @@ with the first counterexample it meets; `run_check` turns either into a
 CheckResult, so the registry can print a one-line verdict per criterion.
 The pytest suite and the `verify` CLI subcommand both drive this module.
 Randomized corpora are seeded and capped so the whole battery stays fast
-and reproducible; caps are reported in the result details.
+and reproducible; caps are reported in the result details.  The criteria
+whose corpora split into independent slopes or word groups (01, 05, 06,
+09 and 12) work them on every usable CPU through `_fan_out`, with the
+serial run's results and first counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
@@ -76,6 +81,131 @@ class _Failed(Exception):
     """A criterion's counterexample; its one argument is the failure detail."""
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where a corpus must run serially.
+
+    That is where the affinity mask cannot be read, where `os.fork` is
+    missing, and while another thread is alive: a fork copies only the
+    calling thread, so a lock another thread holds (a ladder's
+    `_GROW_LOCK`) would stay held in the child, and Python 3.12+ warns on
+    such a fork.  The threads are the kernel's count, which that warning
+    reads too, or the interpreter's where /proc is missing.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = len(sys._current_frames())
+    return 1 if threads > 1 else len(os.sched_getaffinity(0))
+
+
+def _runs(items: tuple, weights: list[int], parts: int) -> list[tuple]:
+    """items cut into at most `parts` contiguous runs of about equal weight:
+    each cut falls where the weight before it comes closest to its share."""
+    sums = list(itertools.accumulate(weights))
+    cuts = [0]
+    for part in range(1, parts):
+        later = range(cuts[-1] + 1, len(items))
+        if not later:
+            break
+        cuts.append(min(later, key=lambda i: abs(sums[i - 1] * parts - sums[-1] * part)))
+    cuts.append(len(items))
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _fan_out(work: Callable, items: tuple, weights: list[int]) -> list:
+    """[work(item) for item in items], split across the usable CPUs.
+
+    The items are cut into contiguous runs of about equal weight, one per
+    usable CPU.  The first run is worked here and each other run in an
+    `os.fork`ed child, which pickles its results, or the exception it
+    raised, to a pipe and leaves through `os._exit`.  The runs are read
+    back in corpus order, so the results and the first exception raised
+    are the serial run's.  Where a fork fails, that run and the rest are
+    worked here.  Every child is reaped before this returns or raises, its
+    pipe read to the end first, so a child never blocks on a full pipe.
+    """
+    runs = _runs(items, weights, _usable_cpus())
+    if len(runs) < 2:
+        return [work(item) for item in items]
+    import pickle
+
+    children = {}  # run index -> (pid, read end of its pipe)
+    try:
+        for index in range(1, len(runs)):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _child(work, runs[index], write, [read, *(fd for _, fd in children.values())])
+            os.close(write)
+            children[index] = pid, read
+        results = []
+        for index, run in enumerate(runs):
+            if index not in children:
+                results += [work(item) for item in run]
+                continue
+            pid, read = children.pop(index)
+            data, code = _reap(pid, read)
+            if code:
+                raise ChildProcessError(f"criterion child process {pid} ended with exit code {code}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, read in children.values():
+            _reap(pid, read)
+
+
+def _child(work: Callable, run: tuple, write: int, unused: list[int]) -> None:
+    """A forked child's whole life: pickle (True, results) or (False, the
+    exception raised) to `write`, then leave through `os._exit`, so that no
+    exit handler or buffered output of the parent runs twice.  `unused` are
+    the pipe ends the child inherited and closes."""
+    import pickle
+
+    status = 1
+    try:
+        for fd in unused:
+            os.close(fd)
+        try:
+            data = pickle.dumps((True, [work(item) for item in run]))
+        except BaseException as exc:  # raised again in the parent
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:
+                # an exception that does not survive pickling comes back
+                # as its type's name and message
+                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(write, view) :]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read: int) -> tuple[bytes, int]:
+    """Everything a child wrote to its pipe, read to the end, and the
+    child's exit code (minus the signal that ended it) once it has ended."""
+    blocks = []
+    try:
+        while block := os.read(read, 1 << 16):
+            blocks.append(block)
+    finally:
+        os.close(read)
+        _, status = os.waitpid(pid, 0)
+    return b"".join(blocks), os.waitstatus_to_exitcode(status)
+
+
 def _seeded_slopes(
     count: int, seed: int, cap_level: int = 12, cap: int = 100_000
 ) -> tuple[Slope, ...]:
@@ -116,19 +246,23 @@ def _ten_slopes() -> tuple[Slope, ...]:
 # --------------------------------------------------------------- criteria
 
 
+def _round_trip(slope: Slope) -> int:
+    """Criterion 01 on one slope; the number of integers round-tripped."""
+    top = min(slope.q(12), 100_000)
+    for n in range(top):
+        if decode(encode(n, slope, 12)) != n:
+            raise _Failed(f"n={n} on {slope}")
+    values = sorted(decode(d, slope) for d in all_digit_strings(slope, 7))
+    if values != list(range(slope.q(7))):
+        raise _Failed(f"uniqueness on {slope}")
+    return top
+
+
 def check_01_ostrowski_round_trip() -> str:
     """decode(encode(n)) identity below q_12 and depth-7 uniqueness."""
     slopes = _ten_slopes()
-    total = 0
-    for slope in slopes:
-        top = min(slope.q(12), 100_000)
-        for n in range(top):
-            if decode(encode(n, slope, 12)) != n:
-                raise _Failed(f"n={n} on {slope}")
-        total += top
-        values = sorted(decode(d, slope) for d in all_digit_strings(slope, 7))
-        if values != list(range(slope.q(7))):
-            raise _Failed(f"uniqueness on {slope}")
+    weights = [min(slope.q(12), 100_000) for slope in slopes]
+    total = sum(_fan_out(_round_trip, slopes, weights))
     return f"{total} integers round-tripped on {len(slopes)} slopes; depth-7 bijection exhaustive"
 
 
@@ -195,6 +329,33 @@ def check_04_repetition_intervals() -> str:
     return f"{pairs} (m, n) pairs, n <= 8, on {len(slopes)} slopes (seeded caps q_9 <= 100)"
 
 
+def _closed_form_oracle(slope: Slope) -> tuple[int, int, set[str]]:
+    """Criterion 05 on one slope; its (pairs, level checks, cases seen)."""
+    pairs = levels = 0
+    cases = set()
+    m_top = slope.q(7) - 2
+    for digits in all_digit_strings(slope, 8):
+        rho = AlphaNumber(digits, slope)
+        deep = AlphaNumber(digits + (0,) * 4, slope)
+        word = sturmian_prefix(deep, 2 * m_top + 4)
+        profile = repetition_profile(word, m_top)
+        closed = repetition_closed_forms(rho, m_top)
+        for m, (value, case) in enumerate(closed, start=1):
+            cases.add(case)
+            if value != profile_lookup(profile, m, len(word)):
+                raise _Failed(f"digits={digits}, m={m}, case={case} on {slope}")
+            pairs += 1
+        for m in (1, 2, m_top // 2 + 1, m_top):
+            value, case = closed[m - 1]
+            if case == "1":
+                continue
+            n = interval_locate(m, slope).n
+            if repetition_level(rho.psi(n + 1), slope, m) != value:
+                raise _Failed(f"4-branch level formula: digits={digits}, m={m} on {slope}")
+            levels += 1
+    return pairs, levels, cases
+
+
 def check_05_closed_form_oracle() -> str:
     """Closed-form repetition versus the repetition profile, exhaustive at depth 8.
 
@@ -204,29 +365,12 @@ def check_05_closed_form_oracle() -> str:
     slopes = (GOLDEN, parse_slope("[0;3,1,2,(1)*]")) + _seeded_slopes(
         5, SEED + 5, cap_level=8, cap=120
     )
-    pairs = levels = 0
-    cases = set()
-    for slope in slopes:
-        m_top = slope.q(7) - 2
-        for digits in all_digit_strings(slope, 8):
-            rho = AlphaNumber(digits, slope)
-            deep = AlphaNumber(digits + (0,) * 4, slope)
-            word = sturmian_prefix(deep, 2 * m_top + 4)
-            profile = repetition_profile(word, m_top)
-            closed = repetition_closed_forms(rho, m_top)
-            for m, (value, case) in enumerate(closed, start=1):
-                cases.add(case)
-                if value != profile_lookup(profile, m, len(word)):
-                    raise _Failed(f"digits={digits}, m={m}, case={case} on {slope}")
-                pairs += 1
-            for m in (1, 2, m_top // 2 + 1, m_top):
-                value, case = closed[m - 1]
-                if case == "1":
-                    continue
-                n = interval_locate(m, slope).n
-                if repetition_level(rho.psi(n + 1), slope, m) != value:
-                    raise _Failed(f"4-branch level formula: digits={digits}, m={m} on {slope}")
-                levels += 1
+    # a slope's windows are its q_8 digit strings, each read at q_7 - 2 m
+    weights = [slope.q(8) * slope.q(7) for slope in slopes]
+    tallies = _fan_out(_closed_form_oracle, slopes, weights)
+    pairs = sum(tally[0] for tally in tallies)
+    levels = sum(tally[1] for tally in tallies)
+    cases = set().union(*(tally[2] for tally in tallies))
     return (
         f"{pairs} pairs, no discrepancies, cases seen {sorted(cases)} "
         f"on {len(slopes)} slopes (caps q_8 <= 120); "
@@ -234,20 +378,25 @@ def check_05_closed_form_oracle() -> str:
     )
 
 
+def _intercept_bijection(slope: Slope) -> int:
+    """Criterion 06 on one slope; the number of windows recovered."""
+    rng = random.Random(SEED + 6)
+    need = slope.q(11) + slope.q(10)
+    for _ in range(200):
+        digits = _seeded_digits(rng, slope, 10)
+        deep = AlphaNumber(digits + (0,) * 3, slope)
+        prefix = sturmian_prefix(deep, need)
+        back = intercept_from_prefix(prefix, slope, 10)
+        if back.digits != digits:
+            raise _Failed(f"digits={digits} on {slope}")
+    return 200
+
+
 def check_06_intercept_bijection() -> str:
     """Digit recovery from the word the digits generate, depth 10."""
-    count = 0
-    for slope in NAMED_FIVE:
-        rng = random.Random(SEED + 6)
-        need = slope.q(11) + slope.q(10)
-        for _ in range(200):
-            digits = _seeded_digits(rng, slope, 10)
-            deep = AlphaNumber(digits + (0,) * 3, slope)
-            prefix = sturmian_prefix(deep, need)
-            back = intercept_from_prefix(prefix, slope, 10)
-            if back.digits != digits:
-                raise _Failed(f"digits={digits} on {slope}")
-            count += 1
+    # every slope reads 200 windows, each from a prefix of q_11 + q_10 letters
+    weights = [slope.q(11) + slope.q(10) for slope in NAMED_FIVE]
+    count = sum(_fan_out(_intercept_bijection, NAMED_FIVE, weights))
     return f"{count} seeded windows across 5 slopes"
 
 
@@ -315,21 +464,26 @@ def check_08_characteristic_factorizations() -> str:
     )
 
 
+def _rauzy_graphs(slope: Slope) -> None:
+    """Criterion 09 on one slope."""
+    for m in range(1, 151):
+        graph = build_graph(slope, m)
+        pos = graph.level
+        q_n, q_n1 = slope.q(pos.n), slope.q(pos.n - 1)
+        ref, other = len(graph.referent_cycle), len(graph.other_cycle)
+        if ref != q_n or other != pos.l * q_n + q_n1:
+            raise _Failed(f"m={m} on {slope}")
+        if gcd(ref, other) != 1:
+            raise _Failed(f"gcd at m={m} on {slope}")
+        turns = graph.turns(0)
+        if turns != slope.quotient(pos.n + 1) - pos.l:
+            raise _Failed(f"turns at m={m} on {slope}")
+
+
 def check_09_rauzy() -> str:
     """Cycle lengths, coprimality and turn counts on every graph up to m=150."""
-    for slope in NAMED_FIVE:
-        for m in range(1, 151):
-            graph = build_graph(slope, m)
-            pos = graph.level
-            q_n, q_n1 = slope.q(pos.n), slope.q(pos.n - 1)
-            ref, other = len(graph.referent_cycle), len(graph.other_cycle)
-            if ref != q_n or other != pos.l * q_n + q_n1:
-                raise _Failed(f"m={m} on {slope}")
-            if gcd(ref, other) != 1:
-                raise _Failed(f"gcd at m={m} on {slope}")
-            turns = graph.turns(0)
-            if turns != slope.quotient(pos.n + 1) - pos.l:
-                raise _Failed(f"turns at m={m} on {slope}")
+    # every slope builds the same 150 graphs
+    _fan_out(_rauzy_graphs, NAMED_FIVE, [1] * len(NAMED_FIVE))
     return "all m <= 150 on 5 slopes"
 
 
@@ -405,12 +559,16 @@ def check_12_b_factorization() -> str:
     # into one flag byte per word, one bytes per length in product order.
     # There "1" + u sits 2^k and "11" + u 3 * 2^k places after u, one and
     # two lengths up; lengths 17 and 18 keep only the words from those
-    # places on, and `first` is the place each length starts at.
+    # places on, and `first` is the place each length starts at.  The
+    # scans fall into four groups of about 2^16 words: lengths 0 to 15,
+    # length 16, "1" + 16 letters and "11" + 16 letters.
     def complete(length: int, head: str = "") -> bytes:
         tails = map("".join, itertools.product("01", repeat=length - len(head)))
         return bytes(b_factorize(head + tail).complete for tail in tails)
 
-    flags = [complete(length) for length in range(17)] + [complete(17, "1"), complete(18, "11")]
+    groups = (tuple((length, "") for length in range(16)), ((16, ""),), ((17, "1"),), ((18, "11"),))
+    swept = _fan_out(lambda group: [complete(*job) for job in group], groups, [2**16] * 4)
+    flags = [flag for group in swept for flag in group]
     first = [0] * 17 + [2**16, 3 * 2**16]
     words = 0
     for k in range(17):

@@ -25,7 +25,9 @@ each cost a large share of what importing sturmia did, which every CLI call
 pays.  Records are `collections.namedtuple` classes and annotations name
 `collections.abc` types, so no module imports `dataclasses` or `typing`, and
 a fresh interpreter shows none of the three loaded after the import.  Nor
-does importing the CLI load the acceptance suite, which only `verify` runs.
+does importing the CLI load the acceptance suite, which only `verify` runs,
+nor importing the suite load `pickle`, which only a criterion that splits
+its corpus across CPUs needs.
 
 No function that takes arguments is wrapped in `functools.lru_cache` or
 `functools.cache`: a module-level cache keyed by value holds its arguments,
@@ -226,6 +228,17 @@ def test_cli_import_leaves_acceptance_unloaded():
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
         "import sturmia.cli; print('sturmia.acceptance' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
+def test_acceptance_import_leaves_pickle_unloaded():
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import sturmia.acceptance; print('pickle' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True

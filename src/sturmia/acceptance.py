@@ -19,7 +19,6 @@ import itertools
 import math
 import os
 import random
-import sys
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
@@ -89,14 +88,14 @@ def _usable_cpus() -> int:
     calling thread, so a lock another thread holds (a ladder's
     `_GROW_LOCK`) would stay held in the child, and Python 3.12+ warns on
     such a fork.  The threads are the kernel's count, which that warning
-    reads too, or the interpreter's where /proc is missing.
+    reads too; where it cannot be read, the corpus runs serially.
     """
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
-        threads = len(sys._current_frames())
+        return 1
     return 1 if threads > 1 else len(os.sched_getaffinity(0))
 
 
@@ -122,9 +121,11 @@ def _fan_out(work: Callable, items: tuple, weights: list[int]) -> list:
     `os.fork`ed child, which pickles its results, or the exception it
     raised, to a pipe and leaves through `os._exit`.  The runs are read
     back in corpus order, so the results and the first exception raised
-    are the serial run's.  Where a fork fails, that run and the rest are
-    worked here.  Every child is reaped before this returns or raises, its
-    pipe read to the end first, so a child never blocks on a full pipe.
+    are the serial run's; a child's exception is raised again with the
+    child's traceback as its cause.  Where a pipe or a fork cannot be
+    made, that run and the rest are worked here.  Every child is reaped
+    before this returns or raises, its pipe read to the end first, so a
+    child never blocks on a full pipe.
     """
     runs = _runs(items, weights, _usable_cpus())
     if len(runs) < 2:
@@ -134,7 +135,10 @@ def _fan_out(work: Callable, items: tuple, weights: list[int]) -> list:
     children = {}  # run index -> (pid, read end of its pipe)
     try:
         for index in range(1, len(runs)):
-            read, write = os.pipe()
+            try:
+                read, write = os.pipe()
+            except OSError:
+                break
             try:
                 pid = os.fork()
             except OSError:
@@ -154,9 +158,9 @@ def _fan_out(work: Callable, items: tuple, weights: list[int]) -> list:
             data, code = _reap(pid, read)
             if code:
                 raise ChildProcessError(f"criterion child process {pid} ended with exit code {code}")
-            ok, value = pickle.loads(data)
+            ok, value, trace = pickle.loads(data)
             if not ok:
-                raise value
+                raise value from RuntimeError(f"in criterion child process {pid}:\n{trace}")
             results += value
         return results
     finally:
@@ -165,10 +169,11 @@ def _fan_out(work: Callable, items: tuple, weights: list[int]) -> list:
 
 
 def _child(work: Callable, run: tuple, write: int, unused: list[int]) -> None:
-    """A forked child's whole life: pickle (True, results) or (False, the
-    exception raised) to `write`, then leave through `os._exit`, so that no
-    exit handler or buffered output of the parent runs twice.  `unused` are
-    the pipe ends the child inherited and closes."""
+    """A forked child's whole life: pickle (True, results, "") or (False,
+    the exception raised, its formatted traceback) to `write`, then leave
+    through `os._exit`, so that no exit handler or buffered output of the
+    parent runs twice.  `unused` are the pipe ends the child inherited and
+    closes."""
     import pickle
 
     status = 1
@@ -176,15 +181,19 @@ def _child(work: Callable, run: tuple, write: int, unused: list[int]) -> None:
         for fd in unused:
             os.close(fd)
         try:
-            data = pickle.dumps((True, [work(item) for item in run]))
+            data = pickle.dumps((True, [work(item) for item in run], ""))
         except BaseException as exc:  # raised again in the parent
+            import traceback
+
+            trace = traceback.format_exc()
             try:
-                data = pickle.dumps((False, exc))
+                data = pickle.dumps((False, exc, trace))
                 pickle.loads(data)
             except Exception:
                 # an exception that does not survive pickling comes back
                 # as its type's name and message
-                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+                error = RuntimeError(f"{type(exc).__name__}: {exc}")
+                data = pickle.dumps((False, error, trace))
         view = memoryview(data)
         while view:
             view = view[os.write(write, view) :]

@@ -43,34 +43,26 @@ def repetition_direct(x_prefix: str, m: int) -> int:
     is kept only as its fingerprint and first index; a fingerprint hit is
     confirmed against the prefix in place, and windows whose fingerprint
     collides with a different, earlier window are the only ones stored
-    whole, so the answer is exact whatever the modulus.
-
-    The prefix is encoded to code points in chunks that double in size,
-    each holding the m letters that leave beside the letters that enter,
-    so a repeat at r reads about r + m letters: O(r + m) time while
-    distinct windows keep distinct fingerprints, and O(r + m) memory.
+    whole, so the answer is exact whatever the modulus.  O(len(x_prefix))
+    memory, and O(len(x_prefix) + m) time while distinct windows keep
+    distinct fingerprints.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
     modulus = _MODULUS
+    codes = memoryview(x_prefix.encode(_UTF32, "surrogatepass")).cast("I")
     fingerprint = int.from_bytes(x_prefix[:m].encode("utf-32-be", "surrogatepass"), "big") % modulus
     top = pow(1 << 32, m, modulus)  # weight of the letter leaving, once shifted
     first = {fingerprint: 0}
     collided: set[str] = set()
-    start, size = 0, max(m, 256)
-    while start + m < len(x_prefix):
-        # letters start .. stop - m - 1 leave as letters start + m .. stop - 1 enter
-        stop = min(start + m + size, len(x_prefix))
-        codes = memoryview(x_prefix[start:stop].encode(_UTF32, "surrogatepass")).cast("I")
-        for i, (out, new) in enumerate(zip(codes, codes[m:]), start=start + 1):
-            fingerprint = ((fingerprint << 32 | new) - out * top) % modulus
-            j = first.setdefault(fingerprint, i)
-            if j != i:
-                window = x_prefix[i : i + m]
-                if x_prefix.startswith(window, j) or window in collided:
-                    return i
-                collided.add(window)
-        start, size = stop - m, 2 * size
+    for i, (out, new) in enumerate(zip(codes, codes[m:]), start=1):
+        fingerprint = ((fingerprint << 32 | new) - out * top) % modulus
+        j = first.setdefault(fingerprint, i)
+        if j != i:
+            window = x_prefix[i : i + m]
+            if x_prefix.startswith(window, j) or window in collided:
+                return i
+            collided.add(window)
     raise PrefixTooShortError(
         f"no repeated length-{m} window within {len(x_prefix)} letters"
     )

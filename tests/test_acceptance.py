@@ -401,13 +401,40 @@ def test_verify_exit_codes_hold_for_a_childs_exception(
     assert capsys.readouterr().err.splitlines() == [message]
 
 
-def test_a_failing_fork_runs_the_corpus_here(monkeypatch, split):
-    def no_fork():
-        raise OSError("no more processes")
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_failing_fork_runs_the_corpus_here(monkeypatch, split, call):
+    def refuse():
+        raise OSError("no more processes or files")
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, call, refuse)
     assert acceptance._fan_out(lambda i: os.getpid(), (0, 1, 2), [1, 1, 1]) == [split] * 3
     assert acceptance.run_check(1).line() == _verdict(1).line()
+
+
+def test_a_childs_exception_carries_the_childs_traceback(split):
+    def work(i):
+        if os.getpid() != split:
+            raise_in_the_child(i)
+        return i
+
+    with pytest.raises(ZeroDivisionError, match="^item 1$") as raised:
+        acceptance._fan_out(work, (0, 1), [1, 1])
+    cause = raised.value.__cause__
+    assert isinstance(cause, RuntimeError)
+    assert "in raise_in_the_child" in str(cause)
+    assert str(cause).rstrip().endswith("ZeroDivisionError: item 1")
+
+
+def raise_in_the_child(i):
+    raise ZeroDivisionError(f"item {i}")
+
+
+def test_an_unreadable_thread_count_runs_serially(monkeypatch):
+    def unreadable(path):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(os, "listdir", unreadable)
+    assert acceptance._usable_cpus() == 1
 
 
 def test_no_fork_while_another_thread_is_alive(monkeypatch):

@@ -138,59 +138,6 @@ def test_direct_exact_when_every_hash_collides(monkeypatch):
     assert misses
 
 
-def whole_prefix_direct(x_prefix: str, m: int) -> int | None:
-    """The fingerprint scan over one UTF-32 encoding of the whole prefix,
-    with the module's modulus; None where it finds no repeat."""
-    modulus = repetition._MODULUS
-    codes = memoryview(x_prefix.encode(repetition._UTF32, "surrogatepass")).cast("I")
-    fingerprint = int.from_bytes(x_prefix[:m].encode("utf-32-be", "surrogatepass"), "big") % modulus
-    top = pow(1 << 32, m, modulus)
-    first = {fingerprint: 0}
-    collided = set()
-    for i, (out, new) in enumerate(zip(codes, codes[m:]), start=1):
-        fingerprint = ((fingerprint << 32 | new) - out * top) % modulus
-        j = first.setdefault(fingerprint, i)
-        if j != i:
-            window = x_prefix[i : i + m]
-            if x_prefix.startswith(window, j) or window in collided:
-                return i
-            collided.add(window)
-    return None
-
-
-def late_repeat_words() -> list[str]:
-    """Characteristic prefixes, and seeded random words whose windows repeat
-    late or never, so that scans cross many chunk boundaries."""
-    rng = random.Random(30)
-    words = [characteristic_prefix(slope, 2500) for slope in (*SLOPES, *NAMED_FIVE)]
-    for alphabet, length in (("01", 2000), ("012", 1500), ("0\U0001F600\ud800x", 1200)):
-        block = "".join(rng.choice(alphabet) for _ in range(length))
-        words += [block, block + block[:300], block * 2]
-    return words
-
-
-# modulus 1 makes every window collide, 1009 makes some
-@pytest.mark.parametrize("modulus", [repetition._MODULUS, 1009, 1])
-def test_direct_matches_the_whole_prefix_scan(monkeypatch, modulus):
-    monkeypatch.setattr(repetition, "_MODULUS", modulus)
-    for word in late_repeat_words():
-        for m in (1, 2, 3, 7, 20, 63, 255, 256, 257, 700, len(word) - 1, len(word), len(word) + 1):
-            assert direct_or_none(word, m) == whole_prefix_direct(word, m), (word[:20], m)
-
-
-def test_direct_scan_memory_follows_the_repeat_not_the_prefix():
-    word = characteristic_prefix(GOLDEN, 10**6)
-    tracemalloc.start()
-    try:
-        value = repetition_direct(word, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert value == repetition_characteristic(GOLDEN, 5) == 5
-    # the whole prefix in UTF-32 takes 4 MB
-    assert peak < 2**14
-
-
 def is_prime(n: int) -> bool:
     """Miller-Rabin with the first 13 prime bases, exact below 3.3e24."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -1,10 +1,14 @@
-"""Exact finite-depth computations on sturmian words over a continued-fraction slope."""
+"""Exact finite-depth computations on sturmian words over a continued-fraction slope.
+
+`__all__` lists exactly the names that a `sturmia` command, an acceptance
+criterion or the benchmark in `perfbench/` reaches; helpers that only tests
+call live with the tests.
+"""
 
 from .errors import SturmiaError
 from .factorization import (
     characteristic_factorizations,
     duality_check,
-    integer_product,
     product_prefix,
 )
 from .intercept import (
@@ -23,8 +27,6 @@ from .ostrowski import all_digit_strings, decode, encode, validate
 from .rauzy import RauzyGraph, build_graph, count_turns
 from .repetition import (
     dio_estimate,
-    dio_terms,
-    repetition_characteristic,
     repetition_closed_form,
     repetition_closed_forms,
     repetition_direct,
@@ -33,7 +35,6 @@ from .repetition import (
 )
 from .slope import Slope, convergent_value, interval_locate, parse_slope
 from .torsion import (
-    automaton_states,
     b_factorize,
     even_family,
     parity_word,
@@ -41,7 +42,6 @@ from .torsion import (
     torsion_search,
 )
 from .words import (
-    central_decomposition,
     characteristic_prefix,
     complexity,
     factor_set,
@@ -56,10 +56,8 @@ __all__ = [
     "SturmiaError",
     "add_integer",
     "all_digit_strings",
-    "automaton_states",
     "b_factorize",
     "build_graph",
-    "central_decomposition",
     "characteristic_factorizations",
     "characteristic_prefix",
     "classify",
@@ -69,20 +67,17 @@ __all__ = [
     "count_turns",
     "decode",
     "dio_estimate",
-    "dio_terms",
     "duality_check",
     "encode",
     "equivalent",
     "even_family",
     "factor_set",
-    "integer_product",
     "intercept_from_prefix",
     "interval_locate",
     "mechanical_prefix",
     "parity_word",
     "parse_slope",
     "product_prefix",
-    "repetition_characteristic",
     "repetition_closed_form",
     "repetition_closed_forms",
     "repetition_direct",

@@ -28,6 +28,7 @@ from .errors import SturmiaError
 from .factorization import central_split_check, characteristic_factorizations, duality_check
 from .intercept import (
     AlphaNumber,
+    add_integer,
     classify,
     complement,
     equivalent,
@@ -387,26 +388,43 @@ def check_05_closed_form_oracle() -> str:
     )
 
 
-def _intercept_bijection(slope: Slope) -> int:
-    """Criterion 06 on one slope; the number of windows recovered."""
+def _intercept_bijection(slope: Slope) -> tuple[int, int]:
+    """Criterion 06 on one slope; the numbers of windows recovered and of
+    shifts checked."""
     rng = random.Random(SEED + 6)
+    # the shifts draw from a generator of their own, so `rng` draws the same
+    # windows with or without them
+    shifts = random.Random(SEED + 60)
     need = slope.q(11) + slope.q(10)
-    for _ in range(200):
+    for index in range(200):
         digits = _seeded_digits(rng, slope, 10)
         deep = AlphaNumber(digits + (0,) * 3, slope)
         prefix = sturmian_prefix(deep, need)
         back = intercept_from_prefix(prefix, slope, 10)
         if back.digits != digits:
             raise _Failed(f"digits={digits} on {slope}")
-    return 200
+        if index % 10 == 0:
+            # 1 <= k <= q_9 leaves q_11 + q_10 - k letters: at least the
+            # q_10 + q_9 that certify depth 9, fewer than depth 10 needs
+            k = shifts.randint(1, slope.q(9))
+            shifted = intercept_from_prefix(prefix[k:], slope, 9)
+            if add_integer(deep, k).digits[:9] != shifted.digits:
+                raise _Failed(f"shift k={k} of digits={digits} on {slope}")
+    return 200, 20
 
 
 def check_06_intercept_bijection() -> str:
-    """Digit recovery from the word the digits generate, depth 10."""
+    """Digit recovery from the word the digits generate, depth 10, and the
+    shift by an integer against the digits of the word it leaves."""
     # every slope reads 200 windows, each from a prefix of q_11 + q_10 letters
     weights = [slope.q(11) + slope.q(10) for slope in NAMED_FIVE]
-    count = sum(_fan_out(_intercept_bijection, NAMED_FIVE, weights))
-    return f"{count} seeded windows across 5 slopes"
+    tallies = _fan_out(_intercept_bijection, NAMED_FIVE, weights)
+    windows = sum(tally[0] for tally in tallies)
+    shifts = sum(tally[1] for tally in tallies)
+    return (
+        f"{windows} seeded windows across 5 slopes; "
+        f"{shifts} integer shifts agree with the letters they leave"
+    )
 
 
 def check_07_duality() -> str:

@@ -25,10 +25,6 @@ class NotSturmianError(SturmiaError):
     """A word prefix is incompatible with the sturmian language of the slope."""
 
 
-class NotCentralError(SturmiaError):
-    """A word fails the structural checks required of central words."""
-
-
 class UnsupportedInterceptError(SturmiaError):
     """The operation excludes this intercept class (zero class, sigma-type, ...)."""
 

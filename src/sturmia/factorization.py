@@ -63,14 +63,6 @@ def product_prefix(rho: AlphaNumber, length: int) -> str:
     return _blocks(rho.slope, pairs, length)
 
 
-def integer_product(k: int, slope: Slope) -> str:
-    """The finite product named by the digits of a non-negative integer."""
-    if k < 0:
-        raise RangeError(f"expected a non-negative integer, got {k}")
-    # the descending product s_N^b ... s_0^b read backwards
-    return characteristic_prefix(slope, k)[::-1]
-
-
 class SplitReport(namedtuple("SplitReport", "ok level left right expected")):
     __slots__ = ()
 
@@ -89,8 +81,8 @@ def central_split_check(m: int, p: int, slope: Slope) -> SplitReport:
     if slope.q(level) - 2 != total:
         raise RangeError(f"m+p = {total} is not q_N - 2 for any subscript N")
     expected = standard_word(slope, level)[:-2]
-    # one prefix per length m + p; integer_product(p) is its first p letters
-    # read backwards
+    # one prefix per length m + p; the descending product of standard words
+    # that the digits of p name is its first p letters read backwards
     prefix = characteristic_prefix(slope, total)
     left = prefix[:m]
     right = prefix[:p][::-1]

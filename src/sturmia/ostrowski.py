@@ -38,7 +38,8 @@ def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int
     under q_i); when both hold at every index the last partial sum is the
     value.  Any other window, and a finite slope read past its depth, goes
     to `_report`, which finds the first violation and raises AssertionError
-    where the two verdicts disagree.
+    where the two verdicts disagree.  The digits are ints: `_typed` has
+    passed them, or they are an AlphaNumber's.
     """
     n = len(digits)
     q, a = slope._ladder  # grown in place, a before q: q_n present means a_n is too
@@ -49,20 +50,17 @@ def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int
         partial = 0
         cut = True  # b_0 counts as non-zero
         i = 0
-        try:
-            for b in digits:
-                i += 1
-                if not 0 <= b <= a[i] - cut:
-                    break
-                if b:
-                    partial += b * q[i]  # q[i] is q_{i-1}
-                if partial >= q[i + 1]:
-                    break
-                cut = b != 0
-            else:
-                return _VALID, partial
-        except TypeError:
-            pass  # digits that do not compare with integers: the walk says how
+        for b in digits:
+            i += 1
+            if not 0 <= b <= a[i] - cut:
+                break
+            if b:
+                partial += b * q[i]  # q[i] is q_{i-1}
+            if partial >= q[i + 1]:
+                break
+            cut = b != 0
+        else:
+            return _VALID, partial
     return _report(digits, slope)
 
 
@@ -104,13 +102,34 @@ def _report(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, in
     return report, partial
 
 
+def _typed(digits: tuple) -> ValidationReport | None:
+    """The digit-type violation at the first digit that is not an int, or
+    None when every digit is one.
+
+    A sum of ints is an int; a float, Fraction, Decimal or complex digit
+    makes the sum one of those, and a digit that does not add to an int
+    raises TypeError, so only then are the digits read one by one.
+    """
+    try:
+        if sum(digits).__class__ is int:
+            return None
+    except TypeError:
+        pass
+    for i, b in enumerate(digits, start=1):
+        if not isinstance(b, int):
+            return ValidationReport(False, "digit-type", i, f"b_{i}={b!r} is not an integer")
+    return None
+
+
 def validate(digits: tuple[int, ...] | list[int], slope: Slope) -> ValidationReport:
-    """Check the digit conditions; reports the first violated rule.
+    """Check the digit conditions; reports the first violated rule, and a
+    digit that is not an int as the rule "digit-type".
 
     Also evaluates the equivalent partial-sum form (every prefix sum below
     level l stays under q_l) and insists the two verdicts agree.
     """
-    return _check(tuple(digits), slope)[0]
+    digits = tuple(digits)
+    return _typed(digits) or _check(digits, slope)[0]
 
 
 class AlphaNumber:
@@ -208,13 +227,22 @@ def _window(digits: tuple[int, ...], slope: Slope) -> AlphaNumber:
 
 
 def decode(digits: AlphaNumber | tuple[int, ...], slope: Slope | None = None) -> int:
-    """Value of a digit string, from the same pass that validates it."""
+    """Value of a digit string, from the same pass that validates it.
+
+    Only a raw digit tuple has its digits' types checked: an AlphaNumber's
+    are ints already.
+    """
     if isinstance(digits, AlphaNumber):
         slope = digits.slope
         digits = digits.digits
-    if slope is None:
+    elif slope is None:
         raise ValueError("decode needs a slope for raw digit tuples")
-    report, value = _check(tuple(digits), slope)
+    else:
+        digits = tuple(digits)
+        typed = _typed(digits)
+        if typed:
+            raise InvalidDigitsError(typed.message)
+    report, value = _check(digits, slope)
     if report is not _VALID:
         raise InvalidDigitsError(report.message or "invalid digits")
     return value

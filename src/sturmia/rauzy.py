@@ -241,11 +241,11 @@ def count_turns(
         slope = source.slope
     if slope is None:
         raise ValueError("integer shifts need an explicit slope")
-    pos, c, *owns = _cycles(slope, m, 0)
     if cycle not in ("referent", "other"):
         raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
     if isinstance(source, AlphaNumber) and source.slope != slope:
         raise ValueError("digit window and graph live over different slopes")
+    pos, c, *owns = _cycles(slope, m, 0)
     own = owns[cycle == "other"]
     ring = (range(pos.r, pos.r + 1), own, range(pos.r))
     k = pos.r + 1 + len(own)

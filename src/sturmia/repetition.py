@@ -141,12 +141,6 @@ def profile_lookup(profile: list[int], m: int, letters: int) -> int:
     return profile[m - 1]
 
 
-def repetition_characteristic(slope: Slope, m: int) -> int:
-    """r(c, m) for the characteristic word: q_n on [q_n - 1, q_{n+1} - 2]."""
-    pos = interval_locate(m, slope)
-    return slope.q(pos.n)
-
-
 class RepetitionRow(namedtuple("RepetitionRow", "m_lo m_hi value case")):
     """One constant segment of the repetition function inside an interval."""
 
@@ -235,6 +229,9 @@ def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[tuple[int, int, int,
                 m_hi = hi
             if m_lo <= m_hi:
                 rows.append((m_lo, m_hi, value, case))
+        # integer rows chain, so on validated (integer) digits the clipped
+        # rows start at lo and end at hi; only digits that bypass validation
+        # through `ostrowski._window`, a half-integer one say, reach this
         if not (rows and rows[0][0] == lo and rows[-1][1] == hi):
             raise AssertionError(f"rows do not span [{lo}, {hi}]")
         for left, right in zip(rows, rows[1:]):
@@ -351,7 +348,8 @@ def _tail_start(depth: int) -> int:
 
 def _dio_ratios(rho: AlphaNumber, depth: int | None) -> tuple[str, list[tuple[int, int, int, int]]]:
     """The mode and the (level, family, numerator, denominator) of every
-    ratio feeding the exponent estimate, in the order of dio_terms."""
+    ratio feeding the exponent estimate: the four families per tail level,
+    or one generic ratio per closed-form row at levels 1 .. depth - 2."""
     d = rho.depth if depth is None else depth
     if d < 5:
         raise DepthError(f"need at least 5 digit levels, got {d}")
@@ -380,15 +378,6 @@ def _dio_ratios(rho: AlphaNumber, depth: int | None) -> tuple[str, list[tuple[in
     return "generic", ratios
 
 
-def dio_terms(rho: AlphaNumber, depth: int | None = None) -> tuple[DioTerm, ...]:
-    """Every ratio dio_estimate takes its maximum over, as exact Fractions:
-    the four families per tail level, or one generic term per closed-form
-    row at levels 1 .. depth - 2."""
-    return tuple(
-        DioTerm(n, family, Fraction(num, den)) for n, family, num, den in _dio_ratios(rho, depth)[1]
-    )
-
-
 def dio_estimate(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
     """Window estimate of the diophantine exponent of the shifted word.
 
@@ -397,7 +386,7 @@ def dio_estimate(rho: AlphaNumber, depth: int | None = None) -> DioEstimate:
     1 + max m / r(x, m), with the maximum taken at closed-form segment ends.
     Either way this estimates a limsup from a finite window: it is reported
     as an estimate, never as the limit.  The witness is the first maximal
-    term of dio_terms, and the only one built as a Fraction.
+    ratio of `_dio_ratios`, and the only one built as a Fraction.
     """
     mode, ratios = _dio_ratios(rho, depth)
     # the first maximal ratio: every denominator is positive, so comparing

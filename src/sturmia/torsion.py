@@ -355,25 +355,6 @@ def _cycle(slope: Slope, modulus: int, limit: int) -> AutomatonLog | None:
     )
 
 
-def automaton_states(slope: Slope, modulus: int, depth: int) -> AutomatonLog:
-    """Walk the continuant pairs mod the modulus and log the states.
-
-    The walk stops where the state cycle closes, and the states after it,
-    through `depth`, repeat the cycle.
-    """
-    if modulus < 2:
-        raise RangeError(f"modulus must be >= 2, got {modulus}")
-    if depth < 1:
-        raise RangeError(f"depth must be >= 1, got {depth}")
-    log = _cycle(slope, modulus, depth)
-    if log is None:
-        raise DepthError("window too shallow to close the state cycle")
-    states = list(log.states)
-    for n in range(len(states), depth + 1):
-        states.append(states[n - log.period])
-    return log._replace(states=tuple(states))
-
-
 class TorsionHit(
     namedtuple(
         "TorsionHit",

@@ -15,7 +15,7 @@ import _thread
 from fractions import Fraction
 from itertools import pairwise
 
-from .errors import DepthError, NotCentralError, RangeError
+from .errors import DepthError, RangeError
 from .slope import Slope, interval_locate
 
 
@@ -268,28 +268,3 @@ def complexity(word: str, n: int) -> int:
 
 def is_palindrome(word: str) -> bool:
     return word == word[::-1]
-
-
-def central_decomposition(word: str) -> tuple[str, str] | str:
-    """Split a central word as p + "01" + q with p, q palindromes.
-
-    Powers of a single letter (and the empty word) are central without such a
-    split; they return the repeated letter instead of a pair.  The split is
-    unique for genuinely central words; anything failing the checks raises
-    NotCentralError.
-    """
-    if word == "" or set(word) <= {word[0]}:
-        return word[:1]
-    if not is_palindrome(word):
-        raise NotCentralError("central words are palindromes")
-    splits = []
-    for i in range(len(word) - 1):
-        if word[i : i + 2] == "01":
-            p, q = word[:i], word[i + 2 :]
-            if is_palindrome(p) and is_palindrome(q):
-                splits.append((p, q))
-    if len(splits) != 1:
-        raise NotCentralError(
-            f"palindrome admits {len(splits)} valid splits around '01'; central words have exactly 1"
-        )
-    return splits[0]

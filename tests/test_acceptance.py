@@ -117,6 +117,8 @@ def test_criterion_09_builds_each_graph_once(monkeypatch, tmp_path):
 FAILED_LINES = {
     5: "[FAIL] criterion  5 closed-form-oracle: 4-branch level formula: "
     "digits=(0, 0, 0, 0, 0, 0, 0, 0), m=1 on [0;1*]",
+    6: "[FAIL] criterion  6 intercept-bijection: shift k=52 of "
+    "digits=(0, 0, 1, 0, 1, 0, 0, 1, 0, 1) on [0;1*]",
     7: "[FAIL] criterion  7 duality: dual family of [2, 4, 6, 8, 10] on [0;1*]",
     8: "[FAIL] criterion  8 characteristic-factorizations: central split m=0, p=0 on [0;1*]",
     11: "[FAIL] criterion 11 self-complementary: center word meets 0 classes on [0;1*]",
@@ -127,6 +129,7 @@ FAILED_LINES = {
     "number,name,wrong",
     [
         (5, "repetition_level", lambda f: lambda *args: f(*args) + 1),
+        (6, "add_integer", lambda f: lambda rho, k: f(rho, k + 1)),
         (7, "complement_family", lambda f: lambda *args: f(*args)._replace(ok=False)),
         (8, "central_split_check", lambda f: lambda *args: f(*args)._replace(ok=False)),
         # the characteristic word is in the zero class, so in none of the three

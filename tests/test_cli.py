@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from sturmia import cli
 from sturmia.cli import JSON_SCHEMA, dispatch, parse_intercept
-from sturmia.repetition import repetition_characteristic
 from sturmia.slope import Slope, interval_locate, parse_slope
 from sturmia.words import standard_word
 
@@ -63,7 +62,7 @@ def test_repetition_csv_matches_characteristic():
     assert len(lines) == 8
     for line in lines[1:]:
         m_text, closed, direct, _case = line.split(",")
-        expected = repetition_characteristic(GOLDEN, int(m_text))
+        expected = GOLDEN.q(interval_locate(int(m_text), GOLDEN).n)
         assert int(closed) == expected
         assert int(direct) == expected
     assert proc.returncode == 0

@@ -7,7 +7,6 @@ from sturmia.factorization import (
     central_split_check,
     characteristic_factorizations,
     duality_check,
-    integer_product,
     product_prefix,
 )
 from sturmia.intercept import (
@@ -86,10 +85,14 @@ def test_product_guards():
         product_prefix(sigma0(GOLDEN, 12), -1)
 
 
+# The finite product the digits of an integer k name is the characteristic
+# prefix of length k read backwards, the identity `central_split_check` reads.
+
+
 def test_integer_product_lengths_and_zero():
-    assert integer_product(0, GOLDEN) == ""
+    assert characteristic_prefix(GOLDEN, 0)[::-1] == ""
     for k in (1, 2, 7, 20):
-        assert len(integer_product(k, GOLDEN)) == k
+        assert len(characteristic_prefix(GOLDEN, k)[::-1]) == k
 
 
 def digit_block_product(k, slope):
@@ -101,7 +104,7 @@ def digit_block_product(k, slope):
 @pytest.mark.parametrize("slope", [GOLDEN, TWO_ONE, MIXED, TWO_THREE, ONE_THREE])
 def test_integer_product_matches_digit_blocks(slope):
     for k in range(3000):
-        assert integer_product(k, slope) == digit_block_product(k, slope), k
+        assert characteristic_prefix(slope, k)[::-1] == digit_block_product(k, slope), k
 
 
 # -------------------------------------------------------------- central split

@@ -1,5 +1,6 @@
 """Ostrowski encode/decode/validate against brute-force oracles."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -50,6 +51,31 @@ def test_validate_pinned_examples():
 def test_decode_rejects_invalid():
     with pytest.raises(InvalidDigitsError):
         decode((0, 1, 1), GOLDEN)
+
+
+@pytest.mark.parametrize(
+    "digit", [Fraction(1, 2), Fraction(0), 0.5, 0.0, "1", None], ids=repr
+)
+def test_a_digit_that_is_not_an_int_is_refused(digit):
+    # a half-integer digit used to pass the digit rules and the partial
+    # sums, and "1" or None made validate raise TypeError
+    digits = (0, digit, 0, 0, 0, 0)
+    message = f"b_2={digit!r} is not an integer"
+    assert validate(digits, GOLDEN) == ValidationReport(False, "digit-type", 2, message)
+    assert validate(list(digits), GOLDEN).rule == "digit-type"
+    with pytest.raises(InvalidDigitsError) as refusal:
+        AlphaNumber(digits, GOLDEN)
+    assert str(refusal.value) == f"bad intercept digits: {message}"
+    with pytest.raises(InvalidDigitsError) as refusal:
+        decode(digits, GOLDEN)
+    assert str(refusal.value) == message
+    # the first digit that is not an int is the one reported
+    assert validate((1, digit, 7.0), GOLDEN).index == 2
+
+
+def test_int_subclasses_are_int_digits():
+    assert validate((0, True, 0), GOLDEN).ok
+    assert decode((0, True, 0), GOLDEN) == 1
 
 
 def test_roundtrip_exhaustive_golden():

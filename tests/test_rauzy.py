@@ -422,6 +422,16 @@ def test_a_finite_slope_counts_turns_within_its_word():
             count_turns(shift, 2, slope)
 
 
+def test_count_turns_refuses_its_arguments_before_building_letters():
+    # m = 10**6 would build about 3M letters before the cycles are read
+    golden = Slope((1,), (0, 1))  # a fresh slope, with no letters yet
+    with pytest.raises(ValueError, match="^cycle must be 'referent' or 'other', got 'bogus'$"):
+        count_turns(0, 10**6, golden, "bogus")
+    with pytest.raises(ValueError, match="^digit window and graph live over different slopes$"):
+        count_turns(zero(MIXED, 40), 10**6, golden)
+    assert golden._word == [""]
+
+
 def flipped(prefix, at):
     """The prefix function with the letter at `at` of each prefix flipped."""
 

@@ -25,9 +25,7 @@ from sturmia.repetition import (
     DioTerm,
     RepetitionRow,
     dio_estimate,
-    dio_terms,
     profile_lookup,
-    repetition_characteristic,
     repetition_closed_form,
     repetition_closed_forms,
     repetition_direct,
@@ -38,16 +36,21 @@ from sturmia.repetition import (
 )
 from sturmia.slope import Slope, interval_locate, parse_slope
 from sturmia.words import (
-    central_decomposition,
     characteristic_prefix,
     shifted_characteristic_prefix,
     standard_word,
 )
+from test_words import central_decomposition
 
 GOLDEN = parse_slope("[0;1*]")
 TWO_ONE = parse_slope("[0;2,(1)*]")
 MIXED = parse_slope("[0;2,1,3,(2,1)*]")
 SLOPES = [GOLDEN, TWO_ONE, MIXED]
+
+
+def characteristic_repetition(slope: Slope, m: int) -> int:
+    """r(c, m) for the characteristic word: q_n on [q_n - 1, q_{n+1} - 2]."""
+    return slope.q(interval_locate(m, slope).n)
 
 
 def oracle_word(rho: AlphaNumber, length: int, extension: int = 4) -> str:
@@ -178,7 +181,7 @@ def test_direct_scan_memory_is_linear():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert value == repetition_characteristic(GOLDEN, 6781) == 6765
+    assert value == characteristic_repetition(GOLDEN, 6781) == 6765
     # keeping every window whole would hold 6765 windows of 6781 letters
     assert peak < 5 * 2**20
 
@@ -187,23 +190,23 @@ def test_direct_scan_memory_is_linear():
 def test_direct_at_m_50000_matches_the_characteristic_form(slope):
     pos = interval_locate(50_000, slope)
     word = characteristic_prefix(slope, 50_000 + slope.q(pos.n + 1) + slope.q(pos.n) + 2)
-    expected = repetition_characteristic(slope, 50_000)
+    expected = characteristic_repetition(slope, 50_000)
     assert repetition_direct(word, 50_000) == expected
     if slope == GOLDEN:
         assert expected == 46368
 
 
 def test_characteristic_examples():
-    assert repetition_characteristic(GOLDEN, 2) == 3
-    assert repetition_characteristic(GOLDEN, 7) == 8
-    assert repetition_characteristic(TWO_ONE, 1) == 2
+    assert characteristic_repetition(GOLDEN, 2) == 3
+    assert characteristic_repetition(GOLDEN, 7) == 8
+    assert characteristic_repetition(TWO_ONE, 1) == 2
 
 
 def test_characteristic_matches_direct():
     for slope in SLOPES:
         c = characteristic_prefix(slope, 400)
         for m in range(1, 41):
-            assert repetition_direct(c, m) == repetition_characteristic(slope, m)
+            assert repetition_direct(c, m) == characteristic_repetition(slope, m)
 
 
 # ------------------------------------------------------------- 4-branch level
@@ -243,7 +246,7 @@ def test_closed_form_zero_intercept_is_characteristic():
     top = GOLDEN.q(8) - 2
     for m in range(1, top + 1):
         value, case = repetition_closed_form(rho, m)
-        assert value == repetition_characteristic(GOLDEN, m)
+        assert value == characteristic_repetition(GOLDEN, m)
         assert case == "2"
 
 
@@ -481,7 +484,7 @@ def test_profile_reaches_far_on_a_long_prefix():
     word = characteristic_prefix(MIXED, 5000)
     profile = repetition_profile(word)
     for m in (1, 10, 100, 1000, len(profile)):
-        assert profile[m - 1] == repetition_direct(word, m) == repetition_characteristic(MIXED, m)
+        assert profile[m - 1] == repetition_direct(word, m) == characteristic_repetition(MIXED, m)
 
 
 def closed_form_outcomes(rho: AlphaNumber, m_top: int):
@@ -816,6 +819,13 @@ def four_family_windows() -> list[AlphaNumber]:
     return windows
 
 
+def dio_ratio_terms(rho: AlphaNumber, depth: int | None = None) -> tuple[DioTerm, ...]:
+    """The ratios `dio_estimate` takes its maximum over, read off
+    `_dio_ratios`, as DioTerms."""
+    ratios = repetition._dio_ratios(rho, depth)[1]
+    return tuple(DioTerm(n, family, Fraction(num, den)) for n, family, num, den in ratios)
+
+
 def test_dio_estimate_matches_the_reference():
     modes = set()
     for rho in WALK_CORPUS + four_family_windows():
@@ -825,16 +835,16 @@ def test_dio_estimate_matches_the_reference():
             assert est.value == expected.value
             assert est.mode == expected.mode
             assert est.witness == expected.witness
-            assert dio_terms(rho, depth) == terms
+            assert dio_ratio_terms(rho, depth) == terms
             modes.add(est.mode)
-        assert (dio_estimate(rho), dio_terms(rho)) == reference_dio(rho)
+        assert (dio_estimate(rho), dio_ratio_terms(rho)) == reference_dio(rho)
     assert modes == {"generic", "four-family"}
 
 
 def test_dio_witness_is_the_first_maximal_term():
     for rho in WALK_CORPUS + four_family_windows():
         for depth in range(5, rho.depth + 1):
-            terms = dio_terms(rho, depth)
+            terms = dio_ratio_terms(rho, depth)
             top = max(term.ratio for term in terms)
             witness = next(term for term in terms if term.ratio == top)
             est = dio_estimate(rho, depth)
@@ -856,11 +866,11 @@ def test_dio_estimate_builds_one_fraction(monkeypatch):
             est = dio_estimate(rho, depth)
             assert est.mode == mode and len(built) == 1
             assert Fraction(*built[0]) == est.witness.ratio
-            assert len(dio_terms(rho, depth)) == len(built) - 1 > 1
+            assert len(repetition._dio_ratios(rho, depth)[1]) > 1
 
 
-def test_dio_terms_depth_guards():
+def test_dio_estimate_depth_guards():
     with pytest.raises(DepthError, match="need at least 5 digit levels, got 4"):
-        dio_terms(zero(GOLDEN, 4))
+        dio_estimate(zero(GOLDEN, 4))
     with pytest.raises(DepthError, match="window has 10 digits, cannot inspect 12"):
-        dio_terms(zero(GOLDEN, 10), depth=12)
+        dio_estimate(zero(GOLDEN, 10), depth=12)

@@ -3,9 +3,16 @@
 No bare `assert` (checks must still run under python -O), no name imported
 but unused (the package's re-exports in __init__.py excepted), no
 module-level private function that nothing in the package references, no
-module-level public function that is neither in `sturmia.__all__` nor
-referenced in the package or in perfbench, and no public method or property
-whose name no attribute access in the package or in perfbench carries.
+module-level public function that nothing in the package or in perfbench
+references, and no public method or property whose name no attribute access
+in the package or in perfbench carries.
+
+Every name in `sturmia.__all__` earns its place: a CLI command, an
+acceptance criterion or the benchmark reaches it.  The roots are the
+`cmd_*` handlers in `cli._COMMANDS`, the checks in `acceptance.CHECKS` and
+every name or attribute that perfbench reads; a module-level definition in
+src/sturmia is reached when a reached definition mentions its name.  Like
+the method rule this matches names only, across modules.
 
 The method rule matches names only: a method is taken as called when any
 `.name` attribute of that name appears, whatever object it is read from.  It
@@ -54,9 +61,25 @@ def _references(nodes) -> set[str]:
     return {node.id for node in nodes if isinstance(node, ast.Name)} | _attributes(nodes)
 
 
+# (module file, table) -> the prefix of the names in the table that are roots
+_ROOT_TABLES = {("cli.py", "_COMMANDS"): "cmd_", ("acceptance.py", "CHECKS"): "check_"}
+
+
+def _bound(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines or assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def scan(root: Path) -> dict[str, list[str]]:
     """Violations found in root/src/sturmia, by rule; root/perfbench counts
-    as a caller of public functions and methods."""
+    as a caller of public functions and methods, and what it reads is where
+    the exports are reached from."""
     src = root / "src" / "sturmia"
     found: dict[str, list[str]] = {
         "bare assert": [],
@@ -64,12 +87,15 @@ def scan(root: Path) -> dict[str, list[str]]:
         "private function": [],
         "public function": [],
         "public method": [],
+        "unreached export": [],
     }
     defs = []  # (path, node) of each module-level def
     methods = []  # (path, class name, node) of each def in a class body
     referenced = set()
     attributes = set()
     exported = set()
+    mentions: dict[str, set[str]] = {}  # module-level name -> names its definitions mention
+    roots = set()
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         nodes = list(ast.walk(tree))
@@ -102,6 +128,13 @@ def scan(root: Path) -> dict[str, list[str]]:
                 for name in ast.literal_eval(node.value)
             }
             continue  # imports there are the package's re-exports
+        for node in tree.body:
+            names = _references(ast.walk(node))
+            for name in _bound(node):
+                mentions.setdefault(name, set()).update(names)
+                prefix = _ROOT_TABLES.get((path.name, name))
+                if prefix:
+                    roots |= {ref for ref in names if ref.startswith(prefix)}
         found["unused import"] += [
             f"{path}:{node.lineno}: {name} imported but unused"
             for node in nodes
@@ -111,11 +144,22 @@ def scan(root: Path) -> dict[str, list[str]]:
             for name in [(alias.asname or alias.name).split(".")[0]]
             if name not in used
         ]
-    callers = set(referenced)
     for path in sorted((root / "perfbench").glob("*.py")):
         nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
-        callers |= _references(nodes)
+        roots |= _references(nodes)
         attributes |= _attributes(nodes)
+    callers = referenced | roots
+    reached = set()
+    pending = list(roots)
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending += mentions.get(name, ())
+    found["unreached export"] += [
+        f"sturmia.__all__ lists {name}, which no command, criterion or benchmark read reaches"
+        for name in sorted(exported - reached)
+    ]
     for path, node in defs:
         if node.name.startswith("__"):
             continue
@@ -125,10 +169,10 @@ def scan(root: Path) -> dict[str, list[str]]:
                     f"{path}:{node.lineno}: private function {node.name}"
                     " is referenced nowhere in src/sturmia"
                 )
-        elif node.name not in exported and node.name not in callers:
+        elif node.name not in callers:
             found["public function"].append(
-                f"{path}:{node.lineno}: public function {node.name} is neither in"
-                " sturmia.__all__ nor referenced in src/sturmia or perfbench"
+                f"{path}:{node.lineno}: public function {node.name} is"
+                " referenced nowhere in src/sturmia or perfbench"
             )
     found["public method"] += [
         f"{path}:{node.lineno}: public method {cls}.{node.name} is read as an"
@@ -146,7 +190,14 @@ def violations() -> dict[str, list[str]]:
 
 @pytest.mark.parametrize(
     "rule",
-    ["bare assert", "unused import", "private function", "public function", "public method"],
+    [
+        "bare assert",
+        "unused import",
+        "private function",
+        "public function",
+        "public method",
+        "unreached export",
+    ],
 )
 def test_source_hygiene(violations, rule):
     if violations[rule]:

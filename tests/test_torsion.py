@@ -25,7 +25,7 @@ from sturmia.torsion import (
     AutomatonLog,
     TorsionHit,
     _check_self_dual_classes,
-    automaton_states,
+    _cycle,
     b_factorize,
     complement_family,
     even_family,
@@ -424,6 +424,18 @@ def test_complement_of_sparse_even_window():
 
 
 # ------------------------------------------------------------- mod-N machine
+
+
+def automaton_states(slope, modulus, depth):
+    """The log of `_cycle`, the walk `torsion_search` runs, with its states
+    continued through `depth` by repeating the cycle."""
+    log = _cycle(slope, modulus, depth)
+    if log is None:
+        raise DepthError("window too shallow to close the state cycle")
+    states = list(log.states)
+    for n in range(len(states), depth + 1):
+        states.append(states[n - log.period])
+    return log._replace(states=tuple(states))
 
 
 def test_automaton_golden_mod2():

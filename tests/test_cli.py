@@ -183,6 +183,62 @@ def test_repetition_rejects_m_max_below_one():
         assert proc.stdout == ""
 
 
+# Finite-slope windows whose cross-check prefix, shifted by the residue it
+# reads, runs past the q_8 - 1 = 33 letters of the word of [0;1,1,1,1,1,1,1,1],
+# each with the number of rows that the longest prefix left checks
+FINITE_REPETITION = [
+    (["--intercept", "16", "--depth", "7", "--m-max", "8"], 8),
+    (["--intercept", "19", "--depth", "7", "--m-max", "8"], 6),
+    (["--intercept", "7", "--depth", "8", "--m-max", "13"], 12),
+    (["--intercept", "10", "--depth", "8", "--m-max", "13"], 12),
+]
+
+
+def repetition_json(argv: list[str]) -> tuple[int, dict | None]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(["repetition", *argv, "--format", "json"])
+    return code, json.loads(out.getvalue())["result"] if code == 0 else None
+
+
+@pytest.mark.parametrize(
+    "extra,checked_rows", FINITE_REPETITION, ids=[" ".join(case[0]) for case in FINITE_REPETITION]
+)
+def test_repetition_checks_a_finite_slope_within_its_word(extra, checked_rows):
+    argv = ["--slope", "[0;1,1,1,1,1,1,1,1]", *extra]
+    code, checked = repetition_json(argv)
+    assert code == 0 and checked["failures"] == 0
+    _, unchecked = repetition_json([*argv, "--no-check"])
+    closed = [row["r_closed"] for row in unchecked["rows"]]
+    assert [row["r_closed"] for row in checked["rows"]] == closed
+    # the rows the word's letters cover are checked, the others left empty
+    direct = [row["r_direct"] for row in checked["rows"]]
+    assert direct[checked_rows:] == [None] * (len(direct) - checked_rows)
+    assert direct[:checked_rows] == closed[:checked_rows]
+
+
+@st.composite
+def repetition_argv(draw) -> list[str]:
+    quotients = draw(st.lists(st.integers(1, 4), min_size=2, max_size=9))
+    if draw(st.booleans()):
+        slope = "[0;" + ",".join(map(str, quotients)) + "]"
+    else:
+        slope = "[0;" + ",".join(map(str, quotients[:-1])) + f",{quotients[-1]}*]"
+    return [
+        "--slope", slope,
+        "--intercept", str(draw(st.integers(0, 400))),
+        "--depth", str(draw(st.integers(2, 10))),
+        "--m-max", str(draw(st.integers(1, 40))),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(repetition_argv())
+def test_repetition_check_never_refuses_what_no_check_answers(argv):
+    if repetition_json([*argv, "--no-check"])[0] == 0:
+        assert repetition_json(argv)[0] in (0, 1)
+
+
 def test_depth_env_var_is_honoured():
     proc = run_cli(
         "ostrowski", "--slope", "[0;1*]", "--encode", "100", env={"STURMIA_DEPTH": "6"}

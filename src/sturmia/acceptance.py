@@ -7,10 +7,12 @@ with the first counterexample it meets; `run_check` turns either into a
 CheckResult, so the registry can print a one-line verdict per criterion.
 The pytest suite and the `verify` CLI subcommand both drive this module.
 Randomized corpora are seeded and capped so the whole battery stays fast
-and reproducible; caps are reported in the result details.  The criteria
-whose corpora split into independent slopes or word groups (01, 05, 06,
-09 and 12) work them on every usable CPU through `_fan_out`, with the
-serial run's results and first counterexample.
+and reproducible; caps are reported in the result details.  Criteria
+01-03, 05-07, 09-12 and 14 split their corpora into independent items
+(slopes, window-length ranges, moduli, rational pairs or word groups) and
+work them on every usable CPU through `_fan_out`, with the serial run's
+results and first counterexample; 04, 08 and 13 run no faster split and
+stay serial.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .intercept import (
     zero,
 )
 from .ostrowski import all_digit_strings, decode, encode
-from .rauzy import build_graph
+from .rauzy import _cycles, _graph, _turns
 from .repetition import (
     dio_estimate,
     profile_lookup,
@@ -286,23 +288,36 @@ def _standard_words(slope: Slope, depth: int) -> list[str]:
     return words
 
 
+def _prefix_product(slope: Slope) -> None:
+    """Criterion 02 on one slope."""
+    depth = slope.level(501)
+    blocks = _standard_words(slope, depth)
+    reference = blocks[depth + 1]
+    for m in range(1, 501):
+        digits = encode(m, slope, depth).digits
+        product = "".join(
+            blocks[i + 1] * digits[i] for i in range(depth - 1, -1, -1) if digits[i]
+        )
+        if product != reference[:m] or characteristic_prefix(slope, m) != product:
+            raise _Failed(f"m={m} on {slope}")
+
+
 def check_02_prefix_product() -> str:
     """Descending product of standard words equals the plain truncation."""
     slopes = _ten_slopes()
-    checked = 0
-    for slope in slopes:
-        depth = slope.level(501)
-        blocks = _standard_words(slope, depth)
-        reference = blocks[depth + 1]
-        for m in range(1, 501):
-            digits = encode(m, slope, depth).digits
-            product = "".join(
-                blocks[i + 1] * digits[i] for i in range(depth - 1, -1, -1) if digits[i]
-            )
-            if product != reference[:m] or characteristic_prefix(slope, m) != product:
-                raise _Failed(f"m={m} on {slope}")
-            checked += 1
-    return f"m <= 500 on {len(slopes)} slopes ({checked} prefixes)"
+    # every slope checks the same 500 prefixes
+    _fan_out(_prefix_product, slopes, [1] * len(slopes))
+    return f"m <= 500 on {len(slopes)} slopes ({500 * len(slopes)} prefixes)"
+
+
+def _complexity(slope: Slope) -> None:
+    """Criterion 03 on one slope."""
+    for n in range(1, 51):
+        level = interval_locate(n, slope).n
+        window = n + slope.q(level + 1) + 10
+        prefix = characteristic_prefix(slope, window)
+        if complexity(prefix, n) != n + 1:
+            raise _Failed(f"n={n} on {slope}")
 
 
 def check_03_complexity() -> str:
@@ -313,13 +328,8 @@ def check_03_complexity() -> str:
     next quotient is large, so the margin uses q_{level+1} >= r(c, n).
     """
     slopes = _ten_slopes()
-    for slope in slopes:
-        for n in range(1, 51):
-            level = interval_locate(n, slope).n
-            window = n + slope.q(level + 1) + 10
-            prefix = characteristic_prefix(slope, window)
-            if complexity(prefix, n) != n + 1:
-                raise _Failed(f"n={n} on {slope}")
+    # every slope checks the same 50 window lengths
+    _fan_out(_complexity, slopes, [1] * len(slopes))
     return f"n <= 50 on {len(slopes)} slopes"
 
 
@@ -427,39 +437,43 @@ def check_06_intercept_bijection() -> str:
     )
 
 
+def _duality(slope: Slope) -> int:
+    """Criterion 07 on one slope; the number of windows checked."""
+    rng = random.Random(SEED + 7)
+    accepted = 0
+    for _ in range(400):
+        if accepted == 25:
+            break
+        rho = AlphaNumber(_seeded_digits(rng, slope, 16), slope)
+        if classify(rho).verdict != "non-zero":
+            continue
+        try:
+            comp = complement(rho)
+            back = complement(comp)
+        except SturmiaError:
+            # the window cannot certify both directions; draw again
+            continue
+        if comp.psi(comp.depth) < 300 or classify(comp).verdict != "non-zero":
+            continue
+        report = duality_check(rho, 300)
+        if not report.ok:
+            raise _Failed(f"digits={rho.digits} on {slope}")
+        if not equivalent(back, rho).equivalent:
+            raise _Failed(f"involution failed for {rho.digits} on {slope}")
+        accepted += 1
+    if accepted < 25:
+        raise _Failed(f"only {accepted} usable corpus windows on {slope}")
+    for indices in ({2, 4, 6, 8, 10}, {2, 5, 8, 11}):
+        if not complement_family(indices, slope, 24).ok:
+            raise _Failed(f"dual family of {sorted(indices)} on {slope}")
+    return accepted
+
+
 def check_07_duality() -> str:
     """Shift word equals the complement's product word; complement involutes;
     the dual formulas of two gap-indexed full-digit families hold."""
-    checked = 0
-    for slope in NAMED_FIVE:
-        rng = random.Random(SEED + 7)
-        accepted = 0
-        for _ in range(400):
-            if accepted == 25:
-                break
-            rho = AlphaNumber(_seeded_digits(rng, slope, 16), slope)
-            if classify(rho).verdict != "non-zero":
-                continue
-            try:
-                comp = complement(rho)
-                back = complement(comp)
-            except SturmiaError:
-                # the window cannot certify both directions; draw again
-                continue
-            if comp.psi(comp.depth) < 300 or classify(comp).verdict != "non-zero":
-                continue
-            report = duality_check(rho, 300)
-            if not report.ok:
-                raise _Failed(f"digits={rho.digits} on {slope}")
-            if not equivalent(back, rho).equivalent:
-                raise _Failed(f"involution failed for {rho.digits} on {slope}")
-            accepted += 1
-            checked += 1
-        if accepted < 25:
-            raise _Failed(f"only {accepted} usable corpus windows on {slope}")
-        for indices in ({2, 4, 6, 8, 10}, {2, 5, 8, 11}):
-            if not complement_family(indices, slope, 24).ok:
-                raise _Failed(f"dual family of {sorted(indices)} on {slope}")
+    # every slope checks 25 windows, each on a 300-letter prefix
+    checked = sum(_fan_out(_duality, NAMED_FIVE, [1] * len(NAMED_FIVE)))
     return (
         f"{checked} non-zero-class intercepts, prefix length 300; dual formulas "
         "of families {2,4,6,8,10} and {2,5,8,11} at depth 24 on 5 slopes"
@@ -491,10 +505,13 @@ def check_08_characteristic_factorizations() -> str:
     )
 
 
-def _rauzy_graphs(slope: Slope) -> None:
-    """Criterion 09 on one slope."""
-    for m in range(1, 151):
-        graph = build_graph(slope, m)
+def _rauzy_graphs(item: tuple[Slope, range]) -> None:
+    """Criterion 09 on one slope's window lengths m."""
+    slope, lengths = item
+    for m in lengths:
+        # build_graph and count_turns, on one reading of the cycles
+        read = _cycles(slope, m, m * (m + 1))
+        graph = _graph(slope, m, *read)
         pos = graph.level
         q_n, q_n1 = slope.q(pos.n), slope.q(pos.n - 1)
         ref, other = len(graph.referent_cycle), len(graph.other_cycle)
@@ -502,41 +519,71 @@ def _rauzy_graphs(slope: Slope) -> None:
             raise _Failed(f"m={m} on {slope}")
         if gcd(ref, other) != 1:
             raise _Failed(f"gcd at m={m} on {slope}")
-        turns = graph.turns(0)
+        turns = _turns(0, m, slope, "referent", *read)
         if turns != slope.quotient(pos.n + 1) - pos.l:
             raise _Failed(f"turns at m={m} on {slope}")
 
 
 def check_09_rauzy() -> str:
     """Cycle lengths, coprimality and turn counts on every graph up to m=150."""
-    # every slope builds the same 150 graphs
-    _fan_out(_rauzy_graphs, NAMED_FIVE, [1] * len(NAMED_FIVE))
+    # every slope builds the same 150 graphs, cut at m = 90 into two items;
+    # a graph's work grows with m
+    items = tuple((slope, m) for slope in NAMED_FIVE for m in (range(1, 91), range(91, 151)))
+    _fan_out(_rauzy_graphs, items, [sum(m) for _, m in items])
     return "all m <= 150 on 5 slopes"
+
+
+def _torsion(item: tuple[int, int]) -> str:
+    """Criterion 10 on one (modulus, k at n = 4); its detail."""
+    modulus, k_ref = item
+    anchored = torsion_search(GOLDEN, modulus, n=4)
+    if not anchored.found or anchored.k != k_ref:
+        raise _Failed(f"N={modulus} at n=4 gave k={anchored.k}")
+    hit = torsion_search(GOLDEN, modulus)
+    if not hit.found or hit.k > k_ref:
+        raise _Failed(f"N={modulus} default search k={hit.k}")
+    sweep_top = hit.n + 30
+    for n in range(hit.n, sweep_top + 1):
+        again = torsion_search(GOLDEN, modulus, n=n)
+        if not again.found:
+            raise _Failed(f"N={modulus} no identity at n={n}")
+        value = decode(again.quotient_digits, GOLDEN)
+        if GOLDEN.q(n + again.k) - GOLDEN.q(n) != modulus * value:
+            raise _Failed(f"N={modulus} arithmetic at n={n}")
+        if not all(n < s < n + again.k for s in again.support):
+            raise _Failed(f"N={modulus} support at n={n}")
+    return f"N={modulus}: k={k_ref} at n=4, k={hit.k} from n={hit.n}"
 
 
 def check_10_torsion() -> str:
     """Continuant congruences certified by digit supports, golden slope."""
-    canonical = {2: 3, 4: 6, 3: 8, 5: 20}
-    details = []
-    for modulus, k_ref in canonical.items():
-        anchored = torsion_search(GOLDEN, modulus, n=4)
-        if not anchored.found or anchored.k != k_ref:
-            raise _Failed(f"N={modulus} at n=4 gave k={anchored.k}")
-        hit = torsion_search(GOLDEN, modulus)
-        if not hit.found or hit.k > k_ref:
-            raise _Failed(f"N={modulus} default search k={hit.k}")
-        sweep_top = hit.n + 30
-        for n in range(hit.n, sweep_top + 1):
-            again = torsion_search(GOLDEN, modulus, n=n)
-            if not again.found:
-                raise _Failed(f"N={modulus} no identity at n={n}")
-            value = decode(again.quotient_digits, GOLDEN)
-            if GOLDEN.q(n + again.k) - GOLDEN.q(n) != modulus * value:
-                raise _Failed(f"N={modulus} arithmetic at n={n}")
-            if not all(n < s < n + again.k for s in again.support):
-                raise _Failed(f"N={modulus} support at n={n}")
-        details.append(f"N={modulus}: k={k_ref} at n=4, k={hit.k} from n={hit.n}")
+    canonical = ((2, 3), (4, 6), (3, 8), (5, 20))
+    # every modulus runs 33 searches
+    details = _fan_out(_torsion, canonical, [1] * len(canonical))
     return "; ".join(details) + "; identities re-verified for 31 ranks each"
+
+
+def _self_complementary(slope: Slope) -> None:
+    """Criterion 11 on one named slope, or the even family of TWO_TWO."""
+    if slope == TWO_TWO:
+        for rho in even_family(TWO_TWO, 20):
+            if not equivalent(rho, complement(rho)).equivalent:
+                raise _Failed("even family fails")
+        return
+    classes = self_complementary(slope, 20)
+    if len(classes) != 3:
+        raise _Failed(f"{slope}")
+    center = palindromic_center_word(slope, slope.q(7) + slope.q(6))
+    rho = intercept_from_prefix(center, slope, 6)
+    hits = sum(equivalent(rho, cls).equivalent for cls in classes)
+    if hits != 1:
+        raise _Failed(f"center word meets {hits} classes on {slope}")
+    for rho in classes:
+        if not equivalent(rho, complement(rho)).equivalent:
+            raise _Failed(f"fixed-point fails on {slope}")
+    for a, b in itertools.combinations(classes, 2):
+        if equivalent(a, b).equivalent:
+            raise _Failed(f"classes collide on {slope}")
 
 
 def check_11_self_complementary() -> str:
@@ -544,25 +591,8 @@ def check_11_self_complementary() -> str:
 
     The palindromic center word, read at depth 6, lands in exactly one class.
     """
-    for slope in NAMED_FIVE:
-        classes = self_complementary(slope, 20)
-        if len(classes) != 3:
-            raise _Failed(f"{slope}")
-        center = palindromic_center_word(slope, slope.q(7) + slope.q(6))
-        rho = intercept_from_prefix(center, slope, 6)
-        hits = sum(equivalent(rho, cls).equivalent for cls in classes)
-        if hits != 1:
-            raise _Failed(f"center word meets {hits} classes on {slope}")
-        for rho in classes:
-            if not equivalent(rho, complement(rho)).equivalent:
-                raise _Failed(f"fixed-point fails on {slope}")
-        for a, b in itertools.combinations(classes, 2):
-            if equivalent(a, b).equivalent:
-                raise _Failed(f"classes collide on {slope}")
-    family = even_family(TWO_TWO, 20)
-    for rho in family:
-        if not equivalent(rho, complement(rho)).equivalent:
-            raise _Failed("even family fails")
+    # every item reads windows of depth 20
+    _fan_out(_self_complementary, NAMED_FIVE + (TWO_TWO,), [1] * 6)
     return (
         "3 classes at depth 20 on 5 slopes; S0/S1/S2 family on the all-even slope; "
         "palindromic center word in exactly one class on 5 slopes"
@@ -665,22 +695,33 @@ def check_13_dio_estimate() -> str:
     )
 
 
+def _mechanical(item: Slope | tuple[Fraction, Fraction, str]) -> None:
+    """Criterion 14 on one convergent slope or one rational (alpha, rho, side)."""
+    if isinstance(item, Slope):
+        depth = item.level(2 * 202)
+        alpha = convergent_value(item, depth)
+        if mechanical_prefix(alpha, alpha, 200, "lower") != characteristic_prefix(item, 200):
+            raise _Failed(f"{item}")
+        return
+    alpha, rho, side = item
+    word = mechanical_prefix(alpha, rho, 240, side)
+    for n in range(1, 31):
+        if complexity(word, n) > n + 1:
+            raise _Failed(f"alpha={alpha}, rho={rho}, n={n}")
+
+
 def check_14_mechanical_oracle() -> str:
     """Convergent-slope mechanical words, then rational complexity bounds."""
-    for slope in NAMED_FIVE:
-        depth = slope.level(2 * 202)
-        alpha = convergent_value(slope, depth)
-        if mechanical_prefix(alpha, alpha, 200, "lower") != characteristic_prefix(slope, 200):
-            raise _Failed(f"{slope}")
     rng = random.Random(SEED + 14)
+    pairs = []
     for _ in range(50):
         den = rng.randint(2, 40)
         alpha = Fraction(rng.randint(0, den), den)
         rho = Fraction(rng.randint(0, den), rng.randint(1, 40))
-        word = mechanical_prefix(alpha, rho, 240, rng.choice(("lower", "upper")))
-        for n in range(1, 31):
-            if complexity(word, n) > n + 1:
-                raise _Failed(f"alpha={alpha}, rho={rho}, n={n}")
+        pairs.append((alpha, rho, rng.choice(("lower", "upper"))))
+    # a slope reads 200 letters once, a pair 240 letters at each of 30 n
+    weights = [200] * len(NAMED_FIVE) + [240 * 30] * len(pairs)
+    _fan_out(_mechanical, NAMED_FIVE + tuple(pairs), weights)
     return "5 convergent slopes exact to 200; 50 rational pairs stay below n+1"
 
 

@@ -39,10 +39,11 @@ def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int
     sum is the value.  At the first index where one fails it names the rule
     that b_i breaks and raises AssertionError unless the other fails too:
     the two verdicts agreed at every earlier index.  A finite slope read
-    past its depth is checked on the digits it has quotients for, then
-    raises DepthError, as growing does, unless a digit is negative and a
-    rule is broken.  The digits are ints: `_typed` has passed them, or they
-    are an AlphaNumber's.
+    past its depth is checked on the digits it has quotients for: a rule
+    broken there is reported, and otherwise growing raises DepthError.  The
+    digits past the depth are never read, so they cannot change the
+    outcome.  The digits are ints: `_typed` has passed them, or they are an
+    AlphaNumber's.
     """
     n = len(digits)
     q, a = slope._ladder  # grown in place, a before q: q_n present means a_n is too
@@ -82,8 +83,6 @@ def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int
             f"digit rules and partial-sum form disagree on {digits} at "
             f"index {i}: {report} vs partial sum {partial}, q_{i}={q[i + 1]}"
         )
-    if past and min(digits) >= 0:
-        slope._grow(n)
     return report, partial
 
 

@@ -51,15 +51,6 @@ class RauzyGraph(
         k = len(cycle)
         return frozenset((cycle[i], cycle[(i + 1) % k]) for i in range(k))
 
-    def turns(self, source: AlphaNumber | int, cycle: str = "referent") -> int:
-        """Number of consecutive laps the shifted word makes around a cycle.
-
-        The same count as count_turns(source, self.m, self.slope, cycle),
-        which reads the cycles afresh as start positions rather than from
-        this graph's vertex strings.
-        """
-        return count_turns(source, self.m, self.slope, cycle)
-
     def to_dot(self) -> str:
         lines = ["digraph rauzy {"]
         for v in self.vertices:
@@ -145,7 +136,11 @@ def build_graph(slope: Slope, m: int) -> RauzyGraph:
     Raises RangeError, before the prefix is built, when the m + 1 vertex
     strings or the prefix would hold more than MAX_STANDARD_LETTERS letters.
     """
-    pos, c, *owns = _cycles(slope, m, m * (m + 1))
+    return _graph(slope, m, *_cycles(slope, m, m * (m + 1)))
+
+
+def _graph(slope: Slope, m: int, pos: IntervalPosition, c: str, *owns: range) -> RauzyGraph:
+    """build_graph's graph from the cycles `_cycles` has read."""
     r = pos.r
     # vertex ids: the common path 0 .. r, then each cycle's own vertices
     windows = [c[s : s + m] for run in (range(r + 1), *owns) for s in run]
@@ -245,7 +240,19 @@ def count_turns(
         raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
     if isinstance(source, AlphaNumber) and source.slope != slope:
         raise ValueError("digit window and graph live over different slopes")
-    pos, c, *owns = _cycles(slope, m, 0)
+    return _turns(source, m, slope, cycle, *_cycles(slope, m, 0))
+
+
+def _turns(
+    source: AlphaNumber | int,
+    m: int,
+    slope: Slope,
+    cycle: str,
+    pos: IntervalPosition,
+    c: str,
+    *owns: range,
+) -> int:
+    """count_turns, its arguments checked, on the cycles `_cycles` has read."""
     own = owns[cycle == "other"]
     ring = (range(pos.r, pos.r + 1), own, range(pos.r))
     k = pos.r + 1 + len(own)

@@ -96,21 +96,22 @@ def call_log(path):
     return note, read
 
 
-def test_criterion_09_builds_each_graph_once(monkeypatch, tmp_path):
+def test_criterion_09_reads_the_cycles_of_each_graph_once(monkeypatch, tmp_path):
     from sturmia import rauzy
 
-    build = rauzy.build_graph
+    read = rauzy._cycles
     note, calls = call_log(tmp_path / "calls")
 
-    def counting(slope, m):
-        note(f"{m}")
-        return build(slope, m)
+    def counting(slope, m, vertex_letters):
+        note(f"{slope} {m}")
+        return read(slope, m, vertex_letters)
 
-    # count_turns builds through the rauzy module's own name
-    monkeypatch.setattr(acceptance, "build_graph", counting)
-    monkeypatch.setattr(rauzy, "build_graph", counting)
+    # build_graph and count_turns read through the rauzy module's own name
+    monkeypatch.setattr(acceptance, "_cycles", counting)
+    monkeypatch.setattr(rauzy, "_cycles", counting)
     assert acceptance.run_check(9).passed
-    assert len(calls()) == 5 * 150
+    reads = calls()
+    assert len(reads) == len(set(reads)) == 5 * 150
 
 
 # The first counterexample each mutation below meets, as `verify` prints it.
@@ -234,9 +235,10 @@ def test_criterion_12_pins_its_failure_lines(monkeypatch, flipped, detail):
 
 # ------------------------------------------------ the split across CPUs
 #
-# Criteria 01, 05, 06, 09 and 12 split their corpora across the usable CPUs
-# through `acceptance._fan_out`; a process pinned to one CPU runs them
-# serially, and either way every line is the same.
+# Criteria 01-03, 05-07, 09-12 and 14 split their corpora across the usable
+# CPUs through `acceptance._fan_out`; 04, 08 and 13 stay serial.  A process
+# pinned to one CPU runs them all serially, and either way every line is the
+# same.
 
 
 def test_lines_pinned_to_one_cpu_match_the_split_run():
@@ -259,7 +261,7 @@ def test_lines_pinned_to_one_cpu_match_the_split_run():
     assert lines == [_verdict(n).line() for n in range(1, len(acceptance.CHECKS) + 1)]
 
 
-@pytest.mark.parametrize("number", [1, 5, 6, 9, 12])
+@pytest.mark.parametrize("number", [1, 2, 3, 5, 6, 7, 9, 10, 11, 12, 14])
 def test_three_way_split_matches_the_serial_lines(monkeypatch, number):
     # more runs than this machine may have CPUs: uneven cuts, two children
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 3)
@@ -366,20 +368,46 @@ def test_a_failing_parent_run_still_reaps_a_child_with_a_full_pipe(split):
 def test_a_criterion_failing_in_a_child_prints_the_serial_line(monkeypatch, split):
     from sturmia import rauzy
 
-    build = rauzy.build_graph
+    build = rauzy._graph
     last = acceptance.NAMED_FIVE[-1]
 
-    def wrong(slope, m):
-        graph = build(slope, m)
+    def wrong(slope, m, *read):
+        graph = build(slope, m, *read)
         if slope == last and m == 40:
             return graph._replace(other_cycle=graph.other_cycle[1:])
         return graph
 
-    monkeypatch.setattr(acceptance, "build_graph", wrong)
+    monkeypatch.setattr(acceptance, "_graph", wrong)
     line = acceptance.run_check(9).line()
     assert line == f"[FAIL] criterion  9 rauzy-structure: m=40 on {last}"
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)
     assert acceptance.run_check(9).line() == line
+
+
+def test_criterion_07_failing_in_a_child_prints_the_serial_line(monkeypatch, split, tmp_path):
+    family = acceptance.complement_family
+    last = acceptance.NAMED_FIVE[-1]
+
+    def breaking(note):
+        def wrong(indices, slope, depth):
+            report = family(indices, slope, depth)
+            if slope != last:
+                return report
+            note(str(os.getpid()))
+            return report._replace(ok=False)
+
+        return wrong
+
+    note, broken_in = call_log(tmp_path / "pids")
+    monkeypatch.setattr(acceptance, "complement_family", breaking(note))
+    line = acceptance.run_check(7).line()
+    assert line == f"[FAIL] criterion  7 duality: dual family of [2, 4, 6, 8, 10] on {last}"
+    # the last slope ran in the child
+    pids = broken_in()
+    assert len(pids) == 1 and int(pids[0]) != split
+    monkeypatch.setattr(acceptance, "complement_family", breaking(lambda pid: None))
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)
+    assert acceptance.run_check(7).line() == line
 
 
 @pytest.mark.parametrize(
@@ -392,14 +420,14 @@ def test_a_criterion_failing_in_a_child_prints_the_serial_line(monkeypatch, spli
 def test_verify_exit_codes_hold_for_a_childs_exception(
     monkeypatch, capsys, split, exc, code, message
 ):
-    build = acceptance.build_graph
+    build = acceptance._graph
 
-    def raising(slope, m):
+    def raising(slope, m, *read):
         if os.getpid() != split:
             raise exc
-        return build(slope, m)
+        return build(slope, m, *read)
 
-    monkeypatch.setattr(acceptance, "build_graph", raising)
+    monkeypatch.setattr(acceptance, "_graph", raising)
     assert cli.dispatch(["verify", "--only", "9"]) == code
     assert capsys.readouterr().err.splitlines() == [message]
 

@@ -186,12 +186,15 @@ def reference_validate(digits, slope):
             break
     if verdict is None:
         verdict = ValidationReport(True)
-    if all(b >= 0 for b in digits):
-        # the partial sums run through q_N, which a finite slope may lack
-        slope.q(len(digits))
+    # the partial sums run through the digits the rules read: all of them
+    # when none breaks a rule, and then through q_N, which a finite slope
+    # may lack
+    read = len(digits) if verdict.ok else verdict.index
+    if all(b >= 0 for b in digits[:read]):
+        slope.q(read)
         partial = 0
         sums_ok = True
-        for l in range(1, len(digits) + 1):
+        for l in range(1, read + 1):
             partial += digits[l - 1] * slope.q(l - 1)
             if partial >= slope.q(l):
                 sums_ok = False
@@ -294,15 +297,18 @@ def test_alpha_number_copies_list_digits():
 
 def test_finite_slope_read_past_its_depth():
     finite = parse_slope("[0;1,2,3]")
-    for digits in [(0, 1, 0, 1), (0, 2, 0, 0, 1), (1, 0, 0, 0), (0, 1, 1, 5)]:
+    for digits in [(0, 1, 0, 1), (0, 2, 0, 0, 1), (0, 1, 1, 5), (0, 0, 0, -1)]:
         with pytest.raises(DepthError):
             validate(digits, finite)
         with pytest.raises(DepthError):
             reference_validate(digits, finite)
-    # a negative digit before the overrun is reported, not a depth error
-    for digits in [(0, -1, 0, 1), (1, 0, 0, -1)]:
+    # a rule broken within the three quotients is reported, not a depth
+    # error, whatever the digits past them: they are never read
+    for digits in [(0, -1, 0, 1), (1, 0, 0, 0), (1, 0, 0, -1), (0, 1, 3, 7)]:
         assert validate(digits, finite) == reference_validate(digits, finite)
-        assert validate(digits, finite).rule == "digit-range"
+        assert validate(digits, finite).rule in ("digit-range", "max-digit-adjacency")
+    assert validate((1, 0, 0, 0), finite) == validate((1, 0, 0, -1), finite)
+    assert validate((1, 0, 0, 0), finite).rule == "digit-range"
 
 
 BOX_SLOPES = [

@@ -414,7 +414,7 @@ def test_a_finite_slope_counts_turns_within_its_word():
         pos = graph.level
         assert counts[0] == slope.quotient(pos.n + 1) - pos.l
         for cycle, count in zip(("referent", "other"), counts):
-            assert count_turns(0, m, slope, cycle) == graph.turns(0, cycle) == count, (m, cycle)
+            assert count_turns(0, m, slope, cycle) == count, (m, cycle)
     # a shift that leaves less than one window is refused by its letters,
     # also once it passes the q_3 - 1 = 16 letters the word certifies
     for shift, letters in ((15, 1), (16, 0), (17, 0)):
@@ -697,24 +697,6 @@ def test_count_turns_guards():
         count_turns(0, 2)
 
 
-@pytest.mark.parametrize(
-    "source, slope, cycle",
-    [
-        (zero(GOLDEN, 30), TWO_ONE, "referent"),
-        (zero(MIXED, 12), GOLDEN, "other"),
-        (0, GOLDEN, "central"),
-    ],
-)
-def test_count_turns_refuses_as_graph_turns_does(source, slope, cycle):
-    # a window over another slope than the one given is refused, not
-    # counted over its own slope
-    with pytest.raises(ValueError) as graph_refusal:
-        build_graph(slope, 5).turns(source, cycle)
-    with pytest.raises(ValueError) as count_refusal:
-        count_turns(source, 5, slope, cycle)
-    assert str(count_refusal.value) == str(graph_refusal.value)
-
-
 # ------------------------------------------------------------------------ dot
 
 
@@ -728,20 +710,15 @@ def test_dot_output_is_deterministic():
     assert dot.count("->") == len(g.edges)
 
 
-def test_turns_on_a_built_graph_match_count_turns():
+def test_a_graph_and_its_turns_from_one_reading_match_the_public_calls():
+    # criterion 09 reads the cycles once for build_graph and count_turns
     for slope in (GOLDEN, ONE_THREE, MIXED):
         for m in (1, 2, 5, 9, 17):
-            graph = build_graph(slope, m)
+            read = rauzy._cycles(slope, m, m * (m + 1))
+            assert rauzy._graph(slope, m, *read) == build_graph(slope, m)
             for shift in range(6):
                 for cycle in ("referent", "other"):
-                    assert graph.turns(shift, cycle) == count_turns(shift, m, slope, cycle)
+                    turns = rauzy._turns(shift, m, slope, cycle, *read)
+                    assert turns == count_turns(shift, m, slope, cycle)
             rho = encode(3, slope, 12)
-            assert graph.turns(rho) == count_turns(rho, m)
-
-
-def test_graph_turns_guards():
-    graph = build_graph(GOLDEN, 3)
-    with pytest.raises(ValueError, match="cycle must be"):
-        graph.turns(0, cycle="central")
-    with pytest.raises(ValueError, match="different slopes"):
-        graph.turns(zero(MIXED, 12))
+            assert rauzy._turns(rho, m, slope, "referent", *read) == count_turns(rho, m)

@@ -9,8 +9,9 @@ The pytest suite and the `verify` CLI subcommand both drive this module.
 Randomized corpora are seeded and capped so the whole battery stays fast
 and reproducible; caps are reported in the result details.  Criteria
 01-03, 05-07, 09-12 and 14 split their corpora into independent items
-(slopes, window-length ranges, moduli, rational pairs or word groups) and
-work them on every usable CPU through `_fan_out`, with the serial run's
+(slopes, window-length ranges, moduli, rational pairs, or for 12 runs of
+2^12 words weighed by their letters plus its parse-count oracle) and work
+them on every usable CPU through `_fan_out`, with the serial run's
 results and first counterexample; 04, 08 and 13 run no faster split and
 stay serial.
 """
@@ -24,7 +25,9 @@ import random
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 from math import gcd
+from operator import attrgetter
 
 from .errors import SturmiaError
 from .factorization import central_split_check, characteristic_factorizations, duality_check
@@ -223,17 +226,20 @@ def _seeded_slopes(
 ) -> tuple[Slope, ...]:
     """Random periodic slopes with quotients in [1, 5], continuant-capped.
 
-    Draws favour small quotients so the rejection loop terminates quickly;
-    the cap keeps exhaustive sweeps within budget and is part of the
-    reported corpus description.
+    Draws favour small quotients (weights 16, 8, 4, 2, 1) so the rejection
+    loop terminates quickly; the cap keeps exhaustive sweeps within budget
+    and is part of the reported corpus description.  A draw is rejected on
+    its continuant, walked over its quotients, before any Slope is built.
     """
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        qs = tuple(rng.choices(range(1, 6), weights=[16, 8, 4, 2, 1], k=12))
-        slope = Slope(qs, (0, len(qs)))
-        if slope.q(cap_level) <= cap:
-            out.append(slope)
+        qs = tuple(rng.choices(range(1, 6), cum_weights=(16, 24, 28, 30, 31), k=12))
+        q_prev, q = 0, 1
+        for a in itertools.islice(itertools.cycle(qs), cap_level):
+            q_prev, q = q, a * q + q_prev
+        if q <= cap:
+            out.append(Slope(qs, (0, len(qs))))
     return tuple(out)
 
 
@@ -599,6 +605,39 @@ def check_11_self_complementary() -> str:
     )
 
 
+def _word(index: int, length: int) -> str:
+    """The word at `index` in the product order of `length` letters."""
+    return format(index, f"0{length}b") if length else ""
+
+
+def _b_flags(length: int, head: str = "") -> bytes:
+    """One byte per word of `length` letters that starts with `head`, in
+    product order: 1 where b_factorize scans the word completely, else 0."""
+    words = map("".join, itertools.product(*head, *("01",) * (length - len(head))))
+    return bytes(map(attrgetter("complete"), map(b_factorize, words)))
+
+
+def _parse_counts(blocks: frozenset[str], longest: int) -> list[bytes]:
+    """min(parse count, 2) over `blocks` of every word of up to `longest`
+    letters, one bytes per length in product order.
+
+    The words grow one letter at a time, depth first: ways[j] counts the
+    parses of u[:j], so u + x keeps the counts of u and adds one, over the
+    blocks that end at its last letter.  `index` is the place of u in its
+    length's product order.
+    """
+    counts = [bytearray(1 << n) for n in range(longest + 1)]
+    stack = [("", 0, (1,))]
+    while stack:
+        u, index, ways = stack.pop()
+        counts[len(u)][index] = min(ways[-1], 2)
+        if len(u) < longest:
+            for bit, ux in enumerate((u + "0", u + "1")):
+                count = sum(w for i, w in enumerate(ways) if w and ux[i:] in blocks)
+                stack.append((ux, 2 * index + bit, ways + (count,)))
+    return list(map(bytes, counts))
+
+
 def check_12_b_factorization() -> str:
     """Prefix-free inventory, at-most-one parsing, and the finite trichotomy."""
     inventory = ["00", "01"] + [
@@ -613,53 +652,60 @@ def check_12_b_factorization() -> str:
                 raise _Failed(f"{a} prefixes {b}")
     # the words p + u (p in "", "1", "11"; |u| <= 16) are every word of up
     # to 16 letters and "1" + u, "11" + u for |u| = 16, each scanned once
-    # into one flag byte per word, one bytes per length in product order.
-    # There "1" + u sits 2^k and "11" + u 3 * 2^k places after u, one and
-    # two lengths up; lengths 17 and 18 keep only the words from those
-    # places on, and `first` is the place each length starts at.  The
-    # scans fall into four groups of about 2^16 words: lengths 0 to 15,
-    # length 16, "1" + 16 letters and "11" + 16 letters.
-    def complete(length: int, head: str = "") -> bytes:
-        tails = map("".join, itertools.product("01", repeat=length - len(head)))
-        return bytes(b_factorize(head + tail).complete for tail in tails)
+    # into one flag byte per word, in product order.  There "1" + u sits
+    # 2^k and "11" + u 3 * 2^k places after u, one and two lengths up.
+    # Lengths 0 to 13 are one item; each length from 14 up is cut into
+    # pieces of 2^12 words, from the place its words start at: 60 items,
+    # each weighed by its letters.  The parse-count oracle is the last
+    # item, weighed as the 240,000 letters b_factorize scans in its time.
+    pieces = [
+        (n, start)
+        for n, first in ((14, 0), (15, 0), (16, 0), (17, 1 << 16), (18, 3 << 16))
+        for start in range(first, 1 << n, 1 << 12)
+    ]
+    jobs = [
+        lambda: [_b_flags(n) for n in range(14)],
+        *(partial(_b_flags, n, _word(start >> 12, n - 12)) for n, start in pieces),
+        partial(_parse_counts, blocks, 12),
+    ]
+    weights = [sum(n << n for n in range(14)), *(n << 12 for n, _ in pieces), 240_000]
+    short, *scans, counts = _fan_out(lambda job: job(), jobs, weights)
+    piece = dict(zip(pieces, scans))
 
-    groups = (tuple((length, "") for length in range(16)), ((16, ""),), ((17, "1"),), ((18, "11"),))
-    swept = _fan_out(lambda group: [complete(*job) for job in group], groups, [2**16] * 4)
-    flags = [flag for group in swept for flag in group]
-    first = [0] * 17 + [2**16, 3 * 2**16]
-    words = 0
+    def flags(n: int, start: int, size: int) -> bytes | memoryview:
+        """The flags of the `size` words of length n from place `start`."""
+        if n > 13:
+            return piece[n, start]
+        return memoryview(short[n])[start : start + size]
+
     for k in range(17):
-        n = 2**k
-        one = flags[k + 1][n - first[k + 1] :]
-        two = flags[k + 2][3 * n - first[k + 2] :]
-        # each flag is one byte, 0 or 1, so the three slices add as integers
-        # without carries, and the sum is 0x0101...01 exactly when every
-        # word has one complete form; only a failing sum is scanned
-        total = sum(int.from_bytes(flag, "big") for flag in (flags[k], one, two))
-        if total != int.from_bytes(b"\x01" * n, "big"):
-            for i, done in enumerate(map(sum, zip(flags[k], one, two))):
-                if done != 1:
-                    raise _Failed(f"trichotomy at {format(i, f'0{k}b') if k else ''!r}")
-        words += n
-    # parse counts of every word up to length 12, grown one letter at a time
-    # depth first: ways[j] counts the parses of u[:j], so u + x keeps the
-    # counts of u and adds one, over the blocks that end at its last letter.
-    # `index` is the place of u in its length's product order, and the
-    # failure reported is the first by length, then product order.
-    failures = []
-    stack = [("", 0, (1,))]
-    while stack:
-        u, index, ways = stack.pop()
-        if ways[-1] > 1 or (ways[-1] == 1) != flags[len(u)][index]:
-            failures.append(u)
-        if len(u) < 12:
-            for bit, ux in enumerate((u + "0", u + "1")):
-                count = sum(w for i, w in enumerate(ways) if w and ux[i:] in blocks)
-                stack.append((ux, 2 * index + bit, ways + (count,)))
-    if failures:
-        raise _Failed(f"uniqueness at {min(failures, key=lambda u: (len(u), u))!r}")
+        # runs of up to 2^12 words, so that from length 14 up each run of
+        # flags is one piece
+        size = min(1 << k, 1 << 12)
+        for start in range(0, 1 << k, size):
+            triple = (
+                flags(k, start, size),
+                flags(k + 1, (1 << k) + start, size),
+                flags(k + 2, (3 << k) + start, size),
+            )
+            # each flag is one byte, 0 or 1, so the three runs add as
+            # integers without carries, and the sum is 0x0101...01 exactly
+            # when every word has one complete form; only a failing sum is
+            # scanned
+            total = sum(int.from_bytes(flag, "big") for flag in triple)
+            if total != int.from_bytes(b"\x01" * size, "big"):
+                for i, done in enumerate(map(sum, zip(*triple))):
+                    if done != 1:
+                        raise _Failed(f"trichotomy at {_word(start + i, k)!r}")
+    # a word's flag is 1 exactly when it has one parse, so every count byte
+    # equals its flag; the failure reported is the first by length, then
+    # product order
+    for n, count in enumerate(counts):
+        if count != short[n]:
+            i = next(i for i, (c, f) in enumerate(zip(count, short[n])) if c != f)
+            raise _Failed(f"uniqueness at {_word(i, n)!r}")
     return (
-        f"inventory prefix-free; trichotomy on {words} words (<= 16); "
+        f"inventory prefix-free; trichotomy on {(1 << 17) - 1} words (<= 16); "
         "parse count <= 1 cross-checked to length 12"
     )
 

@@ -6,6 +6,7 @@ checks seed their own corpora; nothing here depends on test ordering.
 """
 
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -16,6 +17,7 @@ import pytest
 
 from sturmia import acceptance, cli
 from sturmia.errors import DepthError
+from sturmia.slope import Slope
 from sturmia.torsion import BFactorization
 from sturmia.words import characteristic_prefix
 
@@ -78,6 +80,31 @@ PINNED_LINES = {
 def test_repetition_and_rauzy_detail_lines_are_pinned():
     for number, line in PINNED_LINES.items():
         assert acceptance.run_check(number).line() == line
+
+
+def reference_seeded_slopes(count, seed, cap_level=12, cap=100_000):
+    """The seeded corpus drawn as it was first written: every draw built as
+    a Slope and rejected on the continuant its ladder reads."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        qs = tuple(rng.choices(range(1, 6), weights=[16, 8, 4, 2, 1], k=12))
+        slope = Slope(qs, (0, len(qs)))
+        if slope.q(cap_level) <= cap:
+            out.append(slope)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (9, acceptance.SEED),  # criteria 01-03 after the golden slope
+        (5, acceptance.SEED + 4, 9, 100),  # criterion 04
+        (5, acceptance.SEED + 5, 8, 120),  # criterion 05
+    ],
+)
+def test_seeded_corpora_match_the_slope_built_draw(args):
+    assert acceptance._seeded_slopes(*args) == reference_seeded_slopes(*args)
 
 
 def call_log(path):
@@ -159,6 +186,30 @@ def test_criterion_12_scans_each_distinct_word_once(monkeypatch, tmp_path):
     assert len(scanned) == len(set(scanned)) == 2**17 - 1 + 2 * 2**16
 
 
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "split"])
+def cpus(request, monkeypatch):
+    """Criterion 12 on one CPU, all in process, and under `split`, where its
+    parse-count oracle, the last item, runs in the forked child."""
+    if request.param == 1:
+        monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)
+    else:
+        request.getfixturevalue("split")
+
+
+def test_criterion_12_runs_its_oracle_in_the_child_of_a_split(monkeypatch, split, tmp_path):
+    note, read = call_log(tmp_path / "pids")
+    real = acceptance._parse_counts
+
+    def noted(*args):
+        note(str(os.getpid()))
+        return real(*args)
+
+    monkeypatch.setattr(acceptance, "_parse_counts", noted)
+    assert acceptance.run_check(12).passed
+    pids = read()
+    assert len(pids) == 1 and int(pids[0]) != split
+
+
 @pytest.mark.parametrize(
     "word,u",
     [
@@ -170,7 +221,7 @@ def test_criterion_12_scans_each_distinct_word_once(monkeypatch, tmp_path):
         ("1" * 17, "1" * 15),
     ],
 )
-def test_criterion_12_names_the_first_broken_triple(monkeypatch, word, u):
+def test_criterion_12_names_the_first_broken_triple(monkeypatch, cpus, word, u):
     real = acceptance.b_factorize
 
     def wrong(v):
@@ -219,7 +270,7 @@ def triple_keeping_flips(w: str) -> set[str]:
         ),
     ],
 )
-def test_criterion_12_pins_its_failure_lines(monkeypatch, flipped, detail):
+def test_criterion_12_pins_its_failure_lines(monkeypatch, cpus, flipped, detail):
     real = acceptance.b_factorize
 
     def wrong(v):

@@ -514,6 +514,7 @@ def check_08_characteristic_factorizations() -> str:
 def _rauzy_graphs(item: tuple[Slope, range]) -> None:
     """Criterion 09 on one slope's window lengths m."""
     slope, lengths = item
+    window = zero(slope, 24)  # the characteristic word's, deep enough for every m here
     for m in lengths:
         # build_graph and count_turns, on one reading of the cycles
         read = _cycles(slope, m, m * (m + 1))
@@ -525,7 +526,7 @@ def _rauzy_graphs(item: tuple[Slope, range]) -> None:
             raise _Failed(f"m={m} on {slope}")
         if gcd(ref, other) != 1:
             raise _Failed(f"gcd at m={m} on {slope}")
-        turns = _turns(0, m, slope, "referent", *read)
+        turns = _turns(window, m, slope, "referent", *read)
         if turns != slope.quotient(pos.n + 1) - pos.l:
             raise _Failed(f"turns at m={m} on {slope}")
 

@@ -39,7 +39,6 @@ import argparse
 import json
 import os
 import sys
-from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -196,22 +195,6 @@ def cmd_rauzy(args, slope: Slope) -> tuple[dict, int]:
     }, 0
 
 
-def _longest_prefix(rho: AlphaNumber) -> int:
-    """The longest prefix `sturmian_prefix` grants: at most the letters the
-    window certifies and, on a finite slope [0; a_1, ..., a_D], at most the
-    q_D - 1 letters of its word once a length-L prefix is shifted by the
-    residue rho_{level(L)} it reads."""
-    certified = max_certified_length(rho)
-    slope = rho.slope
-    if slope.known_depth is None:
-        return certified
-    letters = slope.q(slope.known_depth) - 1
-    # rho_{level(L)} + L grows with L
-    return bisect_right(
-        range(1, certified + 1), letters, key=lambda length: rho.psi(slope.level(length)) + length
-    )
-
-
 def cmd_repetition(args, slope: Slope) -> tuple[dict, int]:
     if args.m_max < 1:
         raise RangeError(f"--m-max must be >= 1, got {args.m_max}")
@@ -222,7 +205,7 @@ def cmd_repetition(args, slope: Slope) -> tuple[dict, int]:
     prefix = ""
     if args.check:
         needed = max(value + m for m, (value, _) in enumerate(closed, start=1))
-        prefix_length = min(needed + 2, _longest_prefix(rho))
+        prefix_length = min(needed + 2, max_certified_length(rho))
         prefix = sturmian_prefix(rho, prefix_length)
         profile = repetition_profile(prefix, args.m_max)
     failures = 0

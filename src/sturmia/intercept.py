@@ -112,33 +112,63 @@ def sturmian_prefix(rho: AlphaNumber, m: int) -> str:
         raise RangeError("prefix length must be >= 0")
     if m == 0:
         return ""
-    certified = max_certified_length(rho)
-    if m > certified:
-        raise DepthError(f"window depth {rho.depth} certifies only {certified} letters")
-    return shifted_characteristic_prefix(rho.slope, rho.psi(rho.slope.level(m)), m)
+    slope = rho.slope
+    if m > max_certified_length(rho):
+        certified = slope.q(rho.depth) - 1
+        raise DepthError(
+            f"window depth {rho.depth} certifies only {certified} letters" if m > certified
+            else f"prefix of length {m} shifted by {rho.psi(slope.level(m))} passes the"
+            f" {slope.q(slope.known_depth) - 1} letters the word of {slope} certifies"
+        )
+    return shifted_characteristic_prefix(slope, rho.psi(slope.level(m)), m)
 
 
 def max_certified_length(rho: AlphaNumber) -> int:
-    """Longest prefix of the word that this window determines."""
-    return rho.slope.q(rho.depth) - 1
+    """Longest prefix of the word that this window determines: q_depth - 1
+    letters and, on a finite slope [0; a_1, ..., a_D], the longest L whose
+    letters rho_{level(L)} + L - 1 and before in the characteristic word
+    are among the q_D - 1 that word certifies."""
+    slope = rho.slope
+    certified = slope.q(rho.depth) - 1
+    if slope.known_depth is None:
+        return certified
+    letters = slope.q(slope.known_depth) - 1
+    # rho_{level(L)} + L grows with L
+    return bisect_right(range(1, certified + 1), letters, key=lambda L: rho.psi(slope.level(L)) + L)
+
+
+def _shift_window(k: int, slope: Slope, m: int) -> AlphaNumber:
+    """encode(k, slope, d), the window that reads the first m letters of the
+    k-fold shifted characteristic word, at the first level d with
+    q_d > k + m or at the depth D of a finite slope; DepthError when k
+    passes the q_D - 1 letters its word certifies."""
+    depth = slope.known_depth
+    if depth is None or k + m < slope.q(depth):
+        depth = slope.level(k + m)
+    elif k >= slope.q(depth):
+        raise DepthError(
+            f"shift {k} passes the {slope.q(depth) - 1} letters the word of {slope} certifies"
+        )
+    return encode(k, slope, depth)
 
 
 def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
     """Intercept of the k-fold shift of the word of rho, at reduced depth.
 
     The result keeps the deepest level d < depth whose certifying letters
-    q_{d+1} + q_d fit in the q_depth - 1 - k letters the window still
+    q_{d+1} + q_d fit in the q_depth - 1 - k letters a depth-`depth` window
     determines after k are dropped, as re-extracting the intercept from
     those letters would; its digits are the first d of the greedy
     expansion of rho_L + k, where L is the level whose residue
-    `sturmian_prefix` shifts by to read those letters.
+    `sturmian_prefix` shifts by to read those letters.  A finite slope
+    has the budget of any infinite extension of its quotients.
     """
     if k < 0:
         raise RangeError("only non-negative shifts are defined")
     if k == 0:
         return rho
     slope = rho.slope
-    budget = max_certified_length(rho) - k
+    budget = slope.q(rho.depth) - 1 - k
     # the deepest out_depth < depth whose letters fit in the remaining ones
     out_depth = bisect_right(
         range(1, rho.depth), budget, key=lambda d: _certifying_letters(slope, d)

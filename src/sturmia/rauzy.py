@@ -24,13 +24,9 @@ from collections import namedtuple
 from math import gcd
 
 from .errors import PrefixTooShortError, RangeError
-from .intercept import AlphaNumber, sturmian_prefix
+from .intercept import AlphaNumber, _shift_window, max_certified_length, sturmian_prefix
 from .slope import IntervalPosition, Slope, interval_locate
-from .words import (
-    MAX_STANDARD_LETTERS,
-    characteristic_prefix,
-    shifted_characteristic_prefix,
-)
+from .words import MAX_STANDARD_LETTERS, characteristic_prefix
 
 
 def _cycle_letter(level: int) -> str:
@@ -82,8 +78,7 @@ def _cycles(
     string and no list of vertices.
     Raises RangeError, before the prefix is built, when the prefix or the
     caller's `vertex_letters` would hold more than MAX_STANDARD_LETTERS
-    letters, and then when the word of a finite slope [0; a_1, ..., a_D]
-    ends before the prefix does: it certifies q_D - 1 letters.
+    letters, and `characteristic_prefix` DepthError past a finite word.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
@@ -95,12 +90,6 @@ def _cycles(
     if letters > MAX_STANDARD_LETTERS:
         raise RangeError(
             f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
-        )
-    depth = slope.known_depth
-    if depth is not None and length > slope.q(depth) - 1:
-        raise RangeError(
-            f"window length {m} needs {length} letters, but the word of {slope}"
-            f" certifies only {slope.q(depth) - 1}"
         )
     c = characteristic_prefix(slope, length)
     left = c[:m]
@@ -221,16 +210,14 @@ def count_turns(
     """Number of consecutive laps the shifted word makes around a cycle.
 
     `source` is either a digit window or a plain integer shift of the
-    characteristic word; `slope` defaults to the window's own.  The cycles
-    are read as window starts in the characteristic prefix, so no vertex
-    string is built and memory grows linearly in m.
+    characteristic word, read as its window (`_shift_window`); `slope`
+    defaults to the window's own.  The cycles are read as window starts in
+    the characteristic prefix, so no vertex string is built and memory
+    grows linearly in m.
 
     Reads a prefix of the shifted word long enough to certify the most laps
-    that cycle allows.  The characteristic word of a finite slope
-    [0; a_1, ..., a_D] may end sooner: an integer shift then reads the
-    q_D - 1 letters that word certifies, less the shift (none once the
-    shift passes them), and `_laps` certifies the count or raises
-    PrefixTooShortError.
+    that cycle allows, capped at the window's `max_certified_length`, and
+    `_laps` certifies the count or raises PrefixTooShortError.
     """
     if slope is None and isinstance(source, AlphaNumber):
         slope = source.slope
@@ -258,10 +245,7 @@ def _turns(
     k = pos.r + 1 + len(own)
     bound = slope.quotient(pos.n + 1) - pos.l if cycle == "referent" else 1
     length = (bound + 2) * k + 3 * (m + 1)
-    if isinstance(source, AlphaNumber):
-        word = sturmian_prefix(source, length)
-    else:
-        if slope.known_depth is not None:
-            length = min(length, max(slope.q(slope.known_depth) - 1 - source, 0))
-        word = shifted_characteristic_prefix(slope, source, length) if length else ""
+    if not isinstance(source, AlphaNumber):
+        source = _shift_window(source, slope, length)
+    word = sturmian_prefix(source, min(length, max_certified_length(source)))
     return _laps(word, m, c, ring)

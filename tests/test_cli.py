@@ -729,7 +729,7 @@ USAGE_ERRORS = [
     (['rauzy', '--slope', '[0;1', '--m', '3', '--format', 'dot'], "error: not a slope literal: '[0;1'\n"),
     (['rauzy', '--slope', '[0;1*]', '--m', '10000', '--format', 'dot'], 'error: window length 10000 needs 100010000 letters, more than 100000000\n'),
     (['rauzy', '--slope', '[0;3,2,2]', '--m', '30'], 'error: m=30 exceeds the representable range of the slope\n'),
-    (['rauzy', '--slope', '[0;41,44,29]', '--m', '5000'], 'error: window length 5000 needs 59193 letters, but the word of [0;41,44,29] certifies only 52385\n'),
+    (['rauzy', '--slope', '[0;41,44,29]', '--m', '5000'], 'error: prefix of length 59193 passes the 52385 letters the word of [0;41,44,29] certifies\n'),
     (['word', 'prefix', '--slope', '[0;3,2,2]', '--len', '20'], 'error: prefix of length 20 passes the 16 letters the word of [0;3,2,2] certifies\n'),
     (['repetition', '--slope', '[0;1*]', '--m-max', '0'], 'error: --m-max must be >= 1, got 0\n'),
     (['repetition', '--slope', '[0;1000*]', '--intercept', 'zero', '--depth', '4', '--no-check', '--m-max', '100000'], 'error: --m-max must be at most 10000, got 100000\n'),

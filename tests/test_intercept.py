@@ -235,6 +235,44 @@ def test_extraction_inverts_prefix_generation(rho):
     assert back.digits == rho.digits[:out_depth]
 
 
+def seeded_finite_slopes(count: int, seed: int) -> list[Slope]:
+    """Finite slopes [0; a_1, ..., a_D], 2 <= D <= 6 and quotients in 1..5,
+    drawn until `count` have a word of at most 400 letters."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        slope = Slope(tuple(rng.randint(1, 5) for _ in range(rng.randint(2, 6))))
+        if slope.q(slope.known_depth) <= 400:
+            out.append(slope)
+    return out
+
+
+def extensions(slope: Slope) -> tuple[Slope, Slope, Slope]:
+    """Three infinite slopes whose first quotients are the finite slope's."""
+    q, top = slope.quotients, slope.known_depth
+    return Slope(q + (1,), (top, 1)), Slope(q + (3,), (top, 1)), Slope(q + (2, 1), (top, 2))
+
+
+def test_a_finite_window_certifies_what_every_extension_agrees_on():
+    # the max_certified_length(rho) letters of a window over a finite slope
+    # are the letters its digits give over every infinite extension of the
+    # quotients, and sturmian_prefix refuses one more
+    rng = random.Random(SEED + 35)
+    capped = 0
+    for slope in seeded_finite_slopes(200, SEED + 36):
+        depth = rng.randint(1, slope.known_depth)
+        rho = encode(rng.randrange(slope.q(depth)), slope, depth)
+        top = max_certified_length(rho)
+        word = sturmian_prefix(rho, top)
+        for wider in extensions(slope):
+            assert sturmian_prefix(AlphaNumber(rho.digits, wider), top) == word, (slope, rho)
+        with pytest.raises(DepthError):
+            sturmian_prefix(rho, top + 1)
+        # the word of the slope ends before the window's q_depth - 1 letters
+        capped += top < slope.q(depth) - 1
+    assert capped > 40
+
+
 # ----------------------------------------------------------------- increment
 
 
@@ -308,7 +346,7 @@ def reference_add_integer(rho: AlphaNumber, k: int) -> AlphaNumber | None:
     certifies, drop k letters and re-extract the intercept at the deepest
     level the rest certifies; None when no level is left."""
     slope = rho.slope
-    budget = max_certified_length(rho) - k
+    budget = slope.q(rho.depth) - 1 - k
     out_depth = 0
     while out_depth + 1 < rho.depth and slope.q(out_depth + 2) + slope.q(out_depth + 1) <= budget:
         out_depth += 1
@@ -368,7 +406,7 @@ def test_add_integer_on_finite_slopes_matches_the_letter_shift():
         for depth in range(2, top + 1):
             for _ in range(12):
                 rho = encode(rng.randrange(slope.q(depth)), slope, depth)
-                last = max_certified_length(rho)
+                last = slope.q(depth) - 1  # the letters add_integer's budget starts from
                 for k in {1, 2, rng.randint(1, last), max(1, last - rng.randint(0, 3))}:
                     try:
                         expected = reference_add_integer(rho, k)
@@ -384,12 +422,13 @@ def test_add_integer_on_finite_slopes_matches_the_letter_shift():
                         try:
                             got = add_integer(rho, k)
                         except DepthError as exc:
-                            # the letter shift names the prefix it reads, the
-                            # closed form the letters it skips: that prefix
-                            # less the certifying letters it keeps
+                            # the letter shift names the prefix it reads and
+                            # its shift, the closed form the letters it skips:
+                            # both less the certifying letters it keeps
                             passed = re.fullmatch(
-                                rf"prefix of length (\d+) passes the {slope.q(top) - 1} letters"
-                                rf" the word of {re.escape(str(slope))} certifies",
+                                rf"prefix of length (\d+) shifted by (\d+) passes the"
+                                rf" {slope.q(top) - 1} letters the word of"
+                                rf" {re.escape(str(slope))} certifies",
                                 str(expected),
                             )
                             assert passed, expected
@@ -398,8 +437,9 @@ def test_add_integer_on_finite_slopes_matches_the_letter_shift():
                                 for d in range(1, rho.depth)
                                 if slope.q(d + 1) + slope.q(d) <= last - k
                             )
+                            needs = int(passed[1]) + int(passed[2]) - kept
                             assert str(exc) == (
-                                f"shift {k} needs {int(passed[1]) - kept} letters, but the word"
+                                f"shift {k} needs {needs} letters, but the word"
                                 f" of {slope} certifies only {slope.q(top) - 1}"
                             )
                             refused += 1

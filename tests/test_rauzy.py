@@ -10,21 +10,29 @@ import pytest
 from sturmia import rauzy
 from sturmia.acceptance import NAMED_FIVE
 from sturmia.acceptance import _standard_words as recursive_standard_words
-from sturmia.errors import PrefixTooShortError, RangeError
-from sturmia.intercept import AlphaNumber, sturmian_prefix, zero
+from sturmia.errors import DepthError, PrefixTooShortError, RangeError, SturmiaError
+from sturmia.intercept import (
+    AlphaNumber,
+    _shift_window,
+    max_certified_length,
+    sturmian_prefix,
+    zero,
+)
 from sturmia.ostrowski import encode
 from sturmia.rauzy import RauzyGraph, _laps, build_graph, count_turns
 from sturmia.repetition import repetition_direct
-from sturmia.slope import IntervalPosition, Slope, interval_locate, parse_slope
+from sturmia.slope import IntervalPosition, Slope, convergent_value, interval_locate, parse_slope
 from sturmia.words import (
     MAX_STANDARD_LETTERS,
     characteristic_prefix,
     is_palindrome,
     language_length,
+    mechanical_prefix,
     shifted_characteristic_prefix,
     standard_word,
     window_walk,
 )
+from test_intercept import extensions, seeded_finite_slopes
 
 GOLDEN = parse_slope("[0;1*]")
 TWO_ONE = parse_slope("[0;2,(1)*]")
@@ -122,30 +130,26 @@ def test_build_graph_letter_budget(monkeypatch):
         build_graph(huge, 5)
 
 
-def test_a_finite_slope_refuses_by_the_letters_of_its_word(monkeypatch):
-    def no_prefix(*args):
-        raise AssertionError("prefix built for a refused window length")
-
-    monkeypatch.setattr(rauzy, "characteristic_prefix", no_prefix)
-    # m + q_3 + q_2 + 2 = 59193 letters, and the word certifies q_3 - 1 = 52385
+def test_a_finite_slope_refuses_by_the_letters_of_its_word():
+    # m + q_3 + q_2 + 2 = 59193 letters, and the word certifies q_3 - 1 = 52385;
+    # characteristic_prefix refuses them before it builds a letter
     finite = parse_slope("[0;41,44,29]")
-    message = (
-        "window length 5000 needs 59193 letters, but the word of [0;41,44,29]"
-        " certifies only 52385"
-    )
+    message = "prefix of length 59193 passes the 52385 letters the word of [0;41,44,29] certifies"
     for call in (build_graph, lambda slope, m: count_turns(0, m, slope)):
-        with pytest.raises(RangeError) as refusal:
+        with pytest.raises(DepthError) as refusal:
             call(finite, 5000)
         assert str(refusal.value) == message
+    assert finite._word == [""]
     # [0;3,2,2] certifies 16 letters: m = 4 reads all of them, m = 5 one more
-    slope = FINITE[0]
+    slope = parse_slope("[0;3,2,2]")
     for m in range(5, 16):
         length = language_length(slope, m)
         assert length > 16
-        refusal = f"^window length {m} needs {length} letters, .* only 16$"
+        refusal = rf"^prefix of length {length} passes the 16 letters the word of \[0;3,2,2\]"
         for call in (build_graph, lambda slope, m: count_turns(0, m, slope)):
-            with pytest.raises(RangeError, match=refusal):
+            with pytest.raises(DepthError, match=refusal):
                 call(slope, m)
+    assert slope._word == [""]
 
 
 def test_one_interval_locate_per_reading_of_the_cycles(monkeypatch):
@@ -192,12 +196,6 @@ def reference_cycles(slope, m):
     if letters > MAX_STANDARD_LETTERS:
         raise RangeError(
             f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
-        )
-    depth = slope.known_depth
-    if depth is not None and length > slope.q(depth) - 1:
-        raise RangeError(
-            f"window length {m} needs {length} letters, but the word of {slope}"
-            f" certifies only {slope.q(depth) - 1}"
         )
     windows, step = window_walk(characteristic_prefix(slope, length), m)
     if len(windows) != m + 1:
@@ -266,11 +264,10 @@ def reference_turns(
     `pos`, the rings given as vertex strings.
 
     Reads a prefix of the shifted word long enough to certify the most laps
-    that cycle allows.  The characteristic word of a finite slope
-    [0; a_1, ..., a_D] may end sooner: an integer shift then reads the
-    q_D - 1 letters that word certifies, less the shift (none once the
-    shift passes them), and `reference_string_laps` certifies the count or
-    raises PrefixTooShortError.
+    that cycle allows, as far as the word of the source's window certifies
+    it; an integer shift is read as its window, `intercept._shift_window`.
+    `reference_string_laps` certifies the count or raises
+    PrefixTooShortError.
     """
     if cycle not in ("referent", "other"):
         raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
@@ -280,12 +277,9 @@ def reference_turns(
     k = len(ring)
     bound = slope.quotient(pos.n + 1) - pos.l if cycle == "referent" else 1
     length = (bound + 2) * k + 3 * (m + 1)
-    if isinstance(source, AlphaNumber):
-        word = sturmian_prefix(source, length)
-    else:
-        if slope.known_depth is not None:
-            length = min(length, max(slope.q(slope.known_depth) - 1 - source, 0))
-        word = shifted_characteristic_prefix(slope, source, length) if length else ""
+    if not isinstance(source, AlphaNumber):
+        source = _shift_window(source, slope, length)
+    word = sturmian_prefix(source, min(length, max_certified_length(source)))
     return reference_string_laps(word, m, ring)
 
 
@@ -415,11 +409,87 @@ def test_a_finite_slope_counts_turns_within_its_word():
         assert counts[0] == slope.quotient(pos.n + 1) - pos.l
         for cycle, count in zip(("referent", "other"), counts):
             assert count_turns(0, m, slope, cycle) == count, (m, cycle)
-    # a shift that leaves less than one window is refused by its letters,
-    # also once it passes the q_3 - 1 = 16 letters the word certifies
-    for shift, letters in ((15, 1), (16, 0), (17, 0)):
-        with pytest.raises(PrefixTooShortError, match=f"to form one window, got {letters}$"):
+    # a shift near the end of the word reads its window's letters: here the
+    # first 6 agree with lap 2 of the referent cycle and leave the other
+    for shift in (15, 16):
+        with pytest.raises(PrefixTooShortError, match="^6 letters end inside lap 2 of a 3-cycle$"):
             count_turns(shift, 2, slope)
+        assert count_turns(shift, 2, slope, "other") == 0
+    # the digits of a shift past q_3 - 1 = 16 depend on quotients past a_3
+    message = "^shift 17 passes the 16 letters the word of \\[0;3,2,2\\] certifies$"
+    for cycle in ("referent", "other"):
+        with pytest.raises(DepthError, match=message):
+            count_turns(17, 2, slope, cycle)
+
+
+def test_a_finite_slope_counts_turns_as_every_extension_does():
+    # wherever count_turns answers on a finite slope, for an integer shift or
+    # a window and around either cycle, the same shift or digits over three
+    # infinite extensions of the quotients make as many laps
+    rng = random.Random(35)
+    answered = 0
+    for slope in seeded_finite_slopes(60, 35):
+        top = slope.known_depth
+        q_top = slope.q(top)
+        depths = [rng.randint(1, top) for _ in range(4)]
+        windows = [encode(rng.randrange(slope.q(d)), slope, d) for d in depths]
+        sources = [*(rng.randrange(q_top) for _ in range(4)), *windows]
+        for m in range(1, q_top):
+            needs = answer(language_length, slope, m)
+            if type(needs) is not int or needs >= q_top:
+                break  # the graph needs more letters than the word has, here and on
+            for source in sources:
+                for cycle in ("referent", "other"):
+                    got = answer(count_turns, source, m, slope, cycle)
+                    if type(got) is not int:
+                        assert issubclass(got[0], SturmiaError), got
+                        continue
+                    answered += 1
+                    for wider in extensions(slope):
+                        same = source if type(source) is int else AlphaNumber(source.digits, wider)
+                        assert count_turns(same, m, wider, cycle) == got, (slope, source, m)
+        # the digits of a shift past the word's q_D - 1 letters depend on
+        # quotients past a_D
+        if type(answer(count_turns, 0, 1, slope)) is int:
+            with pytest.raises(DepthError, match=f"^shift {q_top} passes the {q_top - 1} letters"):
+                count_turns(q_top, 1, slope)
+    assert answered > 12000
+
+
+@pytest.mark.parametrize("slope", [*SLOPES, THOUSANDS], ids=str)
+def test_an_integer_shift_turns_as_its_windows_do(slope):
+    # count_turns reads a shift k as its window encode(k, slope, d): every
+    # window of k counts as k does, or, too shallow for the letters the
+    # count reads, refuses with PrefixTooShortError; from
+    # d = max(level(k), level(m)) + 6 on, q_d passes k and those letters
+    for m in (1, 2, 3, 5, 9, 17, 40, 150):
+        for k in (0, 1, 2, 7, 30, 200, 1001):
+            low = slope.level(k)
+            deep = max(low, slope.level(m)) + 6
+            for cycle in ("referent", "other"):
+                expected = count_turns(k, m, slope, cycle)
+                for d in range(low, deep + 1):
+                    got = answer(count_turns, encode(k, slope, d), m, slope, cycle)
+                    if got != expected:
+                        refused = type(got) is tuple and got[0] is PrefixTooShortError
+                        assert refused and d < deep, (k, m, d, got)
+
+
+def test_a_large_shift_is_read_at_its_residue():
+    # a shift k is read off the characteristic word from its residue at the
+    # level of the letters read, so k = 10^9 builds a few hundred letters
+    # where c[k:] would need 10^9, and the laps are those of T^k c, the upper
+    # mechanical word of intercept (k + 1) alpha, here at a convergent far
+    # past k
+    golden = Slope((1,), (0, 1))  # a fresh slope, with no letters yet
+    alpha = convergent_value(golden, 120)
+    for k in (10**9, 10**15 + 3):
+        word = mechanical_prefix(alpha, (k + 1) * alpha % 1, 400, "upper")
+        for m in (1, 2, 5, 9, 17):
+            c, starts = start_rings(golden, m)
+            for cycle, ring in zip(("referent", "other"), starts):
+                assert count_turns(k, m, golden, cycle) == _laps(word, m, c, ring), (k, m)
+    assert len(golden._word[0]) < 10**3
 
 
 def test_count_turns_refuses_its_arguments_before_building_letters():

@@ -27,6 +27,12 @@ Rauzy graphs are read off the characteristic prefix by string searches, so
 factor-set scan and the oracle the graphs are checked against, not a second
 way to build them.
 
+Only `slope`, `ostrowski`, `words` and `intercept` read a slope's
+`known_depth`.  How far a finite slope [0; a_1, ..., a_D] goes is known to
+the ladder and the digit rules, to `words` for the letters of its
+characteristic word and to `intercept` for the letters of a window's word
+(`max_certified_length`); every other module reads words through them.
+
 Importing the package must not load `dataclasses`, `inspect` or `typing`:
 each cost a large share of what importing sturmia did, which every CLI call
 pays.  Records are `collections.namedtuple` classes and annotations name
@@ -214,6 +220,32 @@ def test_all_names_resolve_once():
                  if not hasattr(sturmia, name)]
     if problems:
         raise AssertionError("\n".join(problems))
+
+
+# the modules that may read how deep a finite slope's quotients go
+_DEPTH_READERS = {"slope.py", "ostrowski.py", "words.py", "intercept.py"}
+
+
+def depth_reads(root: Path) -> list[str]:
+    """Each read of `known_depth` in root/src/sturmia outside _DEPTH_READERS,
+    with the module-level definition it is in."""
+    found = []
+    for path in sorted((root / "src" / "sturmia").rglob("*.py")):
+        if path.name in _DEPTH_READERS:
+            continue
+        for top in ast.parse(path.read_text(), str(path)).body:
+            found += [
+                f"{path.name}:{node.lineno}: {getattr(top, 'name', '<module>')} reads known_depth"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "known_depth"
+            ]
+    return found
+
+
+def test_only_the_word_and_window_layers_read_a_finite_depth():
+    found = depth_reads(ROOT)
+    if found:
+        raise AssertionError("\n".join(found))
 
 
 def test_rauzy_does_not_bind_the_window_walk():

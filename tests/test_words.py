@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from sturmia import words
 from sturmia.acceptance import _standard_words as recursive_standard_words
 from sturmia.errors import DepthError, RangeError, SturmiaError
-from sturmia.intercept import sturmian_prefix
+from sturmia.intercept import max_certified_length, sturmian_prefix
 from sturmia.ostrowski import encode
 from sturmia.slope import Slope, convergent_value, parse_slope
 from sturmia.words import (
@@ -105,9 +105,17 @@ def test_finite_prefix_refusal_names_the_letters():
         characteristic_prefix(finite, 17)
     with pytest.raises(DepthError, match=message):
         words.shifted_characteristic_prefix(finite, 5, 12)
-    # a window certifies 16 letters, and a shifted prefix still reads past them
-    with pytest.raises(DepthError, match=message):
-        sturmian_prefix(encode(1, finite, 3), 16)
+    # a depth-3 window certifies 16 letters, but the 16 its shift by 1 reads
+    # pass the word's 16: sturmian_prefix refuses them by its own count
+    rho = encode(1, finite, 3)
+    assert max_certified_length(rho) == 15
+    assert sturmian_prefix(rho, 15) == characteristic_prefix(finite, 16)[1:]
+    shifted = (
+        r"^prefix of length 16 shifted by 1 passes the 16 letters"
+        r" the word of \[0;3,2,2\] certifies$"
+    )
+    with pytest.raises(DepthError, match=shifted):
+        sturmian_prefix(rho, 16)
 
 
 def test_standard_word_letter_cap():

@@ -27,7 +27,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from math import gcd
-from operator import attrgetter
+from operator import add, attrgetter
 
 from .errors import SturmiaError
 from .factorization import central_split_check, characteristic_factorizations, duality_check
@@ -613,8 +613,15 @@ def _word(index: int, length: int) -> str:
 
 def _b_flags(length: int, head: str = "") -> bytes:
     """One byte per word of `length` letters that starts with `head`, in
-    product order: 1 where b_factorize scans the word completely, else 0."""
-    words = map("".join, itertools.product(*head, *("01",) * (length - len(head))))
+    product order: 1 where b_factorize scans the word completely, else 0.
+
+    Each word is one `+` of a head (`head` and the first half of the free
+    letters) and a tail (the rest), from one list of tails made per call.
+    """
+    free = length - len(head)
+    tails = list(map("".join, itertools.product("01", repeat=free // 2)))
+    heads = map(head.__add__, map("".join, itertools.product("01", repeat=free - free // 2)))
+    words = itertools.starmap(add, itertools.product(heads, tails))
     return bytes(map(attrgetter("complete"), map(b_factorize, words)))
 
 

@@ -49,6 +49,7 @@ from .intercept import (
     AlphaNumber,
     classify,
     complement,
+    integer_window,
     max_certified_length,
     sigma0,
     sigma1,
@@ -127,7 +128,7 @@ def parse_intercept(spec: str, slope: Slope, depth: int) -> AlphaNumber:
             f"intercept spec {spec!r} is not an integer, a b: digit list, "
             "or one of zero|sigma0|sigma1"
         )
-    return encode(value, slope, depth)
+    return integer_window(value, slope, depth)
 
 
 def cmd_word(args, slope: Slope) -> tuple[dict, int]:

@@ -137,19 +137,29 @@ def max_certified_length(rho: AlphaNumber) -> int:
     return bisect_right(range(1, certified + 1), letters, key=lambda L: rho.psi(slope.level(L)) + L)
 
 
+def integer_window(k: int, slope: Slope, depth: int) -> AlphaNumber:
+    """encode(k, slope, depth), the window of the k-fold shifted
+    characteristic word.  On a finite slope [0; a_1, ..., a_D] the depth
+    stops at D, and from D on a k >= q_D raises DepthError: it passes the
+    q_D - 1 letters the word certifies."""
+    top = slope.known_depth
+    if top is not None and depth >= top:
+        if k >= slope.q(top):
+            raise DepthError(
+                f"shift {k} passes the {slope.q(top) - 1} letters the word of {slope} certifies"
+            )
+        depth = top
+    return encode(k, slope, depth)
+
+
 def _shift_window(k: int, slope: Slope, m: int) -> AlphaNumber:
-    """encode(k, slope, d), the window that reads the first m letters of the
-    k-fold shifted characteristic word, at the first level d with
-    q_d > k + m or at the depth D of a finite slope; DepthError when k
-    passes the q_D - 1 letters its word certifies."""
+    """integer_window(k, slope, d), the window that reads the first m letters
+    of the k-fold shifted characteristic word, at the first level d with
+    q_d > k + m or at the depth D of a finite slope."""
     depth = slope.known_depth
     if depth is None or k + m < slope.q(depth):
         depth = slope.level(k + m)
-    elif k >= slope.q(depth):
-        raise DepthError(
-            f"shift {k} passes the {slope.q(depth) - 1} letters the word of {slope} certifies"
-        )
-    return encode(k, slope, depth)
+    return integer_window(k, slope, depth)
 
 
 def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:

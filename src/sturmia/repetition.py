@@ -22,10 +22,18 @@ from .errors import CaseDispatchError, DepthError, PrefixTooShortError, RangeErr
 from .intercept import AlphaNumber
 from .slope import Slope, interval_locate
 
-# Fingerprint modulus of repetition_direct: the prime 2**64 - 59.  The base
-# 2**32 has order above 2e5 modulo it (tests/test_repetition.py checks
+# Fingerprint moduli of repetition_direct.  A scan of W windows modulo a
+# prime P expects about W**2 / 2P false hits, each confirmed in place.  Up
+# to _NARROW_WINDOWS windows it reduces modulo the prime 2**30 - 35, one
+# 30-bit CPython digit, so every `%` takes the single-digit division path,
+# and at most about two false hits are expected.  Past that it reduces
+# modulo the prime 2**64 - 59, three digits, where about 3e-8 are expected
+# at 10**6 windows.  The base 2**32 has order 268,435,447 modulo the narrow
+# prime and above 2e5 modulo the wide one (tests/test_repetition.py checks
 # both), unlike a Mersenne modulus 2**61 - 1, where 2**32 has order 61 and
 # windows of structured words would collide.
+_NARROW_MODULUS = 2**30 - 35
+_NARROW_WINDOWS = 2**16
 _MODULUS = 2**64 - 59
 # Code points in machine order, read four bytes at a time by memoryview
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
@@ -40,8 +48,9 @@ def repetition_direct(x_prefix: str, m: int) -> int:
     duplicate window is seen, rather than guessing.
 
     A Karp-Rabin rolling fingerprint (Karp & Rabin 1987): window i is read
-    as the base-2**32 number of its code points mod the prime _MODULUS, and
-    each next fingerprint comes from the last one in one step.  Each window
+    as the base-2**32 number of its code points mod a prime, _NARROW_MODULUS
+    for at most _NARROW_WINDOWS windows and _MODULUS past that, and each
+    next fingerprint comes from the last one in one step.  Each window
     is kept only as its fingerprint and first index; a fingerprint hit is
     confirmed against the prefix in place, and windows whose fingerprint
     collides with a different, earlier window are the only ones stored
@@ -51,7 +60,7 @@ def repetition_direct(x_prefix: str, m: int) -> int:
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
-    modulus = _MODULUS
+    modulus = _NARROW_MODULUS if len(x_prefix) - m < _NARROW_WINDOWS else _MODULUS
     codes = memoryview(x_prefix.encode(_UTF32, "surrogatepass")).cast("I")
     fingerprint = int.from_bytes(x_prefix[:m].encode("utf-32-be", "surrogatepass"), "big") % modulus
     top = pow(1 << 32, m, modulus)  # weight of the letter leaving, once shifted

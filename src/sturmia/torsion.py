@@ -36,16 +36,18 @@ _BLOCK_RUN_RE = re.compile(f"(?:{_BLOCK})*")
 class BFactorization:
     """The block scan of `word`: blocks cover word[:cut], the rest is left over.
 
-    Only the cut is stored; the block list is split off when read.  Two
-    scans are equal when their (blocks, leftover) are, which is the same as
-    equal (word, cut) because a block stream is unique.
+    Only the cut and whether it reaches the end are stored; the block list
+    is split off when read.  Two scans are equal when their (blocks,
+    leftover) are, which is the same as equal (word, cut) because a block
+    stream is unique.
     """
 
-    __slots__ = ("word", "cut")
+    __slots__ = ("word", "cut", "complete")
 
     def __init__(self, word: str, cut: int):
         self.word = word
         self.cut = cut
+        self.complete = cut == len(word)
 
     @property
     def blocks(self) -> tuple[str, ...]:
@@ -54,10 +56,6 @@ class BFactorization:
     @property
     def leftover(self) -> str:
         return self.word[self.cut :]
-
-    @property
-    def complete(self) -> bool:
-        return self.cut == len(self.word)
 
     @property
     def failure_at(self) -> int | None:
@@ -84,7 +82,13 @@ def b_factorize(u: str) -> BFactorization:
     to a block, so on prefixes of infinite words the certified blocks
     are final.
     """
-    return BFactorization(u, _BLOCK_RUN_RE.match(u).end())
+    # BFactorization(u, cut) without a call to __init__: criterion 12 scans
+    # 262,143 words, one flag each
+    scan = object.__new__(BFactorization)
+    scan.word = u
+    scan.cut = cut = _BLOCK_RUN_RE.match(u).end()
+    scan.complete = cut == len(u)
+    return scan
 
 
 def parity_word(slope: Slope, depth: int) -> str:

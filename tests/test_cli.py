@@ -440,6 +440,23 @@ GOLDEN_OUTPUT = [
         0,
         'm=3 level=(n=1, l=1, r=2) cycles=(3, 4) common=3 turns=1\n',
     ),
+    # an integer intercept on a finite slope is encoded at its depth D = 3,
+    # not at the default depth 24: these are the lines --depth 3 prints
+    (
+        ['word', 'prefix', '--slope', '[0;3,2,2]', '--intercept', '5', '--len', '3'],
+        0,
+        '100\n',
+    ),
+    (
+        ['intercept', '--slope', '[0;3,2,2]', '--intercept', '5'],
+        0,
+        'digits=2,1,0\nsupport=[0, 1] residue=5\nclass=non-zero witness=None\ncomplement=0\n',
+    ),
+    (
+        ['repetition', '--slope', '[0;3,2,2]', '--intercept', '5', '--m-max', '3'],
+        0,
+        'm,r_closed,r_direct,case\n1,2,2,6\n2,2,2,7\n3,4,4,7\n',
+    ),
     (
         ['rauzy', '--slope', '[0;1*]', '--m', '10000'],
         0,
@@ -731,6 +748,7 @@ USAGE_ERRORS = [
     (['rauzy', '--slope', '[0;3,2,2]', '--m', '30'], 'error: m=30 exceeds the representable range of the slope\n'),
     (['rauzy', '--slope', '[0;41,44,29]', '--m', '5000'], 'error: prefix of length 59193 passes the 52385 letters the word of [0;41,44,29] certifies\n'),
     (['word', 'prefix', '--slope', '[0;3,2,2]', '--len', '20'], 'error: prefix of length 20 passes the 16 letters the word of [0;3,2,2] certifies\n'),
+    (['word', 'prefix', '--slope', '[0;3,2,2]', '--intercept', '17', '--len', '3'], 'error: shift 17 passes the 16 letters the word of [0;3,2,2] certifies\n'),
     (['repetition', '--slope', '[0;1*]', '--m-max', '0'], 'error: --m-max must be >= 1, got 0\n'),
     (['repetition', '--slope', '[0;1000*]', '--intercept', 'zero', '--depth', '4', '--no-check', '--m-max', '100000'], 'error: --m-max must be at most 10000, got 100000\n'),
     (['factorize', '--word', '0201'], "error: --word expects a binary word, got '0201'\n"),

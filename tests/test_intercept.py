@@ -25,6 +25,7 @@ from sturmia.intercept import (
     complement,
     complement_report,
     equivalent,
+    integer_window,
     intercept_from_prefix,
     max_certified_length,
     sigma0,
@@ -271,6 +272,25 @@ def test_a_finite_window_certifies_what_every_extension_agrees_on():
         # the word of the slope ends before the window's q_depth - 1 letters
         capped += top < slope.q(depth) - 1
     assert capped > 40
+
+
+def test_an_integer_window_stops_at_the_depth_of_a_finite_slope():
+    # below D it is encode at the depth asked for; from D on it is encode at
+    # D, and an integer at or past q_D is refused by the letters the word
+    # certifies, whatever the depth
+    rng = random.Random(SEED + 37)
+    for slope in seeded_finite_slopes(60, SEED + 38):
+        top = slope.known_depth
+        for depth in range(top + 3):
+            k = rng.randrange(slope.q(min(depth, top)))
+            assert integer_window(k, slope, depth) == encode(k, slope, min(depth, top))
+        for depth in (top, top + 1, 24):
+            with pytest.raises(DepthError, match=f"shift {slope.q(top)} passes the {slope.q(top) - 1} letters"):
+                integer_window(slope.q(top), slope, depth)
+    # an infinite slope's window is encode's, refusals included
+    assert integer_window(12345, GOLDEN, 24) == encode(12345, GOLDEN, 24)
+    with pytest.raises(RangeError, match="increase depth"):
+        integer_window(100, GOLDEN, 6)
 
 
 # ----------------------------------------------------------------- increment

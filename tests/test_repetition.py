@@ -116,29 +116,63 @@ def test_direct_matches_window_set_scan(word):
         assert direct_or_none(word, m) == reference_direct(word, m)
 
 
+class Prefix(str):
+    """A word that records in `misses` each in-place confirmation that fails."""
+
+    def __new__(cls, word: str, misses: list[tuple[str, int]]):
+        prefix = super().__new__(cls, word)
+        prefix.misses = misses
+        return prefix
+
+    def startswith(self, window, start):
+        agrees = super().startswith(window, start)
+        if not agrees:
+            self.misses.append((window, start))
+        return agrees
+
+
 def test_direct_exact_when_every_hash_collides(monkeypatch):
     misses = []
-
-    class Prefix(str):
-        """A word that records each in-place confirmation that fails."""
-
-        def startswith(self, window, start):
-            agrees = super().startswith(window, start)
-            if not agrees:
-                misses.append((window, start))
-            return agrees
-
     # modulus 1: every window has the fingerprint 0
     monkeypatch.setattr(repetition, "_MODULUS", 1)
+    monkeypatch.setattr(repetition, "_NARROW_MODULUS", 1)
     rng = random.Random(3)
     words = [characteristic_prefix(slope, 150) for slope in SLOPES]
     words += ["".join(rng.choice("012") for _ in range(60)) for _ in range(5)]
     words += ["000000", "0120120", "01", "0110100110010110"]
     for word in words:
         for m in range(1, len(word) + 2):
-            assert direct_or_none(Prefix(word), m) == reference_direct(word, m)
+            assert direct_or_none(Prefix(word, misses), m) == reference_direct(word, m)
+    # scans of 2**16 and 2**16 + 1 windows, one on each side of the line
+    # between the two primes; at m = 40 neither repeats a window
+    for m in (24, 40):
+        for windows in (2**16, 2**16 + 1):
+            word = "".join(rng.choice("01") for _ in range(windows + m - 1))
+            assert direct_or_none(Prefix(word, misses), m) == reference_direct(word, m)
     # distinct windows met under one fingerprint and were kept whole
     assert misses
+
+
+@pytest.mark.parametrize("windows", [2**16, 2**16 + 1])
+@pytest.mark.parametrize("m", [1, 3, 50])
+def test_direct_reduces_modulo_the_narrow_prime_up_to_2_16_windows(monkeypatch, windows, m):
+    # windows 1 and 0 differ, so only a modulus of 1 makes window 1 a false hit
+    word = "0" * (m - 1) + "1" + "0" * (windows - 1)
+    expected = reference_direct(word, m)
+    for name, used in (("_NARROW_MODULUS", windows <= 2**16), ("_MODULUS", windows > 2**16)):
+        with monkeypatch.context() as patch:
+            patch.setattr(repetition, name, 1)
+            misses = []
+            assert repetition_direct(Prefix(word, misses), m) == expected
+            assert bool(misses) == used, name
+
+
+def test_direct_matches_the_window_set_scan_across_the_2_16_window_line():
+    rng = random.Random(16)
+    for m in (16, 32, 48):
+        for windows in (2**16 - 1, 2**16, 2**16 + 1, 2**16 + 2):
+            word = "".join(rng.choice("01") for _ in range(windows + m - 1))
+            assert direct_or_none(word, m) == reference_direct(word, m)
 
 
 def is_prime(n: int) -> bool:
@@ -163,14 +197,16 @@ def is_prime(n: int) -> bool:
 
 
 def test_fingerprint_modulus_is_a_prime_where_the_base_has_large_order():
-    p = repetition._MODULUS
-    assert p < 3 * 10**24 and is_prime(p)
+    # the narrow prime is one 30-bit digit of a CPython int
+    assert repetition._NARROW_MODULUS < 2**30
     assert is_prime(2**61 - 1) and not is_prime(2**64 - 1)
-    # windows at distance d share a weight when (2**32)**d = 1: no d up to 2e5
-    base, power = 2**32 % p, 1
-    for d in range(1, 200_001):
-        power = power * base % p
-        assert power != 1, d
+    for p in (repetition._NARROW_MODULUS, repetition._MODULUS):
+        assert p < 3 * 10**24 and is_prime(p)
+        # windows at distance d share a weight when (2**32)**d = 1: no d up to 2e5
+        base, power = 2**32 % p, 1
+        for d in range(1, 200_001):
+            power = power * base % p
+            assert power != 1, (p, d)
 
 
 def test_direct_scan_memory_is_linear():

@@ -517,8 +517,10 @@ def _rauzy_graphs(item: tuple[Slope, range]) -> None:
     window = zero(slope, 24)  # the characteristic word's, deep enough for every m here
     for m in lengths:
         # build_graph and count_turns, on one reading of the cycles
-        read = _cycles(slope, m, m * (m + 1))
+        read = _cycles(slope, m)
         graph = _graph(slope, m, *read)
+        if len(set(map(graph.factor, graph.vertices))) != m + 1:
+            raise _Failed(f"vertices at m={m} on {slope}")
         pos = graph.level
         q_n, q_n1 = slope.q(pos.n), slope.q(pos.n - 1)
         ref, other = len(graph.referent_cycle), len(graph.other_cycle)
@@ -532,7 +534,8 @@ def _rauzy_graphs(item: tuple[Slope, range]) -> None:
 
 
 def check_09_rauzy() -> str:
-    """Cycle lengths, coprimality and turn counts on every graph up to m=150."""
+    """Distinct vertex factors, cycle lengths, coprimality and turn counts on
+    every graph up to m=150."""
     # every slope builds the same 150 graphs, cut at m = 90 into two items;
     # a graph's work grows with m
     items = tuple((slope, m) for slope in NAMED_FIVE for m in (range(1, 91), range(91, 151)))

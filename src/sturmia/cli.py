@@ -51,10 +51,8 @@ from .intercept import (
     complement,
     integer_window,
     max_certified_length,
-    sigma0,
-    sigma1,
+    named_window,
     sturmian_prefix,
-    zero,
 )
 from .ostrowski import decode, encode
 from .rauzy import build_graph, count_turns
@@ -108,13 +106,8 @@ def default_depth() -> int:
 
 def parse_intercept(spec: str, slope: Slope, depth: int) -> AlphaNumber:
     """Resolve an intercept spec: integer, "b:0,1,0,1" digit list, or a name."""
-    named: dict[str, Callable[[Slope, int], AlphaNumber]] = {
-        "zero": zero,
-        "sigma0": sigma0,
-        "sigma1": sigma1,
-    }
-    if spec in named:
-        return named[spec](slope, depth)
+    if spec in ("zero", "sigma0", "sigma1"):
+        return named_window(spec, slope, depth)
     if spec.startswith("b:"):
         try:
             digits = tuple(int(part) for part in spec[2:].split(","))

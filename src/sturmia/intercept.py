@@ -137,6 +137,14 @@ def max_certified_length(rho: AlphaNumber) -> int:
     return bisect_right(range(1, certified + 1), letters, key=lambda L: rho.psi(slope.level(L)) + L)
 
 
+def named_window(name: str, slope: Slope, depth: int) -> AlphaNumber:
+    """The window `zero`, `sigma0` or `sigma1` names, at this depth, which on
+    a finite slope [0; a_1, ..., a_D] stops at D, as in `integer_window`."""
+    window = {"zero": zero, "sigma0": sigma0, "sigma1": sigma1}[name]
+    top = slope.known_depth
+    return window(slope, depth if top is None else min(depth, top))
+
+
 def integer_window(k: int, slope: Slope, depth: int) -> AlphaNumber:
     """encode(k, slope, depth), the window of the k-fold shifted
     characteristic word.  On a finite slope [0; a_1, ..., a_D] the depth

@@ -13,9 +13,15 @@ common path is the windows at 0 .. r.  Each cycle is a return word of R
 (Vuillon, European J. Combin. 22, 2001): from R's first arrow by the
 cycle's letter to R's next occurrence, its last r vertices the common path.
 The searches are str.find on c, and a vertex is the start of its window in
-c; cycle lengths, coprimality and the common path cross-check the reading.
-Only build_graph slices the vertex strings, and it checks that the m + 1 of
-them are distinct.
+c, in the reading and in the RauzyGraph record alike; cycle lengths,
+coprimality and the common path cross-check the reading.  Only
+RauzyGraph.to_dot makes strings: it slices the m + 1 windows, sorts them
+and checks there that they are distinct, and only it is held to the
+m(m + 1) letter budget of those strings.  So build_graph takes time and
+memory linear in m and the prefix: on the golden slope 0.075 ms and a
+0.25 MB tracemalloc peak at m = 2000, 0.61 ms and 0.95 MB at m = 8000,
+where the vertex strings took 0.81 ms and 4.3 MB, 16 ms and 63 MB (best of
+21, Python 3.11 on a 2-core machine).
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from math import gcd
 
 from .errors import PrefixTooShortError, RangeError
 from .intercept import AlphaNumber, _shift_window, max_certified_length, sturmian_prefix
-from .slope import IntervalPosition, Slope, interval_locate
-from .words import MAX_STANDARD_LETTERS, characteristic_prefix
+from .slope import IntervalPosition, Slope
+from .words import MAX_STANDARD_LETTERS, _language, characteristic_prefix
 
 
 def _cycle_letter(level: int) -> str:
@@ -37,37 +43,73 @@ def _cycle_letter(level: int) -> str:
 class RauzyGraph(
     namedtuple(
         "RauzyGraph",
-        "m slope level vertices edges left_special right_special"
+        "m slope level prefix vertices edges left_special right_special"
         " referent_cycle other_cycle common_path",
     )
 ):
+    """The length-m graph, each vertex the start of its window in `prefix`,
+    the characteristic prefix the graph was read from.
+
+    `vertices` lists the common path, then each cycle's own vertices;
+    `edges` the referent cycle's arrows in ring order from the right special
+    vertex, then the other cycle's arrows off the common path.  A cycle
+    runs from the right special vertex, and the common path from the left
+    special one.  `factor` gives a vertex's factor; only `to_dot` slices
+    them all.
+    """
+
     __slots__ = ()
 
-    def cycle_edges(self, cycle: tuple[str, ...]) -> frozenset[tuple[str, str]]:
-        k = len(cycle)
-        return frozenset((cycle[i], cycle[(i + 1) % k]) for i in range(k))
+    def factor(self, vertex: int) -> str:
+        return self.prefix[vertex : vertex + self.m]
 
     def to_dot(self) -> str:
-        lines = ["digraph rauzy {"]
-        for v in self.vertices:
-            marks = []
-            if v == self.left_special:
-                marks.append("shape=box")
-            if v == self.right_special:
-                marks.append("peripheries=2")
-            attrs = f" [{','.join(marks)}]" if marks else ""
-            lines.append(f'  "{v}"{attrs};')
-        referent = self.cycle_edges(self.referent_cycle)
-        for s, t in self.edges:
-            style = ' [style=bold]' if (s, t) in referent else ""
-            lines.append(f'  "{s}" -> "{t}"{style};')
-        lines.append("}")
+        """The graph in Graphviz dot, vertices and arrows sorted by their
+        factors: the left special vertex boxed, the right special one
+        doubled, the referent cycle's arrows bold.
+
+        Raises RangeError, before any factor is sliced, when the m + 1 of
+        them would hold more than MAX_STANDARD_LETTERS letters, and
+        AssertionError unless they are distinct.
+        """
+        m = self.m
+        letters = m * (m + 1)
+        if letters > MAX_STANDARD_LETTERS:
+            raise RangeError(
+                f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
+            )
+        c, vertices = self.prefix, self.vertices
+        names = [c[v : v + m] for v in vertices]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        words = list(map(names.__getitem__, order))
+        # a repeated factor sits next to its copy in sorted order
+        distinct = len(words) - sum(map(str.__eq__, words, words[1:]))
+        if distinct != m + 1:
+            raise AssertionError(f"{distinct} length-{m} factors, expected {m + 1}")
+        # each vertex by its place in the sorted factors
+        rank = {vertices[i]: at for at, i in enumerate(order)}
+        left, right = rank[self.left_special], rank[self.right_special]
+        attrs = [""] * len(words)
+        attrs[left] = " [shape=box]"
+        attrs[right] = " [shape=box,peripheries=2]" if right == left else " [peripheries=2]"
+        ring = [rank[v] for v in self.referent_cycle]
+        bold = set(zip(ring, ring[1:] + ring[:1]))
+        # sorted by source, then target: the right special vertex's two
+        # targets differ in their last letter
+        arrows = sorted([(rank[s], rank[t]) for s, t in self.edges])
+        lines = [
+            "digraph rauzy {",
+            *[f'  "{word}"{attr};' for word, attr in zip(words, attrs)],
+            *[
+                f'  "{words[s]}" -> "{words[t]}"{" [style=bold]" * ((s, t) in bold)};'
+                for s, t in arrows
+            ],
+            "}",
+        ]
         return "\n".join(lines)
 
 
-def _cycles(
-    slope: Slope, m: int, vertex_letters: int
-) -> tuple[IntervalPosition, str, range, range]:
+def _cycles(slope: Slope, m: int) -> tuple[IntervalPosition, str, range, range]:
     """The checked cycles of the length-m graph, read off the characteristic
     prefix c, with each vertex given as the start of its window in c.
 
@@ -76,20 +118,17 @@ def _cycles(
     special vertex at r through its own vertices, then along the common
     path from the left special vertex at 0 to r - 1.  Builds no vertex
     string and no list of vertices.
-    Raises RangeError, before the prefix is built, when the prefix or the
-    caller's `vertex_letters` would hold more than MAX_STANDARD_LETTERS
-    letters, and `characteristic_prefix` DepthError past a finite word.
+    Raises RangeError, before the prefix is built, when it would hold more
+    than MAX_STANDARD_LETTERS letters, and DepthError when it passes the
+    q_D - 1 letters the word of a finite slope [0; a_1, ..., a_D] certifies.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
-    pos = interval_locate(m, slope)
+    pos, length = _language(slope, m)
     q_lo, q = slope.q(pos.n - 1), slope.q(pos.n)
-    # the letters that show every length-m factor, as `language_length` counts
-    length = m + slope.q(pos.n + 1) + q + 2
-    letters = max(vertex_letters, length)
-    if letters > MAX_STANDARD_LETTERS:
+    if length > MAX_STANDARD_LETTERS:
         raise RangeError(
-            f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
+            f"window length {m} needs {length} letters, more than {MAX_STANDARD_LETTERS}"
         )
     c = characteristic_prefix(slope, length)
     left = c[:m]
@@ -120,49 +159,39 @@ def _cycles(
 
 
 def build_graph(slope: Slope, m: int) -> RauzyGraph:
-    """Graph of the length-m factors, built from a certified prefix.
+    """Graph of the length-m factors, built from a certified prefix, in
+    time and memory linear in m and the prefix.
 
-    Raises RangeError, before the prefix is built, when the m + 1 vertex
-    strings or the prefix would hold more than MAX_STANDARD_LETTERS letters.
+    Raises RangeError, before the prefix is built, when it would hold more
+    than MAX_STANDARD_LETTERS letters.
     """
-    return _graph(slope, m, *_cycles(slope, m, m * (m + 1)))
+    return _graph(slope, m, *_cycles(slope, m))
 
 
 def _graph(slope: Slope, m: int, pos: IntervalPosition, c: str, *owns: range) -> RauzyGraph:
-    """build_graph's graph from the cycles `_cycles` has read."""
+    """build_graph's graph from the cycles `_cycles` has read: tuples of
+    window starts, each vertex one int object that every tuple shares."""
     r = pos.r
-    # vertex ids: the common path 0 .. r, then each cycle's own vertices
-    windows = [c[s : s + m] for run in (range(r + 1), *owns) for s in run]
-    order = sorted(range(len(windows)), key=windows.__getitem__)
-    vertices = tuple(map(windows.__getitem__, order))
-    # a repeated window sits next to its copy in sorted order
-    distinct = len(vertices) - sum(map(str.__eq__, vertices, vertices[1:]))
-    if distinct != m + 1:
-        raise AssertionError(f"{distinct} length-{m} factors, expected {m + 1}")
-    first = r + 1 + len(owns[0])
-    ids = ([r, *range(r + 1, first), *range(r)], [r, *range(first, len(windows)), *range(r)])
-    referent, other = (tuple(map(windows.__getitem__, ring)) for ring in ids)
-    after = [0] * len(windows)
-    for ring in ids:
-        for i, j in zip(ring, ring[1:] + ring[:1]):
-            after[i] = j
-    edges = [(windows[i], windows[after[i]]) for i in order]
-    # the right special vertex has two arrows, whose targets differ in their
-    # last letter
-    at = order.index(r)
-    edges[at : at + 1] = sorted((windows[r], windows[ring[1 % len(ring)]]) for ring in ids)
+    common = tuple(range(r + 1))
+    referent_own, other_own = map(tuple, owns)
+    right, path = common[r:], common[:r]
+    referent = right + referent_own + path
+    other = right + other_own + path
+    # the other cycle leaves the common path at the right special vertex and
+    # rejoins it at the left special one, at 0
+    off = other[: len(other_own) + 1]
     return RauzyGraph(
         m=m,
         slope=slope,
         level=pos,
-        vertices=vertices,
-        # the arrows reuse the vertex string objects
-        edges=tuple(edges),
-        left_special=windows[0],
-        right_special=referent[0],
+        prefix=c,
+        vertices=common + referent_own + other_own,
+        edges=(*zip(referent, referent[1:] + right), *zip(off, off[1:] + common[:1])),
+        left_special=common[0],
+        right_special=common[r],
         referent_cycle=referent,
         other_cycle=other,
-        common_path=tuple(windows[: r + 1]),
+        common_path=common,
     )
 
 
@@ -227,7 +256,7 @@ def count_turns(
         raise ValueError(f"cycle must be 'referent' or 'other', got {cycle!r}")
     if isinstance(source, AlphaNumber) and source.slope != slope:
         raise ValueError("digit window and graph live over different slopes")
-    return _turns(source, m, slope, cycle, *_cycles(slope, m, 0))
+    return _turns(source, m, slope, cycle, *_cycles(slope, m))
 
 
 def _turns(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import pairwise
 
 from .errors import DepthError, RangeError
-from .slope import Slope, interval_locate
+from .slope import IntervalPosition, Slope, interval_locate
 
 
 # The longest word built.  q_n >= F_{n+1} on every slope, so from the
@@ -127,9 +127,26 @@ def language_length(slope: Slope, m: int) -> int:
     """Letters of the characteristic word that show every length-m factor.
 
     For m >= 1 in [q_n - 1, q_{n+1} - 2] this is m + q_{n+1} + q_n + 2.
+    Refuses as `_language` does.
     """
-    n = interval_locate(m, slope).n
-    return m + slope.q(n + 1) + slope.q(n) + 2
+    return _language(slope, m)[1]
+
+
+def _language(slope: Slope, m: int) -> tuple[IntervalPosition, int]:
+    """The level of m, `interval_locate`'s, and `language_length`.
+
+    Raises DepthError when m >= q_D - 1 on a finite slope
+    [0; a_1, ..., a_D], where its level lies past a_D: the length-m factors
+    need more than the q_D - 1 letters the word certifies.
+    """
+    try:
+        pos = interval_locate(m, slope)
+    except DepthError:  # only a finite slope's ladder ends
+        raise DepthError(
+            f"window length {m} needs more than the {slope.q(slope.known_depth) - 1} letters"
+            f" the word of {slope} certifies"
+        ) from None
+    return pos, m + slope.q(pos.n + 1) + slope.q(pos.n) + 2
 
 
 def shifted_characteristic_prefix(slope: Slope, k: int, m: int) -> str:

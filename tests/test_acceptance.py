@@ -129,9 +129,9 @@ def test_criterion_09_reads_the_cycles_of_each_graph_once(monkeypatch, tmp_path)
     read = rauzy._cycles
     note, calls = call_log(tmp_path / "calls")
 
-    def counting(slope, m, vertex_letters):
+    def counting(slope, m):
         note(f"{slope} {m}")
-        return read(slope, m, vertex_letters)
+        return read(slope, m)
 
     # build_graph and count_turns read through the rauzy module's own name
     monkeypatch.setattr(acceptance, "_cycles", counting)

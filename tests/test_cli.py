@@ -457,6 +457,33 @@ GOLDEN_OUTPUT = [
         0,
         'm,r_closed,r_direct,case\n1,2,2,6\n2,2,2,7\n3,4,4,7\n',
     ),
+    # so is a named intercept, at min(depth, D): the lines --depth 3 prints
+    (
+        ['intercept', '--slope', '[0;3,2,2]', '--intercept', 'zero'],
+        0,
+        (
+            'digits=0,0,0\nsupport=[] residue=0\nclass=natural-integer witness=1\n'
+            'complement unavailable: natural-integer windows have no complement\n'
+        ),
+    ),
+    (
+        ['intercept', '--slope', '[0;3,2,2]', '--intercept', 'sigma0'],
+        0,
+        (
+            'digits=0,2,0\nsupport=[1] residue=6\nclass=sigma0-tail witness=1\n'
+            'complement unavailable: sigma intercepts are excluded from complementation\n'
+        ),
+    ),
+    (
+        ['word', 'prefix', '--slope', '[0;3,2,2]', '--intercept', 'sigma0', '--len', '3'],
+        0,
+        '000\n',
+    ),
+    (
+        ['word', 'prefix', '--slope', '[0;3,2,2]', '--intercept', 'sigma1', '--len', '0'],
+        0,
+        '\n',
+    ),
     (
         ['rauzy', '--slope', '[0;1*]', '--m', '10000'],
         0,
@@ -745,7 +772,7 @@ USAGE_ERRORS = [
     (['rauzy', '--slope', '[0;1*]', '--m', '0'], 'error: window length must be >= 1, got 0\n'),
     (['rauzy', '--slope', '[0;1', '--m', '3', '--format', 'dot'], "error: not a slope literal: '[0;1'\n"),
     (['rauzy', '--slope', '[0;1*]', '--m', '10000', '--format', 'dot'], 'error: window length 10000 needs 100010000 letters, more than 100000000\n'),
-    (['rauzy', '--slope', '[0;3,2,2]', '--m', '30'], 'error: m=30 exceeds the representable range of the slope\n'),
+    (['rauzy', '--slope', '[0;3,2,2]', '--m', '30'], 'error: window length 30 needs more than the 16 letters the word of [0;3,2,2] certifies\n'),
     (['rauzy', '--slope', '[0;41,44,29]', '--m', '5000'], 'error: prefix of length 59193 passes the 52385 letters the word of [0;41,44,29] certifies\n'),
     (['word', 'prefix', '--slope', '[0;3,2,2]', '--len', '20'], 'error: prefix of length 20 passes the 16 letters the word of [0;3,2,2] certifies\n'),
     (['word', 'prefix', '--slope', '[0;3,2,2]', '--intercept', '17', '--len', '3'], 'error: shift 17 passes the 16 letters the word of [0;3,2,2] certifies\n'),

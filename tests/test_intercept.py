@@ -28,6 +28,7 @@ from sturmia.intercept import (
     integer_window,
     intercept_from_prefix,
     max_certified_length,
+    named_window,
     sigma0,
     sigma1,
     sturmian_prefix,
@@ -291,6 +292,18 @@ def test_an_integer_window_stops_at_the_depth_of_a_finite_slope():
     assert integer_window(12345, GOLDEN, 24) == encode(12345, GOLDEN, 24)
     with pytest.raises(RangeError, match="increase depth"):
         integer_window(100, GOLDEN, 6)
+
+
+def test_a_named_window_stops_at_the_depth_of_a_finite_slope():
+    # zero, sigma0 and sigma1 at the depth asked for, which stops at D on a
+    # finite slope, where the quotients past a_D are unknown
+    for slope in seeded_finite_slopes(20, SEED + 39):
+        top = slope.known_depth
+        for depth in (1, top, top + 1, 24):
+            for name, window in (("zero", zero), ("sigma0", sigma0), ("sigma1", sigma1)):
+                assert named_window(name, slope, depth) == window(slope, min(depth, top))
+    for depth in (2, 24):
+        assert named_window("sigma1", GOLDEN, depth) == sigma1(GOLDEN, depth)
 
 
 # ----------------------------------------------------------------- increment

@@ -55,14 +55,14 @@ RECORDS = [
      {"rule": None, "index": None, "message": None}, (False, "digit-bound", 2, "b_2 > a_2"),
      "ValidationReport(ok=False, rule='digit-bound', index=2, message='b_2 > a_2')"),
     (RauzyGraph,
-     "m slope level vertices edges left_special right_special referent_cycle"
+     "m slope level prefix vertices edges left_special right_special referent_cycle"
      " other_cycle common_path", {},
-     (1, GOLDEN, IntervalPosition(1, 0, 0), ("0", "1"), (("0", "1"), ("1", "0"), ("1", "1")),
-      "1", "1", ("1",), ("0", "1"), ()),
-     f"RauzyGraph(m=1, slope={GOLDEN_REPR}, level=IntervalPosition(n=1, l=0, r=0),"
-     " vertices=('0', '1'), edges=(('0', '1'), ('1', '0'), ('1', '1')),"
-     " left_special='1', right_special='1', referent_cycle=('1',),"
-     " other_cycle=('0', '1'), common_path=())"),
+     (1, GOLDEN, IntervalPosition(2, 0, 0), "10110101", (0, 1), ((0, 1), (1, 0), (0, 0)),
+      0, 0, (0, 1), (0,), (0,)),
+     f"RauzyGraph(m=1, slope={GOLDEN_REPR}, level=IntervalPosition(n=2, l=0, r=0),"
+     " prefix='10110101', vertices=(0, 1), edges=((0, 1), (1, 0), (0, 0)),"
+     " left_special=0, right_special=0, referent_cycle=(0, 1),"
+     " other_cycle=(0,), common_path=(0,))"),
     (RepetitionRow, "m_lo m_hi value case", {}, (1, 4, 3, "A"),
      "RepetitionRow(m_lo=1, m_hi=4, value=3, case='A')"),
     (JumpReport, "holds checked failures", {}, (True, (1, 20), ()),

@@ -54,7 +54,7 @@ from .intercept import (
     named_window,
     sturmian_prefix,
 )
-from .ostrowski import decode, encode
+from .ostrowski import decode
 from .rauzy import build_graph, count_turns
 from .repetition import profile_lookup, repetition_closed_forms, repetition_profile
 from .slope import Slope, interval_locate, parse_slope
@@ -139,7 +139,7 @@ def cmd_word(args, slope: Slope) -> tuple[dict, int]:
 
 def cmd_ostrowski(args, slope: Slope) -> tuple[dict, int]:
     if args.encode is not None:
-        window = encode(args.encode, slope, args.depth)
+        window = integer_window(args.encode, slope, args.depth)
         support = sorted(window.support())
         return {"value": args.encode, "digits": list(window.digits), "support": support}, 0
     try:

@@ -28,9 +28,11 @@ from .slope import Slope, interval_locate
 # 30-bit CPython digit, so every `%` takes the single-digit division path,
 # and at most about two false hits are expected.  Past that it reduces
 # modulo the prime 2**64 - 59, three digits, where about 3e-8 are expected
-# at 10**6 windows.  The base 2**32 has order 268,435,447 modulo the narrow
-# prime and above 2e5 modulo the wide one (tests/test_repetition.py checks
-# both), unlike a Mersenne modulus 2**61 - 1, where 2**32 has order 61 and
+# at 10**6 windows.  A Latin-1 word is read one byte a letter in base 2**8,
+# any other word as code points in base 2**32; both bases have order
+# 268,435,447 modulo the narrow prime and 4,611,686,018,427,387,889 modulo
+# the wide one, (P - 1) / 4 in each (tests/test_repetition.py checks all
+# four), unlike a Mersenne modulus 2**61 - 1, where 2**32 has order 61 and
 # windows of structured words would collide.
 _NARROW_MODULUS = 2**30 - 35
 _NARROW_WINDOWS = 2**16
@@ -48,30 +50,42 @@ def repetition_direct(x_prefix: str, m: int) -> int:
     duplicate window is seen, rather than guessing.
 
     A Karp-Rabin rolling fingerprint (Karp & Rabin 1987): window i is read
-    as the base-2**32 number of its code points mod a prime, _NARROW_MODULUS
-    for at most _NARROW_WINDOWS windows and _MODULUS past that, and each
-    next fingerprint comes from the last one in one step.  Each window
-    is kept only as its fingerprint and first index; a fingerprint hit is
-    confirmed against the prefix in place, and windows whose fingerprint
-    collides with a different, earlier window are the only ones stored
-    whole, so the answer is exact whatever the modulus.  O(len(x_prefix))
-    memory, and O(len(x_prefix) + m) time while distinct windows keep
+    as a number mod a prime, _NARROW_MODULUS for at most _NARROW_WINDOWS
+    windows and _MODULUS past that, and each next fingerprint comes from
+    the last one in one step.  A word that encodes to Latin-1, as every
+    word the library builds does, is read one byte a letter in base 2**8;
+    any other word as its code points in base 2**32 (lone surrogates
+    included).  Each window is kept only as its fingerprint and first
+    index; a fingerprint hit is confirmed against the prefix in place, and
+    windows whose fingerprint collides with a different, earlier window are
+    the only ones stored whole, so the answer is exact whatever the modulus
+    or the reading.  One copy of the word in memory, 1 byte a letter for
+    Latin-1 and 4 otherwise (an early repeat on 10**6 golden letters peaks
+    at about 1 MB under tracemalloc, against 3.8 MB when every word was read
+    as UTF-32), and O(len(x_prefix) + m) time while distinct windows keep
     distinct fingerprints.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
     modulus = _NARROW_MODULUS if len(x_prefix) - m < _NARROW_WINDOWS else _MODULUS
-    codes = memoryview(x_prefix.encode(_UTF32, "surrogatepass")).cast("I")
-    fingerprint = int.from_bytes(x_prefix[:m].encode("utf-32-be", "surrogatepass"), "big") % modulus
-    top = pow(1 << 32, m, modulus)  # weight of the letter leaving, once shifted
+    try:
+        codes = memoryview(x_prefix.encode("latin-1"))
+        base, head = 2**8, codes[:m]
+    except UnicodeEncodeError:
+        codes = memoryview(x_prefix.encode(_UTF32, "surrogatepass")).cast("I")
+        base, head = 2**32, x_prefix[:m].encode("utf-32-be", "surrogatepass")
+    fingerprint = int.from_bytes(head, "big") % modulus
+    top = pow(base, m, modulus)  # weight of the letter leaving, once shifted
     first = {fingerprint: 0}
+    setdefault = first.setdefault
     collided: set[str] = set()
-    for i, (out, new) in enumerate(zip(codes, codes[m:]), start=1):
-        fingerprint = ((fingerprint << 32 | new) - out * top) % modulus
-        j = first.setdefault(fingerprint, i)
-        if j != i:
+    i = 0
+    for out, new in zip(codes, codes[m:]):
+        i += 1
+        fingerprint = (fingerprint * base + new - out * top) % modulus
+        if setdefault(fingerprint, i) != i:
             window = x_prefix[i : i + m]
-            if x_prefix.startswith(window, j) or window in collided:
+            if x_prefix.startswith(window, first[fingerprint]) or window in collided:
                 return i
             collided.add(window)
     raise PrefixTooShortError(

@@ -385,6 +385,27 @@ GOLDEN_OUTPUT = [
             '5,1\n'
         ),
     ),
+    # a finite slope encodes at its depth D = 3, not at the default depth
+    (
+        ['ostrowski', '--slope', '[0;3,2,2]', '--encode', '5'],
+        0,
+        'value=5 digits=2,1,0 support=[0, 1]\n',
+    ),
+    (
+        ['ostrowski', '--slope', '[0;3,2,2]', '--encode', '0'],
+        0,
+        'value=0 digits=0,0,0 support=[]\n',
+    ),
+    (
+        ['ostrowski', '--slope', '[0;3,2,2]', '--encode', '16', '--format', 'csv'],
+        0,
+        (
+            'index,digit\n'
+            '0,2\n'
+            '1,0\n'
+            '2,2\n'
+        ),
+    ),
     (
         ['intercept', '--slope', '[0;2,(1)*]', '--intercept', 'b:0,1,0,0,1', '--depth', '5'],
         0,
@@ -767,6 +788,7 @@ USAGE_ERRORS = [
     (['ostrowski', '--slope', '[0;1*]', '--decode', ''], "error: bad digit list ''\n"),
     (['ostrowski', '--slope', '[0;1*]', '--decode', '2,0'], 'error: b_1=2 out of range\n'),
     (['ostrowski', '--slope', '[0;1*]', '--encode', '100', '--depth', '6'], 'error: 100 >= q_6 = 13; increase depth\n'),
+    (['ostrowski', '--slope', '[0;3,2,2]', '--encode', '17'], 'error: shift 17 passes the 16 letters the word of [0;3,2,2] certifies\n'),
     (['intercept', '--slope', '[0;1*]', '--intercept', 'b:'], "error: bad digit list in intercept spec 'b:'\n"),
     (['intercept', '--slope', '[0;1*]', '--intercept', 'nope'], "error: intercept spec 'nope' is not an integer, a b: digit list, or one of zero|sigma0|sigma1\n"),
     (['rauzy', '--slope', '[0;1*]', '--m', '0'], 'error: window length must be >= 1, got 0\n'),

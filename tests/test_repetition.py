@@ -140,6 +140,9 @@ def test_direct_exact_when_every_hash_collides(monkeypatch):
     words = [characteristic_prefix(slope, 150) for slope in SLOPES]
     words += ["".join(rng.choice("012") for _ in range(60)) for _ in range(5)]
     words += ["000000", "0120120", "01", "0110100110010110"]
+    # both readings: one byte a letter (Latin-1, not ASCII) and code points
+    words += [word.translate({ord("1"): "\xe9"}) for word in words[:2]]
+    words += ["\xff\x00\xe9" * 5 + "\x00\xff", "0\U0001F600" * 6 + "\ud800\U0001F600"]
     for word in words:
         for m in range(1, len(word) + 2):
             assert direct_or_none(Prefix(word, misses), m) == reference_direct(word, m)
@@ -196,17 +199,68 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# The prime factors of (P - 1) / 4 for each fingerprint modulus P
+ORDER_FACTORS = {
+    2**30 - 35: (7, 2341, 16381),
+    2**64 - 59: (11, 137, 547, 5594472617641),
+}
+
+
 def test_fingerprint_modulus_is_a_prime_where_the_base_has_large_order():
     # the narrow prime is one 30-bit digit of a CPython int
     assert repetition._NARROW_MODULUS < 2**30
     assert is_prime(2**61 - 1) and not is_prime(2**64 - 1)
     for p in (repetition._NARROW_MODULUS, repetition._MODULUS):
         assert p < 3 * 10**24 and is_prime(p)
-        # windows at distance d share a weight when (2**32)**d = 1: no d up to 2e5
-        base, power = 2**32 % p, 1
-        for d in range(1, 200_001):
-            power = power * base % p
-            assert power != 1, (p, d)
+        order = (p - 1) // 4
+        factors = ORDER_FACTORS[p]
+        assert math.prod(factors) == order and all(is_prime(f) for f in factors)
+        # windows at distance d share a weight when base**d = 1, so no d below
+        # the order of the base.  For the bases of the one-byte and the
+        # code-point readings that order is exactly (P - 1) / 4: base**order
+        # is 1, and base**(order / f) is not for any prime factor f of it.
+        for base in (2**8, 2**32):
+            assert pow(base, order, p) == 1
+            assert all(pow(base, order // f, p) != 1 for f in factors), (p, base)
+    assert (repetition._NARROW_MODULUS - 1) // 4 == 268_435_447
+    assert (repetition._MODULUS - 1) // 4 == 4_611_686_018_427_387_889
+
+
+def late_repeat_word(rng: random.Random, alphabet: str, length: int, block: int) -> str:
+    """A random word whose last `block` letters copy an earlier run, so a
+    scan at m <= block reads up to the end before it meets a repeat."""
+    body = "".join(rng.choice(alphabet) for _ in range(length - block))
+    start = rng.randrange(len(body) - block)
+    return body + body[start : start + block]
+
+
+# ASCII, NUL, 0xff and é letters: all read one byte a letter
+LATIN_1_ALPHABETS = {"ascii": "01", "nul": "\x00a", "xff": "\xff\x00b", "e-acute": "ab\xe9"}
+
+
+@pytest.mark.parametrize("alphabet", LATIN_1_ALPHABETS.values(), ids=LATIN_1_ALPHABETS)
+def test_direct_reads_one_byte_and_four_byte_letters_alike(alphabet):
+    # Mapping one letter of the alphabet to an astral code point or to a lone
+    # surrogate sends the word to the four-byte reading; the map is one to
+    # one, so every window repeats where it did and the answer is the same.
+    wide = [{ord(alphabet[-1]): "\U0001F600"}, {ord(alphabet[0]): "\udc80"}]
+    rng = random.Random(len(alphabet) * 256 + ord(alphabet[-1]))
+    short = [late_repeat_word(rng, alphabet, 120, 30) for _ in range(3)]
+    for word in short:
+        for m in range(1, len(word) + 2):
+            expected = reference_direct(word, m)
+            assert direct_or_none(word, m) == expected
+            for table in wide:
+                assert direct_or_none(word.translate(table), m) == expected
+    # m = 40 scans 2**16 + 1 windows modulo the wide prime and m = 41 scans
+    # 2**16 modulo the narrow one; both meet the copied run at the end
+    word = late_repeat_word(rng, alphabet, 2**16 + 40, 41)
+    for m in (40, 41):
+        expected = reference_direct(word, m)
+        assert expected is not None
+        assert direct_or_none(word, m) == expected
+        for table in wide:
+            assert direct_or_none(word.translate(table), m) == expected
 
 
 def test_direct_scan_memory_is_linear():
@@ -220,6 +274,19 @@ def test_direct_scan_memory_is_linear():
     assert value == characteristic_repetition(GOLDEN, 6781) == 6765
     # keeping every window whole would hold 6765 windows of 6781 letters
     assert peak < 5 * 2**20
+
+
+def test_direct_scan_reads_a_binary_word_one_byte_a_letter():
+    word = characteristic_prefix(GOLDEN, 10**6)
+    tracemalloc.start()
+    try:
+        value = repetition_direct(word, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == characteristic_repetition(GOLDEN, 200) == 144
+    # the word once at one byte a letter, not four (3.8 MB) or twice
+    assert peak < 2.5 * 2**20
 
 
 @pytest.mark.parametrize("slope", [GOLDEN, parse_slope("[0;2,3,(1,2)*]")], ids=str)

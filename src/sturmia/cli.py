@@ -2,14 +2,14 @@
 
 Subcommands mirror the module layout: word, ostrowski, intercept, rauzy,
 repetition, factorize, torsion, verify.  One table, `_COMMANDS`, gives each
-its handler and its --format choices; --depth and --format are declared
-once for all of them.  Each `cmd_*` handler computes a result dict and an
-exit code from the parsed arguments and the parsed slope (None when
---slope is absent); it prints nothing.  `dispatch` parses --slope once,
-resolves the depth into the parsed namespace, the one carrier of a run,
-and renders the result in one place: json is the JSON_SCHEMA envelope for
-every command, and each other format (text, csv, dot) comes from one
-table keyed by (command, format).  Identical inputs produce byte-identical
+its handler and its renderer for each --format choice, the default first;
+--depth and --format are declared once for all of them.  Each `cmd_*`
+handler computes a result dict and an exit code from the parsed arguments
+and the parsed slope (None when --slope is absent); it prints nothing.
+`dispatch` parses --slope once, resolves the depth into the parsed
+namespace, the one carrier of a run, and prints what the chosen renderer
+makes of the result: json is `_envelope`, the JSON_SCHEMA envelope, for
+every command.  Identical inputs produce byte-identical
 output (nothing here consults the clock or an unseeded generator).  The
 digit depth is --depth when given, else the STURMIA_DEPTH environment
 variable, else 24; either must be at least 2.  Only `verify` loads the
@@ -320,47 +320,56 @@ def _verify_csv(r: dict, args) -> str:
     return "\n".join(lines)
 
 
-# (command, format) -> the printed text of a result, for every format but
-# json, which is the JSON_SCHEMA envelope for every command.
-_RENDER: dict[tuple[str, str], Callable[[dict, argparse.Namespace], str]] = {
-    ("word", "text"): lambda r, args: r["word"],
-    ("ostrowski", "text"): lambda r, args: (
-        f"value={r['value']} digits={_digit_text(r['digits'])} support={r['support']}"
-    ),
-    ("ostrowski", "csv"): lambda r, args: "\n".join(
-        ["index,digit"] + [f"{i},{b}" for i, b in enumerate(r["digits"])]
-    ),
-    ("intercept", "text"): _intercept_text,
-    ("rauzy", "text"): _rauzy_text,
-    ("rauzy", "dot"): lambda r, args: r["dot"],
-    ("repetition", "csv"): lambda r, args: "\n".join(
-        ["m,r_closed,r_direct,case"]
-        + [
-            f"{row['m']},{row['r_closed']},"
-            f"{'' if row['r_direct'] is None else row['r_direct']},{row['case']}"
-            for row in r["rows"]
-        ]
-    ),
-    ("repetition", "text"): lambda r, args: "\n".join(
-        f"m={row['m']} r={row['r_closed']} direct={row['r_direct']} case={row['case']}"
-        for row in r["rows"]
-    ),
-    ("factorize", "text"): _factorize_text,
-    ("torsion", "text"): _torsion_text,
-    ("verify", "text"): _verify_text,
-    ("verify", "csv"): _verify_csv,
-}
+def _envelope(r: dict, args) -> str:
+    """The JSON_SCHEMA envelope of a result, every command's json rendering."""
+    config = {
+        "slope": getattr(args, "slope", None),
+        "depth": args.depth,
+        "intercept": getattr(args, "intercept", None),
+        "format": args.format,
+        "check": getattr(args, "check", True),
+    }
+    return _json({"command": args.command, "config": config, "result": r})
 
-# command -> (its handler, its --format choices with the default first)
-_COMMANDS: dict[str, tuple[Callable[..., tuple[dict, int]], tuple[str, ...]]] = {
-    "word": (cmd_word, ("text", "json")),
-    "ostrowski": (cmd_ostrowski, ("text", "json", "csv")),
-    "intercept": (cmd_intercept, ("text", "json")),
-    "rauzy": (cmd_rauzy, ("text", "json", "dot")),
-    "repetition": (cmd_repetition, ("csv", "json", "text")),
-    "factorize": (cmd_factorize, ("text", "json")),
-    "torsion": (cmd_torsion, ("json", "text")),
-    "verify": (cmd_verify, ("text", "json", "csv")),
+
+# command -> (its handler, its renderer for each --format choice, the default first)
+_COMMANDS: dict[str, tuple[Callable[..., tuple[dict, int]], dict[str, Callable[..., str]]]] = {
+    "word": (cmd_word, {"text": lambda r, args: r["word"], "json": _envelope}),
+    "ostrowski": (
+        cmd_ostrowski,
+        {
+            "text": lambda r, args: (
+                f"value={r['value']} digits={_digit_text(r['digits'])} support={r['support']}"
+            ),
+            "json": _envelope,
+            "csv": lambda r, args: "\n".join(
+                ["index,digit"] + [f"{i},{b}" for i, b in enumerate(r["digits"])]
+            ),
+        },
+    ),
+    "intercept": (cmd_intercept, {"text": _intercept_text, "json": _envelope}),
+    "rauzy": (cmd_rauzy, {"text": _rauzy_text, "json": _envelope, "dot": lambda r, args: r["dot"]}),
+    "repetition": (
+        cmd_repetition,
+        {
+            "csv": lambda r, args: "\n".join(
+                ["m,r_closed,r_direct,case"]
+                + [
+                    f"{row['m']},{row['r_closed']},"
+                    f"{'' if row['r_direct'] is None else row['r_direct']},{row['case']}"
+                    for row in r["rows"]
+                ]
+            ),
+            "json": _envelope,
+            "text": lambda r, args: "\n".join(
+                f"m={row['m']} r={row['r_closed']} direct={row['r_direct']} case={row['case']}"
+                for row in r["rows"]
+            ),
+        },
+    ),
+    "factorize": (cmd_factorize, {"text": _factorize_text, "json": _envelope}),
+    "torsion": (cmd_torsion, {"json": _envelope, "text": _torsion_text}),
+    "verify": (cmd_verify, {"text": _verify_text, "json": _envelope, "csv": _verify_csv}),
 }
 
 
@@ -450,7 +459,7 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
 
     # the last two flags of every command
-    for name, (handler, formats) in _COMMANDS.items():
+    for name, (_, renderers) in _COMMANDS.items():
         command = sub.choices[name]
         command.add_argument(
             "--depth",
@@ -458,8 +467,7 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             default=None,
             help="digit depth (default: STURMIA_DEPTH env var, else 24)",
         )
-        command.add_argument("--format", choices=formats, default=formats[0])
-        command.set_defaults(handler=handler)
+        command.add_argument("--format", choices=tuple(renderers), default=next(iter(renderers)))
     return parser, sub.choices
 
 
@@ -515,14 +523,12 @@ def _table(parser: argparse.ArgumentParser) -> tuple | None:
         isinstance(action.default, str) and action.type is not None for action in actions
     ):
         return None
-    # argparse's order: action defaults, then the parser's own (the handler)
+    # the commands' parsers take no set_defaults, so the actions' are all
     defaults = {
         action.dest: action.default
         for action in actions
         if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
     }
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
     options = {
         text: action for text, action in parser._option_string_actions.items() if _plain(action)
     }
@@ -646,19 +652,9 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     try:
         slope = None if getattr(args, "slope", None) is None else parse_slope(args.slope)
         args.depth = default_depth() if args.depth is None else _at_least_two("--depth", args.depth)
-        result, code = args.handler(args, slope)
-        if args.format == "json":
-            config = {
-                "slope": getattr(args, "slope", None),
-                "depth": args.depth,
-                "intercept": getattr(args, "intercept", None),
-                "format": args.format,
-                "check": getattr(args, "check", True),
-            }
-            payload = {"command": args.command, "config": config, "result": result}
-            text = _json(payload)
-        else:
-            text = _RENDER[args.command, args.format](result, args)
+        handler, renderers = _COMMANDS[args.command]
+        result, code = handler(args, slope)
+        text = renderers[args.format](result, args)
     except (SturmiaError, ValueError) as exc:
         # parse_slope and the int conversions raise ValueError on bad input
         print(f"error: {exc}", file=sys.stderr)

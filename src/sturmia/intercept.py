@@ -22,7 +22,12 @@ from .errors import (
 )
 from .ostrowski import AlphaNumber, _window, encode, validate
 from .slope import Slope
-from .words import characteristic_prefix, shifted_characteristic_prefix
+from .words import (
+    _past_certified,
+    certified_letters,
+    characteristic_prefix,
+    shifted_characteristic_prefix,
+)
 
 
 def zero(slope: Slope, depth: int) -> AlphaNumber:
@@ -113,26 +118,26 @@ def sturmian_prefix(rho: AlphaNumber, m: int) -> str:
     if m == 0:
         return ""
     slope = rho.slope
-    if m > max_certified_length(rho):
-        certified = slope.q(rho.depth) - 1
-        raise DepthError(
-            f"window depth {rho.depth} certifies only {certified} letters" if m > certified
-            else f"prefix of length {m} shifted by {rho.psi(slope.level(m))} passes the"
-            f" {slope.q(slope.known_depth) - 1} letters the word of {slope} certifies"
-        )
-    return shifted_characteristic_prefix(slope, rho.psi(slope.level(m)), m)
+    certified = slope.q(rho.depth) - 1
+    if m > certified:
+        raise DepthError(f"window depth {rho.depth} certifies only {certified} letters")
+    shift = rho.psi(slope.level(m))
+    letters = certified_letters(slope)
+    if letters is not None and shift + m > letters:
+        raise _past_certified(slope, f"prefix of length {m} shifted by {shift} passes")
+    return shifted_characteristic_prefix(slope, shift, m)
 
 
 def max_certified_length(rho: AlphaNumber) -> int:
     """Longest prefix of the word that this window determines: q_depth - 1
     letters and, on a finite slope [0; a_1, ..., a_D], the longest L whose
     letters rho_{level(L)} + L - 1 and before in the characteristic word
-    are among the q_D - 1 that word certifies."""
+    are among the `certified_letters` of that word."""
     slope = rho.slope
     certified = slope.q(rho.depth) - 1
-    if slope.known_depth is None:
+    letters = certified_letters(slope)
+    if letters is None:
         return certified
-    letters = slope.q(slope.known_depth) - 1
     # rho_{level(L)} + L grows with L
     return bisect_right(range(1, certified + 1), letters, key=lambda L: rho.psi(slope.level(L)) + L)
 
@@ -148,14 +153,12 @@ def named_window(name: str, slope: Slope, depth: int) -> AlphaNumber:
 def integer_window(k: int, slope: Slope, depth: int) -> AlphaNumber:
     """encode(k, slope, depth), the window of the k-fold shifted
     characteristic word.  On a finite slope [0; a_1, ..., a_D] the depth
-    stops at D, and from D on a k >= q_D raises DepthError: it passes the
-    q_D - 1 letters the word certifies."""
+    stops at D, and from D on a k past `certified_letters` raises
+    DepthError."""
     top = slope.known_depth
     if top is not None and depth >= top:
-        if k >= slope.q(top):
-            raise DepthError(
-                f"shift {k} passes the {slope.q(top) - 1} letters the word of {slope} certifies"
-            )
+        if k > certified_letters(slope):
+            raise _past_certified(slope, f"shift {k} passes")
         depth = top
     return encode(k, slope, depth)
 
@@ -163,11 +166,11 @@ def integer_window(k: int, slope: Slope, depth: int) -> AlphaNumber:
 def _shift_window(k: int, slope: Slope, m: int) -> AlphaNumber:
     """integer_window(k, slope, d), the window that reads the first m letters
     of the k-fold shifted characteristic word, at the first level d with
-    q_d > k + m or at the depth D of a finite slope."""
-    depth = slope.known_depth
-    if depth is None or k + m < slope.q(depth):
-        depth = slope.level(k + m)
-    return integer_window(k, slope, depth)
+    q_d > k + m, or at D when k + m passes `certified_letters`."""
+    letters = certified_letters(slope)
+    if letters is not None and k + m > letters:
+        return integer_window(k, slope, slope.known_depth)
+    return integer_window(k, slope, slope.level(k + m))
 
 
 def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
@@ -195,14 +198,10 @@ def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
         raise DepthError(f"shift {k} leaves no certifiable level in a depth-{rho.depth} window")
     need = k + _certifying_letters(slope, out_depth)
     value = rho.psi(slope.level(need)) + k
-    try:
-        top = slope.level(value)
-    except DepthError:  # only a finite slope's ladder ends, grown through q_D
-        raise DepthError(
-            f"shift {k} needs {value} letters, but the word of {slope}"
-            f" certifies only {slope.q(slope.known_depth) - 1}"
-        ) from None
-    digits = encode(value, slope, max(out_depth, top)).digits
+    letters = certified_letters(slope)
+    if letters is not None and value > letters:
+        raise _past_certified(slope, f"shift {k} needs {value} letters, more than")
+    digits = encode(value, slope, max(out_depth, slope.level(value))).digits
     # a prefix of a valid window is valid
     return _window(digits[:out_depth], slope)
 

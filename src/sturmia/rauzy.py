@@ -118,18 +118,12 @@ def _cycles(slope: Slope, m: int) -> tuple[IntervalPosition, str, range, range]:
     special vertex at r through its own vertices, then along the common
     path from the left special vertex at 0 to r - 1.  Builds no vertex
     string and no list of vertices.
-    Raises RangeError, before the prefix is built, when it would hold more
-    than MAX_STANDARD_LETTERS letters, and DepthError when it passes the
-    q_D - 1 letters the word of a finite slope [0; a_1, ..., a_D] certifies.
+    Refuses m as `words._language` does, before the prefix is built.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
     pos, length = _language(slope, m)
     q_lo, q = slope.q(pos.n - 1), slope.q(pos.n)
-    if length > MAX_STANDARD_LETTERS:
-        raise RangeError(
-            f"window length {m} needs {length} letters, more than {MAX_STANDARD_LETTERS}"
-        )
     c = characteristic_prefix(slope, length)
     left = c[:m]
     right = left[::-1]
@@ -160,11 +154,8 @@ def _cycles(slope: Slope, m: int) -> tuple[IntervalPosition, str, range, range]:
 
 def build_graph(slope: Slope, m: int) -> RauzyGraph:
     """Graph of the length-m factors, built from a certified prefix, in
-    time and memory linear in m and the prefix.
-
-    Raises RangeError, before the prefix is built, when it would hold more
-    than MAX_STANDARD_LETTERS letters.
-    """
+    time and memory linear in m and the prefix; m is refused as
+    `words._language` refuses it, before the prefix is built."""
     return _graph(slope, m, *_cycles(slope, m))
 
 

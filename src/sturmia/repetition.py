@@ -28,7 +28,7 @@ from .slope import Slope, interval_locate
 # 30-bit CPython digit, so every `%` takes the single-digit division path,
 # and at most about two false hits are expected.  Past that it reduces
 # modulo the prime 2**64 - 59, three digits, where about 3e-8 are expected
-# at 10**6 windows.  A Latin-1 word is read one byte a letter in base 2**8,
+# at 10**6 windows.  An ASCII word is read one byte a letter in base 2**8,
 # any other word as code points in base 2**32; both bases have order
 # 268,435,447 modulo the narrow prime and 4,611,686,018,427,387,889 modulo
 # the wide one, (P - 1) / 4 in each (tests/test_repetition.py checks all
@@ -52,15 +52,15 @@ def repetition_direct(x_prefix: str, m: int) -> int:
     A Karp-Rabin rolling fingerprint (Karp & Rabin 1987): window i is read
     as a number mod a prime, _NARROW_MODULUS for at most _NARROW_WINDOWS
     windows and _MODULUS past that, and each next fingerprint comes from
-    the last one in one step.  A word that encodes to Latin-1, as every
-    word the library builds does, is read one byte a letter in base 2**8;
+    the last one in one step.  An ASCII word, as every word the library
+    builds is (str.isascii, O(1)), is read one byte a letter in base 2**8;
     any other word as its code points in base 2**32 (lone surrogates
     included).  Each window is kept only as its fingerprint and first
     index; a fingerprint hit is confirmed against the prefix in place, and
     windows whose fingerprint collides with a different, earlier window are
     the only ones stored whole, so the answer is exact whatever the modulus
     or the reading.  One copy of the word in memory, 1 byte a letter for
-    Latin-1 and 4 otherwise (an early repeat on 10**6 golden letters peaks
+    ASCII and 4 otherwise (an early repeat on 10**6 golden letters peaks
     at about 1 MB under tracemalloc, against 3.8 MB when every word was read
     as UTF-32), and O(len(x_prefix) + m) time while distinct windows keep
     distinct fingerprints.
@@ -68,10 +68,10 @@ def repetition_direct(x_prefix: str, m: int) -> int:
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {m}")
     modulus = _NARROW_MODULUS if len(x_prefix) - m < _NARROW_WINDOWS else _MODULUS
-    try:
-        codes = memoryview(x_prefix.encode("latin-1"))
+    if x_prefix.isascii():
+        codes = memoryview(x_prefix.encode("ascii"))
         base, head = 2**8, codes[:m]
-    except UnicodeEncodeError:
+    else:
         codes = memoryview(x_prefix.encode(_UTF32, "surrogatepass")).cast("I")
         base, head = 2**32, x_prefix[:m].encode("utf-32-be", "surrogatepass")
     fingerprint = int.from_bytes(head, "big") % modulus

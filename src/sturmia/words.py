@@ -74,22 +74,31 @@ def _grown(slope: Slope, m: int) -> str:
     return word
 
 
+def certified_letters(slope: Slope) -> int | None:
+    """The letters of c the word of a finite slope [0; a_1, ..., a_D]
+    certifies, q_D - 1, or None on a periodic slope: every read compares
+    against it before it reads the ladder, and refuses past it."""
+    depth = slope.known_depth
+    return None if depth is None else slope.q(depth) - 1
+
+
+def _past_certified(slope: Slope, read: str) -> DepthError:
+    """The refusal of a read past `certified_letters`, such as `read` =
+    "prefix of length 20 passes"."""
+    return DepthError(f"{read} the {certified_letters(slope)} letters the word of {slope} certifies")
+
+
 def _prefix_word(slope: Slope, m: int) -> str:
     """The slope's word grown to at least m letters, with the refusals of a
     prefix of length m: RangeError when m is negative or over
-    MAX_STANDARD_LETTERS, and DepthError when m passes the q_D - 1 letters
-    the word of a finite slope [0; a_1, ..., a_D] certifies."""
+    MAX_STANDARD_LETTERS, and DepthError when m passes `certified_letters`."""
     if m < 0:
         raise RangeError("prefix length must be >= 0")
     if m > MAX_STANDARD_LETTERS:
         raise RangeError(f"prefix of length {m} has more than {MAX_STANDARD_LETTERS} letters")
-    try:
-        slope.level(m)
-    except DepthError:  # only a finite slope's ladder ends, grown through q_D
-        raise DepthError(
-            f"prefix of length {m} passes the {slope.q(slope.known_depth) - 1} letters"
-            f" the word of {slope} certifies"
-        ) from None
+    letters = certified_letters(slope)
+    if letters is not None and m > letters:
+        raise _past_certified(slope, f"prefix of length {m} passes")
     return _grown(slope, m)
 
 
@@ -133,20 +142,23 @@ def language_length(slope: Slope, m: int) -> int:
 
 
 def _language(slope: Slope, m: int) -> tuple[IntervalPosition, int]:
-    """The level of m, `interval_locate`'s, and `language_length`.
-
-    Raises DepthError when m >= q_D - 1 on a finite slope
-    [0; a_1, ..., a_D], where its level lies past a_D: the length-m factors
-    need more than the q_D - 1 letters the word certifies.
-    """
-    try:
-        pos = interval_locate(m, slope)
-    except DepthError:  # only a finite slope's ladder ends
-        raise DepthError(
-            f"window length {m} needs more than the {slope.q(slope.known_depth) - 1} letters"
-            f" the word of {slope} certifies"
-        ) from None
-    return pos, m + slope.q(pos.n + 1) + slope.q(pos.n) + 2
+    """The level of m, `interval_locate`'s, and `language_length`, or the
+    one refusal of a window length m: DepthError from m = `certified_letters`
+    on, where its level passes a_D, then RangeError or DepthError when the
+    length-m factors need more than MAX_STANDARD_LETTERS letters or more
+    than the word certifies."""
+    letters = certified_letters(slope)
+    if letters is not None and m >= letters:
+        raise _past_certified(slope, f"window length {m} needs more than")
+    pos = interval_locate(m, slope)
+    length = m + slope.q(pos.n + 1) + slope.q(pos.n) + 2
+    if length > MAX_STANDARD_LETTERS:
+        raise RangeError(
+            f"window length {m} needs {length} letters, more than {MAX_STANDARD_LETTERS}"
+        )
+    if letters is not None and length > letters:
+        raise _past_certified(slope, f"window length {m} needs more than")
+    return pos, length
 
 
 def shifted_characteristic_prefix(slope: Slope, k: int, m: int) -> str:

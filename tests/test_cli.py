@@ -16,8 +16,18 @@ from hypothesis import strategies as st
 
 from sturmia import cli
 from sturmia.cli import JSON_SCHEMA, dispatch, parse_intercept
+from sturmia.errors import DepthError
+from sturmia.intercept import (
+    add_integer,
+    integer_window,
+    max_certified_length,
+    sturmian_prefix,
+)
+from sturmia.ostrowski import encode
+from sturmia.rauzy import build_graph, count_turns
 from sturmia.slope import Slope, interval_locate, parse_slope
-from sturmia.words import standard_word
+from sturmia.words import characteristic_prefix, language_length, standard_word
+from test_intercept import extensions, seeded_finite_slopes
 
 GOLDEN = parse_slope("[0;1*]")
 
@@ -290,10 +300,13 @@ def test_standard_word_below_the_letter_cap(capsys):
     assert capsys.readouterr().out.strip() == standard_word(GOLDEN, 30)
 
 
-def test_every_declared_format_but_json_has_a_renderer():
-    for command, (_, formats) in cli._COMMANDS.items():
-        rendered = {fmt for name, fmt in cli._RENDER if name == command}
-        assert set(formats) - {"json"} == rendered, command
+def test_every_command_offers_json_through_the_envelope():
+    parsers = cli.build_parsers()[1]
+    for command, (_, renderers) in cli._COMMANDS.items():
+        assert renderers["json"] is cli._envelope, command
+        # the --format choices are the renderers' keys, the default first
+        (action,) = [a for a in parsers[command]._actions if a.dest == "format"]
+        assert action.choices == tuple(renderers) and action.default == action.choices[0]
 
 
 def test_parse_intercept_forms():
@@ -795,7 +808,8 @@ USAGE_ERRORS = [
     (['rauzy', '--slope', '[0;1', '--m', '3', '--format', 'dot'], "error: not a slope literal: '[0;1'\n"),
     (['rauzy', '--slope', '[0;1*]', '--m', '10000', '--format', 'dot'], 'error: window length 10000 needs 100010000 letters, more than 100000000\n'),
     (['rauzy', '--slope', '[0;3,2,2]', '--m', '30'], 'error: window length 30 needs more than the 16 letters the word of [0;3,2,2] certifies\n'),
-    (['rauzy', '--slope', '[0;41,44,29]', '--m', '5000'], 'error: prefix of length 59193 passes the 52385 letters the word of [0;41,44,29] certifies\n'),
+    (['rauzy', '--slope', '[0;3,2,2]', '--m', '5'], 'error: window length 5 needs more than the 16 letters the word of [0;3,2,2] certifies\n'),
+    (['rauzy', '--slope', '[0;41,44,29]', '--m', '5000'], 'error: window length 5000 needs more than the 52385 letters the word of [0;41,44,29] certifies\n'),
     (['word', 'prefix', '--slope', '[0;3,2,2]', '--len', '20'], 'error: prefix of length 20 passes the 16 letters the word of [0;3,2,2] certifies\n'),
     (['word', 'prefix', '--slope', '[0;3,2,2]', '--intercept', '17', '--len', '3'], 'error: shift 17 passes the 16 letters the word of [0;3,2,2] certifies\n'),
     (['repetition', '--slope', '[0;1*]', '--m-max', '0'], 'error: --m-max must be >= 1, got 0\n'),
@@ -817,6 +831,81 @@ USAGE_ERRORS = [
     (['repetition', '--slope', '[0;1*]', '--depth', '1000000000000'], 'error: continuants through q_1000000000000 would hold more than 33554432 bits\n'),
     (['factorize', '--word', '0001', '--slope', 'bogus', '--format', 'json'], "error: not a slope literal: 'bogus'\n"),
 ]
+
+
+def test_every_finite_slope_reader_refuses_past_the_letters_its_word_certifies(
+    monkeypatch, capsys
+):
+    # Each reader answers at its last length within the q_D - 1 letters the
+    # word certifies and refuses the next one with the same ending, through
+    # the library and through the CLI.
+    monkeypatch.delenv("STURMIA_DEPTH", raising=False)
+    rng = random.Random(40)
+    slopes = [parse_slope("[0;3,2,2]"), parse_slope("[0;41,44,29]")]
+    slopes += seeded_finite_slopes(30, 40)
+    shift_edges = 0
+    for slope in slopes:
+        top = slope.known_depth
+        letters = slope.q(top) - 1
+        ending = f" the {letters} letters the word of {slope} certifies"
+
+        def refused(call, *args):
+            with pytest.raises(DepthError) as refusal:
+                call(*args)
+            assert str(refusal.value).endswith(ending), (slope, call, args)
+
+        def cli(*argv):
+            code = dispatch([argv[0], "--slope", str(slope), *argv[1:]])
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        assert len(characteristic_prefix(slope, letters)) == letters
+        refused(characteristic_prefix, slope, letters + 1)
+        assert cli("word", "prefix", "--len", str(letters)) == (0, characteristic_prefix(slope, letters) + "\n", "")
+        code, _, err = cli("word", "prefix", "--len", str(letters + 1))
+        assert code == 2 and err.endswith(ending + "\n")
+        # the factors of length m show within m + q_{n+1} + q_n + 2 letters,
+        # those of an infinite extension of the quotients as long as they fit
+        wider = extensions(slope)[0]
+        m = 0
+        while m + 1 < letters and language_length(wider, m + 1) <= letters:
+            m += 1
+        if m:
+            assert language_length(slope, m) == language_length(wider, m)
+            graph = build_graph(slope, m)
+            assert count_turns(0, m, slope) >= 0
+            code, out, _ = cli("rauzy", "--m", str(m))
+            assert code == 0 and out.startswith(f"m={m} ")
+            assert f"cycles=({len(graph.referent_cycle)}, {len(graph.other_cycle)})" in out
+        for call in (language_length, build_graph, lambda slope, m: count_turns(0, m, slope)):
+            refused(call, slope, m + 1)
+        code, _, err = cli("rauzy", "--m", str(m + 1))
+        assert code == 2 and err.endswith(ending + "\n")
+        # an integer shift, encoded at D: q_D - 1 is the last
+        for depth in (top, 24):
+            assert integer_window(letters, slope, depth) == encode(letters, slope, top)
+            refused(integer_window, letters + 1, slope, depth)
+        code, out, _ = cli("ostrowski", "--encode", str(letters))
+        assert code == 0 and out.startswith(f"value={letters} ")
+        code, _, err = cli("ostrowski", "--encode", str(letters + 1))
+        assert code == 2 and err.endswith(ending + "\n")
+        # a window shifted k >= 1 letters: its word ends before q_D - 1 letters
+        rho = encode(rng.randint(1, letters), slope, top)
+        last = max_certified_length(rho)
+        assert len(sturmian_prefix(rho, last)) == last
+        refused(sturmian_prefix, rho, last + 1)
+        # every shift that leaves the window a level, q_2 + q_1 letters,
+        # answers or is refused by the letters the word certifies
+        answered = False
+        for k in range(1, letters - slope.q(2) - slope.q(1) + 1):
+            try:
+                add_integer(rho, k)
+                answered = True
+            except DepthError as exc:
+                assert str(exc).endswith(ending), (slope, rho, k)
+                shift_edges += answered
+                answered = False
+    assert shift_edges > 10
 
 
 @pytest.mark.parametrize(

@@ -431,7 +431,7 @@ def test_add_integer_on_finite_slopes_matches_the_letter_shift():
     # rho_3 + 7 = 13 is past q_4 - 1 = 12, the letters the word certifies
     with pytest.raises(DepthError) as refusal:
         add_integer(encode(6, finite[0], 3), 7)
-    assert str(refusal.value) == "shift 7 needs 13 letters, but the word of [0;1,1,5,1] certifies only 12"
+    assert str(refusal.value) == "shift 7 needs 13 letters, more than the 12 letters the word of [0;1,1,5,1] certifies"
     agreed = gained = refused = 0
     for slope in finite:
         top = slope.known_depth
@@ -472,8 +472,8 @@ def test_add_integer_on_finite_slopes_matches_the_letter_shift():
                             )
                             needs = int(passed[1]) + int(passed[2]) - kept
                             assert str(exc) == (
-                                f"shift {k} needs {needs} letters, but the word"
-                                f" of {slope} certifies only {slope.q(top) - 1}"
+                                f"shift {k} needs {needs} letters, more than the"
+                                f" {slope.q(top) - 1} letters the word of {slope} certifies"
                             )
                             refused += 1
                             continue

@@ -227,26 +227,19 @@ def test_build_graph_letter_budget(monkeypatch):
 
 def test_a_finite_slope_refuses_by_the_letters_of_its_word():
     # m + q_3 + q_2 + 2 = 59193 letters, and the word certifies q_3 - 1 = 52385;
-    # characteristic_prefix refuses them before it builds a letter
+    # the window length is refused before a letter is built
     finite = parse_slope("[0;41,44,29]")
-    message = "prefix of length 59193 passes the 52385 letters the word of [0;41,44,29] certifies"
-    for call in (build_graph, lambda slope, m: count_turns(0, m, slope)):
+    message = "window length 5000 needs more than the 52385 letters the word of [0;41,44,29] certifies"
+    for call in (build_graph, lambda slope, m: count_turns(0, m, slope), language_length):
         with pytest.raises(DepthError) as refusal:
             call(finite, 5000)
         assert str(refusal.value) == message
     assert finite._word == [""]
-    # [0;3,2,2] certifies 16 letters: m = 4 reads all of them, m = 5 one more
+    # [0;3,2,2] certifies 16 letters: m = 4 reads all of them, m = 5 needs
+    # more; from m = q_3 - 1 = 16 on, the level of m is past the word's a_3
     slope = parse_slope("[0;3,2,2]")
-    for m in range(5, 16):
-        length = language_length(slope, m)
-        assert length > 16
-        refusal = rf"^prefix of length {length} passes the 16 letters the word of \[0;3,2,2\]"
-        for call in (build_graph, lambda slope, m: count_turns(0, m, slope)):
-            with pytest.raises(DepthError, match=refusal):
-                call(slope, m)
-    # from m = q_3 - 1 = 16 on, the level of m is past the word's a_3, and
-    # the window length alone passes the 16 letters
-    for m in (16, 17, 30, 1000):
+    assert language_length(slope, 4) == 16
+    for m in (*range(5, 18), 30, 1000):
         refusal = rf"^window length {m} needs more than the 16 letters the word of \[0;3,2,2\] certifies$"
         for call in (build_graph, lambda slope, m: count_turns(0, m, slope), language_length):
             with pytest.raises(DepthError, match=refusal):

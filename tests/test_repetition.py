@@ -140,7 +140,8 @@ def test_direct_exact_when_every_hash_collides(monkeypatch):
     words = [characteristic_prefix(slope, 150) for slope in SLOPES]
     words += ["".join(rng.choice("012") for _ in range(60)) for _ in range(5)]
     words += ["000000", "0120120", "01", "0110100110010110"]
-    # both readings: one byte a letter (Latin-1, not ASCII) and code points
+    # both readings: one byte a letter (ASCII) and code points (Latin-1
+    # but not ASCII, astral, lone surrogates)
     words += [word.translate({ord("1"): "\xe9"}) for word in words[:2]]
     words += ["\xff\x00\xe9" * 5 + "\x00\xff", "0\U0001F600" * 6 + "\ud800\U0001F600"]
     for word in words:
@@ -234,7 +235,8 @@ def late_repeat_word(rng: random.Random, alphabet: str, length: int, block: int)
     return body + body[start : start + block]
 
 
-# ASCII, NUL, 0xff and é letters: all read one byte a letter
+# Latin-1 alphabets: the ASCII and NUL ones read one byte a letter, the
+# 0xff and é ones, not ASCII, code points in four bytes
 LATIN_1_ALPHABETS = {"ascii": "01", "nul": "\x00a", "xff": "\xff\x00b", "e-acute": "ab\xe9"}
 
 

@@ -32,6 +32,11 @@ Only `slope`, `ostrowski`, `words` and `intercept` read a slope's
 the ladder and the digit rules, to `words` for the letters of its
 characteristic word and to `intercept` for the letters of a window's word
 (`max_certified_length`); every other module reads words through them.
+The letters that word certifies are stated once, in
+`words.certified_letters`, and refused past once, in
+`words._past_certified`: no other definition reads q_D, the continuant at
+a slope's `known_depth`, or writes an f-string saying "... the word of
+... certifies".
 
 Importing the package must not load `dataclasses`, `inspect` or `typing`:
 each cost a large share of what importing sturmia did, which every CLI call
@@ -244,6 +249,55 @@ def depth_reads(root: Path) -> list[str]:
 
 def test_only_the_word_and_window_layers_read_a_finite_depth():
     found = depth_reads(ROOT)
+    if found:
+        raise AssertionError("\n".join(found))
+
+
+# the definitions that state the letters a finite slope's word certifies
+_CERTIFIED_LETTERS = {("words.py", "certified_letters"), ("words.py", "_past_certified")}
+
+
+def _is_known_depth(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "known_depth"
+
+
+def certified_letter_statements(root: Path) -> list[str]:
+    """Each `.q` call on a `known_depth`, read directly or through a name the
+    same module-level definition binds to it, and each f-string saying
+    "... the word of ... certifies" in root/src/sturmia, outside
+    the definitions in _CERTIFIED_LETTERS."""
+    found = []
+    for path in sorted((root / "src" / "sturmia").rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            name = getattr(top, "name", "<module>")
+            if (path.name, name) in _CERTIFIED_LETTERS:
+                continue
+            nodes = list(ast.walk(top))
+            depths = {
+                target.id
+                for node in nodes
+                if isinstance(node, ast.Assign) and _is_known_depth(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in nodes:
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "q":
+                    if any(
+                        _is_known_depth(arg) or getattr(arg, "id", None) in depths
+                        for arg in node.args
+                    ):
+                        found.append(f"{path.name}:{node.lineno}: {name} reads q_D")
+                elif isinstance(node, ast.JoinedStr):
+                    text = "".join(
+                        part.value for part in node.values if isinstance(part, ast.Constant)
+                    )
+                    if "the word of" in text and "certifies" in text:
+                        found.append(f"{path.name}:{node.lineno}: {name} words the refusal")
+    return found
+
+
+def test_only_words_states_the_letters_a_finite_slope_certifies():
+    found = certified_letter_statements(ROOT)
     if found:
         raise AssertionError("\n".join(found))
 

@@ -235,21 +235,21 @@ def decode(digits: AlphaNumber | tuple[int, ...], slope: Slope | None = None) ->
 def all_digit_strings(slope: Slope, depth: int) -> Iterator[tuple[int, ...]]:
     """Yield every valid little-endian digit vector of the given depth.
 
-    There are exactly q_depth of them, one per integer in [0, q_depth).
+    There are exactly q_depth of them, one per integer in [0, q_depth), in
+    the order of (b_1, ..., b_depth) read as a word: each next vector raises
+    the last digit that can still rise under its left neighbour and zeroes
+    the digits after it, so depth costs no recursion.
     """
-
-    def rec(i: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i > depth:
-            yield tuple(acc)
+    quotients = [slope.quotient(i) for i in range(1, depth + 1)]
+    digits = [0] * len(quotients)
+    yield tuple(digits)
+    while True:
+        i = len(digits) - 1
+        # digits[i] is b_{i+1}: at most a_{i+1}, less one for b_1 and after a non-zero b_i
+        while i >= 0 and digits[i] == quotients[i] - (i == 0 or digits[i - 1] != 0):
+            i -= 1
+        if i < 0:
             return
-        a_i = slope.quotient(i)
-        top = a_i - 1 if i == 1 else a_i
-        for b in range(top + 1):
-            if i >= 2 and b == a_i and acc[-1] != 0:
-                continue
-            acc.append(b)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(1, [])
-
+        digits[i] += 1
+        digits[i + 1 :] = [0] * (len(digits) - i - 1)
+        yield tuple(digits)

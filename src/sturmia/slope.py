@@ -126,14 +126,15 @@ class Slope:
         first = i - 1 if i <= depth else start + (i - 1 - start) % length
         return chain(range(first, depth), cycle(range(start, depth)))
 
-    def _grow(self, n: int) -> tuple[list[int], list[int]]:
-        """The rows (q, a), extended through level n; DepthError past a
-        finite depth, RangeError before the q row would hold more than
+    def _grow(self, n: int, past: int | None = None) -> tuple[list[int], list[int]]:
+        """The rows (q, a), extended through level n, or with `past` only
+        through the first rung q_d > past, d <= n; DepthError past a finite
+        depth, RangeError before the q row would hold more than
         MAX_LADDER_BITS bits.  q[i + 1] is q_i and a[i] is a_i (a[0] = 0 is
         the integer part a_0)."""
         q, quotients = self._ladder
         # q is appended last, so its length bounds both rows
-        if len(q) <= n + 1:
+        if len(q) <= n + 1 and (past is None or q[-1] <= past):
             # a finite slope stops at its depth, with DepthError, first
             top = n if self.known_depth is None else min(n, self.known_depth)
             # the row through q_top holds at most (top + 2) bits(q_top)
@@ -144,7 +145,13 @@ class Slope:
                 # the next level, read under the lock: another thread may
                 # have grown the rows since the check above
                 level = len(q) - 1
-                for _, i in zip(range(level, top + 1), self._run(level)):
+                for k, i in zip(range(level, top + 1), self._run(level)):
+                    if past is not None:
+                        if q[-1] > past:
+                            break
+                        # any rung may be the last: each gets the share of
+                        # its own level, and a refusal names it
+                        top, rung_bits = k, MAX_LADDER_BITS // (k + 2)
                     a = stored[i]
                     q_next = a * q[-1] + q[-2]
                     if q_next.bit_length() > rung_bits:
@@ -154,9 +161,9 @@ class Slope:
                         )
                     quotients.append(a)
                     q.append(q_next)
-            if top < n:
+            if len(q) <= n + 1 and (past is None or q[-1] <= past):
                 # the run stopped after a_D, and a_{D+1} is refused
-                self.quotient(top + 1)
+                self.quotient(len(q) - 1)
         return q, quotients
 
     def q(self, n: int) -> int:
@@ -179,13 +186,9 @@ class Slope:
         """The smallest d >= 0 with q_d > m."""
         q = self._ladder[0]
         if q[-1] <= m:
-            # q_{k+1} <= (a_{k+1} + 1) q_k, so a rung adds at most `step`
-            # bits and the next `skip` rungs stay below m: all are needed,
-            # and one call grows them
-            step = (max(self.quotients) + 1).bit_length()
-            while q[-1] <= m:
-                skip = (m.bit_length() - q[-1].bit_length() - 1) // step
-                self._grow(len(q) - 2 + max(1, skip))
+            # q_d >= F_{d+1} >= phi^(d-1) passes m from d - 1 >= 1.45 bits(m)
+            # on, so one call, capped there, grows the rows to the rung past m
+            self._grow(m.bit_length() * 3 // 2 + 2, past=m)
         return bisect_right(q, m, lo=1) - 1
 
     def __str__(self) -> str:

@@ -183,7 +183,10 @@ def self_complementary(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
     Requires quotient parities that are not eventually even on the window;
     the eventually-even regime is covered by even_family instead.  Raises
     DepthError when the window is too shallow to certify the classes.
+    The ladder is asked for the window first, so a depth past its budget
+    is refused before the parity word is built.
     """
+    slope._grow(depth)
     y = parity_word(slope, depth)
     if y.count("1") < 4:
         raise ParityError("parities look eventually even here; use even_family")

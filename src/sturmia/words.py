@@ -39,10 +39,12 @@ def _grown(slope: Slope, m: int) -> str:
     finite slope [0; a_1, ..., a_D], at most q_D.  The word grows to
     max(m, 2 |word|) letters, within both bounds, so a run of longer
     requests grows it O(log m) times and it holds at most 2m letters for
-    the longest m asked.  A step from |word| >= q_n reads only slices of
-    the word: c[:q_{n+1}] = c[:q_n]^{a_{n+1}} c[:q_{n-1}] for n >= 2, with
-    s_0 = "0" in place of c[:q_0] for n = 1, and repeats c[:q_n] no more
-    often than the letters it keeps need.
+    the longest m asked.  The rows grow once, through q_1 and the first
+    rung q_d >= that target, or through a_D, and one walk up them reads
+    the levels.  A step from |word| >= q_n reads only slices of the word:
+    c[:q_{n+1}] = c[:q_n]^{a_{n+1}} c[:q_{n-1}] for n >= 2, with s_0 = "0"
+    in place of c[:q_0] for n = 1, and repeats c[:q_n] no more often than
+    the letters it keeps need.
     """
     cell = slope._word
     word = cell[0]
@@ -54,20 +56,26 @@ def _grown(slope: Slope, m: int) -> str:
             return word  # another thread grew it meanwhile
         target = min(max(m, 2 * len(word)), MAX_STANDARD_LETTERS)
         depth = slope.known_depth
+        # q_{_CAP_LEVEL} > MAX_STANDARD_LETTERS >= target on every slope;
+        # a target of 1 still reads q_1, which may equal q_0 = 1
+        top = _CAP_LEVEL if depth is None else min(depth, _CAP_LEVEL)
+        q, a = slope._grow(1) if target == 1 else slope._grow(top, past=target - 1)
+        n = 0
         while len(word) < target:
-            # q_n <= |word| < q_{n+1}, or n = 0 below q_1
-            n = max(slope.level(len(word)) - 1, 0)
-            size = min(target, slope.q(n + 1))
+            # q_n <= |word| < q_{n+1}, or n = 0 below q_1; q[i + 1] is q_i
+            while q[n + 2] <= len(word):
+                n += 1
+            size = min(target, q[n + 2])
             if n == 0:
                 # s_1 = 0^{a_1 - 1} 1
-                word = "0" * min(size, slope.q(1) - 1) + "1" * (size == slope.q(1))
+                word = "0" * min(size, q[2] - 1) + "1" * (size == q[2])
             else:
-                a, q_n = slope.quotient(n + 1), slope.q(n)
+                q_n = q[n + 1]
                 head = word[:q_n]
-                if size <= a * q_n:
+                if size <= a[n + 1] * q_n:
                     word = (head * -(-size // q_n))[:size]
                 else:
-                    word = (head * a + (word[: slope.q(n - 1)] if n > 1 else "0"))[:size]
+                    word = (head * a[n + 1] + (word[: q[n]] if n > 1 else "0"))[:size]
             if n + 1 == depth:
                 break  # s_D, the whole word of a finite slope
         cell[0] = word

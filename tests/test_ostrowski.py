@@ -1,5 +1,6 @@
 """Ostrowski encode/decode/validate against brute-force oracles."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from sturmia.errors import DepthError, InvalidDigitsError, RangeError
 from sturmia.ostrowski import (
     AlphaNumber,
     ValidationReport,
+    all_digit_strings,
     decode,
     encode,
     validate,
@@ -377,3 +379,68 @@ def test_encode_remainder_check_is_live():
     slope._ladder[0][1] = 2
     with pytest.raises(AssertionError, match="greedy expansion left a remainder"):
         encode(1, slope, 3)
+
+
+def recursive_digit_strings(slope, depth):
+    """`all_digit_strings` as a recursive generator, one frame per digit:
+    the reference for the order of the iterative one, good to depth ~980."""
+
+    def rec(i, acc):
+        if i > depth:
+            yield tuple(acc)
+            return
+        a_i = slope.quotient(i)
+        top = a_i - 1 if i == 1 else a_i
+        for b in range(top + 1):
+            if i >= 2 and b == a_i and acc[-1] != 0:
+                continue
+            acc.append(b)
+            yield from rec(i + 1, acc)
+            acc.pop()
+
+    yield from rec(1, [])
+
+
+def digit_string_slopes():
+    rng = random.Random(2411)
+    slopes = [GOLDEN, Slope((1, 2, 3)), Slope((4,))]
+    for k in range(10):
+        quotients = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+        start = rng.randrange(len(quotients))
+        slopes.append(Slope(quotients) if k % 2 else Slope(quotients, (start, len(quotients) - start)))
+    return slopes
+
+
+def first_items(strings, count):
+    """Up to `count` items, or the DepthError message raised at the next()
+    after them."""
+    out = []
+    try:
+        for _ in range(count):
+            out.append(next(strings))
+    except StopIteration:
+        pass
+    except DepthError as exc:
+        out.append(("DepthError", str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("slope", digit_string_slopes(), ids=str)
+def test_digit_strings_match_the_recursive_generator(slope):
+    for depth in range(-1, 10):
+        # the same tuples in the same order, and a read past a finite depth
+        # refused at the same next(), the first
+        got = first_items(all_digit_strings(slope, depth), 10**5)
+        assert got == first_items(recursive_digit_strings(slope, depth), 10**5)
+        if depth <= 0:
+            assert got == [()]
+        elif slope.known_depth is None or depth <= slope.known_depth:
+            assert len(got) == slope.q(depth)
+        else:
+            assert got == [("DepthError", f"a_{slope.known_depth + 1} requested but only {slope.known_depth} quotients are known")]
+
+
+def test_digit_strings_need_no_recursion():
+    assert next(all_digit_strings(GOLDEN, 2000)) == (0,) * 2000
+    with pytest.raises(RecursionError):
+        next(recursive_digit_strings(GOLDEN, 2000))

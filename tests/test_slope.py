@@ -1,5 +1,6 @@
 """Slope parsing, continuants, convergents and the interval partition."""
 
+import bisect
 import copy
 import itertools
 import pickle
@@ -362,6 +363,101 @@ def test_ladder_refusals_past_the_run():
         with pytest.raises(RangeError, match=f"^continuants through q_{10**30 + 1} would hold more"):
             slope.p(10**30 + 1)
         assert slope._ladder == ([0, 1], [0])
+
+
+def skip_estimate_level(slope, m):
+    """`Slope.level` as a loop of `_grow` calls, each through the rungs an
+    estimate of bits per rung shows to lie at or below m: the reference for
+    the one call that grows the rows to the first rung past m."""
+    q = slope._ladder[0]
+    if q[-1] <= m:
+        step = (max(slope.quotients) + 1).bit_length()
+        while q[-1] <= m:
+            skip = (m.bit_length() - q[-1].bit_length() - 1) // step
+            slope._grow(len(q) - 2 + max(1, skip))
+    return bisect.bisect_right(q, m, lo=1) - 1
+
+
+WIDE = (2 ** (MAX_LADDER_BITS // 2),)
+LEVEL_SWEEP_SLOPES = {
+    "golden": lambda: Slope((1,), (0, 1)),
+    "[0;1000*]": lambda: Slope((1000,), (0, 1)),
+    "wide": lambda: Slope(WIDE, (0, 1)),
+    "[0;3,1,2,(1,4)*]": lambda: parse_slope("[0;3,1,2,(1,4)*]"),
+    "[0;7,2,9]": lambda: Slope((7, 2, 9)),
+    "[0;1,1,5,1]": lambda: Slope((1, 1, 5, 1)),
+    "[0;1000,1,1000]": lambda: Slope((1000, 1, 1000)),
+    "finite wide": lambda: Slope((3,) + WIDE),
+}
+
+
+def level_sweep(make):
+    """m from 0 to 2^(MAX_LADDER_BITS // 2): small values, both sides of the
+    slope's first rungs, and both sides of powers of two up to the top."""
+    samples = {0, 1, 2, 3, 17, 10**6, 10**40, 3**90 - 1}
+    rungs = make()
+    for n in range(12):
+        try:
+            samples |= {rungs.q(n) - 1, rungs.q(n)}
+        except (DepthError, RangeError):
+            break
+    for e in (64, 1000, 5000, 10_000, 20_000, 100_000, 2**20, MAX_LADDER_BITS // 2):
+        samples |= {2**e - 1, 2**e}
+    return sorted(samples)
+
+
+@pytest.mark.parametrize("name", LEVEL_SWEEP_SLOPES)
+def test_level_answers_as_the_skip_estimate_loop(name):
+    make = LEVEL_SWEEP_SLOPES[name]
+    for m in level_sweep(make):
+        reference, slope = make(), make()
+        try:
+            expected = skip_estimate_level(reference, m)
+        except (DepthError, RangeError) as exc:
+            expected = type(exc)
+        try:
+            got = slope.level(m)
+        except (DepthError, RangeError) as exc:
+            got = type(exc)
+        assert got == expected, (name, m)
+        if isinstance(got, int):
+            assert len(slope._ladder[0]) == len(reference._ladder[0]) == got + 2
+        # every rung grown to find the first rung past m got its own level's share
+        for k, q_k in enumerate(slope._ladder[0][1:]):
+            assert q_k.bit_length() <= MAX_LADDER_BITS // (k + 2), (name, m, k)
+
+
+@pytest.mark.parametrize("name", LEVEL_SWEEP_SLOPES)
+def test_level_grows_a_fresh_slope_in_one_call(name, monkeypatch):
+    grow, calls = Slope._grow, []
+
+    def counted(slope, *args, **kwargs):
+        before = len(slope._ladder[0])
+        try:
+            return grow(slope, *args, **kwargs)
+        finally:
+            calls.append(len(slope._ladder[0]) > before)
+
+    make = LEVEL_SWEEP_SLOPES[name]
+    monkeypatch.setattr(Slope, "_grow", counted)
+    for m in level_sweep(make):
+        calls.clear()
+        try:
+            make().level(m)
+        except (DepthError, RangeError):
+            assert len(calls) == 1
+            continue
+        # q_0 = 1 answers m = 0 without growing
+        assert calls == ([True] if m >= 1 else [])
+
+
+def test_level_refusal_names_the_rung_it_stopped_at():
+    with pytest.raises(RangeError, match=r"^continuants through q_6951 would hold more"):
+        Slope((1,), (0, 1)).level(2 ** (MAX_LADDER_BITS // 2))
+    with pytest.raises(RangeError, match=r"^continuants through q_1 would hold more"):
+        Slope(WIDE, (0, 1)).level(1)
+    with pytest.raises(DepthError, match=r"^a_4 requested but only 3 quotients are known$"):
+        Slope((7, 2, 9)).level(10**40)
 
 
 # ---------------------------------------------------------------- value semantics

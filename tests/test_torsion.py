@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmia import torsion
 from sturmia.acceptance import NAMED_FIVE
 from sturmia.errors import DepthError, ParityError, RangeError, SturmiaError
 from sturmia.intercept import (
@@ -265,6 +266,33 @@ def test_self_complementary_one_two():
 def test_self_complementary_needs_odd_quotients():
     with pytest.raises(ParityError):
         self_complementary(TWO_TWO, 20)
+
+
+def test_self_complementary_asks_the_ladder_before_the_parity_word(monkeypatch):
+    built = []
+
+    def spy(slope, depth):
+        built.append(depth)
+        return parity_word(slope, depth)
+
+    monkeypatch.setattr(torsion, "parity_word", spy)
+    for depth in (10**7, 10**30):
+        with pytest.raises(RangeError, match=f"^continuants through q_{depth} would hold more"):
+            self_complementary(GOLDEN, depth)
+    # an eventually even slope past the budget: the ladder refuses before ParityError
+    with pytest.raises(RangeError, match="^continuants through q_10000000 would hold more"):
+        self_complementary(TWO_TWO, 10**7)
+    # a finite slope read past its depth: the ladder's refusal, worded as the parity word's was
+    with pytest.raises(DepthError, match=r"^a_4 requested but only 3 quotients are known$"):
+        self_complementary(Slope((1, 2, 3)), 20)
+    assert built == []
+    # within the budget the parity word is built as before, after the ladder
+    with pytest.raises(ParityError):
+        self_complementary(TWO_TWO, 20)
+    with pytest.raises(RangeError, match="^depth must be >= 1, got 0$"):
+        self_complementary(GOLDEN, 0)
+    assert len(self_complementary(GOLDEN, 21)) == 3
+    assert built == [20, 0, 21]
 
 
 @pytest.mark.parametrize(

@@ -584,3 +584,71 @@ def test_a_grown_slope_copies_and_hashes_as_a_fresh_one(copy_of):
     assert pickle.dumps(slope) == pickle.dumps(fresh)
     assert other._word == [""]
     assert characteristic_prefix(other, 5000) == prefix
+
+
+def per_level_word(slope: Slope, m: int, word: str) -> str:
+    """`words._grown` as a loop that asks the ladder for each level's
+    `level`, `q` and `quotient`: the reference for the walk over rows grown
+    once.  Grows `word`, a prefix of c, to max(m, 2 |word|) letters within
+    MAX_STANDARD_LETTERS and, on a finite slope, within s_D."""
+    target = min(max(m, 2 * len(word)), MAX_STANDARD_LETTERS)
+    depth = slope.known_depth
+    while len(word) < target:
+        n = max(slope.level(len(word)) - 1, 0)
+        size = min(target, slope.q(n + 1))
+        if n == 0:
+            word = "0" * min(size, slope.q(1) - 1) + "1" * (size == slope.q(1))
+        else:
+            a, q_n = slope.quotient(n + 1), slope.q(n)
+            head = word[:q_n]
+            if size <= a * q_n:
+                word = (head * -(-size // q_n))[:size]
+            else:
+                word = (head * a + (word[: slope.q(n - 1)] if n > 1 else "0"))[:size]
+        if n + 1 == depth:
+            break
+    return word
+
+
+def seeded_word_slopes():
+    """Periodic and finite slopes from one seed, a_1 = 1 (so q_1 = q_0) among them."""
+    rng = random.Random(4101)
+    slopes = [parse_slope("[0;1*]"), parse_slope("[0;1,2,(3,1,2)*]"), Slope((1, 1, 5, 1)), Slope((3, 2, 2))]
+    for k in range(16):
+        quotients = tuple(rng.choice((1, 1, 2, 3, 7, 40)) for _ in range(rng.randint(2, 9)))
+        if k % 4 == 0:
+            quotients = (1,) + quotients
+        start = rng.randrange(len(quotients))
+        slopes.append(Slope(quotients) if k % 3 == 2 else Slope(quotients, (start, len(quotients) - start)))
+    return slopes
+
+
+@pytest.mark.parametrize("slope", seeded_word_slopes(), ids=str)
+def test_the_word_grown_once_matches_the_per_level_word(slope):
+    make = lambda: Slope(slope.quotients, slope.period)
+    letters = words.certified_letters(make())
+    top = 10**5 if letters is None else min(10**5, letters + 1)  # at most s_D on a finite slope
+    targets = sorted({1, 2, 3, 5, 17, 100, 999, 10**4, top // 3, top - 1, top} & set(range(1, top + 1)))
+    # from a fresh slope each
+    for m in targets:
+        grown, reference = make(), make()
+        assert words._grown(grown, m) == per_level_word(reference, m, "")
+        assert len(grown._ladder[0]) == len(reference._ladder[0]), m
+    # one slope grown by a run of rising requests
+    grown, reference, word = make(), make(), ""
+    for m in targets:
+        if m > len(word):
+            word = per_level_word(reference, m, word)
+        assert words._grown(grown, m) == word
+        assert len(grown._ladder[0]) == len(reference._ladder[0]), m
+
+
+def test_the_word_grows_without_a_ladder_call_per_level(monkeypatch):
+    finite = Slope((1, 2, 3, 1, 4, 2, 2, 5, 1, 3))
+    letters = finite.q(10)
+    for name in ("level", "q", "quotient"):
+        monkeypatch.setattr(Slope, name, lambda *args, name=name: pytest.fail(f"Slope.{name} called"))
+    grown = [(parse_slope("[0;1,2,(3,1,2)*]"), 10**5), (parse_slope("[0;1*]"), 1), (Slope((1, 1)), 2), (finite, letters)]
+    for slope, m in grown:
+        word = words._grown(slope, m)
+        assert len(word) >= m and slope._ladder[0][-1] >= m

@@ -8,12 +8,12 @@ CheckResult, so the registry can print a one-line verdict per criterion.
 The pytest suite and the `verify` CLI subcommand both drive this module.
 Randomized corpora are seeded and capped so the whole battery stays fast
 and reproducible; caps are reported in the result details.  Criteria
-01-03, 05-07, 09-12 and 14 split their corpora into independent items
-(slopes, window-length ranges, moduli, rational pairs, or for 12 runs of
-2^12 words weighed by their letters plus its parse-count oracle) and work
-them on every usable CPU through `_fan_out`, with the serial run's
-results and first counterexample; 04, 08 and 13 run no faster split and
-stay serial.
+01-03, 05-07, 09, 12 and 14 split their corpora into independent items
+(slopes, window-length ranges, rational pairs, or for 12 runs of 2^12
+words weighed by their letters plus its parse-count oracle) and work them
+on every usable CPU through `_fan_out`, with the serial run's results and
+first counterexample; 04, 08, 10, 11 and 13 run no faster split and stay
+in process.
 """
 
 from __future__ import annotations
@@ -543,57 +543,27 @@ def check_09_rauzy() -> str:
     return "all m <= 150 on 5 slopes"
 
 
-def _torsion(item: tuple[int, int]) -> str:
-    """Criterion 10 on one (modulus, k at n = 4); its detail."""
-    modulus, k_ref = item
-    anchored = torsion_search(GOLDEN, modulus, n=4)
-    if not anchored.found or anchored.k != k_ref:
-        raise _Failed(f"N={modulus} at n=4 gave k={anchored.k}")
-    hit = torsion_search(GOLDEN, modulus)
-    if not hit.found or hit.k > k_ref:
-        raise _Failed(f"N={modulus} default search k={hit.k}")
-    sweep_top = hit.n + 30
-    for n in range(hit.n, sweep_top + 1):
-        again = torsion_search(GOLDEN, modulus, n=n)
-        if not again.found:
-            raise _Failed(f"N={modulus} no identity at n={n}")
-        value = decode(again.quotient_digits, GOLDEN)
-        if GOLDEN.q(n + again.k) - GOLDEN.q(n) != modulus * value:
-            raise _Failed(f"N={modulus} arithmetic at n={n}")
-        if not all(n < s < n + again.k for s in again.support):
-            raise _Failed(f"N={modulus} support at n={n}")
-    return f"N={modulus}: k={k_ref} at n=4, k={hit.k} from n={hit.n}"
-
-
 def check_10_torsion() -> str:
     """Continuant congruences certified by digit supports, golden slope."""
-    canonical = ((2, 3), (4, 6), (3, 8), (5, 20))
-    # every modulus runs 33 searches
-    details = _fan_out(_torsion, canonical, [1] * len(canonical))
+    details = []
+    for modulus, k_ref in ((2, 3), (4, 6), (3, 8), (5, 20)):
+        anchored = torsion_search(GOLDEN, modulus, n=4)
+        if not anchored.found or anchored.k != k_ref:
+            raise _Failed(f"N={modulus} at n=4 gave k={anchored.k}")
+        hit = torsion_search(GOLDEN, modulus)
+        if not hit.found or hit.k > k_ref:
+            raise _Failed(f"N={modulus} default search k={hit.k}")
+        for n in range(hit.n, hit.n + 31):
+            again = torsion_search(GOLDEN, modulus, n=n)
+            if not again.found:
+                raise _Failed(f"N={modulus} no identity at n={n}")
+            value = decode(again.quotient_digits, GOLDEN)
+            if GOLDEN.q(n + again.k) - GOLDEN.q(n) != modulus * value:
+                raise _Failed(f"N={modulus} arithmetic at n={n}")
+            if not all(n < s < n + again.k for s in again.support):
+                raise _Failed(f"N={modulus} support at n={n}")
+        details.append(f"N={modulus}: k={k_ref} at n=4, k={hit.k} from n={hit.n}")
     return "; ".join(details) + "; identities re-verified for 31 ranks each"
-
-
-def _self_complementary(slope: Slope) -> None:
-    """Criterion 11 on one named slope, or the even family of TWO_TWO."""
-    if slope == TWO_TWO:
-        for rho in even_family(TWO_TWO, 20):
-            if not equivalent(rho, complement(rho)).equivalent:
-                raise _Failed("even family fails")
-        return
-    classes = self_complementary(slope, 20)
-    if len(classes) != 3:
-        raise _Failed(f"{slope}")
-    center = palindromic_center_word(slope, slope.q(7) + slope.q(6))
-    rho = intercept_from_prefix(center, slope, 6)
-    hits = sum(equivalent(rho, cls).equivalent for cls in classes)
-    if hits != 1:
-        raise _Failed(f"center word meets {hits} classes on {slope}")
-    for rho in classes:
-        if not equivalent(rho, complement(rho)).equivalent:
-            raise _Failed(f"fixed-point fails on {slope}")
-    for a, b in itertools.combinations(classes, 2):
-        if equivalent(a, b).equivalent:
-            raise _Failed(f"classes collide on {slope}")
 
 
 def check_11_self_complementary() -> str:
@@ -601,8 +571,24 @@ def check_11_self_complementary() -> str:
 
     The palindromic center word, read at depth 6, lands in exactly one class.
     """
-    # every item reads windows of depth 20
-    _fan_out(_self_complementary, NAMED_FIVE + (TWO_TWO,), [1] * 6)
+    for slope in NAMED_FIVE:
+        classes = self_complementary(slope, 20)
+        if len(classes) != 3:
+            raise _Failed(f"{slope}")
+        center = palindromic_center_word(slope, slope.q(7) + slope.q(6))
+        rho = intercept_from_prefix(center, slope, 6)
+        hits = sum(equivalent(rho, cls).equivalent for cls in classes)
+        if hits != 1:
+            raise _Failed(f"center word meets {hits} classes on {slope}")
+        for rho in classes:
+            if not equivalent(rho, complement(rho)).equivalent:
+                raise _Failed(f"fixed-point fails on {slope}")
+        for a, b in itertools.combinations(classes, 2):
+            if equivalent(a, b).equivalent:
+                raise _Failed(f"classes collide on {slope}")
+    for rho in even_family(TWO_TWO, 20):
+        if not equivalent(rho, complement(rho)).equivalent:
+            raise _Failed("even family fails")
     return (
         "3 classes at depth 20 on 5 slopes; S0/S1/S2 family on the all-even slope; "
         "palindromic center word in exactly one class on 5 slopes"

@@ -15,16 +15,16 @@ digit depth is --depth when given, else the STURMIA_DEPTH environment
 variable, else 24; either must be at least 2.  Only `verify` loads the
 acceptance suite.  A well-formed argv skips argparse's parsing: a
 command name, then only that command's exact option strings (plain
-`store` and `store_false` flags), values that do not start with "-", and
-its positional, each flag at most once, every value passing its flag's
-type and choices, and the required flags and groups all given.  `_table`
-reads those flags off the command parser's own argparse objects when the
-parsers are built, and `_read` builds the namespace argparse would.  Any
-other argv goes through the full parser, so usage errors and help are
-argparse's own.  JSON is
-rendered by `_json`, one str.join per container, with json.dumps as the
-fallback for a value of any type but str, int, bool, None, dict, list and
-tuple, or a key that is not a str.
+`store` flags, each taking one value), values that do not start with
+"-", and its positional, each flag at most once, every value passing its
+flag's type and choices, and the required flags and groups all given.
+`_table` reads those flags off the command parser's own argparse objects
+when the parsers are built, and `_read` builds the namespace argparse
+would.  Any other argv, `repetition --no-check` among them, goes through
+the full parser, so usage errors and help are argparse's own.  JSON has
+one writer, `_joined`: the stdlib json module's bytes with sorted keys and
+an indent of 2, one str.join per container, for str, int, bool, None,
+dict, list and tuple with str keys; any other value is an internal error.
 
 Exit codes: 0 on success, 1 on a verification failure (a `verify`
 criterion, a duality or factorization check, or a torsion search that
@@ -36,7 +36,6 @@ traceback).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -329,7 +328,7 @@ def _envelope(r: dict, args) -> str:
         "format": args.format,
         "check": getattr(args, "check", True),
     }
-    return _json({"command": args.command, "config": config, "result": r})
+    return _joined({"command": args.command, "config": config, "result": r}, "\n")
 
 
 # command -> (its handler, its renderer for each --format choice, the default first)
@@ -501,11 +500,8 @@ def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
 
 
 def _plain(action: argparse.Action) -> bool:
-    """Whether the table path takes this action: a one-value store or a store_false."""
-    kind = type(action)
-    return (kind is argparse._StoreAction and action.nargs is None) or (
-        kind is argparse._StoreFalseAction
-    )
+    """Whether the table path takes this action: a store of one value."""
+    return type(action) is argparse._StoreAction and action.nargs is None
 
 
 def _table(parser: argparse.ArgumentParser) -> tuple | None:
@@ -558,10 +554,6 @@ def _read(table: tuple, argv: list[str]) -> argparse.Namespace | None:
             action = options.get(token)
             if action is None or action in values:
                 return None
-            if action.nargs == 0:  # store_false
-                values[action] = action.const
-                given.add(action)
-                continue
             token = next(tokens, "-")  # a missing value reads as a flag
             if token[:1] == "-":
                 return None
@@ -594,8 +586,9 @@ def _read(table: tuple, argv: list[str]) -> argparse.Namespace | None:
 
 
 def _joined(value, line: str) -> str:
-    """The json.dumps(value, sort_keys=True, indent=2) text of value, where
-    `line` is the newline and indent before its closing bracket.
+    """The text the stdlib json module writes for value with sort_keys=True
+    and indent=2, where `line` is the newline and indent before its closing
+    bracket.
 
     Raises TypeError on a value of any type but str, int, bool, None, dict,
     list and tuple, and on a key that is not a str (encode_basestring_ascii
@@ -625,20 +618,7 @@ def _joined(value, line: str) -> str:
             return "[]"
         texts = [_joined(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(texts) + line + "]"
-    raise TypeError(f"{kind.__name__} values are left to json.dumps")
-
-
-def _json(payload) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2), one str.join per container.
-
-    Whatever `_joined` refuses (a float, a key that is not a str, any other
-    type) or nests past the recursion limit goes whole to json.dumps, so
-    its bytes and its errors are the stdlib's own.
-    """
-    try:
-        return _joined(payload, "\n")
-    except (TypeError, RecursionError):
-        return json.dumps(payload, sort_keys=True, indent=2)
+    raise TypeError(f"{kind.__name__} values have no JSON rendering")
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:

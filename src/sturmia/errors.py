@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `shown`, the one writer
+of the integers their messages name."""
 
 
 class SturmiaError(Exception):
@@ -35,3 +36,16 @@ class CaseDispatchError(SturmiaError):
 
 class ParityError(SturmiaError):
     """The partial-quotient parities violate a construction's hypothesis."""
+
+
+def shown(n: int) -> str:
+    """An int as every refusal message writes it: its decimal digits, or,
+    where the interpreter refuses to convert that many digits
+    (sys.get_int_max_str_digits), its sign and bit length, such as
+    "<an integer of 16610 bits>", so that building a refusal never raises
+    ValueError."""
+    try:
+        return str(n)
+    except ValueError:
+        sign = "a negative" if n < 0 else "an"
+        return f"<{sign} integer of {abs(n).bit_length()} bits>"

@@ -16,14 +16,17 @@ from collections import namedtuple
 from collections.abc import Iterable
 from itertools import chain, count
 
-from .errors import DepthError, RangeError, UnsupportedInterceptError
+from .errors import DepthError, RangeError, UnsupportedInterceptError, shown
 from .intercept import AlphaNumber, classify, complement, sturmian_prefix
 from .slope import Slope
 from .words import characteristic_prefix, factor_set, language_length, standard_word
 
 
 def _blocks(slope: Slope, pairs: Iterable[tuple[int, int]], length: int) -> str:
-    """Join reversal(s_level)^power blocks until `length` letters, and cut there."""
+    """Join reversal(s_level)^power blocks until `length` letters, and cut there.
+
+    A block repeats its word no more often than the letters still missing
+    need, so a huge power costs only those letters."""
     parts: list[str] = []
     built = 0
     for level, power in pairs:
@@ -31,13 +34,14 @@ def _blocks(slope: Slope, pairs: Iterable[tuple[int, int]], length: int) -> str:
             raise RangeError(f"negative exponent at level {level}")
         if power == 0:
             continue
-        block = standard_word(slope, level)[::-1] * power
+        word = standard_word(slope, level)[::-1]
+        block = word * min(power, -((built - length) // len(word)))
         parts.append(block)
         built += len(block)
         if built >= length:
             break
     if built < length:
-        raise DepthError(f"product materializes {built} letters, need {length}")
+        raise DepthError(f"product materializes {built} letters, need {shown(length)}")
     return "".join(parts)[:length]
 
 
@@ -48,7 +52,7 @@ def product_prefix(rho: AlphaNumber, length: int) -> str:
     prefix of an infinite one.
     """
     if length < 0:
-        raise RangeError(f"length must be >= 0, got {length}")
+        raise RangeError(f"length must be >= 0, got {shown(length)}")
     report = classify(rho)
     if report.verdict == "natural-integer":
         raise UnsupportedInterceptError(
@@ -57,7 +61,7 @@ def product_prefix(rho: AlphaNumber, length: int) -> str:
     total = rho.psi(rho.depth)
     if total < length:
         raise DepthError(
-            f"window materializes only {total} product letters, need {length}"
+            f"window materializes only {shown(total)} product letters, need {shown(length)}"
         )
     pairs = ((i, rho.digits[i]) for i in range(rho.depth))
     return _blocks(rho.slope, pairs, length)
@@ -79,7 +83,7 @@ def central_split_check(m: int, p: int, slope: Slope) -> SplitReport:
     total = m + p
     level = slope.level(total + 1)
     if slope.q(level) - 2 != total:
-        raise RangeError(f"m+p = {total} is not q_N - 2 for any subscript N")
+        raise RangeError(f"m+p = {shown(total)} is not q_N - 2 for any subscript N")
     expected = standard_word(slope, level)[:-2]
     # one prefix per length m + p; the descending product of standard words
     # that the digits of p name is its first p letters read backwards

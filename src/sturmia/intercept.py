@@ -19,6 +19,7 @@ from .errors import (
     PrefixTooShortError,
     RangeError,
     UnsupportedInterceptError,
+    shown,
 )
 from .ostrowski import AlphaNumber, _window, encode, validate
 from .slope import Slope
@@ -31,13 +32,16 @@ from .words import (
 
 
 def zero(slope: Slope, depth: int) -> AlphaNumber:
+    """The window of the characteristic word; a depth below 1 gives the
+    empty window."""
     slope._grow(depth)  # the ladder refuses a depth past its budget first
-    return AlphaNumber((0,) * depth, slope)
+    return AlphaNumber((0,) * max(depth, 0), slope)
 
 
 def _sigma_digits(slope: Slope, depth: int, parity: int) -> tuple[int, ...]:
     """Digits of sigma0 (parity 0) or sigma1 (parity 1) at this depth, unvalidated."""
     a = slope._grow(depth)[1]  # a[i] is a_i
+    depth = max(depth, 0)  # the empty window below depth 1
     digits = [0] * depth
     digits[1 + parity :: 2] = a[2 + parity : depth + 1 : 2]
     if parity and depth > 0:
@@ -73,7 +77,7 @@ def intercept_from_prefix(prefix: str, slope: Slope, depth: int) -> AlphaNumber:
     need = _certifying_letters(slope, depth)
     if len(prefix) < need:
         raise PrefixTooShortError(
-            f"need {need} letters to certify depth {depth}, got {len(prefix)}"
+            f"need {shown(need)} letters to certify depth {shown(depth)}, got {len(prefix)}"
         )
     if set(prefix) - {"0", "1"}:
         raise NotSturmianError("prefix must be over the alphabet {0, 1}")
@@ -120,11 +124,13 @@ def sturmian_prefix(rho: AlphaNumber, m: int) -> str:
     slope = rho.slope
     certified = slope.q(rho.depth) - 1
     if m > certified:
-        raise DepthError(f"window depth {rho.depth} certifies only {certified} letters")
+        raise DepthError(f"window depth {rho.depth} certifies only {shown(certified)} letters")
     shift = rho.psi(slope.level(m))
     letters = certified_letters(slope)
     if letters is not None and shift + m > letters:
-        raise _past_certified(slope, f"prefix of length {m} shifted by {shift} passes")
+        raise _past_certified(
+            slope, f"prefix of length {shown(m)} shifted by {shown(shift)} passes"
+        )
     return shifted_characteristic_prefix(slope, shift, m)
 
 
@@ -158,7 +164,7 @@ def integer_window(k: int, slope: Slope, depth: int) -> AlphaNumber:
     top = slope.known_depth
     if top is not None and depth >= top:
         if k > certified_letters(slope):
-            raise _past_certified(slope, f"shift {k} passes")
+            raise _past_certified(slope, f"shift {shown(k)} passes")
         depth = top
     return encode(k, slope, depth)
 
@@ -195,12 +201,14 @@ def add_integer(rho: AlphaNumber, k: int) -> AlphaNumber:
         range(1, rho.depth), budget, key=lambda d: _certifying_letters(slope, d)
     )
     if out_depth < 1:
-        raise DepthError(f"shift {k} leaves no certifiable level in a depth-{rho.depth} window")
+        raise DepthError(
+            f"shift {shown(k)} leaves no certifiable level in a depth-{rho.depth} window"
+        )
     need = k + _certifying_letters(slope, out_depth)
     value = rho.psi(slope.level(need)) + k
     letters = certified_letters(slope)
     if letters is not None and value > letters:
-        raise _past_certified(slope, f"shift {k} needs {value} letters, more than")
+        raise _past_certified(slope, f"shift {shown(k)} needs {shown(value)} letters, more than")
     digits = encode(value, slope, max(out_depth, slope.level(value))).digits
     # a prefix of a valid window is valid
     return _window(digits[:out_depth], slope)

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul
 
-from .errors import DepthError, InvalidDigitsError, RangeError
+from .errors import DepthError, InvalidDigitsError, RangeError, shown
 from .slope import Slope
 
 
@@ -71,7 +71,7 @@ def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int
     if 0 <= b <= a_i - cut:
         report = _VALID  # the partial sum through b_i reached q_i
     elif b < 0 or b > a_i or i == 1:
-        report = ValidationReport(False, "digit-range", i, f"b_{i}={b} out of range")
+        report = ValidationReport(False, "digit-range", i, f"b_{i}={shown(b)} out of range")
     else:  # b_i = a_i after a non-zero b_{i-1}
         report = ValidationReport(
             False, "max-digit-adjacency", i, f"b_{i}=a_{i} requires b_{i-1}=0"
@@ -164,7 +164,9 @@ class AlphaNumber:
         if n <= 0:
             return 0
         if n > self.depth:
-            raise DepthError(f"residue at level {n} needs depth {n}, window has {self.depth}")
+            raise DepthError(
+                f"residue at level {shown(n)} needs depth {shown(n)}, window has {self.depth}"
+            )
         return self.residues[n]
 
     def support(self) -> frozenset[int]:
@@ -180,12 +182,12 @@ def encode(n: int, slope: Slope, depth: int) -> AlphaNumber:
     window is built without a second validation pass.
     """
     if n < 0:
-        raise RangeError(f"cannot encode negative integer {n}")
+        raise RangeError(f"cannot encode negative integer {shown(n)}")
     if depth < 0:
         raise DepthError("depth must be >= 0")
     q = slope._grow(depth)[0]  # q[i + 1] is q_i
     if n >= q[depth + 1]:
-        raise RangeError(f"{n} >= q_{depth} = {q[depth + 1]}; increase depth")
+        raise RangeError(f"{shown(n)} >= q_{depth} = {shown(q[depth + 1])}; increase depth")
     out = []  # b_depth, ..., b_1
     rest = n
     for q_i in q[depth:0:-1]:  # q_{depth-1}, ..., q_0
@@ -238,9 +240,11 @@ def all_digit_strings(slope: Slope, depth: int) -> Iterator[tuple[int, ...]]:
     There are exactly q_depth of them, one per integer in [0, q_depth), in
     the order of (b_1, ..., b_depth) read as a word: each next vector raises
     the last digit that can still rise under its left neighbour and zeroes
-    the digits after it, so depth costs no recursion.
+    the digits after it, so depth costs no recursion.  The ladder is asked
+    for the depth first, so a depth past its budget or past a finite slope
+    is refused before any quotient is read.
     """
-    quotients = [slope.quotient(i) for i in range(1, depth + 1)]
+    quotients = slope._grow(depth)[1][1 : max(depth, 0) + 1]  # a_1, ..., a_depth
     digits = [0] * len(quotients)
     yield tuple(digits)
     while True:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .errors import PrefixTooShortError, RangeError
+from .errors import PrefixTooShortError, RangeError, shown
 from .intercept import AlphaNumber, _shift_window, max_certified_length, sturmian_prefix
 from .slope import IntervalPosition, Slope
 from .words import MAX_STANDARD_LETTERS, _language, characteristic_prefix
@@ -76,7 +76,8 @@ class RauzyGraph(
         letters = m * (m + 1)
         if letters > MAX_STANDARD_LETTERS:
             raise RangeError(
-                f"window length {m} needs {letters} letters, more than {MAX_STANDARD_LETTERS}"
+                f"window length {shown(m)} needs {shown(letters)} letters,"
+                f" more than {MAX_STANDARD_LETTERS}"
             )
         c, vertices = self.prefix, self.vertices
         names = [c[v : v + m] for v in vertices]
@@ -121,7 +122,7 @@ def _cycles(slope: Slope, m: int) -> tuple[IntervalPosition, str, range, range]:
     Refuses m as `words._language` does, before the prefix is built.
     """
     if m < 1:
-        raise RangeError(f"window length must be >= 1, got {m}")
+        raise RangeError(f"window length must be >= 1, got {shown(m)}")
     pos, length = _language(slope, m)
     q_lo, q = slope.q(pos.n - 1), slope.q(pos.n)
     c = characteristic_prefix(slope, length)
@@ -196,7 +197,9 @@ def _laps(word: str, m: int, c: str, ring: tuple[range, ...]) -> int:
     PrefixTooShortError when the word ends inside a lap that still agrees.
     """
     if len(word) < m:
-        raise PrefixTooShortError(f"need at least {m} letters to form one window, got {len(word)}")
+        raise PrefixTooShortError(
+            f"need at least {shown(m)} letters to form one window, got {len(word)}"
+        )
     head = word[:m]
     p = 0
     for run in ring:

@@ -18,9 +18,10 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .errors import CaseDispatchError, DepthError, PrefixTooShortError, RangeError
+from .errors import CaseDispatchError, DepthError, PrefixTooShortError, RangeError, shown
 from .intercept import AlphaNumber
 from .slope import Slope, interval_locate
+from .words import MAX_STANDARD_LETTERS
 
 # Fingerprint moduli of repetition_direct.  A scan of W windows modulo a
 # prime P expects about W**2 / 2P false hits, each confirmed in place.  Up
@@ -66,7 +67,7 @@ def repetition_direct(x_prefix: str, m: int) -> int:
     distinct fingerprints.
     """
     if m < 1:
-        raise RangeError(f"window length must be >= 1, got {m}")
+        raise RangeError(f"window length must be >= 1, got {shown(m)}")
     modulus = _NARROW_MODULUS if len(x_prefix) - m < _NARROW_WINDOWS else _MODULUS
     if x_prefix.isascii():
         codes = memoryview(x_prefix.encode("ascii"))
@@ -89,7 +90,7 @@ def repetition_direct(x_prefix: str, m: int) -> int:
                 return i
             collided.add(window)
     raise PrefixTooShortError(
-        f"no repeated length-{m} window within {len(x_prefix)} letters"
+        f"no repeated length-{shown(m)} window within {len(x_prefix)} letters"
     )
 
 
@@ -160,9 +161,11 @@ def profile_lookup(profile: list[int], m: int, letters: int) -> int:
     Raises exactly what repetition_direct raises on that prefix.
     """
     if m < 1:
-        raise RangeError(f"window length must be >= 1, got {m}")
+        raise RangeError(f"window length must be >= 1, got {shown(m)}")
     if m > len(profile):
-        raise PrefixTooShortError(f"no repeated length-{m} window within {letters} letters")
+        raise PrefixTooShortError(
+            f"no repeated length-{shown(m)} window within {shown(letters)} letters"
+        )
     return profile[m - 1]
 
 
@@ -189,11 +192,12 @@ def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[tuple[int, int, int,
     walk over a window ends in DepthError at level depth - 1.
     """
     if n < 0:
-        raise RangeError(f"interval level must be >= 0, got {n}")
+        raise RangeError(f"interval level must be >= 0, got {shown(n)}")
     depth = rho.depth
     if n + 2 > depth:
         raise DepthError(
-            f"closed form at level {n} needs digits through {n + 2}, window has {depth}"
+            f"closed form at level {shown(n)} needs digits through {shown(n + 2)},"
+            f" window has {depth}"
         )
     q_row, a_row = rho.slope._grow(depth)  # q_row[i + 1] is q_i, a_row[i] is a_i
     digits, residues = rho.digits, rho.residues  # digits[i - 1] is b_i
@@ -225,7 +229,7 @@ def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[tuple[int, int, int,
             values, case = (q_lo, q + q_lo - rho_n), "8"
         else:
             raise CaseDispatchError(
-                f"digits b_{n + 1}={b_cur}, a_{n + 1}={a} match no case"
+                f"digits b_{n + 1}={shown(b_cur)}, a_{n + 1}={shown(a)} match no case"
             )
 
         # by the jump law a row after the first starts at its value - 1, and
@@ -281,7 +285,7 @@ def repetition_closed_form(rho: AlphaNumber, m: int) -> tuple[int, str]:
     for m_lo, m_hi, value, case in next(_level_rows(rho, pos.n)):
         if m_lo <= m <= m_hi:
             return value, case
-    raise CaseDispatchError(f"m={m} escaped every row at level {pos.n}")
+    raise CaseDispatchError(f"m={shown(m)} escaped every row at level {pos.n}")
 
 
 def repetition_closed_forms(rho: AlphaNumber, m_hi: int) -> list[tuple[int, str]]:
@@ -289,7 +293,9 @@ def repetition_closed_forms(rho: AlphaNumber, m_hi: int) -> list[tuple[int, str]
 
     Walks the levels from the one holding m = 1, expanding each level's
     rows over its m range; raises the same exception, at the same m, as
-    the per-m closed form.
+    the per-m closed form.  The list has one entry per m: a row that would
+    take it past MAX_STANDARD_LETTERS entries is refused with RangeError, as
+    a word that long is.
     """
     out: list[tuple[int, str]] = []
     if m_hi < 1:
@@ -298,7 +304,14 @@ def repetition_closed_forms(rho: AlphaNumber, m_hi: int) -> list[tuple[int, str]
     while len(out) < m_hi:
         m = len(out) + 1
         for lo, hi, value, case in next(levels):
-            out += [(value, case)] * (min(hi, m_hi) - max(lo, m) + 1)
+            top = min(hi, m_hi)
+            if top > MAX_STANDARD_LETTERS:
+                raise RangeError(
+                    f"closed forms through m = {shown(m_hi)} would list more than"
+                    f" {MAX_STANDARD_LETTERS} values"
+                )
+            # a row past m_hi adds nothing
+            out += [(value, case)] * max(0, top - max(lo, m) + 1)
     return out
 
 
@@ -313,7 +326,7 @@ def repetition_level(rho_n1: int, slope: Slope, m: int) -> int:
     q_lo, q, q_hi = slope.q(n - 1), slope.q(n), slope.q(n + 1)
     a = slope.quotient(n + 1)
     if not 0 <= rho_n1 < q_hi:
-        raise RangeError(f"shift must lie in [0, {q_hi}), got {rho_n1}")
+        raise RangeError(f"shift must lie in [0, {shown(q_hi)}), got {shown(rho_n1)}")
     if rho_n1 <= (a - l - 1) * q + r:
         return q
     if rho_n1 < (a - l) * q:
@@ -367,9 +380,9 @@ def _dio_ratios(rho: AlphaNumber, depth: int | None) -> tuple[str, list[tuple[in
     or one generic ratio per closed-form row at levels 1 .. depth - 2."""
     d = rho.depth if depth is None else depth
     if d < 5:
-        raise DepthError(f"need at least 5 digit levels, got {d}")
+        raise DepthError(f"need at least 5 digit levels, got {shown(d)}")
     if d > rho.depth:
-        raise DepthError(f"window has {rho.depth} digits, cannot inspect {d}")
+        raise DepthError(f"window has {rho.depth} digits, cannot inspect {shown(d)}")
     start = _tail_start(d)
     q_row, a_row = rho.slope._grow(d)  # q_row[i + 1] is q_i, a_row[i] is a_i
     digits, residues = rho.digits, rho.residues  # digits[i - 1] is b_i

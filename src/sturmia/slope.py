@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, cycle
 
-from .errors import DepthError, RangeError
+from .errors import DepthError, RangeError, shown
 
 # Ladders only grow, under this lock; rungs already stored never change, so
 # reading them needs no lock.  The interpreter has `_thread` loaded at start,
@@ -102,12 +102,12 @@ class Slope:
     def quotient(self, i: int) -> int:
         """The partial quotient a_i, indexed from 1."""
         if i < 1:
-            raise DepthError(f"partial quotients are indexed from 1, got {i}")
+            raise DepthError(f"partial quotients are indexed from 1, got {shown(i)}")
         if i <= len(self.quotients):
             return self.quotients[i - 1]
         if self.period is None:
             raise DepthError(
-                f"a_{i} requested but only {len(self.quotients)} quotients are known"
+                f"a_{shown(i)} requested but only {len(self.quotients)} quotients are known"
             )
         start, length = self.period
         return self.quotients[start + (i - 1 - start) % length]
@@ -156,7 +156,7 @@ class Slope:
                     q_next = a * q[-1] + q[-2]
                     if q_next.bit_length() > rung_bits:
                         raise RangeError(
-                            f"continuants through q_{top} would hold more"
+                            f"continuants through q_{shown(top)} would hold more"
                             f" than {MAX_LADDER_BITS} bits"
                         )
                     quotients.append(a)
@@ -169,7 +169,7 @@ class Slope:
     def q(self, n: int) -> int:
         """The continuant q_n for n >= -1, from q_-1 = 0 and q_0 = 1."""
         if n < -1:
-            raise DepthError(f"continuants are indexed from -1, got {n}")
+            raise DepthError(f"continuants are indexed from -1, got {shown(n)}")
         q = self._ladder[0]
         # the hot path reads a rung that already exists
         return q[n + 1] if n + 1 < len(q) else self._grow(n)[0][n + 1]
@@ -192,12 +192,14 @@ class Slope:
         return bisect_right(q, m, lo=1) - 1
 
     def __str__(self) -> str:
+        # refusals write slopes: a quotient of too many digits is written
+        # as `shown` writes it
         if self.period is None:
-            return "[0;" + ",".join(str(a) for a in self.quotients) + "]"
+            return "[0;" + ",".join(map(shown, self.quotients)) + "]"
         start, length = self.period
-        head = ",".join(str(a) for a in self.quotients[:start])
-        block = ",".join(str(a) for a in self.quotients[start:])
-        period = f"({block})*" if length > 1 else f"{self.quotients[start]}*"
+        head = ",".join(map(shown, self.quotients[:start]))
+        block = ",".join(map(shown, self.quotients[start:]))
+        period = f"({block})*" if length > 1 else f"{block}*"
         return "[0;" + (head + "," if head else "") + period + "]"
 
 
@@ -251,11 +253,11 @@ def interval_locate(m: int, slope: Slope) -> IntervalPosition:
     sub-interval width (q_{n-1} for l = 0, q_n otherwise).
     """
     if m < 1:
-        raise RangeError(f"interval partition covers integers >= 1, got {m}")
+        raise RangeError(f"interval partition covers integers >= 1, got {shown(m)}")
     try:
         n = slope.level(m + 1) - 1
     except DepthError as exc:
-        raise DepthError(f"m={m} exceeds the representable range of the slope") from exc
+        raise DepthError(f"m={shown(m)} exceeds the representable range of the slope") from exc
     q_nm1, q_n = slope.q(n - 1), slope.q(n)
     l = 0 if m <= q_n + q_nm1 - 2 else (m + 1 - q_nm1) // q_n
     r = (l + 1) * q_n + q_nm1 - 2 - m

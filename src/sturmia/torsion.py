@@ -17,10 +17,10 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import islice
 
-from .errors import DepthError, ParityError, RangeError, UnsupportedInterceptError
+from .errors import DepthError, ParityError, RangeError, UnsupportedInterceptError, shown
 from .intercept import AlphaNumber, _default_tail, complement, equivalent
 from .ostrowski import encode
-from .slope import Slope
+from .slope import MAX_LADDER_BITS, Slope
 from .words import characteristic_prefix, factor_set, is_palindrome, language_length
 
 
@@ -92,10 +92,15 @@ def b_factorize(u: str) -> BFactorization:
 
 
 def parity_word(slope: Slope, depth: int) -> str:
-    """The partial quotients a_1..a_depth mod 2, one letter each."""
+    """The partial quotients a_1..a_depth mod 2, one letter each.
+
+    The ladder is asked for the depth first, so a depth past its budget or
+    past a finite slope is refused before any quotient is read.
+    """
     if depth < 1:
-        raise RangeError(f"depth must be >= 1, got {depth}")
-    return "".join(str(slope.quotient(i) % 2) for i in range(1, depth + 1))
+        raise RangeError(f"depth must be >= 1, got {shown(depth)}")
+    a = slope._grow(depth)[1]  # a[i] is a_i
+    return "".join(str(a_i % 2) for a_i in a[1 : depth + 1])
 
 
 class IndexedFactorization(namedtuple("IndexedFactorization", "offset blocks")):
@@ -183,10 +188,9 @@ def self_complementary(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
     Requires quotient parities that are not eventually even on the window;
     the eventually-even regime is covered by even_family instead.  Raises
     DepthError when the window is too shallow to certify the classes.
-    The ladder is asked for the window first, so a depth past its budget
-    is refused before the parity word is built.
+    `parity_word` asks the ladder for the window first, so a depth past its
+    budget is refused before the parity word is built.
     """
-    slope._grow(depth)
     y = parity_word(slope, depth)
     if y.count("1") < 4:
         raise ParityError("parities look eventually even here; use even_family")
@@ -205,7 +209,10 @@ def even_family(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
     Raises DepthError when the window is too shallow to certify the classes,
     before building them when the even tail is shorter than two levels more
     than the shared tail `equivalent` asks of a class and its complement.
+    The ladder is asked for the depth first, so a depth past its budget or
+    past a finite slope is refused before any quotient is read.
     """
+    slope._grow(depth)
     start = depth + 1
     i = depth
     while i >= 1 and slope.quotient(i) % 2 == 0:
@@ -315,7 +322,8 @@ def _walk(slope: Slope, modulus: int) -> Iterator[tuple[tuple[int, int], int | N
     On a finite slope of depth D, state D comes with None, and the walk
     raises DepthError past it.
     """
-    quotients = slope.quotients
+    # each quotient reduced once: a huge one would make every step slow
+    quotients = [a % modulus for a in slope.quotients]
     (q0, p0), (q1, p1) = (0, 1), (1, 0)
     for i in slope._run(1):
         yield (q1, p1), i
@@ -372,6 +380,17 @@ class TorsionHit(
     __slots__ = ()
 
 
+def _reach(slope: Slope, n: int, k_max: int) -> int:
+    """n + k_max + 2, the deepest level a search from rank n reads; RangeError
+    when its continuants would pass the slope's ladder budget."""
+    top = n + k_max + 2
+    try:
+        slope.q(top)
+    except RangeError as exc:
+        raise RangeError(f"rank n + k_max = {shown(n + k_max)} is out of reach: {exc}") from exc
+    return top
+
+
 def torsion_search(
     slope: Slope, modulus: int, n: int | None = None, k_max: int = 40
 ) -> TorsionHit:
@@ -380,31 +399,32 @@ def torsion_search(
     When n is omitted, the first rank from which only recurring automaton
     states appear is used, read from a walk that stops where the state
     cycle closes; a cycle that does not close within MAX_RANK_WALK levels
-    raises RangeError.  So does a rank n + k_max whose continuants would
-    pass the slope's ladder budget, before the states from n on are walked,
-    and a modulus below 2, before anything is walked.
+    (fewer for a modulus of more than 512 bits: the walk's log of two
+    residues a level holds at most MAX_LADDER_BITS bits, as a ladder's row
+    does) raises RangeError.  So does a rank n + k_max whose continuants
+    would pass the slope's ladder budget, before the states from n on are
+    walked (with n omitted, rank 0, the least, is checked before the walk
+    too), and a modulus below 2, before anything is walked.
     The state walk guides; exact integer division and digit encoding
     certify.  A miss is a window verdict, not a proof.
     """
     if k_max < 2:
-        raise RangeError(f"k_max must be >= 2, got {k_max}")
+        raise RangeError(f"k_max must be >= 2, got {shown(k_max)}")
     if modulus < 2:
-        raise RangeError(f"modulus must be >= 2, got {modulus}")
+        raise RangeError(f"modulus must be >= 2, got {shown(modulus)}")
     if n is None:
-        log = _cycle(slope, modulus, MAX_RANK_WALK)
+        _reach(slope, 0, k_max)
+        limit = min(MAX_RANK_WALK, MAX_LADDER_BITS // (2 * (modulus - 1).bit_length()))
+        log = _cycle(slope, modulus, limit)
         if log is None:
             raise RangeError(
-                f"the state cycle mod {modulus} does not close within"
-                f" {MAX_RANK_WALK} levels; give n"
+                f"the state cycle mod {shown(modulus)} does not close within"
+                f" {limit} levels; give n"
             )
         n = log.n0
-    if n < 0:
-        raise RangeError(f"n must be >= 0, got {n}")
-    top = n + k_max + 2
-    try:
-        slope.q(top)
-    except RangeError as exc:
-        raise RangeError(f"rank n + k_max = {n + k_max} is out of reach: {exc}") from exc
+    elif n < 0:
+        raise RangeError(f"n must be >= 0, got {shown(n)}")
+    top = _reach(slope, n, k_max)
     states = [state for state, _ in islice(_walk(slope, modulus), top + 1)]
     for k in range(2, k_max + 1):
         difference = slope.q(n + k) - slope.q(n)
@@ -442,7 +462,7 @@ def palindromic_center_word(slope: Slope, half_length: int) -> str:
     this is an independent route to one self-complementary word.
     """
     if half_length < 1:
-        raise RangeError(f"half_length must be >= 1, got {half_length}")
+        raise RangeError(f"half_length must be >= 1, got {shown(half_length)}")
     checkpoints = sorted({max(1, half_length // 4), half_length // 2, half_length})
     word = ""
     for half in checkpoints:

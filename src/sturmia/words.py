@@ -15,7 +15,7 @@ import _thread
 from fractions import Fraction
 from itertools import pairwise
 
-from .errors import DepthError, RangeError
+from .errors import DepthError, RangeError, shown
 from .slope import IntervalPosition, Slope, interval_locate
 
 
@@ -93,7 +93,8 @@ def certified_letters(slope: Slope) -> int | None:
 def _past_certified(slope: Slope, read: str) -> DepthError:
     """The refusal of a read past `certified_letters`, such as `read` =
     "prefix of length 20 passes"."""
-    return DepthError(f"{read} the {certified_letters(slope)} letters the word of {slope} certifies")
+    letters = shown(certified_letters(slope))
+    return DepthError(f"{read} the {letters} letters the word of {slope} certifies")
 
 
 def _prefix_word(slope: Slope, m: int) -> str:
@@ -103,10 +104,12 @@ def _prefix_word(slope: Slope, m: int) -> str:
     if m < 0:
         raise RangeError("prefix length must be >= 0")
     if m > MAX_STANDARD_LETTERS:
-        raise RangeError(f"prefix of length {m} has more than {MAX_STANDARD_LETTERS} letters")
+        raise RangeError(
+            f"prefix of length {shown(m)} has more than {MAX_STANDARD_LETTERS} letters"
+        )
     letters = certified_letters(slope)
     if letters is not None and m > letters:
-        raise _past_certified(slope, f"prefix of length {m} passes")
+        raise _past_certified(slope, f"prefix of length {shown(m)} passes")
     return _grown(slope, m)
 
 
@@ -125,7 +128,7 @@ def standard_word(slope: Slope, n: int) -> str:
     # a finite slope reads q_n, so DepthError past its depth comes first
     if (n >= _CAP_LEVEL and slope.known_depth is None) or slope.q(n) > MAX_STANDARD_LETTERS:
         raise RangeError(
-            f"standard word s_{n} has more than {MAX_STANDARD_LETTERS} letters"
+            f"standard word s_{shown(n)} has more than {MAX_STANDARD_LETTERS} letters"
         )
     q_n = slope.q(n)
     return _grown(slope, q_n)[:q_n]
@@ -157,15 +160,16 @@ def _language(slope: Slope, m: int) -> tuple[IntervalPosition, int]:
     than the word certifies."""
     letters = certified_letters(slope)
     if letters is not None and m >= letters:
-        raise _past_certified(slope, f"window length {m} needs more than")
+        raise _past_certified(slope, f"window length {shown(m)} needs more than")
     pos = interval_locate(m, slope)
     length = m + slope.q(pos.n + 1) + slope.q(pos.n) + 2
     if length > MAX_STANDARD_LETTERS:
         raise RangeError(
-            f"window length {m} needs {length} letters, more than {MAX_STANDARD_LETTERS}"
+            f"window length {shown(m)} needs {shown(length)} letters,"
+            f" more than {MAX_STANDARD_LETTERS}"
         )
     if letters is not None and length > letters:
-        raise _past_certified(slope, f"window length {m} needs more than")
+        raise _past_certified(slope, f"window length {shown(m)} needs more than")
     return pos, length
 
 
@@ -181,10 +185,12 @@ def mechanical_prefix(alpha: Fraction, rho: Fraction, n: int, kind: str = "lower
 
     Upper words take floor differences, lower words ceiling differences;
     for alpha = a/b and rho = c/d, k alpha + rho is (k a d + c b) / (b d),
-    so each floor or ceiling is one integer division.
+    so each floor or ceiling is one integer division.  An integer added to
+    rho adds it to every floor and ceiling, so only rho mod 1 is read.
+    Raises RangeError past MAX_STANDARD_LETTERS letters, before any is built.
     """
     alpha = Fraction(alpha)
-    rho = Fraction(rho)
+    rho = Fraction(rho) % 1
     if not 0 <= alpha <= 1:
         raise RangeError("mechanical slope must lie in [0, 1]")
     step = alpha.numerator * rho.denominator
@@ -196,6 +202,10 @@ def mechanical_prefix(alpha: Fraction, rho: Fraction, n: int, kind: str = "lower
         values = (-((-k * step - start) // den) for k in range(n + 1))
     else:
         raise ValueError(f"kind must be 'upper' or 'lower', got {kind!r}")
+    if n > MAX_STANDARD_LETTERS:
+        raise RangeError(
+            f"mechanical word of {shown(n)} letters has more than {MAX_STANDARD_LETTERS}"
+        )
     return "".join(str(y - x) for x, y in pairwise(values))
 
 
@@ -255,7 +265,7 @@ def window_walk(word: str, n: int) -> tuple[list[str], list[dict[str, int]]]:
     real strings, so the result is exact.
     """
     if n < 0 or n > len(word):
-        raise RangeError(f"factor length {n} outside [0, {len(word)}]")
+        raise RangeError(f"factor length {shown(n)} outside [0, {len(word)}]")
     length = len(word)
     windows = [word[:n]]
     ids = {windows[0]: 0}

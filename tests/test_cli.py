@@ -1164,9 +1164,10 @@ def test_the_table_path_takes_well_formed_argv_only():
     for argv in FALLBACK_ARGV + commanded:
         assert table_path(argv) is None, argv
     # every argv of the golden cells is well formed; verify's --only appends
+    # and repetition's --no-check stores a constant, so both take argparse
     for argv, _, _ in GOLDEN_OUTPUT:
         taken = table_path(argv) is not None
-        assert taken == (argv[0] != "verify"), argv
+        assert taken == (argv[0] != "verify" and "--no-check" not in argv), argv
 
 
 def test_fuzzed_argv_parse_as_the_full_parser(monkeypatch):
@@ -1241,7 +1242,7 @@ def test_dispatch_matches_the_full_parser_and_json_dumps(monkeypatch):
     ours = [dispatch_outcome(argv) for argv in argvs]
     full = cli.build_parsers()[0]
     monkeypatch.setattr(cli, "_parse", full.parse_args)
-    monkeypatch.setattr(cli, "_json", lambda payload: json.dumps(payload, sort_keys=True, indent=2))
+    monkeypatch.setattr(cli, "_joined", lambda value, line: json.dumps(value, sort_keys=True, indent=2))
     for argv, outcome in zip(argvs, ours):
         assert dispatch_outcome(argv) == outcome, argv
     assert sum(outcome[0] == 0 and argv[-1] == "json" for argv, outcome in zip(argvs, ours)) > 50
@@ -1263,40 +1264,18 @@ JSON_TREES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(JSON_TREES)
 def test_json_joins_the_bytes_of_json_dumps(value):
-    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert cli._joined(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
 
 
-def json_outcome(render, value):
-    try:
-        return render(value)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-# Trees that reach the fallback: floats (NaN and -0.0 among them), keys that
-# are not str, and objects json cannot serialise.
-OTHER_TREES = st.recursive(
-    st.none() | st.integers() | JSON_TEXT | st.floats() | st.sampled_from([-0.0, float("nan")])
-    | st.builds(object),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(JSON_TEXT | st.integers() | st.booleans() | st.floats(), inner, max_size=4),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(OTHER_TREES)
-def test_json_falls_back_to_the_bytes_and_errors_of_json_dumps(value):
-    expected = json_outcome(lambda v: json.dumps(v, sort_keys=True, indent=2), value)
-    assert json_outcome(cli._json, value) == expected
-
-
-def test_json_fallback_cases():
-    circular = []
-    circular.append(circular)
-    for value in (1.5, -0.0, {1: 2}, {1: 2, "a": 3}, {"a": object()}, circular, [[1, 2.0]]):
-        expected = json_outcome(lambda v: json.dumps(v, sort_keys=True, indent=2), value)
-        assert json_outcome(cli._json, value) == expected, value
+def test_json_refuses_a_float_and_a_key_that_is_not_a_str():
+    # no command result holds either, and a future one that did would be an
+    # internal error (exit 3), not a second way to write JSON
+    for value, message in (
+        ({"value": [1, 2.5]}, "float values have no JSON rendering"),
+        ({1: 2}, "first argument must be a string, not int"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            cli._joined(value, "\n")
 
 
 @pytest.mark.parametrize(

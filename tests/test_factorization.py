@@ -18,7 +18,7 @@ from sturmia.intercept import (
     sigma1,
 )
 from sturmia.ostrowski import encode
-from sturmia.slope import parse_slope
+from sturmia.slope import Slope, parse_slope
 from sturmia.words import characteristic_prefix, complexity, factor_set, standard_word
 
 GOLDEN = parse_slope("[0;1*]")
@@ -189,3 +189,9 @@ def test_characteristic_factorizations(slope, case):
     assert report.case == case
     assert report.ok
     assert report.first == report.second == characteristic_prefix(slope, 400)
+
+
+def test_a_block_repeats_only_for_the_letters_still_missing():
+    # the first block of [0;(2**20000)*] is s_0 taken a_1 - 2 times
+    report = characteristic_factorizations(Slope((2**20000,), (0, 1)), 10)
+    assert report == ("a1>=2", "0" * 10, "0" * 10, True)

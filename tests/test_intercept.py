@@ -111,6 +111,12 @@ def test_zero_refuses_a_depth_past_the_ladder_budget():
     # a finite slope read past its depth keeps its DepthError
     with pytest.raises(DepthError, match="^a_4 requested but only 3 quotients are known$"):
         zero(parse_slope("[0;1,2,3]"), 10**12)
+    # every depth below 1 names the empty window, however far the ladder grew
+    slope = parse_slope("[0;1*]")
+    slope.q(30)
+    for depth in (-1, -3, -(10**5000)):
+        for window in (zero, sigma0, sigma1):
+            assert window(slope, depth).digits == ()
 
 
 def finite_slope_strategy():
@@ -207,6 +213,16 @@ def test_extract_rejects_short_and_foreign_prefixes():
         intercept_from_prefix("111" + "0" * need, GOLDEN, 6)
     with pytest.raises(NotSturmianError):
         intercept_from_prefix("2" * (need + 1), GOLDEN, 6)
+    # at depth D - 1 a finite slope cannot audit level D + 1 and reads to
+    # depth D - 1 only; the q_2 + q_1 = 10 letters it needs come from the
+    # word of an infinite extension, here of [0;3,2,2,(1)*], since the
+    # finite word certifies only q_3 - 1 = 16 letters and the fallback reads
+    # 2 q_2 = 14 of its own
+    extended = "100010010001001001000100"
+    assert intercept_from_prefix(extended, parse_slope("[0;3,2,2]"), 2).digits == (2, 1)
+    message = r"^prefix of length 14 passes the 9 letters the word of \[0;3,2,1\] certifies$"
+    with pytest.raises(DepthError, match=message):
+        intercept_from_prefix(extended, parse_slope("[0;3,2,1]"), 2)
 
 
 # ------------------------------------------------------------------ prefixes
@@ -314,6 +330,8 @@ def test_add_integer_examples():
     out = add_integer(rho, 3)
     assert out.digits == encode(8, GOLDEN, out.depth).digits
     assert add_integer(rho, 0) is rho
+    with pytest.raises(RangeError, match="^only non-negative shifts are defined$"):
+        add_integer(rho, -1)
     bumped = add_integer(sigma0(GOLDEN, 12), 1)
     assert bumped.digits == (0,) * bumped.depth
 
@@ -563,6 +581,8 @@ def test_not_equivalent_across_classes():
     rho = AlphaNumber((0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0), GOLDEN)
     assert not equivalent(rho, sigma0(GOLDEN, 12)).equivalent
     assert not equivalent(rho, zero(GOLDEN, 12)).equivalent
+    with pytest.raises(ValueError, match="^intercepts live over different slopes$"):
+        equivalent(rho, zero(parse_slope("[0;2*]"), 12))
 
 
 def test_not_equivalent_distinct_tails():

@@ -1,6 +1,7 @@
 """Ostrowski encode/decode/validate against brute-force oracles."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -51,6 +52,13 @@ def test_validate_pinned_examples():
 def test_decode_rejects_invalid():
     with pytest.raises(InvalidDigitsError):
         decode((0, 1, 1), GOLDEN)
+    with pytest.raises(ValueError, match="^decode needs a slope for raw digit tuples$"):
+        decode((0,))
+    with pytest.raises(DepthError, match="^depth must be >= 0$"):
+        encode(0, GOLDEN, -1)
+    message = "^cannot encode negative integer <a negative integer of 16610 bits>$"
+    with pytest.raises(RangeError, match=message):
+        encode(-(10**5000), GOLDEN, 5)
 
 
 @pytest.mark.parametrize(
@@ -444,3 +452,25 @@ def test_digit_strings_need_no_recursion():
     assert next(all_digit_strings(GOLDEN, 2000)) == (0,) * 2000
     with pytest.raises(RecursionError):
         next(recursive_digit_strings(GOLDEN, 2000))
+
+
+def test_digit_strings_ask_the_ladder_first(monkeypatch):
+    reads = []
+    quotient = Slope.quotient
+
+    def spy(slope, i):
+        value = quotient(slope, i)
+        reads.append(i)
+        return value
+
+    monkeypatch.setattr(Slope, "quotient", spy)
+    # a depth past the ladder's budget is refused before any quotient is read
+    for depth, rung in ((10**6, "1000000"), (10**5000, "<an integer of 16610 bits>")):
+        with pytest.raises(RangeError, match=f"^continuants through q_{re.escape(rung)} would"):
+            next(all_digit_strings(GOLDEN, depth))
+    with pytest.raises(DepthError, match="^a_4 requested but only 3 quotients are known$"):
+        next(all_digit_strings(Slope((3, 2, 2)), 5))
+    assert reads == []
+    # a depth below 1 has the one empty string, however far the ladder grew
+    GOLDEN.q(30)
+    assert list(all_digit_strings(GOLDEN, -3)) == [()]

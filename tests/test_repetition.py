@@ -472,6 +472,8 @@ def test_jump_law_holds():
     assert report.holds and report.failures == ()
     shifted = shifted_characteristic_prefix(MIXED, 5, 150)
     assert repetition_jump_check(shifted, 2, 20).holds
+    with pytest.raises(RangeError, match="^jump law compares m with m-1; need m_lo >= 2$"):
+        repetition_jump_check(c, 1, 5)
 
 
 def test_jump_targets_are_m_plus_one():
@@ -645,6 +647,13 @@ def test_closed_forms_depth_error_message():
         repetition_closed_forms(rho, big)
     assert str(table.value) == error[1]
     assert repetition_closed_forms(rho, len(values)) == values
+    # a row whose m range passes MAX_STANDARD_LETTERS values is refused before
+    # the list grows; one that starts past m_hi adds nothing
+    wide = encode(17, Slope((2**20000,), (0, 1)), 2)
+    message = r"^closed forms through m = 10{30} would list more than 100000000 values$"
+    with pytest.raises(RangeError, match=message):
+        repetition_closed_forms(wide, 10**30)
+    assert repetition_closed_forms(wide, 3) == [repetition_closed_form(wide, m) for m in (1, 2, 3)]
 
 
 def reference_jump_failures(word: str, m_lo: int, m_hi: int) -> tuple[int, ...]:

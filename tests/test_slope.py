@@ -201,6 +201,13 @@ def test_p_grows_the_ladder_only_to_its_level(text):
 
 def test_finite_slope_raises_one_past_its_depth():
     finite = Slope((2, 1, 3))
+    # and below the first index of each row
+    with pytest.raises(DepthError, match="^partial quotients are indexed from 1, got 0$"):
+        finite.quotient(0)
+    with pytest.raises(DepthError, match="^continuants are indexed from -1, got -2$"):
+        finite.q(-2)
+    with pytest.raises(DepthError, match="^convergents are defined for n >= 1$"):
+        convergent_value(finite, 0)
     assert finite.q(3) == 11
     with pytest.raises(DepthError):
         finite.q(4)

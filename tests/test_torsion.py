@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmia import torsion
 from sturmia.acceptance import NAMED_FIVE
 from sturmia.errors import DepthError, ParityError, RangeError, SturmiaError
 from sturmia.intercept import (
@@ -268,14 +267,23 @@ def test_self_complementary_needs_odd_quotients():
         self_complementary(TWO_TWO, 20)
 
 
+def quotient_reads(monkeypatch) -> list[int]:
+    """The indices i of every a_i that Slope.quotient returns from now on."""
+    reads = []
+    quotient = Slope.quotient
+
+    def spy(slope, i):
+        value = quotient(slope, i)
+        reads.append(i)
+        return value
+
+    monkeypatch.setattr(Slope, "quotient", spy)
+    return reads
+
+
 def test_self_complementary_asks_the_ladder_before_the_parity_word(monkeypatch):
-    built = []
-
-    def spy(slope, depth):
-        built.append(depth)
-        return parity_word(slope, depth)
-
-    monkeypatch.setattr(torsion, "parity_word", spy)
+    # parity_word asks the ladder for the window before it reads a quotient
+    reads = quotient_reads(monkeypatch)
     for depth in (10**7, 10**30):
         with pytest.raises(RangeError, match=f"^continuants through q_{depth} would hold more"):
             self_complementary(GOLDEN, depth)
@@ -285,14 +293,37 @@ def test_self_complementary_asks_the_ladder_before_the_parity_word(monkeypatch):
     # a finite slope read past its depth: the ladder's refusal, worded as the parity word's was
     with pytest.raises(DepthError, match=r"^a_4 requested but only 3 quotients are known$"):
         self_complementary(Slope((1, 2, 3)), 20)
-    assert built == []
+    assert reads == []
     # within the budget the parity word is built as before, after the ladder
     with pytest.raises(ParityError):
         self_complementary(TWO_TWO, 20)
     with pytest.raises(RangeError, match="^depth must be >= 1, got 0$"):
         self_complementary(GOLDEN, 0)
     assert len(self_complementary(GOLDEN, 21)) == 3
-    assert built == [20, 0, 21]
+
+
+@pytest.mark.parametrize(
+    "walk, error, message",
+    [
+        # a depth past the ladder's budget is refused before any quotient is read
+        (lambda: parity_word(GOLDEN, 10**5), RangeError, "continuants through q_100000 would"),
+        (lambda: parity_word(GOLDEN, 10**30), RangeError, f"continuants through q_{10**30} would"),
+        (lambda: even_family(TWO_TWO, 10**6), RangeError, "continuants through q_1000000 would"),
+        (
+            lambda: even_family(TWO_TWO, 10**5000),
+            RangeError,
+            "continuants through q_<an integer of 16610 bits> would",
+        ),
+        # a finite slope read past its depth names a_{D+1}
+        (lambda: even_family(Slope((2, 2, 2)), 5), DepthError, "a_4 requested but only 3"),
+        (lambda: parity_word(Slope((2, 2, 2)), 5), DepthError, "a_4 requested but only 3"),
+    ],
+)
+def test_the_walks_over_quotients_ask_the_ladder_first(monkeypatch, walk, error, message):
+    reads = quotient_reads(monkeypatch)
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        walk()
+    assert reads == []
 
 
 @pytest.mark.parametrize(
@@ -689,6 +720,15 @@ def test_torsion_search_guards():
     assert torsion_search(GOLDEN, 65).n == 0
     with pytest.raises(RangeError, match=f"does not close within {MAX_RANK_WALK} levels"):
         torsion_search(GOLDEN, 6250)
+    # the walk's log of two residues a level holds at most MAX_LADDER_BITS
+    # bits: a 601-bit modulus walks 2**25 // 1202 = 27915 levels
+    with pytest.raises(RangeError, match="does not close within 27915 levels; give n$"):
+        torsion_search(GOLDEN, 2**600 + 1)
+    # every rank reads through level k_max + 2, so with n omitted that level
+    # is asked of the ladder before the walk
+    for slope, k_max in ((GOLDEN, 30000), (Slope((2**20000,), (0, 1)), 40)):
+        with pytest.raises(RangeError, match=f"^rank n \\+ k_max = {k_max} is out of reach"):
+            torsion_search(slope, 6250, k_max=k_max)
     # an explicit rank needs no walk to find it; one whose continuants pass
     # the ladder budget is refused, and the error names it
     assert torsion_search(GOLDEN, 6250, n=4).n == 4
@@ -711,6 +751,8 @@ def test_torsion_search_guards():
 def test_palindromic_halves_land_in_one_class(slope, half, depth, class_depth):
     x = palindromic_center_word(slope, half)
     assert len(x) == half
+    with pytest.raises(RangeError, match="^half_length must be >= 1, got 0$"):
+        palindromic_center_word(slope, 0)
     assert x in characteristic_prefix(slope, 6 * half)
     rho = intercept_from_prefix(x, slope, depth)
     verdicts = [

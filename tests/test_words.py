@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from sturmia import words
 from sturmia.acceptance import _standard_words as recursive_standard_words
 from sturmia.errors import DepthError, RangeError, SturmiaError
-from sturmia.intercept import max_certified_length, sturmian_prefix
+from sturmia.intercept import integer_window, max_certified_length, sturmian_prefix
 from sturmia.ostrowski import encode
 from sturmia.slope import Slope, convergent_value, parse_slope
 from sturmia.words import (
@@ -92,6 +92,11 @@ def test_characteristic_prefix_letter_budget():
             characteristic_prefix(wide, m)
     with pytest.raises(RangeError):
         words.shifted_characteristic_prefix(wide, 1, MAX_STANDARD_LETTERS)
+    # and below zero
+    with pytest.raises(RangeError, match="^prefix length must be >= 0$"):
+        characteristic_prefix(wide, -1)
+    with pytest.raises(RangeError, match="^shift must be >= 0$"):
+        words.shifted_characteristic_prefix(wide, -1, 3)
     # refused before the ladder grew for it
     assert len(wide._ladder[0]) == 2
 
@@ -116,6 +121,20 @@ def test_finite_prefix_refusal_names_the_letters():
     )
     with pytest.raises(DepthError, match=shifted):
         sturmian_prefix(rho, 16)
+    # an integer the interpreter will not write in decimal is named by its
+    # bit length, in the slope literal too
+    huge = Slope((2**20000, 3))
+    message = (
+        r"^prefix of length <an integer of 16610 bits> has more than 100000000 letters$"
+    )
+    with pytest.raises(RangeError, match=message):
+        characteristic_prefix(huge, 10**5000)
+    message = (
+        r"^shift <an integer of 23254 bits> passes the <an integer of 20002 bits> letters"
+        r" the word of \[0;<an integer of 20001 bits>,3\] certifies$"
+    )
+    with pytest.raises(DepthError, match=message):
+        integer_window(10**7000, huge, 5)
 
 
 def test_standard_word_letter_cap():
@@ -138,6 +157,8 @@ def test_standard_word_letter_cap():
         standard_word(finite, 4)
     with pytest.raises(DepthError):
         standard_word(finite, 10**9)
+    with pytest.raises(DepthError, match="^standard words start at index -1$"):
+        standard_word(finite, -2)
 
 
 def test_standard_word_endings():
@@ -234,6 +255,13 @@ def test_mechanical_guards_in_order():
         mechanical_prefix(Fraction(-1, 2), Fraction(0), 5)
     with pytest.raises(ValueError, match="kind must be 'upper' or 'lower', got 'sideways'"):
         mechanical_prefix(Fraction(1, 2), Fraction(0), 5, "sideways")
+    with pytest.raises(RangeError, match="^mechanical word of 100000001 letters has more than"):
+        mechanical_prefix(Fraction(1, 2), Fraction(0), MAX_STANDARD_LETTERS + 1)
+    # an integer added to the intercept changes no letter
+    alpha, rho = Fraction(233, 377), Fraction(-5, 3)
+    for kind in ("lower", "upper"):
+        word = mechanical_prefix(alpha, rho, 300, kind)
+        assert mechanical_prefix(alpha, rho + 10**5000, 300, kind) == word
 
 
 def test_factor_set_and_complexity():

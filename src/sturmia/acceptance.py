@@ -9,11 +9,11 @@ The pytest suite and the `verify` CLI subcommand both drive this module.
 Randomized corpora are seeded and capped so the whole battery stays fast
 and reproducible; caps are reported in the result details.  Criteria
 01-03, 05-07, 09, 12 and 14 split their corpora into independent items
-(slopes, window-length ranges, rational pairs, or for 12 runs of 2^12
-words weighed by their letters plus its parse-count oracle) and work them
-on every usable CPU through `_fan_out`, with the serial run's results and
-first counterexample; 04, 08, 10, 11 and 13 run no faster split and stay
-in process.
+(slopes, window-length ranges, rational pairs, or for 12 pieces of at
+most 2^12 words of one length, weighed by their letters, plus its
+parse-count oracle) and work them on every usable CPU through `_fan_out`,
+with the serial run's results and first counterexample; 04, 08, 10, 11
+and 13 run no faster split and stay in process.
 """
 
 from __future__ import annotations
@@ -649,57 +649,39 @@ def check_12_b_factorization() -> str:
                 raise _Failed(f"{a} prefixes {b}")
     # the words p + u (p in "", "1", "11"; |u| <= 16) are every word of up
     # to 16 letters and "1" + u, "11" + u for |u| = 16, each scanned once
-    # into one flag byte per word, in product order.  There "1" + u sits
-    # 2^k and "11" + u 3 * 2^k places after u, one and two lengths up.
-    # Lengths 0 to 13 are one item; each length from 14 up is cut into
-    # pieces of 2^12 words, from the place its words start at: 60 items,
-    # each weighed by its letters.  The parse-count oracle is the last
-    # item, weighed as the 240,000 letters b_factorize scans in its time.
-    pieces = [
-        (n, start)
-        for n, first in ((14, 0), (15, 0), (16, 0), (17, 1 << 16), (18, 3 << 16))
-        for start in range(first, 1 << n, 1 << 12)
-    ]
+    # into one flag byte per word, in product order.  For |u| = k, "1" + u
+    # and "11" + u are the last 2^k words one and two lengths up, so
+    # lengths 17 and 18 start there.  Each length is cut into pieces of at
+    # most 2^12 words from the place its words start: 75 items, each
+    # weighed by its letters.  The parse-count oracle is the last item,
+    # weighed as the 240,000 letters b_factorize scans in its time.
+    starts = [range({17: 1 << 16, 18: 3 << 16}.get(n, 0), 1 << n, 1 << 12) for n in range(19)]
+    pieces = [(n, start) for n in range(19) for start in starts[n]]
     jobs = [
-        lambda: [_b_flags(n) for n in range(14)],
-        *(partial(_b_flags, n, _word(start >> 12, n - 12)) for n, start in pieces),
+        *(partial(_b_flags, n, _word(start >> 12, max(n - 12, 0))) for n, start in pieces),
         partial(_parse_counts, blocks, 12),
     ]
-    weights = [sum(n << n for n in range(14)), *(n << 12 for n, _ in pieces), 240_000]
-    short, *scans, counts = _fan_out(lambda job: job(), jobs, weights)
-    piece = dict(zip(pieces, scans))
-
-    def flags(n: int, start: int, size: int) -> bytes | memoryview:
-        """The flags of the `size` words of length n from place `start`."""
-        if n > 13:
-            return piece[n, start]
-        return memoryview(short[n])[start : start + size]
-
+    weights = [*(n * min(1 << n, 1 << 12) for n, _ in pieces), 240_000]
+    *scans, counts = _fan_out(lambda job: job(), jobs, weights)
+    scans = iter(scans)
+    flags = [b"".join(itertools.islice(scans, len(run))) for run in starts]
+    del scans  # the pieces go before the sums, which hold 64 KB integers
     for k in range(17):
-        # runs of up to 2^12 words, so that from length 14 up each run of
-        # flags is one piece
-        size = min(1 << k, 1 << 12)
-        for start in range(0, 1 << k, size):
-            triple = (
-                flags(k, start, size),
-                flags(k + 1, (1 << k) + start, size),
-                flags(k + 2, (3 << k) + start, size),
-            )
-            # each flag is one byte, 0 or 1, so the three runs add as
-            # integers without carries, and the sum is 0x0101...01 exactly
-            # when every word has one complete form; only a failing sum is
-            # scanned
-            total = sum(int.from_bytes(flag, "big") for flag in triple)
-            if total != int.from_bytes(b"\x01" * size, "big"):
-                for i, done in enumerate(map(sum, zip(*triple))):
-                    if done != 1:
-                        raise _Failed(f"trichotomy at {_word(start + i, k)!r}")
+        triple = (flags[k], flags[k + 1][-(1 << k) :], flags[k + 2][-(1 << k) :])
+        # each flag is one byte, 0 or 1, so the three slices add as integers
+        # without carries, and the sum is 0x0101...01 exactly when every
+        # word has one complete form; only a failing sum is scanned
+        total = sum(int.from_bytes(flag, "big") for flag in triple)
+        if total != int.from_bytes(b"\x01" * (1 << k), "big"):
+            for i, done in enumerate(map(sum, zip(*triple))):
+                if done != 1:
+                    raise _Failed(f"trichotomy at {_word(i, k)!r}")
     # a word's flag is 1 exactly when it has one parse, so every count byte
     # equals its flag; the failure reported is the first by length, then
     # product order
     for n, count in enumerate(counts):
-        if count != short[n]:
-            i = next(i for i, (c, f) in enumerate(zip(count, short[n])) if c != f)
+        if count != flags[n]:
+            i = next(i for i, (c, f) in enumerate(zip(count, flags[n])) if c != f)
             raise _Failed(f"uniqueness at {_word(i, n)!r}")
     return (
         f"inventory prefix-free; trichotomy on {(1 << 17) - 1} words (<= 16); "

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and `shown`, the one writer
-of the integers their messages name."""
+of the integers their messages and the reprs of slopes and windows name."""
 
 
 class SturmiaError(Exception):
@@ -49,3 +49,10 @@ def shown(n: int) -> str:
     except ValueError:
         sign = "a negative" if n < 0 else "an"
         return f"<{sign} integer of {abs(n).bit_length()} bits>"
+
+
+def shown_tuple(values: tuple[int, ...]) -> str:
+    """A tuple of ints as repr() writes it, with each int as `shown` writes
+    it, so that the repr of a slope or a window never raises ValueError."""
+    inner = ", ".join(map(shown, values))
+    return f"({inner},)" if len(values) == 1 else f"({inner})"

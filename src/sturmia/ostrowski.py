@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul
 
-from .errors import DepthError, InvalidDigitsError, RangeError, shown
+from .errors import DepthError, InvalidDigitsError, RangeError, shown, shown_tuple
 from .slope import Slope
 
 
@@ -138,7 +138,7 @@ class AlphaNumber:
         raise AttributeError(f"cannot delete field {name!r} of an immutable AlphaNumber")
 
     def __repr__(self) -> str:
-        return f"AlphaNumber(digits={self.digits!r}, slope={self.slope!r})"
+        return f"AlphaNumber(digits={shown_tuple(self.digits)}, slope={self.slope!r})"
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not AlphaNumber:

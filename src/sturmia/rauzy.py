@@ -19,9 +19,8 @@ RauzyGraph.to_dot makes strings: it slices the m + 1 windows, sorts them
 and checks there that they are distinct, and only it is held to the
 m(m + 1) letter budget of those strings.  So build_graph takes time and
 memory linear in m and the prefix: on the golden slope 0.075 ms and a
-0.25 MB tracemalloc peak at m = 2000, 0.61 ms and 0.95 MB at m = 8000,
-where the vertex strings took 0.81 ms and 4.3 MB, 16 ms and 63 MB (best of
-21, Python 3.11 on a 2-core machine).
+0.25 MB tracemalloc peak at m = 2000, 0.61 ms and 0.95 MB at m = 8000
+(best of 21, Python 3.11 on a 2-core machine).
 """
 
 from __future__ import annotations

@@ -62,9 +62,8 @@ def repetition_direct(x_prefix: str, m: int) -> int:
     the only ones stored whole, so the answer is exact whatever the modulus
     or the reading.  One copy of the word in memory, 1 byte a letter for
     ASCII and 4 otherwise (an early repeat on 10**6 golden letters peaks
-    at about 1 MB under tracemalloc, against 3.8 MB when every word was read
-    as UTF-32), and O(len(x_prefix) + m) time while distinct windows keep
-    distinct fingerprints.
+    at about 1 MB under tracemalloc), and O(len(x_prefix) + m) time while
+    distinct windows keep distinct fingerprints.
     """
     if m < 1:
         raise RangeError(f"window length must be >= 1, got {shown(m)}")

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, cycle
 
-from .errors import DepthError, RangeError, shown
+from .errors import DepthError, RangeError, shown, shown_tuple
 
 # Ladders only grow, under this lock; rungs already stored never change, so
 # reading them needs no lock.  The interpreter has `_thread` loaded at start,
@@ -79,7 +79,8 @@ class Slope:
         raise AttributeError(f"cannot delete field {name!r} of an immutable Slope")
 
     def __repr__(self) -> str:
-        return f"Slope(quotients={self.quotients!r}, period={self.period!r})"
+        # the period's two ints are at most the number of quotients
+        return f"Slope(quotients={shown_tuple(self.quotients)}, period={self.period!r})"
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Slope:

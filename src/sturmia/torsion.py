@@ -20,7 +20,7 @@ from itertools import islice
 from .errors import DepthError, ParityError, RangeError, UnsupportedInterceptError, shown
 from .intercept import AlphaNumber, _default_tail, complement, equivalent
 from .ostrowski import encode
-from .slope import MAX_LADDER_BITS, Slope
+from .slope import Slope
 from .words import characteristic_prefix, factor_set, is_palindrome, language_length
 
 
@@ -399,12 +399,14 @@ def torsion_search(
     When n is omitted, the first rank from which only recurring automaton
     states appear is used, read from a walk that stops where the state
     cycle closes; a cycle that does not close within MAX_RANK_WALK levels
-    (fewer for a modulus of more than 512 bits: the walk's log of two
-    residues a level holds at most MAX_LADDER_BITS bits, as a ladder's row
-    does) raises RangeError.  So does a rank n + k_max whose continuants
-    would pass the slope's ladder budget, before the states from n on are
-    walked (with n omitted, rank 0, the least, is checked before the walk
-    too), and a modulus below 2, before anything is walked.
+    raises RangeError, and for a modulus of more than 512 bits within
+    (MAX_RANK_WALK << 18) // bits^2 levels: each level multiplies two
+    residues of that many bits, so its work grows with their square (and
+    the walk's log of two residues a level holds at most 2^34 / bits <=
+    2^25 bits, within a ladder's budget).  So does a rank n + k_max whose
+    continuants would pass the slope's ladder budget, before the states
+    from n on are walked (with n omitted, rank 0, the least, is checked
+    before the walk too), and a modulus below 2, before anything is walked.
     The state walk guides; exact integer division and digit encoding
     certify.  A miss is a window verdict, not a proof.
     """
@@ -414,7 +416,7 @@ def torsion_search(
         raise RangeError(f"modulus must be >= 2, got {shown(modulus)}")
     if n is None:
         _reach(slope, 0, k_max)
-        limit = min(MAX_RANK_WALK, MAX_LADDER_BITS // (2 * (modulus - 1).bit_length()))
+        limit = min(MAX_RANK_WALK, (MAX_RANK_WALK << 18) // (modulus - 1).bit_length() ** 2)
         log = _cycle(slope, modulus, limit)
         if log is None:
             raise RangeError(

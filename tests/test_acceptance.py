@@ -64,6 +64,16 @@ def test_criterion_numbers_and_names_are_pinned():
     assert pairs == list(enumerate(CRITERIA, start=1))
 
 
+def test_verify_prints_the_committed_record():
+    # tests/verify.csv holds the bytes `sturmia verify --format csv` prints,
+    # so a change that alters every run of `verify` alike shows here
+    results = [_verdict(n)._asdict() for n in range(1, len(acceptance.CHECKS) + 1)]
+    report = {"seed": acceptance.SEED, "results": results, "passed": True}
+    _, renderers = cli._COMMANDS["verify"]
+    text = renderers["csv"](report, None) + "\n"
+    assert text.encode() == (Path(__file__).parent / "verify.csv").read_bytes()
+
+
 # The repetition and Rauzy criteria read each corpus through one profile,
 # one closed-form table and one graph; their detail lines show that no
 # corpus shrank.
@@ -219,6 +229,9 @@ def test_criterion_12_runs_its_oracle_in_the_child_of_a_split(monkeypatch, split
         ("1" + "0" * 16, "0" * 16),
         ("11" + "10" * 8, "10" * 8),
         ("1" * 17, "1" * 15),
+        # the second piece of length 13, and the last quarter of length 14
+        ("11" + "0" * 11, "0" * 11),
+        ("1" * 14, "1" * 12),
     ],
 )
 def test_criterion_12_names_the_first_broken_triple(monkeypatch, cpus, word, u):

@@ -23,8 +23,10 @@ from sturmia.intercept import encode, sigma0, zero
 from sturmia.slope import Slope, parse_slope
 
 class Lit:
-    """A drawn argument that hypothesis prints as its source text: repr() of
-    a 16,610-bit int, or of a slope that holds one, raises ValueError."""
+    """A drawn argument that hypothesis prints as its source text, so that a
+    failing example reads as the call that fails: repr() of a 16,610-bit int
+    raises ValueError, and the repr of a slope or a window that holds one
+    names the int only by its bit length."""
 
     def __init__(self, text: str, value):
         self.text, self.value = text, value

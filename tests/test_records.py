@@ -16,7 +16,7 @@ import pytest
 from sturmia.acceptance import CheckResult
 from sturmia.factorization import CharacteristicFactorizations, DualityReport, SplitReport
 from sturmia.intercept import ClassReport, ComplementReport, EquivalenceReport
-from sturmia.ostrowski import ValidationReport, encode
+from sturmia.ostrowski import AlphaNumber, ValidationReport, encode
 from sturmia.rauzy import RauzyGraph
 from sturmia.repetition import DioEstimate, DioTerm, JumpReport, RepetitionRow
 from sturmia.slope import IntervalPosition, Slope
@@ -112,6 +112,26 @@ def test_record_contract(cls, fields, defaults, values, text):
     copied = copy.deepcopy(record)
     assert type(copied) is cls and copied == record
     assert not hasattr(record, "__dict__")
+
+
+HUGE = Slope((2**20000,), (0, 1))
+HUGE_REPR = "Slope(quotients=(<an integer of 20001 bits>,), period=(0, 1))"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (HUGE, HUGE_REPR),
+        (
+            AlphaNumber((2**20000 - 1,), HUGE),
+            f"AlphaNumber(digits=(<an integer of 20000 bits>,), slope={HUGE_REPR})",
+        ),
+    ],
+    ids=["slope", "window"],
+)
+def test_a_huge_int_reprs_by_its_bit_length(value, text):
+    # repr() of an int past the interpreter's digit limit raises ValueError
+    assert repr(value) == text
 
 
 def test_every_record_class_is_pinned():

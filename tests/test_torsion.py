@@ -720,10 +720,17 @@ def test_torsion_search_guards():
     assert torsion_search(GOLDEN, 65).n == 0
     with pytest.raises(RangeError, match=f"does not close within {MAX_RANK_WALK} levels"):
         torsion_search(GOLDEN, 6250)
-    # the walk's log of two residues a level holds at most MAX_LADDER_BITS
-    # bits: a 601-bit modulus walks 2**25 // 1202 = 27915 levels
-    with pytest.raises(RangeError, match="does not close within 27915 levels; give n$"):
+    # a level's work grows with the square of the modulus's bits, and so
+    # the walk's limit shrinks: 2**33 // 601**2 = 23781 levels, and
+    # 2**33 // 16610**2 = 31 levels for 10**5000; up to 512 bits it walks
+    # all of MAX_RANK_WALK
+    with pytest.raises(RangeError, match="does not close within 23781 levels; give n$"):
         torsion_search(GOLDEN, 2**600 + 1)
+    huge = Slope((2**20000,), (0, 1))
+    with pytest.raises(RangeError, match="does not close within 31 levels; give n$"):
+        torsion_search(huge, 10**5000, k_max=17)
+    with pytest.raises(RangeError, match=f"does not close within {MAX_RANK_WALK} levels"):
+        torsion_search(GOLDEN, 2**511 + 1)
     # every rank reads through level k_max + 2, so with n omitted that level
     # is asked of the ladder before the walk
     for slope, k_max in ((GOLDEN, 30000), (Slope((2**20000,), (0, 1)), 40)):

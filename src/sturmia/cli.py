@@ -27,10 +27,13 @@ an indent of 2, one str.join per container, for str, int, bool, None,
 dict, list and tuple with str keys; any other value is an internal error.
 
 Exit codes: 0 on success, 1 on a verification failure (a `verify`
-criterion, a duality or factorization check, or a torsion search that
-finds nothing), 2 on a usage error, 3 on an internal error (any other
-exception: a fault in sturmia, reported on one stderr line without a
-traceback).
+criterion, a `repetition` row, a duality or factorization check, or a
+torsion search that finds nothing), 2 on a usage error, 3 on an internal
+error (any other exception: a fault in sturmia, reported on one stderr
+line without a traceback).  A check decides its own failures: whatever
+stops a `verify` criterion is its FAIL line, and a `repetition` row fails
+where the profile reads another value than the closed form, or none
+although the closed form's repeat fits in the prefix.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .intercept import (
 )
 from .ostrowski import decode
 from .rauzy import build_graph, count_turns
-from .repetition import profile_lookup, repetition_closed_forms, repetition_profile
+from .repetition import repetition_closed_forms, repetition_profile
 from .slope import Slope, interval_locate, parse_slope
 from .torsion import b_factorize, torsion_search
 from .words import characteristic_prefix, standard_word
@@ -140,14 +143,14 @@ def cmd_ostrowski(args, slope: Slope) -> tuple[dict, int]:
     if args.encode is not None:
         window = integer_window(args.encode, slope, args.depth)
         support = sorted(window.support())
-        return {"value": args.encode, "digits": list(window.digits), "support": support}, 0
+        return {"value": args.encode, "digits": window.digits, "support": support}, 0
     try:
         digit_list = tuple(int(part) for part in args.decode.split(","))
     except ValueError:
         raise SturmiaError(f"bad digit list {args.decode!r}")
     return {
         "value": decode(digit_list, slope),
-        "digits": list(digit_list),
+        "digits": digit_list,
         "support": sorted(i for i, b in enumerate(digit_list) if b),
     }, 0
 
@@ -156,7 +159,7 @@ def cmd_intercept(args, slope: Slope) -> tuple[dict, int]:
     rho = parse_intercept(args.intercept, slope, args.depth)
     report = classify(rho)
     result = {
-        "digits": list(rho.digits),
+        "digits": rho.digits,
         "depth": rho.depth,
         "support": sorted(rho.support()),
         "residue": rho.psi(rho.depth),
@@ -165,7 +168,7 @@ def cmd_intercept(args, slope: Slope) -> tuple[dict, int]:
     }
     try:
         comp = complement(rho)
-        result["complement"] = {"digits": list(comp.digits), "depth": comp.depth}
+        result["complement"] = {"digits": comp.digits, "depth": comp.depth}
     except SturmiaError as exc:
         result["complement"] = {"error": str(exc)}
     return result, 0
@@ -195,7 +198,7 @@ def cmd_repetition(args, slope: Slope) -> tuple[dict, int]:
         raise RangeError(f"--m-max must be at most {MAX_M_MAX}, got {args.m_max}")
     rho = parse_intercept(args.intercept, slope, args.depth)
     closed = repetition_closed_forms(rho, args.m_max)
-    prefix = ""
+    prefix, profile = "", []
     if args.check:
         needed = max(value + m for m, (value, _) in enumerate(closed, start=1))
         prefix_length = min(needed + 2, max_certified_length(rho))
@@ -204,11 +207,9 @@ def cmd_repetition(args, slope: Slope) -> tuple[dict, int]:
     failures = 0
     rows = []
     for m, (value, case) in enumerate(closed, start=1):
-        direct: int | None = None
-        if args.check and value + m <= len(prefix):
-            direct = profile_lookup(profile, m, len(prefix))
-            if direct != value:
-                failures += 1
+        direct = profile[m - 1] if m <= len(profile) else None
+        if direct != value and (direct is not None or value + m <= len(prefix)):
+            failures += 1
         rows.append({"m": m, "r_closed": value, "r_direct": direct, "case": case})
     return {"rows": rows, "failures": failures}, 1 if failures else 0
 
@@ -220,7 +221,7 @@ def cmd_factorize(args, slope: Slope | None) -> tuple[dict, int]:
         fact = b_factorize(args.word)
         return {
             "word": args.word,
-            "blocks": list(fact.blocks),
+            "blocks": fact.blocks,
             "complete": fact.complete,
             "leftover": fact.leftover,
             "failure_at": fact.failure_at,
@@ -257,7 +258,7 @@ def cmd_verify(args, slope: None) -> tuple[dict, int]:
     }, 0 if passed else 1
 
 
-def _digit_text(digits: list[int]) -> str:
+def _digit_text(digits: Sequence[int]) -> str:
     return ",".join(str(b) for b in digits)
 
 

@@ -12,7 +12,7 @@ import _thread
 import re
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, cycle
 
@@ -57,15 +57,16 @@ class Slope:
         # copies, so a caller's list can neither unhash the slope nor change
         # quotients the ladder has already read
         quotients = tuple(quotients)
-        if period is not None:
-            period = tuple(period)
         if not quotients:
             raise ValueError("at least one partial quotient is required")
-        if any(not isinstance(a, int) or a < 1 for a in quotients):
+        # ints exactly: a bool compares as an int but prints as a word
+        if not all(type(a) is int and a >= 1 for a in quotients):
             raise ValueError("partial quotients must be integers >= 1")
         if period is not None:
-            start, length = period
-            if length < 1 or start < 0 or start + length != len(quotients):
+            # a pair of ints (start, length) whose block ends the stored list
+            period = tuple(period) if isinstance(period, Sequence) else ()
+            pair = len(period) == 2 and all(type(v) is int for v in period)
+            if not (pair and period[0] >= 0 and period[1] >= 1 and sum(period) == len(quotients)):
                 raise ValueError("period must describe the tail of the stored quotients")
         object.__setattr__(self, "quotients", quotients)
         object.__setattr__(self, "period", period)

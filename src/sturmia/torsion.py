@@ -82,13 +82,7 @@ def b_factorize(u: str) -> BFactorization:
     to a block, so on prefixes of infinite words the certified blocks
     are final.
     """
-    # BFactorization(u, cut) without a call to __init__: criterion 12 scans
-    # 262,143 words, one flag each
-    scan = object.__new__(BFactorization)
-    scan.word = u
-    scan.cut = cut = _BLOCK_RUN_RE.match(u).end()
-    scan.complete = cut == len(u)
-    return scan
+    return BFactorization(u, _BLOCK_RUN_RE.match(u).end())
 
 
 def parity_word(slope: Slope, depth: int) -> str:

@@ -475,15 +475,15 @@ def test_criterion_07_failing_in_a_child_prints_the_serial_line(monkeypatch, spl
 
 
 @pytest.mark.parametrize(
-    "exc,code,message",
+    "exc,detail",
     [
-        (ZeroDivisionError("from a child"), 3, "internal error: ZeroDivisionError('from a child')"),
-        (DepthError("from a child"), 2, "error: from a child"),
+        (ZeroDivisionError("from a child"), "ZeroDivisionError: from a child"),
+        (DepthError("from a child"), "DepthError: from a child"),
+        (AssertionError("two\nlines"), "AssertionError: two lines"),
+        (AssertionError(), "AssertionError"),
     ],
 )
-def test_verify_exit_codes_hold_for_a_childs_exception(
-    monkeypatch, capsys, split, exc, code, message
-):
+def test_a_childs_exception_is_its_criterions_fail_line(monkeypatch, capsys, split, exc, detail):
     build = acceptance._graph
 
     def raising(slope, m, *read):
@@ -492,8 +492,56 @@ def test_verify_exit_codes_hold_for_a_childs_exception(
         return build(slope, m, *read)
 
     monkeypatch.setattr(acceptance, "_graph", raising)
-    assert cli.dispatch(["verify", "--only", "9"]) == code
-    assert capsys.readouterr().err.splitlines() == [message]
+    assert cli.dispatch(["verify", "--only", "9"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1:] == [f"[FAIL] criterion  9 rauzy-structure: {detail}"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_refusal_inside_a_check_is_its_fail_row(monkeypatch, capsys, split, cpus):
+    from sturmia import torsion
+
+    def shallow(classes):
+        raise DepthError(torsion._too_shallow(classes[0].depth))
+
+    monkeypatch.setattr(torsion, "_check_self_dual_classes", shallow)
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: cpus)
+    assert cli.dispatch(["verify", "--format", "csv"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = (Path(__file__).parent / "verify.csv").read_text().splitlines()
+    rows[12] = (
+        '11,self-complementary,0,'
+        '"DepthError: depth 20 is too shallow to certify the three self-dual classes"'
+    )
+    assert out.splitlines() == rows
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_contract_check_inside_a_check_fails_it_alone(monkeypatch, capsys, split, cpus):
+    from sturmia import rauzy
+
+    real = rauzy._cycles
+
+    def breaking(slope, m):
+        if m == 77:
+            raise AssertionError(f"cycle lengths broken at m={m} on {slope}")
+        return real(slope, m)
+
+    # criterion 9 reads the cycles through its own name
+    monkeypatch.setattr(acceptance, "_cycles", breaking)
+    monkeypatch.setattr(rauzy, "_cycles", breaking)
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: cpus)
+    assert cli.dispatch(["verify", "--only", "9", "--only", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        f"# corpus seed {acceptance.SEED}",
+        "[FAIL] criterion  9 rauzy-structure: AssertionError: cycle lengths broken at m=77 on [0;1*]",
+        _verdict(1).line(),
+    ]
+    assert _verdict(1).passed
 
 
 @pytest.mark.parametrize("call", ["fork", "pipe"])

@@ -227,6 +227,40 @@ def test_repetition_checks_a_finite_slope_within_its_word(extra, checked_rows):
     assert direct[:checked_rows] == closed[:checked_rows]
 
 
+CAPPED = ["--slope", "[0;1,1,1,1,1,1,1,1]", "--intercept", "19", "--depth", "7", "--m-max", "8"]
+
+
+@pytest.mark.parametrize(
+    "wrong,failures,direct",
+    [
+        # rows 7 and 8 read no direct value: their repeats pass the 14 letters
+        (lambda m, value: value, 0, [2, 3, 3, 3, 3, 7, None, None]),
+        # a repeat of 7 letters at m = 7 fits in the 14 letters, yet the
+        # profile reads none
+        (lambda m, value: value - (m == 7), 1, [2, 3, 3, 3, 3, 7, None, None]),
+        # every row one short: rows 1 to 6 differ and row 7 fits but reads none
+        (lambda m, value: value - 1, 7, [2, 3, 3, 3, 3, 7, None, None]),
+        # the prefix grows for m = 1's 102, and the profile still reads 2
+        (lambda m, value: value + 100 * (m == 1), 1, [2, 3, 3, 3, 3, 7, None, None]),
+    ],
+    ids=["unpatched", "short-at-7", "short-everywhere", "long-at-1"],
+)
+def test_repetition_counts_each_row_the_profile_contradicts(monkeypatch, wrong, failures, direct):
+    real = cli.repetition_closed_forms
+
+    def patched(rho, m_max):
+        return [(wrong(m, value), case) for m, (value, case) in enumerate(real(rho, m_max), 1)]
+
+    monkeypatch.setattr(cli, "repetition_closed_forms", patched)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(["repetition", *CAPPED, "--format", "json"])
+    assert err.getvalue() == ""
+    result = json.loads(out.getvalue())["result"]
+    assert code == (1 if failures else 0) and result["failures"] == failures
+    assert [row["r_direct"] for row in result["rows"]] == direct
+
+
 @st.composite
 def repetition_argv(draw) -> list[str]:
     quotients = draw(st.lists(st.integers(1, 4), min_size=2, max_size=9))

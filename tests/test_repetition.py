@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sturmia import repetition
-from sturmia.acceptance import NAMED_FIVE
+from sturmia.acceptance import NAMED_FIVE, _seeded_digits
 from sturmia.errors import (
     CaseDispatchError,
     DepthError,
@@ -416,6 +416,42 @@ def test_closed_form_seeded_random_slopes():
         m = rng.randint(1, m_top)
         value, _ = repetition_closed_form(rho, m)
         assert value == repetition_direct(word, m), (qs, digits, m)
+
+
+def large_quotient_slopes(count: int, seed: int) -> list[tuple[Slope, int]]:
+    """Periodic slopes with a head of up to 2 and a period of up to 4
+    quotients, each in 1..50, and the depth d of their windows: the last d
+    with q_{d+1} <= 3000.  Slopes with d < 4 are drawn again."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        head = [rng.randint(1, 50) for _ in range(rng.randint(0, 2))]
+        period = [rng.randint(1, 50) for _ in range(rng.randint(1, 4))]
+        slope = Slope(tuple(head + period), (len(head), len(period)))
+        depth = slope.level(3000) - 2  # level(3000) is the first n with q_n > 3000
+        if depth >= 4:
+            out.append((slope, depth))
+    return out
+
+
+def test_closed_forms_at_large_quotients():
+    """Closed forms against the profile, as criterion 05 reads them, on
+    slopes whose quotients reach 50 rather than 5."""
+    rng = random.Random(44)
+    pairs = 0
+    cases = set()
+    for slope, depth in large_quotient_slopes(12, 44):
+        m_top = slope.q(depth - 1) - 2
+        for _ in range(15):
+            rho = AlphaNumber(_seeded_digits(rng, slope, depth), slope)
+            word = oracle_word(rho, 2 * m_top + 4)
+            profile = repetition_profile(word, m_top)
+            for m, (value, case) in enumerate(repetition_closed_forms(rho, m_top), start=1):
+                assert value == profile_lookup(profile, m, len(word)), (slope, rho.digits, m, case)
+                cases.add(case)
+            pairs += m_top
+    assert cases == set("12345678")
+    assert pairs == 76_185
 
 
 def test_closed_form_agrees_with_level_formula():

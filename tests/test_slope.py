@@ -475,13 +475,20 @@ COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)), "deepcopy":
 def test_slope_constructor_checks():
     with pytest.raises(ValueError, match="at least one partial quotient is required"):
         Slope(())
-    for quotients in ((1, 0), (2, -1), (1, 2.0)):
+    # a bool compares as an int, but would print as a word in refusals
+    for quotients in ((1, 0), (2, -1), (1, 2.0), (True, 2), (1, False)):
         with pytest.raises(ValueError, match="partial quotients must be integers >= 1"):
             Slope(quotients)
     for period in ((0, 1), (0, 2), (-1, 4), (3, 0)):
         with pytest.raises(ValueError, match="period must describe the tail"):
             Slope((1, 2, 3), period)
+    # the period is a pair of ints, refused at construction and not at its
+    # first use
+    for period in ((0.0, 2.0), (0, 2.0), 5, (0, 2, 3), (2,), (False, 2), (1, True), "02", {0, 2}):
+        with pytest.raises(ValueError, match="period must describe the tail"):
+            Slope((1, 2), period)
     assert Slope((1, 2, 3), (1, 2)).period == (1, 2)
+    assert Slope((1, 2), [0, 2]).period == (0, 2)
 
 
 def test_slope_repr_equality_and_hash():

@@ -88,6 +88,16 @@ class _Failed(Exception):
     """A criterion's counterexample; its one argument is the failure detail."""
 
 
+def _detail(exc: Exception) -> str:
+    """The FAIL detail of whatever stopped a check: a `_Failed`'s bare
+    detail, any other exception's `Type: message` with the message's lines
+    joined by spaces, or its type's name alone for an empty message."""
+    if isinstance(exc, _Failed):
+        return str(exc)
+    message = " ".join(str(exc).splitlines())
+    return f"{type(exc).__name__}: {message}" if message else type(exc).__name__
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on, or 1 where a corpus must run serially.
 
@@ -130,10 +140,11 @@ def _fan_out(work: Callable, items: tuple, weights: list[int]) -> list:
     raised, to a pipe and leaves through `os._exit`.  The runs are read
     back in corpus order, so the results and the first exception raised
     are the serial run's; a child's exception is raised again with the
-    child's traceback as its cause.  Where a pipe or a fork cannot be
-    made, that run and the rest are worked here.  Every child is reaped
-    before this returns or raises, its pipe read to the end first, so a
-    child never blocks on a full pipe.
+    child's traceback as its cause, and one that does not survive pickling
+    as a `_Failed` of the detail `run_check` gives it.  Where a pipe or a
+    fork cannot be made, that run and the rest are worked here.  Every
+    child is reaped before this returns or raises, its pipe read to the end
+    first, so a child never blocks on a full pipe.
     """
     runs = _runs(items, weights, _usable_cpus())
     if len(runs) < 2:
@@ -199,9 +210,8 @@ def _child(work: Callable, run: tuple, write: int, unused: list[int]) -> None:
                 pickle.loads(data)
             except Exception:
                 # an exception that does not survive pickling comes back
-                # as its type's name and message
-                error = RuntimeError(f"{type(exc).__name__}: {exc}")
-                data = pickle.dumps((False, error, trace))
+                # as the FAIL detail the serial run would print for it
+                data = pickle.dumps((False, _Failed(_detail(exc)), trace))
         view = memoryview(data)
         while view:
             view = view[os.write(write, view) :]
@@ -772,10 +782,6 @@ def run_check(number: int) -> CheckResult:
     name, check = CHECKS[number - 1]
     try:
         detail = check()
-    except _Failed as failed:
-        return CheckResult(number, name, False, str(failed))
     except Exception as exc:
-        message = " ".join(str(exc).splitlines())
-        detail = f"{type(exc).__name__}: {message}" if message else type(exc).__name__
-        return CheckResult(number, name, False, detail)
+        return CheckResult(number, name, False, _detail(exc))
     return CheckResult(number, name, True, detail)

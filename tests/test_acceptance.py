@@ -389,23 +389,36 @@ class TwoPartError(Exception):
         super().__init__(f"{what} at {where}")
 
 
-def test_an_exception_that_does_not_unpickle_comes_back_by_name(split):
+def test_an_exception_that_does_not_unpickle_comes_back_by_name(monkeypatch, split, tmp_path):
     class Local(Exception):
         """Does not pickle: pickle finds no class by its name."""
 
-    for exc, message in (
+    build = acceptance._graph
+    last = acceptance.NAMED_FIVE[-1]
+    for exc, detail in (
         (TwoPartError("made", "a child"), "TwoPartError: made at a child"),
         (Local("made in a child"), "Local: made in a child"),
+        (Local("two\nlines"), "Local: two lines"),
+        (Local(), "Local"),
     ):
+        note, raised_in = call_log(tmp_path / f"{detail}.pids")
 
-        def work(i):
-            if os.getpid() != split:
+        def raising(slope, m, *read, exc=exc, note=note):
+            if slope == last:
+                note(str(os.getpid()))
                 raise exc
-            return i
+            return build(slope, m, *read)
 
-        with pytest.raises(RuntimeError) as raised:
-            acceptance._fan_out(work, (0, 1), [1, 1])
-        assert str(raised.value) == message
+        monkeypatch.setattr(acceptance, "_graph", raising)
+        monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+        line = acceptance.run_check(9).line()
+        assert line == f"[FAIL] criterion  9 rauzy-structure: {detail}"
+        # the last slope ran in the child, and pinned to one CPU the check
+        # prints the same line
+        monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)
+        assert acceptance.run_check(9).line() == line
+        pids = raised_in()
+        assert len(pids) == 2 and int(pids[0]) != split and int(pids[1]) == split
 
 
 def test_a_child_that_dies_is_reported(split):

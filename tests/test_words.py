@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmia import words
+from sturmia.acceptance import NAMED_FIVE
 from sturmia.acceptance import _standard_words as recursive_standard_words
 from sturmia.errors import DepthError, RangeError, SturmiaError
 from sturmia.intercept import integer_window, max_certified_length, sturmian_prefix
@@ -564,6 +565,21 @@ def test_a_long_prefix_repeats_no_more_blocks_than_it_keeps():
     assert peak <= 3 * 10**7
 
 
+@pytest.mark.parametrize("slope", NAMED_FIVE, ids=str)
+def test_a_fresh_word_peaks_at_about_its_own_letters(slope):
+    # the pieces are joined once: no level string and no cut copy beside the word
+    fresh = Slope(slope.quotients, slope.period)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        word = words._grown(fresh, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(word) == 10**6
+    assert peak < 1.5 * 10**6
+
+
 def test_word_grows_consistently_under_threads():
     text = "[0;2,1,3,(2,1)*]"
     reference = recursive_standard_word(parse_slope(text), 15)  # 25781 letters
@@ -639,9 +655,12 @@ def per_level_word(slope: Slope, m: int, word: str) -> str:
 
 
 def seeded_word_slopes():
-    """Periodic and finite slopes from one seed, a_1 = 1 (so q_1 = q_0) among them."""
+    """Periodic and finite slopes from one seed, a_1 = 1 (so q_1 = q_0) among
+    them, and slopes with a quotient far past every target."""
     rng = random.Random(4101)
     slopes = [parse_slope("[0;1*]"), parse_slope("[0;1,2,(3,1,2)*]"), Slope((1, 1, 5, 1)), Slope((3, 2, 2))]
+    slopes += [parse_slope("[0;1,1000000,(2,1)*]"), Slope((10**6,), (0, 1)), Slope((2, 3, 10**7, 1), (3, 1))]
+    slopes += [Slope((10**6, 2)), Slope((1, 10**6))]
     for k in range(16):
         quotients = tuple(rng.choice((1, 1, 2, 3, 7, 40)) for _ in range(rng.randint(2, 9)))
         if k % 4 == 0:

@@ -137,9 +137,21 @@ def characteristic_factorizations(slope: Slope, length: int) -> CharacteristicFa
     """Materialize and verify the product pair for the characteristic word.
 
     The applicable pair depends only on whether the first two quotients
-    exceed 1; each product is compared letter-by-letter to the prefix.
+    exceed 1; each product is compared letter-by-letter to the prefix.  A
+    finite slope [0; a_1, ..., a_D] answers within `certified_letters` and
+    is refused past them, as its prefix is.  Within them the products of
+    every extension [0; a_1, ..., a_D, a_{D+1}, ...] spell the same letters,
+    so they are read off [0; a_1, ..., a_D, 1*], whose level-D block is one
+    copy of s_D; only the case label of [0; 1] needs a_2, and is refused.
     """
+    target = characteristic_prefix(slope, length)
     a1 = slope.quotient(1)
+    if a1 >= 2:
+        case = "a1>=2"
+    else:
+        case = "a1=1,a2>=2" if slope.quotient(2) >= 2 else "a1=1,a2=1"
+    if slope.period is None:
+        slope = Slope(slope.quotients + (1,), (len(slope.quotients), 1))
     a2 = slope.quotient(2)
     # the two digit windows are one less than the two one-letter extensions
     # of the characteristic word; the odd-level window reads the same in
@@ -148,14 +160,11 @@ def characteristic_factorizations(slope: Slope, length: int) -> CharacteristicFa
     odd = ((2 * i + 1, slope.quotient(2 * i + 2)) for i in count(1))
     second = chain([(0, a1 - 1), (1, a2 - 1)], odd)
     if a1 >= 2:
-        case = "a1>=2"
         head, start = [(0, a1 - 2)], 1
     else:
-        case = "a1=1,a2>=2" if a2 >= 2 else "a1=1,a2=1"
         head, start = [(1, a2), (2, slope.quotient(3) - 1)], 2
     first = chain(head, ((2 * i, slope.quotient(2 * i + 1)) for i in count(start)))
 
-    target = characteristic_prefix(slope, length)
     first_word = _blocks(slope, first, length)
     second_word = _blocks(slope, second, length)
     return CharacteristicFactorizations(

@@ -34,16 +34,13 @@ def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int
 
     At each index i the pass checks the digit rules as one comparison
     0 <= b_i <= a_i - (b_{i-1} != 0), with b_0 counted as non-zero so that
-    b_1 <= a_1 - 1, and the equivalent partial-sum form (the sum through
-    b_i stays under q_i); when both hold at every index the last partial
-    sum is the value.  At the first index where one fails it names the rule
-    that b_i breaks and raises AssertionError unless the other fails too:
-    the two verdicts agreed at every earlier index.  A finite slope read
-    past its depth is checked on the digits it has quotients for: a rule
-    broken there is reported, and otherwise growing raises DepthError.  The
-    digits past the depth are never read, so they cannot change the
-    outcome.  The digits are ints: `_typed` has passed them, or they are an
-    AlphaNumber's.
+    b_1 <= a_1 - 1, and adds b_i q_{i-1} to the running sum, which is the
+    value when the rules hold at every index.  At the first index where
+    they fail it names the rule that b_i breaks.  A finite slope read past
+    its depth is checked on the digits it has quotients for: a rule broken
+    there is reported, and otherwise growing raises DepthError.  The digits
+    past the depth are never read, so they cannot change the outcome.  The
+    digits are ints: `_typed` has passed them, or they are an AlphaNumber's.
     """
     n = len(digits)
     q, a = slope._ladder  # grown in place, a before q: q_n present means a_n is too
@@ -60,28 +57,16 @@ def _check(digits: tuple[int, ...], slope: Slope) -> tuple[ValidationReport, int
             break
         if b:
             partial += b * q[i]  # q[i] is q_{i-1}
-        if partial >= q[i + 1]:
-            break
         cut = b != 0
     else:
         if past:
             slope._grow(n)
         return _VALID, partial
-    a_i = a[i]
-    if 0 <= b <= a_i - cut:
-        report = _VALID  # the partial sum through b_i reached q_i
-    elif b < 0 or b > a_i or i == 1:
+    if b < 0 or b > a[i] or i == 1:
         report = ValidationReport(False, "digit-range", i, f"b_{i}={shown(b)} out of range")
     else:  # b_i = a_i after a non-zero b_{i-1}
         report = ValidationReport(
             False, "max-digit-adjacency", i, f"b_{i}=a_{i} requires b_{i-1}=0"
-        )
-    if report is not _VALID and b > 0:
-        partial += b * q[i]  # the pass stopped before adding b_i
-    if b >= 0 and (partial < q[i + 1]) != (report is _VALID):
-        raise AssertionError(
-            f"digit rules and partial-sum form disagree on {digits} at "
-            f"index {i}: {report} vs partial sum {partial}, q_{i}={q[i + 1]}"
         )
     return report, partial
 
@@ -107,11 +92,7 @@ def _typed(digits: tuple) -> ValidationReport | None:
 
 def validate(digits: tuple[int, ...] | list[int], slope: Slope) -> ValidationReport:
     """Check the digit conditions; reports the first violated rule, and a
-    digit that is not an int as the rule "digit-type".
-
-    Also evaluates the equivalent partial-sum form (every prefix sum below
-    level l stays under q_l) and insists the two verdicts agree.
-    """
+    digit that is not an int as the rule "digit-type"."""
     digits = tuple(digits)
     return _typed(digits) or _check(digits, slope)[0]
 
@@ -196,9 +177,7 @@ def encode(n: int, slope: Slope, depth: int) -> AlphaNumber:
         else:
             b = 0  # the rest stays as it is
         out.append(b)
-    if rest != 0:
-        raise AssertionError("greedy expansion left a remainder")
-    out.reverse()
+    out.reverse()  # the last divisor is q_0 = 1, so no rest is left
     return _window(tuple(out), slope)
 
 

@@ -13,8 +13,9 @@ common path is the windows at 0 .. r.  Each cycle is a return word of R
 (Vuillon, European J. Combin. 22, 2001): from R's first arrow by the
 cycle's letter to R's next occurrence, its last r vertices the common path.
 The searches are str.find on c, and a vertex is the start of its window in
-c, in the reading and in the RauzyGraph record alike; cycle lengths,
-coprimality and the common path cross-check the reading.  Only
+c, in the reading and in the RauzyGraph record alike; the common path and
+the cycle lengths cross-check the reading, and lengths q_n and
+l q_n + q_{n-1} are coprime as q_n and q_{n-1} are.  Only
 RauzyGraph.to_dot makes strings: it slices the m + 1 windows, sorts them
 and checks there that they are distinct, and only it is held to the
 m(m + 1) letter budget of those strings.  So build_graph takes time and
@@ -26,7 +27,6 @@ memory linear in m and the prefix: on the golden slope 0.075 ms and a
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
 
 from .errors import PrefixTooShortError, RangeError, shown
 from .intercept import AlphaNumber, _shift_window, max_certified_length, sturmian_prefix
@@ -147,8 +147,6 @@ def _cycles(slope: Slope, m: int) -> tuple[IntervalPosition, str, range, range]:
     expected = (q, pos.l * q + q_lo)
     if lengths != expected:
         raise AssertionError(f"cycle lengths {lengths}, expected {expected}")
-    if gcd(*lengths) != 1:
-        raise AssertionError("cycle lengths are not coprime")
     return pos, c, *owns
 
 

@@ -247,14 +247,6 @@ def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[tuple[int, int, int,
                 m_lo = lo
         if m_lo <= hi:
             rows.append((m_lo, hi, value, case))
-        # integer rows chain, so on validated (integer) digits the clipped
-        # rows start at lo and end at hi; only digits that bypass validation
-        # through `ostrowski._window`, a half-integer one say, reach this
-        if not (rows and rows[0][0] == lo and rows[-1][1] == hi):
-            raise AssertionError(f"rows do not span [{lo}, {hi}]")
-        for left, right in zip(rows, rows[1:]):
-            if right[0] != left[1] + 1:
-                raise AssertionError("rows leave a gap or overlap")
         yield tuple(rows)
 
         n += 1

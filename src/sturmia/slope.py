@@ -263,7 +263,4 @@ def interval_locate(m: int, slope: Slope) -> IntervalPosition:
     q_nm1, q_n = slope.q(n - 1), slope.q(n)
     l = 0 if m <= q_n + q_nm1 - 2 else (m + 1 - q_nm1) // q_n
     r = (l + 1) * q_n + q_nm1 - 2 - m
-    width = q_nm1 if l == 0 else q_n
-    if not (0 <= r < width and 0 <= l <= slope.quotient(n + 1) - 1):
-        raise AssertionError(f"bad interval location for m={m}: {(n, l, r)}")
     return IntervalPosition(n, l, r)

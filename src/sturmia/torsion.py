@@ -451,28 +451,23 @@ def torsion_search(
 
 
 def palindromic_center_word(slope: Slope, half_length: int) -> str:
-    """Right half of the unique even-length palindromic factor, stabilized.
+    """Right half of the unique palindromic factor of length 2 half_length.
 
     The halves of the palindromic factors of the characteristic word nest
-    into one infinite word; its window is a reversal-dual fixed class, so
-    this is an independent route to one self-complementary word.
+    into one infinite word, so this is its prefix of length half_length;
+    its window is a reversal-dual fixed class, so this is an independent
+    route to one self-complementary word.  The nesting itself is checked
+    in the test suite, not here.
     """
     if half_length < 1:
         raise RangeError(f"half_length must be >= 1, got {shown(half_length)}")
-    checkpoints = sorted({max(1, half_length // 4), half_length // 2, half_length})
-    word = ""
-    for half in checkpoints:
-        if half < 1:
-            continue
-        prefix = characteristic_prefix(slope, language_length(slope, 2 * half))
-        factors = factor_set(prefix, 2 * half)
-        if len(factors) != 2 * half + 1:
-            raise AssertionError(f"{len(factors)} length-{2 * half} factors, expected {2 * half + 1}")
-        palindromes = [f for f in factors if is_palindrome(f)]
-        if len(palindromes) != 1:
-            raise AssertionError("even lengths carry a single palindrome")
-        right = palindromes[0][half:]
-        if not right.startswith(word):
-            raise AssertionError("palindrome halves nest as prefixes")
-        word = right
-    return word
+    prefix = characteristic_prefix(slope, language_length(slope, 2 * half_length))
+    factors = factor_set(prefix, 2 * half_length)
+    if len(factors) != 2 * half_length + 1:
+        raise AssertionError(
+            f"{len(factors)} length-{2 * half_length} factors, expected {2 * half_length + 1}"
+        )
+    palindromes = [f for f in factors if is_palindrome(f)]
+    if len(palindromes) != 1:
+        raise AssertionError("even lengths carry a single palindrome")
+    return palindromes[0][half_length:]

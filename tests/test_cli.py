@@ -14,9 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sturmia import cli
+from sturmia import cli, rauzy
 from sturmia.cli import JSON_SCHEMA, dispatch, parse_intercept
 from sturmia.errors import DepthError
+from sturmia.factorization import characteristic_factorizations
 from sturmia.intercept import (
     add_integer,
     integer_window,
@@ -25,7 +26,7 @@ from sturmia.intercept import (
 )
 from sturmia.ostrowski import encode
 from sturmia.rauzy import build_graph, count_turns
-from sturmia.slope import Slope, interval_locate, parse_slope
+from sturmia.slope import interval_locate, parse_slope
 from sturmia.words import characteristic_prefix, language_length, standard_word
 from test_intercept import extensions, seeded_finite_slopes
 
@@ -674,6 +675,11 @@ GOLDEN_OUTPUT = [
         'case=a1>=2 ok=True length=30\n',
     ),
     (
+        ['factorize', '--slope', '[0;3,2,2]', '--len', '10'],
+        0,
+        'case=a1>=2 ok=True length=10\n',
+    ),
+    (
         ['factorize', '--word', '0110', '--depth', '8', '--format', 'json'],
         0,
         (
@@ -832,6 +838,7 @@ USAGE_ERRORS = [
     (['word', 'standard', '--slope', '[0;1*]', '--level', '2000'], 'error: standard word s_2000 has more than 100000000 letters\n'),
     (['word', 'prefix', '--slope', '[0;1000*]', '--len', '100000001'], 'error: prefix of length 100000001 has more than 100000000 letters\n'),
     (['factorize', '--slope', '[0;1000*]', '--len', '100000001'], 'error: prefix of length 100000001 has more than 100000000 letters\n'),
+    (['factorize', '--slope', '[0;3,2,2]', '--len', '17'], 'error: prefix of length 17 passes the 16 letters the word of [0;3,2,2] certifies\n'),
     (['ostrowski', '--slope', '[0;1*]', '--decode', ''], "error: bad digit list ''\n"),
     (['ostrowski', '--slope', '[0;1*]', '--decode', '2,0'], 'error: b_1=2 out of range\n'),
     (['ostrowski', '--slope', '[0;1*]', '--encode', '100', '--depth', '6'], 'error: 100 >= q_6 = 13; increase depth\n'),
@@ -897,6 +904,13 @@ def test_every_finite_slope_reader_refuses_past_the_letters_its_word_certifies(
         refused(characteristic_prefix, slope, letters + 1)
         assert cli("word", "prefix", "--len", str(letters)) == (0, characteristic_prefix(slope, letters) + "\n", "")
         code, _, err = cli("word", "prefix", "--len", str(letters + 1))
+        assert code == 2 and err.endswith(ending + "\n")
+        # the products of the characteristic word spell those letters
+        assert characteristic_factorizations(slope, letters).ok
+        refused(characteristic_factorizations, slope, letters + 1)
+        code, out, _ = cli("factorize", "--len", str(letters))
+        assert code == 0 and out.endswith(f" ok=True length={letters}\n")
+        code, _, err = cli("factorize", "--len", str(letters + 1))
         assert code == 2 and err.endswith(ending + "\n")
         # the factors of length m show within m + q_{n+1} + q_n + 2 letters,
         # those of an infinite extension of the quotients as long as they fit
@@ -1328,19 +1342,17 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, exc):
     assert err == f"internal error: {exc!r}\n"
 
 
-def test_interval_contract_check_is_an_internal_error(monkeypatch, capsys):
-    # on [0;3*], m = 7 sits at level 1 with l = 2 = a_2 - 1, and m = 4 with l = 1
-    slope = parse_slope("[0;3*]")
-    assert interval_locate(7, slope) == (1, 2, 1)
-    quotient = Slope.quotient
-    monkeypatch.setattr(Slope, "quotient", lambda self, i: quotient(self, i) - 1)
-    assert interval_locate(4, slope) == (1, 1, 1)
-    with pytest.raises(AssertionError, match=r"^bad interval location for m=7: \(1, 2, 1\)$"):
-        interval_locate(7, slope)
+def test_a_cycle_contract_check_is_an_internal_error(monkeypatch, capsys):
+    # on [0;3*], m = 7 sits at level 1 with cycles of lengths q_1 = 3 and
+    # 2 q_1 + q_0 = 7; each cycle read by the other's letter swaps them
+    assert dispatch(["rauzy", "--slope", "[0;3*]", "--m", "7"]) == 0
+    capsys.readouterr()
+    letter = rauzy._cycle_letter
+    monkeypatch.setattr(rauzy, "_cycle_letter", lambda level: letter(level + 1))
     assert dispatch(["rauzy", "--slope", "[0;3*]", "--m", "7"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "internal error: AssertionError('bad interval location for m=7: (1, 2, 1)')\n"
+    assert err == "internal error: AssertionError('cycle lengths (7, 3), expected (3, 7)')\n"
 
 
 def test_system_exit_passes_through_dispatch(monkeypatch, capsys):

@@ -19,7 +19,14 @@ from sturmia.intercept import (
 )
 from sturmia.ostrowski import encode
 from sturmia.slope import Slope, parse_slope
-from sturmia.words import characteristic_prefix, complexity, factor_set, standard_word
+from sturmia.words import (
+    certified_letters,
+    characteristic_prefix,
+    complexity,
+    factor_set,
+    standard_word,
+)
+from test_intercept import extensions, seeded_finite_slopes
 
 GOLDEN = parse_slope("[0;1*]")
 TWO_ONE = parse_slope("[0;2,(1)*]")
@@ -195,3 +202,26 @@ def test_a_block_repeats_only_for_the_letters_still_missing():
     # the first block of [0;(2**20000)*] is s_0 taken a_1 - 2 times
     report = characteristic_factorizations(Slope((2**20000,), (0, 1)), 10)
     assert report == ("a1>=2", "0" * 10, "0" * 10, True)
+
+
+def test_a_finite_slope_factorizes_as_every_extension_does():
+    # within the q_D - 1 letters a finite slope's word certifies, its case
+    # and products are those of every infinite extension of its quotients,
+    # and one letter more is refused by those letters
+    slopes = [Slope((a,)) for a in range(2, 6)] + [Slope((1, 1)), Slope((1, 4)), Slope((3, 2, 2))]
+    slopes += seeded_finite_slopes(40, 46)
+    answered = 0
+    for slope in slopes:
+        letters = certified_letters(slope)
+        wider = (*extensions(slope), Slope(slope.quotients + (50,), (len(slope.quotients), 1)))
+        for length in range(letters + 1):
+            report = characteristic_factorizations(slope, length)
+            for extension in wider:
+                assert characteristic_factorizations(extension, length) == report, (slope, length)
+            answered += 1
+        with pytest.raises(DepthError, match=f"^prefix of length {letters + 1} passes the {letters} letters"):
+            characteristic_factorizations(slope, letters + 1)
+    assert answered > 1000
+    # [0;1] certifies no letter, and its case turns on a_2 >= 2
+    with pytest.raises(DepthError, match="^a_2 requested but only 1 quotients are known$"):
+        characteristic_factorizations(Slope((1,)), 0)

@@ -351,44 +351,6 @@ def test_early_exit_pass_matches_the_reference_on_a_box(slope):
     assert valid == sum(slope.q(l) for l in range(min(depth, 6) + 1))
 
 
-def test_partial_sum_self_check_is_live():
-    slope = Slope((2, 1, 3), (1, 2))
-    digits = (1, 0, 3, 0, 2)
-    assert validate(digits, slope).ok
-    # q_1 now reads 0, so the rule-valid b_1 = 1 breaks the partial-sum form
-    slope._ladder[0][2] = 0
-    with pytest.raises(AssertionError):
-        validate(digits, slope)
-    with pytest.raises(AssertionError):
-        decode(digits, slope)
-    # the rules pass and the sums fail: q_3 reads q_2 = 3, under b_3 q_2 = 9
-    slope = Slope((2, 1, 3), (1, 2))
-    digits = (0, 0, 3)
-    assert validate(digits, slope).ok
-    slope._ladder[0][4] = 3
-    for check in (validate, decode):
-        with pytest.raises(AssertionError):
-            check(digits, slope)
-    # the rules fail and the sums pass: a_3 reads 1, under b_3 = 2, while
-    # 2 q_2 = 6 stays under q_3 = 11
-    slope = Slope((2, 1, 3), (1, 2))
-    digits = (0, 0, 2)
-    assert validate(digits, slope).ok
-    slope._ladder[1][3] = 1
-    for check in (validate, decode):
-        with pytest.raises(AssertionError):
-            check(digits, slope)
-
-
-def test_encode_remainder_check_is_live():
-    slope = Slope((2, 1, 3), (1, 2))
-    assert encode(1, slope, 3).digits == (1, 0, 0)
-    # q_0 now reads 2, so the greedy expansion of 1 leaves it over
-    slope._ladder[0][1] = 2
-    with pytest.raises(AssertionError, match="greedy expansion left a remainder"):
-        encode(1, slope, 3)
-
-
 def recursive_digit_strings(slope, depth):
     """`all_digit_strings` as a recursive generator, one frame per digit:
     the reference for the order of the iterative one, good to depth ~980."""

@@ -19,7 +19,7 @@ from sturmia.errors import (
     SturmiaError,
 )
 from sturmia.intercept import AlphaNumber, sigma0, sigma1, sturmian_prefix, zero
-from sturmia.ostrowski import _window, all_digit_strings, encode
+from sturmia.ostrowski import all_digit_strings, encode
 from sturmia.repetition import (
     DioEstimate,
     DioTerm,
@@ -499,6 +499,27 @@ def test_rows_tile_and_respect_bounds(data):
             assert 1 <= row.value <= row.m_lo + 1
 
 
+@pytest.mark.parametrize("slope", NAMED_FIVE, ids=str)
+def test_rows_tile_every_level_of_every_window(slope):
+    # repetition_rows builds its rows without checking that they tile: here
+    # every valid window up to depth 7 is read at every level it reaches
+    for depth in range(2, 8):
+        for digits in all_digit_strings(slope, depth):
+            rho = AlphaNumber(digits, slope)
+            for n in range(depth - 1):
+                lo, hi = slope.q(n) - 1, slope.q(n + 1) - 2
+                if lo > hi:
+                    with pytest.raises(RangeError):
+                        repetition_rows(rho, n)
+                    continue
+                rows = repetition_rows(rho, n)
+                assert rows[0].m_lo == lo and rows[-1].m_hi == hi, (digits, n)
+                assert all(row.m_lo <= row.m_hi for row in rows), (digits, n)
+                for left, right in zip(rows, rows[1:]):
+                    assert right.m_lo == left.m_hi + 1, (digits, n)
+                    assert right.value >= left.value, (digits, n)
+
+
 # ------------------------------------------------------------------- jump law
 
 
@@ -878,35 +899,6 @@ def test_rows_are_records():
             if isinstance(rows[0], type):
                 continue
             assert rows and all(type(row) is RepetitionRow for row in rows)
-
-
-# Windows built without validation whose level-1 rows break the tiling, on
-# a slope whose m = 1 sits at level 1: a first digit past a_1 - 1 moves a
-# breakpoint past the next one, and a half-integer residue starts the first
-# row that survives the clip inside the interval (integer rows chain, so no
-# integer window leaves the interval's ends).
-TILING_BREAKS = [
-    (_window((3, 1, 0, 0), parse_slope("[0;2*]")), "rows leave a gap or overlap"),
-    (_window((Fraction(1, 2), 0, 0, 0), parse_slope("[0;2*]")), r"rows do not span \[1, 3\]"),
-]
-
-
-@pytest.mark.parametrize("rho, message", TILING_BREAKS, ids=["gap", "span"])
-def test_row_tiling_checks_fire(rho, message):
-    with pytest.raises(AssertionError, match=f"^{message}$"):
-        repetition_rows(rho, 1)
-    # the walk starts at level 1, and level 1 starts at m = 1
-    for m_hi in (1, 3, 20):
-        with pytest.raises(AssertionError, match=f"^{message}$"):
-            repetition_closed_forms(rho, m_hi)
-    with pytest.raises(AssertionError, match=f"^{message}$"):
-        repetition_closed_form(rho, 2)
-
-
-def test_row_tiling_check_fires_past_the_first_levels():
-    rho = _window((-1, -1, 1, -1, -1), parse_slope("[0;3*]"))
-    with pytest.raises(AssertionError, match="^rows leave a gap or overlap$"):
-        repetition_rows(rho, 2)
 
 
 def test_walk_corpus_reaches_every_case():

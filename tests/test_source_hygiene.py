@@ -38,6 +38,12 @@ The letters that word certifies are stated once, in
 a slope's `known_depth`, or writes an f-string saying "... the word of
 ... certifies".
 
+A contract check, a `raise AssertionError` that a correct program never
+reaches, guards an answer read off the word, such as the cycles of a Rauzy
+graph.  Each one is declared by the function it sits in, so a check that
+re-derives a verdict the code has just reached, or restates arithmetic it
+builds, belongs in the test suite instead.
+
 Importing the package must not load `dataclasses`, `inspect` or `typing`:
 each cost a large share of what importing sturmia did, which every CLI call
 pays.  Records are `collections.namedtuple` classes and annotations name
@@ -300,6 +306,42 @@ def test_only_words_states_the_letters_a_finite_slope_certifies():
     found = certified_letter_statements(ROOT)
     if found:
         raise AssertionError("\n".join(found))
+
+
+# the contract checks, by module and the function they sit in: each guards
+# an answer read off the word, so a new one is declared here
+_CONTRACT_CHECKS = {
+    ("rauzy.py", "RauzyGraph.to_dot"): 1,
+    ("rauzy.py", "_cycles"): 3,
+    ("torsion.py", "_halved_window"): 1,
+    ("torsion.py", "palindromic_center_word"): 2,
+}
+
+
+def contract_checks(root: Path) -> dict[tuple[str, str], int]:
+    """The `raise AssertionError` statements in root/src/sturmia, counted by
+    module and by the class-qualified name of the definition they sit in."""
+    counts: dict[tuple[str, str], int] = {}
+
+    def visit(node: ast.AST, path: Path, name: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, f"{name}.{child.name}" if name else child.name)
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", None) == "AssertionError":
+                    key = (path.name, name or "<module>")
+                    counts[key] = counts.get(key, 0) + 1
+            visit(child, path, name)
+
+    for path in sorted((root / "src" / "sturmia").rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, "")
+    return counts
+
+
+def test_every_contract_check_is_declared():
+    assert contract_checks(ROOT) == _CONTRACT_CHECKS
 
 
 def test_rauzy_does_not_bind_the_window_walk():

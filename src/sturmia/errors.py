@@ -30,10 +30,6 @@ class UnsupportedInterceptError(SturmiaError):
     """The operation excludes this intercept class (zero class, sigma-type, ...)."""
 
 
-class CaseDispatchError(SturmiaError):
-    """No branch of a closed-form case table matched; surfaced, never guessed."""
-
-
 class ParityError(SturmiaError):
     """The partial-quotient parities violate a construction's hypothesis."""
 

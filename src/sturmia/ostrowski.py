@@ -209,7 +209,7 @@ def decode(digits: AlphaNumber | tuple[int, ...], slope: Slope | None = None) ->
             raise InvalidDigitsError(typed.message)
     report, value = _check(digits, slope)
     if report is not _VALID:
-        raise InvalidDigitsError(report.message or "invalid digits")
+        raise InvalidDigitsError(report.message)
     return value
 
 

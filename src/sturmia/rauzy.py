@@ -12,10 +12,11 @@ the right special vertex R its reversal, first seen r letters in, so the
 common path is the windows at 0 .. r.  Each cycle is a return word of R
 (Vuillon, European J. Combin. 22, 2001): from R's first arrow by the
 cycle's letter to R's next occurrence, its last r vertices the common path.
-The searches are str.find on c, and a vertex is the start of its window in
-c, in the reading and in the RauzyGraph record alike; the common path and
-the cycle lengths cross-check the reading, and lengths q_n and
-l q_n + q_{n-1} are coprime as q_n and q_{n-1} are.  Only
+The searches are str.find on c, and a vertex v is the start of its window
+in c, in the reading and in the RauzyGraph record alike, so its factor is
+c[v : v + m]; the common path and the cycle lengths cross-check the
+reading, and lengths q_n and l q_n + q_{n-1} are coprime as q_n and q_{n-1}
+are, so no caller checks either again.  Only
 RauzyGraph.to_dot makes strings: it slices the m + 1 windows, sorts them
 and checks there that they are distinct, and only it is held to the
 m(m + 1) letter budget of those strings.  So build_graph takes time and
@@ -53,14 +54,11 @@ class RauzyGraph(
     `edges` the referent cycle's arrows in ring order from the right special
     vertex, then the other cycle's arrows off the common path.  A cycle
     runs from the right special vertex, and the common path from the left
-    special one.  `factor` gives a vertex's factor; only `to_dot` slices
-    them all.
+    special one.  Vertex v's factor is `prefix[v : v + m]`; only `to_dot`
+    slices them all.
     """
 
     __slots__ = ()
-
-    def factor(self, vertex: int) -> str:
-        return self.prefix[vertex : vertex + self.m]
 
     def to_dot(self) -> str:
         """The graph in Graphviz dot, vertices and arrows sorted by their
@@ -153,13 +151,10 @@ def _cycles(slope: Slope, m: int) -> tuple[IntervalPosition, str, range, range]:
 def build_graph(slope: Slope, m: int) -> RauzyGraph:
     """Graph of the length-m factors, built from a certified prefix, in
     time and memory linear in m and the prefix; m is refused as
-    `words._language` refuses it, before the prefix is built."""
-    return _graph(slope, m, *_cycles(slope, m))
-
-
-def _graph(slope: Slope, m: int, pos: IntervalPosition, c: str, *owns: range) -> RauzyGraph:
-    """build_graph's graph from the cycles `_cycles` has read: tuples of
-    window starts, each vertex one int object that every tuple shares."""
+    `words._language` refuses it, before the prefix is built.  Its vertex
+    tuples hold window starts, each vertex one int object that every tuple
+    shares."""
+    pos, c, *owns = _cycles(slope, m)
     r = pos.r
     common = tuple(range(r + 1))
     referent_own, other_own = map(tuple, owns)

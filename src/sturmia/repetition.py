@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .errors import CaseDispatchError, DepthError, PrefixTooShortError, RangeError, shown
+from .errors import DepthError, PrefixTooShortError, RangeError, shown
 from .intercept import AlphaNumber
 from .slope import Slope, interval_locate
 from .words import MAX_STANDARD_LETTERS
@@ -224,12 +224,9 @@ def _level_rows(rho: AlphaNumber, n: int) -> Iterator[tuple[tuple[int, int, int,
             values, case = (q, q + q_lo - rho_n, q + q_lo, 2 * q + q_lo - rho_n), "6"
         elif b_cur == a - 1:
             values, case = (q + q_lo - rho_n, q + q_lo, 2 * q + q_lo - rho_n), "7"
-        elif b_cur == a:
-            values, case = (q_lo, q + q_lo - rho_n), "8"
         else:
-            raise CaseDispatchError(
-                f"digits b_{n + 1}={shown(b_cur)}, a_{n + 1}={shown(a)} match no case"
-            )
+            # valid digits leave only b_{n+1} = a_{n+1}
+            values, case = (q_lo, q + q_lo - rho_n), "8"
 
         # by the jump law a row after the first starts at its value - 1, and
         # each row ends one before the next starts; clip each row to
@@ -273,10 +270,12 @@ def repetition_closed_form(rho: AlphaNumber, m: int) -> tuple[int, str]:
     in [q_n - 1, q_{n+1} - 2].
     """
     pos = interval_locate(m, rho.slope)
-    for m_lo, m_hi, value, case in next(_level_rows(rho, pos.n)):
-        if m_lo <= m <= m_hi:
-            return value, case
-    raise CaseDispatchError(f"m={shown(m)} escaped every row at level {pos.n}")
+    # the rows tile the interval that holds m, so the first that ends at or
+    # after m holds it
+    for _, m_hi, value, case in next(_level_rows(rho, pos.n)):
+        if m <= m_hi:
+            break
+    return value, case
 
 
 def repetition_closed_forms(rho: AlphaNumber, m_hi: int) -> list[tuple[int, str]]:

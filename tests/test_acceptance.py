@@ -10,7 +10,7 @@ import random
 import subprocess
 import sys
 import threading
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
@@ -143,7 +143,8 @@ def test_criterion_09_reads_the_cycles_of_each_graph_once(monkeypatch, tmp_path)
         note(f"{slope} {m}")
         return read(slope, m)
 
-    # build_graph and count_turns read through the rauzy module's own name
+    # a read through the rauzy module's own name, as build_graph and
+    # count_turns make, is counted too
     monkeypatch.setattr(acceptance, "_cycles", counting)
     monkeypatch.setattr(rauzy, "_cycles", counting)
     assert acceptance.run_check(9).passed
@@ -159,8 +160,16 @@ FAILED_LINES = {
     "digits=(0, 0, 1, 0, 1, 0, 0, 1, 0, 1) on [0;1*]",
     7: "[FAIL] criterion  7 duality: dual family of [2, 4, 6, 8, 10] on [0;1*]",
     8: "[FAIL] criterion  8 characteristic-factorizations: central split m=0, p=0 on [0;1*]",
+    9: "[FAIL] criterion  9 rauzy-structure: turns at m=40 on [0;1,3,(2,1)*]",
+    10: "[FAIL] criterion 10 torsion-identities: N=2 at n=4 gave k=None",
     11: "[FAIL] criterion 11 self-complementary: center word meets 0 classes on [0;1*]",
 }
+
+
+def _miss_at_4(search, *args, n=None):
+    """torsion_search, but with no identity found from n = 4."""
+    hit = search(*args, n=n)
+    return hit._replace(found=False, k=None) if n == 4 else hit
 
 
 @pytest.mark.parametrize(
@@ -170,6 +179,7 @@ FAILED_LINES = {
         (6, "add_integer", lambda f: lambda rho, k: f(rho, k + 1)),
         (7, "complement_family", lambda f: lambda *args: f(*args)._replace(ok=False)),
         (8, "central_split_check", lambda f: lambda *args: f(*args)._replace(ok=False)),
+        (10, "torsion_search", lambda f: partial(_miss_at_4, f)),
         # the characteristic word is in the zero class, so in none of the three
         (11, "palindromic_center_word", lambda f: characteristic_prefix),
     ],
@@ -393,7 +403,7 @@ def test_an_exception_that_does_not_unpickle_comes_back_by_name(monkeypatch, spl
     class Local(Exception):
         """Does not pickle: pickle finds no class by its name."""
 
-    build = acceptance._graph
+    read = acceptance._cycles
     last = acceptance.NAMED_FIVE[-1]
     for exc, detail in (
         (TwoPartError("made", "a child"), "TwoPartError: made at a child"),
@@ -403,13 +413,13 @@ def test_an_exception_that_does_not_unpickle_comes_back_by_name(monkeypatch, spl
     ):
         note, raised_in = call_log(tmp_path / f"{detail}.pids")
 
-        def raising(slope, m, *read, exc=exc, note=note):
+        def raising(slope, m, exc=exc, note=note):
             if slope == last:
                 note(str(os.getpid()))
                 raise exc
-            return build(slope, m, *read)
+            return read(slope, m)
 
-        monkeypatch.setattr(acceptance, "_graph", raising)
+        monkeypatch.setattr(acceptance, "_cycles", raising)
         monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
         line = acceptance.run_check(9).line()
         assert line == f"[FAIL] criterion  9 rauzy-structure: {detail}"
@@ -442,23 +452,49 @@ def test_a_failing_parent_run_still_reaps_a_child_with_a_full_pipe(split):
         acceptance._fan_out(work, (0, 1, 2), [1, 1, 1])
 
 
-def test_a_criterion_failing_in_a_child_prints_the_serial_line(monkeypatch, split):
-    from sturmia import rauzy
+def _repeat_a_vertex(read, last):
+    """_cycles, but at m = 40 on the last slope the referent cycle's own run
+    starts one window early, on the right special vertex's window again."""
 
-    build = rauzy._graph
-    last = acceptance.NAMED_FIVE[-1]
-
-    def wrong(slope, m, *read):
-        graph = build(slope, m, *read)
+    def wrong(slope, m):
+        pos, c, own, other = read(slope, m)
         if slope == last and m == 40:
-            return graph._replace(other_cycle=graph.other_cycle[1:])
-        return graph
+            own = range(own.start - 1, own.stop - 1)
+        return pos, c, own, other
 
-    monkeypatch.setattr(acceptance, "_graph", wrong)
-    line = acceptance.run_check(9).line()
-    assert line == f"[FAIL] criterion  9 rauzy-structure: m=40 on {last}"
+    return wrong
+
+
+def _one_turn_too_many(turns, last):
+    """_turns, but one turn too many at m = 40 on the last slope."""
+
+    def wrong(source, m, slope, *read):
+        return turns(source, m, slope, *read) + (slope == last and m == 40)
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "name,wrong,failed",
+    [
+        (
+            "_cycles",
+            _repeat_a_vertex,
+            "[FAIL] criterion  9 rauzy-structure: vertices at m=40 on [0;1,3,(2,1)*]",
+        ),
+        ("_turns", _one_turn_too_many, FAILED_LINES[9]),
+    ],
+    ids=["vertices", "turns"],
+)
+def test_a_criterion_failing_in_a_child_prints_the_serial_line(
+    monkeypatch, split, name, wrong, failed
+):
+    # the last slope runs in the child
+    last = acceptance.NAMED_FIVE[-1]
+    monkeypatch.setattr(acceptance, name, wrong(getattr(acceptance, name), last))
+    assert acceptance.run_check(9).line() == failed
     monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)
-    assert acceptance.run_check(9).line() == line
+    assert acceptance.run_check(9).line() == failed
 
 
 def test_criterion_07_failing_in_a_child_prints_the_serial_line(monkeypatch, split, tmp_path):
@@ -497,14 +533,14 @@ def test_criterion_07_failing_in_a_child_prints_the_serial_line(monkeypatch, spl
     ],
 )
 def test_a_childs_exception_is_its_criterions_fail_line(monkeypatch, capsys, split, exc, detail):
-    build = acceptance._graph
+    read = acceptance._cycles
 
-    def raising(slope, m, *read):
+    def raising(slope, m):
         if os.getpid() != split:
             raise exc
-        return build(slope, m, *read)
+        return read(slope, m)
 
-    monkeypatch.setattr(acceptance, "_graph", raising)
+    monkeypatch.setattr(acceptance, "_cycles", raising)
     assert cli.dispatch(["verify", "--only", "9"]) == 1
     out, err = capsys.readouterr()
     assert err == ""

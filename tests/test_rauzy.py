@@ -57,8 +57,11 @@ def ring_arrows(ring: tuple) -> set[tuple]:
 
 
 def factor_view(g: RauzyGraph) -> FactorView:
-    """The graph's factor view, each vertex read through `g.factor`."""
-    f = g.factor
+    """The graph's factor view, each vertex v read as `g.prefix[v : v + g.m]`."""
+
+    def f(v: int) -> str:
+        return g.prefix[v : v + g.m]
+
     return FactorView(
         m=g.m,
         slope=g.slope,
@@ -178,7 +181,8 @@ def test_build_graph_reaches_past_the_vertex_string_budget():
     n, l, r = g.level
     assert (len(g.referent_cycle), len(g.other_cycle)) == (GOLDEN.q(n), l * GOLDEN.q(n) + GOLDEN.q(n - 1))
     assert len(g.common_path) == r + 1
-    assert g.factor(g.right_special) == g.factor(g.left_special)[::-1]
+    c, m = g.prefix, g.m
+    assert c[g.right_special : g.right_special + m] == c[g.left_special : g.left_special + m][::-1]
     with pytest.raises(RangeError, match="^window length 100000 needs 10000100000 letters"):
         g.to_dot()
 
@@ -895,16 +899,15 @@ def test_dot_output_is_deterministic():
     assert dot == build_graph(GOLDEN, 2).to_dot()
     assert dot.startswith("digraph")
     for v in g.vertices:
-        assert f'"{g.factor(v)}"' in dot
+        assert f'"{g.prefix[v : v + g.m]}"' in dot
     assert dot.count("->") == len(g.edges)
 
 
-def test_a_graph_and_its_turns_from_one_reading_match_the_public_calls():
-    # criterion 09 reads the cycles once for build_graph and count_turns
+def test_turns_from_one_reading_match_the_public_calls():
+    # criterion 09 reads the cycles once for its vertices and count_turns
     for slope in (GOLDEN, ONE_THREE, MIXED):
         for m in (1, 2, 5, 9, 17):
             read = rauzy._cycles(slope, m)
-            assert rauzy._graph(slope, m, *read) == build_graph(slope, m)
             for shift in range(6):
                 for cycle in ("referent", "other"):
                     turns = rauzy._turns(shift, m, slope, cycle, *read)

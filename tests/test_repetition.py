@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from sturmia import repetition
 from sturmia.acceptance import NAMED_FIVE, _seeded_digits
 from sturmia.errors import (
-    CaseDispatchError,
     DepthError,
     PrefixTooShortError,
     RangeError,
@@ -806,7 +805,7 @@ def reference_rows(rho: AlphaNumber, n: int) -> tuple[RepetitionRow, ...]:
             (q + q_lo - rho_n - 1, hi, q + q_lo - rho_n, "8"),
         ]
     else:
-        raise CaseDispatchError(f"digits b_{n + 1}={b_cur}, a_{n + 1}={a} match no case")
+        raise AssertionError(f"digits b_{n + 1}={b_cur}, a_{n + 1}={a} match no case")
 
     rows = [
         RepetitionRow(max(m_lo, lo), min(m_hi, hi), value, case)

@@ -23,6 +23,11 @@ from .errors import DepthError, RangeError, shown, shown_tuple
 # while importing `threading` costs about a millisecond of every CLI call.
 _GROW_LOCK = _thread.allocate_lock()
 
+# The word of a fresh slope, as `words` keeps it: one empty piece and its
+# running ends (0, 0).  Every slope starts from this one value, and a
+# growth replaces it in the slope's own cell.
+_NO_WORD = ((0, 0), ("",))
+
 # The most bits a slope's continuant row may hold, counted as
 # (n + 2) bits(q_n) for the row through q_n: golden-slope ladders stop near
 # level 6950, and the deepest ones the benchmark builds (level 800,
@@ -71,7 +76,7 @@ class Slope:
         object.__setattr__(self, "quotients", quotients)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "_ladder", ([0, 1], [0]))
-        object.__setattr__(self, "_word", [""])
+        object.__setattr__(self, "_word", [_NO_WORD])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Slope")

@@ -5,14 +5,16 @@ s_{n+1} = s_n^{a_{n+1}} s_{n-1}, so |s_n| is the continuant q_n.  Each s_n
 with n >= 1 is a prefix of the next, and the characteristic word c of the
 slope is their limit, so s_n = c[:q_n].  Each slope keeps one prefix of c
 beside its continuant ladder, grown on demand by `_grown` and spelled by
-`_spelled`, the one place that builds letters; standard words and
-characteristic prefixes are slices of it.
+`_spelled` as references to strings of at most `_PIECE` letters, never
+joined whole.  Standard words and characteristic prefixes are read off it
+by `_read`, which copies only the letters it returns.
 """
 
 from __future__ import annotations
 
 import _thread
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, pairwise
 
@@ -33,37 +35,42 @@ _CAP_LEVEL = Slope((1,), (0, 1)).level(MAX_STANDARD_LETTERS)
 _GROW_LOCK = _thread.allocate_lock()
 
 
-# A level of at most this many letters is joined into one string; a longer
-# one is a list of references to such strings, and s_n^k of a short s_n
-# repeats blocks of at most this many letters.  A word of 10^7 letters is
-# then a few thousand references, while the words of a few thousand letters
-# that most reads ask for are built whole: on the five named slopes, at
-# 2,000 and 20,000 letters, this cap spelled a word in 9 and 13 us, and
-# pieces of sqrt(target) letters in 16 and 27 us (Python 3.11, 2 CPUs).
+# The longest piece of a slope's word: a level of at most this many letters
+# is one string, a longer one a list of references to such strings, and
+# s_n^k of a short s_n repeats blocks of at most this many letters.  A word
+# of 10^7 letters is then a few thousand references, while the words of a
+# few thousand letters that most reads ask for lie in its first piece: on
+# the five named slopes, at 2,000 and 20,000 letters, this cap spelled a
+# word in 9 and 13 us, and pieces of sqrt(target) letters in 16 and 27 us
+# (Python 3.11, 2 CPUs).
 _PIECE = 4096
+_ZEROS = "0" * _PIECE
 
 
-def _grown(slope: Slope, m: int) -> str:
-    """The slope's prefix of c, grown to at least m letters.
+def _grown(slope: Slope, m: int) -> tuple[Sequence[int], list[str]]:
+    """The slope's prefix of c, grown to at least m letters, as the running
+    ends (0, e_1, ..., e_k) of its pieces and the pieces
+    p_i = c[e_{i-1}:e_i], each of 1 to _PIECE letters; a fresh slope's
+    word is one empty piece.
 
     The caller has checked that m is at most MAX_STANDARD_LETTERS and, on a
     finite slope [0; a_1, ..., a_D], at most q_D.  The word grows to
     max(m, 2 |word|) letters, within both bounds, so a run of longer
-    requests grows it O(log m) times and it holds at most 2m letters for
-    the longest m asked.  The rows grow once, through q_1 and the first
-    rung q_d >= that target, or through a_D, and `_spelled` walks the
-    levels up them.  A growth peaks at the new word plus the old one it
-    replaces.
+    requests grows it O(log m) times.  Its pieces are references to a few
+    distinct strings, so a word of L letters holds about 16 bytes for each
+    of its O(L / _PIECE) pieces and copies no letter.  The rows grow once,
+    through q_1 and the first rung q_d >= that target, or through a_D, and
+    `_spelled` walks the levels up them.
     """
     cell = slope._word
     word = cell[0]
-    if len(word) >= m:
+    if word[0][-1] >= m:
         return word
     with _GROW_LOCK:
         word = cell[0]
-        if len(word) >= m:
+        if word[0][-1] >= m:
             return word  # another thread grew it meanwhile
-        target = min(max(m, 2 * len(word)), MAX_STANDARD_LETTERS)
+        target = min(max(m, 2 * word[0][-1]), MAX_STANDARD_LETTERS)
         depth = slope.known_depth
         # q_{_CAP_LEVEL} > MAX_STANDARD_LETTERS >= target on every slope;
         # a target of 1 still reads q_1, which may equal q_0 = 1
@@ -73,25 +80,32 @@ def _grown(slope: Slope, m: int) -> str:
     return word
 
 
-def _spelled(q: list[int], a: list[int], target: int, depth: int | None) -> str:
-    """c[:target], or s_D when a finite slope of depth D ends first, from
-    the rows (q, a) grown through the first rung past target - 1.
+def _spelled(
+    q: list[int], a: list[int], target: int, depth: int | None
+) -> tuple[Sequence[int], list[str]]:
+    """The word `_grown` keeps for c[:target], or for s_D when a finite
+    slope of depth D ends first, from the rows (q, a) grown through the
+    first rung past target - 1.
 
     Each level s_{n+1} = s_n^{a_{n+1}} s_{n-1} is a list of pieces, one
-    string while it has at most _PIECE letters, from s_0 = "0" and
-    s_1 = 0^{a_1 - 1} 1.  Only the last level may pass the target, so it
-    repeats s_n no more than ceil(target / |s_n|) times, and s_1 keeps at
-    most `target` zeros.  The pieces up to the target, the last one cut,
-    are joined once: no level past _PIECE letters but s_1 is built as one
-    string, and the word's letters are copied once.
+    string while it or the target has at most _PIECE letters, from
+    s_0 = "0" and s_1 = 0^{a_1 - 1} 1, whose zeros are cut into blocks of
+    _PIECE; so a word is one piece exactly when it is that short.  Only
+    the last level may pass the target, so it repeats s_n no more than
+    ceil(target / |s_n|) times, and s_1 keeps at most `target` zeros.  The
+    pieces up to the target are kept, the last one cut, and none is joined.
     """
     zeros = min(a[1] - 1, target)
-    prev, cur = ["0"], ["0" * zeros + "1" * (zeros < target)]
-    size, n = len(cur[0]), 1  # |s_n|
+    size, n = zeros + (zeros < target), 1  # |s_n|
+    blocks = (size - 1) // _PIECE  # of zeros, before a last piece of 1 to _PIECE letters
+    prev = ["0"]
+    cur = [_ZEROS] * blocks + ["0" * (zeros - blocks * _PIECE) + "1" * (zeros < target)]
     while size < target and n != depth:
         k = min(a[n + 1], -(-target // size))
         grown = k * size + q[n]  # q[n] is q_{n-1} = |s_{n-1}|
-        if grown <= _PIECE:
+        if grown <= _PIECE or target <= _PIECE:
+            # one string, under 3 _PIECE letters when only the target is
+            # short, and cut to it below
             level = [cur[0] * k + prev[0]]
         elif len(cur) > 1:
             level = cur * k + prev
@@ -101,12 +115,45 @@ def _spelled(q: list[int], a: list[int], target: int, depth: int | None) -> str:
             r = max(_PIECE // size, 1)
             level = [cur[0] * r] * (k // r) + [cur[0] * (k % r)] * (k % r > 0) + prev
         prev, cur, size, n = cur, level, grown, n + 1
-    ends = list(accumulate(map(len, cur)))
-    i = bisect_left(ends, target)
-    if i < len(cur):
-        del cur[i + 1 :]
-        cur[i] = cur[i][: len(cur[i]) - (ends[i] - target)]
-    return "".join(cur)
+    if len(cur) == 1:  # a word of at most _PIECE letters, as most are
+        piece = cur[0][:target]
+        return (0, len(piece)), [piece]
+    ends = list(accumulate(map(len, cur), initial=0))
+    i = bisect_left(ends, target)  # piece i - 1 reaches the target
+    if i < len(ends):
+        cur = cur[:i]
+        cur[-1] = cur[-1][: target - ends[i - 1]]
+        ends[i:] = [target]
+    # eight bytes an end, where a list holds a 32-byte int beside each;
+    # imported here, so that only a word past _PIECE letters loads it
+    from array import array
+
+    return array("q", ends), cur
+
+
+def _read(slope: Slope, start: int, stop: int) -> str:
+    """c[start:stop], for 0 <= start and a stop the caller has checked as
+    `_grown` asks; "" when stop <= start.
+
+    A window within one piece is one slice, found with no search when it
+    lies in the first piece, as most short reads do, and with one bisection
+    of the ends otherwise; a longer one joins the pieces that cover it,
+    cutting the first and the last.  The word grows only when the window
+    ends past it.
+    """
+    ends, pieces = slope._word[0]
+    if stop <= ends[1]:
+        return pieces[0][start:stop]
+    if stop <= start:
+        return ""
+    if ends[-1] < stop:
+        ends, pieces = _grown(slope, stop)
+    i = bisect_right(ends, start) - 1  # the piece holding letter `start`
+    first = ends[i]
+    if stop <= ends[i + 1]:
+        return pieces[i][start - first : stop - first]
+    j = bisect_left(ends, stop, i + 2) - 1  # the piece holding letter stop - 1
+    return "".join([pieces[i][start - first :], *pieces[i + 1 : j], pieces[j][: stop - ends[j]]])
 
 
 def certified_letters(slope: Slope) -> int | None:
@@ -124,20 +171,20 @@ def _past_certified(slope: Slope, read: str) -> DepthError:
     return DepthError(f"{read} the {letters} letters the word of {slope} certifies")
 
 
-def _prefix_word(slope: Slope, m: int) -> str:
-    """The slope's word grown to at least m letters, with the refusals of a
-    prefix of length m: RangeError when m is negative or over
-    MAX_STANDARD_LETTERS, and DepthError when m passes `certified_letters`."""
-    if m < 0:
+def _prefix_read(slope: Slope, start: int, stop: int) -> str:
+    """c[start:stop], with the refusals of a prefix of length stop:
+    RangeError when stop is negative or over MAX_STANDARD_LETTERS, and
+    DepthError when stop passes `certified_letters`."""
+    if stop < 0:
         raise RangeError("prefix length must be >= 0")
-    if m > MAX_STANDARD_LETTERS:
+    if stop > MAX_STANDARD_LETTERS:
         raise RangeError(
-            f"prefix of length {shown(m)} has more than {MAX_STANDARD_LETTERS} letters"
+            f"prefix of length {shown(stop)} has more than {MAX_STANDARD_LETTERS} letters"
         )
     letters = certified_letters(slope)
-    if letters is not None and m > letters:
-        raise _past_certified(slope, f"prefix of length {shown(m)} passes")
-    return _grown(slope, m)
+    if letters is not None and stop > letters:
+        raise _past_certified(slope, f"prefix of length {shown(stop)} passes")
+    return _read(slope, start, stop)
 
 
 def standard_word(slope: Slope, n: int) -> str:
@@ -157,8 +204,7 @@ def standard_word(slope: Slope, n: int) -> str:
         raise RangeError(
             f"standard word s_{shown(n)} has more than {MAX_STANDARD_LETTERS} letters"
         )
-    q_n = slope.q(n)
-    return _grown(slope, q_n)[:q_n]
+    return _read(slope, 0, slope.q(n))
 
 
 def characteristic_prefix(slope: Slope, m: int) -> str:
@@ -167,7 +213,7 @@ def characteristic_prefix(slope: Slope, m: int) -> str:
     Raises RangeError past MAX_STANDARD_LETTERS letters, before the word
     grows.
     """
-    return _prefix_word(slope, m)[:m]
+    return _prefix_read(slope, 0, m)
 
 
 def language_length(slope: Slope, m: int) -> int:
@@ -204,7 +250,7 @@ def shifted_characteristic_prefix(slope: Slope, k: int, m: int) -> str:
     """First m letters of the characteristic word shifted k places."""
     if k < 0:
         raise RangeError("shift must be >= 0")
-    return _prefix_word(slope, k + m)[k : k + m]
+    return _prefix_read(slope, k, k + m)
 
 
 def mechanical_prefix(alpha: Fraction, rho: Fraction, n: int, kind: str = "lower") -> str:

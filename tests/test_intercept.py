@@ -35,7 +35,7 @@ from sturmia.intercept import (
     zero,
 )
 from sturmia.ostrowski import all_digit_strings, encode, validate
-from sturmia.slope import Slope, parse_slope
+from sturmia.slope import _NO_WORD, Slope, parse_slope
 from sturmia.words import characteristic_prefix, factor_set
 
 GOLDEN = parse_slope("[0;1*]")
@@ -338,12 +338,13 @@ def test_add_integer_examples():
 
 def test_add_integer_builds_no_letters():
     # the shift is one encode: at depth 800 it answers, where the letter
-    # shift would need about q_800 letters, and the slope's word stays empty
+    # shift would need about q_800 letters, and the slope's word stays the
+    # empty one every slope starts from
     slope = parse_slope("[0;1*]")
     out = add_integer(encode(10**6, slope, 800), 12345)
     assert out.depth == 797
     assert out.digits == encode(10**6 + 12345, slope, 797).digits
-    assert slope._word == [""]
+    assert slope._word == [_NO_WORD]
 
 
 def test_add_integer_digit_shortcut_on_tail_levels():
@@ -507,7 +508,7 @@ def test_add_integer_reaches_depths_past_the_letter_cap():
     out = add_integer(sigma0(golden, 800), 1)
     assert out == zero(golden, out.depth) and out.depth == 797
     assert add_integer(encode(5, golden, 800), 3) == encode(8, golden, 797)
-    assert golden._word == [""]  # and no letter was built
+    assert golden._word == [_NO_WORD]  # and no letter was built
 
 
 @pytest.mark.parametrize("slope", NAMED_FIVE, ids=str)

@@ -22,7 +22,14 @@ from sturmia.intercept import (
 from sturmia.ostrowski import encode
 from sturmia.rauzy import RauzyGraph, _laps, build_graph, count_turns
 from sturmia.repetition import repetition_direct
-from sturmia.slope import IntervalPosition, Slope, convergent_value, interval_locate, parse_slope
+from sturmia.slope import (
+    _NO_WORD,
+    IntervalPosition,
+    Slope,
+    convergent_value,
+    interval_locate,
+    parse_slope,
+)
 from sturmia.words import (
     MAX_STANDARD_LETTERS,
     characteristic_prefix,
@@ -238,7 +245,7 @@ def test_a_finite_slope_refuses_by_the_letters_of_its_word():
         with pytest.raises(DepthError) as refusal:
             call(finite, 5000)
         assert str(refusal.value) == message
-    assert finite._word == [""]
+    assert finite._word == [_NO_WORD]
     # [0;3,2,2] certifies 16 letters: m = 4 reads all of them, m = 5 needs
     # more; from m = q_3 - 1 = 16 on, the level of m is past the word's a_3
     slope = parse_slope("[0;3,2,2]")
@@ -248,7 +255,7 @@ def test_a_finite_slope_refuses_by_the_letters_of_its_word():
         for call in (build_graph, lambda slope, m: count_turns(0, m, slope), language_length):
             with pytest.raises(DepthError, match=refusal):
                 call(slope, m)
-    assert slope._word == [""]
+    assert slope._word == [_NO_WORD]
 
 
 def test_one_interval_locate_per_reading_of_the_cycles(monkeypatch):
@@ -603,7 +610,7 @@ def test_a_large_shift_is_read_at_its_residue():
             c, starts = start_rings(golden, m)
             for cycle, ring in zip(("referent", "other"), starts):
                 assert count_turns(k, m, golden, cycle) == _laps(word, m, c, ring), (k, m)
-    assert len(golden._word[0]) < 10**3
+    assert 0 < golden._word[0][0][-1] < 10**3  # the letters the word holds, by its last end
 
 
 def test_count_turns_refuses_its_arguments_before_building_letters():
@@ -613,7 +620,7 @@ def test_count_turns_refuses_its_arguments_before_building_letters():
         count_turns(0, 10**6, golden, "bogus")
     with pytest.raises(ValueError, match="^digit window and graph live over different slopes$"):
         count_turns(zero(MIXED, 40), 10**6, golden)
-    assert golden._word == [""]
+    assert golden._word == [_NO_WORD]
 
 
 def flipped(prefix, at):

@@ -1,8 +1,9 @@
 """Standard words, characteristic prefixes, mechanical words, factors.
 
-Standard words and characteristic prefixes are slices of one prefix of the
-characteristic word that each slope grows; they are checked against the
-recursion s_n = s_{n-1}^{a_n} s_{n-2} and the digit-block product
+Standard words and characteristic prefixes are read off one prefix of the
+characteristic word that each slope grows and keeps as pieces of at most
+`words._PIECE` letters; they are checked against the recursion
+s_n = s_{n-1}^{a_n} s_{n-2} and the digit-block product
 s_N^{b_{N+1}} ... s_0^{b_1}, built here from the quotients alone.
 """
 
@@ -15,6 +16,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from sturmia.acceptance import _standard_words as recursive_standard_words
 from sturmia.errors import DepthError, RangeError, SturmiaError
 from sturmia.intercept import integer_window, max_certified_length, sturmian_prefix
 from sturmia.ostrowski import encode
-from sturmia.slope import Slope, convergent_value, parse_slope
+from sturmia.slope import _NO_WORD, Slope, convergent_value, parse_slope
 from sturmia.words import (
     MAX_STANDARD_LETTERS,
     characteristic_prefix,
@@ -534,6 +536,17 @@ def test_prefix_product_consistency(quotients, m, k):
 COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)), "deepcopy": copy.deepcopy}
 
 
+def joined(word) -> str:
+    """The letters of a word as `words._grown` keeps it, joined, once its
+    shape is checked: running ends from 0 over pieces of 1 to `_PIECE`
+    letters, one piece exactly when the word has at most `_PIECE`."""
+    ends, pieces = word
+    assert list(ends) == list(accumulate(map(len, pieces), initial=0))
+    assert all(1 <= len(piece) <= words._PIECE for piece in pieces)
+    assert (len(pieces) == 1) == (ends[-1] <= words._PIECE)
+    return "".join(pieces)
+
+
 def test_the_word_holds_at_most_twice_the_longest_prefix_and_dies_with_its_slope():
     lengths = random.Random(11).sample(range(10**6 - 10**4, 10**6), 64)
     gc.collect()
@@ -567,17 +580,23 @@ def test_a_long_prefix_repeats_no_more_blocks_than_it_keeps():
 
 @pytest.mark.parametrize("slope", NAMED_FIVE, ids=str)
 def test_a_fresh_word_peaks_at_about_its_own_letters(slope):
-    # the pieces are joined once: no level string and no cut copy beside the word
-    fresh = Slope(slope.quotients, slope.period)
+    # a growth joins no pieces, and a read joins them once: no level string
+    # and no cut copy beside the letters returned
+    words._grown(Slope(slope.quotients, slope.period), 10**5)  # loads `array` untraced
+    grown, read = Slope(slope.quotients, slope.period), Slope(slope.quotients, slope.period)
     gc.collect()
     tracemalloc.start()
     try:
-        word = words._grown(fresh, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
+        ends = words._grown(grown, 10**6)[0]
+        grown_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        word = characteristic_prefix(read, 10**6)
+        read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(word) == 10**6
-    assert peak < 1.5 * 10**6
+    assert ends[-1] == len(word) == 10**6
+    assert grown_peak < 0.1 * 10**6
+    assert read_peak < 1.5 * 10**6
 
 
 def test_word_grows_consistently_under_threads():
@@ -613,7 +632,7 @@ def test_word_grows_consistently_under_threads():
     # the grown word doubles past the longest prefix asked, but holds at most twice it
     longer = recursive_standard_word(parse_slope(text), 18)
     for slope in shared:
-        word = slope._word[0]
+        word = joined(slope._word[0])
         assert longer.startswith(word) and len(reference) - 6 * 211 < len(word) < 2 * len(reference)
 
 
@@ -626,7 +645,8 @@ def test_a_grown_slope_copies_and_hashes_as_a_fresh_one(copy_of):
     assert other == slope == fresh and hash(other) == hash(slope) == hash(fresh)
     assert repr(other) == repr(slope) == repr(fresh)
     assert pickle.dumps(slope) == pickle.dumps(fresh)
-    assert other._word == [""]
+    assert joined(slope._word[0]) == prefix
+    assert other._word == fresh._word == [_NO_WORD]
     assert characteristic_prefix(other, 5000) == prefix
 
 
@@ -679,14 +699,14 @@ def test_the_word_grown_once_matches_the_per_level_word(slope):
     # from a fresh slope each
     for m in targets:
         grown, reference = make(), make()
-        assert words._grown(grown, m) == per_level_word(reference, m, "")
+        assert joined(words._grown(grown, m)) == per_level_word(reference, m, "")
         assert len(grown._ladder[0]) == len(reference._ladder[0]), m
     # one slope grown by a run of rising requests
     grown, reference, word = make(), make(), ""
     for m in targets:
         if m > len(word):
             word = per_level_word(reference, m, word)
-        assert words._grown(grown, m) == word
+        assert joined(words._grown(grown, m)) == word
         assert len(grown._ladder[0]) == len(reference._ladder[0]), m
 
 
@@ -697,5 +717,80 @@ def test_the_word_grows_without_a_ladder_call_per_level(monkeypatch):
         monkeypatch.setattr(Slope, name, lambda *args, name=name: pytest.fail(f"Slope.{name} called"))
     grown = [(parse_slope("[0;1,2,(3,1,2)*]"), 10**5), (parse_slope("[0;1*]"), 1), (Slope((1, 1)), 2), (finite, letters)]
     for slope, m in grown:
-        word = words._grown(slope, m)
-        assert len(word) >= m and slope._ladder[0][-1] >= m
+        ends = words._grown(slope, m)[0]
+        assert ends[-1] >= m and slope._ladder[0][-1] >= m
+
+
+# ------------------------------------------------------- reads off the pieces
+
+FIRST_QUOTIENT_MILLION = [Slope((10**6,), (0, 1)), Slope((10**6, 2)), parse_slope("[0;1000000,(1,2)*]")]
+
+
+@pytest.mark.parametrize("slope", [*NAMED_FIVE, *FIRST_QUOTIENT_MILLION], ids=str)
+def test_no_piece_is_longer_than_the_piece_cap(slope):
+    # s_1 = 0^999999 1 on a first quotient of 10^6 is held in blocks too;
+    # `joined` checks every piece, on fresh slopes and on one grown by a run
+    make = lambda: Slope(slope.quotients, slope.period)
+    letters = words.certified_letters(make()) or 3 * 10**6
+    lengths = [m for m in (1, 4095, 4096, 4097, 10**5, 10**6 - 1, 10**6, 10**6 + 1, 3 * 10**6) if m <= letters]
+    reference = per_level_word(make(), 2 * lengths[-1], "")  # past what the run doubles to
+    run = make()
+    for m in lengths:
+        assert joined(words._grown(make(), m)) == reference[:m]
+        word = joined(words._grown(run, m))
+        assert len(word) >= m and reference.startswith(word)
+
+
+@pytest.mark.parametrize("slope", NAMED_FIVE, ids=str)
+def test_a_slope_holds_under_a_hundredth_of_the_letters_read(slope):
+    words._grown(Slope(slope.quotients, slope.period), 10**5)  # loads `array` untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fresh = Slope(slope.quotients, slope.period)
+        assert len(characteristic_prefix(fresh, 10**7)) == 10**7
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del fresh
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 10**7 // 100
+
+
+def test_a_far_short_read_copies_only_its_letters():
+    # the 10^7 letters before the read are a few thousand references
+    words._grown(Slope((1,), (0, 1)), 10**5)  # loads `array` untraced
+    golden = Slope((1,), (0, 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        far = shifted_characteristic_prefix(golden, 10**7, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert far == characteristic_prefix(Slope((1,), (0, 1)), 10**7 + 100)[10**7:]
+
+
+@pytest.mark.parametrize("slope", seeded_word_slopes(), ids=str)
+def test_reads_across_pieces_are_slices_of_the_per_level_word(slope):
+    make = lambda: Slope(slope.quotients, slope.period)
+    letters = words.certified_letters(make())
+    top = 3 * 10**5 if letters is None else min(3 * 10**5, letters)
+    reference = per_level_word(make(), top, "")
+    grown = make()
+    ends = list(words._grown(grown, top)[0])
+    rng = random.Random(str(slope))
+    crossed = 0
+    for _ in range(100):
+        # a window around an end of a piece, or anywhere
+        around = rng.choice(ends) if rng.random() < 0.8 else rng.randint(0, top)
+        start = max(around - rng.randint(0, 2 * words._PIECE), 0)
+        stop = min(around + rng.randint(0, 2 * words._PIECE), top)
+        crossed += any(start < end < stop for end in ends)
+        assert shifted_characteristic_prefix(grown, start, stop - start) == reference[start:stop]
+        # and on a fresh slope, which grows to the window's end first
+        assert shifted_characteristic_prefix(make(), start, stop - start) == reference[start:stop]
+    assert crossed > 50 or len(ends) <= 2

@@ -297,8 +297,8 @@ def check_01_ostrowski_round_trip() -> str:
 
 def _standard_words(slope: Slope, depth: int) -> list[str]:
     """[s_-1, s_0, ..., s_depth] by the recursion s_1 = s_0^{a_1 - 1} s_-1
-    and s_n = s_{n-1}^{a_n} s_{n-2}, independent of the grown word that
-    `words` slices."""
+    and s_n = s_{n-1}^{a_n} s_{n-2}, built whole, independent of the
+    kept words and the walk that `words` spells its reads with."""
     words = ["1", "0"]
     for n in range(1, depth + 1):
         words.append(words[-1] * (slope.quotient(n) - (n == 1)) + words[-2])

@@ -23,10 +23,10 @@ from .errors import DepthError, RangeError, shown, shown_tuple
 # while importing `threading` costs about a millisecond of every CLI call.
 _GROW_LOCK = _thread.allocate_lock()
 
-# The word of a fresh slope, as `words` keeps it: one empty piece and its
-# running ends (0, 0).  Every slope starts from this one value, and a
-# growth replaces it in the slope's own cell.
-_NO_WORD = ((0, 0), ("",))
+# The standard words of a fresh slope, as `words` keeps them: s_-1 and s_0.
+# Every slope starts from this one value, and a growth replaces it in the
+# slope's own cell.
+_NO_WORD = ("1", "0")
 
 # The most bits a slope's continuant row may hold, counted as
 # (n + 2) bits(q_n) for the row through q_n: golden-slope ladders stop near
@@ -46,8 +46,8 @@ class Slope:
 
     Each slope owns one continuant ladder, the row q_n of
     q_{n+1} = a_{n+1} q_n + q_{n-1} and the row of quotients a_n it was
-    built from, and beside it one prefix of its characteristic word, kept
-    and grown by `words`.  Both grow on demand and take no part in
+    built from, and beside it its standard words of at most 4,096 letters,
+    kept and grown by `words`.  Both grow on demand and take no part in
     equality, hashing, repr or pickling.  Slopes are immutable values.
 
     The ladder grows from one run of quotient indices (`_run`): the

@@ -3,20 +3,16 @@
 Standard words follow s_-1 = "1", s_0 = "0", s_1 = s_0^{a_1 - 1} s_-1 and
 s_{n+1} = s_n^{a_{n+1}} s_{n-1}, so |s_n| is the continuant q_n.  Each s_n
 with n >= 1 is a prefix of the next, and the characteristic word c of the
-slope is their limit, so s_n = c[:q_n].  Each slope keeps one prefix of c
-beside its continuant ladder, grown on demand by `_grown` and spelled by
-`_spelled` as references to strings of at most `_PIECE` letters, never
-joined whole.  Standard words and characteristic prefixes are read off it
-by `_read`, which copies only the letters it returns.
+slope is their limit, so s_n = c[:q_n].  Each slope keeps beside its
+continuant ladder only its standard words of at most `_PIECE` letters, and
+`_read` spells any c[start:stop] off the recursion from them, copying only
+the letters it returns.
 """
 
 from __future__ import annotations
 
-import _thread
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import pairwise
 
 from .errors import DepthError, RangeError, shown
 from .slope import IntervalPosition, Slope, interval_locate
@@ -29,131 +25,105 @@ from .slope import IntervalPosition, Slope, interval_locate
 MAX_STANDARD_LETTERS = 10**8
 _CAP_LEVEL = Slope((1,), (0, 1)).level(MAX_STANDARD_LETTERS)
 
-# Words only grow, under this lock; a stored word is never changed, only
-# replaced by a longer one, so reading it needs no lock.  The ladder grows
-# under its own lock, which the growth below takes in turn.
-_GROW_LOCK = _thread.allocate_lock()
 
-
-# The longest piece of a slope's word: a level of at most this many letters
-# is one string, a longer one a list of references to such strings, and
-# s_n^k of a short s_n repeats blocks of at most this many letters.  A word
-# of 10^7 letters is then a few thousand references, while the words of a
-# few thousand letters that most reads ask for lie in its first piece: on
-# the five named slopes, at 2,000 and 20,000 letters, this cap spelled a
-# word in 9 and 13 us, and pieces of sqrt(target) letters in 16 and 27 us
-# (Python 3.11, 2 CPUs).
+# The longest standard word a slope keeps, and the longest block a read
+# repeats a short word in: the words of a few thousand letters that most
+# reads ask for are slices of a kept word, while a read of 10^7 letters
+# joins a few thousand references to kept words and blocks.
 _PIECE = 4096
-_ZEROS = "0" * _PIECE
-
-
-def _grown(slope: Slope, m: int) -> tuple[Sequence[int], list[str]]:
-    """The slope's prefix of c, grown to at least m letters, as the running
-    ends (0, e_1, ..., e_k) of its pieces and the pieces
-    p_i = c[e_{i-1}:e_i], each of 1 to _PIECE letters; a fresh slope's
-    word is one empty piece.
-
-    The caller has checked that m is at most MAX_STANDARD_LETTERS and, on a
-    finite slope [0; a_1, ..., a_D], at most q_D.  The word grows to
-    max(m, 2 |word|) letters, within both bounds, so a run of longer
-    requests grows it O(log m) times.  Its pieces are references to a few
-    distinct strings, so a word of L letters holds about 16 bytes for each
-    of its O(L / _PIECE) pieces and copies no letter.  The rows grow once,
-    through q_1 and the first rung q_d >= that target, or through a_D, and
-    `_spelled` walks the levels up them.
-    """
-    cell = slope._word
-    word = cell[0]
-    if word[0][-1] >= m:
-        return word
-    with _GROW_LOCK:
-        word = cell[0]
-        if word[0][-1] >= m:
-            return word  # another thread grew it meanwhile
-        target = min(max(m, 2 * word[0][-1]), MAX_STANDARD_LETTERS)
-        depth = slope.known_depth
-        # q_{_CAP_LEVEL} > MAX_STANDARD_LETTERS >= target on every slope;
-        # a target of 1 still reads q_1, which may equal q_0 = 1
-        top = _CAP_LEVEL if depth is None else min(depth, _CAP_LEVEL)
-        q, a = slope._grow(1) if target == 1 else slope._grow(top, past=target - 1)
-        cell[0] = word = _spelled(q, a, target, depth)
-    return word
-
-
-def _spelled(
-    q: list[int], a: list[int], target: int, depth: int | None
-) -> tuple[Sequence[int], list[str]]:
-    """The word `_grown` keeps for c[:target], or for s_D when a finite
-    slope of depth D ends first, from the rows (q, a) grown through the
-    first rung past target - 1.
-
-    Each level s_{n+1} = s_n^{a_{n+1}} s_{n-1} is a list of pieces, one
-    string while it or the target has at most _PIECE letters, from
-    s_0 = "0" and s_1 = 0^{a_1 - 1} 1, whose zeros are cut into blocks of
-    _PIECE; so a word is one piece exactly when it is that short.  Only
-    the last level may pass the target, so it repeats s_n no more than
-    ceil(target / |s_n|) times, and s_1 keeps at most `target` zeros.  The
-    pieces up to the target are kept, the last one cut, and none is joined.
-    """
-    zeros = min(a[1] - 1, target)
-    size, n = zeros + (zeros < target), 1  # |s_n|
-    blocks = (size - 1) // _PIECE  # of zeros, before a last piece of 1 to _PIECE letters
-    prev = ["0"]
-    cur = [_ZEROS] * blocks + ["0" * (zeros - blocks * _PIECE) + "1" * (zeros < target)]
-    while size < target and n != depth:
-        k = min(a[n + 1], -(-target // size))
-        grown = k * size + q[n]  # q[n] is q_{n-1} = |s_{n-1}|
-        if grown <= _PIECE or target <= _PIECE:
-            # one string, under 3 _PIECE letters when only the target is
-            # short, and cut to it below
-            level = [cur[0] * k + prev[0]]
-        elif len(cur) > 1:
-            level = cur * k + prev
-        else:
-            # blocks of r copies of a short s_n, so a huge quotient makes
-            # about target / _PIECE references, not one per copy
-            r = max(_PIECE // size, 1)
-            level = [cur[0] * r] * (k // r) + [cur[0] * (k % r)] * (k % r > 0) + prev
-        prev, cur, size, n = cur, level, grown, n + 1
-    if len(cur) == 1:  # a word of at most _PIECE letters, as most are
-        piece = cur[0][:target]
-        return (0, len(piece)), [piece]
-    ends = list(accumulate(map(len, cur), initial=0))
-    i = bisect_left(ends, target)  # piece i - 1 reaches the target
-    if i < len(ends):
-        cur = cur[:i]
-        cur[-1] = cur[-1][: target - ends[i - 1]]
-        ends[i:] = [target]
-    # eight bytes an end, where a list holds a 32-byte int beside each;
-    # imported here, so that only a word past _PIECE letters loads it
-    from array import array
-
-    return array("q", ends), cur
 
 
 def _read(slope: Slope, start: int, stop: int) -> str:
-    """c[start:stop], for 0 <= start and a stop the caller has checked as
-    `_grown` asks; "" when stop <= start.
+    """c[start:stop], for 0 <= start and a stop the caller has checked
+    against MAX_STANDARD_LETTERS and, on a finite slope [0; a_1, ..., a_D],
+    against q_D; "" when stop <= start.
 
-    A window within one piece is one slice, found with no search when it
-    lies in the first piece, as most short reads do, and with one bisection
-    of the ends otherwise; a longer one joins the pieces that cover it,
-    cutting the first and the last.  The word grows only when the window
-    ends past it.
+    A window within the slope's longest kept word is one slice of it.
+    Otherwise the window lies in s_n = c[:q_n] for
+    n = max(level(stop - 1), 1), which `_spell` walks down; the kept words
+    grow first through s_n, or through the last level of at most _PIECE
+    letters, and the ladder through the rung past stop - 1.
     """
-    ends, pieces = slope._word[0]
-    if stop <= ends[1]:
-        return pieces[0][start:stop]
+    kept = slope._word[0]  # (s_-1, s_0, ..., s_top)
+    if stop <= len(kept[-1]) and len(kept) > 2:
+        return kept[-1][start:stop]  # s_top = c[:q_top], as top >= 1
     if stop <= start:
         return ""
-    if ends[-1] < stop:
-        ends, pieces = _grown(slope, stop)
-    i = bisect_right(ends, start) - 1  # the piece holding letter `start`
-    first = ends[i]
-    if stop <= ends[i + 1]:
-        return pieces[i][start - first : stop - first]
-    j = bisect_left(ends, stop, i + 2) - 1  # the piece holding letter stop - 1
-    return "".join([pieces[i][start - first :], *pieces[i + 1 : j], pieces[j][: stop - ends[j]]])
+    n = max(slope.level(stop - 1), 1)
+    q, a = slope._grow(n)  # q[i + 1] = q_i and a[i] = a_i
+    top = len(kept) - 2
+    if top < n and q[top + 2] <= _PIECE:
+        grown = list(kept)
+        while top < n and q[top + 2] <= _PIECE:
+            top += 1
+            grown.append(grown[top] * (a[top] - (top == 1)) + grown[top - 1])
+        # a growth in another thread stores the same words, so either
+        # tuple serves every read
+        slope._word[0] = kept = tuple(grown)
+    pieces: list[str] = []
+    _spell(kept, q, a, n, start, stop, pieces, {})
+    return "".join(pieces)
+
+
+def _spell(
+    kept: tuple[str, ...], q: list[int], a: list[int], m: int, start: int, stop: int,
+    pieces: list[str], whole: dict[int, list[str]],
+) -> None:
+    """Adds s_m[start:stop] to `pieces`, for 0 <= start < stop <= |s_m|,
+    walking down s_m = s_{m-1}^e s_{m-2}, e = a_m - [m = 1], to the kept
+    words (s_-1, s_0, ..., s_top) and the rows (q, a).
+
+    A window inside one copy of s_{m-1}, or inside s_{m-2}, moves down one
+    level or two; a window across copies is the suffix of one copy, a run of
+    whole copies, and a prefix of the next copy or of s_{m-2}, each but the
+    run spelled the same way.  A window inside a kept word is a slice of it.
+    `whole` holds the long s_m this read has spelled, by level.
+    """
+    top = len(kept) - 2
+    while m > top:
+        size = q[m]  # |s_{m-1}|
+        head = (a[m] - (m == 1)) * size  # the copies of s_{m-1}
+        if start >= head:
+            m, start, stop = m - 2, start - head, stop - head
+            continue
+        first = start - start % size  # where the copy holding `start` begins
+        if stop <= first + size:
+            m, start, stop = m - 1, start - first, stop - first
+            continue
+        if start > first:
+            _spell(kept, q, a, m - 1, start - first, size, pieces, whole)
+            first += size
+        end = min(stop, head)
+        last = end - end % size  # where the copy holding letter `end` begins
+        if last > first:  # a run of none would still spell a long s_{m-1}
+            pieces += _copies(kept, a, m - 1, (last - first) // size, whole)
+        if end > last:
+            _spell(kept, q, a, m - 1, 0, end - last, pieces, whole)
+        if stop == q[m + 1]:
+            pieces += _copies(kept, a, m - 2, 1, whole)
+        elif stop > head:
+            _spell(kept, q, a, m - 2, 0, stop - head, pieces, whole)
+        return
+    pieces.append(kept[m + 1][start:stop])
+
+
+def _copies(
+    kept: tuple[str, ...], a: list[int], m: int, count: int, whole: dict[int, list[str]]
+) -> list[str]:
+    """s_m^count as pieces: blocks of at most _PIECE letters of copies of a
+    kept s_m, so a huge count costs one reference a block, or `count` times
+    the pieces of a long s_m, spelled once into `whole`."""
+    if m < len(kept) - 1:
+        word = kept[m + 1]
+        per = _PIECE // len(word)
+        if count <= per:
+            return [word * count]
+        return [word * per] * (count // per) + [word * (count % per)]
+    pieces = whole.get(m)
+    if pieces is None:
+        e = a[m] - (m == 1)
+        pieces = whole[m] = _copies(kept, a, m - 1, e, whole) + _copies(kept, a, m - 2, 1, whole)
+    return pieces * count
 
 
 def certified_letters(slope: Slope) -> int | None:
@@ -191,7 +161,7 @@ def standard_word(slope: Slope, n: int) -> str:
     """The standard word s_n of the slope; defined for n >= -1.
 
     Raises RangeError when s_n would have more than MAX_STANDARD_LETTERS
-    letters, before the word grows.
+    letters, before a letter is spelled.
     """
     if n < -1:
         raise DepthError("standard words start at index -1")
@@ -210,8 +180,8 @@ def standard_word(slope: Slope, n: int) -> str:
 def characteristic_prefix(slope: Slope, m: int) -> str:
     """First m letters of the characteristic word.
 
-    Raises RangeError past MAX_STANDARD_LETTERS letters, before the word
-    grows.
+    Raises RangeError past MAX_STANDARD_LETTERS letters, before a letter is
+    spelled.
     """
     return _prefix_read(slope, 0, m)
 

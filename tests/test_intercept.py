@@ -338,8 +338,8 @@ def test_add_integer_examples():
 
 def test_add_integer_builds_no_letters():
     # the shift is one encode: at depth 800 it answers, where the letter
-    # shift would need about q_800 letters, and the slope's word stays the
-    # empty one every slope starts from
+    # shift would need about q_800 letters, and the slope keeps only the
+    # words s_-1 and s_0 every slope starts from
     slope = parse_slope("[0;1*]")
     out = add_integer(encode(10**6, slope, 800), 12345)
     assert out.depth == 797

@@ -1,8 +1,8 @@
 """Standard words, characteristic prefixes, mechanical words, factors.
 
-Standard words and characteristic prefixes are read off one prefix of the
-characteristic word that each slope grows and keeps as pieces of at most
-`words._PIECE` letters; they are checked against the recursion
+Standard words and characteristic prefixes are spelled off the recursion
+from the standard words of at most `words._PIECE` letters that each slope
+keeps; they are checked against the recursion
 s_n = s_{n-1}^{a_n} s_{n-2} and the digit-block product
 s_N^{b_{N+1}} ... s_0^{b_1}, built here from the quotients alone.
 """
@@ -16,7 +16,6 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -531,23 +530,23 @@ def test_prefix_product_consistency(quotients, m, k):
     assert characteristic_prefix(slope, m) == full[:m]
 
 
-# ------------------------------------------------------------ the grown word
+# ------------------------------------------------------------ the kept words
 
 COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)), "deepcopy": copy.deepcopy}
 
 
-def joined(word) -> str:
-    """The letters of a word as `words._grown` keeps it, joined, once its
-    shape is checked: running ends from 0 over pieces of 1 to `_PIECE`
-    letters, one piece exactly when the word has at most `_PIECE`."""
-    ends, pieces = word
-    assert list(ends) == list(accumulate(map(len, pieces), initial=0))
-    assert all(1 <= len(piece) <= words._PIECE for piece in pieces)
-    assert (len(pieces) == 1) == (ends[-1] <= words._PIECE)
-    return "".join(pieces)
+def kept_words(slope: Slope, c: str) -> tuple[str, ...]:
+    """The standard words the slope keeps, once checked against c, a prefix
+    of its characteristic word: s_-1 = "1", s_0 = "0", then
+    s_n = c[:q_n] for n = 1, ..., top, each of at most `_PIECE` letters."""
+    kept = slope._word[0]
+    assert kept[:2] == ("1", "0")
+    for n, word in enumerate(kept[2:], 1):
+        assert len(word) == slope.q(n) <= words._PIECE and c.startswith(word), n
+    return kept
 
 
-def test_the_word_holds_at_most_twice_the_longest_prefix_and_dies_with_its_slope():
+def test_a_slope_holds_only_its_short_words_and_they_die_with_it():
     lengths = random.Random(11).sample(range(10**6 - 10**4, 10**6), 64)
     gc.collect()
     tracemalloc.start()
@@ -561,8 +560,8 @@ def test_the_word_holds_at_most_twice_the_longest_prefix_and_dies_with_its_slope
         left = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= 2 * max(lengths) + 10**5
-    assert left <= 10**5
+    assert held <= 2 * 10**4
+    assert left <= 10**4
 
 
 def test_a_long_prefix_repeats_no_more_blocks_than_it_keeps():
@@ -575,28 +574,28 @@ def test_a_long_prefix_repeats_no_more_blocks_than_it_keeps():
     finally:
         tracemalloc.stop()
     assert word == block_product(parse_slope("[0;1000*]"), 10**7)
-    assert peak <= 3 * 10**7
+    assert peak <= 1.1 * 10**7
 
 
 @pytest.mark.parametrize("slope", NAMED_FIVE, ids=str)
 def test_a_fresh_word_peaks_at_about_its_own_letters(slope):
-    # a growth joins no pieces, and a read joins them once: no level string
-    # and no cut copy beside the letters returned
-    words._grown(Slope(slope.quotients, slope.period), 10**5)  # loads `array` untraced
+    # the kept words grow by a few thousand letters, and a read joins its
+    # pieces once: no level string and no cut copy beside the letters returned
     grown, read = Slope(slope.quotients, slope.period), Slope(slope.quotients, slope.period)
     gc.collect()
     tracemalloc.start()
     try:
-        ends = words._grown(grown, 10**6)[0]
+        last = words._read(grown, 10**6 - 1, 10**6)  # grows every short word
         grown_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         word = characteristic_prefix(read, 10**6)
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ends[-1] == len(word) == 10**6
-    assert grown_peak < 0.1 * 10**6
-    assert read_peak < 1.5 * 10**6
+    assert len(word) == 10**6 and word[-1] == last
+    assert len(kept_words(grown, word)[-1]) <= words._PIECE < grown.q(len(grown._word[0]) - 1)
+    assert grown_peak < 2 * 10**4
+    assert read_peak < 1.05 * 10**6
 
 
 def test_word_grows_consistently_under_threads():
@@ -629,11 +628,11 @@ def test_word_grows_consistently_under_threads():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert errors == [] and wrong == []
-    # the grown word doubles past the longest prefix asked, but holds at most twice it
-    longer = recursive_standard_word(parse_slope(text), 18)
+    # each slope keeps a chain of prefixes of c, grown through its last
+    # level of at most _PIECE letters
     for slope in shared:
-        word = joined(slope._word[0])
-        assert longer.startswith(word) and len(reference) - 6 * 211 < len(word) < 2 * len(reference)
+        kept = kept_words(slope, reference)
+        assert slope.q(len(kept) - 1) > words._PIECE
 
 
 @pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES)
@@ -645,21 +644,20 @@ def test_a_grown_slope_copies_and_hashes_as_a_fresh_one(copy_of):
     assert other == slope == fresh and hash(other) == hash(slope) == hash(fresh)
     assert repr(other) == repr(slope) == repr(fresh)
     assert pickle.dumps(slope) == pickle.dumps(fresh)
-    assert joined(slope._word[0]) == prefix
+    assert len(kept_words(slope, prefix)) > 2
     assert other._word == fresh._word == [_NO_WORD]
     assert characteristic_prefix(other, 5000) == prefix
 
 
-def per_level_word(slope: Slope, m: int, word: str) -> str:
-    """`words._grown` as a loop that asks the ladder for each level's
-    `level`, `q` and `quotient`: the reference for the walk over rows grown
-    once.  Grows `word`, a prefix of c, to max(m, 2 |word|) letters within
-    MAX_STANDARD_LETTERS and, on a finite slope, within s_D."""
-    target = min(max(m, 2 * len(word)), MAX_STANDARD_LETTERS)
+def per_level_word(slope: Slope, m: int) -> str:
+    """c[:m], or s_D when a finite slope of depth D ends first, grown a
+    level at a time by asking the ladder for each level's `level`, `q` and
+    `quotient`: the reference for reads spelled off the recursion."""
+    word = ""
     depth = slope.known_depth
-    while len(word) < target:
+    while len(word) < m:
         n = max(slope.level(len(word)) - 1, 0)
-        size = min(target, slope.q(n + 1))
+        size = min(m, slope.q(n + 1))
         if n == 0:
             word = "0" * min(size, slope.q(1) - 1) + "1" * (size == slope.q(1))
         else:
@@ -691,59 +689,64 @@ def seeded_word_slopes():
 
 
 @pytest.mark.parametrize("slope", seeded_word_slopes(), ids=str)
-def test_the_word_grown_once_matches_the_per_level_word(slope):
+def test_reads_match_the_per_level_word(slope):
     make = lambda: Slope(slope.quotients, slope.period)
     letters = words.certified_letters(make())
     top = 10**5 if letters is None else min(10**5, letters + 1)  # at most s_D on a finite slope
     targets = sorted({1, 2, 3, 5, 17, 100, 999, 10**4, top // 3, top - 1, top} & set(range(1, top + 1)))
     # from a fresh slope each
     for m in targets:
-        grown, reference = make(), make()
-        assert joined(words._grown(grown, m)) == per_level_word(reference, m, "")
-        assert len(grown._ladder[0]) == len(reference._ladder[0]), m
-    # one slope grown by a run of rising requests
-    grown, reference, word = make(), make(), ""
+        read, reference = make(), make()
+        assert words._read(read, 0, m) == per_level_word(reference, m)
+        assert len(read._ladder[0]) == len(reference._ladder[0]), m
+    # one slope read by a run of rising requests, through the public readers
+    read, reference = make(), per_level_word(make(), top)
     for m in targets:
-        if m > len(word):
-            word = per_level_word(reference, m, word)
-        assert joined(words._grown(grown, m)) == word
-        assert len(grown._ladder[0]) == len(reference._ladder[0]), m
+        if letters is None or m <= letters:
+            assert characteristic_prefix(read, m) == reference[:m]
+        else:
+            assert standard_word(read, slope.known_depth) == reference
+    kept_words(read, reference)
 
 
-def test_the_word_grows_without_a_ladder_call_per_level(monkeypatch):
+def test_a_read_makes_no_ladder_call_per_level(monkeypatch):
     finite = Slope((1, 2, 3, 1, 4, 2, 2, 5, 1, 3))
     letters = finite.q(10)
-    for name in ("level", "q", "quotient"):
+    levels, level = [], Slope.level
+    monkeypatch.setattr(Slope, "level", lambda slope, m: levels.append(m) or level(slope, m))
+    for name in ("q", "quotient"):
         monkeypatch.setattr(Slope, name, lambda *args, name=name: pytest.fail(f"Slope.{name} called"))
-    grown = [(parse_slope("[0;1,2,(3,1,2)*]"), 10**5), (parse_slope("[0;1*]"), 1), (Slope((1, 1)), 2), (finite, letters)]
-    for slope, m in grown:
-        ends = words._grown(slope, m)[0]
-        assert ends[-1] >= m and slope._ladder[0][-1] >= m
+    reads = [(parse_slope("[0;1,2,(3,1,2)*]"), 10**5), (parse_slope("[0;1*]"), 1), (Slope((1, 1)), 2), (finite, letters)]
+    for slope, m in reads:
+        levels.clear()
+        assert len(words._read(slope, 0, m)) == m
+        assert levels == [m - 1] and slope._ladder[0][-1] >= m
 
 
-# ------------------------------------------------------- reads off the pieces
+# ---------------------------------------------------- reads off the recursion
 
 FIRST_QUOTIENT_MILLION = [Slope((10**6,), (0, 1)), Slope((10**6, 2)), parse_slope("[0;1000000,(1,2)*]")]
 
 
 @pytest.mark.parametrize("slope", [*NAMED_FIVE, *FIRST_QUOTIENT_MILLION], ids=str)
-def test_no_piece_is_longer_than_the_piece_cap(slope):
-    # s_1 = 0^999999 1 on a first quotient of 10^6 is held in blocks too;
-    # `joined` checks every piece, on fresh slopes and on one grown by a run
+def test_no_kept_word_is_longer_than_the_piece_cap(slope):
+    # s_1 = 0^999999 1 on a first quotient of 10^6 is never kept, and its
+    # zeros are read in blocks; on fresh slopes and on one read by a run
     make = lambda: Slope(slope.quotients, slope.period)
     letters = words.certified_letters(make()) or 3 * 10**6
     lengths = [m for m in (1, 4095, 4096, 4097, 10**5, 10**6 - 1, 10**6, 10**6 + 1, 3 * 10**6) if m <= letters]
-    reference = per_level_word(make(), 2 * lengths[-1], "")  # past what the run doubles to
+    reference = per_level_word(make(), lengths[-1])
     run = make()
     for m in lengths:
-        assert joined(words._grown(make(), m)) == reference[:m]
-        word = joined(words._grown(run, m))
-        assert len(word) >= m and reference.startswith(word)
+        fresh = make()
+        assert characteristic_prefix(fresh, m) == reference[:m]
+        kept_words(fresh, reference)
+        assert characteristic_prefix(run, m) == reference[:m]
+    kept_words(run, reference)
 
 
 @pytest.mark.parametrize("slope", NAMED_FIVE, ids=str)
-def test_a_slope_holds_under_a_hundredth_of_the_letters_read(slope):
-    words._grown(Slope(slope.quotients, slope.period), 10**5)  # loads `array` untraced
+def test_a_slope_holds_under_a_five_hundredth_of_the_letters_read(slope):
     gc.collect()
     tracemalloc.start()
     try:
@@ -756,12 +759,12 @@ def test_a_slope_holds_under_a_hundredth_of_the_letters_read(slope):
         held -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 10**7 // 100
+    assert held < 10**7 // 500
 
 
 def test_a_far_short_read_copies_only_its_letters():
-    # the 10^7 letters before the read are a few thousand references
-    words._grown(Slope((1,), (0, 1)), 10**5)  # loads `array` untraced
+    # the 10^7 letters before the read are never spelled: the slope keeps
+    # only its short words, and the ladder grows to the read's own level
     golden = Slope((1,), (0, 1))
     gc.collect()
     tracemalloc.start()
@@ -770,27 +773,68 @@ def test_a_far_short_read_copies_only_its_letters():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10**6
-    assert far == characteristic_prefix(Slope((1,), (0, 1)), 10**7 + 100)[10**7:]
+    assert peak < 2 * 10**4
+    reference = characteristic_prefix(Slope((1,), (0, 1)), 10**7 + 100)
+    assert far == reference[10**7 :]
+    kept_words(golden, reference)
+    assert len(golden._ladder[0]) - 2 == Slope((1,), (0, 1)).level(10**7 + 100)
+
+
+@pytest.mark.parametrize("text", ["[0;2*]", "[0;3*]", "[0;2,3,(1,2)*]"])
+def test_a_window_across_two_copies_spells_no_long_word(text, monkeypatch):
+    # 200 letters around the end of the first copy of s_n, |s_n| > 10^6, in
+    # s_{n+1}: a suffix and a prefix of s_n, with no run of copies between
+    slope = parse_slope(text)
+    n = slope.level(10**6)
+    reference = characteristic_prefix(Slope(slope.quotients, slope.period), slope.q(n) + 100)
+    levels, copies = [], words._copies
+    monkeypatch.setattr(words, "_copies", lambda kept, a, m, *rest: levels.append(m) or copies(kept, a, m, *rest))
+    assert slope.quotient(n + 1) >= 2
+    assert words._read(slope, slope.q(n) - 100, slope.q(n) + 100) == reference[-200:]
+    assert all(m < len(slope._word[0]) - 1 for m in levels), levels
+
+
+def level_boundaries(slope: Slope, top: int) -> list[int]:
+    """Where a copy of s_{n-1} ends within s_n = c[:q_n] for n >= 1, past
+    the kept words and up to `top`: the first, middle and last few of the
+    a_n - [n = 1] copies."""
+    boundaries, n = set(), 1
+    while True:
+        size, copies = slope.q(n - 1), slope.quotient(n) - (n == 1)
+        for j in (1, 2, 3, copies // 2, copies - 1, copies):
+            boundaries.add(j * size)
+        boundaries.add(slope.q(n))
+        if slope.q(n) >= top or n == slope.known_depth:
+            return sorted(b for b in boundaries if words._PIECE < b <= top)
+        n += 1
 
 
 @pytest.mark.parametrize("slope", seeded_word_slopes(), ids=str)
-def test_reads_across_pieces_are_slices_of_the_per_level_word(slope):
+def test_windows_across_level_boundaries_match_both_references(slope):
     make = lambda: Slope(slope.quotients, slope.period)
     letters = words.certified_letters(make())
     top = 3 * 10**5 if letters is None else min(3 * 10**5, letters)
-    reference = per_level_word(make(), top, "")
+    reference = per_level_word(make(), top)
+    ends = level_boundaries(make(), top)
     grown = make()
-    ends = list(words._grown(grown, top)[0])
     rng = random.Random(str(slope))
     crossed = 0
-    for _ in range(100):
-        # a window around an end of a piece, or anywhere
-        around = rng.choice(ends) if rng.random() < 0.8 else rng.randint(0, top)
+    for k in range(100):
+        # a window around a boundary of the recursion, or anywhere
+        around = rng.choice(ends) if ends and rng.random() < 0.8 else rng.randint(0, top)
         start = max(around - rng.randint(0, 2 * words._PIECE), 0)
         stop = min(around + rng.randint(0, 2 * words._PIECE), top)
         crossed += any(start < end < stop for end in ends)
         assert shifted_characteristic_prefix(grown, start, stop - start) == reference[start:stop]
-        # and on a fresh slope, which grows to the window's end first
+        # and on a fresh slope, whose kept words grow for this read first
         assert shifted_characteristic_prefix(make(), start, stop - start) == reference[start:stop]
-    assert crossed > 50 or len(ends) <= 2
+        if k % 10 == 0:
+            assert block_product(make(), stop)[start:] == reference[start:stop]
+    assert crossed > 50 or not ends
+    if letters is not None:
+        # the last certified letters, q_D - 1 of them, and s_D whole
+        whole = per_level_word(make(), letters + 1)
+        assert standard_word(grown, slope.known_depth) == standard_word(make(), slope.known_depth) == whole
+        start = max(letters - 3 * words._PIECE, 0)
+        assert shifted_characteristic_prefix(grown, start, letters - start) == whole[start:letters]
+        assert block_product(make(), letters)[start:] == whole[start:letters]

@@ -475,7 +475,7 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 # a parser as it found it, and defaults that depend on the environment
 # (STURMIA_DEPTH) are resolved by dispatch at run time.
 @cache
-def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple | None]]:
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     """The full parser, and each command parser's `_table` by command name."""
     parser, commands = build_parsers()
     return parser, {name: _table(command) for name, command in commands.items()}
@@ -505,21 +505,17 @@ def _plain(action: argparse.Action) -> bool:
     return type(action) is argparse._StoreAction and action.nargs is None
 
 
-def _table(parser: argparse.ArgumentParser) -> tuple | None:
+def _table(parser: argparse.ArgumentParser) -> tuple:
     """What `_read` needs of a command's parser, read off its argparse objects.
 
     Returns (plain flags by exact option string, positionals, required
     actions, mutually exclusive groups with their `required`, the namespace
-    of defaults), or None when the parser declares something the table
-    cannot mirror: a positional that is not a plain store, or a str default
-    that argparse would convert with a type when the flag is absent.
+    of defaults).  Every command's positionals are plain stores and no flag
+    has a str default that argparse would convert with its type, so the
+    positionals and the defaults are taken as they are.
     """
     actions = parser._actions
     positionals = [action for action in actions if not action.option_strings]
-    if not all(map(_plain, positionals)) or any(
-        isinstance(action.default, str) and action.type is not None for action in actions
-    ):
-        return None
     # the commands' parsers take no set_defaults, so the actions' are all
     defaults = {
         action.dest: action.default

@@ -5,7 +5,9 @@ per level, linked by digit truncation; equivalently through its digit string
 (b_1, ..., b_depth) with rho_n = sum_{i<n} b_{i+1} q_i.  Digits obey the same
 conditions as Ostrowski digits of integers, but the string is a window into a
 possibly infinite expansion, so every "eventual" notion below is reported
-relative to the window together with a witness level.
+relative to the window together with a witness level.  Since every rho_n is
+a truncation of the top residue's digits, one search of a word's prefix at
+the top level recovers the whole tower.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     UnsupportedInterceptError,
     shown,
 )
-from .ostrowski import AlphaNumber, _window, encode, validate
+from .ostrowski import AlphaNumber, _window, encode
 from .slope import Slope
 from .words import (
     _past_certified,
@@ -67,12 +69,12 @@ def _certifying_letters(slope: Slope, d: int) -> int:
 def intercept_from_prefix(prefix: str, slope: Slope, depth: int) -> AlphaNumber:
     """Recover the intercept digits of a sturmian word from a finite prefix.
 
-    rho_n is the least shift k with the characteristic word matching the
-    prefix on its first q_n - 1 letters.  The prefix must supply at least
-    q_{depth+1} + q_depth letters (2 q_depth when a_{depth+1} is out of
-    reach), enough to pin every level and cross-check one level beyond.
-    Raises NotSturmianError when no shift below q_n matches or when the
-    residue tower is incompatible.
+    rho_N is the least shift k with the characteristic word matching the
+    prefix on its first q_N - 1 letters, at the audited level N = depth + 1
+    (depth when a_{depth+1} is out of reach); every lower residue rho_n is
+    a truncation of its digits, so one search pins the whole tower.  The
+    prefix must supply at least q_{depth+1} + q_depth letters.  Raises
+    NotSturmianError when no shift below q_N matches.
     """
     need = _certifying_letters(slope, depth)
     if len(prefix) < need:
@@ -81,34 +83,19 @@ def intercept_from_prefix(prefix: str, slope: Slope, depth: int) -> AlphaNumber:
         )
     if set(prefix) - {"0", "1"}:
         raise NotSturmianError("prefix must be over the alphabet {0, 1}")
-    check_levels = depth + 1
+    top = depth + 1
     try:
-        reference = characteristic_prefix(slope, 2 * slope.q(check_levels))
+        reference = characteristic_prefix(slope, 2 * slope.q(top))
     except DepthError:
-        # slope window too short to audit the extra level; verify to depth only
-        check_levels = depth
-        reference = characteristic_prefix(slope, 2 * slope.q(check_levels))
-    residues = [0]
-    for n in range(1, check_levels + 1):
-        window = prefix[: slope.q(n) - 1]
-        k = reference.find(window)
-        if k < 0 or k >= slope.q(n):
-            raise NotSturmianError(
-                f"prefix of length {slope.q(n) - 1} does not occur as an early factor"
-            )
-        residues.append(k)
-    digits = []
-    for n in range(check_levels):
-        gap = residues[n + 1] - residues[n]
-        q_n = slope.q(n)
-        if gap < 0 or gap % q_n:
-            raise NotSturmianError(f"incompatible residues between levels {n} and {n + 1}")
-        digits.append(gap // q_n)
-    report = validate(tuple(digits), slope)
-    if not report.ok:
-        raise NotSturmianError(f"extracted digits violate {report.rule} at b_{report.index}")
-    # a prefix of a valid window is valid
-    return _window(tuple(digits[:depth]), slope)
+        # slope window too short to audit the extra level; read to depth only
+        top = depth
+        reference = characteristic_prefix(slope, 2 * slope.q(top))
+    q_top = slope.q(top)
+    k = reference.find(prefix[: q_top - 1])
+    if not 0 <= k < q_top:
+        raise NotSturmianError(f"prefix of length {q_top - 1} does not occur as an early factor")
+    # a prefix of a greedy expansion is valid
+    return _window(encode(k, slope, top).digits[:depth], slope)
 
 
 def sturmian_prefix(rho: AlphaNumber, m: int) -> str:

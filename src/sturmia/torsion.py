@@ -2,12 +2,13 @@
 
 A small block inventory scans any binary word with enough ones into a
 unique block stream.  Scanning the parity word of the partial quotients
-cuts the continuant ladder at the block boundaries; each cut difference
+cuts the continuant ladder where each block starts; each cut difference
 is even and its half glues into a digit window that is equivalent to its
 own reversal dual.  Reducing the continuant pair mod N instead drives a
 finite state walk whose repeated states certify divisibility identities
 q_{n+k} = q_n mod N whose quotients have all their digits strictly
-between the two ranks.
+between the two ranks; the walk to the state cycle gives the first rank
+from which every state recurs, where a search starts by default.
 """
 
 from __future__ import annotations
@@ -97,53 +98,36 @@ def parity_word(slope: Slope, depth: int) -> str:
     return "".join(str(a_i % 2) for a_i in a[1 : depth + 1])
 
 
-class IndexedFactorization(namedtuple("IndexedFactorization", "offset blocks")):
-    """A block stream covering the word after `offset` skipped letters."""
+def _class_cuts(y: str) -> list[list[int]]:
+    """The ladder cuts of the three block streams of y, those at index 0 or more.
 
-    __slots__ = ()
-
-    def boundaries(self) -> tuple[int, ...]:
-        # a block starting at 1-based letter position p cuts the continuant
-        # ladder at index p - 2; one trailing boundary closes the last block
-        out = []
-        pos = self.offset
-        for block in self.blocks:
-            out.append(pos - 1)
-            pos += len(block)
-        out.append(pos - 1)
-        return tuple(out)
-
-
-def suffix_classes(
-    y: str,
-) -> tuple[IndexedFactorization, IndexedFactorization, IndexedFactorization]:
-    """The three inequivalent block streams of y, read off y, 1y, 11y.
-
-    Exactly one of u, 1u, 11u scans completely for every finite u, which
-    is what makes the three streams pairwise inequivalent.
+    The streams are the block scans of y, 1y and 11y; exactly one of u,
+    1u, 11u scans completely for every finite u, which is what makes them
+    pairwise inequivalent.  A block starting at 0-based letter s of p + y
+    cuts the continuant ladder at index s - |p| - 1, and the end of the run
+    of blocks closes the last one, so no cut passes len(y) - 1.
     """
-    if y.count("1") < 2:
-        raise ParityError("need at least two odd letters in the window")
-    base, one, two = (b_factorize(p + y).blocks for p in ("", "1", "11"))
-    if min(len(base), len(one), len(two)) < 2:
-        raise ParityError("window too short to certify the three block streams")
-    return (
-        IndexedFactorization(0, base),
-        IndexedFactorization(len(one[0]) - 1, one[1:]),
-        IndexedFactorization(len(two[0]) - 2, two[1:]),
-    )
+    cuts = []
+    for p in ("", "1", "11"):
+        word = p + y
+        end = b_factorize(word).cut
+        starts = [block.start() for block in _BLOCK_RE.finditer(word, 0, end)]
+        if len(starts) < 2:
+            raise ParityError("window too short to certify the three block streams")
+        skip = len(p) + 1
+        cuts.append([s - skip for s in (*starts, end) if s >= skip])
+    return cuts
 
 
-def _halved_window(slope: Slope, depth: int, indexed: IndexedFactorization) -> AlphaNumber:
+def _halved_window(slope: Slope, depth: int, inside: list[int]) -> AlphaNumber:
     """The digits of half the ladder difference across one block stream.
 
-    Every block between consecutive boundaries d < d' has an even difference
+    Every block between consecutive cuts d < d' has an even difference
     q_{d'} - q_d, and the halves telescope: the window's value is half of
-    q_{d'} - q_d for the first and last boundaries d, d' in [0, depth - 1].
+    q_{d'} - q_d for the first and last cuts d, d' of the window.
     That value is below q_depth and has one Ostrowski expansion, so one
     encode gives the window.
     """
-    inside = [d for d in indexed.boundaries() if 0 <= d <= depth - 1]
     if len(inside) < 3:
         raise DepthError("window too shallow to glue at least two blocks")
     difference = slope.q(inside[-1]) - slope.q(inside[0])
@@ -188,9 +172,7 @@ def self_complementary(slope: Slope, depth: int) -> tuple[AlphaNumber, ...]:
     y = parity_word(slope, depth)
     if y.count("1") < 4:
         raise ParityError("parities look eventually even here; use even_family")
-    classes = tuple(
-        _halved_window(slope, depth, indexed) for indexed in suffix_classes(y)
-    )
+    classes = tuple(_halved_window(slope, depth, inside) for inside in _class_cuts(y))
     _check_self_dual_classes(classes)
     return classes
 
@@ -293,17 +275,6 @@ def complement_family(M, slope: Slope, depth: int) -> ComplementFamilyReport:
 # ------------------------------------------------------------- mod-N machine
 
 
-class AutomatonLog(namedtuple("AutomatonLog", "modulus states recurring n0 preperiod period")):
-    """The continuant pairs (q_n, p_n) reduced mod the modulus.
-
-    states[n] is the pair at level n, the first column of the ladder matrix
-    [[q_n, q_{n-1}], [p_n, p_{n-1}]]; every state from n0 on is one that
-    keeps recurring, which is what the congruence search needs.
-    """
-
-    __slots__ = ()
-
-
 # The most levels `torsion_search` walks to the state cycle to find its
 # default rank.  The golden slope's cycle mod N closes within 6 N levels.
 MAX_RANK_WALK = 2**15
@@ -328,12 +299,14 @@ def _walk(slope: Slope, modulus: int) -> Iterator[tuple[tuple[int, int], int | N
     slope.quotient(len(quotients) + 1)
 
 
-def _cycle(slope: Slope, modulus: int, limit: int) -> AutomatonLog | None:
-    """The log of the states before the cycle closes, or None when it does
-    not close by level `limit`.
+def _cycle(slope: Slope, modulus: int, limit: int) -> int | None:
+    """The first rank n0 from which only recurring states appear, or None
+    when the state cycle does not close by level `limit`.
 
-    Two consecutive states carry the ladder matrix, and with the index of
-    the next quotient they fix every later state, so the first repeat of
+    States are the continuant pairs (q_n, p_n) reduced mod the modulus, the
+    first column of the ladder matrix [[q_n, q_{n-1}], [p_n, p_{n-1}]].
+    Two consecutive states carry that matrix, and with the index of the
+    next quotient they fix every later state, so the first repeat of
     (state_n, state_{n-1}, index of a_{n+1}) closes the cycle; states seen
     inside the cycle are exactly the recurring ones.
     """
@@ -349,19 +322,11 @@ def _cycle(slope: Slope, modulus: int, limit: int) -> AutomatonLog | None:
         previous = state
     else:
         return None
-    first = seen[key]
-    recurring = frozenset(states[first:])
-    n0 = first
+    n0 = seen[key]
+    recurring = set(states[n0:])
     while n0 > 0 and states[n0 - 1] in recurring:
         n0 -= 1
-    return AutomatonLog(
-        modulus=modulus,
-        states=tuple(states),
-        recurring=recurring,
-        n0=n0,
-        preperiod=first,
-        period=n - first,
-    )
+    return n0
 
 
 class TorsionHit(
@@ -411,13 +376,12 @@ def torsion_search(
     if n is None:
         _reach(slope, 0, k_max)
         limit = min(MAX_RANK_WALK, (MAX_RANK_WALK << 18) // (modulus - 1).bit_length() ** 2)
-        log = _cycle(slope, modulus, limit)
-        if log is None:
+        n = _cycle(slope, modulus, limit)
+        if n is None:
             raise RangeError(
                 f"the state cycle mod {shown(modulus)} does not close within"
                 f" {limit} levels; give n"
             )
-        n = log.n0
     elif n < 0:
         raise RangeError(f"n must be >= 0, got {shown(n)}")
     top = _reach(slope, n, k_max)

@@ -1197,14 +1197,30 @@ def test_the_table_path_counts_a_default_object_as_absent():
     assert vars(cli._read(table, both)) == vars(parser.parse_args(both)) == {"a": 0, "b": "x"}
 
 
-def test_no_table_for_a_parser_it_cannot_mirror():
-    # argparse converts an absent flag's str default with the flag's type,
-    # and a positional may take other than one value
+def unmirrored(parser):
+    """The actions of a parser that `cli._table` takes as they are but
+    argparse does not: a positional that is not a plain one-value store
+    (it may take other than one value), and a str default with a type
+    (argparse converts it when the flag is absent)."""
+    return [
+        action
+        for action in parser._actions
+        if (not action.option_strings and not cli._plain(action))
+        or (isinstance(action.default, str) and action.type is not None)
+    ]
+
+
+def test_every_command_parser_is_one_the_table_mirrors():
+    commands = cli.build_parsers()[1]
+    assert set(commands) == set(cli._COMMANDS)
+    for name, command in commands.items():
+        assert unmirrored(command) == [], name
+    # an edit that adds either kind of action is caught here
     converted = argparse.ArgumentParser(prog="t")
     converted.add_argument("--n", type=int, default="3")
     optional = argparse.ArgumentParser(prog="t")
     optional.add_argument("name", nargs="?")
-    assert cli._table(converted) is cli._table(optional) is None
+    assert len(unmirrored(converted)) == len(unmirrored(optional)) == 1
 
 
 def test_the_table_path_takes_well_formed_argv_only():

@@ -205,11 +205,89 @@ def test_extract_brute_force_minimal_shift_oracle():
     assert [rho.psi(n) for n in range(1, depth + 1)] == residues
 
 
+def reference_intercept_digits(prefix: str, slope: Slope, depth: int) -> tuple[int, ...]:
+    """Reference: the residue tower read level by level.
+
+    rho_n is the least shift below q_n that matches the prefix on q_n - 1
+    letters, at every level through depth + 1 (depth when a_{depth+1} is
+    out of reach); consecutive residues must differ by a non-negative
+    multiple of q_n, and the quotients must pass `validate`.
+    """
+    levels = depth + 1
+    try:
+        reference = characteristic_prefix(slope, 2 * slope.q(levels))
+    except DepthError:
+        levels = depth
+        reference = characteristic_prefix(slope, 2 * slope.q(levels))
+    residues = [0]
+    for n in range(1, levels + 1):
+        window = prefix[: slope.q(n) - 1]
+        shifts = [j for j in range(slope.q(n)) if reference[j : j + len(window)] == window]
+        if not shifts:
+            raise NotSturmianError(f"no shift below q_{n} matches")
+        residues.append(shifts[0])
+    digits = []
+    for n in range(levels):
+        gap, q_n = residues[n + 1] - residues[n], slope.q(n)
+        if gap < 0 or gap % q_n:
+            raise NotSturmianError(f"incompatible residues between levels {n} and {n + 1}")
+        digits.append(gap // q_n)
+    if not validate(tuple(digits), slope).ok:
+        raise NotSturmianError("the residue gaps are not valid digits")
+    return tuple(digits[:depth])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[0;1*]", "[0;2,(1)*]", "[0;2,1,3,(2,1)*]", "[0;3,(2,3,4)*]",
+     "[0;3,2,2]", "[0;7,1,2,9]", "[0;1,1,1,1,1]", "[0;2,3,1,1]"],
+)
+def test_one_residue_search_reads_the_tower_every_level_reads(text):
+    # the library searches once at the top audited level and truncates its
+    # digits; the reference searches every level and checks the gaps and
+    # the digits: on random words, sturmian windows and one-letter flips
+    # they give the same digits or refuse with the same type
+    slope = parse_slope(text)
+    # a finite slope's windows come from the word of an infinite extension
+    top = slope.known_depth
+    source = slope if top is None else Slope(slope.quotients + (1,), (top, 1))
+    rng = random.Random(f"{SEED} {text}")
+    seen = set()
+    for depth in range(1, 7):
+        try:
+            need = slope.q(depth + 1) + slope.q(depth)
+        except DepthError:
+            break  # past a finite slope's quotients
+        word = characteristic_prefix(source, 3 * need + 40)
+        for trial in range(60):
+            if trial % 3 == 0:
+                prefix = "".join(rng.choice("01") for _ in range(need))
+            else:
+                k = rng.randrange(len(word) - need)
+                prefix = word[k : k + need]
+                if trial % 3 == 2:
+                    i = rng.randrange(need)
+                    prefix = prefix[:i] + "10"[int(prefix[i])] + prefix[i + 1 :]
+            outcomes = []
+            for read in (
+                lambda: intercept_from_prefix(prefix, slope, depth).digits,
+                lambda: reference_intercept_digits(prefix, slope, depth),
+            ):
+                try:
+                    outcomes.append(read())
+                except (DepthError, NotSturmianError) as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1], (depth, prefix)
+            seen.add(outcomes[0] if isinstance(outcomes[0], type) else "digits")
+    assert {"digits", NotSturmianError} <= seen
+
+
 def test_extract_rejects_short_and_foreign_prefixes():
     need = GOLDEN.q(7) + GOLDEN.q(6)
     with pytest.raises(PrefixTooShortError):
         intercept_from_prefix("10" * 5, GOLDEN, 6)
-    with pytest.raises(NotSturmianError):
+    # one search at the audited level N = 7 names its q_7 - 1 letters
+    with pytest.raises(NotSturmianError, match="^prefix of length 20 does not occur"):
         intercept_from_prefix("111" + "0" * need, GOLDEN, 6)
     with pytest.raises(NotSturmianError):
         intercept_from_prefix("2" * (need + 1), GOLDEN, 6)

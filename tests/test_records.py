@@ -20,12 +20,7 @@ from sturmia.ostrowski import AlphaNumber, ValidationReport, encode
 from sturmia.rauzy import RauzyGraph
 from sturmia.repetition import DioEstimate, DioTerm, JumpReport, RepetitionRow
 from sturmia.slope import IntervalPosition, Slope
-from sturmia.torsion import (
-    AutomatonLog,
-    ComplementFamilyReport,
-    IndexedFactorization,
-    TorsionHit,
-)
+from sturmia.torsion import ComplementFamilyReport, TorsionHit
 
 GOLDEN = Slope((1,), (0, 1))
 GOLDEN_REPR = "Slope(quotients=(1,), period=(0, 1))"
@@ -73,16 +68,10 @@ RECORDS = [
      "DioEstimate(value=Fraction(3, 2), mode='generic',"
      " witness=DioTerm(level=5, family=-1, ratio=Fraction(3, 2)))"),
     (IntervalPosition, "n l r", {}, (4, 0, 1), "IntervalPosition(n=4, l=0, r=1)"),
-    (IndexedFactorization, "offset blocks", {}, (2, ("01", "001")),
-     "IndexedFactorization(offset=2, blocks=('01', '001'))"),
     (ComplementFamilyReport, "ok even_ok odd_ok even_window odd_window", {},
      (True, True, True, (0, 6), (1, 7)),
      "ComplementFamilyReport(ok=True, even_ok=True, odd_ok=True, even_window=(0, 6),"
      " odd_window=(1, 7))"),
-    (AutomatonLog, "modulus states recurring n0 preperiod period", {},
-     (2, ((1, 0), (1, 1)), frozenset({(1, 1)}), 1, 1, 3),
-     "AutomatonLog(modulus=2, states=((1, 0), (1, 1)), recurring=frozenset({(1, 1)}),"
-     " n0=1, preperiod=1, period=3)"),
     (TorsionHit,
      "found modulus n k quotient_digits support state_trace reason", {"reason": ""},
      (True, 5, 4, 2, (1, 0), frozenset({1}), ((1, 0),), "hit"),

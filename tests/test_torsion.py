@@ -3,7 +3,9 @@
 import itertools
 import random
 import re
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,17 +24,17 @@ from sturmia.ostrowski import decode, encode
 from sturmia.slope import Slope, parse_slope
 from sturmia.torsion import (
     MAX_RANK_WALK,
-    AutomatonLog,
     TorsionHit,
     _check_self_dual_classes,
+    _class_cuts,
     _cycle,
+    _walk,
     b_factorize,
     complement_family,
     even_family,
     palindromic_center_word,
     parity_word,
     self_complementary,
-    suffix_classes,
     torsion_search,
 )
 from sturmia.words import characteristic_prefix, factor_set
@@ -182,27 +184,63 @@ def test_parity_word_text():
         parity_word(GOLDEN, 0)
 
 
-def test_suffix_classes_constant_one():
-    base, one, two = suffix_classes("1" * 21)
-    assert (base.offset, one.offset, two.offset) == (0, 2, 1)
-    assert base.blocks == ("111",) * 7
-    assert base.boundaries() == (-1, 2, 5, 8, 11, 14, 17, 20)
-    assert one.boundaries() == (1, 4, 7, 10, 13, 16, 19)
-    assert two.boundaries() == (0, 3, 6, 9, 12, 15, 18)
+def block_streams(y: str) -> list[tuple[int, tuple[str, ...]]]:
+    """Reference: the three block streams of y as (first cut, blocks).
+
+    They are the block lists of y, 1y and 11y, the last two without their
+    first block, which covers the prepended letters; a block starting at
+    1-based letter p of y cuts the continuant ladder at index p - 2.
+    """
+    base, one, two = (b_factorize(p + y).blocks for p in ("", "1", "11"))
+    return [(-1, base), (len(one[0]) - 2, one[1:]), (len(two[0]) - 3, two[1:])]
 
 
-def test_suffix_classes_alternating():
-    base, one, two = suffix_classes("10" * 10)
-    assert base.offset == 0 and base.blocks == ("1010",) * 5
-    assert one.offset == 2 and one.blocks == ("1010",) * 4
-    assert two.offset == 1 and two.blocks == ("01",) * 9
+def stream_cuts(first: int, blocks: tuple[str, ...]) -> list[int]:
+    """Every cut of a block stream: one per block start, one after the last."""
+    cuts = [first]
+    for block in blocks:
+        cuts.append(cuts[-1] + len(block))
+    return cuts
 
 
-def test_suffix_classes_guards():
-    with pytest.raises(ParityError):
-        suffix_classes("100000")
-    with pytest.raises(ParityError):
-        suffix_classes("11")
+def test_class_cuts_constant_one():
+    assert block_streams("1" * 21)[0] == (-1, ("111",) * 7)
+    assert _class_cuts("1" * 21) == [
+        [2, 5, 8, 11, 14, 17, 20],
+        [1, 4, 7, 10, 13, 16, 19],
+        [0, 3, 6, 9, 12, 15, 18],
+    ]
+
+
+def test_class_cuts_alternating():
+    assert block_streams("10" * 10) == [(-1, ("1010",) * 5), (1, ("1010",) * 4), (0, ("01",) * 9)]
+    assert _class_cuts("10" * 10) == [
+        [3, 7, 11, 15, 19],
+        [1, 5, 9, 13, 17],
+        [0, 2, 4, 6, 8, 10, 12, 14, 16, 18],
+    ]
+
+
+def test_class_cuts_guards():
+    # a stream of fewer than two blocks certifies nothing
+    for y in ("100000", "11", "1" * 4 + "0"):
+        with pytest.raises(ParityError, match="^window too short to certify the three block streams$"):
+            _class_cuts(y)
+
+
+def test_class_cuts_are_the_block_stream_cuts_from_index_0():
+    rng = random.Random(20261021)
+    refused = 0
+    for _ in range(3000):
+        y = "".join(rng.choice("0111") for _ in range(rng.randint(2, 40)))
+        if min(len(b_factorize(p + y).blocks) for p in ("", "1", "11")) < 2:
+            with pytest.raises(ParityError):
+                _class_cuts(y)
+            refused += 1
+            continue
+        expected = [[d for d in stream_cuts(*stream) if d >= 0] for stream in block_streams(y)]
+        assert _class_cuts(y) == expected, y
+    assert 200 < refused < 600
 
 
 # ---------------------------------------------------- halved ladder identities
@@ -344,17 +382,17 @@ def test_self_dual_classes_too_shallow_to_certify(build, literal, depth, reason)
     assert reason in str(info.value)
 
 
-def halved_blocks(slope, depth, indexed):
+def halved_blocks(slope, depth, stream):
     """Reference: half the ladder difference of a block stream, block by block.
 
-    Each block between boundaries d < d' inside [0, depth - 1] halves
+    Each block between cuts d < d' inside [0, depth - 1] halves
     q_{d'} - q_d into coefficients of q_{d+1}..q_{d'-1}, under the parity
     its letters promise; the halves sum to the window's value.
     """
-    bounds = indexed.boundaries()
+    bounds = stream_cuts(*stream)
     pairs = [
         (bounds[j], block)
-        for j, block in enumerate(indexed.blocks)
+        for j, block in enumerate(stream[1])
         if bounds[j] >= 0 and bounds[j + 1] <= depth - 1
     ]
     assert len(pairs) >= 2
@@ -394,8 +432,8 @@ def test_self_complementary_matches_block_halving(slope):
             classes = self_complementary(slope, depth)
         except SturmiaError:
             continue  # too few odd quotients, or a zero-class window
-        for rho, indexed in zip(classes, suffix_classes(parity_word(slope, depth))):
-            assert rho.digits == encode(halved_blocks(slope, depth, indexed), slope, depth).digits
+        for rho, stream in zip(classes, block_streams(parity_word(slope, depth))):
+            assert rho.digits == encode(halved_blocks(slope, depth, stream), slope, depth).digits
             checked += 1
     assert checked >= 3 * 25
 
@@ -485,38 +523,44 @@ def test_complement_of_sparse_even_window():
 # ------------------------------------------------------------- mod-N machine
 
 
-def automaton_states(slope, modulus, depth):
-    """The log of `_cycle`, the walk `torsion_search` runs, with its states
-    continued through `depth` by repeating the cycle."""
-    log = _cycle(slope, modulus, depth)
-    if log is None:
+def walked_states(slope, modulus, depth):
+    """The states (q_n, p_n) mod the modulus, n = 0 .. depth, that `_walk`
+    yields: the walk `_cycle` and `torsion_search` read."""
+    return [state for state, _ in islice(_walk(slope, modulus), depth + 1)]
+
+
+def cycle_rank(slope, modulus, depth):
+    """`_cycle`'s default rank, or DepthError when the cycle does not close
+    by level `depth`, as in `full_walk_rank`."""
+    n0 = _cycle(slope, modulus, depth)
+    if n0 is None:
         raise DepthError("window too shallow to close the state cycle")
-    states = list(log.states)
-    for n in range(len(states), depth + 1):
-        states.append(states[n - log.period])
-    return log._replace(states=tuple(states))
+    return n0
 
 
 def test_automaton_golden_mod2():
-    log = automaton_states(GOLDEN, 2, 30)
+    log = full_walk_automaton_states(GOLDEN, 2, 30)
     assert (log.n0, log.preperiod, log.period) == (0, 0, 3)
     assert log.states[:4] == ((1, 0), (1, 1), (0, 1), (1, 0))
     assert log.recurring == {(1, 0), (1, 1), (0, 1)}
+    assert _cycle(GOLDEN, 2, 30) == 0
+    assert walked_states(GOLDEN, 2, 30) == list(log.states)
 
 
 def test_automaton_two_two_mod2():
-    log = automaton_states(TWO_TWO, 2, 20)
+    log = full_walk_automaton_states(TWO_TWO, 2, 20)
     assert log.period == 2
     assert set(log.states) == {(1, 0), (0, 1)}
+    assert _cycle(TWO_TWO, 2, 20) == 0
 
 
 @pytest.mark.parametrize("slope", [GOLDEN, TWO_TWO, ONE_TWO, MIXED])
 @pytest.mark.parametrize("modulus", [2, 3, 4, 5])
 def test_automaton_state_bounds(slope, modulus):
-    log = automaton_states(slope, modulus, 120)
-    assert len(set(log.states)) <= modulus * modulus
-    assert (0, 0) not in log.states
-    for n, state in enumerate(log.states):
+    states = walked_states(slope, modulus, 120)
+    assert len(set(states)) <= modulus * modulus
+    assert (0, 0) not in states
+    for n, state in enumerate(states):
         assert state[0] == slope.q(n) % modulus
 
 
@@ -535,8 +579,7 @@ def matrix_walk_states(slope, modulus, depth):
 @pytest.mark.parametrize("slope", [GOLDEN, TWO_TWO, ONE_TWO, MIXED, HEADED, *headed_slopes(6, 5)])
 @pytest.mark.parametrize("modulus", [2, 3, 5, 7])
 def test_automaton_states_match_matrix_walk(slope, modulus):
-    log = automaton_states(slope, modulus, 150)
-    assert list(log.states) == matrix_walk_states(slope, modulus, 150)
+    assert walked_states(slope, modulus, 150) == matrix_walk_states(slope, modulus, 150)
 
 
 def quotient_position(slope, i):
@@ -545,6 +588,9 @@ def quotient_position(slope, i):
         return i - 1
     start, length = slope.period
     return start + (i - 1 - start) % length
+
+
+WalkLog = namedtuple("WalkLog", "states recurring n0 preperiod period")
 
 
 def full_walk_automaton_states(slope, modulus, depth):
@@ -570,7 +616,11 @@ def full_walk_automaton_states(slope, modulus, depth):
     n0 = first
     while n0 > 0 and states[n0 - 1] in recurring:
         n0 -= 1
-    return AutomatonLog(modulus, tuple(states), recurring, n0, first, again - first)
+    return WalkLog(tuple(states), recurring, n0, first, again - first)
+
+
+def full_walk_rank(slope, modulus, depth):
+    return full_walk_automaton_states(slope, modulus, depth).n0
 
 
 def outcome(call, *args):
@@ -583,31 +633,35 @@ def outcome(call, *args):
 
 @pytest.mark.parametrize("slope", [GOLDEN, TWO_TWO, ONE_TWO, MIXED, HEADED, *headed_slopes(6, 5)])
 @pytest.mark.parametrize("modulus", [2, 3, 5, 7])
-def test_automaton_log_matches_the_full_walk(slope, modulus):
+def test_cycle_rank_matches_the_full_walk(slope, modulus):
     for depth in (1, 4, 9, 150):
-        assert outcome(automaton_states, slope, modulus, depth) == outcome(
-            full_walk_automaton_states, slope, modulus, depth
+        assert outcome(cycle_rank, slope, modulus, depth) == outcome(
+            full_walk_rank, slope, modulus, depth
         )
 
 
-def test_automaton_log_matches_the_full_walk_on_headed_and_finite_slopes():
+def test_cycle_rank_matches_the_full_walk_on_headed_and_finite_slopes():
     finite = [Slope((1, 2, 3)), Slope((2, 1, 1, 4, 1))]
     for slope in [*headed_slopes(600, 11), *finite]:
         for modulus in (2, 3, 4):
             for depth in (3, 200):
-                assert outcome(
-                    automaton_states, slope, modulus, depth
-                ) == outcome(full_walk_automaton_states, slope, modulus, depth)
-    # the default rank's log mod 64: the cycle closes at level 96
-    log = automaton_states(GOLDEN, 64, 8 * 64 * 64)
-    assert (log.preperiod, log.period) == (0, 96)
-    assert log == full_walk_automaton_states(GOLDEN, 64, 8 * 64 * 64)
+                assert outcome(cycle_rank, slope, modulus, depth) == outcome(
+                    full_walk_rank, slope, modulus, depth
+                )
+                assert outcome(walked_states, slope, modulus, depth) == outcome(
+                    matrix_walk_states, slope, modulus, depth
+                )
+    # the default rank's walk mod 64: the cycle closes at level 96
+    log = full_walk_automaton_states(GOLDEN, 64, 8 * 64 * 64)
+    assert (log.n0, log.preperiod, log.period) == (0, 0, 96)
+    assert _cycle(GOLDEN, 64, 96) == 0
+    assert _cycle(GOLDEN, 64, 95) is None
 
 
 def reference_torsion_search(slope, modulus, n, k_max):
     """Reference: `torsion_search` on continuants from one `quotient(i)` per level."""
     if n is None:
-        n = full_walk_automaton_states(slope, modulus, 400).n0
+        n = full_walk_rank(slope, modulus, 400)
     top = n + k_max + 2
     q = [0, 1]
     for i in range(1, top + 1):
@@ -633,8 +687,11 @@ def test_walks_read_the_quotient_run_as_one_quotient_per_level(text, grown):
         outcome(slope.q, grown)
     for modulus in (2, 3, 4, 5):
         for depth in (1, 2, 4, 5, 6, 7, 40):
-            assert outcome(automaton_states, slope, modulus, depth) == outcome(
-                full_walk_automaton_states, slope, modulus, depth
+            assert outcome(cycle_rank, slope, modulus, depth) == outcome(
+                full_walk_rank, slope, modulus, depth
+            ), (modulus, depth)
+            assert outcome(walked_states, slope, modulus, depth) == outcome(
+                matrix_walk_states, slope, modulus, depth
             ), (modulus, depth)
         for n in (None, 0, 1, 3):
             for k_max in (2, 3, 8):
@@ -647,21 +704,24 @@ def assert_cycle_repeats(slope, log):
     """From the preperiod on, states and quotients read repeat with the period."""
     first, period = log.preperiod, log.period
     for n in range(first, len(log.states) - period):
-        assert log.states[n] == log.states[n + period], (str(slope), log.modulus, n)
+        assert log.states[n] == log.states[n + period], (str(slope), n)
         assert slope.quotient(n + 1) == slope.quotient(n + 1 + period), (str(slope), n)
     assert log.recurring == set(log.states[first : first + period])
 
 
 def test_automaton_cycle_after_a_head():
-    log = automaton_states(HEADED, 3, 60)
+    log = full_walk_automaton_states(HEADED, 3, 60)
     assert (log.preperiod, log.period) == (1, 6)
     assert_cycle_repeats(HEADED, log)
+    assert _cycle(HEADED, 3, 60) == log.n0
 
 
 def test_automaton_cycles_repeat_on_headed_slopes():
     for slope in headed_slopes(600, 11):
         for modulus in (2, 3, 4):
-            assert_cycle_repeats(slope, automaton_states(slope, modulus, 200))
+            log = full_walk_automaton_states(slope, modulus, 200)
+            assert_cycle_repeats(slope, log)
+            assert _cycle(slope, modulus, 200) == log.n0
 
 
 @pytest.mark.parametrize(
@@ -687,8 +747,8 @@ def test_torsion_search_default_rank():
 def test_default_rank_is_the_long_walk_n0(slope):
     # the rank a walk to the cycle reads is the n0 of a log far past it
     for modulus in range(2, 71):
-        log = automaton_states(slope, modulus, max(80, 8 * modulus * modulus))
-        assert torsion_search(slope, modulus, k_max=2).n == log.n0, modulus
+        n0 = full_walk_rank(slope, modulus, max(80, 8 * modulus * modulus))
+        assert torsion_search(slope, modulus, k_max=2).n == n0, modulus
 
 
 @pytest.mark.parametrize("slope", [GOLDEN, TWO_TWO, ONE_TWO, MIXED])

@@ -30,10 +30,13 @@ Exit codes: 0 on success, 1 on a verification failure (a `verify`
 criterion, a `repetition` row, a duality or factorization check, or a
 torsion search that finds nothing), 2 on a usage error, 3 on an internal
 error (any other exception: a fault in sturmia, reported on one stderr
-line without a traceback).  A check decides its own failures: whatever
-stops a `verify` criterion is its FAIL line, and a `repetition` row fails
-where the profile reads another value than the closed form, or none
-although the closed form's repeat fits in the prefix.
+line without a traceback).  A stdout that cannot take the output, a
+closed pipe or a full disk, is a fault in the caller's environment and no
+verdict: `main` reports it on one stderr line, without a traceback, and
+exits 2.  A check decides its own failures: whatever stops a `verify`
+criterion is its FAIL line, and a `repetition` row fails where the profile
+reads another value than the closed form, or none although the closed
+form's repeat fits in the prefix.
 """
 
 from __future__ import annotations
@@ -641,12 +644,20 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         # the repr keeps it to one line
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
-    print(text)
+    # flushed here, so that a failed write reaches main and not the exit
+    print(text, flush=True)
     return code
 
 
 def main() -> int:
-    return dispatch()
+    try:
+        return dispatch()
+    except OSError as exc:
+        # stdout is closed or full; pointing it at os.devnull keeps the
+        # interpreter's flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
